@@ -56,8 +56,6 @@ figures:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/datacenter
-	$(GO) run ./examples/billing
 	$(GO) run ./examples/phases
 	$(GO) run ./examples/thermal
 	$(GO) run ./examples/governor

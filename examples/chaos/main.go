@@ -28,6 +28,7 @@ import (
 	"trickledown/internal/machine"
 	"trickledown/internal/pool"
 	"trickledown/internal/power"
+	"trickledown/internal/sched"
 	"trickledown/internal/telemetry"
 )
 
@@ -137,11 +138,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The survivors still support a consolidation decision.
+	// The survivors still support a consolidation decision. With no idle
+	// floor and no free threads nothing can migrate, so the scheduler
+	// sheds the largest consumers first until the budget fits.
 	budget := total * 0.85
-	conPlan := cluster.PlanConsolidation(snap, budget)
+	info := make([]sched.NodeInfo, len(snap))
+	for i, e := range snap {
+		info[i] = sched.NodeInfo{Name: e.Name, Watts: e.Watts, Healthy: true}
+	}
+	decision := sched.Plan(info, sched.Config{BudgetWatts: budget})
+	evict := make([]string, len(decision.Actions))
+	for i, a := range decision.Actions {
+		evict[i] = a.Node
+	}
 	fmt.Printf("\nbudget %.0f W: evict %v, projected %.0f W (fits: %v)\n",
-		budget, conPlan.Evict, conPlan.Projected, conPlan.Fits)
+		budget, evict, decision.Projected, decision.Fits)
 
 	fmt.Printf("\nsurvivors=%d accuracy=%.2f%%\n", cov.Healthy, acc)
 }

@@ -150,7 +150,7 @@ func train() *core.Estimator {
 		log.Fatal(err)
 	}
 	all := align.Concat(gcc, mcf, dl)
-	fp := validate.Fingerprint(all)
+	fp := align.Fingerprint(all)
 	est.SetProvenance(&core.Provenance{
 		SchemaVersion: core.ProvenanceSchemaVersion,
 		Version:       "train-" + fp,

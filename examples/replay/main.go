@@ -6,8 +6,8 @@
 // byte-for-byte — replay generators consume no randomness, so the
 // ground-truth rails come out identical, not merely close. The replayed
 // day is finally streamed into the estimation service (internal/serve)
-// as twelve nodes' live feeds, the trace-driven analogue of the
-// datacenter example.
+// as twelve nodes' live feeds, the trace-driven analogue of the fleet
+// example.
 //
 // Everything on stdout is a pure deterministic function of the flags;
 // logs go to stderr.

@@ -385,7 +385,7 @@ func (m *Manager) attemptPromoteLocked() {
 	}
 	win := m.windowDataset()
 	m.refitSeq++
-	fp := validate.Fingerprint(win)
+	fp := align.Fingerprint(win)
 	parent := versionOf(m.champion)
 	challenger.SetProvenance(&core.Provenance{
 		SchemaVersion: core.ProvenanceSchemaVersion,

@@ -9,6 +9,7 @@ import (
 	"trickledown/internal/faults"
 	"trickledown/internal/pool"
 	"trickledown/internal/power"
+	"trickledown/internal/sched"
 )
 
 // chaosWorkloads gives the 16-node drill a heterogeneous mix.
@@ -122,9 +123,12 @@ func TestClusterSurvivesChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := PlanConsolidation(snap, total*0.8)
-	if !plan.Fits || len(plan.Evict) == 0 {
-		t.Errorf("consolidation over survivors = %+v", plan)
+	info := make([]sched.NodeInfo, len(snap))
+	for i, e := range snap {
+		info[i] = sched.NodeInfo{Name: e.Name, Watts: e.Watts, Healthy: true}
+	}
+	if d := sched.Plan(info, sched.Config{BudgetWatts: total * 0.8}); !d.Fits || len(d.Actions) == 0 {
+		t.Errorf("consolidation over survivors = %+v", d)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package cluster provides the ensemble-management layer the paper
 // motivates ("in data and computing centers, this can be a valuable tool
 // for keeping the center within temperature and power limits"): a set of
-// simulated nodes observed purely through the trickle-down estimator,
-// with budget checking and a consolidation planner in the spirit of the
-// Rajamani/Chen node-power-down studies the paper cites.
+// simulated nodes observed purely through the trickle-down estimator.
+// internal/sched plans budget enforcement and consolidation over its
+// snapshots, in the spirit of the Rajamani/Chen node-power-down studies
+// the paper cites.
 //
 // The manager never reads a node's measured rails; they remain available
 // (Node.MeasuredMean) only so callers can verify decisions the way the
@@ -56,7 +57,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -846,50 +846,6 @@ func (c *Cluster) Coverage() Coverage {
 // Quarantined returns the names of failed nodes in insertion order.
 func (c *Cluster) Quarantined() []string {
 	return c.Coverage().Quarantined
-}
-
-// Plan is a consolidation decision: evict the named nodes (largest
-// consumers first) so the projected draw fits the budget.
-type Plan struct {
-	// Evict lists nodes to consolidate away, in eviction order.
-	Evict []string
-	// Projected is the estimated draw after eviction.
-	Projected float64
-	// Fits reports whether the budget is reachable at all.
-	Fits bool
-}
-
-// PlanConsolidation picks nodes to power down until the estimated total
-// fits the budget. It evicts the largest consumers first, so the budget
-// is reached with the fewest powered-down nodes (each eviction is a
-// workload migration; fewer migrations is the cheaper plan). It never
-// plans away the last node. Ties break toward the earlier estimate, so
-// the plan is deterministic for a fixed input order.
-//
-// PlanConsolidation is the single-shot planner; internal/sched grows it
-// into a per-interval scheduler loop with migration costs, per-host
-// capacity and the never-overload-survivors constraint.
-func PlanConsolidation(estimates []Estimate, budgetWatts float64) Plan {
-	total := 0.0
-	for _, e := range estimates {
-		total += e.Watts
-	}
-	plan := Plan{Projected: total}
-	if total <= budgetWatts {
-		plan.Fits = true
-		return plan
-	}
-	sorted := append([]Estimate(nil), estimates...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Watts > sorted[j].Watts })
-	for _, e := range sorted {
-		if plan.Projected <= budgetWatts || len(plan.Evict) == len(estimates)-1 {
-			break
-		}
-		plan.Evict = append(plan.Evict, e.Name)
-		plan.Projected -= e.Watts
-	}
-	plan.Fits = plan.Projected <= budgetWatts
-	return plan
 }
 
 // VerifyAccuracy returns the Equation 6 style relative error between the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"trickledown/internal/perfctr"
 	"trickledown/internal/power"
 )
@@ -22,7 +24,8 @@ import (
 // threads. The sample must carry OS per-thread busy accounting
 // (OSThreadBusySec) with threadsPerCPU entries per processor; otherwise
 // nil is returned. The per-thread values of each processor sum to that
-// processor's Equation 1 attribution.
+// processor's Equation 1 attribution. A negative or non-finite busy
+// time cannot be attributed either, and also returns nil.
 func (e *Estimator) PerThreadPower(s *perfctr.Sample, threadsPerCPU int) []float64 {
 	if threadsPerCPU <= 0 {
 		return nil
@@ -40,30 +43,45 @@ func (e *Estimator) PerThreadPower(s *perfctr.Sample, threadsPerCPU int) []float
 	floor := cm.Coef[0] // per-processor infrastructure (halted floor)
 	out := make([]float64, want)
 	for cpuID := 0; cpuID < m.NumCPUs; cpuID++ {
-		var busySum float64
-		base := cpuID * threadsPerCPU
-		for t := 0; t < threadsPerCPU; t++ {
-			busySum += s.OSThreadBusySec[base+t]
-		}
+		lo, hi := cpuID*threadsPerCPU, (cpuID+1)*threadsPerCPU
 		dynamic := perCPU[cpuID] - floor
 		if dynamic < 0 {
 			dynamic = 0
 		}
-		for t := 0; t < threadsPerCPU; t++ {
-			share := 1.0 / float64(threadsPerCPU)
-			if busySum > 0 {
-				share = s.OSThreadBusySec[base+t] / busySum
-			}
-			out[base+t] = floor/float64(threadsPerCPU) + dynamic*share
-		}
-		// Reconcile rounding so the processor total is exact.
-		var sum float64
-		for t := 0; t < threadsPerCPU; t++ {
-			sum += out[base+t]
-		}
-		if diff := perCPU[cpuID] - sum; diff != 0 {
-			out[base] += diff
+		if splitShares(out[lo:hi], s.OSThreadBusySec[lo:hi], perCPU[cpuID], floor, dynamic) >= 0 {
+			return nil
 		}
 	}
 	return out
+}
+
+// splitShares is the one attribution split, shared by PerThreadPower
+// and AttributeTenants: it divides total into len(dst) shares, the
+// floor evenly and the dynamic part in proportion to weights (evenly
+// when the weights sum to zero). The caller defines floor and dynamic;
+// the rounding residue against total lands on dst[0], so the shares sum
+// to total exactly. It returns the index of the first negative or
+// non-finite weight, leaving dst unwritten, or -1 on success.
+func splitShares(dst, weights []float64, total, floor, dynamic float64) int {
+	var sum float64
+	for i, w := range weights {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return i
+		}
+		sum += w
+	}
+	n := float64(len(dst))
+	var got float64
+	for i := range dst {
+		share := 1 / n
+		if sum > 0 {
+			share = weights[i] / sum
+		}
+		dst[i] = floor/n + dynamic*share
+		got += dst[i]
+	}
+	if diff := total - got; diff != 0 {
+		dst[0] += diff
+	}
+	return -1
 }

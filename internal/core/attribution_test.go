@@ -55,6 +55,10 @@ func TestPerThreadPowerRequiresAccounting(t *testing.T) {
 	if est.PerThreadPower(&s, 2) != nil {
 		t.Error("attribution with short accounting")
 	}
+	s.OSThreadBusySec = []float64{-0.5, 1.0, 0.8, 0}
+	if per := est.PerThreadPower(&s, 2); per != nil {
+		t.Errorf("attribution with negative busy time = %v", per)
+	}
 	s.OSThreadBusySec = []float64{0.5, 0.5, 0.5, 0.5}
 	if est.PerThreadPower(&s, 0) != nil {
 		t.Error("attribution with zero threadsPerCPU")

@@ -24,7 +24,7 @@ type Provenance struct {
 	// only; deterministic pipelines must not branch on it.
 	TrainedAt string `json:"trained_at,omitempty"`
 	// Fingerprint is the training dataset's FNV-64a fingerprint
-	// (validate.Fingerprint), tying coefficients to their data.
+	// (align.Fingerprint), tying coefficients to their data.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Envelopes holds per-metric rate envelopes (mean/std of the design
 	// inputs over the training data) for residual-free drift detection.

@@ -62,36 +62,22 @@ func AttributeTenants(total, idle power.Reading, tenants []TenantActivity) ([]po
 			return nil, fmt.Errorf("core: attribute: idle[%s] is %v", power.Subsystem(s), idle[s])
 		}
 	}
-	for _, tn := range tenants {
-		for s, w := range tn.Driving {
-			if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-				return nil, fmt.Errorf("core: attribute: tenant %q driving[%s] is %v", tn.Name, power.Subsystem(s), w)
-			}
-		}
-	}
 	out := make([]power.Reading, n)
+	weights := make([]float64, n)
+	shares := make([]float64, n)
 	for s := 0; s < power.NumSubsystems; s++ {
 		dyn := total[s] - idle[s]
 		if dyn < 0 {
 			dyn = 0
 		}
-		floor := total[s] - dyn
-		var denom float64
-		for _, tn := range tenants {
-			denom += tn.Driving[s]
-		}
-		var sum float64
 		for i := range tenants {
-			share := 1 / float64(n)
-			if denom > 0 {
-				share = tenants[i].Driving[s] / denom
-			}
-			out[i][s] = floor/float64(n) + dyn*share
-			sum += out[i][s]
+			weights[i] = tenants[i].Driving[s]
 		}
-		// Reconcile float rounding so the node total is exact.
-		if diff := total[s] - sum; diff != 0 {
-			out[0][s] += diff
+		if bad := splitShares(shares, weights, total[s], total[s]-dyn, dyn); bad >= 0 {
+			return nil, fmt.Errorf("core: attribute: tenant %q driving[%s] is %v", tenants[bad].Name, power.Subsystem(s), weights[bad])
+		}
+		for i, v := range shares {
+			out[i][s] = v
 		}
 	}
 	return out, nil

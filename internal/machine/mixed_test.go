@@ -28,8 +28,8 @@ func TestNewMixedValidation(t *testing.T) {
 
 func TestMixedConsolidation(t *testing.T) {
 	// Two gcc jobs on processor 0, two dbt-2 workers on processor 1,
-	// processors 2-3 idle: the consolidated box the datacenter example
-	// implies.
+	// processors 2-3 idle: the consolidated box a scheduler migration
+	// produces.
 	cfg := DefaultConfig()
 	cfg.Seed = 5
 	srv, err := NewMixed(cfg, []Placement{

@@ -2,8 +2,7 @@
 // ensemble-management motivation asks for: each simulated interval it
 // turns the trickle-down estimator's fleet snapshot — and nothing else;
 // measured rails are never an input — into placement and eviction
-// decisions. It grows cluster.PlanConsolidation (a one-shot largest-
-// first eviction sort) into a real scheduler:
+// decisions:
 //
 //   - Budget enforcement: when the fleet's estimated draw exceeds the
 //     budget, load is shed largest-consumer-first until it fits.
@@ -188,8 +187,8 @@ func Plan(fleet []NodeInfo, cfg Config) Decision {
 	var d Decision
 	hasBudget := cfg.BudgetWatts > 0
 
-	// Phase 1 — budget enforcement, largest consumer first (the
-	// PlanConsolidation heritage: fewest evictions shed the most Watts).
+	// Phase 1 — budget enforcement, largest consumer first (fewest
+	// evictions shed the most Watts).
 	// Each eviction first tries to migrate (sheds only the idle floor but
 	// loses no work), and shed-unplaced is the last resort.
 	if hasBudget {

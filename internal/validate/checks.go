@@ -357,7 +357,7 @@ func checkAlignAgreement(seed uint64) CheckResult {
 		return CheckResult{Name: name, Detail: fmt.Sprintf(
 			"robust path reports repairs on clean data: %s", q)}
 	}
-	if fs, fr := Fingerprint(strict), Fingerprint(robust); fs != fr {
+	if fs, fr := align.Fingerprint(strict), align.Fingerprint(robust); fs != fr {
 		return CheckResult{Name: name, Detail: fmt.Sprintf(
 			"paths disagree on clean data: strict %s vs robust %s", fs, fr)}
 	}

@@ -271,7 +271,7 @@ func CrossValidate(ctx context.Context, src Source, opt Options) (*Report, error
 		if err != nil {
 			return fmt.Errorf("validate: dataset %s: %w", names[i], err)
 		}
-		prints[i] = Fingerprint(ds)
+		prints[i] = align.Fingerprint(ds)
 		datasets[i] = ds.Skip(opt.Warmup)
 		if datasets[i].Len() == 0 {
 			return fmt.Errorf("validate: dataset %s: empty after %d warmup rows", names[i], opt.Warmup)

@@ -248,11 +248,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := Fingerprint(ds)
+	fp := align.Fingerprint(ds)
 	if len(fp) != 16 {
 		t.Fatalf("fingerprint %q not 16 hex chars", fp)
 	}
-	if fp2 := Fingerprint(ds); fp2 != fp {
+	if fp2 := align.Fingerprint(ds); fp2 != fp {
 		t.Fatalf("fingerprint not stable: %s vs %s", fp, fp2)
 	}
 	// One bit of one counter in one row must change the digest.
@@ -260,13 +260,13 @@ func TestFingerprintSensitivity(t *testing.T) {
 	cp := append(mut.Rows[0].Counters.CPUs[:0:0], mut.Rows[0].Counters.CPUs...)
 	cp[0].Cycles ^= 1
 	mut.Rows[0].Counters.CPUs = cp
-	if Fingerprint(mut) == fp {
+	if align.Fingerprint(mut) == fp {
 		t.Fatal("single-bit counter change did not change the fingerprint")
 	}
 	// Power perturbation too.
 	mut2 := &align.Dataset{Rows: append([]align.Row(nil), ds.Rows...)}
 	mut2.Rows[len(mut2.Rows)-1].Power[0] += 1e-9
-	if Fingerprint(mut2) == fp {
+	if align.Fingerprint(mut2) == fp {
 		t.Fatal("power perturbation did not change the fingerprint")
 	}
 }
