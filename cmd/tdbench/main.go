@@ -5,10 +5,11 @@
 //
 // It shells out to `go test -bench -benchmem`, streams the raw output
 // through, parses it (internal/benchjson), stamps the run with date and
-// machine metadata, and writes BENCH_<date>.json. With -baseline it
-// compares allocs/op against a previous record and exits non-zero on a
-// regression beyond -maxregress — the CI gate. With -profile it also
-// captures CPU and allocation profiles for pprof.
+// machine metadata (CPU model, logical CPUs, GOMAXPROCS), and writes
+// BENCH_<date>.json. With -baseline it compares allocs/op against a
+// previous record and exits non-zero on a regression beyond -maxregress
+// — the CI gate. With -profile it also captures CPU and allocation
+// profiles for pprof.
 //
 // Usage:
 //
@@ -85,6 +86,8 @@ func main() {
 	}
 	res.Date = date
 	res.GoVersion = runtime.Version()
+	res.NumCPU = runtime.NumCPU()
+	res.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	res.Benchtime = *benchtime
 	if err := benchjson.Write(path, res); err != nil {
 		log.Fatal(err)

@@ -50,6 +50,12 @@ type Result struct {
 	GOOS      string `json:"goos,omitempty"`
 	GOARCH    string `json:"goarch,omitempty"`
 	CPU       string `json:"cpu,omitempty"`
+	// NumCPU and GOMAXPROCS are the host's logical CPU count and the Go
+	// scheduler's parallelism for the run: a parallel benchmark's ns/op
+	// means little without them. Records made before they were kept
+	// leave them zero.
+	NumCPU     int `json:"num_cpu,omitempty"`
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// Benchtime is the -benchtime the suite ran with.
 	Benchtime string `json:"benchtime,omitempty"`
 	// Benchmarks holds the parsed results in output order.

@@ -118,3 +118,52 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 		t.Error("Load of a missing file should fail")
 	}
 }
+
+// TestMachineShapeRoundTrip checks the machine-shape fields both ways:
+// a record carrying them keeps them through Write and Load, and the
+// checked-in baselines, which predate them, still load (with zeros) and
+// re-encode to the bytes on disk, so the allocation gate reads old and
+// new records alike.
+func TestMachineShapeRoundTrip(t *testing.T) {
+	r, err := Parse([]byte(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.NumCPU, r.GOMAXPROCS = 8, 2
+	path := filepath.Join(t.TempDir(), "BENCH_shape.json")
+	if err := Write(path, r); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumCPU != 8 || got.GOMAXPROCS != 2 {
+		t.Errorf("machine shape after round trip: num_cpu %d, gomaxprocs %d", got.NumCPU, got.GOMAXPROCS)
+	}
+
+	old, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(old) == 0 {
+		t.Fatalf("no checked-in baselines found (%v)", err)
+	}
+	for _, p := range old {
+		base, err := Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.NumCPU != 0 || base.GOMAXPROCS != 0 || len(base.Benchmarks) == 0 {
+			t.Errorf("%s: num_cpu %d, gomaxprocs %d, %d benchmarks", p, base.NumCPU, base.GOMAXPROCS, len(base.Benchmarks))
+		}
+		again := filepath.Join(t.TempDir(), filepath.Base(p))
+		if err := Write(again, base); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data, err := os.ReadFile(again); err != nil || string(data) != string(want) {
+			t.Errorf("%s does not re-encode to its checked-in bytes (%v)", p, err)
+		}
+	}
+}

@@ -163,16 +163,27 @@ func PrefetchCoverage(prefetchability, busUtil float64) float64 {
 	return cov
 }
 
-// Step advances the processor one slice. cycles is the slice's core cycle
-// count; d0 and d1 are the demands of its two hardware threads (read,
-// never written — callers may pass long-lived buffers); busUtil is the
-// previous slice's front-side-bus utilization (the prefetcher's feedback
-// input). Event counts are accumulated into the PMU and a SliceStats
-// summary is returned. Demands are passed by pointer because Step runs
-// once per processor per slice and the struct copies dominated the whole
-// simulator's CPU profile.
+// Step advances the processor one slice and returns its SliceStats by
+// value. It is StepInto on a fresh struct; the machine's hot path calls
+// StepInto with a long-lived slot instead, so no stats struct is copied
+// per slice.
 func (p *Processor) Step(cycles float64, d0, d1 *workload.Demand, busUtil float64) SliceStats {
 	var st SliceStats
+	p.StepInto(&st, cycles, d0, d1, busUtil)
+	return st
+}
+
+// StepInto advances the processor one slice and writes its summary into
+// *st, overwriting every field. cycles is the slice's core cycle count;
+// d0 and d1 are the demands of its two hardware threads (read, never
+// written — callers may pass long-lived buffers); busUtil is the
+// previous slice's front-side-bus utilization (the prefetcher's feedback
+// input). Event counts are accumulated into the PMU. Demands and stats
+// are passed by pointer because StepInto runs once per processor per
+// slice and the struct copies dominated the whole simulator's CPU
+// profile.
+func (p *Processor) StepInto(st *SliceStats, cycles float64, d0, d1 *workload.Demand, busUtil float64) {
+	*st = SliceStats{}
 	// DVFS: the slice contains fewer core cycles at a reduced clock.
 	cycles *= p.freqScale
 	st.Cycles = cycles
@@ -236,9 +247,8 @@ func (p *Processor) Step(cycles float64, d0, d1 *workload.Demand, busUtil float6
 		st.WriteFrac = writeTx / totalMemTx
 		st.MemLocality = locTx / totalMemTx
 	}
-	p.jitterCounts(&st)
-	p.observe(&st)
-	return st
+	p.jitterCounts(st)
+	p.observe(st)
 }
 
 // jitterCounts applies Poisson-style sampling noise to the discrete
@@ -278,7 +288,7 @@ func (p *Processor) observe(st *SliceStats) {
 	p.pm.Observe(pmu.EventL3Misses, uint64(st.L3Misses+st.Writebacks))
 	p.pm.Observe(pmu.EventTLBMisses, uint64(st.TLBMisses))
 	p.pm.Observe(pmu.EventUncacheableAccesses, uint64(st.UCAccesses))
-	p.pm.Observe(pmu.EventBusTransactions, uint64(st.TotalBusTx()))
+	p.pm.Observe(pmu.EventBusTransactions, uint64(st.DemandBusTx+st.PrefetchBusTx))
 	p.pm.Observe(pmu.EventBusTransactionsPrefetch, uint64(st.PrefetchBusTx))
 }
 

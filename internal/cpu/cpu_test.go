@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -315,5 +316,56 @@ func TestFreqScaleClampAndEffect(t *testing.T) {
 	}
 	if st.FreqScale != 0.5 {
 		t.Errorf("stats FreqScale = %v", st.FreqScale)
+	}
+}
+
+// TestStepIntoOverwritesEveryField steps twin processors from the same
+// seed, one through Step and one through StepInto on a slot poisoned
+// with NaN, over random demands (idle threads included), throttles and
+// DVFS points. Every field must come out bit-identical, so StepInto
+// leaves nothing of the slot's previous contents behind.
+func TestStepIntoOverwritesEveryField(t *testing.T) {
+	byValue, inPlace := New(0, sim.NewRNG(21)), New(0, sim.NewRNG(21))
+	r := sim.NewRNG(22)
+	demand := func() *workload.Demand {
+		if r.Float64() < 0.3 {
+			return &workload.Demand{}
+		}
+		return &workload.Demand{
+			Active:          r.Float64(),
+			UopsPerCycle:    3 * r.Float64(),
+			SpecActivity:    r.Float64(),
+			L2PerUop:        r.Float64(),
+			L3MissPerKuop:   5 * r.Float64(),
+			DirtyEvictFrac:  r.Float64(),
+			Prefetchability: r.Float64(),
+			TLBMissPerMuop:  100 * r.Float64(),
+			UCPerMcycle:     10 * r.Float64(),
+			WriteFrac:       r.Float64(),
+			MemLocality:     r.Float64(),
+		}
+	}
+	var st SliceStats
+	slot := reflect.ValueOf(&st).Elem()
+	for i := 0; i < 500; i++ {
+		throttle, freq := r.Float64(), MinFreqScale+r.Float64()*(1-MinFreqScale)
+		byValue.SetThrottle(throttle)
+		inPlace.SetThrottle(throttle)
+		byValue.SetFreqScale(freq)
+		inPlace.SetFreqScale(freq)
+		d0, d1, busUtil := demand(), demand(), r.Float64()
+
+		want := reflect.ValueOf(byValue.Step(testCycles, d0, d1, busUtil))
+		for f := 0; f < slot.NumField(); f++ {
+			slot.Field(f).SetFloat(math.NaN())
+		}
+		inPlace.StepInto(&st, testCycles, d0, d1, busUtil)
+		for f := 0; f < slot.NumField(); f++ {
+			got, w := slot.Field(f).Float(), want.Field(f).Float()
+			if math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("step %d: StepInto %s = %v, Step gives %v",
+					i, slot.Type().Field(f).Name, got, w)
+			}
+		}
 	}
 }

@@ -96,8 +96,11 @@ type DAQ struct {
 	sum     power.Reading
 	n       int64
 	daqTime float64
-	records []Record
-	fault   FaultInjector
+	// sampleAcc carries the fractional ADC sample a slice leaves over
+	// into the next one.
+	sampleAcc float64
+	records   []Record
+	fault     FaultInjector
 
 	// Pending telemetry, flushed per window rather than per slice.
 	pendingSamples uint64
@@ -141,7 +144,11 @@ func New(cfg Config, parent *sim.RNG) *DAQ {
 // Acquire integrates one target-clock slice of true rail power. The
 // slice's ADC samples are statistically aggregated: the mean of k noisy
 // samples is the truth plus noise shrunk by sqrt(k), quantized on the
-// ADC grid.
+// ADC grid. k is a whole number that weights the slice in the window sum
+// and counts toward the window's Samples alike; when the rate does not
+// divide into slices the fraction is carried to the next slice, so the
+// count stays exact over a window. Rates below one sample per slice take
+// one sample every slice.
 func (d *DAQ) Acquire(sliceSec float64, truth power.Reading) {
 	if sliceSec <= 0 {
 		return
@@ -152,6 +159,10 @@ func (d *DAQ) Acquire(sliceSec float64, truth power.Reading) {
 	k := d.cfg.SampleHz * sliceSec
 	if k < 1 {
 		k = 1
+	} else {
+		d.sampleAcc += k
+		k = math.Floor(d.sampleAcc)
+		d.sampleAcc -= k
 	}
 	sigma := d.cfg.NoiseStd / math.Sqrt(k)
 	for i, w := range truth {

@@ -201,3 +201,39 @@ func TestFaultInjectorPerturbsAndDropsSyncs(t *testing.T) {
 			recs[1].Samples, 2*recs[0].Samples)
 	}
 }
+
+// TestFractionalSampleRates feeds a constant, noise-free rail at rates
+// that do not divide into 1 ms slices. Every slice must be weighted by
+// the samples it counted, so the mean stays the rail's value and a
+// second holds SampleHz samples give or take the carried fraction.
+// Below one sample per slice each slice still takes one sample.
+func TestFractionalSampleRates(t *testing.T) {
+	cases := []struct {
+		hz          float64
+		wantSamples int64
+	}{
+		{hz: 1500, wantSamples: 1500},
+		{hz: 2500, wantSamples: 2500},
+		{hz: 10000, wantSamples: 10000},
+		{hz: 400, wantSamples: 1000},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		cfg.SampleHz = tc.hz
+		cfg.NoiseStd = 0
+		d := New(cfg, sim.NewRNG(9))
+		for i := 0; i < 1000; i++ {
+			d.Acquire(0.001, power.Reading{100, 100, 100, 100, 100})
+		}
+		d.SyncPulse()
+		r := d.Records()[0]
+		if diff := r.Samples - tc.wantSamples; diff < -1 || diff > 1 {
+			t.Errorf("%g Hz: Samples = %d, want %d ± 1", tc.hz, r.Samples, tc.wantSamples)
+		}
+		for i, w := range r.Mean {
+			if math.Abs(w-100) > 1e-9 {
+				t.Errorf("%g Hz: channel %d mean = %v, want 100", tc.hz, i, w)
+			}
+		}
+	}
+}

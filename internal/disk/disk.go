@@ -176,6 +176,13 @@ func (d *Disk) start() {
 // the next request.
 func (d *Disk) Step(sliceSec float64) Stats {
 	var st Stats
+	d.stepInto(&st, sliceSec)
+	return st
+}
+
+// stepInto is Step writing into *st, which it zeroes first.
+func (d *Disk) stepInto(st *Stats, sliceSec float64) {
+	*st = Stats{}
 	left := sliceSec
 	for left > 1e-12 {
 		// Spin-up in progress blocks everything else.
@@ -249,7 +256,6 @@ func (d *Disk) Step(sliceSec float64) Stats {
 		}
 	}
 	st.QueueLen = len(d.queue)
-	return st
 }
 
 func min(a, b float64) float64 {
@@ -311,10 +317,13 @@ func (c *Controller) Pending() bool {
 
 // Step advances every disk by sliceSec and returns the summed stats.
 // Stats.Completions is the number of controller interrupts to raise.
+// Each disk writes into one reused per-spindle slot, which is then added
+// to the total in disk order.
 func (c *Controller) Step(sliceSec float64) Stats {
-	var st Stats
+	var st, one Stats
 	for _, d := range c.disks {
-		st.Add(d.Step(sliceSec))
+		d.stepInto(&one, sliceSec)
+		st.Add(one)
 	}
 	return st
 }

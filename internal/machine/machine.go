@@ -432,7 +432,7 @@ func (s *Server) step(c *sim.Clock) {
 
 	// 1. Thread demand.
 	for i := range s.jobs {
-		j := s.jobs[i]
+		j := &s.jobs[i]
 		if j.gen == nil || now < j.start {
 			s.demands[i] = workload.Demand{}
 			continue
@@ -444,20 +444,23 @@ func (s *Server) step(c *sim.Clock) {
 	osRes := s.os.Step(c, s.demands)
 
 	// 3. Processors (prefetcher feedback uses last slice's bus
-	// utilization, the paper's streaming-detection effect).
+	// utilization, the paper's streaming-detection effect). Each
+	// processor writes its stats straight into its lastCPU slot.
 	cycles := c.CyclesPerSlice()
-	var cpuTruth float64
+	var cpuTruth, demandSum float64
 	var tr mem.Traffic
 	var writeTx, locTx, classTx float64
 	for i, p := range s.procs {
-		st := p.Step(cycles, &s.demands[2*i], &s.demands[2*i+1], s.busUtil)
-		s.lastCPU[i] = st
-		cpuTruth += s.profile.CPU(st)
+		st := &s.lastCPU[i]
+		p.StepInto(st, cycles, &s.demands[2*i], &s.demands[2*i+1], s.busUtil)
+		cpuTruth += s.profile.CPU(*st)
 		tr.CPUTx += st.DemandBusTx
 		tr.PrefetchTx += st.PrefetchBusTx
-		writeTx += st.TotalBusTx() * st.WriteFrac
-		locTx += st.TotalBusTx() * st.MemLocality
-		classTx += st.TotalBusTx()
+		tx := st.DemandBusTx + st.PrefetchBusTx
+		writeTx += tx * st.WriteFrac
+		locTx += tx * st.MemLocality
+		classTx += tx
+		demandSum += st.DemandBusTx
 	}
 	if classTx > 0 {
 		tr.WriteFrac = writeTx / classTx
@@ -479,10 +482,6 @@ func (s *Server) step(c *sim.Clock) {
 	// snoop traffic of its peers, a contaminant that degrades DMA-based
 	// models while interrupt counts stay clean (part of why the paper's
 	// selection lands on interrupts for disk and I/O).
-	var demandSum float64
-	for _, st := range s.lastCPU {
-		demandSum += st.DemandBusTx
-	}
 	for i, p := range s.procs {
 		coherence := snoopShare * (demandSum - s.lastCPU[i].DemandBusTx)
 		p.ObserveDMA(memStats.DMATx + coherence)

@@ -150,8 +150,8 @@ func (o *OS) Step(c *sim.Clock, demands []workload.Demand) Result {
 	}
 
 	// File I/O from the threads.
-	for _, d := range demands {
-		o.handleIO(d)
+	for i := range demands {
+		o.handleIO(&demands[i])
 	}
 	// Feed the disk queues from the flush backlog.
 	o.submitFlush()
@@ -186,7 +186,7 @@ func (o *OS) Step(c *sim.Clock, demands []workload.Demand) Result {
 
 // handleIO routes one thread's slice I/O through the page cache and the
 // network stack.
-func (o *OS) handleIO(d workload.Demand) {
+func (o *OS) handleIO(d *workload.Demand) {
 	if net := d.NetRxBytes + d.NetTxBytes; net > 0 {
 		// NIC payload is DMA through main memory in both directions;
 		// receive writes to memory, transmit reads from it.

@@ -19,7 +19,7 @@ import "math"
 // adding randomness to one component does not perturb another.
 type RNG struct {
 	state uint64
-	// spare holds a cached second normal deviate from Box-Muller.
+	// spare holds the second normal deviate of the last polar-method pair.
 	spare    float64
 	hasSpare bool
 }
@@ -60,7 +60,9 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Norm returns a normally distributed deviate with the given mean and
-// standard deviation, using the Box-Muller transform.
+// standard deviation, using Marsaglia's polar method: it rejects points
+// outside the unit disc and turns each accepted point into a pair of
+// deviates, caching the second for the next call.
 func (r *RNG) Norm(mean, stddev float64) float64 {
 	if r.hasSpare {
 		r.hasSpare = false

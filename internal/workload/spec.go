@@ -90,16 +90,19 @@ func newSpecGen(name string, p specParams, phase phaseFunc, rng *sim.RNG) *specG
 
 func (g *specGen) Name() string { return g.name }
 
-func (g *specGen) Demand(t float64, env Env, rng *sim.RNG) Demand {
-	p := g.p
+// Demand fills the named result in place and reads the parameters
+// through a pointer: it runs once per thread per slice, and copying the
+// parameter block and a local Demand showed up in the stepper's profile.
+func (g *specGen) Demand(t float64, env Env, rng *sim.RNG) (d Demand) {
 	if t < g.initT {
 		return g.initDemand
 	}
+	p := &g.p
 	actMul, upcMul, missMul := 1.0, 1.0, 1.0
 	if g.phase != nil {
 		actMul, upcMul, missMul = g.phase(t-g.initT, g)
 	}
-	d := g.baseDemand
+	d = g.baseDemand
 	d.Active = clamp01(0.985 * actMul)
 	d.UopsPerCycle = rng.Jitter(p.upc*upcMul, 0.03)
 	d.SpecActivity = rng.Jitter(p.spec*upcMul, 0.05)
