@@ -197,7 +197,7 @@ func TestTrace(t *testing.T) {
 
 func TestEstimatorConstruction(t *testing.T) {
 	mk := func(spec ModelSpec) *Model {
-		coef := make([]float64, len(spec.Design(ExtractMetrics(&perfctr.Sample{CPUs: make([]perfctr.CPUCounts, 1)}))))
+		coef := make([]float64, len(spec.Design(nil, ExtractMetrics(&perfctr.Sample{CPUs: make([]perfctr.CPUCounts, 1)}))))
 		return &Model{Spec: spec, Coef: coef}
 	}
 	full := []*Model{mk(CPUSpec()), mk(MemBusSpec()), mk(DiskSpec()), mk(IOSpec()), mk(ChipsetSpec())}
@@ -272,7 +272,7 @@ func TestRejectedSpecsHaveDistinctInputs(t *testing.T) {
 		DiskDMASpec(), DiskUncacheableSpec(), IODMASpec(), IOUncacheableSpec(),
 		CPUSpec(), MemL3Spec(), MemBusSpec(), DiskSpec(), IOSpec(), ChipsetSpec(),
 	} {
-		row := spec.Design(m)
+		row := spec.Design(nil, m)
 		if len(row) == 0 || len(row) != len(spec.Terms) {
 			t.Errorf("%s: design row %d columns, %d terms", spec.Name, len(row), len(spec.Terms))
 		}

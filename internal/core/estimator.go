@@ -59,15 +59,12 @@ func (e *Estimator) Model(s power.Subsystem) *Model {
 
 // Estimate returns per-rail power for one counter sample.
 func (e *Estimator) Estimate(s *perfctr.Sample) power.Reading {
-	m := ExtractMetrics(s)
-	var out power.Reading
-	for i, mod := range e.models {
-		out[i] = mod.Predict(m)
-	}
-	return out
+	return e.EstimateMetrics(ExtractMetrics(s))
 }
 
-// EstimateMetrics is Estimate for pre-extracted metrics.
+// EstimateMetrics is Estimate for pre-extracted metrics. The design rows
+// are built in m's scratch, so with a reused Metrics it allocates
+// nothing; m must not be in use by another goroutine.
 func (e *Estimator) EstimateMetrics(m *Metrics) power.Reading {
 	var out power.Reading
 	for i, mod := range e.models {

@@ -65,6 +65,11 @@ type Metrics struct {
 	// inferred from cycles elapsed per wall-clock interval — no extra
 	// event needed, the cycles counter already reveals the clock.
 	FreqScale []float64
+
+	// row is Model.Predict's design-row scratch. Because of it, one
+	// Metrics (or a struct copy, which shares the buffer) must not reach
+	// two concurrent Predict calls; each goroutine extracts into its own.
+	row []float64
 }
 
 // ExtractMetrics normalizes a counter sample, assuming the default

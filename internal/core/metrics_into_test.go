@@ -3,7 +3,12 @@ package core
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
+
+	"trickledown/internal/perfctr"
+	"trickledown/internal/power"
+	"trickledown/internal/sim"
 )
 
 // TestExtractMetricsAtIntoMatchesFresh: the reusing form must be
@@ -46,5 +51,106 @@ func TestExtractMetricsAtIntoZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state ExtractMetricsAtInto allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// handEstimator assembles the five production specs with fixed,
+// nonzero coefficients: enough to exercise every design row without
+// training.
+func handEstimator(t testing.TB) *Estimator {
+	t.Helper()
+	var models []*Model
+	for i, spec := range []ModelSpec{CPUSpec(), MemBusSpec(), DiskSpec(), IOSpec(), ChipsetSpec()} {
+		coef := make([]float64, designWidth(spec))
+		for j := range coef {
+			coef[j] = float64(i+1) + 0.25*float64(j)
+		}
+		models = append(models, &Model{Spec: spec, Coef: coef})
+	}
+	est, err := NewEstimator(models...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+// TestEstimateMetricsReusedScratchMatchesFresh: predicting through a
+// Metrics whose row scratch holds an earlier sample's rows gives the
+// bit-identical reading of a fresh extraction.
+func TestEstimateMetricsReusedScratchMatchesFresh(t *testing.T) {
+	est := handEstimator(t)
+	samples := []perfctr.Sample{
+		mkSample(0.9, 1.5, 200, 900, 300, 50),
+		mkSample(0.3, 0.4, 50, 100, 20, 10),
+		mkSample(0.6, 1.0, 120, 400, 90, 25),
+	}
+	scratch := &Metrics{}
+	for i := range samples {
+		ExtractMetricsAtInto(scratch, &samples[i], sim.DefaultCoreHz)
+		if got, want := est.EstimateMetrics(scratch), est.Estimate(&samples[i]); got != want {
+			t.Errorf("sample %d: reused scratch reads %v, fresh %v", i, got, want)
+		}
+	}
+}
+
+// TestEstimateMetricsZeroAllocSteadyState: with a reused Metrics, the
+// five design rows are built in its scratch, so estimating allocates
+// nothing — the live service's per-sample step.
+func TestEstimateMetricsZeroAllocSteadyState(t *testing.T) {
+	est := handEstimator(t)
+	s := mkSample(0.7, 1.1, 120, 600, 150, 30)
+	scratch := &Metrics{}
+	ExtractMetricsAtInto(scratch, &s, sim.DefaultCoreHz)
+	est.EstimateMetrics(scratch) // warm-up sizes the row scratch
+	allocs := testing.AllocsPerRun(100, func() {
+		ExtractMetricsAtInto(scratch, &s, sim.DefaultCoreHz)
+		est.EstimateMetrics(scratch)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state extract+estimate allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestPredictConcurrentMetrics: the row scratch lives in each Metrics,
+// not in the shared Model, so goroutines with their own Metrics may
+// predict through one estimator at once (the race detector checks).
+func TestPredictConcurrentMetrics(t *testing.T) {
+	est := handEstimator(t)
+	samples := make([]perfctr.Sample, 8)
+	want := make([]power.Reading, len(samples))
+	for i := range samples {
+		samples[i] = mkSample(0.1*float64(i+1), 0.2*float64(i+1), 40, 300, 50, 20)
+		want[i] = est.Estimate(&samples[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			m := &Metrics{}
+			for rep := 0; rep < 50; rep++ {
+				i := (g + rep) % len(samples)
+				ExtractMetricsAtInto(m, &samples[i], sim.DefaultCoreHz)
+				if got := est.EstimateMetrics(m); got != want[i] {
+					t.Errorf("goroutine %d sample %d: %v, want %v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// BenchmarkEstimateMetrics is the live service's per-sample step:
+// extract into a reused Metrics, then predict all five rails.
+func BenchmarkEstimateMetrics(b *testing.B) {
+	est := handEstimator(b)
+	s := mkSample(0.7, 1.1, 120, 600, 150, 30)
+	scratch := &Metrics{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ExtractMetricsAtInto(scratch, &s, sim.DefaultCoreHz)
+		est.EstimateMetrics(scratch)
 	}
 }

@@ -11,8 +11,13 @@ type ModelSpec struct {
 	Name string
 	// Sub is the subsystem whose rail power the model predicts.
 	Sub power.Subsystem
-	// Design maps metrics to the regression row.
-	Design func(m *Metrics) []float64
+	// Design appends the regression row for m to dst and returns the
+	// extended slice, the same convention as perfctr.EncodeBatch(buf, …):
+	// callers pass a reused buffer (dst[:0]) to build rows without
+	// allocating. It must append exactly the row — nothing else — and
+	// must not retain dst or the result past the call, since the caller
+	// overwrites the buffer with the next row.
+	Design func(dst []float64, m *Metrics) []float64
 	// Terms documents the design columns for coefficient printing.
 	Terms []string
 }
@@ -27,12 +32,12 @@ func CPUSpec() ModelSpec {
 	return ModelSpec{
 		Name: "cpu (Eq.1)",
 		Sub:  power.SubCPU,
-		Design: func(m *Metrics) []float64 {
-			return []float64{
+		Design: func(dst []float64, m *Metrics) []float64 {
+			return append(dst,
 				float64(m.NumCPUs),
 				sum(m.PercentActive),
 				sum(m.UopsPerCycle),
-			}
+			)
 		},
 		Terms: []string{"perCPU", "percent_active", "uops_per_cycle"},
 	}
@@ -48,7 +53,7 @@ func CPUDVFSSpec() ModelSpec {
 	return ModelSpec{
 		Name: "cpu-dvfs (Eq.1 + fV^2)",
 		Sub:  power.SubCPU,
-		Design: func(m *Metrics) []float64 {
+		Design: func(dst []float64, m *Metrics) []float64 {
 			var vSum, actFV, upcFV float64
 			for i := 0; i < m.NumCPUs; i++ {
 				f := 1.0
@@ -61,7 +66,7 @@ func CPUDVFSSpec() ModelSpec {
 				actFV += m.PercentActive[i] * fv2
 				upcFV += m.UopsPerCycle[i] * fv2
 			}
-			return []float64{vSum, actFV, upcFV}
+			return append(dst, vSum, actFV, upcFV)
 		},
 		Terms: []string{"perCPU*V", "active*fV^2", "upc*fV^2"},
 	}
@@ -79,8 +84,8 @@ func CPUOSUtilSpec() ModelSpec {
 	return ModelSpec{
 		Name: "cpu-osutil (Heath/Kotla comparison)",
 		Sub:  power.SubCPU,
-		Design: func(m *Metrics) []float64 {
-			return []float64{float64(m.NumCPUs), sum(m.OSUtil)}
+		Design: func(dst []float64, m *Metrics) []float64 {
+			return append(dst, float64(m.NumCPUs), sum(m.OSUtil))
 		},
 		Terms: []string{"perCPU", "os_util"},
 	}
@@ -94,9 +99,9 @@ func MemL3Spec() ModelSpec {
 	return ModelSpec{
 		Name: "mem-l3 (Eq.2)",
 		Sub:  power.SubMemory,
-		Design: func(m *Metrics) []float64 {
+		Design: func(dst []float64, m *Metrics) []float64 {
 			x := sum(m.L3LoadPMC)
-			return []float64{1, x, x * x}
+			return append(dst, 1, x, x*x)
 		},
 		Terms: []string{"const", "l3_load_pmc", "l3_load_pmc^2"},
 	}
@@ -110,9 +115,9 @@ func MemBusSpec() ModelSpec {
 	return ModelSpec{
 		Name: "mem-bus (Eq.3)",
 		Sub:  power.SubMemory,
-		Design: func(m *Metrics) []float64 {
+		Design: func(dst []float64, m *Metrics) []float64 {
 			x := m.TotalBusPMC()
-			return []float64{1, x, x * x}
+			return append(dst, 1, x, x*x)
 		},
 		Terms: []string{"const", "bus_tx_pmc", "bus_tx_pmc^2"},
 	}
@@ -127,10 +132,10 @@ func MemBusRWSpec() ModelSpec {
 	return ModelSpec{
 		Name: "mem-bus-rw (Eq.3 + write mix)",
 		Sub:  power.SubMemory,
-		Design: func(m *Metrics) []float64 {
+		Design: func(dst []float64, m *Metrics) []float64 {
 			x := m.TotalBusPMC()
 			w := m.WritebackShare()
-			return []float64{1, x, x * x, x * w}
+			return append(dst, 1, x, x*x, x*w)
 		},
 		Terms: []string{"const", "bus_tx_pmc", "bus_tx_pmc^2", "bus_tx_pmc*wb_share"},
 	}
@@ -145,10 +150,10 @@ func DiskSpec() ModelSpec {
 	return ModelSpec{
 		Name: "disk (Eq.4)",
 		Sub:  power.SubDisk,
-		Design: func(m *Metrics) []float64 {
+		Design: func(dst []float64, m *Metrics) []float64 {
 			i := sum(m.DiskIntsPMC)
 			d := mean(m.DMAPMC)
-			return []float64{1, i, i * i, d, d * d}
+			return append(dst, 1, i, i*i, d, d*d)
 		},
 		Terms: []string{"const", "disk_ints_pmc", "disk_ints_pmc^2", "dma_pmc", "dma_pmc^2"},
 	}
@@ -161,9 +166,9 @@ func IOSpec() ModelSpec {
 	return ModelSpec{
 		Name: "io (Eq.5)",
 		Sub:  power.SubIO,
-		Design: func(m *Metrics) []float64 {
+		Design: func(dst []float64, m *Metrics) []float64 {
 			x := sum(m.IntsPMC)
-			return []float64{1, x, x * x}
+			return append(dst, 1, x, x*x)
 		},
 		Terms: []string{"const", "ints_pmc", "ints_pmc^2"},
 	}
@@ -176,8 +181,8 @@ func ChipsetSpec() ModelSpec {
 	return ModelSpec{
 		Name: "chipset (const)",
 		Sub:  power.SubChipset,
-		Design: func(m *Metrics) []float64 {
-			return []float64{1}
+		Design: func(dst []float64, m *Metrics) []float64 {
+			return append(dst, 1)
 		},
 		Terms: []string{"const"},
 	}
@@ -195,9 +200,9 @@ func DiskDMASpec() ModelSpec {
 	return ModelSpec{
 		Name: "disk-dma (rejected)",
 		Sub:  power.SubDisk,
-		Design: func(m *Metrics) []float64 {
+		Design: func(dst []float64, m *Metrics) []float64 {
 			d := mean(m.DMAPMC)
-			return []float64{1, d, d * d}
+			return append(dst, 1, d, d*d)
 		},
 		Terms: []string{"const", "dma_pmc", "dma_pmc^2"},
 	}
@@ -209,9 +214,9 @@ func DiskUncacheableSpec() ModelSpec {
 	return ModelSpec{
 		Name: "disk-uc (rejected)",
 		Sub:  power.SubDisk,
-		Design: func(m *Metrics) []float64 {
+		Design: func(dst []float64, m *Metrics) []float64 {
 			u := sum(m.UncacheablePMC)
-			return []float64{1, u, u * u}
+			return append(dst, 1, u, u*u)
 		},
 		Terms: []string{"const", "uc_pmc", "uc_pmc^2"},
 	}
@@ -224,9 +229,9 @@ func IODMASpec() ModelSpec {
 	return ModelSpec{
 		Name: "io-dma (rejected)",
 		Sub:  power.SubIO,
-		Design: func(m *Metrics) []float64 {
+		Design: func(dst []float64, m *Metrics) []float64 {
 			d := mean(m.DMAPMC)
-			return []float64{1, d, d * d}
+			return append(dst, 1, d, d*d)
 		},
 		Terms: []string{"const", "dma_pmc", "dma_pmc^2"},
 	}
@@ -238,9 +243,9 @@ func IOUncacheableSpec() ModelSpec {
 	return ModelSpec{
 		Name: "io-uc (rejected)",
 		Sub:  power.SubIO,
-		Design: func(m *Metrics) []float64 {
+		Design: func(dst []float64, m *Metrics) []float64 {
 			u := sum(m.UncacheablePMC)
-			return []float64{1, u, u * u}
+			return append(dst, 1, u, u*u)
 		},
 		Terms: []string{"const", "uc_pmc", "uc_pmc^2"},
 	}

@@ -113,7 +113,7 @@ func (f *OnlineFitter) Reset() {
 // design term is non-finite; the accumulators are untouched in that
 // case.
 func (f *OnlineFitter) Observe(m *Metrics, y float64) bool {
-	row := f.spec.Design(m)
+	row := f.spec.Design(nil, m) // the window keeps the row
 	if len(row) != f.p {
 		// A spec whose design width varies per sample would corrupt the
 		// moments; treat it as hostile input rather than panicking.

@@ -138,5 +138,5 @@ func designWidth(spec ModelSpec) int {
 		IntsPMC:        make([]float64, 1),
 		DiskIntsPMC:    make([]float64, 1),
 	}
-	return len(spec.Design(m))
+	return len(spec.Design(nil, m))
 }

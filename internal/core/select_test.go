@@ -80,8 +80,8 @@ func TestSelectModelSurvivesFailingCandidate(t *testing.T) {
 	bad := ModelSpec{
 		Name: "degenerate",
 		Sub:  power.SubChipset,
-		Design: func(m *Metrics) []float64 {
-			return []float64{1, 1} // collinear with the intercept
+		Design: func(dst []float64, m *Metrics) []float64 {
+			return append(dst, 1, 1) // collinear with the intercept
 		},
 		Terms: []string{"a", "b"},
 	}
@@ -108,7 +108,7 @@ func TestSelectModelAllFail(t *testing.T) {
 	bad := ModelSpec{
 		Name:   "degenerate",
 		Sub:    power.SubChipset,
-		Design: func(m *Metrics) []float64 { return []float64{1, 1} },
+		Design: func(dst []float64, m *Metrics) []float64 { return append(dst, 1, 1) },
 		Terms:  []string{"a", "b"},
 	}
 	if _, _, err := SelectModel([]ModelSpec{bad}, ds, ds); err == nil {

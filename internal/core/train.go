@@ -8,6 +8,7 @@ import (
 
 	"trickledown/internal/align"
 	"trickledown/internal/regress"
+	"trickledown/internal/sim"
 	"trickledown/internal/stats"
 )
 
@@ -46,7 +47,7 @@ func Train(spec ModelSpec, ds *align.Dataset) (*Model, error) {
 	y := make([]float64, ds.Len())
 	for i, row := range ds.Rows {
 		m := ExtractMetrics(&row.Counters)
-		x[i] = spec.Design(m)
+		x[i] = spec.Design(nil, m)
 		y[i] = row.Power[spec.Sub]
 		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
 			return nil, fmt.Errorf("%w: %s rail at row %d", ErrNonFinite, spec.Sub, i)
@@ -69,9 +70,13 @@ func Train(spec ModelSpec, ds *align.Dataset) (*Model, error) {
 	return &Model{Spec: spec, Coef: fit.Coef, Fit: fit}, nil
 }
 
-// Predict evaluates the model on one sample's metrics.
+// Predict evaluates the model on one sample's metrics. The design row
+// is built in met's scratch buffer, so a Metrics reused across samples
+// (ExtractMetricsAtInto) predicts without allocating; the same Metrics
+// must not reach two Predict calls concurrently.
 func (m *Model) Predict(met *Metrics) float64 {
-	return regress.Predict(m.Coef, m.Spec.Design(met))
+	met.row = m.Spec.Design(met.row[:0], met)
+	return regress.Predict(m.Coef, met.row)
 }
 
 // Trace returns the aligned measured and modeled series over a dataset —
@@ -79,9 +84,12 @@ func (m *Model) Predict(met *Metrics) float64 {
 func (m *Model) Trace(ds *align.Dataset) (measured, modeled []float64) {
 	measured = make([]float64, ds.Len())
 	modeled = make([]float64, ds.Len())
-	for i, row := range ds.Rows {
+	var met Metrics
+	for i := range ds.Rows {
+		row := &ds.Rows[i]
 		measured[i] = row.Power[m.Spec.Sub]
-		modeled[i] = m.Predict(ExtractMetrics(&row.Counters))
+		ExtractMetricsAtInto(&met, &row.Counters, sim.DefaultCoreHz)
+		modeled[i] = m.Predict(&met)
 	}
 	return measured, modeled
 }

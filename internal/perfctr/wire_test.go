@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
 	"trickledown/internal/power"
 )
 
@@ -155,7 +157,9 @@ func TestWireEncodeRejectsOversize(t *testing.T) {
 }
 
 // FuzzDecodeBatch asserts the decoder never panics or over-allocates on
-// arbitrary input — it is fed straight from HTTP request bodies.
+// arbitrary input — it is fed straight from HTTP request bodies — and
+// that whatever DecodeBatchFull accepts survives EncodeBatchFull and a
+// second decode unchanged.
 func FuzzDecodeBatch(f *testing.F) {
 	good, err := EncodeBatch(nil, "node", wireTestSamples())
 	if err != nil {
@@ -164,23 +168,196 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(good)
 	f.Add(good[:12])
 	f.Add([]byte("TDS1"))
+	f.Add(fullFrame(f, 3))
+	f.Add(emptyMatrixFrame(2, 5))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		node, samples, err := DecodeBatch(data)
+		node, samples, ext, rails, err := DecodeBatchFull(data)
 		if err != nil {
 			return
 		}
 		if len(node) > maxWireNode || len(samples) > maxWireSamples {
 			t.Fatalf("decoder exceeded wire limits: node=%d samples=%d", len(node), len(samples))
 		}
-		// Whatever decodes must re-encode and decode identically.
-		re, err := EncodeBatch(nil, node, samples)
+		re, err := EncodeBatchFull(nil, node, samples, ext, rails)
 		if err != nil {
 			t.Fatalf("re-encode of decoded batch failed: %v", err)
 		}
-		if _, _, err := DecodeBatch(re); err != nil {
+		node2, samples2, ext2, rails2, err := DecodeBatchFull(re)
+		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
+		// A zero trace ID is "no extension" to the encoder, whatever
+		// its flags said.
+		if ext.IsZero() {
+			ext = TraceExt{}
+		}
+		if node2 != node || ext2 != ext || !reflect.DeepEqual(samples2, samples) {
+			t.Fatalf("round trip changed the batch:\n first: %q %+v %+v\nsecond: %q %+v %+v",
+				node, ext, samples, node2, ext2, samples2)
+		}
+		// Rails are unchecked floats: compare bits so NaN round-trips.
+		if (rails == nil) != (rails2 == nil) || len(rails) != len(rails2) {
+			t.Fatalf("rails round trip: %d -> %d readings", len(rails), len(rails2))
+		}
+		for i := range rails {
+			for s := range rails[i] {
+				if math.Float64bits(rails[i][s]) != math.Float64bits(rails2[i][s]) {
+					t.Fatalf("rails[%d][%d] = %v, round-tripped to %v", i, s, rails[i][s], rails2[i][s])
+				}
+			}
+		}
 	})
+}
+
+// fullFrame encodes n samples shaped like wireTestSamples()[0] (two
+// CPUs, a 3x2 interrupt matrix, OS busy times) with the TDX1 trace and
+// TDP1 rails extensions: everything a live-service frame can carry.
+func fullFrame(tb testing.TB, n int) []byte {
+	tb.Helper()
+	samples := make([]Sample, n)
+	rails := make([]power.Reading, n)
+	for i := range samples {
+		samples[i] = wireTestSamples()[0]
+		samples[i].TargetSeconds = float64(i)
+		rails[i] = power.Reading{41.2, 19.1, 33.7, 33.0, float64(i)}
+	}
+	buf, err := EncodeBatchFull(nil, "node00", samples, TraceExt{ID: [16]byte{7}, Sampled: true}, rails)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf
+}
+
+// emptyMatrixFrame hand-builds a frame of n minimal samples that each
+// declare nVec interrupt vectors with zero columns: 26 wire bytes per
+// sample, no counts at all.
+func emptyMatrixFrame(n, nVec int) []byte {
+	buf := append([]byte(nil), wireMagic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, 1)
+	buf = append(buf, 'n')
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	for i := 0; i < n; i++ {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(i)))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(1))
+		buf = binary.LittleEndian.AppendUint16(buf, 0)            // nCPU
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(nVec)) // nVec
+		buf = binary.LittleEndian.AppendUint16(buf, 0)            // cols
+		buf = binary.LittleEndian.AppendUint16(buf, 0)            // nBusy
+		buf = binary.LittleEndian.AppendUint16(buf, 0)            // nThr
+	}
+	return buf
+}
+
+// decodeAllocBytes reports the heap bytes one DecodeBatchFull of buf
+// allocates.
+func decodeAllocBytes(buf []byte) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	DecodeBatchFull(buf)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWireDecodeAllocationBoundedByFrame: whatever a frame declares,
+// decoding it allocates a bounded multiple of the bytes it actually
+// carries, so a body under the HTTP size limit cannot demand gigabytes.
+func TestWireDecodeAllocationBoundedByFrame(t *testing.T) {
+	const maxAmplification = 64
+	// One sample with the most CPUs the wire allows, then many minimal
+	// samples: sizing the CPU slab from the first sample alone would ask
+	// for 1024 CPUs per remaining sample.
+	wide := Sample{TargetSeconds: 0, IntervalSec: 1, CPUs: make([]CPUCounts, maxWireCPUs)}
+	mixed := append([]Sample{wide}, make([]Sample, 10_000)...)
+	mixedBuf, err := EncodeBatch(nil, "n", mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostileCount := emptyMatrixFrame(40, 0)
+	binary.LittleEndian.PutUint32(hostileCount[7:], maxWireSamples)
+	hostileCPUs := emptyMatrixFrame(40, 0)
+	for off := 11 + 16; off < len(hostileCPUs); off += minSampleBytes {
+		binary.LittleEndian.PutUint16(hostileCPUs[off:], maxWireCPUs)
+	}
+	cases := []struct {
+		name    string
+		buf     []byte
+		decodes bool
+	}{
+		{"1000 samples x 4096 empty vectors", emptyMatrixFrame(1000, maxWireVectors), true},
+		{"count beyond the samples present", hostileCount, false},
+		{"max nCPU without the counters", hostileCPUs, false},
+		{"one wide sample then 10k narrow", mixedBuf, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, _, _, err := DecodeBatchFull(tc.buf); (err == nil) != tc.decodes {
+				t.Fatalf("decode err = %v, want success %v", err, tc.decodes)
+			}
+			if got, limit := decodeAllocBytes(tc.buf), uint64(maxAmplification*len(tc.buf)); got > limit {
+				t.Errorf("decoding a %d-byte frame allocated %d bytes (%.0fx), want <= %dx",
+					len(tc.buf), got, float64(got)/float64(len(tc.buf)), maxAmplification)
+			}
+		})
+	}
+}
+
+// TestWireDecodeEmptyMatrixIsNil: a zero-column interrupt matrix decodes
+// as nil Ints, and the per-vector accessors read zero either way.
+func TestWireDecodeEmptyMatrixIsNil(t *testing.T) {
+	_, samples, err := DecodeBatch(emptyMatrixFrame(2, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range samples {
+		s := &samples[i]
+		if s.Ints != nil || s.IntsTotal() != 0 || s.IntsForVector(3) != 0 || s.IntsForCPU(0) != 0 {
+			t.Errorf("sample %d: Ints = %v, want nil reading zero", i, s.Ints)
+		}
+	}
+}
+
+// TestWireDecodeSlabsIsolateSamples: samples share per-batch slabs, so
+// each slice must be capped at its own length — growing one sample's
+// slices must never write into the next sample.
+func TestWireDecodeSlabsIsolateSamples(t *testing.T) {
+	_, samples, _, _, err := DecodeBatchFull(fullFrame(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := samples[1]
+	want := next
+	want.CPUs = append([]CPUCounts(nil), next.CPUs...)
+	want.Ints = make([][]uint64, len(next.Ints))
+	for v, row := range next.Ints {
+		want.Ints[v] = append([]uint64(nil), row...)
+	}
+	want.OSBusySec = append([]float64(nil), next.OSBusySec...)
+	s := &samples[0]
+	s.CPUs = append(s.CPUs, CPUCounts{Cycles: 99})
+	s.Ints[0] = append(s.Ints[0], 99)
+	s.Ints[len(s.Ints)-1] = append(s.Ints[len(s.Ints)-1], 99)
+	s.Ints = append(s.Ints, []uint64{99})
+	s.OSBusySec = append(s.OSBusySec, 99)
+	if !reflect.DeepEqual(samples[1], want) {
+		t.Errorf("appending to sample 0 changed sample 1:\n got %+v\nwant %+v", samples[1], want)
+	}
+}
+
+// TestWireDecodeAllocsPerBatch gates the decode hot path: a full frame
+// costs a fixed handful of allocations whatever its sample count.
+func TestWireDecodeAllocsPerBatch(t *testing.T) {
+	const maxAllocs = 10
+	for _, n := range []int{64, 256, 1024} {
+		buf := fullFrame(t, n)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, _, _, err := DecodeBatchFull(buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > maxAllocs {
+			t.Errorf("%d-sample frame: %.0f allocs per decode, want <= %d", n, allocs, maxAllocs)
+		}
+	}
 }
 
 func BenchmarkWireEncodeBatch(b *testing.B) {
@@ -201,20 +378,15 @@ func BenchmarkWireEncodeBatch(b *testing.B) {
 	b.SetBytes(int64(len(buf)))
 }
 
+// BenchmarkWireDecodeBatch decodes the full 256-sample frame the live
+// service decodes: counters, trace context and rails.
 func BenchmarkWireDecodeBatch(b *testing.B) {
-	samples := make([]Sample, 256)
-	for i := range samples {
-		samples[i] = wireTestSamples()[0]
-		samples[i].TargetSeconds = float64(i)
-	}
-	buf, err := EncodeBatch(nil, "node00", samples)
-	if err != nil {
-		b.Fatal(err)
-	}
+	buf := fullFrame(b, 256)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeBatch(buf); err != nil {
+		if _, _, _, _, err := DecodeBatchFull(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,12 +29,12 @@ func testModel(sub power.Subsystem, base, slope float64) *core.Model {
 		Spec: core.ModelSpec{
 			Name: fmt.Sprintf("test-%s", sub),
 			Sub:  sub,
-			Design: func(m *core.Metrics) []float64 {
+			Design: func(dst []float64, m *core.Metrics) []float64 {
 				var upc float64
 				for _, v := range m.UopsPerCycle {
 					upc += v
 				}
-				return []float64{1, upc}
+				return append(dst, 1, upc)
 			},
 			Terms: []string{"const", "upc"},
 		},
@@ -43,7 +43,7 @@ func testModel(sub power.Subsystem, base, slope float64) *core.Model {
 }
 
 // testEstimator builds a five-subsystem estimator from testModel fits.
-func testEstimator(t *testing.T) *core.Estimator {
+func testEstimator(t testing.TB) *core.Estimator {
 	t.Helper()
 	models := make([]*core.Model, 0, power.NumSubsystems)
 	for i, sub := range power.Subsystems() {
@@ -128,7 +128,7 @@ func newServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-func closeServer(t *testing.T, s *Server) {
+func closeServer(t testing.TB, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -393,7 +393,7 @@ func TestRetryRecoversPanickingBatch(t *testing.T) {
 		m := testModel(sub, 10+float64(i), 2)
 		if sub == power.SubCPU {
 			inner := m.Spec.Design
-			m.Spec.Design = func(met *core.Metrics) []float64 {
+			m.Spec.Design = func(dst []float64, met *core.Metrics) []float64 {
 				mu.Lock()
 				calls++
 				first := calls == 1
@@ -401,7 +401,7 @@ func TestRetryRecoversPanickingBatch(t *testing.T) {
 				if first {
 					panic("injected design panic")
 				}
-				return inner(met)
+				return inner(dst, met)
 			}
 		}
 		models = append(models, m)
