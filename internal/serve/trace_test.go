@@ -249,9 +249,20 @@ func TestShedBatchesSkipLatencyHistograms(t *testing.T) {
 	})
 	s.SetFaultInjector(inj)
 
-	// Wedge the worker and fill the queue: these are the admitted batches.
-	admitted := 0
+	// Wedge the worker and fill the queue: these are the admitted
+	// batches. The first must leave the queue before the fill starts, or
+	// the worker frees a slot that one overflow batch then takes.
+	if err := s.Ingest("c1", "node-hist", mkBatch(1, 1, 5)); err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	admitted := 1
 	deadline := time.Now().Add(5 * time.Second)
+	for s.QueueDepth() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never picked up the first batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for {
 		err := s.Ingest("c1", "node-hist", mkBatch(1, 1, 5))
 		if err == ErrQueueFull {
