@@ -10,6 +10,9 @@ import (
 	"trickledown/internal/sim"
 )
 
+// paper prices the chipset rail on the paper's machine.
+var paper = power.ServerProfile()
+
 // The chipset power-response curve: base floor at an idle bus, linear
 // growth with front-side-bus utilization, and the multi-domain
 // measurement artifact (drift + workload bias) passing straight through
@@ -27,13 +30,13 @@ func TestChipsetPowerResponseCurve(t *testing.T) {
 		{"busy", chipset.Stats{FSBUtil: 0.75}},
 		{"saturated", chipset.Stats{FSBUtil: 1.0}},
 	}
-	base := power.Chipset(chipset.Stats{})
+	base := paper.Chipset(chipset.Stats{})
 	if base != power.ChipsetBasePower {
 		t.Fatalf("idle chipset power = %v, want the %v W floor", base, power.ChipsetBasePower)
 	}
 	prev := math.Inf(-1)
 	for _, tc := range cases {
-		p := power.Chipset(tc.stats)
+		p := paper.Chipset(tc.stats)
 		if p < base {
 			t.Errorf("%s: power %v W below the %v W floor", tc.name, p, base)
 		}
@@ -44,8 +47,8 @@ func TestChipsetPowerResponseCurve(t *testing.T) {
 	}
 	// Linearity in FSB utilization: equal utilization steps cost equal
 	// Watts (the chipset has no superlinear term; that belongs to DRAM).
-	d1 := power.Chipset(chipset.Stats{FSBUtil: 0.50}) - power.Chipset(chipset.Stats{FSBUtil: 0.25})
-	d2 := power.Chipset(chipset.Stats{FSBUtil: 0.75}) - power.Chipset(chipset.Stats{FSBUtil: 0.50})
+	d1 := paper.Chipset(chipset.Stats{FSBUtil: 0.50}) - paper.Chipset(chipset.Stats{FSBUtil: 0.25})
+	d2 := paper.Chipset(chipset.Stats{FSBUtil: 0.75}) - paper.Chipset(chipset.Stats{FSBUtil: 0.50})
 	if math.Abs(d1-d2) > 1e-9 {
 		t.Errorf("chipset response not linear: steps %v vs %v W", d1, d2)
 	}
@@ -65,9 +68,9 @@ func TestChipsetArtifactAdditive(t *testing.T) {
 		{"bias", 0, 1.2},
 		{"both", 0.25, -0.8},
 	}
-	clean := power.Chipset(chipset.Stats{FSBUtil: 0.5})
+	clean := paper.Chipset(chipset.Stats{FSBUtil: 0.5})
 	for _, tc := range cases {
-		p := power.Chipset(chipset.Stats{FSBUtil: 0.5, DomainDrift: tc.drift, DomainBias: tc.bias})
+		p := paper.Chipset(chipset.Stats{FSBUtil: 0.5, DomainDrift: tc.drift, DomainBias: tc.bias})
 		if got, want := p-clean, tc.drift+tc.bias; math.Abs(got-want) > 1e-9 {
 			t.Errorf("%s: artifact shifted rail by %v W, want %v W", tc.name, got, want)
 		}

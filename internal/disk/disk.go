@@ -13,6 +13,8 @@
 package disk
 
 import (
+	"math"
+
 	"trickledown/internal/sim"
 )
 
@@ -115,8 +117,14 @@ type active struct {
 
 // Disk is one spindle.
 type Disk struct {
-	rng   *sim.RNG
+	rng *sim.RNG
+	// queue is a FIFO ring of waiting requests: qlen of them, oldest at
+	// queue[qhead], wrapping past the end. Its length is zero or a power
+	// of two, doubled only when full, so a pop is O(1) however deep the
+	// dataset-load burst gets and a warm ring never allocates.
 	queue []Request
+	qhead int
+	qlen  int
 	// cur is the in-flight request; busy says whether it is valid. It is
 	// embedded by value (not a pointer) so the per-request hot path of a
 	// loaded disk allocates nothing.
@@ -141,22 +149,43 @@ func (d *Disk) SetPowerPolicy(p PowerPolicy) { d.policy = p }
 // Standby reports whether the spindle is currently stopped.
 func (d *Disk) Standby() bool { return d.standby }
 
+// transferable reports whether r moves a positive, finite number of
+// bytes. Anything else is dropped on submission: a zero-byte request has
+// nothing to do, and an infinite or NaN one would never finish its
+// transfer, wedging the spindle and everything queued behind it.
+func (r Request) transferable() bool {
+	return r.Bytes > 0 && !math.IsInf(r.Bytes, 1)
+}
+
 // Submit enqueues a request.
 func (d *Disk) Submit(r Request) {
-	if r.Bytes <= 0 {
+	if !r.transferable() {
 		return
 	}
-	d.queue = append(d.queue, r)
+	if d.qlen == len(d.queue) {
+		d.grow()
+	}
+	d.queue[(d.qhead+d.qlen)&(len(d.queue)-1)] = r
+	d.qlen++
+}
+
+// grow doubles the ring, copying the waiting requests out in order so
+// the oldest lands at index 0.
+func (d *Disk) grow() {
+	q := make([]Request, max(1, 2*len(d.queue)))
+	n := copy(q, d.queue[d.qhead:])
+	copy(q[n:], d.queue[:d.qhead])
+	d.queue, d.qhead = q, 0
 }
 
 // QueueLen returns the number of waiting (not in-flight) requests.
-func (d *Disk) QueueLen() int { return len(d.queue) }
+func (d *Disk) QueueLen() int { return d.qlen }
 
 // start pops the next request and rolls its mechanical delays.
 func (d *Disk) start() {
-	r := d.queue[0]
-	copy(d.queue, d.queue[1:])
-	d.queue = d.queue[:len(d.queue)-1]
+	r := d.queue[d.qhead]
+	d.qhead = (d.qhead + 1) & (len(d.queue) - 1)
+	d.qlen--
 	a := active{req: r, xferLeft: r.Bytes / TransferRate}
 	if r.Sequential {
 		a.seekLeft = trackSeekSec * d.rng.Jitter(1, 0.5)
@@ -194,7 +223,7 @@ func (d *Disk) stepInto(st *Stats, sliceSec float64) {
 			continue
 		}
 		if d.standby {
-			if len(d.queue) == 0 {
+			if d.qlen == 0 {
 				st.StandbySec += left
 				break
 			}
@@ -205,7 +234,7 @@ func (d *Disk) stepInto(st *Stats, sliceSec float64) {
 			continue
 		}
 		if !d.busy {
-			if len(d.queue) == 0 {
+			if d.qlen == 0 {
 				if d.policy.SpindownAfterSec > 0 {
 					// Accumulate idleness toward the spindown timeout.
 					budget := d.policy.SpindownAfterSec - d.idleFor
@@ -255,7 +284,7 @@ func (d *Disk) stepInto(st *Stats, sliceSec float64) {
 			}
 		}
 	}
-	st.QueueLen = len(d.queue)
+	st.QueueLen = d.qlen
 }
 
 func min(a, b float64) float64 {
@@ -293,7 +322,7 @@ func (c *Controller) Disks() int { return len(c.disks) }
 
 // Submit routes a request to the least-loaded disk.
 func (c *Controller) Submit(r Request) {
-	if r.Bytes <= 0 {
+	if !r.transferable() {
 		return
 	}
 	best := c.disks[0]
@@ -308,22 +337,30 @@ func (c *Controller) Submit(r Request) {
 // Pending reports whether any request is queued or in flight.
 func (c *Controller) Pending() bool {
 	for _, d := range c.disks {
-		if d.busy || d.QueueLen() > 0 {
+		if d.busy || d.qlen > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// Step advances every disk by sliceSec and returns the summed stats.
-// Stats.Completions is the number of controller interrupts to raise.
-// Each disk writes into one reused per-spindle slot, which is then added
-// to the total in disk order.
+// Step advances every disk by sliceSec and returns the summed stats. It
+// is StepInto on a fresh struct.
 func (c *Controller) Step(sliceSec float64) Stats {
-	var st, one Stats
+	var st Stats
+	c.StepInto(&st, sliceSec)
+	return st
+}
+
+// StepInto advances every disk by sliceSec and writes the summed stats
+// into *st, overwriting every field. Stats.Completions is the number of
+// controller interrupts to raise. Each disk writes into one reused
+// per-spindle slot, which is then added to the total in disk order.
+func (c *Controller) StepInto(st *Stats, sliceSec float64) {
+	*st = Stats{}
+	var one Stats
 	for _, d := range c.disks {
 		d.stepInto(&one, sliceSec)
 		st.Add(one)
 	}
-	return st
 }

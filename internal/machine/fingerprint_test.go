@@ -44,6 +44,18 @@ func TestDatasetFingerprintPins(t *testing.T) {
 			},
 			want: "01b8108813b11df7",
 		},
+		{
+			// The experiments runner's reduced-scale mcf: the dataset
+			// load of eight instances staggered 0.02 x 30 s apart queues
+			// more than 7,000 requests at the disks.
+			name: "mcf-4x2-deepqueue", cfg: DefaultConfig(), seed: 14, seconds: 30,
+			build: func(cfg Config) (*Server, error) {
+				spec := mustSpec(t, "mcf")
+				spec.StaggerSec *= 0.02
+				return New(cfg, spec)
+			},
+			want: "54f8c3d3317e6b91",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

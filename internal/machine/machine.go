@@ -168,7 +168,13 @@ type Server struct {
 
 	drift   *railDrift
 	profile power.Profile
+	// Per-slice hand-off slots: each layer writes its result here in
+	// place and the next reads it by pointer, so no stats struct is
+	// copied per slice.
 	lastCPU []cpu.SliceStats
+	osRes   osmodel.Result
+	traffic mem.Traffic
+	memSt   mem.Stats
 
 	truthSum power.Reading
 	truthN   int64
@@ -441,19 +447,21 @@ func (s *Server) step(c *sim.Clock) {
 	}
 
 	// 2. OS and the I/O path (page cache, disks, DMA, interrupts).
-	osRes := s.os.Step(c, s.demands)
+	osRes := &s.osRes
+	s.os.StepInto(osRes, c, s.demands)
 
 	// 3. Processors (prefetcher feedback uses last slice's bus
 	// utilization, the paper's streaming-detection effect). Each
 	// processor writes its stats straight into its lastCPU slot.
 	cycles := c.CyclesPerSlice()
 	var cpuTruth, demandSum float64
-	var tr mem.Traffic
+	tr := &s.traffic
+	*tr = mem.Traffic{}
 	var writeTx, locTx, classTx float64
 	for i, p := range s.procs {
 		st := &s.lastCPU[i]
 		p.StepInto(st, cycles, &s.demands[2*i], &s.demands[2*i+1], s.busUtil)
-		cpuTruth += s.profile.CPU(*st)
+		cpuTruth += s.profile.CPUOf(st)
 		tr.CPUTx += st.DemandBusTx
 		tr.PrefetchTx += st.PrefetchBusTx
 		tx := st.DemandBusTx + st.PrefetchBusTx
@@ -474,7 +482,8 @@ func (s *Server) step(c *sim.Clock) {
 	}
 
 	// 4. Memory bus and DRAM.
-	memStats := s.memory.Step(sliceSec, tr)
+	memStats := &s.memSt
+	s.memory.StepInto(memStats, sliceSec, tr)
 	s.busUtil = memStats.Util
 	// Non-self transactions are visible to every processor's PMU. The
 	// P4's DMA/other metric "cannot distinguish between DMA and
@@ -494,9 +503,9 @@ func (s *Server) step(c *sim.Clock) {
 	truth := power.Reading{
 		power.SubCPU:     cpuTruth,
 		power.SubChipset: s.profile.Chipset(chipStats),
-		power.SubMemory:  s.profile.Memory(memStats, sliceSec),
+		power.SubMemory:  s.profile.MemoryOf(memStats, sliceSec),
 		power.SubIO:      s.profile.IO(osRes.DMA, float64(osRes.DeviceInts), sliceSec),
-		power.SubDisk:    s.profile.Disk(osRes.Disk, sliceSec, s.cfg.NumDisks),
+		power.SubDisk:    s.profile.DiskOf(&osRes.Disk, sliceSec, s.cfg.NumDisks),
 	}
 	for i, d := range s.drift.step(sliceSec) {
 		truth[i] += d

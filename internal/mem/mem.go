@@ -122,12 +122,23 @@ func PageHitRate(util, locality float64) float64 {
 	return ph
 }
 
-// Step serves one slice of traffic. sliceSec is the slice duration.
+// Step serves one slice of traffic and returns its Stats. It is
+// StepInto on a fresh struct.
 func (m *Memory) Step(sliceSec float64, t Traffic) Stats {
 	var st Stats
+	m.StepInto(&st, sliceSec, &t)
+	return st
+}
+
+// StepInto serves one slice of traffic *t and writes the slice's
+// activity into *st, overwriting every field. sliceSec is the slice
+// duration. Both structs are passed by pointer so the machine's hot path
+// copies neither per slice.
+func (m *Memory) StepInto(st *Stats, sliceSec float64, t *Traffic) {
+	*st = Stats{}
 	offered := t.Offered()
 	if offered < 0 || sliceSec <= 0 {
-		return st
+		return
 	}
 	capTx := m.capacity * sliceSec
 	served := saturate(offered, capTx)
@@ -162,7 +173,6 @@ func (m *Memory) Step(sliceSec float64, t Traffic) Stats {
 	}
 	st.PrechargeFrac = pre
 	st.IdleFrac = 1 - st.ActiveFrac - st.PrechargeFrac
-	return st
 }
 
 func clamp01(v float64) float64 {

@@ -7,6 +7,9 @@ import (
 	"trickledown/internal/power"
 )
 
+// paper prices DRAM power on the paper's machine.
+var paper = power.ServerProfile()
+
 // memPowerAt serves one second of CPU traffic at the given fraction of
 // bus capacity and returns the resulting DRAM power.
 func memPowerAt(frac, writeFrac, locality float64) float64 {
@@ -16,7 +19,7 @@ func memPowerAt(frac, writeFrac, locality float64) float64 {
 		WriteFrac: writeFrac,
 		Locality:  locality,
 	})
-	return power.Memory(st, 1.0)
+	return paper.Memory(st, 1.0)
 }
 
 // The memory power-response curve the paper's quadratic models chase:
@@ -71,7 +74,7 @@ func TestMemoryWritePremiumAcrossLoads(t *testing.T) {
 func TestMemoryDMATrafficConsumesPower(t *testing.T) {
 	m := mem.New()
 	st := m.Step(1.0, mem.Traffic{DMATx: 0.4 * mem.BusCapacity, DMAWriteFrac: 0.5})
-	if p := power.Memory(st, 1.0); p <= power.MemIdlePower {
+	if p := paper.Memory(st, 1.0); p <= power.MemIdlePower {
 		t.Errorf("DMA-only load power = %v W, want above the %v W idle floor", p, power.MemIdlePower)
 	}
 }

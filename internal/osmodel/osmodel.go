@@ -111,11 +111,22 @@ func (o *OS) DirtyBytes() float64 { return o.dirty }
 // FlushActive reports whether a sync() writeback is in progress.
 func (o *OS) FlushActive() bool { return o.flushLeft > 0 || o.inFlightWr > 1 }
 
-// Step runs the OS for one slice: delivers timer and background
+// Step runs the OS for one slice and returns its Result. It is StepInto
+// on a fresh struct.
+func (o *OS) Step(c *sim.Clock, demands []workload.Demand) Result {
+	var res Result
+	o.StepInto(&res, c, demands)
+	return res
+}
+
+// StepInto runs the OS for one slice: delivers timer and background
 // interrupts, converts the threads' file I/O into disk requests, advances
 // the disk array, performs the DMA its transfers imply, and raises
-// completion interrupts.
-func (o *OS) Step(c *sim.Clock, demands []workload.Demand) Result {
+// completion interrupts. It writes the slice's Result into *res,
+// overwriting every field; the machine passes a long-lived slot so no
+// Result is copied per slice. res.IntsPerCPU aliases the interrupt
+// controller's buffer and is valid until the next step.
+func (o *OS) StepInto(res *Result, c *sim.Clock, demands []workload.Demand) {
 	sliceSec := c.SliceSeconds()
 
 	// Local timer tick on every CPU.
@@ -157,7 +168,8 @@ func (o *OS) Step(c *sim.Clock, demands []workload.Demand) Result {
 	o.submitFlush()
 
 	// Advance the disks; their media transfers are DMA on the memory bus.
-	dstats := o.ctl.Step(sliceSec)
+	dstats := &res.Disk
+	o.ctl.StepInto(dstats, sliceSec)
 	if dstats.ReadBytes > 0 {
 		o.dma.Transfer(dstats.ReadBytes, true)
 	}
@@ -172,16 +184,11 @@ func (o *OS) Step(c *sim.Clock, demands []workload.Demand) Result {
 		o.apic.Raise(iobus.VecDisk, dstats.Completions)
 	}
 
-	perCPU, total := o.apic.DrainSlice()
-	return Result{
-		Disk:        dstats,
-		DMA:         o.dma.DrainSlice(),
-		IntsPerCPU:  perCPU,
-		IntsTotal:   total,
-		DeviceInts:  total - timerInts,
-		DirtyBytes:  o.dirty,
-		FlushActive: o.FlushActive(),
-	}
+	res.IntsPerCPU, res.IntsTotal = o.apic.DrainSlice()
+	res.DMA = o.dma.DrainSlice()
+	res.DeviceInts = res.IntsTotal - timerInts
+	res.DirtyBytes = o.dirty
+	res.FlushActive = o.FlushActive()
 }
 
 // handleIO routes one thread's slice I/O through the page cache and the

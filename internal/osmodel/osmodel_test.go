@@ -11,7 +11,7 @@ import (
 	"trickledown/internal/workload"
 )
 
-func newOS(t *testing.T) (*OS, *sim.Clock) {
+func newOS(t testing.TB) (*OS, *sim.Clock) {
 	t.Helper()
 	rng := sim.NewRNG(1)
 	io := iobus.New(4)

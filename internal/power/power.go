@@ -8,14 +8,6 @@
 // that the fitted models' residual error is earned, not assumed.
 package power
 
-import (
-	"trickledown/internal/chipset"
-	"trickledown/internal/cpu"
-	"trickledown/internal/disk"
-	"trickledown/internal/iobus"
-	"trickledown/internal/mem"
-)
-
 // Subsystem identifies one of the five measured rails.
 type Subsystem int
 
@@ -78,17 +70,6 @@ func VoltageScale(f float64) float64 {
 	return 0.75 + 0.25*f
 }
 
-// serverProfile backs the package-level functions; it is the paper's
-// machine (see ServerProfile).
-var serverProfile = ServerProfile()
-
-// CPU returns one processor's power for a slice on the paper's machine.
-// The per-cycle rates are frequency-independent; dynamic power scales
-// with f·V(f)² and the halt floor (largely leakage) with V(f).
-func CPU(st cpu.SliceStats) float64 {
-	return serverProfile.CPU(st)
-}
-
 // Memory ground-truth parameters.
 const (
 	// MemIdlePower covers DRAM background (refresh, standby) plus the
@@ -106,12 +87,6 @@ const (
 	memPrechargeStandby = 1.5
 )
 
-// Memory returns the DRAM+controller power for a slice of the given
-// duration on the paper's machine.
-func Memory(st mem.Stats, sliceSec float64) float64 {
-	return serverProfile.Memory(st, sliceSec)
-}
-
 // Chipset ground-truth parameters.
 const (
 	// ChipsetBasePower is the interface chips' static floor.
@@ -119,13 +94,6 @@ const (
 	// chipsetFSBEnergy scales with front-side-bus utilization.
 	chipsetFSBEnergy = 1.9
 )
-
-// Chipset returns the chipset rail power for a slice on the paper's
-// machine, including the multi-domain measurement artifact (drift +
-// workload bias) that the paper's constant model cannot track.
-func Chipset(st chipset.Stats) float64 {
-	return serverProfile.Chipset(st)
-}
 
 // I/O ground-truth parameters.
 const (
@@ -137,13 +105,6 @@ const (
 	// ioIntEnergy is Joules per device interrupt message.
 	ioIntEnergy = 1.7e-3
 )
-
-// IO returns the I/O subsystem power for a slice on the paper's
-// machine. deviceInts counts device (non-timer) interrupts delivered
-// during the slice.
-func IO(dma iobus.DMAStats, deviceInts float64, sliceSec float64) float64 {
-	return serverProfile.IO(dma, deviceInts, sliceSec)
-}
 
 // Disk ground-truth parameters (per spindle).
 const (
@@ -161,20 +122,13 @@ const (
 // DiskIdlePower returns the subsystem's DC floor for n spindles on the
 // paper's machine.
 func DiskIdlePower(n int) float64 {
-	return serverProfile.DiskIdle(n)
+	p := ServerProfile()
+	return p.DiskIdle(n)
 }
 
 // diskSpinupPower is the surge while restoring rotation (the motor
 // works hardest against stiction).
 const diskSpinupPower = 14.0
-
-// Disk returns the disk subsystem power for a slice on the paper's
-// machine. st must aggregate all spindles; numDisks scales the static
-// terms. Spindles in standby shed their rotation power (the saving the
-// paper's server disks could not reach); spin-up pays a motor surge.
-func Disk(st disk.Stats, sliceSec float64, numDisks int) float64 {
-	return serverProfile.Disk(st, sliceSec, numDisks)
-}
 
 // Reading is one slice's ground truth for all five rails, in Watts.
 type Reading [NumSubsystems]float64

@@ -12,6 +12,9 @@ import (
 	"trickledown/internal/sim"
 )
 
+// paper prices every rail on the paper's machine.
+var paper = ServerProfile()
+
 func TestSubsystemNames(t *testing.T) {
 	subs := Subsystems()
 	if len(subs) != NumSubsystems || NumSubsystems != 5 {
@@ -30,10 +33,10 @@ func TestSubsystemNames(t *testing.T) {
 
 func TestCPUPowerHaltedFloor(t *testing.T) {
 	st := cpu.SliceStats{Cycles: 2.8e6, HaltedCycles: 2.8e6, ActiveFrac: 0}
-	if got := CPU(st); math.Abs(got-CPUHaltPower) > 1e-9 {
+	if got := paper.CPU(st); math.Abs(got-CPUHaltPower) > 1e-9 {
 		t.Errorf("halted CPU power = %v, want %v", got, CPUHaltPower)
 	}
-	if got := CPU(cpu.SliceStats{}); got != CPUHaltPower {
+	if got := paper.CPU(cpu.SliceStats{}); got != CPUHaltPower {
 		t.Errorf("zero-cycle CPU power = %v", got)
 	}
 }
@@ -42,7 +45,7 @@ func TestCPUPowerActiveIdleStep(t *testing.T) {
 	// An unhalted but stalled processor consumes the paper's ~31 W, far
 	// above the ~9 W halted floor.
 	st := cpu.SliceStats{Cycles: 2.8e6, ActiveFrac: 1}
-	got := CPU(st)
+	got := paper.CPU(st)
 	want := CPUHaltPower + CPUActiveIdleDelta
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("active-idle power = %v, want %v", got, want)
@@ -53,26 +56,26 @@ func TestCPUPowerScalesWithWork(t *testing.T) {
 	base := cpu.SliceStats{Cycles: 2.8e6, ActiveFrac: 1}
 	withUops := base
 	withUops.FetchedUops = 2.8e6 * 2 // 2 uops/cycle
-	if CPU(withUops) <= CPU(base) {
+	if paper.CPU(withUops) <= paper.CPU(base) {
 		t.Error("uops add no power")
 	}
 	withSpec := base
 	withSpec.SpecUops = 2.8e6
-	if CPU(withSpec) <= CPU(base) {
+	if paper.CPU(withSpec) <= paper.CPU(base) {
 		t.Error("speculation adds no power")
 	}
 	// Full-tilt power lands in the paper's ~48 W envelope.
 	max := cpu.SliceStats{Cycles: 2.8e6, ActiveFrac: 1, FetchedUops: 3 * 2.8e6, SpecUops: 0.5 * 2.8e6, L2Accesses: 3 * 2.8e6}
-	if p := CPU(max); p < 43 || p > 50 {
+	if p := paper.CPU(max); p < 43 || p > 50 {
 		t.Errorf("peak CPU power = %v, want ~44-49", p)
 	}
 }
 
 func TestMemoryPowerIdle(t *testing.T) {
-	if got := Memory(mem.Stats{IdleFrac: 1}, 0.001); math.Abs(got-MemIdlePower) > 1e-9 {
+	if got := paper.Memory(mem.Stats{IdleFrac: 1}, 0.001); math.Abs(got-MemIdlePower) > 1e-9 {
 		t.Errorf("idle memory power = %v", got)
 	}
-	if got := Memory(mem.Stats{}, 0); got != MemIdlePower {
+	if got := paper.Memory(mem.Stats{}, 0); got != MemIdlePower {
 		t.Errorf("zero-slice memory power = %v", got)
 	}
 }
@@ -82,33 +85,33 @@ func TestMemoryPowerMatchesPaperEnvelope(t *testing.T) {
 	// paper's observed 28-47 W band.
 	m := mem.New()
 	st := m.Step(0.001, mem.Traffic{CPUTx: 0.9 * mem.BusCapacity * 0.001, WriteFrac: 0.5})
-	p := Memory(st, 0.001)
+	p := paper.Memory(st, 0.001)
 	if p < 40 || p > 49 {
 		t.Errorf("near-saturation memory power = %v, want ~42-48", p)
 	}
 	low := m.Step(0.001, mem.Traffic{CPUTx: 0.05 * mem.BusCapacity * 0.001})
-	if pl := Memory(low, 0.001); pl < MemIdlePower || pl > 31 {
+	if pl := paper.Memory(low, 0.001); pl < MemIdlePower || pl > 31 {
 		t.Errorf("light-load memory power = %v", pl)
 	}
 }
 
 func TestMemoryWritePremium(t *testing.T) {
 	m := mem.New()
-	rd := Memory(m.Step(0.001, mem.Traffic{CPUTx: 20000, WriteFrac: 0}), 0.001)
-	wr := Memory(m.Step(0.001, mem.Traffic{CPUTx: 20000, WriteFrac: 1}), 0.001)
+	rd := paper.Memory(m.Step(0.001, mem.Traffic{CPUTx: 20000, WriteFrac: 0}), 0.001)
+	wr := paper.Memory(m.Step(0.001, mem.Traffic{CPUTx: 20000, WriteFrac: 1}), 0.001)
 	if wr <= rd {
 		t.Error("write traffic should cost more than read traffic")
 	}
 }
 
 func TestChipsetPower(t *testing.T) {
-	got := Chipset(chipset.Stats{FSBUtil: 0.5, DomainDrift: 0.2, DomainBias: 1.0})
+	got := paper.Chipset(chipset.Stats{FSBUtil: 0.5, DomainDrift: 0.2, DomainBias: 1.0})
 	want := ChipsetBasePower + 1.9*0.5 + 0.2 + 1.0
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("chipset power = %v, want %v", got, want)
 	}
 	// Idle with typical bias lands near the paper's 19.9 W.
-	idle := Chipset(chipset.Stats{DomainBias: 1.85})
+	idle := paper.Chipset(chipset.Stats{DomainBias: 1.85})
 	if idle < 19.5 || idle > 20.3 {
 		t.Errorf("idle chipset power = %v, want ~19.9", idle)
 	}
@@ -135,24 +138,24 @@ func TestChipsetDriftWanders(t *testing.T) {
 }
 
 func TestIOPower(t *testing.T) {
-	if got := IO(iobus.DMAStats{}, 0, 0.001); math.Abs(got-IOBasePower) > 1e-9 {
+	if got := paper.IO(iobus.DMAStats{}, 0, 0.001); math.Abs(got-IOBasePower) > 1e-9 {
 		t.Errorf("idle I/O power = %v", got)
 	}
 	// 140 MB/s of DMA plus 550 interrupts/s: the DiskLoad regime, ~+2.8 W.
-	got := IO(iobus.DMAStats{Bytes: 140e3}, 0.55, 0.001)
+	got := paper.IO(iobus.DMAStats{Bytes: 140e3}, 0.55, 0.001)
 	if got < IOBasePower+2 || got > IOBasePower+4 {
 		t.Errorf("DiskLoad-regime I/O power = %v, want base+2..4", got)
 	}
-	if IO(iobus.DMAStats{Bytes: 100}, -5, 0.001) < IOBasePower {
+	if paper.IO(iobus.DMAStats{Bytes: 100}, -5, 0.001) < IOBasePower {
 		t.Error("negative interrupts lowered I/O power")
 	}
-	if got := IO(iobus.DMAStats{}, 10, 0); got != IOBasePower {
+	if got := paper.IO(iobus.DMAStats{}, 10, 0); got != IOBasePower {
 		t.Errorf("zero-slice I/O power = %v", got)
 	}
 }
 
 func TestDiskPowerIdleFloorDominates(t *testing.T) {
-	idle := Disk(disk.Stats{IdleSec: 0.002}, 0.001, 2)
+	idle := paper.Disk(disk.Stats{IdleSec: 0.002}, 0.001, 2)
 	if math.Abs(idle-DiskIdlePower(2)) > 1e-9 {
 		t.Errorf("idle disk power = %v, want %v", idle, DiskIdlePower(2))
 	}
@@ -162,12 +165,12 @@ func TestDiskPowerIdleFloorDominates(t *testing.T) {
 	// Both spindles transferring flat out adds only a few percent — the
 	// paper's DiskLoad run "consumed only 2.8% more power than the idle
 	// case" at realistic (sub-100%) transfer residency.
-	busy := Disk(disk.Stats{XferSec: 0.002}, 0.001, 2)
+	busy := paper.Disk(disk.Stats{XferSec: 0.002}, 0.001, 2)
 	rise := (busy - idle) / idle
 	if rise <= 0 || rise > 0.08 {
 		t.Errorf("full-load disk rise = %v, want (0, 8%%]", rise)
 	}
-	if got := Disk(disk.Stats{}, 0, 2); got != DiskIdlePower(2) {
+	if got := paper.Disk(disk.Stats{}, 0, 2); got != DiskIdlePower(2) {
 		t.Errorf("zero-slice disk power = %v", got)
 	}
 }
@@ -181,7 +184,7 @@ func TestReadingTotal(t *testing.T) {
 
 func TestDiskPowerStandbyAndSpinup(t *testing.T) {
 	// Both spindles stopped: rotation power gone, electronics remain.
-	standby := Disk(disk.Stats{StandbySec: 0.002}, 0.001, 2)
+	standby := paper.Disk(disk.Stats{StandbySec: 0.002}, 0.001, 2)
 	idle := DiskIdlePower(2)
 	if standby >= idle-15 {
 		t.Errorf("standby power = %v, want far below idle %v", standby, idle)
@@ -190,7 +193,7 @@ func TestDiskPowerStandbyAndSpinup(t *testing.T) {
 		t.Errorf("standby power = %v, want ~2x electronics (3.9)", standby)
 	}
 	// Spin-up surges above idle.
-	spinup := Disk(disk.Stats{SpinupSec: 0.002}, 0.001, 2)
+	spinup := paper.Disk(disk.Stats{SpinupSec: 0.002}, 0.001, 2)
 	if spinup <= idle {
 		t.Errorf("spinup power = %v, want surge above idle %v", spinup, idle)
 	}

@@ -14,10 +14,9 @@ import (
 // generation. The paper's premise is that the *method* — fit small
 // regressions from CPU events to rail power — is general, while the
 // fitted coefficients belong to one machine; a Profile is "one machine"
-// made explicit. ServerProfile is the paper's 4-way Xeon box (the
-// package-level functions delegate to it); BladeProfile is a
-// lower-power contemporary, used to show that retraining recovers
-// accuracy with different coefficients.
+// made explicit. ServerProfile is the paper's 4-way Xeon box;
+// BladeProfile is a lower-power contemporary, used to show that
+// retraining recovers accuracy with different coefficients.
 type Profile struct {
 	// CPU terms (per processor, Watts).
 	CPUHalt        float64
@@ -122,8 +121,14 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// CPU is the profile-parameterized form of the package-level CPU.
-func (p *Profile) CPU(st cpu.SliceStats) float64 {
+// CPU returns one processor's power for a slice. It is CPUOf on a copy
+// of st.
+func (p *Profile) CPU(st cpu.SliceStats) float64 { return p.CPUOf(&st) }
+
+// CPUOf returns one processor's power for the slice summarised by *st.
+// The per-cycle rates are frequency-independent; dynamic power scales
+// with f·V(f)² and the halt floor (largely leakage) with V(f).
+func (p *Profile) CPUOf(st *cpu.SliceStats) float64 {
 	f := st.FreqScale
 	if f <= 0 {
 		f = 1
@@ -140,8 +145,15 @@ func (p *Profile) CPU(st cpu.SliceStats) float64 {
 		p.CPUUop*upc+p.CPUSpec*spec+p.CPUL2*l2)*fv2
 }
 
-// Memory is the profile-parameterized form of the package-level Memory.
+// Memory returns the DRAM+controller power for a slice. It is MemoryOf
+// on a copy of st.
 func (p *Profile) Memory(st mem.Stats, sliceSec float64) float64 {
+	return p.MemoryOf(&st, sliceSec)
+}
+
+// MemoryOf returns the DRAM+controller power for a slice of the given
+// duration with the activity *st.
+func (p *Profile) MemoryOf(st *mem.Stats, sliceSec float64) float64 {
 	if sliceSec <= 0 {
 		return p.MemIdle
 	}
@@ -151,13 +163,15 @@ func (p *Profile) Memory(st mem.Stats, sliceSec float64) float64 {
 	return p.MemIdle + dynamic + p.MemPrechargeStandby*st.PrechargeFrac
 }
 
-// Chipset is the profile-parameterized form of the package-level
-// Chipset.
+// Chipset returns the chipset rail power for a slice, including the
+// multi-domain measurement artifact (drift + workload bias) that the
+// paper's constant model cannot track.
 func (p *Profile) Chipset(st chipset.Stats) float64 {
 	return p.ChipsetBase + p.ChipsetFSB*st.FSBUtil + st.DomainDrift + st.DomainBias
 }
 
-// IO is the profile-parameterized form of the package-level IO.
+// IO returns the I/O subsystem power for a slice. deviceInts counts
+// device (non-timer) interrupts delivered during the slice.
 func (p *Profile) IO(dma iobus.DMAStats, deviceInts float64, sliceSec float64) float64 {
 	if sliceSec <= 0 {
 		return p.IOBase
@@ -173,8 +187,17 @@ func (p *Profile) DiskIdle(n int) float64 {
 	return float64(n) * (p.DiskElectronics + p.DiskSpindle)
 }
 
-// Disk is the profile-parameterized form of the package-level Disk.
+// Disk returns the disk subsystem power for a slice. It is DiskOf on a
+// copy of st.
 func (p *Profile) Disk(st disk.Stats, sliceSec float64, numDisks int) float64 {
+	return p.DiskOf(&st, sliceSec, numDisks)
+}
+
+// DiskOf returns the disk subsystem power for a slice. *st must
+// aggregate all spindles; numDisks scales the static terms. Spindles in
+// standby shed their rotation power (the saving the paper's server disks
+// could not reach); spin-up pays a motor surge.
+func (p *Profile) DiskOf(st *disk.Stats, sliceSec float64, numDisks int) float64 {
 	idle := p.DiskIdle(numDisks)
 	if sliceSec <= 0 {
 		return idle

@@ -4,34 +4,29 @@ import (
 	"math"
 	"testing"
 
-	"trickledown/internal/chipset"
 	"trickledown/internal/cpu"
 	"trickledown/internal/disk"
 	"trickledown/internal/iobus"
 	"trickledown/internal/mem"
 )
 
-func TestServerProfileMatchesPackageFunctions(t *testing.T) {
-	p := ServerProfile()
+// TestProfileValueMethodsMatchPointerMethods pins the by-value rail
+// methods to the pointer-taking ones the slice stepper calls: each is a
+// wrapper, so the two must agree bit for bit on every profile.
+func TestProfileValueMethodsMatchPointerMethods(t *testing.T) {
 	cs := cpu.SliceStats{Cycles: 2.8e6, ActiveFrac: 1, FetchedUops: 3e6, SpecUops: 1e6, L2Accesses: 2e6, FreqScale: 0.8}
-	if a, b := p.CPU(cs), CPU(cs); a != b {
-		t.Errorf("CPU: profile %v != package %v", a, b)
-	}
 	ms := mem.Stats{Activations: 20000, ReadBursts: 15000, WriteBursts: 9000, PrechargeFrac: 0.1}
-	if a, b := p.Memory(ms, 0.001), Memory(ms, 0.001); a != b {
-		t.Errorf("Memory: %v != %v", a, b)
-	}
-	ch := chipset.Stats{FSBUtil: 0.4, DomainDrift: 0.1, DomainBias: 1.2}
-	if a, b := p.Chipset(ch), Chipset(ch); a != b {
-		t.Errorf("Chipset: %v != %v", a, b)
-	}
-	dm := iobus.DMAStats{Bytes: 90e3}
-	if a, b := p.IO(dm, 0.4, 0.001), IO(dm, 0.4, 0.001); a != b {
-		t.Errorf("IO: %v != %v", a, b)
-	}
 	dsk := disk.Stats{SeekSec: 0.0005, XferSec: 0.001, StandbySec: 0.0002, SpinupSec: 0.0001}
-	if a, b := p.Disk(dsk, 0.001, 2), Disk(dsk, 0.001, 2); a != b {
-		t.Errorf("Disk: %v != %v", a, b)
+	for _, p := range []Profile{ServerProfile(), BladeProfile()} {
+		if a, b := p.CPU(cs), p.CPUOf(&cs); a != b {
+			t.Errorf("CPU: by value %v != by pointer %v", a, b)
+		}
+		if a, b := p.Memory(ms, 0.001), p.MemoryOf(&ms, 0.001); a != b {
+			t.Errorf("Memory: %v != %v", a, b)
+		}
+		if a, b := p.Disk(dsk, 0.001, 2), p.DiskOf(&dsk, 0.001, 2); a != b {
+			t.Errorf("Disk: %v != %v", a, b)
+		}
 	}
 }
 
