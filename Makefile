@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet bench bench-all bench-gate race cover report tables figures examples loc validate validate-update serve loadgen serve-smoke drift-drill fleet fleet-smoke replay tenants diurnal
+.PHONY: all test vet bench-all race cover report tables figures examples loc validate validate-update serve loadgen serve-smoke drift-drill fleet fleet-smoke replay tenants diurnal
 
 all: vet test
 
@@ -14,16 +14,6 @@ vet:
 
 race:
 	$(GO) test -race ./...
-
-# Run the fixed benchmark suite and record BENCH_<date>.json (see
-# DESIGN.md "Performance"). `make bench-gate` additionally fails when
-# allocs/op regresses >20% against the newest checked-in baseline.
-bench:
-	$(GO) run ./cmd/tdbench
-
-bench-gate:
-	$(GO) run ./cmd/tdbench -o /tmp/bench_current.json \
-		-baseline $$(ls BENCH_*.json | sort | tail -1)
 
 # Paper-conformance gate (see DESIGN.md §3e): leave-one-workload-out
 # cross-validation plus the metamorphic check battery, gated against the
@@ -37,7 +27,9 @@ validate:
 validate-update:
 	$(GO) run ./cmd/tdvalidate -update -golden GOLDEN.json -o validate_report.json
 
-# The raw, unrecorded full suite (every Benchmark* in the repo).
+# Every Benchmark* in the root package, the profiling entry points
+# (add -cpuprofile/-memprofile); `bash benchmark/run.sh` is the
+# end-to-end benchmark and TestAllocationCeilings gates allocs/op.
 bench-all:
 	$(GO) test -bench=. -benchmem -run=NONE .
 

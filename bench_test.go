@@ -6,12 +6,12 @@ import (
 	"testing"
 
 	"trickledown/internal/align"
-
 	"trickledown/internal/cluster"
 	"trickledown/internal/core"
 	"trickledown/internal/disk"
 	"trickledown/internal/experiments"
 	"trickledown/internal/machine"
+	"trickledown/internal/perfctr"
 	"trickledown/internal/power"
 	"trickledown/internal/workload"
 )
@@ -36,6 +36,16 @@ func runner() *experiments.Runner {
 		})
 	})
 	return benchR
+}
+
+// benchEstimator returns the shared runner's trained estimator.
+func benchEstimator(tb testing.TB) *core.Estimator {
+	tb.Helper()
+	est, err := runner().Estimator()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return est
 }
 
 // reportErrs attaches per-subsystem average errors to the benchmark
@@ -260,6 +270,27 @@ func BenchmarkSimulationSecond(b *testing.B) {
 	}
 }
 
+// rackBenchSimSec is how far one BenchmarkCluster8Nodes iteration
+// advances the rack.
+const rackBenchSimSec = 2
+
+// buildBenchRack assembles the 8-node gcc rack BenchmarkCluster8Nodes
+// steps.
+func buildBenchRack(tb testing.TB, est *core.Estimator, workers int) *cluster.Cluster {
+	tb.Helper()
+	c, err := cluster.New(est)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c.SetWorkers(workers)
+	for i := 0; i < 8; i++ {
+		if _, err := c.AddHomogeneous(fmt.Sprintf("n%d", i), "gcc", uint64(200+i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
+}
+
 // BenchmarkCluster8Nodes measures parallel cluster stepping: an 8-node
 // rack advanced 2 simulated seconds per iteration at several worker
 // counts. Each node is an independent seeded simulation, so on a
@@ -267,26 +298,13 @@ func BenchmarkSimulationSecond(b *testing.B) {
 // the core count (expect ≥2x at 4 workers); results are bit-for-bit
 // identical at every worker count.
 func BenchmarkCluster8Nodes(b *testing.B) {
-	r := runner()
-	est, err := r.Estimator()
-	if err != nil {
-		b.Fatal(err)
-	}
+	est := benchEstimator(b)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			c, err := cluster.New(est)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c.SetWorkers(workers)
-			for i := 0; i < 8; i++ {
-				if _, err := c.AddHomogeneous(fmt.Sprintf("n%d", i), "gcc", uint64(200+i)); err != nil {
-					b.Fatal(err)
-				}
-			}
+			c := buildBenchRack(b, est, workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := c.Run(2); err != nil {
+				if err := c.Run(rackBenchSimSec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -300,19 +318,22 @@ func BenchmarkCluster8Nodes(b *testing.B) {
 	}
 }
 
+// benchSample is the last counter sample of a minute of gcc: the input
+// the per-sample estimation benchmarks normalize and price.
+func benchSample(tb testing.TB) *perfctr.Sample {
+	tb.Helper()
+	ds, err := machine.RunWorkload("gcc", 60, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &ds.Rows[ds.Len()-1].Counters
+}
+
 // BenchmarkEstimate measures the per-sample cost of the fitted models —
 // the paper's "low computational cost" requirement for runtime use.
 func BenchmarkEstimate(b *testing.B) {
-	r := runner()
-	est, err := r.Estimator()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds, err := machine.RunWorkload("gcc", 60, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sample := &ds.Rows[ds.Len()-1].Counters
+	est := benchEstimator(b)
+	sample := benchSample(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = est.Estimate(sample)
@@ -321,24 +342,28 @@ func BenchmarkEstimate(b *testing.B) {
 
 // BenchmarkExtractMetrics measures counter-sample normalization alone.
 func BenchmarkExtractMetrics(b *testing.B) {
-	ds, err := machine.RunWorkload("gcc", 60, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sample := &ds.Rows[ds.Len()-1].Counters
+	sample := benchSample(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.ExtractMetrics(sample)
 	}
 }
 
+// benchTrainSet is the two minutes of mcf BenchmarkTrain fits a model
+// to.
+func benchTrainSet(tb testing.TB) *align.Dataset {
+	tb.Helper()
+	ds, err := machine.RunWorkload("mcf", 120, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
+}
+
 // BenchmarkTrain measures fitting one quadratic subsystem model on a
 // minute of samples.
 func BenchmarkTrain(b *testing.B) {
-	ds, err := machine.RunWorkload("mcf", 120, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds := benchTrainSet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Train(core.MemBusSpec(), ds); err != nil {
@@ -647,11 +672,11 @@ func fleetBenchConfig(seed uint64) machine.Config {
 var fleetBenchWorkloads = []string{"gcc", "mcf", "mesa", "vortex"}
 
 // buildBenchFleet assembles n mixed-config, mixed-workload nodes.
-func buildBenchFleet(b *testing.B, est *core.Estimator, n, workers int) *cluster.Cluster {
-	b.Helper()
+func buildBenchFleet(tb testing.TB, est *core.Estimator, n, workers int) *cluster.Cluster {
+	tb.Helper()
 	c, err := cluster.New(est)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c.SetWorkers(workers)
 	for i := 0; i < n; i++ {
@@ -659,38 +684,38 @@ func buildBenchFleet(b *testing.B, est *core.Estimator, n, workers int) *cluster
 		if _, err := c.AddMixedConfig(fmt.Sprintf("fleet-%05d", i),
 			fleetBenchConfig(uint64(3000+i)),
 			[]machine.Placement{{Workload: wl, Thread: i % 2}}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return c
 }
 
+// BenchmarkFleet1kNodes iterations step a fleet of fleetBenchNodes
+// nodes fleetBenchSimSec simulated seconds each.
+const (
+	fleetBenchNodes  = 1000
+	fleetBenchSimSec = 2.0
+)
+
 // BenchmarkFleet1kNodes steps a 1,000-node mixed-config fleet two
 // simulated seconds per iteration (the aligner needs at least two
 // sample windows to pair logs) through the sharded run path — the
-// fleet-scale capacity number ROADMAP item 1 asks for, reported as
-// simulated node-seconds per wall second.
+// fleet-scale capacity number, reported as simulated node-seconds per
+// wall second.
 func BenchmarkFleet1kNodes(b *testing.B) {
-	est, err := runner().Estimator()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const (
-		nodes  = 1000
-		simSec = 2.0
-	)
+	est := benchEstimator(b)
 	for _, workers := range []int{4, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			c := buildBenchFleet(b, est, nodes, workers)
+			c := buildBenchFleet(b, est, fleetBenchNodes, workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := c.Run(simSec); err != nil {
+				if err := c.Run(fleetBenchSimSec); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
 			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(nodes)*simSec*float64(b.N)/s, "sim_node_s/s")
+				b.ReportMetric(fleetBenchNodes*fleetBenchSimSec*float64(b.N)/s, "sim_node_s/s")
 			}
 			_, total, err := c.Snapshot()
 			if err != nil {
@@ -706,10 +731,7 @@ func BenchmarkFleet1kNodes(b *testing.B) {
 // duplicate-name scan in Cluster.add, which dominated construction at
 // this scale before the name-index map.
 func BenchmarkClusterConstruct10k(b *testing.B) {
-	est, err := runner().Estimator()
-	if err != nil {
-		b.Fatal(err)
-	}
+	est := benchEstimator(b)
 	for i := 0; i < b.N; i++ {
 		c := buildBenchFleet(b, est, 10000, 8)
 		if c.NumNodes() != 10000 {

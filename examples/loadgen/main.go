@@ -1,8 +1,8 @@
-// Command loadgen drives tdserve at controlled load and records what
+// Command loadgen drives tdserve at controlled load and reports what
 // happened: client-observed throughput and latency quantiles plus the
-// server's own span-taxonomy numbers (/statz), merged into the repo's
-// BENCH_<date>.json record so the service's performance claims are
-// checked-in data, not anecdotes.
+// server's own span-taxonomy numbers (/statz) and its slowest traces.
+// It is a drill and a smoke test; the repeatable, seeded measurement of
+// the same path is the serve-mix workload of `bash benchmark/run.sh`.
 //
 // With -addr it targets a running tdserve; without, it self-hosts — it
 // trains a small-scale estimator, starts the serve stack in-process on
@@ -15,7 +15,6 @@
 //	loadgen                         # self-host, unpaced (max throughput)
 //	loadgen -rate 50000 -duration 10s
 //	loadgen -addr localhost:8080 -clients 8 -batch 512
-//	loadgen -bench-out BENCH_2026-08-08.json   # merge results into the record
 package main
 
 import (
@@ -33,10 +32,10 @@ import (
 	"sync"
 	"time"
 
-	"trickledown/internal/benchjson"
 	"trickledown/internal/experiments"
 	"trickledown/internal/perfctr"
 	"trickledown/internal/serve"
+	"trickledown/internal/stats"
 	"trickledown/internal/tracez"
 )
 
@@ -52,7 +51,6 @@ func main() {
 	rate := flag.Float64("rate", 0, "total target samples/sec across all clients (0 = unpaced)")
 	trainScale := flag.Float64("train-scale", 0.02, "training scale when self-hosting")
 	queue := flag.Int("queue", 256, "self-hosted ingest queue depth")
-	benchOut := flag.String("bench-out", "", "merge results into this benchjson file (created if missing)")
 	traceSample := flag.Float64("trace-sample", 0.01, "client-side head sampling rate for stamped trace contexts (0 = unstamped)")
 	flag.Parse()
 
@@ -76,13 +74,6 @@ func main() {
 		log.Fatal(err)
 	}
 	report(res)
-
-	if *benchOut != "" {
-		if err := mergeBench(*benchOut, res); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("merged results into %s", *benchOut)
-	}
 	if res.SamplesPerSec <= 0 {
 		os.Exit(1)
 	}
@@ -234,10 +225,12 @@ func drive(base string, d time.Duration, clients, batchN, nodes, cpus int, rate,
 	}
 	res.Duration = elapsed
 	res.SamplesPerSec = float64(after.SamplesEstimated-before.SamplesEstimated) / elapsed.Seconds()
-	sort.Float64s(lats)
-	res.ClientP50ms = quantile(lats, 0.50) * 1e3
-	res.ClientP95ms = quantile(lats, 0.95) * 1e3
-	res.ClientP99ms = quantile(lats, 0.99) * 1e3
+	// A run with no completed request reports zero latencies: Quantile's
+	// only error is ErrEmpty, which comes with a zero value.
+	p50, _ := stats.Quantile(lats, 0.50)
+	p95, _ := stats.Quantile(lats, 0.95)
+	p99, _ := stats.Quantile(lats, 0.99)
+	res.ClientP50ms, res.ClientP95ms, res.ClientP99ms = p50*1e3, p95*1e3, p99*1e3
 	return res, nil
 }
 
@@ -325,18 +318,6 @@ func waitHealthy(base string, timeout time.Duration) error {
 	}
 }
 
-// quantile reads q from a sorted slice (nearest-rank).
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
 func report(r *results) {
 	st := r.Stats
 	fmt.Printf("duration        %s\n", r.Duration.Round(time.Millisecond))
@@ -363,54 +344,4 @@ func report(r *results) {
 func traceBreakdown(tr tracez.TraceJSON) string {
 	return fmt.Sprintf("admission %.3fms  queue %.3fms  service %.3fms  e2e %.3fms  outcome=%s",
 		tr.AdmissionMs, tr.QueueMs, tr.ServiceMs, tr.E2EMs, tr.Outcome)
-}
-
-// mergeBench folds the run into a benchjson record, preserving every
-// existing entry (the tdbench suite) and replacing any previous loadgen
-// entry — one file per date carries both the suite and the service
-// numbers, so the CI alloc gate's newest-file baseline never loses
-// benchmarks.
-func mergeBench(path string, r *results) error {
-	rec, err := benchjson.Load(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			return err
-		}
-		rec = &benchjson.Result{Date: time.Now().Format("2006-01-02")}
-	}
-	entry := benchjson.Benchmark{
-		Name:       "LoadgenHTTPIngest",
-		Iterations: int(r.OKBatches),
-		NsPerOp:    r.ClientP50ms * 1e6,
-		Metrics: map[string]float64{
-			"samples_per_sec":       r.SamplesPerSec,
-			"client_p50_ms":         r.ClientP50ms,
-			"client_p95_ms":         r.ClientP95ms,
-			"client_p99_ms":         r.ClientP99ms,
-			"server_e2e_p50_ms":     r.Stats.E2E.P50ms,
-			"server_e2e_p99_ms":     r.Stats.E2E.P99ms,
-			"server_queue_p99_ms":   r.Stats.QueueWait.P99ms,
-			"server_service_p99_ms": r.Stats.Service.P99ms,
-			"shed_samples":          float64(r.Stats.SamplesShed),
-		},
-	}
-	for i, tr := range r.SlowTraces {
-		if entry.Notes == nil {
-			entry.Notes = make(map[string]string)
-		}
-		entry.Notes[fmt.Sprintf("slow_trace_%d", i+1)] =
-			fmt.Sprintf("%s %s", tr.ID, traceBreakdown(tr))
-	}
-	replaced := false
-	for i := range rec.Benchmarks {
-		if rec.Benchmarks[i].Name == entry.Name {
-			rec.Benchmarks[i] = entry
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		rec.Benchmarks = append(rec.Benchmarks, entry)
-	}
-	return benchjson.Write(path, rec)
 }

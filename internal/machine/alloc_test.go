@@ -6,12 +6,11 @@ import (
 
 // stepAllocBudget is the allocation ceiling for one simulated second
 // (1000 slices plus one 1 Hz counter sample and DAQ window) of a warm
-// 4-way server. The steady state costs ~13 allocations — the sampler's
-// per-sample busy/interrupt snapshots and log appends — so the budget
-// holds headroom for noise while still catching any per-slice
-// allocation creeping back into the hot path (which costs thousands
-// per simulated second; see BenchmarkSimulationSecond).
-const stepAllocBudget = 40
+// 4-way server, the operation BenchmarkSimulationSecond times. The
+// steady state costs 13 allocations — the sampler's per-sample
+// busy/interrupt snapshots and log appends — and the budget is 1.2x
+// that, rounded down: one allocation per slice would cost a thousand.
+const stepAllocBudget = 15
 
 // TestStepAllocationBudget pins the hot path's allocation behaviour:
 // stepping a warmed-up server must not allocate per slice.

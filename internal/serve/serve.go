@@ -874,8 +874,8 @@ func summarize(h *telemetry.Histogram) LatencySummary {
 }
 
 // Stats is the machine-readable service summary behind /statz — the
-// numbers the load generator records into BENCH_<date>.json. Latency
-// summaries come from the process-wide serve histograms.
+// server-side numbers the load generator reports next to its own.
+// Latency summaries come from the process-wide serve histograms.
 type Stats struct {
 	// ModelVersion is the active estimator's provenance version
 	// ("unversioned" for a pre-provenance model).
