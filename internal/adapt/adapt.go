@@ -157,7 +157,6 @@ type Manager struct {
 
 	mu          sync.Mutex
 	champion    *core.Estimator
-	fitters     [power.NumSubsystems]*core.OnlineFitter
 	window      []align.Row // ring, oldest at wHead
 	wHead, wLen int
 	resid       *PageHinkley
@@ -204,12 +203,11 @@ func New(cfg Config) (*Manager, error) {
 		window:   make([]align.Row, cfg.Window),
 		idState:  cfg.Seed,
 	}
-	for sub, spec := range adaptSpecs() {
-		f, err := core.NewOnlineFitter(spec, cfg.Window)
-		if err != nil {
-			return nil, fmt.Errorf("adapt: fitter for %s: %w", power.Subsystem(sub), err)
+	for _, spec := range adaptSpecs() {
+		if cfg.Window < len(spec.Terms) {
+			return nil, fmt.Errorf("adapt: window %d below the %d design columns of %s",
+				cfg.Window, len(spec.Terms), spec.Name)
 		}
-		m.fitters[sub] = f
 	}
 	var err error
 	if m.resid, err = NewPageHinkley(cfg.BaselineErrPct, cfg.AlarmBudgetPct); err != nil {
@@ -299,7 +297,7 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 	// Phase tracking: never retrain mid-transition.
 	m.phases.Observe(measured)
 
-	// Window + fitters.
+	// Slide the window that challengers are refit from.
 	slot := (m.wHead + m.wLen) % len(m.window)
 	if m.wLen == len(m.window) {
 		slot = m.wHead
@@ -308,9 +306,6 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 		m.wLen++
 	}
 	m.window[slot] = align.Row{Power: measured, Counters: *s}
-	for sub := range m.fitters {
-		m.fitters[sub].Observe(met, measured[sub])
-	}
 
 	if residAlarm || envAlarm {
 		if m.guardRemaining > 0 {
@@ -332,9 +327,6 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 			// about. Discard it so the challenger is fit purely on
 			// post-drift data — a blended fit would pass the gate on
 			// the mixed window and then err on the new regime alone.
-			for sub := range m.fitters {
-				m.fitters[sub].Reset()
-			}
 			m.wHead, m.wLen = 0, 0
 		}
 	}
@@ -366,9 +358,10 @@ func (m *Manager) attemptPromoteLocked() {
 	m.retrains++
 	mRetrains.With("started").Inc()
 
+	win := m.windowDataset()
 	models := make([]*core.Model, 0, power.NumSubsystems)
-	for sub := range m.fitters {
-		mod, err := m.fitters[sub].Fit()
+	for sub, spec := range adaptSpecs() {
+		mod, err := core.Train(spec, win)
 		if err != nil {
 			m.rejected++
 			mRetrains.With("rejected").Inc()
@@ -383,7 +376,6 @@ func (m *Manager) attemptPromoteLocked() {
 		mRetrains.With("rejected").Inc()
 		return
 	}
-	win := m.windowDataset()
 	m.refitSeq++
 	fp := align.Fingerprint(win)
 	parent := versionOf(m.champion)
@@ -473,9 +465,6 @@ func (m *Manager) rollbackLocked() {
 	m.env.Retarget(championEnvelopes(m.champion))
 	// The window that promoted the failed challenger is tainted; a
 	// fresh challenger must be fit from fresh data.
-	for sub := range m.fitters {
-		m.fitters[sub].Reset()
-	}
 	m.wHead, m.wLen = 0, 0
 	id := m.mintTraceID()
 	m.emit(Event{

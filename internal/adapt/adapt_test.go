@@ -3,6 +3,7 @@ package adapt
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"trickledown/internal/align"
@@ -371,8 +372,30 @@ func TestPhaseGateBlocksRetrainDuringTransitions(t *testing.T) {
 	}
 }
 
+// TestRefitNamesCollinearTerm: a post-drift window with no variance
+// cannot be refit, and the rejection names the design term at fault.
+func TestRefitNamesCollinearTerm(t *testing.T) {
+	champ := trainingChampion(t, 120)
+	m, err := New(testConfig(champ, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sampleAt(5, 97) // the same sample over and over
+	for i := 0; i < 120; i++ {
+		m.Observe(&s, railsFor(&s, 1))
+	}
+	st := m.Status()
+	if st.Alarms == 0 || st.Rejected == 0 || st.Swaps != 0 {
+		t.Fatalf("want an alarm and a rejected refit, no swap: %+v", st)
+	}
+	if want := "column 1 (percent_active)"; !strings.Contains(st.LastAlarm, want) ||
+		!strings.HasPrefix(st.LastAlarm, "refit "+power.SubCPU.String()+":") {
+		t.Errorf("last alarm %q does not name %s of the CPU model", st.LastAlarm, want)
+	}
+}
+
 // TestNonFiniteResidualsQuarantined: hostile rails must be counted and
-// dropped before they can reach detector or fitter state.
+// dropped before they can reach detector or window state.
 func TestNonFiniteResidualsQuarantined(t *testing.T) {
 	champ := trainingChampion(t, 120)
 	cfg := testConfig(champ, nil)
@@ -407,6 +430,18 @@ func TestNonFiniteResidualsQuarantined(t *testing.T) {
 	s := sampleAt(5, n)
 	if tot := m.Champion().Estimate(&s).Total(); math.IsNaN(tot) || math.IsInf(tot, 0) {
 		t.Errorf("estimate poisoned: %v", tot)
+	}
+}
+
+// A window narrower than a production design could never be refit.
+func TestNewRejectsWindowBelowDesignWidth(t *testing.T) {
+	cfg := testConfig(trainingChampion(t, 120), nil)
+	cfg.Window = 4 // the disk model has five columns
+	if _, err := New(cfg); err == nil {
+		t.Error("window of 4 accepted")
+	}
+	if _, err := New(Config{}); err == nil {
+		t.Error("config without a champion accepted")
 	}
 }
 

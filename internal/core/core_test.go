@@ -10,6 +10,7 @@ import (
 	"trickledown/internal/iobus"
 	"trickledown/internal/perfctr"
 	"trickledown/internal/power"
+	"trickledown/internal/regress"
 )
 
 // mkSample builds a 2-CPU sample with the given per-CPU rates over one
@@ -151,6 +152,32 @@ func TestTrainErrors(t *testing.T) {
 	// The chipset constant trains fine on it.
 	if _, err := Train(ChipsetSpec(), ds); err != nil {
 		t.Errorf("chipset constant failed: %v", err)
+	}
+}
+
+// A rank-deficient design is refused with the collinear term named.
+func TestTrainNamesCollinearTerm(t *testing.T) {
+	spec := ModelSpec{
+		Name: "dup",
+		Sub:  power.SubMemory,
+		Design: func(dst []float64, m *Metrics) []float64 {
+			x := m.TotalBusPMC()
+			return append(dst, 1, x, 2*x)
+		},
+		Terms: []string{"const", "bus", "twice_bus"},
+	}
+	ds := synthDataset(30, func(i int, s *perfctr.Sample) power.Reading {
+		var r power.Reading
+		r[power.SubMemory] = 28 + float64(i)
+		return r
+	})
+	_, err := Train(spec, ds)
+	var rank *regress.RankError
+	if !errors.As(err, &rank) || rank.Col != 2 || !errors.Is(err, regress.ErrSingular) {
+		t.Fatalf("err = %v, want RankError{Col: 2}", err)
+	}
+	if !strings.Contains(err.Error(), "column 2 (twice_bus)") {
+		t.Errorf("error %q does not name the collinear term", err)
 	}
 }
 

@@ -59,9 +59,9 @@ func TrainSeq(spec SeqSpec, ds *align.Dataset) (*SeqModel, error) {
 		x[i] = spec.Design(hist, i)
 		y[i] = ds.Rows[i].Power[spec.Sub]
 	}
-	fit, err := regress.OLS(x, y)
+	fit, err := fitRows(spec.Name, spec.Sub, spec.Terms, x, y)
 	if err != nil {
-		return nil, fmt.Errorf("core: training %s: %w", spec.Name, err)
+		return nil, err
 	}
 	return &SeqModel{Spec: spec, Coef: fit.Coef, Fit: fit}, nil
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"trickledown/internal/align"
+	"trickledown/internal/perfctr"
 	"trickledown/internal/power"
 )
 
@@ -43,6 +45,39 @@ func TestTrainSeqErrors(t *testing.T) {
 	m := &SeqModel{Spec: DiskStandbySpec(0.2), Coef: []float64{1, 0, 0, 0, 0}}
 	if _, err := m.Validate(&align.Dataset{}); !errors.Is(err, ErrNoData) {
 		t.Error("empty validation accepted")
+	}
+}
+
+// TrainSeq shares Train's non-finite guard: a NaN rail or an Inf design
+// term is refused with ErrNonFinite rather than fitted into NaN
+// coefficients.
+func TestTrainSeqRejectsNonFinite(t *testing.T) {
+	clean := func(i int, s *perfctr.Sample) power.Reading {
+		var r power.Reading
+		r[power.SubDisk] = 21.6 + float64(i%5)
+		return r
+	}
+	ds := synthDataset(40, clean)
+	ds.Rows[7].Power[power.SubDisk] = math.NaN()
+	if _, err := TrainSeq(DiskStandbySpec(0.2), ds); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("NaN rail: err = %v, want ErrNonFinite", err)
+	}
+
+	spec := SeqSpec{
+		Name: "inf-term",
+		Sub:  power.SubDisk,
+		Design: func(hist []*Metrics, i int) []float64 {
+			x := sum(hist[i].DiskIntsPMC)
+			if i == 9 {
+				x = math.Inf(1)
+			}
+			return []float64{1, x}
+		},
+		Terms: []string{"const", "ints"},
+	}
+	_, err := TrainSeq(spec, synthDataset(40, clean))
+	if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "ints at row 9") {
+		t.Errorf("Inf design term: err = %v, want ErrNonFinite naming ints at row 9", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"trickledown/internal/align"
+	"trickledown/internal/power"
 	"trickledown/internal/regress"
 	"trickledown/internal/sim"
 	"trickledown/internal/stats"
@@ -49,25 +50,43 @@ func Train(spec ModelSpec, ds *align.Dataset) (*Model, error) {
 		m := ExtractMetrics(&row.Counters)
 		x[i] = spec.Design(nil, m)
 		y[i] = row.Power[spec.Sub]
+	}
+	fit, err := fitRows(spec.Name, spec.Sub, spec.Terms, x, y)
+	if err != nil {
+		return nil, err
+	}
+	return &Model{Spec: spec, Coef: fit.Coef, Fit: fit}, nil
+}
+
+// fitRows is the one path from design rows to coefficients shared by
+// Train and TrainSeq. It rejects a non-finite rail or design term with
+// ErrNonFinite, and names the design term a rank-deficiency error
+// points at.
+func fitRows(name string, sub power.Subsystem, terms []string, x [][]float64, y []float64) (*regress.Fit, error) {
+	for i, row := range x {
 		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
-			return nil, fmt.Errorf("%w: %s rail at row %d", ErrNonFinite, spec.Sub, i)
+			return nil, fmt.Errorf("%w: %s rail at row %d", ErrNonFinite, sub, i)
 		}
-		for j, v := range x[i] {
+		for j, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				term := fmt.Sprintf("column %d", j)
-				if j < len(spec.Terms) {
-					term = spec.Terms[j]
+				if j < len(terms) {
+					term = terms[j]
 				}
 				return nil, fmt.Errorf("%w: %s design term %s at row %d",
-					ErrNonFinite, spec.Name, term, i)
+					ErrNonFinite, name, term, i)
 			}
 		}
 	}
 	fit, err := regress.OLS(x, y)
-	if err != nil {
-		return nil, fmt.Errorf("core: training %s: %w", spec.Name, err)
+	var rank *regress.RankError
+	if errors.As(err, &rank) && rank.Col < len(terms) {
+		return nil, fmt.Errorf("core: training %s: %w (%s)", name, err, terms[rank.Col])
 	}
-	return &Model{Spec: spec, Coef: fit.Coef, Fit: fit}, nil
+	if err != nil {
+		return nil, fmt.Errorf("core: training %s: %w", name, err)
+	}
+	return fit, nil
 }
 
 // Predict evaluates the model on one sample's metrics. The design row

@@ -6,11 +6,15 @@ import (
 )
 
 // FuzzOLSRobust checks OLS never panics and never returns non-finite
-// coefficients for arbitrary (bounded) inputs.
+// coefficients for arbitrary (bounded) inputs, and that the units of a
+// regressor alone never make a full-rank design look singular: any
+// column scale from 1e-12 to 1e9 in magnitude must fit.
 func FuzzOLSRobust(f *testing.F) {
 	f.Add(int64(1), 20, 0.5)
 	f.Add(int64(7), 5, -3.0)
 	f.Add(int64(42), 100, 1e6)
+	f.Add(int64(3), 50, 1e-12)
+	f.Add(int64(9), 4, -1e-10)
 	f.Fuzz(func(t *testing.T, seed int64, n int, scale float64) {
 		if n < 1 || n > 500 {
 			return
@@ -35,7 +39,11 @@ func FuzzOLSRobust(f *testing.F) {
 		}
 		fit, err := OLS(x, y)
 		if err != nil {
-			return // singular/dimension errors are fine
+			// Too few rows, or a column scaled to (near) nothing.
+			if n >= 3 && math.Abs(scale) >= 1e-12 {
+				t.Fatalf("full-rank design rejected: %v (seed %d, n %d, scale %v)", err, seed, n, scale)
+			}
+			return
 		}
 		for _, c := range fit.Coef {
 			if math.IsNaN(c) || math.IsInf(c, 0) {

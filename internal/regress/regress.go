@@ -1,10 +1,11 @@
 // Package regress implements the small amount of numerical machinery the
-// paper's methodology needs: ordinary least squares fitted through normal
-// equations, plus helpers for the polynomial and multivariate-quadratic
-// design matrices used by the subsystem power models ("we initially
-// attempt regression curve fitting using linear models; if it is not
-// possible to obtain high accuracy with a linear model, we select single
-// or multiple input quadratics").
+// paper's methodology needs: ordinary least squares over a design matrix
+// whose rows the caller builds ("we initially attempt regression curve
+// fitting using linear models; if it is not possible to obtain high
+// accuracy with a linear model, we select single or multiple input
+// quadratics"). The fit is a Householder QR of the column-equilibrated
+// design, so neither the answer nor the rank decision depends on the
+// units the regressors are expressed in.
 package regress
 
 import (
@@ -13,15 +14,30 @@ import (
 	"math"
 )
 
-// ErrSingular is returned when the normal-equation system has no unique
+// ErrSingular is returned when the least-squares problem has no unique
 // solution, typically because a regressor is constant or two regressors
-// are collinear over the training trace.
-var ErrSingular = errors.New("regress: singular normal equations")
+// are collinear over the training trace. OLS reports it as a *RankError
+// naming the offending column; errors.Is matches either.
+var ErrSingular = errors.New("regress: singular design")
 
 // ErrDimension is returned when the design matrix and response vector
 // disagree in length, or when there are fewer observations than
 // coefficients.
 var ErrDimension = errors.New("regress: dimension mismatch")
+
+// RankError reports a rank-deficient design: column Col is, to working
+// precision, a linear combination of the columns before it (or zero).
+type RankError struct {
+	// Col is the zero-based design column found to be dependent.
+	Col int
+}
+
+func (e *RankError) Error() string {
+	return fmt.Sprintf("regress: rank-deficient design at column %d", e.Col)
+}
+
+// Is makes errors.Is(err, ErrSingular) hold for a *RankError.
+func (e *RankError) Is(target error) bool { return target == ErrSingular }
 
 // Fit holds the result of a least-squares fit.
 type Fit struct {
@@ -42,9 +58,14 @@ func (f *Fit) String() string {
 	return fmt.Sprintf("fit{n=%d r2=%.4f rmse=%.4f coef=%v}", f.N, f.R2, f.RMSE, f.Coef)
 }
 
-// OLS solves min ||X·b - y||² by normal equations. X is row-major: X[i]
-// is observation i. Every row must have the same width. An intercept, if
-// wanted, must be an explicit all-ones column (see WithIntercept).
+// OLS solves min ||X·b - y||². X is row-major: X[i] is observation i.
+// Every row must have the same width. An intercept, if wanted, must be
+// an explicit all-ones column.
+//
+// The columns of X are scaled to unit norm and [X | y] is triangularised
+// by Householder reflections. Column k is rejected as dependent, with a
+// *RankError, when its part orthogonal to the columns before it has
+// norm at most n·ε — a tolerance relative to the column itself.
 func OLS(x [][]float64, y []float64) (*Fit, error) {
 	n := len(x)
 	if n == 0 || n != len(y) {
@@ -54,37 +75,69 @@ func OLS(x [][]float64, y []float64) (*Fit, error) {
 	if p == 0 || n < p {
 		return nil, ErrDimension
 	}
-	// Accumulate XᵀX and Xᵀy.
-	xtx := make([][]float64, p)
-	for i := range xtx {
-		xtx[i] = make([]float64, p)
-	}
-	xty := make([]float64, p)
+	// Column-major copy of [X | y]: column j is a[j*n : (j+1)*n], y last.
+	a := make([]float64, (p+1)*n)
 	for i, row := range x {
 		if len(row) != p {
 			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrDimension, i, len(row), p)
 		}
-		for a := 0; a < p; a++ {
-			xty[a] += row[a] * y[i]
-			for b := a; b < p; b++ {
-				xtx[a][b] += row[a] * row[b]
+		for j, v := range row {
+			a[j*n+i] = v
+		}
+		a[p*n+i] = y[i]
+	}
+	work := make([]float64, 3*p)
+	scale, diag, coef := work[:p], work[p:2*p], work[2*p:]
+	for j := range scale {
+		col := a[j*n : (j+1)*n]
+		s := norm(col)
+		if s == 0 {
+			s = 1 // the rank test below rejects it, in column order
+		}
+		for i := range col {
+			col[i] /= s
+		}
+		scale[j] = s
+	}
+	// Householder QR. After step k, column k's tail a[k*n+k:] holds the
+	// reflector v and diag[k] holds R_kk; R_kj (j > k) sits at a[j*n+k].
+	tol := float64(n) * 0x1p-52
+	for k := 0; k < p; k++ {
+		v := a[k*n+k : (k+1)*n]
+		alpha := norm(v)
+		if alpha <= tol {
+			return nil, &RankError{Col: k}
+		}
+		if v[0] > 0 {
+			alpha = -alpha
+		}
+		v[0] -= alpha
+		beta := -1 / (alpha * v[0]) // 2 / vᵀv
+		for j := k + 1; j <= p; j++ {
+			c := a[j*n+k : (j+1)*n]
+			c = c[:len(v)] // same length: lets the compiler drop bounds checks
+			s := 0.0
+			for i, vi := range v {
+				s += vi * c[i]
+			}
+			s *= beta
+			for i, vi := range v {
+				c[i] -= s * vi
 			}
 		}
+		diag[k] = alpha
 	}
-	for a := 1; a < p; a++ {
-		for b := 0; b < a; b++ {
-			xtx[a][b] = xtx[b][a]
+	// Back-substitute R·b = Qᵀy, then undo the column scaling.
+	qty := a[p*n:]
+	for k := p - 1; k >= 0; k-- {
+		s := qty[k]
+		for j := k + 1; j < p; j++ {
+			s -= a[j*n+k] * coef[j]
 		}
+		coef[k] = s / diag[k]
 	}
-	// solve destroys its matrix argument; keep a copy for the
-	// covariance computation.
-	xtxCopy := make([][]float64, p)
-	for i := range xtx {
-		xtxCopy[i] = append([]float64(nil), xtx[i]...)
-	}
-	coef, err := solve(xtx, xty)
-	if err != nil {
-		return nil, err
+	for j := range coef {
+		coef[j] /= scale[j]
 	}
 	// Training diagnostics.
 	var ybar float64
@@ -94,11 +147,7 @@ func OLS(x [][]float64, y []float64) (*Fit, error) {
 	ybar /= float64(n)
 	var ssRes, ssTot float64
 	for i, row := range x {
-		pred := 0.0
-		for j, c := range coef {
-			pred += c * row[j]
-		}
-		d := y[i] - pred
+		d := y[i] - Predict(coef, row)
 		ssRes += d * d
 		t := y[i] - ybar
 		ssTot += t * t
@@ -107,212 +156,59 @@ func OLS(x [][]float64, y []float64) (*Fit, error) {
 	if ssTot > 0 {
 		r2 = 1 - ssRes/ssTot
 	}
+	// A design that spans the constant cannot fit worse than the mean;
+	// rounding can still leave R² a few ulps below zero. Report that as
+	// zero, and keep genuinely negative R² (no intercept) as it is.
+	if r2 < 0 && r2 > -tol {
+		r2 = 0
+	}
 	fit := &Fit{
 		Coef: coef,
 		R2:   r2,
 		RMSE: math.Sqrt(ssRes / float64(n)),
 		N:    n,
 	}
-	// Coefficient standard errors: sqrt(sigma^2 * diag((X'X)^-1)) with
-	// sigma^2 = ssRes / (n - p).
 	if n > p {
-		if inv, err := invert(xtxCopy); err == nil {
-			sigma2 := ssRes / float64(n-p)
-			fit.StdErr = make([]float64, p)
-			for i := 0; i < p; i++ {
-				v := sigma2 * inv[i][i]
-				if v < 0 {
-					v = 0
-				}
-				fit.StdErr[i] = math.Sqrt(v)
-			}
-		}
+		fit.StdErr = stdErr(a, n, p, diag, scale, ssRes/float64(n-p))
 	}
 	return fit, nil
 }
 
-// SolveNormal solves the normal equations (XᵀX)·b = Xᵀy from
-// pre-accumulated moments, for callers that maintain the Gram matrix
-// incrementally (core.OnlineFitter) instead of materializing the design
-// matrix. The arithmetic is exactly OLS's private solver on a copy of
-// the inputs, so an incremental accumulator that adds rows in the same
-// order as OLS reproduces the batch coefficients bit for bit.
-func SolveNormal(xtx [][]float64, xty []float64) ([]float64, error) {
-	p := len(xtx)
-	if p == 0 || p != len(xty) {
-		return nil, ErrDimension
-	}
-	a := make([][]float64, p)
-	for i, row := range xtx {
-		if len(row) != p {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrDimension, i, len(row), p)
+// stdErr returns sqrt(sigma2 · diag((XᵀX)⁻¹)) from the QR factor held in
+// a. With X = Q·R·D for the column scaling D, diag((XᵀX)⁻¹)_i is the
+// squared norm of row i of R⁻¹ divided by D_i².
+func stdErr(a []float64, n, p int, diag, scale []float64, sigma2 float64) []float64 {
+	// rinv holds R⁻¹ column-major; it is upper triangular.
+	rinv := make([]float64, p*p)
+	for j := 0; j < p; j++ {
+		c := rinv[j*p : (j+1)*p]
+		c[j] = 1 / diag[j]
+		for i := j - 1; i >= 0; i-- {
+			s := 0.0
+			for k := i + 1; k <= j; k++ {
+				s += a[k*n+i] * c[k]
+			}
+			c[i] = -s / diag[i]
 		}
-		a[i] = append([]float64(nil), row...)
 	}
-	return solve(a, xty)
+	se := make([]float64, p)
+	for i := range se {
+		ss := 0.0
+		for j := i; j < p; j++ {
+			r := rinv[j*p+i]
+			ss += r * r
+		}
+		se[i] = math.Sqrt(sigma2*ss) / scale[i]
+	}
+	return se
 }
 
-// invert computes the inverse of a (which it modifies) by Gauss-Jordan
-// elimination with partial pivoting.
-func invert(a [][]float64) ([][]float64, error) {
-	n := len(a)
-	inv := make([][]float64, n)
-	for i := range inv {
-		inv[i] = make([]float64, n)
-		inv[i][i] = 1
+func norm(v []float64) float64 {
+	s := 0.0
+	for _, x := range v {
+		s += x * x
 	}
-	for col := 0; col < n; col++ {
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-12 {
-			return nil, ErrSingular
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		inv[col], inv[pivot] = inv[pivot], inv[col]
-		d := a[col][col]
-		for c := 0; c < n; c++ {
-			a[col][c] /= d
-			inv[col][c] /= d
-		}
-		for r := 0; r < n; r++ {
-			if r == col || a[r][col] == 0 {
-				continue
-			}
-			f := a[r][col]
-			for c := 0; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-				inv[r][c] -= f * inv[col][c]
-			}
-		}
-	}
-	return inv, nil
-}
-
-// solve performs Gaussian elimination with partial pivoting on a (which
-// it modifies) to solve a·x = b.
-func solve(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	x := make([]float64, n)
-	copy(x, b)
-	for col := 0; col < n; col++ {
-		// Pivot.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-12 {
-			return nil, ErrSingular
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		x[col], x[pivot] = x[pivot], x[col]
-		// Eliminate below.
-		inv := 1 / a[col][col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back-substitute.
-	for col := n - 1; col >= 0; col-- {
-		s := x[col]
-		for c := col + 1; c < n; c++ {
-			s -= a[col][c] * x[c]
-		}
-		x[col] = s / a[col][col]
-	}
-	return x, nil
-}
-
-// WithIntercept prepends an all-ones column to each row of x, returning a
-// new design matrix. The original rows are not modified.
-func WithIntercept(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		r := make([]float64, 1+len(row))
-		r[0] = 1
-		copy(r[1:], row)
-		out[i] = r
-	}
-	return out
-}
-
-// PolyDesign builds the design matrix for a single-input polynomial of
-// the given degree, with intercept: row i = [1, v, v², … v^degree].
-func PolyDesign(v []float64, degree int) [][]float64 {
-	out := make([][]float64, len(v))
-	for i, x := range v {
-		row := make([]float64, degree+1)
-		row[0] = 1
-		p := 1.0
-		for d := 1; d <= degree; d++ {
-			p *= x
-			row[d] = p
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// QuadDesign builds the design matrix for independent quadratics in each
-// input (no cross terms, matching the paper's Eq. 4 form): row i =
-// [1, a, a², b, b², …].
-func QuadDesign(inputs ...[]float64) ([][]float64, error) {
-	if len(inputs) == 0 {
-		return nil, ErrDimension
-	}
-	n := len(inputs[0])
-	for _, in := range inputs {
-		if len(in) != n {
-			return nil, ErrDimension
-		}
-	}
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, 1+2*len(inputs))
-		row[0] = 1
-		for j, in := range inputs {
-			row[1+2*j] = in[i]
-			row[2+2*j] = in[i] * in[i]
-		}
-		out[i] = row
-	}
-	return out, nil
-}
-
-// LinearDesign builds the design matrix for a multi-input linear model
-// with intercept: row i = [1, a, b, …].
-func LinearDesign(inputs ...[]float64) ([][]float64, error) {
-	if len(inputs) == 0 {
-		return nil, ErrDimension
-	}
-	n := len(inputs[0])
-	for _, in := range inputs {
-		if len(in) != n {
-			return nil, ErrDimension
-		}
-	}
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, 1+len(inputs))
-		row[0] = 1
-		for j, in := range inputs {
-			row[1+j] = in[i]
-		}
-		out[i] = row
-	}
-	return out, nil
+	return math.Sqrt(s)
 }
 
 // Predict evaluates a fitted model on one design row.

@@ -2,7 +2,9 @@ package regress
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -63,13 +65,14 @@ func TestOLSNoisyLineRecoversCoefficients(t *testing.T) {
 func TestOLSQuadraticRecovery(t *testing.T) {
 	r := sim.NewRNG(2)
 	n := 2000
-	v := make([]float64, n)
+	x := make([][]float64, n)
 	y := make([]float64, n)
-	for i := range v {
-		v[i] = r.Float64() * 4
-		y[i] = 28 + 3.4*v[i] + 7.7*v[i]*v[i] + r.Norm(0, 0.1)
+	for i := range x {
+		v := r.Float64() * 4
+		x[i] = []float64{1, v, v * v}
+		y[i] = 28 + 3.4*v + 7.7*v*v + r.Norm(0, 0.1)
 	}
-	f, err := OLS(PolyDesign(v, 2), y)
+	f, err := OLS(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +84,13 @@ func TestOLSQuadraticRecovery(t *testing.T) {
 func TestOLSMultiQuadRecovery(t *testing.T) {
 	r := sim.NewRNG(3)
 	n := 4000
-	a := make([]float64, n)
-	b := make([]float64, n)
+	x := make([][]float64, n)
 	y := make([]float64, n)
-	for i := range a {
-		a[i] = r.Float64() * 2
-		b[i] = r.Float64() * 3
-		y[i] = 21.6 + 10*a[i] - 1.1*a[i]*a[i] + 9.2*b[i] - 4.5*b[i]*b[i] + r.Norm(0, 0.05)
-	}
-	x, err := QuadDesign(a, b)
-	if err != nil {
-		t.Fatal(err)
+	for i := range x {
+		a := r.Float64() * 2
+		b := r.Float64() * 3
+		x[i] = []float64{1, a, a * a, b, b * b}
+		y[i] = 21.6 + 10*a - 1.1*a*a + 9.2*b - 4.5*b*b + r.Norm(0, 0.05)
 	}
 	f, err := OLS(x, y)
 	if err != nil {
@@ -144,69 +143,40 @@ func TestOLSConstantResponse(t *testing.T) {
 	approx(t, f.R2, 0, 1e-12, "R2 of zero-variance response")
 }
 
-func TestWithIntercept(t *testing.T) {
-	x := [][]float64{{2, 3}, {4, 5}}
-	out := WithIntercept(x)
-	if out[0][0] != 1 || out[0][1] != 2 || out[0][2] != 3 {
-		t.Errorf("row 0 = %v", out[0])
-	}
-	if out[1][0] != 1 || out[1][1] != 4 || out[1][2] != 5 {
-		t.Errorf("row 1 = %v", out[1])
-	}
-	// Original must be untouched.
-	if len(x[0]) != 2 {
-		t.Error("WithIntercept modified its input")
-	}
-}
-
-func TestPolyDesign(t *testing.T) {
-	d := PolyDesign([]float64{2}, 3)
-	want := []float64{1, 2, 4, 8}
-	for i, w := range want {
-		if d[0][i] != w {
-			t.Errorf("PolyDesign row = %v, want %v", d[0], want)
-			break
+// An intercept-only fit explains none of the variance: its R² is zero,
+// never a rounding-level negative.
+func TestOLSInterceptOnlyR2(t *testing.T) {
+	r := sim.NewRNG(4)
+	for _, n := range []int{38, 179, 1000} {
+		for trial := 0; trial < 50; trial++ {
+			x := make([][]float64, n)
+			y := make([]float64, n)
+			for i := range x {
+				x[i] = []float64{1}
+				y[i] = r.Norm(19.8, 0.2)
+			}
+			f, err := OLS(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.R2 < 0 || f.R2 > 1e-12 {
+				t.Fatalf("n=%d: intercept-only R2 = %g, want 0", n, f.R2)
+			}
 		}
 	}
 }
 
-func TestQuadDesignShapeAndErrors(t *testing.T) {
-	d, err := QuadDesign([]float64{3}, []float64{5})
+// Without an intercept a fit can be worse than the mean; that negative
+// R² is real and is reported.
+func TestOLSNegativeR2WithoutIntercept(t *testing.T) {
+	x := [][]float64{{1}, {2}, {3}, {4}}
+	y := []float64{10, 9, 8, 7}
+	f, err := OLS(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{1, 3, 9, 5, 25}
-	for i, w := range want {
-		if d[0][i] != w {
-			t.Errorf("QuadDesign row = %v, want %v", d[0], want)
-			break
-		}
-	}
-	if _, err := QuadDesign(); !errors.Is(err, ErrDimension) {
-		t.Error("QuadDesign() with no inputs must fail")
-	}
-	if _, err := QuadDesign([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrDimension) {
-		t.Error("QuadDesign with ragged inputs must fail")
-	}
-}
-
-func TestLinearDesignShapeAndErrors(t *testing.T) {
-	d, err := LinearDesign([]float64{3}, []float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 3, 5}
-	for i, w := range want {
-		if d[0][i] != w {
-			t.Errorf("LinearDesign row = %v, want %v", d[0], want)
-			break
-		}
-	}
-	if _, err := LinearDesign(); !errors.Is(err, ErrDimension) {
-		t.Error("LinearDesign() with no inputs must fail")
-	}
-	if _, err := LinearDesign([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrDimension) {
-		t.Error("LinearDesign with ragged inputs must fail")
+	if f.R2 >= 0 {
+		t.Errorf("R2 = %v, want negative", f.R2)
 	}
 }
 
@@ -227,7 +197,6 @@ func TestFitString(t *testing.T) {
 // Property: for any data the OLS residual is orthogonal to each regressor
 // (the defining property of least squares).
 func TestOLSResidualOrthogonality(t *testing.T) {
-	r := sim.NewRNG(99)
 	f := func(seed uint64) bool {
 		rr := sim.NewRNG(seed)
 		n := 30 + rr.Intn(50)
@@ -239,22 +208,25 @@ func TestOLSResidualOrthogonality(t *testing.T) {
 		}
 		fit, err := OLS(x, y)
 		if err != nil {
-			return true // singular draws are acceptable
+			return false // continuous draws are never rank-deficient
+		}
+		res := make([]float64, n)
+		for i := range x {
+			res[i] = y[i] - Predict(fit.Coef, x[i])
 		}
 		for col := 0; col < 3; col++ {
-			dot := 0.0
+			var dot, xx float64
 			for i := range x {
-				res := y[i] - Predict(fit.Coef, x[i])
-				dot += res * x[i][col]
+				dot += res[i] * x[i][col]
+				xx += x[i][col] * x[i][col]
 			}
-			if math.Abs(dot) > 1e-6*float64(n) {
+			if math.Abs(dot) > 1e-12*math.Sqrt(xx)*norm(res) {
 				return false
 			}
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 50, Values: nil}
-	_ = r
+	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(99))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -328,37 +300,169 @@ func TestStdErrNilWithoutDOF(t *testing.T) {
 	}
 }
 
-func TestInvertAgainstSolve(t *testing.T) {
-	// invert(A) * b must reproduce solve(A, b).
-	a := [][]float64{{4, 1, 0}, {1, 3, 1}, {0, 1, 5}}
-	b := []float64{1, 2, 3}
-	aCopy := make([][]float64, len(a))
-	for i := range a {
-		aCopy[i] = append([]float64(nil), a[i]...)
-	}
-	inv, err := invert(aCopy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2 := make([][]float64, len(a))
-	for i := range a {
-		a2[i] = append([]float64(nil), a[i]...)
-	}
-	x, err := solve(a2, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestStdErrMatchesClosedForm checks the R⁻¹ row norms against the
+// textbook simple-regression standard errors:
+// se(slope) = σ/√Sxx and se(intercept) = σ·√(1/n + x̄²/Sxx).
+func TestStdErrMatchesClosedForm(t *testing.T) {
+	r := sim.NewRNG(5)
+	n := 40
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	var xbar float64
 	for i := range x {
-		var got float64
-		for j := range b {
-			got += inv[i][j] * b[j]
-		}
-		if math.Abs(got-x[i]) > 1e-9 {
-			t.Errorf("inv*b[%d] = %v, solve = %v", i, got, x[i])
+		v := r.Float64()*8 + 1
+		x[i] = []float64{1, v}
+		y[i] = 4 - 0.7*v + r.Norm(0, 0.3)
+		xbar += v / float64(n)
+	}
+	f, err := OLS(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sxx, ssRes float64
+	for i := range x {
+		d := x[i][1] - xbar
+		sxx += d * d
+		e := y[i] - Predict(f.Coef, x[i])
+		ssRes += e * e
+	}
+	sigma := math.Sqrt(ssRes / float64(n-2))
+	want := []float64{sigma * math.Sqrt(1/float64(n)+xbar*xbar/sxx), sigma / math.Sqrt(sxx)}
+	for i, w := range want {
+		if math.Abs(f.StdErr[i]-w) > 1e-12*w {
+			t.Errorf("StdErr[%d] = %v, want %v", i, f.StdErr[i], w)
 		}
 	}
-	// Singular matrix is rejected.
-	if _, err := invert([][]float64{{1, 2}, {2, 4}}); err == nil {
-		t.Error("singular inversion accepted")
+}
+
+// metamorphicDesign is a noisy Eq. 4-shaped design, a quadratic in one
+// input plus a linear second input: [1, v, v², w]. Its v and v² columns
+// are correlated, as the paper's quadratic models are.
+func metamorphicDesign(n int, seed uint64) ([][]float64, []float64) {
+	r := sim.NewRNG(seed)
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		v, w := 1+r.Float64(), r.Float64()*3
+		x[i] = []float64{1, v, v * v, w}
+		y[i] = 5 + 1.5*v - 0.5*v*v - 2.5*w + r.Norm(0, 0.4)
+	}
+	return x, y
+}
+
+func relDiff(got, want float64) float64 {
+	return math.Abs(got-want) / math.Abs(want)
+}
+
+// Metamorphic: re-expressing one regressor in other units (scaling its
+// column by 10^k) must leave every prediction unchanged and scale that
+// coefficient by 10^-k. Units must never decide whether a fit exists.
+func TestOLSColumnScalingInvariance(t *testing.T) {
+	x, y := metamorphicDesign(200, 11)
+	base, err := OLS(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{-10, -6, 6, 9} {
+		s := math.Pow(10, float64(k))
+		xs := make([][]float64, len(x))
+		for i, row := range x {
+			xs[i] = []float64{row[0], row[1], row[2], row[3] * s}
+		}
+		f, err := OLS(xs, y)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		for i := range x {
+			want := Predict(base.Coef, x[i])
+			if d := relDiff(Predict(f.Coef, xs[i]), want); d > 1e-9 {
+				t.Fatalf("k=%d: prediction %d moved by %.3g relative", k, i, d)
+			}
+		}
+		for j, c := range f.Coef {
+			want := base.Coef[j]
+			if j == 3 {
+				want /= s
+			}
+			if d := relDiff(c, want); d > 1e-9 {
+				t.Errorf("k=%d: coef[%d] = %v, want %v (%.3g relative)", k, j, c, want, d)
+			}
+		}
+	}
+}
+
+// Metamorphic: least squares does not care about observation order.
+func TestOLSRowPermutationInvariance(t *testing.T) {
+	x, y := metamorphicDesign(300, 12)
+	base, err := OLS(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := rand.New(rand.NewSource(12)).Perm(len(x))
+	xp := make([][]float64, len(x))
+	yp := make([]float64, len(y))
+	for i, j := range perm {
+		xp[i], yp[i] = x[j], y[j]
+	}
+	f, err := OLS(xp, yp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, c := range f.Coef {
+		if d := relDiff(c, base.Coef[j]); d > 1e-12 {
+			t.Errorf("coef[%d] = %v, want %v (%.3g relative)", j, c, base.Coef[j], d)
+		}
+	}
+}
+
+// A dependent column is reported by index, and the error still
+// satisfies errors.Is(err, ErrSingular): an exact duplicate, and an
+// all-zero column, which depends on nothing before it.
+func TestOLSDependentColumnNamed(t *testing.T) {
+	x, y := metamorphicDesign(50, 13)
+	dup := make([][]float64, len(x))
+	zero := make([][]float64, len(x))
+	for i, row := range x {
+		dup[i] = []float64{row[0], row[1], row[1], row[3]}
+		zero[i] = []float64{row[0], 0, row[3]}
+	}
+	for _, c := range []struct {
+		name string
+		x    [][]float64
+		col  int
+	}{{"duplicate", dup, 2}, {"zero", zero, 1}} {
+		_, err := OLS(c.x, y)
+		var re *RankError
+		if !errors.As(err, &re) || re.Col != c.col {
+			t.Fatalf("%s: err = %v, want RankError{Col: %d}", c.name, err, c.col)
+		}
+		if !errors.Is(err, ErrSingular) {
+			t.Errorf("%s: RankError does not match ErrSingular", c.name)
+		}
+		if want := fmt.Sprintf("column %d", c.col); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name the column", c.name, err)
+		}
+	}
+}
+
+// Läuchli's matrix: XᵀX = 11ᵀ + ε²I rounds to singular once ε² falls
+// below the machine epsilon, so any method that forms the normal
+// equations loses about half its digits and then fails outright. QR
+// works on X itself and keeps nearly all of them.
+func TestOLSLauchli(t *testing.T) {
+	want := []float64{1, 2, 3}
+	for _, eps := range []float64{1e-4, 1e-7} {
+		x := [][]float64{{1, 1, 1}, {eps, 0, 0}, {0, eps, 0}, {0, 0, eps}}
+		y := []float64{6, eps, 2 * eps, 3 * eps}
+		f, err := OLS(x, y)
+		if err != nil {
+			t.Fatalf("eps=%g: %v", eps, err)
+		}
+		for j, w := range want {
+			if d := relDiff(f.Coef[j], w); d > 1e-14 {
+				t.Errorf("eps=%g: coef[%d] = %.17g, %.1f correct digits, want ≥14",
+					eps, j, f.Coef[j], -math.Log10(d))
+			}
+		}
 	}
 }
