@@ -2,17 +2,21 @@ package machine
 
 import (
 	"testing"
+	"time"
 
 	"trickledown/internal/align"
 )
 
 // TestDatasetFingerprintPins pins the aligned dataset of short
-// fixed-seed runs bit for bit. Together the three shapes walk every
+// fixed-seed runs bit for bit. Together the first four rows walk every
 // layer of the slice stepper: SMT sharing, the prefetcher and
 // speculation (gcc on the paper's 4x2 server), both disks, DMA and the
 // dirty-page flush (diskload), and the fleet's small one-disk node with
-// an idle thread beside a busy one. A stepper change meant to be a pure
-// speedup must leave every constant here untouched.
+// an idle thread beside a busy one. The last three rows hold the
+// stepper's memoised per-slice values to their inputs: a pure-idle node,
+// a non-default slice length, and a DAQ rate whose per-slice sample
+// count alternates. A stepper change meant to be a pure speedup must
+// leave every constant here untouched.
 func TestDatasetFingerprintPins(t *testing.T) {
 	small := DefaultConfig()
 	small.NumCPUs, small.ThreadsPerCPU, small.NumDisks = 1, 2, 1
@@ -55,6 +59,36 @@ func TestDatasetFingerprintPins(t *testing.T) {
 				return New(cfg, spec)
 			},
 			want: "54f8c3d3317e6b91",
+		},
+		{
+			// A pure-idle node: every slice repeats the same Poisson
+			// means (NIC chatter, the idle thread's uncacheable
+			// accesses).
+			name: "idle-1x2", cfg: small, seed: 15, seconds: 10,
+			build: func(cfg Config) (*Server, error) {
+				return NewMixed(cfg, []Placement{{Workload: "idle", Thread: 0}})
+			},
+			want: "a6b81a6bb2624a2c",
+		},
+		{
+			// A 500 us slice: every slice-length-keyed noise scale
+			// and the clock's slice seconds take a non-default value.
+			name: "gcc-1x2-slice500us", cfg: small, seed: 16, seconds: 10,
+			build: func(cfg Config) (*Server, error) {
+				cfg.Slice = 500 * time.Microsecond
+				return NewMixed(cfg, []Placement{{Workload: "gcc", Thread: 0}})
+			},
+			want: "05613a05efe10cd7",
+		},
+		{
+			// 7.5 DAQ samples per slice: the carried fraction makes
+			// the per-slice sample count alternate 7, 8, 7, 8, ...
+			name: "dbt-2-1x2-daq7500", cfg: small, seed: 17, seconds: 10,
+			build: func(cfg Config) (*Server, error) {
+				cfg.DAQ.SampleHz = 7500
+				return NewMixed(cfg, []Placement{{Workload: "dbt-2", Thread: 0}})
+			},
+			want: "3e975d51b11aabd5",
 		},
 	}
 	for _, tc := range cases {
