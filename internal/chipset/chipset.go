@@ -40,6 +40,11 @@ type Chipset struct {
 	rng   *sim.RNG
 	drift float64
 	bias  float64
+	// noiseScale is driftSigma·sqrt(2·noiseSlice/driftTau), the drift's
+	// noise scale for a slice of noiseSlice seconds, recomputed only
+	// when the slice length changes.
+	noiseSlice float64
+	noiseScale float64
 }
 
 // New returns a chipset with a private random stream split from parent.
@@ -56,7 +61,11 @@ func (c *Chipset) SetDomainBias(w float64) { c.bias = w }
 func (c *Chipset) Step(sliceSec, fsbUtil float64) Stats {
 	// Ornstein-Uhlenbeck mean-reverting drift.
 	c.drift += -c.drift / driftTau * sliceSec
-	c.drift += driftSigma * math.Sqrt(2*sliceSec/driftTau) * c.rng.Norm(0, 1)
+	if sliceSec != c.noiseSlice {
+		c.noiseSlice = sliceSec
+		c.noiseScale = driftSigma * math.Sqrt(2*sliceSec/driftTau)
+	}
+	c.drift += c.noiseScale * c.rng.Norm(0, 1)
 	return Stats{FSBUtil: clamp01(fsbUtil), DomainDrift: c.drift, DomainBias: c.bias}
 }
 

@@ -102,6 +102,10 @@ type DAQ struct {
 	records   []Record
 	fault     FaultInjector
 
+	// sigma is NoiseStd/sqrt(sigmaK), the noise of the mean of sigmaK
+	// samples, recomputed only when the per-slice count changes.
+	sigmaK, sigma float64
+
 	// Pending telemetry, flushed per window rather than per slice.
 	pendingSamples uint64
 	pendingClips   uint64
@@ -164,9 +168,12 @@ func (d *DAQ) Acquire(sliceSec float64, truth power.Reading) {
 		k = math.Floor(d.sampleAcc)
 		d.sampleAcc -= k
 	}
-	sigma := d.cfg.NoiseStd / math.Sqrt(k)
+	if k != d.sigmaK {
+		d.sigmaK = k
+		d.sigma = d.cfg.NoiseStd / math.Sqrt(k)
+	}
 	for i, w := range truth {
-		v := w + d.rng.Norm(0, sigma)
+		v := w + d.rng.Norm(0, d.sigma)
 		d.sum[i] += d.quantize(v) * k
 	}
 	d.n += int64(k)

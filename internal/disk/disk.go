@@ -90,7 +90,7 @@ type Stats struct {
 }
 
 // Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
+func (s *Stats) Add(other *Stats) {
 	s.SeekSec += other.SeekSec
 	s.RotSec += other.RotSec
 	s.XferSec += other.XferSec
@@ -361,6 +361,6 @@ func (c *Controller) StepInto(st *Stats, sliceSec float64) {
 	var one Stats
 	for _, d := range c.disks {
 		d.stepInto(&one, sliceSec)
-		st.Add(one)
+		st.Add(&one)
 	}
 }

@@ -177,7 +177,7 @@ func TestControllerPendingAndDrain(t *testing.T) {
 func TestStatsAdd(t *testing.T) {
 	a := Stats{SeekSec: 1, RotSec: 2, XferSec: 3, IdleSec: 4, ReadBytes: 5, WriteBytes: 6, Completions: 7, QueueLen: 8}
 	b := a
-	a.Add(b)
+	a.Add(&b)
 	if a.SeekSec != 2 || a.Completions != 14 || a.QueueLen != 16 || a.WriteBytes != 12 {
 		t.Errorf("Add = %+v", a)
 	}

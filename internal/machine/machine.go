@@ -87,6 +87,11 @@ type railDrift struct {
 	state power.Reading
 	sigma power.Reading
 	tau   float64
+	// noiseScale holds sigma[i]·sqrt(2·noiseSlice/tau), each rail's
+	// noise scale for a slice of noiseSlice seconds, recomputed only
+	// when the slice length changes.
+	noiseSlice float64
+	noiseScale power.Reading
 }
 
 func newRailDrift(parent *sim.RNG) *railDrift {
@@ -102,16 +107,22 @@ func newRailDrift(parent *sim.RNG) *railDrift {
 	}
 }
 
-// step advances the drift by one slice and returns the current offsets.
-func (d *railDrift) step(sliceSec float64) power.Reading {
-	k := math.Sqrt(2 * sliceSec / d.tau)
-	for i := range d.state {
-		if d.sigma[i] == 0 {
-			continue
+// step advances the drift by one slice and adds the current offsets
+// into *truth.
+func (d *railDrift) step(sliceSec float64, truth *power.Reading) {
+	if sliceSec != d.noiseSlice {
+		d.noiseSlice = sliceSec
+		k := math.Sqrt(2 * sliceSec / d.tau)
+		for i, s := range d.sigma {
+			d.noiseScale[i] = s * k
 		}
-		d.state[i] += -d.state[i]/d.tau*sliceSec + d.sigma[i]*k*d.rng.Norm(0, 1)
 	}
-	return d.state
+	for i := range d.state {
+		if d.sigma[i] != 0 {
+			d.state[i] += -d.state[i]/d.tau*sliceSec + d.noiseScale[i]*d.rng.Norm(0, 1)
+		}
+		truth[i] += d.state[i]
+	}
 }
 
 // snoopShare is the fraction of a processor's demand bus transactions
@@ -507,9 +518,7 @@ func (s *Server) step(c *sim.Clock) {
 		power.SubIO:      s.profile.IO(osRes.DMA, float64(osRes.DeviceInts), sliceSec),
 		power.SubDisk:    s.profile.DiskOf(&osRes.Disk, sliceSec, s.cfg.NumDisks),
 	}
-	for i, d := range s.drift.step(sliceSec) {
-		truth[i] += d
-	}
+	s.drift.step(sliceSec, &truth)
 	for i, w := range truth {
 		s.truthSum[i] += w
 	}
@@ -549,7 +558,9 @@ func (s *Server) RunContext(ctx context.Context, seconds float64) error {
 	if s.crashErr != nil {
 		return s.crashErr
 	}
-	d := time.Duration(seconds * float64(time.Second))
+	// Round to the nearest nanosecond: truncating would turn 2.05 s
+	// into 2.049999999 s and step one slice too few.
+	d := time.Duration(math.Round(seconds * float64(time.Second)))
 	if s.crash == nil {
 		return s.engine.RunForContext(ctx, d)
 	}

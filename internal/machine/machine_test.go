@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -242,5 +243,24 @@ func TestMcfPrefetchGrowth(t *testing.T) {
 	// coverage): with 4x the instances, less than 3x the misses.
 	if missLate > 3*missEarly {
 		t.Errorf("demand misses grew too much: %v -> %v", missEarly, missLate)
+	}
+}
+
+// TestRunStepsNearestSlice checks that a run length whose nanosecond
+// count is not exact in floating point still steps every slice:
+// 2.05 s is 2049999999.9999998 ns, which truncation turned into 2049
+// slices.
+func TestRunStepsNearestSlice(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumCPUs, cfg.ThreadsPerCPU, cfg.NumDisks = 1, 2, 1
+	srv, err := NewMixed(cfg, []Placement{{Workload: "idle", Thread: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RunContext(context.Background(), 2.05); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Clock().SliceIndex(); got != 2050 {
+		t.Errorf("RunContext(2.05) stepped %d slices, want 2050", got)
 	}
 }

@@ -100,13 +100,20 @@ func NewWithCapacity(txPerSec float64) *Memory {
 }
 
 // saturate applies the FSB's soft saturation curve: linear at low load,
-// asymptotic to capacity at overload.
+// asymptotic to capacity at overload: offered/(1+r⁴)^¼ with r the load
+// over capacity. For an exponent with no integer part, math.Pow(x, ¼)
+// returns 1 for x == 1 and otherwise exactly math.Exp(¼·math.Log(x));
+// taking those two steps here skips Pow's special cases and Frexp/Ldexp.
 func saturate(offered, cap float64) float64 {
 	if offered <= 0 {
 		return 0
 	}
 	r := offered / cap
-	return offered / math.Pow(1+r*r*r*r, 0.25)
+	x := 1 + r*r*r*r
+	if x == 1 {
+		return offered
+	}
+	return offered / math.Exp(0.25*math.Log(x))
 }
 
 // PageHitRate returns the row-buffer hit probability for a stream of

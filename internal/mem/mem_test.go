@@ -174,3 +174,41 @@ func TestServiceInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSaturateMatchesPow holds saturate to the expression it replaces,
+// offered/math.Pow(1+r⁴, 0.25), bit for bit over a sweep of r: zero,
+// the region where 1+r⁴ rounds to 1, r = 1, and heavy overload up to
+// r = 1e3. A toolchain whose Pow stops computing Exp(0.25·Log(x)) for
+// this exponent fails here.
+func TestSaturateMatchesPow(t *testing.T) {
+	capTx := BusCapacity * slice
+	var rs []float64
+	for e := -9.0; e <= 3; e += 1.0 / 64 {
+		rs = append(rs, math.Pow(10, e))
+	}
+	for r := 0.0; r <= 4; r += 1.0 / 1024 {
+		rs = append(rs, r)
+	}
+	rs = append(rs, 1, 1e3)
+	var flat, curved int
+	for _, r := range rs {
+		offered := r * capTx
+		rr := offered / capTx
+		if 1+rr*rr*rr*rr == 1 {
+			flat++
+		} else {
+			curved++
+		}
+		want := 0.0
+		if offered > 0 {
+			want = offered / math.Pow(1+rr*rr*rr*rr, 0.25)
+		}
+		if got := saturate(offered, capTx); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("r=%g: saturate = %v (%#x), Pow reference = %v (%#x)",
+				r, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if flat < 100 || curved < 1000 {
+		t.Fatalf("sweep hit %d points with 1+r⁴ == 1 and %d without", flat, curved)
+	}
+}

@@ -19,6 +19,7 @@ const (
 // Clock tracks simulated time in fixed slices.
 type Clock struct {
 	slice    time.Duration
+	sliceSec float64 // slice.Seconds(), computed once
 	coreHz   float64
 	sliceN   int64   // slices elapsed since reset
 	cyclesPS float64 // core cycles per slice
@@ -34,10 +35,12 @@ func NewClock(slice time.Duration, coreHz float64) *Clock {
 	if coreHz <= 0 {
 		panic("sim: non-positive core frequency")
 	}
+	sec := slice.Seconds()
 	return &Clock{
 		slice:    slice,
+		sliceSec: sec,
 		coreHz:   coreHz,
-		cyclesPS: coreHz * slice.Seconds(),
+		cyclesPS: coreHz * sec,
 	}
 }
 
@@ -48,7 +51,7 @@ func (c *Clock) Tick() { c.sliceN++ }
 func (c *Clock) Slice() time.Duration { return c.slice }
 
 // SliceSeconds returns the duration of one step in seconds.
-func (c *Clock) SliceSeconds() float64 { return c.slice.Seconds() }
+func (c *Clock) SliceSeconds() float64 { return c.sliceSec }
 
 // CoreHz returns the simulated core clock frequency.
 func (c *Clock) CoreHz() float64 { return c.coreHz }
@@ -63,7 +66,7 @@ func (c *Clock) Now() time.Duration {
 
 // Seconds returns elapsed simulated time in seconds.
 func (c *Clock) Seconds() float64 {
-	return float64(c.sliceN) * c.slice.Seconds()
+	return float64(c.sliceN) * c.sliceSec
 }
 
 // SliceIndex returns the number of completed slices.

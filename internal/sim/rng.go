@@ -9,6 +9,10 @@
 // models integrate their behaviour over a slice rather than modeling
 // individual cycles, which is sufficient because the paper's power models
 // consume event *rates* sampled at 1 Hz.
+//
+// Poisson memoises its exp(-mean) threshold for the last mean it was
+// called with, because the stepper draws the same small means slice
+// after slice; the memo changes no deviate.
 package sim
 
 import "math"
@@ -22,6 +26,11 @@ type RNG struct {
 	// spare holds the second normal deviate of the last polar-method pair.
 	spare    float64
 	hasSpare bool
+	// poisMean and poisL memoise Knuth's threshold exp(-poisMean) for
+	// the last small mean Poisson was called with (poisMean is 0, which
+	// Poisson never memoises, until the first call).
+	poisMean float64
+	poisL    float64
 }
 
 // NewRNG returns a generator seeded with seed. Two generators with the
@@ -62,12 +71,19 @@ func (r *RNG) Intn(n int) int {
 // Norm returns a normally distributed deviate with the given mean and
 // standard deviation, using Marsaglia's polar method: it rejects points
 // outside the unit disc and turns each accepted point into a pair of
-// deviates, caching the second for the next call.
+// deviates, caching the second for the next call. Returning the cached
+// spare is small enough to inline; normPair draws a new pair.
 func (r *RNG) Norm(mean, stddev float64) float64 {
 	if r.hasSpare {
 		r.hasSpare = false
 		return mean + stddev*r.spare
 	}
+	return r.normPair(mean, stddev)
+}
+
+// normPair draws a polar-method pair, caches its second deviate and
+// returns the first scaled to mean and stddev.
+func (r *RNG) normPair(mean, stddev float64) float64 {
 	var u, v, s float64
 	for {
 		u = 2*r.Float64() - 1
@@ -108,7 +124,11 @@ func (r *RNG) Poisson(mean float64) int64 {
 		return int64(n + 0.5)
 	}
 	// Knuth's method.
-	l := math.Exp(-mean)
+	if mean != r.poisMean {
+		r.poisMean = mean
+		r.poisL = math.Exp(-mean)
+	}
+	l := r.poisL
 	var k int64
 	p := 1.0
 	for {
