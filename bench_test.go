@@ -17,8 +17,8 @@ import (
 )
 
 // benchScale keeps each regeneration to a few seconds while preserving
-// every experiment's structure; run cmd/tdtables and cmd/tdfigures for
-// full paper-scale traces.
+// every experiment's structure; run cmd/tdreport for full paper-scale
+// traces.
 const benchScale = 0.2
 
 var (

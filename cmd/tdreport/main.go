@@ -1,11 +1,13 @@
-// Command tdreport runs every experiment and writes EXPERIMENTS.md: the
-// paper-vs-measured record for all four tables, the five model-trace
-// figures, the Figure 4 sweep, the fitted equations and the extension
-// studies. The generation itself lives in internal/report.
+// Command tdreport regenerates the paper's evaluation: it runs every
+// experiment and writes EXPERIMENTS.md, the paper-vs-measured record
+// for all four tables, the five model-trace figures, the Figure 4
+// sweep, the fitted equations and the extension studies. With -figures
+// it also writes each figure's trace as CSV and as an ASCII plot. The
+// generation itself lives in internal/report.
 //
 // Usage:
 //
-//	tdreport [-scale 1.0] [-o EXPERIMENTS.md]
+//	tdreport [-scale 1.0] [-o EXPERIMENTS.md] [-figures DIR]
 package main
 
 import (
@@ -21,6 +23,7 @@ func main() {
 	log.SetPrefix("tdreport: ")
 	scale := flag.Float64("scale", 1.0, "duration multiplier for every run")
 	out := flag.String("o", "EXPERIMENTS.md", "output file")
+	figures := flag.String("figures", "", "directory for each figure's <name>.csv and <name>.txt plot (omit to skip)")
 	flag.Parse()
 
 	opt := report.DefaultOptions()
@@ -40,4 +43,10 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %s", *out)
+	if *figures != "" {
+		if err := g.WriteFigures(*figures); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("wrote figures to %s", *figures)
+	}
 }

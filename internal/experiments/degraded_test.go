@@ -58,14 +58,6 @@ func TestErrorTableDegradesFailedCells(t *testing.T) {
 	if cellErr == nil || !strings.Contains(cellErr.Error(), "vortex run lost") {
 		t.Errorf("CellErrors = %v, want the injected cause", cellErr)
 	}
-	// Rendering prints n/a, never NaN.
-	var b strings.Builder
-	if err := tab.Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "n/a") || strings.Contains(b.String(), "NaN") {
-		t.Errorf("render:\n%s", b.String())
-	}
 }
 
 // TestCharacterizeDegradesFailedCells covers Table 1's path, including
@@ -117,19 +109,34 @@ func TestFullyDegradedTableAverageIsNA(t *testing.T) {
 			}
 		}
 	}
-	avg := tab.Row("average")
-	if avg == nil {
+	if tab.Row("average") == nil {
 		t.Fatal("average row missing")
-	}
-	var b strings.Builder
-	if err := tab.Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "n/a") || strings.Contains(b.String(), "NaN") {
-		t.Errorf("render:\n%s", b.String())
 	}
 	if r.CellErrors() == nil {
 		t.Error("CellErrors lost the failures")
+	}
+}
+
+// TestExtensionsDegradeFailedStudy: a study whose run fails comes back
+// with NaN errors under its own labels, the cause lands in CellErrors,
+// and the other studies still run.
+func TestExtensionsDegradeFailedStudy(t *testing.T) {
+	r := failingRunner("lucas") // the OS-utilization study's evaluation run
+	comps := r.Extensions()
+	if len(comps) != 3 {
+		t.Fatalf("extensions = %d", len(comps))
+	}
+	lost := comps[2]
+	if !strings.Contains(lost.Name, "lucas") || !math.IsNaN(lost.BaselineErr) || !math.IsNaN(lost.VariantErr) {
+		t.Errorf("failed study = %+v, want its labels with NaN errors", lost)
+	}
+	cellErr := r.CellErrors()
+	if cellErr == nil || !strings.Contains(cellErr.Error(), "lucas run lost") ||
+		!strings.Contains(cellErr.Error(), lost.Name) {
+		t.Errorf("CellErrors = %v, want the study and its injected cause", cellErr)
+	}
+	if spin := comps[1]; math.IsNaN(spin.BaselineErr) || math.IsNaN(spin.VariantErr) {
+		t.Errorf("healthy study poisoned: %+v", spin)
 	}
 }
 

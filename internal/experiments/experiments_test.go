@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +10,7 @@ import (
 
 // testRunner runs everything at reduced scale so the whole suite stays
 // fast; assertions are correspondingly loose — they check shape, not
-// calibration (cmd/tdtables checks calibration at full scale).
+// calibration (cmd/tdreport regenerates the full-scale tables).
 func testRunner() *Runner {
 	return NewRunner(Options{Seed: 100, TrainSeed: 10, Scale: 0.35})
 }
@@ -143,21 +142,21 @@ func TestTables3And4Shape(t *testing.T) {
 	}
 }
 
-func TestTableRender(t *testing.T) {
+func TestTableLayout(t *testing.T) {
 	r := testRunner()
 	tab, err := r.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tab.Render(&buf); err != nil {
-		t.Fatal(err)
+	if !strings.HasPrefix(tab.Title, "Table 1") {
+		t.Errorf("title = %q", tab.Title)
 	}
-	out := buf.String()
-	for _, want := range []string{"Table 1", "workload", "paper", "diskload", "Total"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
+	if n := len(tab.Columns); n != power.NumSubsystems+1 || tab.Columns[n-1] != "Total" {
+		t.Errorf("columns = %v, want the five rails and Total", tab.Columns)
+	}
+	dl := tab.Row("diskload")
+	if dl == nil || len(dl.Ours) != len(tab.Columns) || len(dl.Paper) != len(tab.Columns) {
+		t.Errorf("diskload row = %+v, want ours and paper values for every column", dl)
 	}
 	if tab.Row("nope") != nil {
 		t.Error("Row(nope) should be nil")
@@ -369,7 +368,7 @@ func TestRunnerConcurrentTraining(t *testing.T) {
 }
 
 // TestTablesConcurrent regenerates two tables from concurrent
-// goroutines, the tdtables/tdreport pattern that used to race on the
+// goroutines, the table-generation pattern that used to race on the
 // lazy estimator init; meaningful under -race.
 func TestTablesConcurrent(t *testing.T) {
 	r := NewRunner(Options{Seed: 100, TrainSeed: 10, Scale: 0.05, Workers: 4})
@@ -408,8 +407,8 @@ func TestDurationFloor(t *testing.T) {
 
 func TestExtensions(t *testing.T) {
 	r := testRunner()
-	comps, err := r.Extensions()
-	if err != nil {
+	comps := r.Extensions()
+	if err := r.CellErrors(); err != nil {
 		t.Fatal(err)
 	}
 	if len(comps) != 3 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"trickledown/internal/align"
 	"trickledown/internal/core"
@@ -11,9 +12,9 @@ import (
 )
 
 // Extension experiments: studies beyond the paper's evaluation that
-// probe where the trickle-down approach ends. Each returns a small
-// comparison the report renders; the quantitative claims are asserted in
-// tests, not just printed.
+// probe where the trickle-down approach ends. Extensions returns one
+// comparison per study for the report to render; the quantitative
+// claims are asserted in tests, not just printed.
 
 // Comparison pairs two models' Equation 6 errors on one evaluation.
 type Comparison struct {
@@ -30,7 +31,10 @@ func (c Comparison) String() string {
 		c.Name, c.Baseline, c.BaselineErr, c.Variant, c.VariantErr)
 }
 
-// dvfsRun runs gcc stepping through the given operating points.
+// dvfsRun runs gcc stepping through the given operating points. Its
+// steps scale without Runner.duration's 30-second floor, which would
+// lengthen the 25-second sweep steps at full scale; at small scales the
+// study fails and Extensions reports it as n/a.
 func (r *Runner) dvfsRun(schedule []float64, secsPer float64, seed uint64) (*align.Dataset, error) {
 	spec, err := workload.ByName("gcc")
 	if err != nil {
@@ -55,42 +59,30 @@ func (r *Runner) dvfsRun(schedule []float64, secsPer float64, seed uint64) (*ali
 	return ds.Skip(20), nil
 }
 
-// ExtensionDVFS compares fixed-frequency Eq. 1 against the
+// dvfsStudy compares fixed-frequency Eq. 1 against the
 // frequency-aware variant on a machine at a 0.6x operating point.
-func (r *Runner) ExtensionDVFS() (*Comparison, error) {
+func (r *Runner) dvfsStudy() (baseline, variant float64, err error) {
 	fixedTrain, err := r.dvfsRun([]float64{1.0}, 120, r.opt.TrainSeed)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	eq1, err := core.Train(core.CPUSpec(), fixedTrain)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	sweepTrain, err := r.dvfsRun([]float64{1.0, 0.8, 0.6, 0.5, 0.9, 0.7}, 25, r.opt.TrainSeed)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	aware, err := core.Train(core.CPUDVFSSpec(), sweepTrain)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	eval, err := r.dvfsRun([]float64{0.6}, 60, r.opt.Seed)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	be, err := eq1.Validate(eval)
-	if err != nil {
-		return nil, err
-	}
-	ve, err := aware.Validate(eval)
-	if err != nil {
-		return nil, err
-	}
-	return &Comparison{
-		Name:     "CPU model under DVFS (0.6x operating point)",
-		Baseline: "fixed-frequency Eq.1", BaselineErr: be,
-		Variant: "frequency-aware Eq.1 (fV²)", VariantErr: ve,
-	}, nil
+	return validatePair(eq1, aware, eval)
 }
 
 // spindownRun runs a single DiskLoad instance on mobile-policy disks,
@@ -103,89 +95,94 @@ func (r *Runner) spindownRun(seed uint64, seconds float64) (*align.Dataset, erro
 	if err != nil {
 		return nil, err
 	}
-	srv.Run(seconds * r.opt.Scale)
+	srv.Run(r.duration(seconds))
 	return srv.Dataset()
 }
 
-// ExtensionSpindown compares the stateless Eq. 4 against the
+// spindownStudy compares the stateless Eq. 4 against the
 // history-aware standby model on disks with power management.
-func (r *Runner) ExtensionSpindown() (*Comparison, error) {
+func (r *Runner) spindownStudy() (baseline, variant float64, err error) {
 	train, err := r.spindownRun(r.opt.TrainSeed, 260)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	eval, err := r.spindownRun(r.opt.Seed, 200)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	flat, err := core.Train(core.DiskSpec(), train)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	seq, err := core.TrainSeq(core.DiskStandbySpec(0.25), train)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	be, err := flat.Validate(eval)
-	if err != nil {
-		return nil, err
-	}
-	ve, err := seq.Validate(eval)
-	if err != nil {
-		return nil, err
-	}
-	return &Comparison{
-		Name:     "Disk model on spindown hardware",
-		Baseline: "stateless Eq.4", BaselineErr: be,
-		Variant: "Eq.4 + EWMA recent-activity", VariantErr: ve,
-	}, nil
+	return validatePair(flat, seq, eval)
 }
 
-// ExtensionOSUtil compares Eq. 1 against the Heath/Kotla-style
-// OS-utilization CPU model on an IPC-varying evaluation.
-func (r *Runner) ExtensionOSUtil() (*Comparison, error) {
+// osUtilStudy compares the Heath/Kotla-style OS-utilization CPU model
+// against Eq. 1 on an IPC-varying evaluation.
+func (r *Runner) osUtilStudy() (baseline, variant float64, err error) {
 	train, err := r.dataset("gcc", r.duration(240), r.opt.TrainSeed)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	eq1, err := core.Train(core.CPUSpec(), train)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	utilM, err := core.Train(core.CPUOSUtilSpec(), train)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	eval, err := r.dataset("lucas", r.duration(150), r.opt.Seed)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	ue, err := utilM.Validate(eval)
-	if err != nil {
-		return nil, err
-	}
-	ee, err := eq1.Validate(eval)
-	if err != nil {
-		return nil, err
-	}
-	return &Comparison{
-		Name:     "CPU model channel (lucas: high utilization, low IPC)",
-		Baseline: "OS-utilization (Heath/Kotla)", BaselineErr: ue,
-		Variant: "on-chip counters Eq.1", VariantErr: ee,
-	}, nil
+	return validatePair(utilM, eq1, eval)
 }
 
-// Extensions runs every extension study.
-func (r *Runner) Extensions() ([]Comparison, error) {
-	var out []Comparison
-	for _, get := range []func() (*Comparison, error){
-		r.ExtensionDVFS, r.ExtensionSpindown, r.ExtensionOSUtil,
-	} {
-		c, err := get()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *c)
+// validator is a fitted model: a plain core.Model or a core.SeqModel.
+type validator interface {
+	Validate(*align.Dataset) (float64, error)
+}
+
+// validatePair returns the Eq. 6 errors of a baseline and a variant
+// model on one evaluation trace.
+func validatePair(baseline, variant validator, eval *align.Dataset) (float64, float64, error) {
+	be, err := baseline.Validate(eval)
+	if err != nil {
+		return 0, 0, err
 	}
-	return out, nil
+	ve, err := variant.Validate(eval)
+	if err != nil {
+		return 0, 0, err
+	}
+	return be, ve, nil
+}
+
+// Extensions runs every extension study. A study that fails is recorded
+// in CellErrors and comes back with NaN errors, which render as n/a, as
+// a failed table cell does: one lost study does not lose the report.
+func (r *Runner) Extensions() []Comparison {
+	out := []Comparison{
+		{Name: "CPU model under DVFS (0.6x operating point)",
+			Baseline: "fixed-frequency Eq.1", Variant: "frequency-aware Eq.1 (fV²)"},
+		{Name: "Disk model on spindown hardware",
+			Baseline: "stateless Eq.4", Variant: "Eq.4 + EWMA recent-activity"},
+		{Name: "CPU model channel (lucas: high utilization, low IPC)",
+			Baseline: "OS-utilization (Heath/Kotla)", Variant: "on-chip counters Eq.1"},
+	}
+	for i, study := range []func() (float64, float64, error){
+		r.dvfsStudy, r.spindownStudy, r.osUtilStudy,
+	} {
+		c := &out[i]
+		var err error
+		if c.BaselineErr, c.VariantErr, err = study(); err != nil {
+			c.BaselineErr, c.VariantErr = math.NaN(), math.NaN()
+			r.recordCellErr(fmt.Errorf("experiments: %s: %w", c.Name, err))
+		}
+	}
+	return out
 }

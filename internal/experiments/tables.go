@@ -3,9 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
-	"strings"
 
 	"trickledown/internal/align"
 	"trickledown/internal/power"
@@ -30,47 +28,6 @@ type TableRow struct {
 	Workload string
 	Ours     []float64
 	Paper    []float64
-}
-
-// Render writes the table with ours/paper value pairs.
-func (t *Table) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%s\n", t.Title); err != nil {
-		return err
-	}
-	header := fmt.Sprintf("%-10s %-6s", "workload", "series")
-	for _, c := range t.Columns {
-		header += fmt.Sprintf(" %9s", c)
-	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", len(header))); err != nil {
-		return err
-	}
-	row := func(name, series string, vals []float64) error {
-		line := fmt.Sprintf("%-10s %-6s", name, series)
-		for _, v := range vals {
-			if math.IsNaN(v) {
-				// A failed cell (see Runner.CellErrors), not a number.
-				line += fmt.Sprintf(" %9s", "n/a")
-			} else {
-				line += fmt.Sprintf(" %9.3f", v)
-			}
-		}
-		_, err := fmt.Fprintln(w, line)
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := row(r.Workload, "ours", r.Ours); err != nil {
-			return err
-		}
-		if len(r.Paper) > 0 {
-			if err := row("", "paper", r.Paper); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Row returns the row for a workload, or nil.

@@ -68,12 +68,15 @@ func (f *Fit) String() string {
 // norm at most n·ε — a tolerance relative to the column itself.
 func OLS(x [][]float64, y []float64) (*Fit, error) {
 	n := len(x)
-	if n == 0 || n != len(y) {
-		return nil, ErrDimension
+	if n != len(y) {
+		return nil, fmt.Errorf("%w: %d rows for %d responses", ErrDimension, n, len(y))
 	}
-	p := len(x[0])
+	p := 0
+	if n > 0 {
+		p = len(x[0])
+	}
 	if p == 0 || n < p {
-		return nil, ErrDimension
+		return nil, fmt.Errorf("%w: %d rows for %d columns", ErrDimension, n, p)
 	}
 	// Column-major copy of [X | y]: column j is a[j*n : (j+1)*n], y last.
 	a := make([]float64, (p+1)*n)

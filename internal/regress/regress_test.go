@@ -116,16 +116,20 @@ func TestOLSDimensionErrors(t *testing.T) {
 		name string
 		x    [][]float64
 		y    []float64
+		msg  string // the counts the error names
 	}{
-		{"empty", nil, nil},
-		{"len mismatch", [][]float64{{1}}, []float64{1, 2}},
-		{"fewer rows than cols", [][]float64{{1, 2, 3}}, []float64{1}},
-		{"zero-width rows", [][]float64{{}, {}}, []float64{1, 2}},
-		{"ragged rows", [][]float64{{1, 2}, {1}}, []float64{1, 2}},
+		{"empty", nil, nil, "0 rows for 0 columns"},
+		{"len mismatch", [][]float64{{1}}, []float64{1, 2}, "1 rows for 2 responses"},
+		{"fewer rows than cols", [][]float64{{1, 2, 3}, {4, 5, 6}}, []float64{1, 2}, "2 rows for 3 columns"},
+		{"zero-width rows", [][]float64{{}, {}}, []float64{1, 2}, "2 rows for 0 columns"},
+		{"ragged rows", [][]float64{{1, 2}, {1}}, []float64{1, 2}, "row 1 has 1 columns, want 2"},
 	}
 	for _, c := range cases {
-		if _, err := OLS(c.x, c.y); !errors.Is(err, ErrDimension) {
+		_, err := OLS(c.x, c.y)
+		if !errors.Is(err, ErrDimension) {
 			t.Errorf("%s: err = %v, want ErrDimension", c.name, err)
+		} else if !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%s: err = %q, want it to name %q", c.name, err, c.msg)
 		}
 	}
 }

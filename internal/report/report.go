@@ -1,20 +1,25 @@
 // Package report renders the full paper-vs-reproduction record as
 // Markdown: the four tables, the figure-trace errors, the Figure 4
 // sweep, the fitted equations, the extension studies and the shape
-// checklist. cmd/tdreport is a thin CLI over this package; the package
-// exists so the document generation itself is testable.
+// checklist, plus each figure's trace as CSV and ASCII plot files.
+// cmd/tdreport is a thin CLI over this package; the package exists so
+// the document generation itself is testable.
 package report
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"trickledown/internal/align"
 	"trickledown/internal/core"
 	"trickledown/internal/experiments"
 	"trickledown/internal/machine"
+	"trickledown/internal/trace"
 )
 
 // Options configures report generation.
@@ -90,13 +95,24 @@ story — not the authors' absolute Watts.
 	return nil
 }
 
-// mdCell formats one table value; a NaN cell is a failed run (see
-// experiments.Runner.CellErrors), shown as "n/a" rather than "NaN".
+// mdCell formats one table value to three decimals, so Table 2's
+// sub-0.1 W deviations (0.0328, 0.0055) keep their leading digits; a NaN
+// cell is a failed run (see experiments.Runner.CellErrors), shown as
+// "n/a" rather than "NaN".
 func mdCell(v float64) string {
 	if math.IsNaN(v) {
 		return "n/a"
 	}
-	return fmt.Sprintf("%.2f", v)
+	return fmt.Sprintf("%.3f", v)
+}
+
+// pct formats an error percentage; a NaN is a failed study, shown as
+// "n/a".
+func pct(v float64) string {
+	if math.IsNaN(v) {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2f%%", v)
 }
 
 // MarkdownTable renders an experiments.Table as Markdown.
@@ -196,7 +212,7 @@ into prefetch transactions: prefetch share of bus traffic grows from
 %.0f%% (quarter-trace) to %.0f%% (tail) while non-prefetch traffic
 flattens — exactly why the paper's L3-miss model (Eq. 2) under-predicts
 and the all-transaction model (Eq. 3) holds. CSVs via
-`+"`go run ./cmd/tdfigures -figure 4 -out figures/`"+`.
+`+"`go run ./cmd/tdreport -figures figures/`"+`.
 
 `, n, 100*share(n/4), 100*share(n-1))
 	g.progress("Figure 4")
@@ -269,15 +285,11 @@ func (g *Generator) rwMix(b *strings.Builder) error {
 }
 
 func (g *Generator) extensions(b *strings.Builder) error {
-	comps, err := g.r.Extensions()
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(b, "## Extension studies (beyond the paper)\n\n"+
 		"| study | baseline | variant |\n|---|---|---|\n")
-	for _, c := range comps {
-		fmt.Fprintf(b, "| %s | %s: %.2f%% | %s: %.2f%% |\n",
-			c.Name, c.Baseline, c.BaselineErr, c.Variant, c.VariantErr)
+	for _, c := range g.r.Extensions() {
+		fmt.Fprintf(b, "| %s | %s: %s | %s: %s |\n",
+			c.Name, c.Baseline, pct(c.BaselineErr), c.Variant, pct(c.VariantErr))
 	}
 	fmt.Fprintf(b, "\nEach direction is asserted in the test suite "+
 		"(TestExtensions, TestDVFSModelBeatsEq1UnderScaling, "+
@@ -324,5 +336,55 @@ func (g *Generator) checklist(b *strings.Builder) error {
   its noise than the paper's board showed.
 `)
 	g.progress("checklist")
+	return nil
+}
+
+// WriteFigures writes every trace figure to dir as two files:
+// <name>.csv, the trace at 1 Hz, and <name>.txt, its 110x18 ASCII plot
+// followed by the average-error line (Figure 4, a sweep with no model,
+// has none) and a blank line. It reuses the runner's cached runs, so
+// after Generate it simulates nothing new.
+func (g *Generator) WriteFigures(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	figure4 := func() (*experiments.Figure, error) {
+		tr, err := g.r.Figure4()
+		return &experiments.Figure{Trace: tr, AvgErr: math.NaN()}, err
+	}
+	for _, f := range []struct {
+		name string
+		get  func() (*experiments.Figure, error)
+	}{
+		{"figure2", g.r.Figure2},
+		{"figure3", g.r.Figure3},
+		{"figure4", figure4},
+		{"figure5", g.r.Figure5},
+		{"figure5_l3_failure", g.r.Figure5L3},
+		{"figure6", g.r.Figure6},
+		{"figure7", g.r.Figure7},
+	} {
+		fig, err := f.get()
+		if err != nil {
+			return err
+		}
+		var plot, csv bytes.Buffer
+		if err := fig.Trace.WriteASCII(&plot, trace.PlotOptions{Width: 110, Height: 18}); err != nil {
+			return err
+		}
+		if !math.IsNaN(fig.AvgErr) {
+			fmt.Fprintf(&plot, "average error: %.2f%% (paper: %.2f%%)\n", fig.AvgErr, fig.PaperErr)
+		}
+		plot.WriteByte('\n')
+		if err := fig.Trace.WriteCSV(&csv); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.name+".txt"), plot.Bytes(), 0o644); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.name+".csv"), csv.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
 	return nil
 }

@@ -40,7 +40,7 @@ func TestCommandOutputPins(t *testing.T) {
 	statSources(t)
 	bin := t.TempDir()
 	build := exec.Command(goTool, "build", "-o", bin+string(filepath.Separator),
-		"./cmd/tdreport", "./cmd/tdtables", "./cmd/tdfigures", "./cmd/tdvalidate",
+		"./cmd/tdreport", "./cmd/tdvalidate",
 		"./examples/fleet", "./examples/diurnal", "./examples/chaos",
 		"./examples/tenants", "./examples/drift", "./examples/replay",
 		"./examples/quickstart", "./examples/governor", "./examples/phases",
@@ -49,7 +49,9 @@ func TestCommandOutputPins(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	figureCSVs := map[string]string{
+	report := map[string]string{
+		"stdout":                 "cbf29ce484222325",
+		"F":                      "f18e5e5bb6494370",
 		"figure2.csv":            "116e3ac1cd94438d",
 		"figure3.csv":            "0ea25c1c75ce884a",
 		"figure4.csv":            "a30f007d57bc0736",
@@ -57,10 +59,8 @@ func TestCommandOutputPins(t *testing.T) {
 		"figure5_l3_failure.csv": "4c2787bc91cad444",
 		"figure6.csv":            "9551d4ce0a208ad7",
 		"figure7.csv":            "e5c68f386385247d",
-	}
-	figures := map[string]string{"stdout": "f532ce5b177ed0fc"}
-	for name, sum := range figureCSVs {
-		figures[name] = sum
+		// The figure plots, concatenated in figure order.
+		"figure2.txt+figure3.txt+figure4.txt+figure5.txt+figure5_l3_failure.txt+figure6.txt+figure7.txt": "f532ce5b177ed0fc",
 	}
 
 	rows := []struct {
@@ -83,10 +83,7 @@ func TestCommandOutputPins(t *testing.T) {
 		{"thermal", nil, map[string]string{"stdout": "7321d14cb4eeb6d9"}},
 		{"tdvalidate", []string{"-gate", "-golden", golden, "-o", "F"},
 			map[string]string{"stdout": "97b4452f07560bef", "F": "5a4817ba5ca7aa91"}},
-		{"tdreport", []string{"-scale", "0.2", "-o", "F"},
-			map[string]string{"stdout": "cbf29ce484222325", "F": "bdc44e6915faffb3"}},
-		{"tdtables", []string{"-scale", "0.2"}, map[string]string{"stdout": "bbc548c08dff4c27"}},
-		{"tdfigures", []string{"-scale", "0.2", "-out", "D"}, figures},
+		{"tdreport", []string{"-scale", "0.2", "-o", "F", "-figures", "D"}, report},
 	}
 	for _, row := range rows {
 		name := strings.Join(append([]string{row.cmd}, row.args...), " ")
