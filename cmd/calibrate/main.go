@@ -8,25 +8,11 @@ package main
 import (
 	"fmt"
 
+	"trickledown/internal/experiments"
 	"trickledown/internal/machine"
 	"trickledown/internal/power"
 	"trickledown/internal/workload"
 )
-
-var paper = map[string][5]float64{
-	"idle":     {38.4, 19.9, 28.1, 32.9, 21.6},
-	"gcc":      {162, 20.0, 34.2, 32.9, 21.8},
-	"mcf":      {167, 20.0, 39.6, 32.9, 21.9},
-	"vortex":   {175, 17.3, 35.0, 32.9, 21.9},
-	"art":      {159, 18.7, 35.8, 33.5, 21.9},
-	"lucas":    {135, 19.5, 46.4, 33.5, 22.1},
-	"mesa":     {165, 16.8, 33.9, 33.0, 21.8},
-	"mgrid":    {146, 19.0, 45.1, 32.9, 22.1},
-	"wupwise":  {167, 18.8, 45.2, 33.5, 22.1},
-	"dbt-2":    {48.3, 19.8, 29.0, 33.2, 21.6},
-	"specjbb":  {112, 18.7, 37.8, 32.9, 21.9},
-	"diskload": {123, 19.9, 42.5, 35.2, 22.2},
-}
 
 func main() {
 	fmt.Printf("%-9s %-9s  %7s %7s %7s %7s %7s\n", "workload", "series", "CPU", "Chip", "Mem", "IO", "Disk")
@@ -54,7 +40,7 @@ func main() {
 				sus[i] /= float64(susN)
 			}
 		}
-		p := paper[name]
+		p := experiments.PaperTable1[name]
 		row := func(label string, r [5]float64) {
 			fmt.Printf("%-9s %-9s  %7.1f %7.2f %7.1f %7.2f %7.2f\n",
 				name, label, r[0], r[1], r[2], r[3], r[4])

@@ -23,9 +23,8 @@ import (
 	"time"
 
 	"trickledown/internal/cluster"
-	"trickledown/internal/core"
+	"trickledown/internal/experiments"
 	"trickledown/internal/faults"
-	"trickledown/internal/machine"
 	"trickledown/internal/pool"
 	"trickledown/internal/power"
 	"trickledown/internal/sched"
@@ -47,21 +46,7 @@ func main() {
 	}
 
 	slog.Info("training the fleet's estimator")
-	gcc, err := machine.RunWorkload("gcc", 180, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mcf, err := machine.RunWorkload("mcf", 180, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dl, err := machine.RunWorkload("diskload", 150, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	est, err := core.TrainEstimator(core.TrainingSet{
-		CPU: gcc, Memory: mcf, Disk: dl, IO: dl, Chipset: gcc,
-	})
+	est, err := experiments.TrainTrio(180, 180, 150)
 	if err != nil {
 		log.Fatal(err)
 	}

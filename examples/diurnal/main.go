@@ -31,6 +31,7 @@ import (
 
 	"trickledown/internal/cluster"
 	"trickledown/internal/core"
+	"trickledown/internal/experiments"
 	"trickledown/internal/machine"
 	"trickledown/internal/sched"
 	"trickledown/internal/telemetry"
@@ -210,15 +211,7 @@ func idleInner() workload.Generator {
 // train fits the estimator once, from the paper's training trio.
 func train() *core.Estimator {
 	slog.Info("training the fleet's estimator")
-	gcc, err := machine.RunWorkload("gcc", 150, 1)
-	check(err)
-	mcf, err := machine.RunWorkload("mcf", 150, 2)
-	check(err)
-	dl, err := machine.RunWorkload("diskload", 120, 3)
-	check(err)
-	est, err := core.TrainEstimator(core.TrainingSet{
-		CPU: gcc, Memory: mcf, Disk: dl, IO: dl, Chipset: gcc,
-	})
+	est, err := experiments.TrainTrio(150, 150, 120)
 	check(err)
 	return est
 }

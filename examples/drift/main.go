@@ -33,6 +33,7 @@ import (
 	"trickledown/internal/adapt"
 	"trickledown/internal/align"
 	"trickledown/internal/core"
+	"trickledown/internal/experiments"
 	"trickledown/internal/faults"
 	"trickledown/internal/machine"
 	"trickledown/internal/power"
@@ -131,33 +132,10 @@ func main() {
 // train fits the production estimator on the calibration workloads and
 // stamps versioned provenance, exactly as the offline pipeline does.
 func train() *core.Estimator {
-	gcc, err := machine.RunWorkload("gcc", 180, 1)
+	est, err := experiments.TrainTrio(180, 180, 150)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mcf, err := machine.RunWorkload("mcf", 180, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dl, err := machine.RunWorkload("diskload", 150, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	est, err := core.TrainEstimator(core.TrainingSet{
-		CPU: gcc, Memory: mcf, Disk: dl, IO: dl, Chipset: gcc,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	all := align.Concat(gcc, mcf, dl)
-	fp := align.Fingerprint(all)
-	est.SetProvenance(&core.Provenance{
-		SchemaVersion: core.ProvenanceSchemaVersion,
-		Version:       "train-" + fp,
-		Fingerprint:   fp,
-		Envelopes:     core.ComputeEnvelopes(all),
-		Reason:        "offline-train",
-	})
 	return est
 }
 

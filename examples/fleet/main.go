@@ -26,6 +26,7 @@ import (
 
 	"trickledown/internal/cluster"
 	"trickledown/internal/core"
+	"trickledown/internal/experiments"
 	"trickledown/internal/machine"
 	"trickledown/internal/sched"
 	"trickledown/internal/telemetry"
@@ -78,15 +79,7 @@ func main() {
 // the scheduler ("the cost of implementation is small").
 func train() *core.Estimator {
 	slog.Info("training the fleet's estimator")
-	gcc, err := machine.RunWorkload("gcc", 180, 1)
-	check(err)
-	mcf, err := machine.RunWorkload("mcf", 180, 2)
-	check(err)
-	dl, err := machine.RunWorkload("diskload", 150, 3)
-	check(err)
-	est, err := core.TrainEstimator(core.TrainingSet{
-		CPU: gcc, Memory: mcf, Disk: dl, IO: dl, Chipset: gcc,
-	})
+	est, err := experiments.TrainTrio(180, 180, 150)
 	check(err)
 	return est
 }

@@ -17,6 +17,7 @@ import (
 	"log"
 
 	"trickledown/internal/core"
+	"trickledown/internal/experiments"
 	"trickledown/internal/machine"
 	"trickledown/internal/workload"
 )
@@ -30,21 +31,7 @@ func main() {
 	log.SetFlags(0)
 
 	fmt.Println("training models...")
-	gcc, err := machine.RunWorkload("gcc", 180, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mcf, err := machine.RunWorkload("mcf", 180, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dl, err := machine.RunWorkload("diskload", 150, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	est, err := core.TrainEstimator(core.TrainingSet{
-		CPU: gcc, Memory: mcf, Disk: dl, IO: dl, Chipset: gcc,
-	})
+	est, err := experiments.TrainTrio(180, 180, 150)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"log"
 
-	"trickledown/internal/core"
+	"trickledown/internal/experiments"
 	"trickledown/internal/machine"
 	"trickledown/internal/phase"
 	"trickledown/internal/power"
@@ -28,21 +28,7 @@ func main() {
 	log.SetFlags(0)
 
 	fmt.Println("training models...")
-	gcc, err := machine.RunWorkload("gcc", 180, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mcf, err := machine.RunWorkload("mcf", 180, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dl, err := machine.RunWorkload("diskload", 150, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	est, err := core.TrainEstimator(core.TrainingSet{
-		CPU: gcc, Memory: mcf, Disk: dl, IO: dl, Chipset: gcc,
-	})
+	est, err := experiments.TrainTrio(180, 180, 150)
 	if err != nil {
 		log.Fatal(err)
 	}

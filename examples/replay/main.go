@@ -26,6 +26,7 @@ import (
 
 	"trickledown/internal/align"
 	"trickledown/internal/core"
+	"trickledown/internal/experiments"
 	"trickledown/internal/machine"
 	"trickledown/internal/serve"
 	"trickledown/internal/telemetry"
@@ -142,15 +143,7 @@ func recordAndReplay(hour int, wl string) *align.Dataset {
 // train fits the estimator once, from the paper's training trio.
 func train() *core.Estimator {
 	slog.Info("training the estimator")
-	gcc, err := machine.RunWorkload("gcc", 150, 1)
-	check(err)
-	mcf, err := machine.RunWorkload("mcf", 150, 2)
-	check(err)
-	dl, err := machine.RunWorkload("diskload", 120, 3)
-	check(err)
-	est, err := core.TrainEstimator(core.TrainingSet{
-		CPU: gcc, Memory: mcf, Disk: dl, IO: dl, Chipset: gcc,
-	})
+	est, err := experiments.TrainTrio(150, 150, 120)
 	check(err)
 	return est
 }

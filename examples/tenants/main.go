@@ -26,6 +26,7 @@ import (
 
 	"trickledown/internal/align"
 	"trickledown/internal/core"
+	"trickledown/internal/experiments"
 	"trickledown/internal/machine"
 	"trickledown/internal/power"
 	"trickledown/internal/sim"
@@ -54,7 +55,7 @@ func main() {
 	idle := meanEstimate(est, runSpecMachine(idleCfg, "idle"))
 
 	// The shared node: one cohort, four tenants, threads 0-3.
-	co := workload.NewCohort(workload.CohortConfig{})
+	co := workload.NewCohort()
 	mkRNG := sim.NewRNG(4242)
 	for ti, wl := range tenantWorkloads {
 		spec, err := workload.ByName(wl)
@@ -124,7 +125,7 @@ func soloIdentity(cfg machine.Config) {
 				if !wrap {
 					return g
 				}
-				solo := workload.NewCohort(workload.CohortConfig{})
+				solo := workload.NewCohort()
 				i, err := solo.Add("solo", g)
 				check(err)
 				w, err := solo.Generator(i)
@@ -179,15 +180,7 @@ func meanEstimate(est *core.Estimator, ds *align.Dataset) power.Reading {
 // train fits the estimator once, from the paper's training trio.
 func train() *core.Estimator {
 	slog.Info("training the estimator")
-	gcc, err := machine.RunWorkload("gcc", 150, 1)
-	check(err)
-	mcf, err := machine.RunWorkload("mcf", 150, 2)
-	check(err)
-	dl, err := machine.RunWorkload("diskload", 120, 3)
-	check(err)
-	est, err := core.TrainEstimator(core.TrainingSet{
-		CPU: gcc, Memory: mcf, Disk: dl, IO: dl, Chipset: gcc,
-	})
+	est, err := experiments.TrainTrio(150, 150, 120)
 	check(err)
 	return est
 }

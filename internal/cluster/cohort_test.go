@@ -22,7 +22,7 @@ func cohortCluster(t *testing.T, workers int) *Cluster {
 	c.SetWorkers(workers)
 	tenants := []string{"gcc", "mcf", "dbt-2", "mesa"}
 	for node := 0; node < 16; node++ {
-		co := workload.NewCohort(workload.CohortConfig{})
+		co := workload.NewCohort()
 		// Construction randomness comes from a per-node seed, so every
 		// worker count builds bit-identical tenants.
 		mkRNG := sim.NewRNG(uint64(5000 + node))

@@ -279,22 +279,54 @@ func (r *Runner) trainEstimator() (*core.Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
+	est, err := fitTrio(gcc, mcf, dl)
+	if err != nil {
+		return nil, err
+	}
+	est.Provenance().TrainedAt = time.Now().UTC().Format(time.RFC3339)
+	return est, nil
+}
+
+// TrainTrio trains the five production models on fixed-seed runs of
+// the paper's training trio: gcc (seed 1) for the CPU and chipset, mcf
+// (seed 2) for memory, and diskload (seed 3) for disk and I/O, each run
+// for the given simulated seconds. The result carries fit provenance
+// without a timestamp, so programs that print from it stay
+// deterministic.
+func TrainTrio(gccSec, mcfSec, diskSec float64) (*core.Estimator, error) {
+	gcc, err := machine.RunWorkload("gcc", gccSec, 1)
+	if err != nil {
+		return nil, err
+	}
+	mcf, err := machine.RunWorkload("mcf", mcfSec, 2)
+	if err != nil {
+		return nil, err
+	}
+	dl, err := machine.RunWorkload("diskload", diskSec, 3)
+	if err != nil {
+		return nil, err
+	}
+	return fitTrio(gcc, mcf, dl)
+}
+
+// fitTrio fits Eq. 1 and the chipset constant on gcc, Eq. 3 on mcf and
+// Eq. 4 and Eq. 5 on diskload, and stamps fit provenance: fingerprint
+// and rate envelopes over the full training corpus, so a serving
+// process can report which data the live coefficients descend from and
+// the adapt layer can detect workload-mix drift without ground-truth
+// rails.
+func fitTrio(gcc, mcf, dl *align.Dataset) (*core.Estimator, error) {
 	est, err := core.TrainEstimator(core.TrainingSet{
 		CPU: gcc, Memory: mcf, Disk: dl, IO: dl, Chipset: gcc,
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Stamp fit provenance: fingerprint and rate envelopes over the full
-	// training corpus, so a serving process can report which data the
-	// live coefficients descend from and the adapt layer can detect
-	// workload-mix drift without ground-truth rails.
 	all := align.Concat(gcc, mcf, dl)
 	fp := align.Fingerprint(all)
 	est.SetProvenance(&core.Provenance{
 		SchemaVersion: core.ProvenanceSchemaVersion,
 		Version:       "train-" + fp,
-		TrainedAt:     time.Now().UTC().Format(time.RFC3339),
 		Fingerprint:   fp,
 		Envelopes:     core.ComputeEnvelopes(all),
 		Reason:        "offline-train",

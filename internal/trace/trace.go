@@ -157,42 +157,12 @@ func (t *Trace) Len() int {
 	return n
 }
 
-// CSVOptions controls the time column WriteCSVOpts emits. The paper's
-// figures sample at 1 Hz starting at second 1, which is the WriteCSV
-// default; telemetry-derived series (scraped at other cadences, or
-// starting at zero) set an explicit base instead of inheriting it.
-type CSVOptions struct {
-	// StartSecond is the time value of the first row. Zero is a valid
-	// start; use DefaultCSVOptions (or plain WriteCSV) for the paper's
-	// 1-based column.
-	StartSecond float64
-	// Rate is the sample rate in rows per second; non-positive means
-	// 1 Hz. Row i carries time StartSecond + i/Rate.
-	Rate float64
-}
-
-// DefaultCSVOptions reproduces WriteCSV's historical time base: 1 Hz
-// samples labeled 1, 2, 3, ...
-func DefaultCSVOptions() CSVOptions {
-	return CSVOptions{StartSecond: 1, Rate: 1}
-}
-
 // WriteCSV writes the trace as CSV with a leading seconds column on the
 // paper's 1 Hz, 1-based time base. Short series are padded with empty
 // cells.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	return t.WriteCSVOpts(w, DefaultCSVOptions())
-}
-
-// WriteCSVOpts is WriteCSV with an explicit time base. With
-// DefaultCSVOptions the output is byte-for-byte identical to WriteCSV.
-func (t *Trace) WriteCSVOpts(w io.Writer, opt CSVOptions) error {
 	if len(t.series) == 0 {
 		return ErrNoSeries
-	}
-	rate := opt.Rate
-	if rate <= 0 {
-		rate = 1
 	}
 	cols := make([]string, 0, len(t.series)+1)
 	cols = append(cols, "seconds")
@@ -205,7 +175,7 @@ func (t *Trace) WriteCSVOpts(w io.Writer, opt CSVOptions) error {
 	n := t.Len()
 	row := make([]string, len(t.series)+1)
 	for i := 0; i < n; i++ {
-		row[0] = strconv.FormatFloat(opt.StartSecond+float64(i)/rate, 'g', -1, 64)
+		row[0] = strconv.FormatFloat(float64(i+1), 'g', -1, 64)
 		for j, s := range t.series {
 			if i < len(s.Values) {
 				row[j+1] = fmt.Sprintf("%.4f", s.Values[i])

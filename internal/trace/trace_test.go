@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -59,6 +60,31 @@ func TestWriteCSV(t *testing.T) {
 	// Short series padded with empty cell.
 	if lines[2] != "2,2.5000," {
 		t.Errorf("row 2 = %q", lines[2])
+	}
+
+	// A longer trace: the time column counts 1, 2, 3, ... with no
+	// fraction or exponent, and padding holds to the last row.
+	long := New("long")
+	for i := 0; i < 100; i++ {
+		long.Append("a", float64(i)*1.25)
+		long.Append("b", float64(i)*-0.5)
+	}
+	long.Append("a", 7)
+	buf.Reset()
+	if err := long.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 102 {
+		t.Fatalf("CSV lines = %d, want header + 101", len(lines))
+	}
+	for i, line := range lines[1:] {
+		if got, want := strings.SplitN(line, ",", 2)[0], fmt.Sprint(i+1); got != want {
+			t.Errorf("row %d time = %q, want %q", i+1, got, want)
+		}
+	}
+	if lines[100] != "100,123.7500,-49.5000" || lines[101] != "101,7.0000," {
+		t.Errorf("last rows = %q, %q", lines[100], lines[101])
 	}
 }
 
@@ -136,53 +162,6 @@ func TestWriteASCIISingleSample(t *testing.T) {
 	var buf bytes.Buffer
 	if err := tr.WriteASCII(&buf, PlotOptions{Width: 10, Height: 4}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriteCSVOptsDefaultByteIdentical(t *testing.T) {
-	tr := New("test")
-	for i := 0; i < 100; i++ {
-		tr.Append("a", float64(i)*1.25)
-		tr.Append("b", float64(i)*-0.5)
-	}
-	tr.Append("a", 7) // leave b one short to exercise padding
-	var classic, opts bytes.Buffer
-	if err := tr.WriteCSV(&classic); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteCSVOpts(&opts, DefaultCSVOptions()); err != nil {
-		t.Fatal(err)
-	}
-	if classic.String() != opts.String() {
-		t.Errorf("default WriteCSVOpts differs from WriteCSV:\n%q\nvs\n%q",
-			classic.String(), opts.String())
-	}
-}
-
-func TestWriteCSVOptsCustomTimeBase(t *testing.T) {
-	tr := New("telemetry")
-	for i := 0; i < 4; i++ {
-		tr.Append("w", float64(i))
-	}
-	var buf bytes.Buffer
-	// A 2 Hz series starting at second 0 — a scraped telemetry cadence.
-	if err := tr.WriteCSVOpts(&buf, CSVOptions{StartSecond: 0, Rate: 2}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	want := []string{"0", "0.5", "1", "1.5"}
-	for i, w := range want {
-		if got := strings.SplitN(lines[i+1], ",", 2)[0]; got != w {
-			t.Errorf("row %d time = %q, want %q", i, got, w)
-		}
-	}
-	// Zero-value options fall back to 1 Hz starting at 0.
-	buf.Reset()
-	if err := tr.WriteCSVOpts(&buf, CSVOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if row1 := strings.SplitN(strings.Split(buf.String(), "\n")[1], ",", 2)[0]; row1 != "0" {
-		t.Errorf("zero-value opts first time = %q, want 0", row1)
 	}
 }
 

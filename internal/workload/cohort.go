@@ -6,36 +6,22 @@ import (
 	"trickledown/internal/sim"
 )
 
-// CohortConfig tunes the shared-resource interference model of a
-// tenant cohort. The zero value selects the defaults in brackets.
-type CohortConfig struct {
-	// L3Sensitivity is the maximum fractional inflation of a tenant's
-	// L3 miss rate at saturating co-tenant pressure [0.6]: co-tenants
+// The shared-resource interference model of a tenant cohort.
+const (
+	// cohortL3Sensitivity is the maximum fractional inflation of a
+	// tenant's L3 miss rate at saturating co-tenant pressure: co-tenants
 	// evict each other's lines from the shared last-level cache.
-	L3Sensitivity float64
-	// BusSensitivity is the maximum fractional inflation of writeback
-	// (dirty-evict) bus transactions [0.3]: contended capacity turns
+	cohortL3Sensitivity = 0.6
+	// cohortBusSensitivity is the maximum fractional inflation of
+	// writeback (dirty-evict) bus transactions: contended capacity turns
 	// over dirty lines faster.
-	BusSensitivity float64
-	// PressureScale is the co-tenant pressure (summed demand L3 misses
-	// per kilocycle) at which interference reaches half its maximum
-	// [2.0] — a Michaelis-Menten saturation, so inflation never
+	cohortBusSensitivity = 0.3
+	// cohortPressureScale is the co-tenant pressure (summed demand L3
+	// misses per kilocycle) at which interference reaches half its
+	// maximum — a Michaelis-Menten saturation, so inflation never
 	// diverges however many tenants pile on.
-	PressureScale float64
-}
-
-func (c CohortConfig) withDefaults() CohortConfig {
-	if c.L3Sensitivity == 0 {
-		c.L3Sensitivity = 0.6
-	}
-	if c.BusSensitivity == 0 {
-		c.BusSensitivity = 0.3
-	}
-	if c.PressureScale == 0 {
-		c.PressureScale = 2.0
-	}
-	return c
-}
+	cohortPressureScale = 2.0
+)
 
 // TenantUsage accumulates one tenant's post-interference demand — its
 // share of each subsystem's driving events, in the integrals core's
@@ -74,7 +60,6 @@ type TenantUsage struct {
 // machine's (single-threaded) slice loop, so no locking is needed even
 // when many nodes step in parallel cluster shards.
 type Cohort struct {
-	cfg    CohortConfig
 	names  []string
 	gens   []Generator
 	sealed bool
@@ -91,8 +76,8 @@ type Cohort struct {
 }
 
 // NewCohort creates an empty cohort.
-func NewCohort(cfg CohortConfig) *Cohort {
-	return &Cohort{cfg: cfg.withDefaults()}
+func NewCohort() *Cohort {
+	return &Cohort{}
 }
 
 // Add registers a tenant and returns its index. Tenants must all be
@@ -220,10 +205,10 @@ func (w *cohortTenant) Demand(t float64, env Env, rng *sim.RNG) Demand {
 	}
 	// Saturating interference factor in [0,1): 0 when running alone
 	// (single tenant ≡ plain generator, bit for bit).
-	f := other / (other + c.cfg.PressureScale)
+	f := other / (other + cohortPressureScale)
 	if f > 0 {
-		d.L3MissPerKuop *= 1 + c.cfg.L3Sensitivity*f
-		d.DirtyEvictFrac *= 1 + c.cfg.BusSensitivity*f
+		d.L3MissPerKuop *= 1 + cohortL3Sensitivity*f
+		d.DirtyEvictFrac *= 1 + cohortBusSensitivity*f
 		// Interleaved miss streams defeat the stream prefetcher and
 		// thrash DRAM row buffers.
 		d.Prefetchability *= 1 - 0.5*f

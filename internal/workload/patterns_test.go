@@ -31,7 +31,7 @@ func TestPatternEdgeCases(t *testing.T) {
 		check func(t *testing.T)
 	}{
 		{"zero tenants rejected", func(t *testing.T) {
-			c := NewCohort(CohortConfig{})
+			c := NewCohort()
 			if _, err := c.Generator(0); err == nil || !strings.Contains(err.Error(), "zero tenants") {
 				t.Fatalf("Generator on empty cohort: %v", err)
 			}
@@ -40,7 +40,7 @@ func TestPatternEdgeCases(t *testing.T) {
 			}
 		}},
 		{"single tenant equals plain generator", func(t *testing.T) {
-			c := NewCohort(CohortConfig{})
+			c := NewCohort()
 			if _, err := c.Add("solo", fixedGen{name: "solo", d: busyDemand()}); err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestPatternEdgeCases(t *testing.T) {
 		{"saturation clamping at demand 1.0", func(t *testing.T) {
 			over := busyDemand()
 			over.Active = 1.0
-			c := NewCohort(CohortConfig{})
+			c := NewCohort()
 			for _, name := range []string{"a", "b", "c", "d"} {
 				if _, err := c.Add(name, fixedGen{name: name, d: over}); err != nil {
 					t.Fatal(err)
@@ -219,7 +219,7 @@ func TestCohortInterferenceMonotoneInPressure(t *testing.T) {
 	// The same probe tenant sees strictly more L3 misses as heavier
 	// co-tenants are added alongside it.
 	probeMiss := func(coTenants int) float64 {
-		c := NewCohort(CohortConfig{})
+		c := NewCohort()
 		if _, err := c.Add("probe", fixedGen{name: "probe", d: busyDemand()}); err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestCohortInterferenceMonotoneInPressure(t *testing.T) {
 }
 
 func TestCohortUsageAccounting(t *testing.T) {
-	c := NewCohort(CohortConfig{})
+	c := NewCohort()
 	if _, err := c.Add("a", fixedGen{name: "a", d: busyDemand()}); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestPatternConstructorValidation(t *testing.T) {
 	if _, err := NewBursty(fixedGen{}, BurstyConfig{OnMeanSec: 0, OffMeanSec: 1}); err == nil {
 		t.Fatal("zero dwell accepted")
 	}
-	c := NewCohort(CohortConfig{})
+	c := NewCohort()
 	if _, err := c.Add("", fixedGen{}); err == nil {
 		t.Fatal("empty tenant name accepted")
 	}
