@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet bench-all race cover report tables figures examples loc validate validate-update serve loadgen serve-smoke drift-drill fleet fleet-smoke replay tenants diurnal
+.PHONY: all test vet bench-all race cover report examples loc validate validate-update serve loadgen serve-smoke drift-drill fleet fleet-smoke replay tenants diurnal
 
 all: vet test
 
@@ -36,15 +36,10 @@ bench-all:
 cover:
 	$(GO) test -cover ./...
 
-# Regenerate EXPERIMENTS.md at full paper scale.
+# Regenerate EXPERIMENTS.md at full paper scale, and each figure's
+# CSV and ASCII plot under figures/.
 report:
-	$(GO) run ./cmd/tdreport
-
-tables:
-	$(GO) run ./cmd/tdtables
-
-figures:
-	$(GO) run ./cmd/tdfigures -out figures
+	$(GO) run ./cmd/tdreport -figures figures
 
 examples:
 	$(GO) run ./examples/quickstart
