@@ -10,6 +10,7 @@ import (
 	"trickledown/internal/perfctr"
 	"trickledown/internal/phase"
 	"trickledown/internal/power"
+	"trickledown/internal/sim"
 	"trickledown/internal/telemetry"
 	"trickledown/internal/tracez"
 	"trickledown/internal/validate"
@@ -157,8 +158,9 @@ type Manager struct {
 
 	mu          sync.Mutex
 	champion    *core.Estimator
-	window      []align.Row // ring, oldest at wHead
+	window      []align.Row // ring, oldest at wHead; rows own their slices
 	wHead, wLen int
+	met         core.Metrics // Observe's extraction scratch
 	resid       *PageHinkley
 	env         *EnvelopeCUSUM
 	phases      *phase.Detector
@@ -268,13 +270,14 @@ func (m *Manager) Champion() *core.Estimator {
 // Observe feeds one counter sample with its measured rails (ground
 // truth or a calibrated proxy). It drives drift detection, window
 // accumulation, and — when the gate conditions line up — a promotion
-// attempt or rollback, synchronously. The sample is retained shallowly
-// in the sliding window: callers must not mutate it afterwards.
+// attempt or rollback, synchronously. The window keeps a deep copy of
+// the sample, so the caller may reuse its storage once Observe returns.
 func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	met := core.ExtractMetrics(s)
+	met := &m.met
+	core.ExtractMetricsAtInto(met, s, sim.DefaultCoreHz)
 	m.obs++
 	m.modelAge++
 	m.sinceAttempt++
@@ -305,7 +308,8 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 	} else {
 		m.wLen++
 	}
-	m.window[slot] = align.Row{Power: measured, Counters: *s}
+	m.window[slot].Power = measured
+	copySample(&m.window[slot].Counters, s)
 
 	if residAlarm || envAlarm {
 		if m.guardRemaining > 0 {
@@ -340,6 +344,39 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 		m.phases.Settled(m.cfg.PhaseSettle) {
 		m.attemptPromoteLocked()
 	}
+}
+
+// copySample deep-copies src into dst, reusing dst's slices where they
+// are large enough: a window slot recycles the storage of the sample it
+// evicts.
+func copySample(dst, src *perfctr.Sample) {
+	ints := dst.Ints
+	*dst = perfctr.Sample{
+		TargetSeconds:   src.TargetSeconds,
+		IntervalSec:     src.IntervalSec,
+		CPUs:            copyInto(dst.CPUs, src.CPUs),
+		OSBusySec:       copyInto(dst.OSBusySec, src.OSBusySec),
+		OSThreadBusySec: copyInto(dst.OSThreadBusySec, src.OSThreadBusySec),
+	}
+	if src.Ints == nil {
+		return
+	}
+	if cap(ints) < len(src.Ints) {
+		ints = make([][]uint64, len(src.Ints))
+	}
+	dst.Ints = ints[:len(src.Ints)]
+	for v, row := range src.Ints {
+		dst.Ints[v] = copyInto(dst.Ints[v], row)
+	}
+}
+
+// copyInto returns a copy of src in dst's backing array when it is large
+// enough; a nil src copies as nil.
+func copyInto[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	return append(dst[:0], src...)
 }
 
 // windowDataset copies the ring into a dataset, oldest first.

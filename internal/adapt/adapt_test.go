@@ -3,6 +3,7 @@ package adapt
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -149,6 +150,51 @@ func runDrill(t *testing.T, cfg Config, pre, post int, shift float64) *Manager {
 		m.Observe(&s, railsFor(&s, shift))
 	}
 	return m
+}
+
+// TestWindowRowsOwnTheirStorage: Observe keeps a deep copy of each
+// sample, so a caller that decodes every sample into the same storage
+// (the live service recycles its decode buffers) leaves the window's
+// rows unchanged. The stream is longer than the window, so evicted
+// slots are reused too, and the busy-time vector changes length.
+func TestWindowRowsOwnTheirStorage(t *testing.T) {
+	const n, total = 97, 75
+	m, err := New(testConfig(trainingChampion(t, 120), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(i int) perfctr.Sample {
+		s := sampleAt(i, n)
+		s.OSBusySec = make([]float64, 1+i%2)
+		for c := range s.OSBusySec {
+			s.OSBusySec[c] = 0.1 * float64(i%7+c)
+		}
+		return s
+	}
+	buf := want(0)
+	buf.OSBusySec = make([]float64, 2)
+	for i := 0; i < total; i++ {
+		// Overwrite buf in place, as a reused decoder would.
+		w := want(i)
+		copy(buf.CPUs, w.CPUs)
+		for v := range buf.Ints {
+			copy(buf.Ints[v], w.Ints[v])
+		}
+		buf.TargetSeconds = w.TargetSeconds
+		buf.OSBusySec = append(buf.OSBusySec[:0], w.OSBusySec...)
+		m.Observe(&buf, railsFor(&buf, 0))
+	}
+	win := m.windowDataset()
+	if win.Len() != m.cfg.Window {
+		t.Fatalf("window holds %d rows, want %d (did a drift alarm reset it?)", win.Len(), m.cfg.Window)
+	}
+	for r := range win.Rows {
+		i := total - win.Len() + r
+		if w := want(i); !reflect.DeepEqual(win.Rows[r].Counters, w) {
+			t.Fatalf("window row %d (sample %d) changed after its source was overwritten:\n got %+v\nwant %+v",
+				r, i, win.Rows[r].Counters, w)
+		}
+	}
 }
 
 func TestDriftTriggersGuardedSwap(t *testing.T) {

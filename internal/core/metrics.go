@@ -66,11 +66,18 @@ type Metrics struct {
 	// event needed, the cycles counter already reveals the clock.
 	FreqScale []float64
 
-	// row is Model.Predict's design-row scratch. Because of it, one
-	// Metrics (or a struct copy, which shares the buffer) must not reach
-	// two concurrent Predict calls; each goroutine extracts into its own.
-	row []float64
+	// slab backs the thirteen per-CPU slices above, NumCPUs elements
+	// each; ExtractMetricsAtInto re-carves it only when NumCPUs changes.
+	// row is Model.Predict's design-row scratch. Because of these
+	// buffers, one Metrics (or a struct copy, which shares them) must not
+	// reach two concurrent ExtractMetricsAtInto or Predict calls; each
+	// goroutine extracts into its own.
+	slab []float64
+	row  []float64
 }
+
+// perCPUMetrics is the number of per-CPU slices in Metrics.
+const perCPUMetrics = 13
 
 // ExtractMetrics normalizes a counter sample, assuming the default
 // nominal clock for frequency inference.
@@ -88,58 +95,57 @@ func ExtractMetricsAt(s *perfctr.Sample, nominalHz float64) *Metrics {
 	return m
 }
 
-// resizeZeroed returns v with length n and every element zero, reusing
-// v's backing array when it is large enough.
-func resizeZeroed(v []float64, n int) []float64 {
-	if cap(v) < n {
-		return make([]float64, n)
+// carve points m's per-CPU slices at consecutive n-element windows of
+// its slab, growing the slab when it is too small. Each window's
+// capacity is its length, so an append to one slice cannot overwrite
+// the next.
+func (m *Metrics) carve(n int) {
+	if cap(m.slab) < perCPUMetrics*n {
+		m.slab = make([]float64, perCPUMetrics*n)
 	}
-	v = v[:n]
-	for i := range v {
-		v[i] = 0
+	m.slab = m.slab[:perCPUMetrics*n]
+	for k, field := range [perCPUMetrics]*[]float64{
+		&m.PercentActive, &m.UopsPerCycle, &m.L3LoadPMC, &m.L3AllPMC,
+		&m.BusTxPMC, &m.PrefetchPMC, &m.DMAPMC, &m.UncacheablePMC,
+		&m.TLBPMC, &m.IntsPMC, &m.DiskIntsPMC, &m.OSUtil, &m.FreqScale,
+	} {
+		*field = m.slab[k*n : (k+1)*n : (k+1)*n]
 	}
-	return v
+	m.NumCPUs = n
 }
 
 // ExtractMetricsAtInto is ExtractMetricsAt writing into a caller-owned
-// Metrics, reusing its slices. It exists for the online estimation hot
-// path (internal/serve processes 100k+ samples/sec), where the fourteen
-// per-sample slice allocations of the value-returning form dominate the
-// profile; a worker keeps one scratch Metrics and extracts every sample
-// into it.
+// Metrics. It exists for the online estimation hot path (internal/serve
+// processes 100k+ samples/sec): a worker keeps one scratch Metrics and
+// extracts every sample into it. The per-CPU slices are carved from one
+// slab that is re-carved only when the processor count changes, and
+// every element is written on every call, so a steady stream of
+// same-sized samples extracts without allocating or re-slicing.
 func ExtractMetricsAtInto(m *Metrics, s *perfctr.Sample, nominalHz float64) {
 	n := len(s.CPUs)
-	m.NumCPUs = n
-	m.PercentActive = resizeZeroed(m.PercentActive, n)
-	m.UopsPerCycle = resizeZeroed(m.UopsPerCycle, n)
-	m.L3LoadPMC = resizeZeroed(m.L3LoadPMC, n)
-	m.L3AllPMC = resizeZeroed(m.L3AllPMC, n)
-	m.BusTxPMC = resizeZeroed(m.BusTxPMC, n)
-	m.PrefetchPMC = resizeZeroed(m.PrefetchPMC, n)
-	m.DMAPMC = resizeZeroed(m.DMAPMC, n)
-	m.UncacheablePMC = resizeZeroed(m.UncacheablePMC, n)
-	m.TLBPMC = resizeZeroed(m.TLBPMC, n)
-	m.IntsPMC = resizeZeroed(m.IntsPMC, n)
-	m.DiskIntsPMC = resizeZeroed(m.DiskIntsPMC, n)
-	m.FreqScale = resizeZeroed(m.FreqScale, n)
-	m.OSUtil = resizeZeroed(m.OSUtil, n)
-	if s.IntervalSec > 0 {
-		for i := range m.OSUtil {
-			if i < len(s.OSBusySec) {
-				u := s.OSBusySec[i] / s.IntervalSec
-				if u < 0 {
-					u = 0
-				}
-				if u > 1 {
-					u = 1
-				}
-				m.OSUtil[i] = u
+	if n != m.NumCPUs || len(m.slab) != perCPUMetrics*n {
+		m.carve(n)
+	}
+	for i := range m.OSUtil {
+		u := 0.0
+		if s.IntervalSec > 0 && i < len(s.OSBusySec) {
+			u = s.OSBusySec[i] / s.IntervalSec
+			if u < 0 {
+				u = 0
+			}
+			if u > 1 {
+				u = 1
 			}
 		}
+		m.OSUtil[i] = u
 	}
 	for i, c := range s.CPUs {
 		cyc := float64(c.Cycles)
 		if cyc <= 0 {
+			m.PercentActive[i], m.UopsPerCycle[i], m.FreqScale[i] = 0, 0, 0
+			m.L3LoadPMC[i], m.L3AllPMC[i], m.BusTxPMC[i], m.PrefetchPMC[i] = 0, 0, 0, 0
+			m.DMAPMC[i], m.UncacheablePMC[i], m.TLBPMC[i] = 0, 0, 0
+			m.IntsPMC[i], m.DiskIntsPMC[i] = 0, 0
 			continue
 		}
 		mcyc := cyc / 1e6
@@ -169,6 +175,7 @@ func ExtractMetricsAtInto(m *Metrics, s *perfctr.Sample, nominalHz float64) {
 		m.UncacheablePMC[i] = float64(c.Uncacheable) / mcyc
 		m.TLBPMC[i] = float64(c.TLBMisses) / mcyc
 		m.IntsPMC[i] = float64(s.IntsForCPU(i)) / mcyc
+		m.DiskIntsPMC[i] = 0
 		if int(iobus.VecDisk) < len(s.Ints) && i < len(s.Ints[iobus.VecDisk]) {
 			m.DiskIntsPMC[i] = float64(s.Ints[iobus.VecDisk][i]) / mcyc
 		}

@@ -11,26 +11,50 @@ import (
 	"trickledown/internal/sim"
 )
 
+// exportedEqual compares the exported fields of two Metrics: the
+// unexported slab and row scratch are storage, not results, and a
+// reused Metrics legitimately keeps a larger one.
+func exportedEqual(a, b *Metrics) bool {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for _, f := range reflect.VisibleFields(va.Type()) {
+		if f.IsExported() && !reflect.DeepEqual(va.FieldByIndex(f.Index).Interface(), vb.FieldByIndex(f.Index).Interface()) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestExtractMetricsAtIntoMatchesFresh: the reusing form must be
 // indistinguishable from a fresh extraction, including when the scratch
-// Metrics carries stale state from a previous (larger) sample.
+// Metrics carries stale state from a previous sample — a larger one,
+// whose slab is re-carved, and one of the same size, whose slices are
+// overwritten in place even where the new sample has no cycles, no OS
+// busy times or no disk interrupts.
 func TestExtractMetricsAtIntoMatchesFresh(t *testing.T) {
 	big := mkSample(0.9, 1.5, 200, 900, 300, 50)
 	big.CPUs = append(big.CPUs, big.CPUs[0], big.CPUs[0]) // 4 CPUs
 	small := mkSample(0.3, 0.4, 50, 100, 20, 10)
+	small.OSBusySec = []float64{0.3, 0.2}
+	sparse := mkSample(0.6, 1.2, 80, 300, 40, 20)
+	sparse.CPUs[1] = perfctr.CPUCounts{} // zero cycles
+	sparse.Ints = nil
 
 	scratch := &Metrics{}
-	ExtractMetricsAtInto(scratch, &big, 2.8e9)
-	if !reflect.DeepEqual(scratch, ExtractMetricsAt(&big, 2.8e9)) {
-		t.Fatal("Into result differs from fresh extraction (big sample)")
-	}
-	// Reuse for a smaller sample: stale tail values must not leak.
-	ExtractMetricsAtInto(scratch, &small, 2.8e9)
-	if !reflect.DeepEqual(scratch, ExtractMetricsAt(&small, 2.8e9)) {
-		t.Fatal("reused scratch differs from fresh extraction (small sample)")
+	for _, tc := range []struct {
+		name string
+		s    *perfctr.Sample
+	}{{"big", &big}, {"small after big", &small}, {"sparse after small", &sparse}} {
+		ExtractMetricsAtInto(scratch, tc.s, 2.8e9)
+		if !exportedEqual(scratch, ExtractMetricsAt(tc.s, 2.8e9)) {
+			t.Fatalf("%s: reused scratch differs from fresh extraction", tc.name)
+		}
 	}
 	if scratch.NumCPUs != 2 || len(scratch.UopsPerCycle) != 2 {
 		t.Fatalf("scratch not resized: NumCPUs=%d len=%d", scratch.NumCPUs, len(scratch.UopsPerCycle))
+	}
+	if scratch.OSUtil[0] != 0 || scratch.UopsPerCycle[1] != 0 || scratch.DiskIntsPMC[0] != 0 {
+		t.Fatalf("stale values leaked: OSUtil=%v UopsPerCycle=%v DiskIntsPMC=%v",
+			scratch.OSUtil, scratch.UopsPerCycle, scratch.DiskIntsPMC)
 	}
 	for _, v := range scratch.UopsPerCycle {
 		if math.IsNaN(v) {

@@ -92,10 +92,14 @@ func fitRows(name string, sub power.Subsystem, terms []string, x [][]float64, y 
 // Predict evaluates the model on one sample's metrics. The design row
 // is built in met's scratch buffer, so a Metrics reused across samples
 // (ExtractMetricsAtInto) predicts without allocating; the same Metrics
-// must not reach two Predict calls concurrently.
+// must not reach two Predict calls concurrently. The buffer is stored
+// back only when Design had to grow it.
 func (m *Model) Predict(met *Metrics) float64 {
-	met.row = m.Spec.Design(met.row[:0], met)
-	return regress.Predict(m.Coef, met.row)
+	row := m.Spec.Design(met.row[:0], met)
+	if cap(row) > cap(met.row) {
+		met.row = row
+	}
+	return regress.Predict(m.Coef, row)
 }
 
 // Trace returns the aligned measured and modeled series over a dataset —

@@ -18,15 +18,17 @@ import (
 // truncated or hostile payload returns an error instead of an OOM or
 // panic.
 //
-// What decode allocates: the node string, the []Sample header array,
-// the rails array when present, and one slab per slice kind (CPU
-// counts, interrupt row headers, interrupt counts, OS busy and thread
-// busy times) that every sample's slices are carved from — a handful
-// of allocations per batch whatever its sample count (a batch whose
-// samples vary in shape may add a few replacement slabs). Each slab is
-// sized for the samples still to come but capped by what the unread
-// bytes could fill, and an interrupt matrix with zero columns decodes
-// as nil, so the bytes allocated are bounded by a small constant
+// What decode allocates: a Decoder keeps its storage between calls —
+// the []Sample header array, the rails array, and one slab per slice
+// kind (CPU counts, interrupt row headers, interrupt counts, OS busy and
+// thread busy times) that every sample's slices are carved from — so a
+// decoder that has seen a frame of this shape before decodes the next
+// one without allocating, and the node string is reused while the node
+// stays the same. Where the kept storage is too small, a slab is
+// replaced by one sized for what this decode has carved plus the
+// samples still to come, but capped by what the unread bytes could
+// fill, and an interrupt matrix with zero columns decodes as nil, so
+// the bytes one decode allocates are bounded by a small constant
 // multiple of the frame's length, never by its declared counts alone.
 // The largest steady ratio is the 112-byte Sample header per 26-byte
 // minimal sample (about 4x); the decode tests hold hostile frames under
@@ -268,18 +270,57 @@ func DecodeBatchExt(buf []byte) (node string, samples []Sample, ext TraceExt, er
 
 // DecodeBatchFull parses one wire batch plus every optional trailing
 // extension: the TDX1 trace context (ext is zero when absent) and the
-// TDP1 measured rails (rails is nil when absent). Every length prefix
-// is validated against both the wire limits and the bytes actually
-// present before allocation, and the per-sample timestamps must be
-// finite (a NaN interval would poison the per-cycle normalization
-// downstream). Trailing bytes that are not a well-formed extension are
-// rejected: a length mismatch means a framing bug, not data.
+// TDP1 measured rails (rails is nil when absent). It is Decode on a
+// fresh Decoder, so the result shares nothing with buf or with any
+// other call's result, and the caller may reuse buf as soon as
+// DecodeBatchFull returns. The samples' slices are carved from a few
+// per-batch slabs: retaining any one sample keeps its batch's slabs
+// alive.
+func DecodeBatchFull(buf []byte) (node string, samples []Sample, ext TraceExt, rails []power.Reading, err error) {
+	return new(Decoder).Decode(buf)
+}
+
+// Decoder decodes wire batches into storage it keeps between calls: the
+// sample array, the rails array and the slabs every sample's slices are
+// carved from. A hot path that keeps one Decoder per in-flight batch
+// decodes without allocating once the storage has grown to its frames'
+// shape. A Decoder is not safe for concurrent use, and what Decode
+// returns stays valid only until its next call.
+type Decoder struct {
+	node    string
+	samples []Sample
+	rails   []power.Reading
+	cpus    slab[CPUCounts]
+	rows    slab[[]uint64]
+	ints    slab[uint64]
+	busy    slab[float64]
+	thr     slab[float64]
+}
+
+// RetainedBytes reports the heap bytes d keeps between decodes (64-bit
+// sizes), for pools that drop decoders grown by a rare huge frame.
+func (d *Decoder) RetainedBytes() int {
+	const sliceHeader = 24
+	const sampleBytes = 2*8 + 4*sliceHeader
+	return cap(d.samples)*sampleBytes + cap(d.rails)*power.NumSubsystems*8 +
+		cap(d.cpus.buf)*countersPerCPU*8 + cap(d.rows.buf)*sliceHeader +
+		8*(cap(d.ints.buf)+cap(d.busy.buf)+cap(d.thr.buf))
+}
+
+// Decode parses one wire batch plus every optional trailing extension:
+// the TDX1 trace context (ext is zero when absent) and the TDP1
+// measured rails (rails is nil when absent). Every length prefix is
+// validated against both the wire limits and the bytes actually present
+// before allocation, and the per-sample timestamps must be finite (a
+// NaN interval would poison the per-cycle normalization downstream).
+// Trailing bytes that are not a well-formed extension are rejected: a
+// length mismatch means a framing bug, not data.
 //
 // The result shares nothing with buf, so the caller may reuse buf as
-// soon as DecodeBatchFull returns. The samples' slices are carved from
-// a few per-batch slabs (see sampleSlabs): retaining any one sample
-// keeps its batch's slabs alive.
-func DecodeBatchFull(buf []byte) (node string, samples []Sample, ext TraceExt, rails []power.Reading, err error) {
+// soon as Decode returns. It shares d's storage: the samples, their
+// slices and the rails are overwritten by d's next Decode, whether that
+// call succeeds or not. A rejected input leaves d usable.
+func (d *Decoder) Decode(buf []byte) (node string, samples []Sample, ext TraceExt, rails []power.Reading, err error) {
 	r := &wireReader{buf: buf}
 	if err := r.need(4); err != nil {
 		return "", nil, TraceExt{}, nil, err
@@ -298,7 +339,11 @@ func DecodeBatchFull(buf []byte) (node string, samples []Sample, ext TraceExt, r
 	if err := r.need(nodeLen); err != nil {
 		return "", nil, TraceExt{}, nil, err
 	}
-	node = string(r.buf[r.off : r.off+nodeLen])
+	// The comparison does not allocate; a producer keeps its node name,
+	// so a pooled decoder converts it once.
+	if name := r.buf[r.off : r.off+nodeLen]; string(name) != d.node {
+		d.node = string(name)
+	}
 	r.off += nodeLen
 	count, err := r.u32()
 	if err != nil {
@@ -312,24 +357,34 @@ func DecodeBatchFull(buf []byte) (node string, samples []Sample, ext TraceExt, r
 	if err := r.need(count * minSampleBytes); err != nil {
 		return "", nil, TraceExt{}, nil, fmt.Errorf("perfctr: %d-sample batch larger than payload: %w", count, err)
 	}
-	samples = make([]Sample, count)
-	var sl sampleSlabs
-	for i := range samples {
-		if err := decodeSample(r, &sl, &samples[i], count-i); err != nil {
+	d.samples = reuse(d.samples, count)
+	d.cpus.off, d.rows.off, d.ints.off, d.busy.off, d.thr.off = 0, 0, 0, 0, 0
+	for i := range d.samples {
+		if err := d.decodeSample(r, &d.samples[i], count-i); err != nil {
 			return "", nil, TraceExt{}, nil, fmt.Errorf("perfctr: sample %d: %w", i, err)
 		}
 	}
-	if ext, rails, err = decodeExtensions(r, len(samples)); err != nil {
+	if ext, rails, err = d.decodeExtensions(r, count); err != nil {
 		return "", nil, TraceExt{}, nil, err
 	}
-	return node, samples, ext, rails, nil
+	return d.node, d.samples, ext, rails, nil
+}
+
+// reuse returns v resized to n elements, keeping its backing array when
+// it is large enough. It never returns nil, so an empty batch decodes to
+// an empty, non-nil slice whether or not the storage is new.
+func reuse[T any](v []T, n int) []T {
+	if v == nil || cap(v) < n {
+		return make([]T, n)
+	}
+	return v[:n]
 }
 
 // decodeExtensions walks the trailing extension blocks (TDX1 trace
 // context, TDP1 measured rails) in any order. Unknown magic or a
 // duplicated block is a framing error — the format versions by magic,
 // so silently skipping bytes would hide producer bugs.
-func decodeExtensions(r *wireReader, nSamples int) (ext TraceExt, rails []power.Reading, err error) {
+func (d *Decoder) decodeExtensions(r *wireReader, nSamples int) (ext TraceExt, rails []power.Reading, err error) {
 	seenExt, seenRails := false, false
 	for r.off < len(r.buf) {
 		if err := r.need(4); err != nil {
@@ -369,7 +424,8 @@ func decodeExtensions(r *wireReader, nSamples int) (ext TraceExt, rails []power.
 			if err := r.need(count * power.NumSubsystems * 8); err != nil {
 				return TraceExt{}, nil, err
 			}
-			rails = make([]power.Reading, count)
+			d.rails = reuse(d.rails, count)
+			rails = d.rails
 			b := r.buf[r.off:]
 			for i := range rails {
 				for s := range rails[i] {
@@ -393,32 +449,31 @@ const minSampleBytes = 2*8 + 5*2
 // cpuWireBytes is one CPUCounts on the wire.
 const cpuWireBytes = countersPerCPU * 8
 
-// sampleSlabs holds the per-batch backing arrays that decodeSample
-// carves every sample's slices from, so a batch costs a handful of
-// allocations instead of several per sample.
-type sampleSlabs struct {
-	cpus []CPUCounts
-	rows [][]uint64
-	ints []uint64
-	busy []float64
-	thr  []float64
+// slab is one kind of backing array that decodeSample carves samples'
+// slices from, so a batch costs no allocation once a Decoder's slabs
+// fit its frames, and a handful when they do not.
+type slab[T any] struct {
+	buf []T
+	off int // next element to carve; Decode rewinds it to 0
 }
 
-// carve returns the next n elements of *slab as a slice whose capacity
-// is its length (a full slice expression), so appending to one sample's
+// carve returns the next n elements of s as a slice whose capacity is
+// its length (a full slice expression), so appending to one sample's
 // slice reallocates instead of overwriting the next sample's. When the
-// slab holds fewer than n elements it is replaced by a fresh one of
-// want (at least n). n == 0 yields nil.
-func carve[T any](slab *[]T, n, want int) []T {
+// slab has fewer than n elements left it is replaced by a fresh one
+// with room for the off elements this decode has carved and want more
+// (at least n), so the next decode of a frame this shape fits. The
+// replacement's head stays unused until then. n == 0 yields nil.
+func (s *slab[T]) carve(n, want int) []T {
 	if n == 0 {
 		return nil
 	}
-	if len(*slab) < n {
-		*slab = make([]T, max(n, want))
+	if len(s.buf)-s.off < n {
+		s.buf = make([]T, s.off+max(n, want))
 	}
-	s := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return s
+	v := s.buf[s.off : s.off+n : s.off+n]
+	s.off += n
+	return v
 }
 
 // slabWant sizes a replacement slab: room for every sample from this one
@@ -430,10 +485,11 @@ func slabWant(per, samplesLeft, unread, wireSize int) int {
 	return min(per*samplesLeft, unread/wireSize)
 }
 
-// decodeSample parses one sample in place, carving its slices from sl.
-// left counts this sample and the ones after it, for slab sizing. Each
-// block is bounds-checked once, then read straight from the buffer.
-func decodeSample(r *wireReader, sl *sampleSlabs, s *Sample, left int) error {
+// decodeSample parses one sample in place, overwriting every field,
+// and carves its slices from d's slabs. left counts this sample and the
+// ones after it, for slab sizing. Each block is bounds-checked once,
+// then read straight from the buffer.
+func (d *Decoder) decodeSample(r *wireReader, s *Sample, left int) error {
 	if err := r.need(16); err != nil {
 		return err
 	}
@@ -453,7 +509,7 @@ func decodeSample(r *wireReader, sl *sampleSlabs, s *Sample, left int) error {
 	if err := r.need(nCPU * cpuWireBytes); err != nil {
 		return err
 	}
-	s.CPUs = carve(&sl.cpus, nCPU, slabWant(nCPU, left, r.unread(), cpuWireBytes))
+	s.CPUs = d.cpus.carve(nCPU, slabWant(nCPU, left, r.unread(), cpuWireBytes))
 	b := r.buf[r.off:]
 	for i := range s.CPUs {
 		p := b[i*cpuWireBytes : (i+1)*cpuWireBytes]
@@ -488,10 +544,11 @@ func decodeSample(r *wireReader, sl *sampleSlabs, s *Sample, left int) error {
 	// A matrix without columns carries no counts, so it decodes as nil:
 	// row headers for vectors the frame spent no bytes on would let a
 	// 26-byte sample demand thousands of allocations.
+	s.Ints = nil
 	if nVec > 0 && cols > 0 {
 		unread := r.unread()
-		s.Ints = carve(&sl.rows, nVec, slabWant(nVec, left, unread, cols*8))
-		flat := carve(&sl.ints, nVec*cols, slabWant(nVec*cols, left, unread, 8))
+		s.Ints = d.rows.carve(nVec, slabWant(nVec, left, unread, cols*8))
+		flat := d.ints.carve(nVec*cols, slabWant(nVec*cols, left, unread, 8))
 		b := r.buf[r.off:]
 		for v := range s.Ints {
 			row := flat[v*cols : (v+1)*cols : (v+1)*cols]
@@ -502,16 +559,16 @@ func decodeSample(r *wireReader, sl *sampleSlabs, s *Sample, left int) error {
 		}
 		r.off += nVec * cols * 8
 	}
-	if s.OSBusySec, err = r.busyVec(&sl.busy, left); err != nil {
+	if s.OSBusySec, err = r.busyVec(&d.busy, left); err != nil {
 		return err
 	}
-	s.OSThreadBusySec, err = r.busyVec(&sl.thr, left)
+	s.OSThreadBusySec, err = r.busyVec(&d.thr, left)
 	return err
 }
 
 // busyVec parses one length-prefixed busy-time vector, carving it from
-// *slab; an empty vector decodes as nil.
-func (r *wireReader) busyVec(slab *[]float64, left int) ([]float64, error) {
+// sl; an empty vector decodes as nil.
+func (r *wireReader) busyVec(sl *slab[float64], left int) ([]float64, error) {
 	n, err := r.u16()
 	if err != nil {
 		return nil, err
@@ -522,7 +579,7 @@ func (r *wireReader) busyVec(slab *[]float64, left int) ([]float64, error) {
 	if err := r.need(n * 8); err != nil {
 		return nil, err
 	}
-	vec := carve(slab, n, slabWant(n, left, r.unread(), 8))
+	vec := sl.carve(n, slabWant(n, left, r.unread(), 8))
 	b := r.buf[r.off:]
 	for i := range vec {
 		v := math.Float64frombits(u64at(b, i))

@@ -157,9 +157,11 @@ func TestWireEncodeRejectsOversize(t *testing.T) {
 }
 
 // FuzzDecodeBatch asserts the decoder never panics or over-allocates on
-// arbitrary input — it is fed straight from HTTP request bodies — and
-// that whatever DecodeBatchFull accepts survives EncodeBatchFull and a
-// second decode unchanged.
+// arbitrary input — it is fed straight from HTTP request bodies — that
+// whatever DecodeBatchFull accepts survives EncodeBatchFull and a
+// second decode unchanged, and that a Decoder reused the way the live
+// service reuses one (after a larger frame, a smaller frame and a
+// rejected input) decodes data exactly as a fresh one does.
 func FuzzDecodeBatch(f *testing.F) {
 	good, err := EncodeBatch(nil, "node", wireTestSamples())
 	if err != nil {
@@ -170,11 +172,26 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte("TDS1"))
 	f.Add(fullFrame(f, 3))
 	f.Add(emptyMatrixFrame(2, 5))
+	larger, smaller := fullFrame(f, 16), good
 	f.Fuzz(func(t *testing.T, data []byte) {
 		node, samples, ext, rails, err := DecodeBatchFull(data)
+
+		var dec Decoder
+		for _, prior := range [][]byte{larger, smaller, good[:len(good)-1]} {
+			dec.Decode(prior)
+		}
+		node2, samples2, ext2, rails2, err2 := dec.Decode(data)
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("reused decoder: err %v, fresh decoder: err %v", err2, err)
+		}
 		if err != nil {
 			return
 		}
+		if node2 != node || ext2 != ext || !reflect.DeepEqual(samples2, samples) || !railsBitsEqual(rails, rails2) {
+			t.Fatalf("reused decoder differs from a fresh one:\nfresh: %q %+v %+v %v\nreused: %q %+v %+v %v",
+				node, ext, samples, rails, node2, ext2, samples2, rails2)
+		}
+
 		if len(node) > maxWireNode || len(samples) > maxWireSamples {
 			t.Fatalf("decoder exceeded wire limits: node=%d samples=%d", len(node), len(samples))
 		}
@@ -182,7 +199,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded batch failed: %v", err)
 		}
-		node2, samples2, ext2, rails2, err := DecodeBatchFull(re)
+		node2, samples2, ext2, rails2, err = DecodeBatchFull(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -195,18 +212,27 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("round trip changed the batch:\n first: %q %+v %+v\nsecond: %q %+v %+v",
 				node, ext, samples, node2, ext2, samples2)
 		}
-		// Rails are unchecked floats: compare bits so NaN round-trips.
-		if (rails == nil) != (rails2 == nil) || len(rails) != len(rails2) {
-			t.Fatalf("rails round trip: %d -> %d readings", len(rails), len(rails2))
-		}
-		for i := range rails {
-			for s := range rails[i] {
-				if math.Float64bits(rails[i][s]) != math.Float64bits(rails2[i][s]) {
-					t.Fatalf("rails[%d][%d] = %v, round-tripped to %v", i, s, rails[i][s], rails2[i][s])
-				}
-			}
+		if !railsBitsEqual(rails, rails2) {
+			t.Fatalf("rails round trip: %v -> %v", rails, rails2)
 		}
 	})
+}
+
+// railsBitsEqual compares rails bit for bit, so NaN readings (rails
+// are unchecked floats) compare equal to themselves, and nil differs
+// from empty.
+func railsBitsEqual(a, b []power.Reading) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		for s := range a[i] {
+			if math.Float64bits(a[i][s]) != math.Float64bits(b[i][s]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // fullFrame encodes n samples shaped like wireTestSamples()[0] (two
@@ -344,7 +370,8 @@ func TestWireDecodeSlabsIsolateSamples(t *testing.T) {
 }
 
 // TestWireDecodeAllocsPerBatch gates the decode hot path: a full frame
-// costs a fixed handful of allocations whatever its sample count.
+// costs a fixed handful of allocations whatever its sample count, and
+// none on a Decoder that has already decoded a frame of its shape.
 func TestWireDecodeAllocsPerBatch(t *testing.T) {
 	const maxAllocs = 10
 	for _, n := range []int{64, 256, 1024} {
@@ -357,6 +384,33 @@ func TestWireDecodeAllocsPerBatch(t *testing.T) {
 		if allocs > maxAllocs {
 			t.Errorf("%d-sample frame: %.0f allocs per decode, want <= %d", n, allocs, maxAllocs)
 		}
+		var dec Decoder
+		if reused := testing.AllocsPerRun(20, func() {
+			if _, _, _, _, err := dec.Decode(buf); err != nil {
+				t.Fatal(err)
+			}
+		}); reused != 0 {
+			t.Errorf("%d-sample frame: %.0f allocs per decode on a reused Decoder, want 0", n, reused)
+		}
+	}
+}
+
+// TestDecoderRetainedBytes: the storage a Decoder reports keeping — what
+// a pool compares against its cap — is zero before any decode and, after
+// one, covers at least the frame's decoded counters while staying
+// within the decode's bounded multiple of the frame size.
+func TestDecoderRetainedBytes(t *testing.T) {
+	var dec Decoder
+	if got := dec.RetainedBytes(); got != 0 {
+		t.Fatalf("fresh decoder retains %d bytes, want 0", got)
+	}
+	buf := fullFrame(t, 256)
+	if _, _, _, _, err := dec.Decode(buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := dec.RetainedBytes(); got < len(buf)/2 || got > 4*len(buf) {
+		t.Errorf("decoder retains %d bytes after a %d-byte frame, want within [%d, %d]",
+			got, len(buf), len(buf)/2, 4*len(buf))
 	}
 }
 

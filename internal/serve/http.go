@@ -19,13 +19,27 @@ import (
 // misconfigured and gets 413 before decode allocates for it.
 const maxBodyBytes = 64 << 20
 
-// maxPooledBody is the largest body buffer bodyPool keeps. Typical
-// batches are tens of KiB; the buffer a rare huge one grew is dropped
-// rather than pinning megabytes in the pool.
+// maxPooledBody is the largest body buffer bodyPool keeps, and the most
+// storage a decoder in decoderPool may retain. Typical batches are tens
+// of KiB; what a rare huge one grew is dropped rather than pinning
+// megabytes in a pool.
 const maxPooledBody = 1 << 20
 
 // bodyPool recycles ingest body buffers between requests.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decoderPool recycles the decoders whose storage admitted batches are
+// carved from. A batch carries its decoder to the worker, which returns
+// it once the batch is estimated; a rejected batch returns it at once.
+var decoderPool = sync.Pool{New: func() any { return new(perfctr.Decoder) }}
+
+// putDecoder returns d to decoderPool unless it is nil or its storage
+// grew past maxPooledBody.
+func putDecoder(d *perfctr.Decoder) {
+	if d != nil && d.RetainedBytes() <= maxPooledBody {
+		decoderPool.Put(d)
+	}
+}
 
 // readBody reads an ingest body into a pooled buffer under
 // http.MaxBytesReader. The buffer grows only as bytes arrive: a
@@ -117,11 +131,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	// Decode copies everything out of body, so the buffer goes back to
-	// the pool as soon as it returns.
-	node, samples, ext, rails, err := perfctr.DecodeBatchFull(body.Bytes())
+	// Decode copies everything out of body into the decoder's storage,
+	// so the buffer goes back to the pool as soon as it returns. The
+	// decoder rides with the batch until a worker has estimated it.
+	dec := decoderPool.Get().(*perfctr.Decoder)
+	node, samples, ext, rails, err := dec.Decode(body.Bytes())
 	putBody(body)
 	if err != nil {
+		putDecoder(dec)
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -135,7 +152,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if tc.ID.IsZero() {
 		tc = s.rec.Mint()
 	}
-	switch err := s.IngestFull(client, node, samples, rails, tc); {
+	switch err := s.admit(client, &batch{node: node, samples: samples, rails: rails, tc: tc, dec: dec}); {
 	case err == nil:
 		w.WriteHeader(http.StatusAccepted)
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrRateLimited):

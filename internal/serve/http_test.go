@@ -174,10 +174,67 @@ func TestIngestPooledBodyNotAliased(t *testing.T) {
 	}
 }
 
+// TestIngestRecycledDecoderMatchesFresh: a batch decoded into storage
+// that two earlier batches used must estimate exactly like a fresh
+// decode. The first two are held by a blocked worker so neither
+// decoder can go back to the pool early; the third, shaped
+// differently, reuses theirs once both are estimated.
+func TestIngestRecycledDecoderMatchesFresh(t *testing.T) {
+	rel := make(chan struct{})
+	est := testEstimator(t)
+	s := newServer(t, Config{Estimator: est, Workers: 1, QueueDepth: 8})
+	s.SetFaultInjector(&blockingInjector{release: rel})
+	h := s.Handler()
+	post := func(node string, samples []perfctr.Sample) {
+		t.Helper()
+		wire, err := perfctr.EncodeBatch(nil, node, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(wire)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: status %d", node, rec.Code)
+		}
+	}
+
+	first := mkBatch(32, 2, 100)
+	second := mkBatch(32, 2, 900)
+	for i := range second {
+		second[i].CPUs[0].FetchedUops *= 3
+	}
+	third := mkBatch(8, 4, 2000)
+	for i := range third {
+		third[i].CPUs[3].FetchedUops /= 2
+	}
+	post("first", first)
+	post("second", second)
+	close(rel)
+	waitEstimated(t, s, uint64(len(first)+len(second)))
+	post("third", third)
+	closeServer(t, s)
+	for node, want := range map[string]float64{
+		"first":  est.Estimate(&first[len(first)-1]).Total(),
+		"second": est.Estimate(&second[len(second)-1]).Total(),
+		"third":  est.Estimate(&third[len(third)-1]).Total(),
+	} {
+		np, ok := s.NodePower(node)
+		if !ok {
+			t.Fatalf("node %s missing", node)
+		}
+		if np.Power["Total"] != want {
+			t.Errorf("%s: total %v, want %v", node, np.Power["Total"], want)
+		}
+	}
+}
+
 // TestHandleIngestAllocs gates the whole request path — pooled body
-// read, slab decode, admission — for a 256-sample frame. What remains
-// is the decoded batch itself (node, samples and CPU slab), the batch
-// header, and the recorder and request plumbing the test builds.
+// read, slab decode, admission — for a 256-sample frame. Its workers
+// never start, so no batch's decoder goes back to the pool and every
+// request builds a fresh one: what remains is that decoder's storage
+// (node, samples and CPU slab), the batch header, and the recorder
+// and request plumbing the test builds. The steady state of a started
+// server, where decoders are recycled, is TestHandleIngestSteadyBytes.
 func TestHandleIngestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled body buffers at random")
@@ -203,6 +260,54 @@ func TestHandleIngestAllocs(t *testing.T) {
 	})
 	if allocs > maxAllocs {
 		t.Errorf("handler path: %.0f allocs per 256-sample ingest, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// TestHandleIngestSteadyBytes gates what a started server allocates per
+// 256-sample ingest once its body buffers and decoders are recycled:
+// the batch header, the trace bookkeeping and the recorder plumbing,
+// not the ~74 KB a fresh decode of the frame costs. Each request is
+// estimated before the next is sent, so the decoder it carried is back
+// in the pool when the next one arrives.
+func TestHandleIngestSteadyBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled decoders at random")
+	}
+	const (
+		maxBytes = 4 << 10
+		warmup   = 20
+		runs     = 200
+	)
+	s := newServer(t, Config{Estimator: testEstimator(t), Workers: 1, QueueDepth: 8})
+	h := s.Handler()
+	wire := ingestFrame(t, "n", 256)
+	body := bytes.NewReader(wire)
+	req := httptest.NewRequest(http.MethodPost, "/ingest", body)
+	req.Header.Set("X-Client-ID", "c")
+	sent := uint64(0)
+	ingest := func() {
+		body.Reset(wire)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("status %d", rec.Code)
+		}
+		sent += 256
+		waitEstimated(t, s, sent)
+	}
+	for i := 0; i < warmup; i++ {
+		ingest()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		ingest()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per 256-sample ingest (ceiling %d)", got, maxBytes)
+	if got > maxBytes {
+		t.Errorf("steady state: %d bytes per 256-sample ingest, want <= %d", got, maxBytes)
 	}
 }
 

@@ -34,6 +34,10 @@ type batch struct {
 	// is non-nil only when the head sampler elected to record events.
 	tc tracez.Context
 	tr *tracez.Trace
+	// dec, when non-nil, owns the storage samples and rails are carved
+	// from. It goes back to decoderPool after the worker's runBatch
+	// returns, or at once when the batch is not queued.
+	dec *perfctr.Decoder
 }
 
 // errQueueClosed distinguishes shutdown from overload inside the queue;

@@ -433,9 +433,29 @@ func (s *Server) IngestTraced(client, node string, samples []perfctr.Sample, tc 
 // rails become drift-detection ground truth; without one they are
 // ignored. rails must be nil or exactly one Reading per sample.
 func (s *Server) IngestFull(client, node string, samples []perfctr.Sample, rails []power.Reading, tc tracez.Context) error {
-	if len(samples) == 0 {
+	return s.admit(client, &batch{node: node, samples: samples, rails: rails, tc: tc})
+}
+
+// admit queues b on behalf of client, or reports why not. When b is not
+// queued its decoder goes back to the pool at once; when it is, the
+// worker that estimates it returns the decoder.
+func (s *Server) admit(client string, b *batch) error {
+	if len(b.samples) == 0 {
+		putDecoder(b.dec)
 		return nil
 	}
+	err := s.enqueue(client, b)
+	if err != nil {
+		putDecoder(b.dec)
+	}
+	return err
+}
+
+// enqueue is admit's decision for a non-empty batch: ARRIVED→QUEUED or a
+// rejection. Once b is on the queue a worker owns it and its decoder's
+// storage.
+func (s *Server) enqueue(client string, b *batch) error {
+	node, samples, rails, tc := b.node, b.samples, b.rails, b.tc
 	if rails != nil && len(rails) != len(samples) {
 		return fmt.Errorf("serve: %d rails for %d samples", len(rails), len(samples))
 	}
@@ -451,7 +471,7 @@ func (s *Server) IngestFull(client, node string, samples []perfctr.Sample, rails
 		s.rec.Anomaly(tc.ID, node, client, arrived, "shed:rate_limited", tracez.EvShed, int64(n))
 		return ErrRateLimited
 	}
-	b := &batch{node: node, samples: samples, rails: rails, arrived: arrived, tc: tc}
+	b.arrived = arrived
 	if tr := s.rec.Start(tc, node, client, arrived); tr != nil {
 		tr.Add(tracez.EvAdmitted, int64(n))
 		b.tr = tr
@@ -531,6 +551,8 @@ func (s *Server) workerLoop(ctx context.Context, worker int) {
 			}
 			mQueueDepth.Set(float64(s.queue.depth()))
 			s.runBatch(ctx, b, scratch, worker)
+			// Every retry is over: the decoder's storage may be reused.
+			putDecoder(b.dec)
 		}
 	}
 }
