@@ -160,7 +160,9 @@ type Manager struct {
 	champion    *core.Estimator
 	window      []align.Row // ring, oldest at wHead; rows own their slices
 	wHead, wLen int
-	met         core.Metrics // Observe's extraction scratch
+	met         [1]core.Metrics  // Observe's extraction scratch,
+	cols        core.Columns     // design columns
+	est         [1]power.Reading // and champion estimate: a batch of one
 	resid       *PageHinkley
 	env         *EnvelopeCUSUM
 	phases      *phase.Detector
@@ -181,18 +183,6 @@ type Manager struct {
 	lastAlarm                                                 string
 }
 
-// adaptSpecs returns the production spec per subsystem, indexed by
-// power.Subsystem — the models a challenger refits.
-func adaptSpecs() [power.NumSubsystems]core.ModelSpec {
-	var out [power.NumSubsystems]core.ModelSpec
-	out[power.SubCPU] = core.CPUSpec()
-	out[power.SubChipset] = core.ChipsetSpec()
-	out[power.SubMemory] = core.MemBusSpec()
-	out[power.SubIO] = core.IOSpec()
-	out[power.SubDisk] = core.DiskSpec()
-	return out
-}
-
 // New builds a manager around an initial champion.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Champion == nil {
@@ -205,7 +195,7 @@ func New(cfg Config) (*Manager, error) {
 		window:   make([]align.Row, cfg.Window),
 		idState:  cfg.Seed,
 	}
-	for _, spec := range adaptSpecs() {
+	for _, spec := range core.ProductionSpecs() {
 		if cfg.Window < len(spec.Terms) {
 			return nil, fmt.Errorf("adapt: window %d below the %d design columns of %s",
 				cfg.Window, len(spec.Terms), spec.Name)
@@ -276,7 +266,7 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	met := &m.met
+	met := &m.met[0]
 	core.ExtractMetricsAtInto(met, s, sim.DefaultCoreHz)
 	m.obs++
 	m.modelAge++
@@ -284,7 +274,8 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 	mModelAge.Set(float64(m.modelAge))
 
 	// Residual drift: per-sample Eq.6 error of the champion's total.
-	modeled := m.champion.EstimateMetrics(met).Total()
+	m.champion.EstimateBatch(m.est[:], m.met[:], &m.cols)
+	modeled := m.est[0].Total()
 	truth := measured.Total()
 	errPct := math.Abs(modeled-truth) / math.Abs(truth) * 100
 	if math.IsNaN(errPct) || math.IsInf(errPct, 0) {
@@ -295,7 +286,8 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 	m.lastErrPct = errPct
 
 	residAlarm := m.resid.Observe(errPct)
-	envAlarm, envMetric := m.env.Observe(core.EnvelopeMetrics(met))
+	env := core.EnvelopeMetrics(met)
+	envAlarm, envMetric := m.env.Observe(env[:])
 
 	// Phase tracking: never retrain mid-transition.
 	m.phases.Observe(measured)
@@ -397,7 +389,7 @@ func (m *Manager) attemptPromoteLocked() {
 
 	win := m.windowDataset()
 	models := make([]*core.Model, 0, power.NumSubsystems)
-	for sub, spec := range adaptSpecs() {
+	for sub, spec := range core.ProductionSpecs() {
 		mod, err := core.Train(spec, win)
 		if err != nil {
 			m.rejected++

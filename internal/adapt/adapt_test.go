@@ -197,6 +197,42 @@ func TestWindowRowsOwnTheirStorage(t *testing.T) {
 	}
 }
 
+// TestObserveSteadyStateZeroAlloc: once the window is full, an Observe
+// that raises no alarm and refits nothing allocates nothing. Extraction,
+// the champion's estimate, the envelope rates and the window copy all
+// reuse storage the manager already holds.
+func TestObserveSteadyStateZeroAlloc(t *testing.T) {
+	const n = 97
+	m, err := New(testConfig(trainingChampion(t, n), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.env.envs) == 0 {
+		t.Fatal("champion carries no envelopes; the envelope path would go unmeasured")
+	}
+	samples := make([]perfctr.Sample, n)
+	rails := make([]power.Reading, n)
+	for i := range samples {
+		samples[i] = sampleAt(i, n)
+		rails[i] = railsFor(&samples[i], 0)
+	}
+	i := 0
+	observe := func() {
+		m.Observe(&samples[i%n], rails[i%n])
+		i++
+	}
+	for i < 2*m.cfg.Window {
+		observe()
+	}
+	allocs := testing.AllocsPerRun(200, observe)
+	if st := m.Status(); st.Alarms != 0 || st.Retrains != 0 {
+		t.Fatalf("steady regime raised %d alarms and %d refits", st.Alarms, st.Retrains)
+	}
+	if allocs != 0 {
+		t.Errorf("steady Observe allocates %.2f/op, want 0", allocs)
+	}
+}
+
 func TestDriftTriggersGuardedSwap(t *testing.T) {
 	champ := trainingChampion(t, 120)
 	var events []Event

@@ -160,9 +160,11 @@ func TestTrainNamesCollinearTerm(t *testing.T) {
 	spec := ModelSpec{
 		Name: "dup",
 		Sub:  power.SubMemory,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			x := m.TotalBusPMC()
-			return append(dst, 1, x, 2*x)
+		Design: func(cols [][]float64, ms []Metrics) {
+			for j := range ms {
+				x := ms[j].TotalBusPMC()
+				cols[0][j], cols[1][j], cols[2][j] = 1, x, 2*x
+			}
 		},
 		Terms: []string{"const", "bus", "twice_bus"},
 	}
@@ -224,7 +226,7 @@ func TestTrace(t *testing.T) {
 
 func TestEstimatorConstruction(t *testing.T) {
 	mk := func(spec ModelSpec) *Model {
-		coef := make([]float64, len(spec.Design(nil, ExtractMetrics(&perfctr.Sample{CPUs: make([]perfctr.CPUCounts, 1)}))))
+		coef := make([]float64, len(spec.Terms))
 		return &Model{Spec: spec, Coef: coef}
 	}
 	full := []*Model{mk(CPUSpec()), mk(MemBusSpec()), mk(DiskSpec()), mk(IOSpec()), mk(ChipsetSpec())}
@@ -290,6 +292,16 @@ func TestTrainEstimatorPropagatesErrors(t *testing.T) {
 	if _, err := TrainEstimator(TrainingSet{}); err == nil {
 		t.Error("empty training set accepted")
 	}
+	// With a non-finite memory rail and no chipset data, the memory
+	// error comes first: TrainEstimator trains CPU, memory, disk, I/O,
+	// chipset, whatever order the subsystems are numbered in.
+	good := healthyDataset(40)
+	bad := healthyDataset(40)
+	bad.Rows[3].Power[power.SubMemory] = math.NaN()
+	_, err := TrainEstimator(TrainingSet{CPU: good, Memory: bad, Disk: good, IO: good})
+	if !errors.Is(err, ErrNonFinite) {
+		t.Errorf("err = %v, want the memory rail's %v", err, ErrNonFinite)
+	}
 }
 
 func TestRejectedSpecsHaveDistinctInputs(t *testing.T) {
@@ -299,7 +311,7 @@ func TestRejectedSpecsHaveDistinctInputs(t *testing.T) {
 		DiskDMASpec(), DiskUncacheableSpec(), IODMASpec(), IOUncacheableSpec(),
 		CPUSpec(), MemL3Spec(), MemBusSpec(), DiskSpec(), IOSpec(), ChipsetSpec(),
 	} {
-		row := spec.Design(nil, m)
+		row := designRow(spec, m)
 		if len(row) == 0 || len(row) != len(spec.Terms) {
 			t.Errorf("%s: design row %d columns, %d terms", spec.Name, len(row), len(spec.Terms))
 		}

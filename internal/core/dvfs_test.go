@@ -67,7 +67,7 @@ func TestCPUDVFSSpecDesign(t *testing.T) {
 		UopsPerCycle:  []float64{2, 1},
 		FreqScale:     []float64{1, 0.5},
 	}
-	row := CPUDVFSSpec().Design(nil, m)
+	row := designRow(CPUDVFSSpec(), m)
 	if len(row) != 3 {
 		t.Fatalf("row len = %d", len(row))
 	}
@@ -83,7 +83,7 @@ func TestCPUDVFSSpecDesign(t *testing.T) {
 	}
 	// Zero FreqScale entries are treated as nominal.
 	m.FreqScale = []float64{0, 0}
-	row = CPUDVFSSpec().Design(nil, m)
+	row = designRow(CPUDVFSSpec(), m)
 	if math.Abs(row[0]-2*v1) > 1e-12 {
 		t.Errorf("zero-freq fallback voltage column = %v", row[0])
 	}

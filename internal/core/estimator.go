@@ -62,15 +62,36 @@ func (e *Estimator) Estimate(s *perfctr.Sample) power.Reading {
 	return e.EstimateMetrics(ExtractMetrics(s))
 }
 
-// EstimateMetrics is Estimate for pre-extracted metrics. The design rows
-// are built in m's scratch, so with a reused Metrics it allocates
-// nothing; m must not be in use by another goroutine.
+// EstimateMetrics is Estimate for pre-extracted metrics: a batch of
+// one through EstimateBatch, in pooled scratch, so it allocates nothing
+// in steady state and m may be shared by concurrent callers. A caller
+// that owns its scratch saves the pool and the Metrics copy by passing
+// a one-element batch to EstimateBatch.
 func (e *Estimator) EstimateMetrics(m *Metrics) power.Reading {
-	var out power.Reading
-	for i, mod := range e.models {
-		out[i] = mod.Predict(m)
+	one := getSingle(m)
+	var out [1]power.Reading
+	e.EstimateBatch(out[:], one.ms[:], &one.cols)
+	putSingle(one)
+	return out[0]
+}
+
+// EstimateBatch writes the estimate of ms[j] to out[j], which must be
+// at least len(ms) long. It makes one Design call per model for the
+// whole batch, building the columns in c; a caller that reuses ms, out
+// and c estimates without allocating. Every rail is bit-identical to
+// EstimateMetrics on the same sample.
+func (e *Estimator) EstimateBatch(out []power.Reading, ms []Metrics, c *Columns) {
+	out = out[:len(ms)]
+	if cap(c.rail) < len(ms) {
+		c.rail = make([]float64, len(ms))
 	}
-	return out
+	rail := c.rail[:len(ms)]
+	for sub, mod := range e.models {
+		mod.predict(rail, ms, c)
+		for j, v := range rail {
+			out[j][sub] = v
+		}
+	}
 }
 
 // PerCPUPower attributes the CPU subsystem's estimate to individual
@@ -103,28 +124,43 @@ type TrainingSet struct {
 	Chipset *align.Dataset
 }
 
-// TrainEstimator fits the paper's five production models (Eq. 1, Eq. 3,
-// Eq. 4, Eq. 5 and the chipset constant) on a training set.
+// ProductionSpecs returns the paper's five production models, indexed
+// by the subsystem each predicts: Eq. 1 (CPU), the chipset constant,
+// Eq. 3 (memory bus), Eq. 5 (I/O) and Eq. 4 (disk). It is the one list
+// that training, validation and live refits share.
+func ProductionSpecs() [power.NumSubsystems]ModelSpec {
+	var out [power.NumSubsystems]ModelSpec
+	out[power.SubCPU] = CPUSpec()
+	out[power.SubChipset] = ChipsetSpec()
+	out[power.SubMemory] = MemBusSpec()
+	out[power.SubIO] = IOSpec()
+	out[power.SubDisk] = DiskSpec()
+	return out
+}
+
+// TrainEstimator fits the ProductionSpecs on a training set, each on
+// its subsystem's dataset. It trains CPU, memory, disk, I/O and then
+// chipset, so when several datasets fail to fit, the error returned is
+// the first of them in that order.
 func TrainEstimator(ts TrainingSet) (*Estimator, error) {
-	cpuM, err := Train(CPUSpec(), ts.CPU)
-	if err != nil {
-		return nil, err
+	specs := ProductionSpecs()
+	order := [...]struct {
+		sub power.Subsystem
+		ds  *align.Dataset
+	}{
+		{power.SubCPU, ts.CPU},
+		{power.SubMemory, ts.Memory},
+		{power.SubDisk, ts.Disk},
+		{power.SubIO, ts.IO},
+		{power.SubChipset, ts.Chipset},
 	}
-	memM, err := Train(MemBusSpec(), ts.Memory)
-	if err != nil {
-		return nil, err
+	models := make([]*Model, 0, len(order))
+	for _, o := range order {
+		m, err := Train(specs[o.sub], o.ds)
+		if err != nil {
+			return nil, err
+		}
+		models = append(models, m)
 	}
-	diskM, err := Train(DiskSpec(), ts.Disk)
-	if err != nil {
-		return nil, err
-	}
-	ioM, err := Train(IOSpec(), ts.IO)
-	if err != nil {
-		return nil, err
-	}
-	chipM, err := Train(ChipsetSpec(), ts.Chipset)
-	if err != nil {
-		return nil, err
-	}
-	return NewEstimator(cpuM, memM, diskM, ioM, chipM)
+	return NewEstimator(models...)
 }

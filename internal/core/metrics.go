@@ -68,12 +68,10 @@ type Metrics struct {
 
 	// slab backs the thirteen per-CPU slices above, NumCPUs elements
 	// each; ExtractMetricsAtInto re-carves it only when NumCPUs changes.
-	// row is Model.Predict's design-row scratch. Because of these
-	// buffers, one Metrics (or a struct copy, which shares them) must not
-	// reach two concurrent ExtractMetricsAtInto or Predict calls; each
-	// goroutine extracts into its own.
+	// One Metrics (or a struct copy, which shares the slab) must not
+	// reach two concurrent ExtractMetricsAtInto calls; each goroutine
+	// extracts into its own.
 	slab []float64
-	row  []float64
 }
 
 // perCPUMetrics is the number of per-CPU slices in Metrics.
@@ -93,6 +91,19 @@ func ExtractMetricsAt(s *perfctr.Sample, nominalHz float64) *Metrics {
 	m := &Metrics{}
 	ExtractMetricsAtInto(m, s, nominalHz)
 	return m
+}
+
+// metricsBatch returns n Metrics whose slabs are cut from one
+// allocation sized for ncpu processors, so extracting samples of that
+// width into them allocates nothing more.
+func metricsBatch(n, ncpu int) []Metrics {
+	ms := make([]Metrics, n)
+	w := perCPUMetrics * ncpu
+	slab := make([]float64, n*w)
+	for j := range ms {
+		ms[j].slab = slab[j*w : (j+1)*w : (j+1)*w]
+	}
+	return ms
 }
 
 // carve points m's per-CPU slices at consecutive n-element windows of
@@ -139,7 +150,15 @@ func ExtractMetricsAtInto(m *Metrics, s *perfctr.Sample, nominalHz float64) {
 		}
 		m.OSUtil[i] = u
 	}
-	for i, c := range s.CPUs {
+	// Loop invariants, hoisted: the same bits as computing them per CPU.
+	clocked := s.IntervalSec > 0 && nominalHz > 0
+	nominal := s.IntervalSec * nominalHz
+	var diskInts []uint64
+	if int(iobus.VecDisk) < len(s.Ints) {
+		diskInts = s.Ints[iobus.VecDisk]
+	}
+	for i := range s.CPUs {
+		c := &s.CPUs[i]
 		cyc := float64(c.Cycles)
 		if cyc <= 0 {
 			m.PercentActive[i], m.UopsPerCycle[i], m.FreqScale[i] = 0, 0, 0
@@ -149,9 +168,9 @@ func ExtractMetricsAtInto(m *Metrics, s *perfctr.Sample, nominalHz float64) {
 			continue
 		}
 		mcyc := cyc / 1e6
-		m.FreqScale[i] = 1
-		if s.IntervalSec > 0 && nominalHz > 0 {
-			f := cyc / (s.IntervalSec * nominalHz)
+		f := 1.0
+		if clocked {
+			f = cyc / nominal
 			// Sampling jitter wobbles the estimate slightly; clamp to
 			// the hardware's actual operating range.
 			if f < 0.1 {
@@ -160,12 +179,13 @@ func ExtractMetricsAtInto(m *Metrics, s *perfctr.Sample, nominalHz float64) {
 			if f > 1 {
 				f = 1
 			}
-			m.FreqScale[i] = f
 		}
-		m.PercentActive[i] = 1 - float64(c.HaltedCycles)/cyc
-		if m.PercentActive[i] < 0 {
-			m.PercentActive[i] = 0
+		m.FreqScale[i] = f
+		active := 1 - float64(c.HaltedCycles)/cyc
+		if active < 0 {
+			active = 0
 		}
+		m.PercentActive[i] = active
 		m.UopsPerCycle[i] = float64(c.FetchedUops) / cyc
 		m.L3LoadPMC[i] = float64(c.L3LoadMisses) / mcyc
 		m.L3AllPMC[i] = float64(c.L3Misses) / mcyc
@@ -175,10 +195,11 @@ func ExtractMetricsAtInto(m *Metrics, s *perfctr.Sample, nominalHz float64) {
 		m.UncacheablePMC[i] = float64(c.Uncacheable) / mcyc
 		m.TLBPMC[i] = float64(c.TLBMisses) / mcyc
 		m.IntsPMC[i] = float64(s.IntsForCPU(i)) / mcyc
-		m.DiskIntsPMC[i] = 0
-		if int(iobus.VecDisk) < len(s.Ints) && i < len(s.Ints[iobus.VecDisk]) {
-			m.DiskIntsPMC[i] = float64(s.Ints[iobus.VecDisk][i]) / mcyc
+		disk := 0.0
+		if i < len(diskInts) {
+			disk = float64(diskInts[i]) / mcyc
 		}
+		m.DiskIntsPMC[i] = disk
 	}
 }
 

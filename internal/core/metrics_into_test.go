@@ -12,8 +12,8 @@ import (
 )
 
 // exportedEqual compares the exported fields of two Metrics: the
-// unexported slab and row scratch are storage, not results, and a
-// reused Metrics legitimately keeps a larger one.
+// unexported slab is storage, not a result, and a reused Metrics
+// legitimately keeps a larger one.
 func exportedEqual(a, b *Metrics) bool {
 	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
 	for _, f := range reflect.VisibleFields(va.Type()) {
@@ -84,8 +84,8 @@ func TestExtractMetricsAtIntoZeroAllocSteadyState(t *testing.T) {
 func handEstimator(t testing.TB) *Estimator {
 	t.Helper()
 	var models []*Model
-	for i, spec := range []ModelSpec{CPUSpec(), MemBusSpec(), DiskSpec(), IOSpec(), ChipsetSpec()} {
-		coef := make([]float64, designWidth(spec))
+	for i, spec := range ProductionSpecs() {
+		coef := make([]float64, len(spec.Terms))
 		for j := range coef {
 			coef[j] = float64(i+1) + 0.25*float64(j)
 		}
@@ -99,7 +99,7 @@ func handEstimator(t testing.TB) *Estimator {
 }
 
 // TestEstimateMetricsReusedScratchMatchesFresh: predicting through a
-// Metrics whose row scratch holds an earlier sample's rows gives the
+// Metrics whose slab holds an earlier sample's rates gives the
 // bit-identical reading of a fresh extraction.
 func TestEstimateMetricsReusedScratchMatchesFresh(t *testing.T) {
 	est := handEstimator(t)
@@ -118,14 +118,17 @@ func TestEstimateMetricsReusedScratchMatchesFresh(t *testing.T) {
 }
 
 // TestEstimateMetricsZeroAllocSteadyState: with a reused Metrics, the
-// five design rows are built in its scratch, so estimating allocates
-// nothing — the live service's per-sample step.
+// one-sample batch is designed in pooled scratch, so estimating
+// allocates nothing.
 func TestEstimateMetricsZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
+	}
 	est := handEstimator(t)
 	s := mkSample(0.7, 1.1, 120, 600, 150, 30)
 	scratch := &Metrics{}
 	ExtractMetricsAtInto(scratch, &s, sim.DefaultCoreHz)
-	est.EstimateMetrics(scratch) // warm-up sizes the row scratch
+	est.EstimateMetrics(scratch) // warm-up sizes the pooled columns
 	allocs := testing.AllocsPerRun(100, func() {
 		ExtractMetricsAtInto(scratch, &s, sim.DefaultCoreHz)
 		est.EstimateMetrics(scratch)
@@ -135,9 +138,9 @@ func TestEstimateMetricsZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestPredictConcurrentMetrics: the row scratch lives in each Metrics,
-// not in the shared Model, so goroutines with their own Metrics may
-// predict through one estimator at once (the race detector checks).
+// TestPredictConcurrentMetrics: the design scratch lives in neither the
+// Metrics nor the shared Model, so goroutines with their own Metrics
+// may predict through one estimator at once (the race detector checks).
 func TestPredictConcurrentMetrics(t *testing.T) {
 	est := handEstimator(t)
 	samples := make([]perfctr.Sample, 8)
@@ -165,8 +168,8 @@ func TestPredictConcurrentMetrics(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkEstimateMetrics is the live service's per-sample step:
-// extract into a reused Metrics, then predict all five rails.
+// BenchmarkEstimateMetrics is the one-sample step: extract into a
+// reused Metrics, then predict all five rails.
 func BenchmarkEstimateMetrics(b *testing.B) {
 	est := handEstimator(b)
 	s := mkSample(0.7, 1.1, 120, 600, 150, 30)

@@ -3,22 +3,26 @@ package core
 import "trickledown/internal/power"
 
 // ModelSpec describes one subsystem model: which subsystem's rail it
-// predicts, and how counter metrics become a regression design row. The
-// first design element is the intercept carrier (1, or NumCPUs for
+// predicts, and how counter metrics become regression design columns.
+// The first design term is the intercept carrier (1, or NumCPUs for
 // models whose constant term is per-processor).
 type ModelSpec struct {
 	// Name identifies the model in reports, e.g. "mem-bus (Eq.3)".
 	Name string
 	// Sub is the subsystem whose rail power the model predicts.
 	Sub power.Subsystem
-	// Design appends the regression row for m to dst and returns the
-	// extended slice, the same convention as perfctr.EncodeBatch(buf, …):
-	// callers pass a reused buffer (dst[:0]) to build rows without
-	// allocating. It must append exactly the row — nothing else — and
-	// must not retain dst or the result past the call, since the caller
-	// overwrites the buffer with the next row.
-	Design func(dst []float64, m *Metrics) []float64
-	// Terms documents the design columns for coefficient printing.
+	// Design fills the design of a batch of samples: cols[k][j] is term
+	// k of ms[j]. The caller passes exactly len(Terms) columns, each
+	// len(ms) long, and Design writes every element of them and nothing
+	// else. It must not retain cols or ms, which the caller reuses for
+	// the next batch, and must not modify ms. One Design call covers a
+	// whole batch, so training, validation and the estimator pay one
+	// indirect call per model per batch; a single sample is a batch of
+	// one. Processor sums and means use sum and mean, so a term is the
+	// same bits whichever batch its sample arrives in.
+	Design func(cols [][]float64, ms []Metrics)
+	// Terms names the design columns, one per term, for coefficient
+	// printing; len(Terms) is the design width.
 	Terms []string
 }
 
@@ -32,12 +36,14 @@ func CPUSpec() ModelSpec {
 	return ModelSpec{
 		Name: "cpu (Eq.1)",
 		Sub:  power.SubCPU,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			return append(dst,
-				float64(m.NumCPUs),
-				sum(m.PercentActive),
-				sum(m.UopsPerCycle),
-			)
+		Design: func(cols [][]float64, ms []Metrics) {
+			n, act, upc := cols[0][:len(ms)], cols[1][:len(ms)], cols[2][:len(ms)]
+			for j := range ms {
+				m := &ms[j]
+				n[j] = float64(m.NumCPUs)
+				act[j] = sum(m.PercentActive)
+				upc[j] = sum(m.UopsPerCycle)
+			}
 		},
 		Terms: []string{"perCPU", "percent_active", "uops_per_cycle"},
 	}
@@ -53,20 +59,24 @@ func CPUDVFSSpec() ModelSpec {
 	return ModelSpec{
 		Name: "cpu-dvfs (Eq.1 + fV^2)",
 		Sub:  power.SubCPU,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			var vSum, actFV, upcFV float64
-			for i := 0; i < m.NumCPUs; i++ {
-				f := 1.0
-				if i < len(m.FreqScale) && m.FreqScale[i] > 0 {
-					f = m.FreqScale[i]
+		Design: func(cols [][]float64, ms []Metrics) {
+			vs, act, upc := cols[0][:len(ms)], cols[1][:len(ms)], cols[2][:len(ms)]
+			for j := range ms {
+				m := &ms[j]
+				var vSum, actFV, upcFV float64
+				for i := 0; i < m.NumCPUs; i++ {
+					f := 1.0
+					if i < len(m.FreqScale) && m.FreqScale[i] > 0 {
+						f = m.FreqScale[i]
+					}
+					v := power.VoltageScale(f)
+					fv2 := f * v * v
+					vSum += v
+					actFV += m.PercentActive[i] * fv2
+					upcFV += m.UopsPerCycle[i] * fv2
 				}
-				v := power.VoltageScale(f)
-				fv2 := f * v * v
-				vSum += v
-				actFV += m.PercentActive[i] * fv2
-				upcFV += m.UopsPerCycle[i] * fv2
+				vs[j], act[j], upc[j] = vSum, actFV, upcFV
 			}
-			return append(dst, vSum, actFV, upcFV)
 		},
 		Terms: []string{"perCPU*V", "active*fV^2", "upc*fV^2"},
 	}
@@ -84,8 +94,12 @@ func CPUOSUtilSpec() ModelSpec {
 	return ModelSpec{
 		Name: "cpu-osutil (Heath/Kotla comparison)",
 		Sub:  power.SubCPU,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			return append(dst, float64(m.NumCPUs), sum(m.OSUtil))
+		Design: func(cols [][]float64, ms []Metrics) {
+			n, util := cols[0][:len(ms)], cols[1][:len(ms)]
+			for j := range ms {
+				n[j] = float64(ms[j].NumCPUs)
+				util[j] = sum(ms[j].OSUtil)
+			}
 		},
 		Terms: []string{"perCPU", "os_util"},
 	}
@@ -99,9 +113,13 @@ func MemL3Spec() ModelSpec {
 	return ModelSpec{
 		Name: "mem-l3 (Eq.2)",
 		Sub:  power.SubMemory,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			x := sum(m.L3LoadPMC)
-			return append(dst, 1, x, x*x)
+		Design: func(cols [][]float64, ms []Metrics) {
+			x := cols[1][:len(ms)]
+			for j := range ms {
+				x[j] = sum(ms[j].L3LoadPMC)
+			}
+			ones(cols[0])
+			square(cols[2], x)
 		},
 		Terms: []string{"const", "l3_load_pmc", "l3_load_pmc^2"},
 	}
@@ -115,9 +133,13 @@ func MemBusSpec() ModelSpec {
 	return ModelSpec{
 		Name: "mem-bus (Eq.3)",
 		Sub:  power.SubMemory,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			x := m.TotalBusPMC()
-			return append(dst, 1, x, x*x)
+		Design: func(cols [][]float64, ms []Metrics) {
+			x := cols[1][:len(ms)]
+			for j := range ms {
+				x[j] = ms[j].TotalBusPMC()
+			}
+			ones(cols[0])
+			square(cols[2], x)
 		},
 		Terms: []string{"const", "bus_tx_pmc", "bus_tx_pmc^2"},
 	}
@@ -132,10 +154,14 @@ func MemBusRWSpec() ModelSpec {
 	return ModelSpec{
 		Name: "mem-bus-rw (Eq.3 + write mix)",
 		Sub:  power.SubMemory,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			x := m.TotalBusPMC()
-			w := m.WritebackShare()
-			return append(dst, 1, x, x*x, x*w)
+		Design: func(cols [][]float64, ms []Metrics) {
+			x, xw := cols[1][:len(ms)], cols[3][:len(ms)]
+			for j := range ms {
+				v := ms[j].TotalBusPMC()
+				x[j], xw[j] = v, v*ms[j].WritebackShare()
+			}
+			ones(cols[0])
+			square(cols[2], x)
 		},
 		Terms: []string{"const", "bus_tx_pmc", "bus_tx_pmc^2", "bus_tx_pmc*wb_share"},
 	}
@@ -150,10 +176,14 @@ func DiskSpec() ModelSpec {
 	return ModelSpec{
 		Name: "disk (Eq.4)",
 		Sub:  power.SubDisk,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			i := sum(m.DiskIntsPMC)
-			d := mean(m.DMAPMC)
-			return append(dst, 1, i, i*i, d, d*d)
+		Design: func(cols [][]float64, ms []Metrics) {
+			i, d := cols[1][:len(ms)], cols[3][:len(ms)]
+			for j := range ms {
+				i[j], d[j] = sum(ms[j].DiskIntsPMC), mean(ms[j].DMAPMC)
+			}
+			ones(cols[0])
+			square(cols[2], i)
+			square(cols[4], d)
 		},
 		Terms: []string{"const", "disk_ints_pmc", "disk_ints_pmc^2", "dma_pmc", "dma_pmc^2"},
 	}
@@ -166,9 +196,13 @@ func IOSpec() ModelSpec {
 	return ModelSpec{
 		Name: "io (Eq.5)",
 		Sub:  power.SubIO,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			x := sum(m.IntsPMC)
-			return append(dst, 1, x, x*x)
+		Design: func(cols [][]float64, ms []Metrics) {
+			x := cols[1][:len(ms)]
+			for j := range ms {
+				x[j] = sum(ms[j].IntsPMC)
+			}
+			ones(cols[0])
+			square(cols[2], x)
 		},
 		Terms: []string{"const", "ints_pmc", "ints_pmc^2"},
 	}
@@ -181,8 +215,8 @@ func ChipsetSpec() ModelSpec {
 	return ModelSpec{
 		Name: "chipset (const)",
 		Sub:  power.SubChipset,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			return append(dst, 1)
+		Design: func(cols [][]float64, ms []Metrics) {
+			ones(cols[0])
 		},
 		Terms: []string{"const"},
 	}
@@ -200,9 +234,13 @@ func DiskDMASpec() ModelSpec {
 	return ModelSpec{
 		Name: "disk-dma (rejected)",
 		Sub:  power.SubDisk,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			d := mean(m.DMAPMC)
-			return append(dst, 1, d, d*d)
+		Design: func(cols [][]float64, ms []Metrics) {
+			x := cols[1][:len(ms)]
+			for j := range ms {
+				x[j] = mean(ms[j].DMAPMC)
+			}
+			ones(cols[0])
+			square(cols[2], x)
 		},
 		Terms: []string{"const", "dma_pmc", "dma_pmc^2"},
 	}
@@ -214,9 +252,13 @@ func DiskUncacheableSpec() ModelSpec {
 	return ModelSpec{
 		Name: "disk-uc (rejected)",
 		Sub:  power.SubDisk,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			u := sum(m.UncacheablePMC)
-			return append(dst, 1, u, u*u)
+		Design: func(cols [][]float64, ms []Metrics) {
+			x := cols[1][:len(ms)]
+			for j := range ms {
+				x[j] = sum(ms[j].UncacheablePMC)
+			}
+			ones(cols[0])
+			square(cols[2], x)
 		},
 		Terms: []string{"const", "uc_pmc", "uc_pmc^2"},
 	}
@@ -229,9 +271,13 @@ func IODMASpec() ModelSpec {
 	return ModelSpec{
 		Name: "io-dma (rejected)",
 		Sub:  power.SubIO,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			d := mean(m.DMAPMC)
-			return append(dst, 1, d, d*d)
+		Design: func(cols [][]float64, ms []Metrics) {
+			x := cols[1][:len(ms)]
+			for j := range ms {
+				x[j] = mean(ms[j].DMAPMC)
+			}
+			ones(cols[0])
+			square(cols[2], x)
 		},
 		Terms: []string{"const", "dma_pmc", "dma_pmc^2"},
 	}
@@ -243,10 +289,30 @@ func IOUncacheableSpec() ModelSpec {
 	return ModelSpec{
 		Name: "io-uc (rejected)",
 		Sub:  power.SubIO,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			u := sum(m.UncacheablePMC)
-			return append(dst, 1, u, u*u)
+		Design: func(cols [][]float64, ms []Metrics) {
+			x := cols[1][:len(ms)]
+			for j := range ms {
+				x[j] = sum(ms[j].UncacheablePMC)
+			}
+			ones(cols[0])
+			square(cols[2], x)
 		},
 		Terms: []string{"const", "uc_pmc", "uc_pmc^2"},
+	}
+}
+
+// ones fills an intercept column.
+func ones(col []float64) {
+	for j := range col {
+		col[j] = 1
+	}
+}
+
+// square fills dst with the squares of x, the x² column of the
+// quadratics in Equations 2–5.
+func square(dst, x []float64) {
+	dst = dst[:len(x)]
+	for j, v := range x {
+		dst[j] = v * v
 	}
 }

@@ -104,7 +104,7 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		want := designWidth(spec)
+		want := len(spec.Terms)
 		if len(mj.Coef) != want {
 			return nil, fmt.Errorf("core: model %q has %d coefficients, want %d",
 				mj.Spec, len(mj.Coef), want)
@@ -121,22 +121,4 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 	}
 	est.SetProvenance(in.Provenance)
 	return est, nil
-}
-
-// designWidth probes a spec's design-row width with an empty sample.
-func designWidth(spec ModelSpec) int {
-	m := &Metrics{
-		NumCPUs:        1,
-		PercentActive:  make([]float64, 1),
-		UopsPerCycle:   make([]float64, 1),
-		L3LoadPMC:      make([]float64, 1),
-		BusTxPMC:       make([]float64, 1),
-		PrefetchPMC:    make([]float64, 1),
-		DMAPMC:         make([]float64, 1),
-		UncacheablePMC: make([]float64, 1),
-		TLBPMC:         make([]float64, 1),
-		IntsPMC:        make([]float64, 1),
-		DiskIntsPMC:    make([]float64, 1),
-	}
-	return len(spec.Design(nil, m))
 }

@@ -130,8 +130,10 @@ func TestSpecRegistry(t *testing.T) {
 		if spec.Name != n {
 			t.Errorf("spec %q reports name %q", n, spec.Name)
 		}
-		if w := designWidth(spec); w != len(spec.Terms) {
-			t.Errorf("%s: width %d != %d terms", n, w, len(spec.Terms))
+		// TestBatchDesignMatchesRowReference holds each Design to
+		// exactly len(Terms) columns, the width LoadEstimator checks.
+		if len(spec.Terms) == 0 {
+			t.Errorf("%s: no design terms", n)
 		}
 	}
 	if _, err := SpecByName("bogus"); err == nil {

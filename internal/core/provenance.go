@@ -72,12 +72,17 @@ type MetricEnvelope struct {
 	Std  float64 `json:"std"`
 }
 
+// NumEnvelopeMetrics is the number of scalar rates EnvelopeMetrics
+// returns.
+const NumEnvelopeMetrics = 6
+
 // EnvelopeMetrics extracts the scalar metric rates the envelopes cover,
 // in a fixed order matching ComputeEnvelopes: the aggregate inputs of
 // the five production designs. Shared by training (to build envelopes)
-// and the adapt layer (to score live samples against them).
-func EnvelopeMetrics(m *Metrics) []float64 {
-	return []float64{
+// and the adapt layer (to score live samples against them). It returns
+// an array, so scoring a live sample allocates nothing.
+func EnvelopeMetrics(m *Metrics) [NumEnvelopeMetrics]float64 {
+	return [NumEnvelopeMetrics]float64{
 		sum(m.PercentActive),
 		sum(m.UopsPerCycle),
 		m.TotalBusPMC(),

@@ -80,8 +80,10 @@ func TestSelectModelSurvivesFailingCandidate(t *testing.T) {
 	bad := ModelSpec{
 		Name: "degenerate",
 		Sub:  power.SubChipset,
-		Design: func(dst []float64, m *Metrics) []float64 {
-			return append(dst, 1, 1) // collinear with the intercept
+		Design: func(cols [][]float64, ms []Metrics) {
+			for j := range ms {
+				cols[0][j], cols[1][j] = 1, 1 // collinear with the intercept
+			}
 		},
 		Terms: []string{"a", "b"},
 	}
@@ -106,10 +108,14 @@ func TestSelectModelAllFail(t *testing.T) {
 	var r power.Reading
 	ds.Rows = append(ds.Rows, align.Row{Power: r, Counters: s})
 	bad := ModelSpec{
-		Name:   "degenerate",
-		Sub:    power.SubChipset,
-		Design: func(dst []float64, m *Metrics) []float64 { return append(dst, 1, 1) },
-		Terms:  []string{"a", "b"},
+		Name: "degenerate",
+		Sub:  power.SubChipset,
+		Design: func(cols [][]float64, ms []Metrics) {
+			for j := range ms {
+				cols[0][j], cols[1][j] = 1, 1
+			}
+		},
+		Terms: []string{"a", "b"},
 	}
 	if _, _, err := SelectModel([]ModelSpec{bad}, ds, ds); err == nil {
 		t.Error("all-failing candidates accepted")

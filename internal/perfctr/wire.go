@@ -24,12 +24,15 @@ import (
 // thread busy times) that every sample's slices are carved from — so a
 // decoder that has seen a frame of this shape before decodes the next
 // one without allocating, and the node string is reused while the node
-// stays the same. Where the kept storage is too small, a slab is
-// replaced by one sized for what this decode has carved plus the
-// samples still to come, but capped by what the unread bytes could
-// fill, and an interrupt matrix with zero columns decodes as nil, so
-// the bytes one decode allocates are bounded by a small constant
-// multiple of the frame's length, never by its declared counts alone.
+// stays the same. Every field is written straight into that storage:
+// each CPUCounts is filled field by field through a pointer into its
+// slab, never built in a temporary and copied. Where the kept storage
+// is too small, a slab is replaced by one sized for what this decode
+// has carved plus the samples still to come, but capped by what the
+// unread bytes could fill, and an interrupt matrix with zero columns
+// decodes as nil, so the bytes one decode allocates are bounded by a
+// small constant multiple of the frame's length, never by its declared
+// counts alone.
 // The largest steady ratio is the 112-byte Sample header per 26-byte
 // minimal sample (about 4x); the decode tests hold hostile frames under
 // 64x.
@@ -218,12 +221,19 @@ type wireReader struct {
 	off int
 }
 
+// need checks that n more bytes are present. It is small enough to
+// inline into every field read; the error is built out of line.
 func (r *wireReader) need(n int) error {
 	if n < 0 || len(r.buf)-r.off < n {
-		return fmt.Errorf("perfctr: truncated wire batch at offset %d (need %d of %d bytes)",
-			r.off, n, len(r.buf)-r.off)
+		return r.truncated(n)
 	}
 	return nil
+}
+
+//go:noinline
+func (r *wireReader) truncated(n int) error {
+	return fmt.Errorf("perfctr: truncated wire batch at offset %d (need %d of %d bytes)",
+		r.off, n, len(r.buf)-r.off)
 }
 
 // unread returns how many bytes are left after the read offset.
@@ -512,19 +522,20 @@ func (d *Decoder) decodeSample(r *wireReader, s *Sample, left int) error {
 	s.CPUs = d.cpus.carve(nCPU, slabWant(nCPU, left, r.unread(), cpuWireBytes))
 	b := r.buf[r.off:]
 	for i := range s.CPUs {
-		p := b[i*cpuWireBytes : (i+1)*cpuWireBytes]
-		s.CPUs[i] = CPUCounts{
-			Cycles:        u64at(p, 0),
-			HaltedCycles:  u64at(p, 1),
-			FetchedUops:   u64at(p, 2),
-			L3LoadMisses:  u64at(p, 3),
-			L3Misses:      u64at(p, 4),
-			TLBMisses:     u64at(p, 5),
-			BusTx:         u64at(p, 6),
-			BusPrefetchTx: u64at(p, 7),
-			DMAOther:      u64at(p, 8),
-			Uncacheable:   u64at(p, 9),
-		}
+		// Field by field through a pointer: a composite literal would be
+		// built in a temporary and then copied.
+		p := (*[cpuWireBytes]byte)(b[i*cpuWireBytes:])
+		c := &s.CPUs[i]
+		c.Cycles = u64at(p[:], 0)
+		c.HaltedCycles = u64at(p[:], 1)
+		c.FetchedUops = u64at(p[:], 2)
+		c.L3LoadMisses = u64at(p[:], 3)
+		c.L3Misses = u64at(p[:], 4)
+		c.TLBMisses = u64at(p[:], 5)
+		c.BusTx = u64at(p[:], 6)
+		c.BusPrefetchTx = u64at(p[:], 7)
+		c.DMAOther = u64at(p[:], 8)
+		c.Uncacheable = u64at(p[:], 9)
 	}
 	r.off += nCPU * cpuWireBytes
 	nVec, err := r.u16()
@@ -550,12 +561,11 @@ func (d *Decoder) decodeSample(r *wireReader, s *Sample, left int) error {
 		s.Ints = d.rows.carve(nVec, slabWant(nVec, left, unread, cols*8))
 		flat := d.ints.carve(nVec*cols, slabWant(nVec*cols, left, unread, 8))
 		b := r.buf[r.off:]
+		for k := range flat {
+			flat[k] = u64at(b, k)
+		}
 		for v := range s.Ints {
-			row := flat[v*cols : (v+1)*cols : (v+1)*cols]
-			for c := range row {
-				row[c] = u64at(b, v*cols+c)
-			}
-			s.Ints[v] = row
+			s.Ints[v] = flat[v*cols : (v+1)*cols : (v+1)*cols]
 		}
 		r.off += nVec * cols * 8
 	}

@@ -446,6 +446,21 @@ func BenchmarkWireDecodeBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkWireDecodeReused decodes the same frame with one Decoder,
+// as tdserve's pooled decoders do once their storage has grown.
+func BenchmarkWireDecodeReused(b *testing.B) {
+	buf := fullFrame(b, 256)
+	var dec Decoder
+	b.ReportAllocs()
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, _, err := dec.Decode(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestWireTraceExtRoundTrip(t *testing.T) {
 	in := wireTestSamples()
 	ext := TraceExt{Sampled: true}

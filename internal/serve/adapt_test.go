@@ -88,7 +88,7 @@ func adaptRails(s *perfctr.Sample, shift float64) power.Reading {
 }
 
 // adaptChampion fits the production estimator on the shift-0 regime.
-func adaptChampion(t *testing.T) *core.Estimator {
+func adaptChampion(t testing.TB) *core.Estimator {
 	t.Helper()
 	const n = 120
 	ds := &align.Dataset{Rows: make([]align.Row, n)}
@@ -221,6 +221,160 @@ func TestAdapterHotSwapsServingModel(t *testing.T) {
 	}
 	if adaptiveErr/n >= 9 {
 		t.Errorf("post-swap estimator err %.2f%% breaches the paper bound", adaptiveErr/n)
+	}
+}
+
+// TestAdapterSwapMidBatchServesTheRest: when the adapter swaps the
+// champion while observing a sample in the middle of a batch, that
+// sample and every later one in the batch are estimated by the new
+// champion. The drill is deterministic, so a dry run of the same
+// manager finds the sample that triggers the swap, and the batch is cut
+// around it.
+func TestAdapterSwapMidBatchServesTheRest(t *testing.T) {
+	const n, pre, shift = 97, 100, 0.4
+	sampleRails := func(i int) (perfctr.Sample, power.Reading) {
+		smp := adaptSample(i, n)
+		sh := 0.0
+		if i >= pre {
+			sh = shift
+		}
+		return smp, adaptRails(&smp, sh)
+	}
+	champ := adaptChampion(t)
+	dry, err := adapt.New(adaptManagerConfig(champ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapAt := -1
+	for i := 0; i < 1000 && swapAt < 0; i++ {
+		smp, r := sampleRails(i)
+		dry.Observe(&smp, r)
+		if dry.Status().Swaps > 0 {
+			swapAt = i
+		}
+	}
+	if swapAt < 0 {
+		t.Fatal("dry run never swapped")
+	}
+	lo, hi := swapAt-5, swapAt+6
+	for i := swapAt + 1; i < hi; i++ {
+		smp, r := sampleRails(i)
+		dry.Observe(&smp, r)
+	}
+	if st := dry.Status(); st.Swaps != 1 || st.Rollbacks != 0 {
+		t.Fatalf("dry run by sample %d: %d swaps, %d rollbacks; want exactly one swap", hi, st.Swaps, st.Rollbacks)
+	}
+
+	s := newServer(t, Config{Estimator: champ, Workers: 1, QueueDepth: 64})
+	m, err := adapt.New(adaptManagerConfig(champ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetAdapter(m)
+	ingest := func(from, to int) {
+		samples := make([]perfctr.Sample, 0, to-from)
+		rails := make([]power.Reading, 0, to-from)
+		for i := from; i < to; i++ {
+			smp, r := sampleRails(i)
+			samples = append(samples, smp)
+			rails = append(rails, r)
+		}
+		if err := s.IngestFull("drill", "node0", samples, rails, tracez.Context{}); err != nil {
+			t.Fatalf("IngestFull [%d, %d): %v", from, to, err)
+		}
+		waitEstimated(t, s, uint64(to))
+	}
+	for from := 0; from < lo; from += 25 {
+		ingest(from, min(from+25, lo))
+	}
+	if m.Status().Swaps != 0 {
+		t.Fatal("swapped before the batch that should straddle the swap")
+	}
+	ingest(lo, hi)
+	if st := m.Status(); st.Swaps != 1 || st.Rollbacks != 0 {
+		t.Fatalf("%d swaps, %d rollbacks after the straddling batch", st.Swaps, st.Rollbacks)
+	}
+	next := s.Estimator()
+	if next == champ || next != m.Champion() {
+		t.Fatal("serving estimator did not follow the swap")
+	}
+	last, _ := sampleRails(hi - 1)
+	want, old := next.Estimate(&last), champ.Estimate(&last)
+	if want == old {
+		t.Fatal("old and new champion agree on the last sample; the test cannot tell them apart")
+	}
+	np, ok := s.NodePower("node0")
+	if !ok {
+		t.Fatal("node missing")
+	}
+	for _, sub := range power.Subsystems() {
+		if got := np.Power[sub.String()]; got != want[sub] {
+			t.Errorf("%s: last sample estimated %v, new champion reads %v (old %v)", sub, got, want[sub], old[sub])
+		}
+	}
+}
+
+// TestLongBatchEstimatesEveryChunk: a batch longer than two estimation
+// chunks is estimated to its end; the node's reading is the last
+// sample's.
+func TestLongBatchEstimatesEveryChunk(t *testing.T) {
+	est := testEstimator(t)
+	s := newServer(t, Config{Estimator: est, Workers: 1, QueueDepth: 8})
+	batch := mkBatch(2*core.BatchSize+3, 2, 11)
+	if err := s.Ingest("c", "n", batch); err != nil {
+		t.Fatal(err)
+	}
+	waitEstimated(t, s, uint64(len(batch)))
+	last := &batch[len(batch)-1]
+	for i := range batch[:len(batch)-1] {
+		if batch[i].TargetSeconds >= last.TargetSeconds {
+			t.Fatalf("sample %d is not older than the last", i)
+		}
+	}
+	want := est.Estimate(last)
+	if est.Estimate(&batch[2*core.BatchSize-1]) == want {
+		t.Fatal("the last two chunks end on equal estimates; the test cannot tell them apart")
+	}
+	np, _ := s.NodePower("n")
+	for _, sub := range power.Subsystems() {
+		if got := np.Power[sub.String()]; got != want[sub] {
+			t.Errorf("%s = %v, want the last sample's %v", sub, got, want[sub])
+		}
+	}
+}
+
+// BenchmarkProcessRails is a worker's path for one 256-sample batch
+// carrying rails under a live adapter: fault pass, one Observe per
+// sample (extract, a one-sample estimate, detectors, window copy),
+// then the chunked batch estimate. The rails match the champion's
+// regime, so no alarm or refit runs.
+func BenchmarkProcessRails(b *testing.B) {
+	const n = 256
+	champ := adaptChampion(b)
+	s, err := New(Config{Estimator: champ})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr, err := adapt.New(adaptManagerConfig(champ))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.SetAdapter(mgr)
+	samples := make([]perfctr.Sample, n)
+	rails := make([]power.Reading, n)
+	for i := range samples {
+		samples[i] = adaptSample(i, n)
+		rails[i] = adaptRails(&samples[i], 0)
+	}
+	sc := new(workerScratch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.process(&batch{node: "n", samples: samples, rails: rails}, sc, 0)
+	}
+	b.StopTimer()
+	if st := mgr.Status(); st.Retrains != 0 || st.Swaps != 0 {
+		b.Fatalf("steady regime refit %d times and swapped %d", st.Retrains, st.Swaps)
 	}
 }
 

@@ -72,7 +72,7 @@ var (
 	mEstimatePanics = telemetry.NewCounter("serve_estimate_panics_total",
 		"estimation batch panics recovered (and retried per policy)")
 	mAdmission = telemetry.NewHistogram("serve_admission_seconds",
-		"ARRIVED to QUEUED: decode plus admission control", latencyBuckets)
+		"ARRIVED to QUEUED: rate limit and queue admission of a read and decoded batch", latencyBuckets)
 	mQueueWait = telemetry.NewHistogram("serve_queue_wait_seconds",
 		"QUEUED to SCHEDULED: batch wait for an estimation worker", latencyBuckets)
 	mService = telemetry.NewHistogram("serve_service_seconds",
@@ -534,7 +534,7 @@ func (s *Server) SheddingActive() bool {
 // workerLoop drains the queue until it closes (graceful Close) or ctx
 // fires (hard cancel, abandoning queued batches).
 func (s *Server) workerLoop(ctx context.Context, worker int) {
-	scratch := &core.Metrics{}
+	scratch := new(workerScratch)
 	for {
 		// Priority check: when a hard cancel and queued work are both
 		// ready, select picks randomly — a cancelled worker must not
@@ -561,7 +561,7 @@ func (s *Server) workerLoop(ctx context.Context, worker int) {
 // estimation attempt (poisoned model, hostile sample) is recovered,
 // counted, and retried with overflow-safe backoff; retries exhausted
 // means the batch is dropped, never the worker.
-func (s *Server) runBatch(ctx context.Context, b *batch, scratch *core.Metrics, worker int) {
+func (s *Server) runBatch(ctx context.Context, b *batch, scratch *workerScratch, worker int) {
 	attempts := s.cfg.Retry.Attempts
 	if attempts < 1 {
 		attempts = 1
@@ -586,7 +586,7 @@ func (s *Server) runBatch(ctx context.Context, b *batch, scratch *core.Metrics, 
 }
 
 // processProtected is one estimation attempt with panic containment.
-func (s *Server) processProtected(b *batch, scratch *core.Metrics, worker int) (err error) {
+func (s *Server) processProtected(b *batch, scratch *workerScratch, worker int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			mEstimatePanics.Inc()
@@ -599,9 +599,13 @@ func (s *Server) processProtected(b *batch, scratch *core.Metrics, worker int) (
 }
 
 // process runs the batch through the estimators (SCHEDULED→DEPARTED)
-// and folds the result into node state. Non-finite per-sample estimates
-// are quarantined into counters; the node keeps its last good reading so
-// the fleet aggregate never turns NaN.
+// and folds the result into node state. One pass over the samples
+// applies fault injection and feeds the adapter; then the batch is
+// extracted and estimated core.BatchSize samples at a time, one Design
+// call per model per chunk, with a chunk split wherever the adapter
+// swapped the champion. Non-finite per-sample estimates are quarantined
+// into counters; the node keeps its last good reading so the fleet
+// aggregate never turns NaN.
 //
 // Sampled batches stamp the SCHEDULED/ESTIMATED/DEPARTED events and feed
 // the latency histograms through the exemplar path so /metrics buckets
@@ -609,45 +613,72 @@ func (s *Server) processProtected(b *batch, scratch *core.Metrics, worker int) (
 // Observe path — zero allocation — unless they turn out anomalous
 // (quarantine, slow outlier), in which case a trace is reconstructed
 // after the fact from the timestamps the batch already carries.
-func (s *Server) process(b *batch, scratch *core.Metrics, worker int) {
+func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 	scheduled := time.Now()
 	b.tr.AddAt(tracez.EvScheduled, scheduled, int64(worker), "")
 	fault := s.faultInjector()
 	adapter := s.adapter.Load()
-	est := s.est.Load()
+	observe := adapter != nil && b.rails != nil
+	if b.prepared == 0 {
+		sc.segs = append(sc.segs[:0], estSegment{0, s.est.Load()})
+	}
+	if fault != nil || observe {
+		// A retry after a panic resumes where the last attempt stopped,
+		// so the adapter sees each sample once.
+		est := sc.segs[len(sc.segs)-1].est
+		for i := b.prepared; i < len(b.samples); i++ {
+			smp := &b.samples[i]
+			if fault != nil {
+				for c := range smp.CPUs {
+					fault.PerturbCounts(smp.TargetSeconds, c, &smp.CPUs[c])
+				}
+			}
+			if observe {
+				// Drift detection sees the sample after fault injection —
+				// exactly what the estimators see. A swap or rollback
+				// decided here lands synchronously, so the new champion
+				// serves this sample and the rest of the batch.
+				adapter.Observe(smp, b.rails[i])
+				if e := s.est.Load(); e != est {
+					est = e
+					sc.segs = append(sc.segs, estSegment{i, e})
+				}
+			}
+			b.prepared = i + 1
+		}
+	}
+	b.prepared = len(b.samples)
 	var (
 		bad     uint64
 		lastT   float64
 		lastR   power.Reading
 		hasGood bool
 	)
-	for i := range b.samples {
-		smp := &b.samples[i]
-		if fault != nil {
-			for c := range smp.CPUs {
-				fault.PerturbCounts(smp.TargetSeconds, c, &smp.CPUs[c])
+	for k, seg := range sc.segs {
+		end := len(b.samples)
+		if k+1 < len(sc.segs) {
+			end = sc.segs[k+1].from
+		}
+		for lo := seg.from; lo < end; lo += core.BatchSize {
+			chunk := b.samples[lo:min(lo+core.BatchSize, end)]
+			ms, out := sc.ms[:len(chunk)], sc.out[:len(chunk)]
+			for j := range chunk {
+				core.ExtractMetricsAtInto(&ms[j], &chunk[j], s.cfg.NominalHz)
 			}
-		}
-		if adapter != nil && b.rails != nil {
-			// Drift detection sees the sample after fault injection —
-			// exactly what the estimators see. A swap or rollback decided
-			// here lands synchronously, so the reload below serves the
-			// rest of the batch on the new champion.
-			adapter.Observe(smp, b.rails[i])
-			est = s.est.Load()
-		}
-		core.ExtractMetricsAtInto(scratch, smp, s.cfg.NominalHz)
-		r := est.EstimateMetrics(scratch)
-		if finiteReading(r) {
-			lastR = r
-			hasGood = true
-		} else {
-			bad++
-			mNonFinite.Inc()
-			s.nonfinite.Add(1)
-		}
-		if smp.TargetSeconds > lastT {
-			lastT = smp.TargetSeconds
+			seg.est.EstimateBatch(out, ms, &sc.cols)
+			for j := range out {
+				if finiteReading(out[j]) {
+					lastR = out[j]
+					hasGood = true
+				} else {
+					bad++
+					mNonFinite.Inc()
+					s.nonfinite.Add(1)
+				}
+				if t := chunk[j].TargetSeconds; t > lastT {
+					lastT = t
+				}
+			}
 		}
 	}
 	departed := time.Now()
@@ -707,6 +738,25 @@ func (s *Server) reconstructAnomaly(b *batch, scheduled, departed time.Time, wor
 	t.AddAt(tracez.EvDeparted, departed, int64(len(b.samples)), "")
 	t.End = departed
 	s.rec.Finish(t)
+}
+
+// workerScratch is one estimation worker's reusable storage: a chunk of
+// extracted metrics and their readings, the design columns, and the
+// estimator segments of the batch in hand, which outlive a panicked
+// attempt so its retry keeps them. It is sized by
+// core.BatchSize, not by the batch, so it stays bounded at any
+// MaxBatch.
+type workerScratch struct {
+	ms   [core.BatchSize]core.Metrics
+	out  [core.BatchSize]power.Reading
+	cols core.Columns
+	segs []estSegment
+}
+
+// estSegment starts a run of a batch's samples served by one estimator.
+type estSegment struct {
+	from int
+	est  *core.Estimator
 }
 
 // modelVersion renders an estimator's provenance version.

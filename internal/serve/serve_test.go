@@ -14,10 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"trickledown/internal/adapt"
 	"trickledown/internal/core"
 	"trickledown/internal/perfctr"
 	"trickledown/internal/pool"
 	"trickledown/internal/power"
+	"trickledown/internal/tracez"
 )
 
 // constModel returns a fitted model predicting base + slope*sum(uops
@@ -29,12 +31,14 @@ func testModel(sub power.Subsystem, base, slope float64) *core.Model {
 		Spec: core.ModelSpec{
 			Name: fmt.Sprintf("test-%s", sub),
 			Sub:  sub,
-			Design: func(dst []float64, m *core.Metrics) []float64 {
-				var upc float64
-				for _, v := range m.UopsPerCycle {
-					upc += v
+			Design: func(cols [][]float64, ms []core.Metrics) {
+				for j := range ms {
+					var upc float64
+					for _, v := range ms[j].UopsPerCycle {
+						upc += v
+					}
+					cols[0][j], cols[1][j] = 1, upc
 				}
-				return append(dst, 1, upc)
 			},
 			Terms: []string{"const", "upc"},
 		},
@@ -383,25 +387,28 @@ func TestNonFiniteEstimatesQuarantined(t *testing.T) {
 }
 
 // TestRetryRecoversPanickingBatch: a model whose Design panics on the
-// first attempt exercises the per-batch panic containment + retry path
-// without taking down the worker.
+// first attempt's batch estimate exercises the per-batch panic
+// containment + retry path without taking down the worker. The batch
+// carries rails, and the adapter, whose single-sample estimates run
+// before the batch's and never panic, must observe each sample once,
+// not again on the retry.
 func TestRetryRecoversPanickingBatch(t *testing.T) {
 	var mu sync.Mutex
-	calls := 0
+	panicked := false
 	models := make([]*core.Model, 0, power.NumSubsystems)
 	for i, sub := range power.Subsystems() {
 		m := testModel(sub, 10+float64(i), 2)
 		if sub == power.SubCPU {
 			inner := m.Spec.Design
-			m.Spec.Design = func(dst []float64, met *core.Metrics) []float64 {
+			m.Spec.Design = func(cols [][]float64, ms []core.Metrics) {
 				mu.Lock()
-				calls++
-				first := calls == 1
+				first := len(ms) > 1 && !panicked
+				panicked = panicked || first
 				mu.Unlock()
 				if first {
 					panic("injected design panic")
 				}
-				return inner(dst, met)
+				inner(cols, ms)
 			}
 		}
 		models = append(models, m)
@@ -414,10 +421,23 @@ func TestRetryRecoversPanickingBatch(t *testing.T) {
 		Estimator: est, Workers: 1, QueueDepth: 8,
 		Retry: pool.Retry{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	})
-	if err := s.Ingest("c", "n", mkBatch(3, 1, 0)); err != nil {
-		t.Fatalf("Ingest: %v", err)
+	mgr, err := adapt.New(adaptManagerConfig(est))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetAdapter(mgr)
+	samples := mkBatch(3, 1, 0)
+	rails := make([]power.Reading, len(samples))
+	for i := range samples {
+		rails[i] = adaptRails(&samples[i], 0)
+	}
+	if err := s.IngestFull("c", "n", samples, rails, tracez.Context{}); err != nil {
+		t.Fatalf("IngestFull: %v", err)
 	}
 	closeServer(t, s)
+	if got := mgr.Status().Observations; got != uint64(len(samples)) {
+		t.Errorf("adapter observed %d samples, want %d (once each across the retry)", got, len(samples))
+	}
 
 	st := s.Stats()
 	if st.EstimatePanics == 0 {

@@ -41,7 +41,7 @@ func pooledEstimator(src Source, opt Options) (*core.Estimator, *align.Dataset, 
 	}
 	training := align.Concat(traces...)
 	models := make([]*core.Model, 0, power.NumSubsystems)
-	for _, spec := range productionSpecs() {
+	for _, spec := range core.ProductionSpecs() {
 		m, err := opt.Train(spec, training)
 		if err != nil {
 			return nil, nil, fmt.Errorf("validate: checks: training %s: %w", spec.Name, err)

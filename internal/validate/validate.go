@@ -102,18 +102,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// productionSpecs returns the paper's five production model specs in
-// power.Subsystems() order.
-func productionSpecs() []core.ModelSpec {
-	return []core.ModelSpec{
-		core.CPUSpec(),
-		core.ChipsetSpec(),
-		core.MemBusSpec(),
-		core.IOSpec(),
-		core.DiskSpec(),
-	}
-}
-
 // FoldResult is one held-out evaluation: a model trained on every other
 // workload, scored on this one.
 type FoldResult struct {
@@ -288,7 +276,7 @@ func CrossValidate(ctx context.Context, src Source, opt Options) (*Report, error
 	}
 
 	// Folds. folds[w][s] is workload w held out, subsystem s scored.
-	specs := productionSpecs()
+	specs := core.ProductionSpecs()
 	folds := make([][]FoldResult, len(names))
 	done := make([]bool, len(names))
 	foldErr := p.Run(ctx, len(names), func(_ context.Context, w int) error {
