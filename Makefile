@@ -101,5 +101,8 @@ tenants:
 diurnal:
 	$(GO) run ./examples/diurnal
 
+# Lines of Go in the three counts ROADMAP.md tracks.
 loc:
-	find . -name '*.go' | xargs wc -l | tail -1
+	@printf 'non-test Go outside benchmark/: '; find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+	@printf 'test Go outside benchmark/:     '; find . -path ./benchmark -prune -o -name '*_test.go' -print | xargs cat | wc -l
+	@printf 'benchmark/:                     '; find ./benchmark -name '*.go' | xargs cat | wc -l

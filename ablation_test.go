@@ -141,8 +141,7 @@ func TestPaperModelSelectionReproduced(t *testing.T) {
 
 	// Memory: train on mesa (the paper's first attempt), hold out mcf
 	// (the failure case). Selection must abandon the L3 model.
-	memBest, memRank, err := core.SelectModel(
-		[]core.ModelSpec{core.MemL3Spec(), core.MemBusSpec()}, mesa, mcf)
+	memBest, memRank, err := core.SelectModel(core.MemoryCandidates(), mesa, mcf)
 	if err != nil {
 		t.Fatal(err)
 	}

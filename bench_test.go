@@ -143,12 +143,11 @@ func BenchmarkFigure3(b *testing.B) { benchFigure(b, runner().Figure3) }
 func BenchmarkFigure4(b *testing.B) {
 	r := runner()
 	for i := 0; i < b.N; i++ {
-		tr, err := r.Figure4()
+		f, err := r.Figure4()
 		if err != nil {
 			b.Fatal(err)
 		}
-		pf := tr.Series("Prefetch").Values
-		all := tr.Series("All").Values
+		pf, all := f.Values("Prefetch"), f.Values("All")
 		b.ReportMetric(pf[len(pf)-1]/(all[len(all)-1]+1e-9), "tail_prefetch_share")
 	}
 }

@@ -1,9 +1,10 @@
 // Command tdreport regenerates the paper's evaluation: it runs every
 // experiment and writes EXPERIMENTS.md, the paper-vs-measured record
 // for all four tables, the five model-trace figures, the Figure 4
-// sweep, the fitted equations and the extension studies. With -figures
-// it also writes each figure's trace as CSV and as an ASCII plot. The
-// generation itself lives in internal/report.
+// sweep, the fitted equations, the Section 3.3.1 model selection and
+// the extension studies. With -figures it also writes each figure's
+// trace as CSV and as an ASCII plot. The generation itself lives in
+// internal/report.
 //
 // Usage:
 //
@@ -15,6 +16,7 @@ import (
 	"log"
 	"os"
 
+	"trickledown/internal/experiments"
 	"trickledown/internal/report"
 )
 
@@ -26,7 +28,7 @@ func main() {
 	figures := flag.String("figures", "", "directory for each figure's <name>.csv and <name>.txt plot (omit to skip)")
 	flag.Parse()
 
-	opt := report.DefaultOptions()
+	opt := experiments.DefaultOptions()
 	opt.Scale = *scale
 	g := report.NewGenerator(opt)
 	g.Progress = func(section string) { log.Printf("done: %s", section) }

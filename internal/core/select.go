@@ -99,9 +99,10 @@ func SelectModel(specs []ModelSpec, train *align.Dataset, holdouts ...*align.Dat
 }
 
 // MemoryCandidates returns the paper's memory model candidates in the
-// order it considered them.
+// order it considered them. The write-mix extension, MemBusRWSpec, is
+// not one of them.
 func MemoryCandidates() []ModelSpec {
-	return []ModelSpec{MemL3Spec(), MemBusSpec(), MemBusRWSpec()}
+	return []ModelSpec{MemL3Spec(), MemBusSpec()}
 }
 
 // DiskCandidates returns the paper's disk model candidates.

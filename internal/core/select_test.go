@@ -122,19 +122,24 @@ func TestSelectModelAllFail(t *testing.T) {
 	}
 }
 
+// TestCandidateLists checks each list is the paper's candidates: one
+// subsystem, and no extension such as the write-mix memory model.
 func TestCandidateLists(t *testing.T) {
 	for name, list := range map[string][]ModelSpec{
 		"memory": MemoryCandidates(),
 		"disk":   DiskCandidates(),
 		"io":     IOCandidates(),
 	} {
-		if len(list) < 3 {
+		if len(list) < 2 {
 			t.Errorf("%s candidates = %d", name, len(list))
 		}
 		sub := list[0].Sub
 		for _, spec := range list {
 			if spec.Sub != sub {
 				t.Errorf("%s candidates mix subsystems", name)
+			}
+			if spec.Name == MemBusRWSpec().Name {
+				t.Errorf("%s candidates include the write-mix extension", name)
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"trickledown/internal/core"
 	"trickledown/internal/power"
 )
 
@@ -190,11 +192,12 @@ func TestFigures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if f.Trace.Len() < 20 {
-			t.Errorf("%s: only %d samples", name, f.Trace.Len())
+		measured, modeled := f.Values("Measured"), f.Values("Modeled")
+		if len(f.Series) != 2 || len(measured) != len(modeled) {
+			t.Errorf("%s: series %d, want Measured and Modeled of one length", name, len(f.Series))
 		}
-		if f.Trace.Series("Measured") == nil || f.Trace.Series("Modeled") == nil {
-			t.Errorf("%s: missing series", name)
+		if len(measured) < 20 {
+			t.Errorf("%s: only %d samples", name, len(measured))
 		}
 		if f.AvgErr < 0 || f.AvgErr > 60 {
 			t.Errorf("%s: avg error = %v%%", name, f.AvgErr)
@@ -229,28 +232,67 @@ func TestFigureErrorsTrackPaper(t *testing.T) {
 
 func TestFigure4PrefetchGrowth(t *testing.T) {
 	r := NewRunner(Options{Seed: 100, TrainSeed: 10, Scale: 0.15})
-	tr, err := r.Figure4()
+	f, err := r.Figure4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf := tr.Series("Prefetch")
-	np := tr.Series("Non-Prefetch")
-	all := tr.Series("All")
-	if pf == nil || np == nil || all == nil {
-		t.Fatal("missing series")
+	pf, np, all := f.Values("Prefetch"), f.Values("Non-Prefetch"), f.Values("All")
+	n := len(pf)
+	if n == 0 || len(np) != n || len(all) != n {
+		t.Fatalf("series lengths %d, %d, %d", len(pf), len(np), len(all))
 	}
-	n := len(pf.Values)
+	if !math.IsNaN(f.AvgErr) {
+		t.Errorf("Figure 4 has no model, but AvgErr = %v", f.AvgErr)
+	}
 	// Prefetch share of traffic grows from the early ramp to the
 	// saturated tail — the paper's model-failure signature.
-	early := pf.Values[n/6] / (all.Values[n/6] + 1e-9)
-	late := pf.Values[n-2] / (all.Values[n-2] + 1e-9)
+	early := pf[n/6] / (all[n/6] + 1e-9)
+	late := pf[n-2] / (all[n-2] + 1e-9)
 	if late <= early {
 		t.Errorf("prefetch share did not grow: %v -> %v", early, late)
 	}
-	for i := range pf.Values {
-		total := pf.Values[i] + np.Values[i]
-		if diff := total - all.Values[i]; diff > 0.02*all.Values[i]+1 || diff < -0.02*all.Values[i]-1 {
-			t.Errorf("sample %d: prefetch+nonprefetch = %v, all = %v", i, total, all.Values[i])
+	for i := range pf {
+		total := pf[i] + np[i]
+		if diff := total - all[i]; diff > 0.02*all[i]+1 || diff < -0.02*all[i]-1 {
+			t.Errorf("sample %d: prefetch+nonprefetch = %v, all = %v", i, total, all[i])
+		}
+	}
+}
+
+// TestModelSelectionSimulatesNothingNew builds the selection table after
+// the runs the tables and models make: every training and holdout run it
+// needs must come from the runner's cache. It also checks that selection
+// lands on the paper's Eq. 3, Eq. 4 and Eq. 5.
+func TestModelSelectionSimulatesNothingNew(t *testing.T) {
+	r := testRunner()
+	for _, get := range []func() (*Table, error){r.Table1, r.Table2, r.Table3, r.Table4} {
+		if _, err := get(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.Estimator(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.MemL3Model(); err != nil {
+		t.Fatal(err)
+	}
+	misses := mCacheMisses.Value()
+	sels, err := r.ModelSelection()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mCacheMisses.Value() - misses; got != 0 {
+		t.Errorf("model selection ran %d simulations of its own", got)
+	}
+	want := map[string]string{
+		"memory": core.MemBusSpec().Name, "disk": core.DiskSpec().Name, "io": core.IOSpec().Name,
+	}
+	if len(sels) != len(want) {
+		t.Fatalf("selections = %d, want %d", len(sels), len(want))
+	}
+	for _, s := range sels {
+		if best := s.Ranking[0]; best.Failure != nil || best.Model.Spec.Name != want[s.Subsystem] {
+			t.Errorf("%s selection ranked %v first, want %s", s.Subsystem, best, want[s.Subsystem])
 		}
 	}
 }

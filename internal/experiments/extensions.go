@@ -162,6 +162,57 @@ func validatePair(baseline, variant validator, eval *align.Dataset) (float64, fl
 	return be, ve, nil
 }
 
+// RWMixRow is one evaluation workload of the read/write-mix memory
+// study (paper Section 4.3): the Eq. 6 errors of Eq. 3 and of Eq. 3
+// with a write-mix term, both trained on mcf plus diskload.
+type RWMixRow struct {
+	Workload         string
+	BusErr, BusRWErr float64
+}
+
+// RWMix runs the read/write-mix study over lucas, mgrid, wupwise and
+// gcc. Its runs use the workloads' unscaled staggers and durations of
+// 60 s plus a scaled part, with no 30-second floor.
+func (r *Runner) RWMix() ([]RWMixRow, error) {
+	run := func(name string, seconds float64, seed uint64) (*align.Dataset, error) {
+		spec, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		return r.datasetSpec(spec, seconds*r.opt.Scale+60, seed)
+	}
+	mcf, err := run("mcf", 180, r.opt.TrainSeed)
+	if err != nil {
+		return nil, err
+	}
+	dl, err := run("diskload", 150, r.opt.TrainSeed+1)
+	if err != nil {
+		return nil, err
+	}
+	train := align.Concat(mcf, dl)
+	bus, err := core.Train(core.MemBusSpec(), train)
+	if err != nil {
+		return nil, err
+	}
+	busRW, err := core.Train(core.MemBusRWSpec(), train)
+	if err != nil {
+		return nil, err
+	}
+	var out []RWMixRow
+	for _, wl := range []string{"lucas", "mgrid", "wupwise", "gcc"} {
+		eval, err := run(wl, 150, r.opt.Seed)
+		if err != nil {
+			return nil, err
+		}
+		row := RWMixRow{Workload: wl}
+		if row.BusErr, row.BusRWErr, err = validatePair(bus, busRW, eval); err != nil {
+			return nil, err
+		}
+		out = append(out, row)
+	}
+	return out, nil
+}
+
 // Extensions runs every extension study. A study that fails is recorded
 // in CellErrors and comes back with NaN errors, which render as n/a, as
 // a failed table cell does: one lost study does not lose the report.

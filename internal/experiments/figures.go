@@ -1,21 +1,42 @@
 package experiments
 
 import (
+	"math"
+
 	"trickledown/internal/align"
 	"trickledown/internal/core"
 	"trickledown/internal/power"
 	"trickledown/internal/stats"
 	"trickledown/internal/telemetry"
-	"trickledown/internal/trace"
 )
 
-// Figure is one regenerated trace figure: the measured and modeled
-// series plus the Equation 6 average error over the trace, with the
-// paper's reported error for comparison.
+// Series is one named figure series at the paper's 1 Hz sampling rate,
+// indexed by second.
+type Series struct {
+	Name   string
+	Values []float64
+}
+
+// Figure is one regenerated trace figure: its series (measured and
+// modeled power for a model figure) plus the Equation 6 average error
+// over the trace, with the paper's reported error for comparison.
+// Figure 4, a sweep with no model, has a NaN AvgErr.
 type Figure struct {
-	Trace    *trace.Trace
+	Title    string
+	Series   []Series
 	AvgErr   float64
 	PaperErr float64
+}
+
+// Values returns the named series' samples, or nil if the figure has
+// no such series.
+func (f *Figure) Values(name string) []float64 {
+	for _, s := range f.Series {
+		if s.Name == name {
+			return s.Values
+		}
+	}
+	return nil
 }
 
 // modelFigure builds a measured-vs-modeled figure for one model over one
@@ -47,16 +68,6 @@ func (r *Runner) modelFigure(title, wl string, seconds float64, m *core.Model, d
 // existing dataset.
 func figureFromDataset(title string, ds *align.Dataset, m *core.Model, dcRemove float64) (*Figure, error) {
 	measured, modeled := m.Trace(ds)
-	tr := trace.New(title)
-	// Resolve the series once and size them to the run horizon; the
-	// per-row loop then appends without lookups or reallocation.
-	tr.Preallocate(len(measured))
-	sMeasured := tr.Add("Measured")
-	sModeled := tr.Add("Modeled")
-	for i := range measured {
-		sMeasured.Append(measured[i])
-		sModeled.Append(modeled[i])
-	}
 	var avg float64
 	var err error
 	if dcRemove > 0 {
@@ -67,7 +78,11 @@ func figureFromDataset(title string, ds *align.Dataset, m *core.Model, dcRemove 
 	if err != nil {
 		return nil, err
 	}
-	return &Figure{Trace: tr, AvgErr: avg}, nil
+	return &Figure{
+		Title:  title,
+		Series: []Series{{"Measured", measured}, {"Modeled", modeled}},
+		AvgErr: avg,
+	}, nil
 }
 
 // Figure2 regenerates "Four CPU Power Model - gcc": the Equation 1 model
@@ -109,29 +124,27 @@ func (r *Runner) Figure3() (*Figure, error) {
 // uses it to show why the L3-miss model fails: past the point where all
 // hardware threads are busy, prefetch traffic keeps growing while
 // demand-miss traffic does not.
-func (r *Runner) Figure4() (*trace.Trace, error) {
+func (r *Runner) Figure4() (*Figure, error) {
 	defer telemetry.StartSpan("experiments.figure4").End()
 	ds, err := r.mcfLong()
 	if err != nil {
 		return nil, err
 	}
-	tr := trace.New("Figure 4: Prefetch and Non-Prefetch Bus Transactions - mcf (tx per Mcycle)")
-	tr.Preallocate(len(ds.Rows))
-	sAll := tr.Add("All")
-	sNonPf := tr.Add("Non-Prefetch")
-	sPf := tr.Add("Prefetch")
+	n := len(ds.Rows)
+	all, nonPf, pf := make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := range ds.Rows {
 		m := core.ExtractMetrics(&ds.Rows[i].Counters)
-		var all, pf float64
 		for c := 0; c < m.NumCPUs; c++ {
-			all += m.BusTxPMC[c]
-			pf += m.PrefetchPMC[c]
+			all[i] += m.BusTxPMC[c]
+			pf[i] += m.PrefetchPMC[c]
 		}
-		sAll.Append(all)
-		sNonPf.Append(all - pf)
-		sPf.Append(pf)
+		nonPf[i] = all[i] - pf[i]
 	}
-	return tr, nil
+	return &Figure{
+		Title:  "Figure 4: Prefetch and Non-Prefetch Bus Transactions - mcf (tx per Mcycle)",
+		Series: []Series{{"All", all}, {"Non-Prefetch", nonPf}, {"Prefetch", pf}},
+		AvgErr: math.NaN(),
+	}, nil
 }
 
 // Figure5 regenerates "Memory Power Model (Memory Bus Transactions) -

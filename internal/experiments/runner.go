@@ -2,7 +2,8 @@
 // evaluation section on the simulated server: the subsystem power
 // characterization (Tables 1 and 2), the model validation errors
 // (Tables 3 and 4), the measured-vs-modeled traces (Figures 2, 3, 5, 6
-// and 7) and the prefetch/non-prefetch bus-transaction sweep (Figure 4).
+// and 7), the prefetch/non-prefetch bus-transaction sweep (Figure 4)
+// and the Section 3.3.1 model selection.
 //
 // Each experiment reports our numbers next to the paper's published
 // values; the reproduction target is the *shape* — orderings, ranges and

@@ -18,7 +18,7 @@ import (
 func TestGenerateSmallScale(t *testing.T) {
 	for _, scale := range []float64{0.12, 0.05, 0.02} {
 		t.Run(fmt.Sprint(scale), func(t *testing.T) {
-			g := NewGenerator(Options{Scale: scale, Seed: 100, TrainSeed: 10})
+			g := NewGenerator(experiments.Options{Scale: scale, Seed: 100, TrainSeed: 10})
 			var sections []string
 			g.Progress = func(s string) { sections = append(sections, s) }
 			var buf bytes.Buffer
@@ -35,6 +35,7 @@ func TestGenerateSmallScale(t *testing.T) {
 				"Figures 2-7",
 				"Figure 4: prefetch vs. non-prefetch",
 				"Fitted model equations",
+				"Model selection (paper §3.3.1)",
 				"read/write-mix memory model",
 				"Extension studies",
 				"| Disk model on spindown hardware |",
@@ -66,7 +67,7 @@ func TestGenerateSmallScale(t *testing.T) {
 // TestWriteFigures checks the figure files' names and layout; the
 // command pins in the root package hold their bytes.
 func TestWriteFigures(t *testing.T) {
-	g := NewGenerator(Options{Scale: 0.05, Seed: 100, TrainSeed: 10})
+	g := NewGenerator(experiments.Options{Scale: 0.05, Seed: 100, TrainSeed: 10})
 	dir := t.TempDir()
 	if err := g.WriteFigures(dir); err != nil {
 		t.Fatal(err)
@@ -96,12 +97,9 @@ func TestWriteFigures(t *testing.T) {
 }
 
 func TestZeroScaleDefaults(t *testing.T) {
-	g := NewGenerator(Options{})
+	g := NewGenerator(experiments.Options{})
 	if g.opt.Scale != 1 {
 		t.Errorf("Scale defaulted to %v", g.opt.Scale)
-	}
-	if DefaultOptions().Scale != 1 {
-		t.Error("DefaultOptions scale != 1")
 	}
 }
 
