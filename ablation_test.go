@@ -116,62 +116,3 @@ func TestHeadlineClaim(t *testing.T) {
 		}
 	}
 }
-
-// TestPaperModelSelectionReproduced mechanizes Section 3.3.1 end to end:
-// given the paper's candidate event sets and its training/holdout
-// workloads, cross-validated selection arrives at the paper's published
-// choices (Eq. 3 for memory, Eq. 4 for disk, Eq. 5 for I/O).
-func TestPaperModelSelectionReproduced(t *testing.T) {
-	mesa, err := machine.RunWorkload("mesa", 200, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcf, err := machine.RunWorkload("mcf", 260, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dl, err := machine.RunWorkload("diskload", 150, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbt, err := machine.RunWorkload("dbt-2", 120, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Memory: train on mesa (the paper's first attempt), hold out mcf
-	// (the failure case). Selection must abandon the L3 model.
-	memBest, memRank, err := core.SelectModel(core.MemoryCandidates(), mesa, mcf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if memBest.Spec.Name != core.MemBusSpec().Name {
-		t.Errorf("memory selection picked %s; ranking %v", memBest.Spec.Name, memRank)
-	}
-
-	// Disk: train and hold out on disk-exercising traces; the interrupt
-	// +DMA model must beat the single-input rejects.
-	diskBest, diskRank, err := core.SelectModel(core.DiskCandidates(), dl, dbt, dl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diskBest.Spec.Name != core.DiskSpec().Name {
-		t.Errorf("disk selection picked %s; ranking %v", diskBest.Spec.Name, diskRank)
-	}
-
-	// I/O: the interrupt model must beat uncacheable accesses; DMA can
-	// tie on sequential traffic, so just require Eq.5 ranks above uc.
-	_, ioRank, err := core.SelectModel(core.IOCandidates(), dl, dbt, dl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := map[string]int{}
-	for i, c := range ioRank {
-		if c.Model != nil {
-			pos[c.Model.Spec.Name] = i
-		}
-	}
-	if pos[core.IOSpec().Name] > pos[core.IOUncacheableSpec().Name] {
-		t.Errorf("I/O selection ranked uncacheable above interrupts: %v", ioRank)
-	}
-}

@@ -9,24 +9,23 @@
 // Usage:
 //
 //	tdserve [-addr :8080] [-models models.json] [-train-scale 0.05]
-//	        [-queue 256] [-batch 8192] [-workers N]
-//	        [-rate 0] [-burst 0] [-retry-after 1s] [-stale-after 15s]
-//	        [-trace-sample 0.01] [-trace-ring 256] [-slow-trace 50ms]
-//	        [-diag-dir DIR] [-metrics-addr ADDR]
-//	        [-adapt] [-drift-window 180] [-rollback-depth 4] [-adapt-seed 1]
-//	        [-save-models models.json] [-v]
+//	        [-queue 256] [-workers N] [-rate 0] [-burst 0]
+//	        [-trace-sample 0.01] [-diag-dir DIR] [-adapt]
+//	        [-drain-timeout 30s] [-save-models models.json] [-v]
 //
 // Endpoints: POST /ingest (perfctr TDS1 wire batches, with optional
 // TDX1 trace context and TDP1 measured rails), GET /power?node=,
 // GET /fleet, GET /statz, GET /driftz (self-healing adaptation state;
 // 404 unless -adapt), GET /healthz, GET /debug/tracez (sampled +
-// anomaly traces), and
-// /metrics + /debug/pprof via the telemetry registry. -metrics-addr
-// serves the observability mux on a second listener that drains with
-// the service. SIGINT/SIGTERM trigger a graceful shutdown: intake
-// closes, queued batches drain, then the process exits. SIGQUIT dumps
-// a diagnostics bundle (traces, flight ring, metrics, goroutines) to
-// -diag-dir and keeps running.
+// anomaly traces), and /metrics + /debug/pprof via the telemetry
+// registry, all on the one -addr listener. Batches hold at most 8192
+// samples, 429s advertise Retry-After: 1, a node is stale after 15 s
+// without an estimate, and a batch slower than 50 ms end to end is kept
+// as an anomaly trace. -adapt runs drift adaptation over a 180-sample
+// window with 4 rollback models. SIGINT/SIGTERM trigger a graceful
+// shutdown: intake closes, queued batches drain, then the process
+// exits. SIGQUIT dumps a diagnostics bundle (traces, flight ring,
+// metrics, goroutines) to -diag-dir and keeps running.
 package main
 
 import (
@@ -45,7 +44,6 @@ import (
 	"trickledown/internal/core"
 	"trickledown/internal/experiments"
 	"trickledown/internal/serve"
-	"trickledown/internal/telemetry"
 )
 
 func main() {
@@ -56,22 +54,13 @@ func main() {
 	trainScale := flag.Float64("train-scale", 0.05, "training-run duration multiplier when training (no -models)")
 	saveModels := flag.String("save-models", "", "after training, persist the estimator to this JSON file")
 	queue := flag.Int("queue", 256, "ingest queue depth in batches (the backpressure bound)")
-	batch := flag.Int("batch", 8192, "max samples per ingest request")
 	workers := flag.Int("workers", 0, "estimation workers (0 = GOMAXPROCS)")
 	rate := flag.Float64("rate", 0, "per-client admission rate in samples/sec (0 = unlimited)")
 	burst := flag.Float64("burst", 0, "per-client token-bucket burst in samples (0 = derived)")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After advertised on 429 responses")
-	staleAfter := flag.Duration("stale-after", 15*time.Second, "node staleness horizon for the fleet aggregate")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain the queue on shutdown")
 	traceSample := flag.Float64("trace-sample", 0.01, "head-based trace sampling rate in [0,1] for batches without a producer-stamped context")
-	traceRing := flag.Int("trace-ring", 256, "traces retained per /debug/tracez view")
-	slowTrace := flag.Duration("slow-trace", 50*time.Millisecond, "e2e latency past which a batch is always kept as a slow-outlier trace (negative = off)")
 	diagDir := flag.String("diag-dir", "", "write diagnostics bundles here on shedding/quarantine transitions and SIGQUIT (empty = off)")
-	metricsAddr := flag.String("metrics-addr", "", "serve the observability mux on a second listener (empty = off; /metrics is also on -addr)")
 	adaptOn := flag.Bool("adapt", false, "enable self-healing: drift detection on TDP1-rails batches, guarded refit, hot-swap with rollback")
-	driftWindow := flag.Int("drift-window", 180, "adaptation sliding window in observations (refit + shadow evaluation)")
-	rollbackDepth := flag.Int("rollback-depth", 4, "previous champions retained for instant rollback")
-	adaptSeed := flag.Uint64("adapt-seed", 1, "seed for deterministic swap trace IDs")
 	verbose := flag.Bool("v", false, "log per-signal detail")
 	flag.Parse()
 
@@ -88,15 +77,10 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		Estimator:       est,
 		QueueDepth:      *queue,
-		MaxBatch:        *batch,
 		Workers:         *workers,
 		RatePerClient:   *rate,
 		Burst:           *burst,
-		RetryAfter:      *retryAfter,
-		StaleAfter:      *staleAfter,
 		TraceSampleRate: *traceSample,
-		TraceRing:       *traceRing,
-		SlowTrace:       *slowTrace,
 		DiagDir:         *diagDir,
 	})
 	if err != nil {
@@ -104,10 +88,7 @@ func main() {
 	}
 	if *adaptOn {
 		mgr, err := adapt.New(adapt.Config{
-			Champion:      est,
-			Window:        *driftWindow,
-			RollbackDepth: *rollbackDepth,
-			Seed:          *adaptSeed,
+			Champion: est,
 			OnEvent: func(ev adapt.Event) {
 				log.Printf("adapt %s: %s -> %s (%s) trace=%s", ev.Kind, ev.From, ev.To, ev.Detail, ev.Trace)
 			},
@@ -116,18 +97,9 @@ func main() {
 			log.Fatal(err)
 		}
 		srv.SetAdapter(mgr)
-		log.Printf("self-healing enabled window=%d rollback-depth=%d seed=%d",
-			*driftWindow, *rollbackDepth, *adaptSeed)
+		log.Print("self-healing enabled")
 	}
 	srv.Start()
-
-	var obs *telemetry.ObsServer
-	if *metricsAddr != "" {
-		if obs, err = telemetry.Serve(*metricsAddr); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("observability listening addr=%s", obs.Addr())
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -139,8 +111,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}()
-	log.Printf("listening addr=%s queue=%d batch=%d workers=%d rate=%g",
-		ln.Addr(), *queue, *batch, *workers, *rate)
+	log.Printf("listening addr=%s queue=%d workers=%d rate=%g",
+		ln.Addr(), *queue, *workers, *rate)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
@@ -159,9 +131,6 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	_ = httpSrv.Shutdown(ctx)
-	if obs != nil {
-		_ = obs.Shutdown(ctx)
-	}
 	if err := srv.Close(ctx); err != nil {
 		log.Printf("drain incomplete: %v", err)
 	}

@@ -13,6 +13,11 @@
 //	tdvalidate -golden GOLDEN.json -update # re-bless the corpus
 //	tdvalidate -mistrain Memory -golden GOLDEN.json -gate  # must fail
 //
+// A run validates at seed 100 and scale 0.25, or at the corpus's seed
+// and scale when -golden names one to gate against; -update blesses at
+// seed 100 and scale 0.25. Each trace drops its first 5 rows, and the
+// error CIs are 95% bootstrap intervals over 500 resamples.
+//
 // Exit codes: 0 pass, 1 gate violation (or mistrain requested), 2 run
 // incomplete (cancelled, timed out, or a fold failed).
 package main
@@ -24,7 +29,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"trickledown/internal/align"
 	"trickledown/internal/core"
@@ -33,43 +37,40 @@ import (
 	"trickledown/internal/validate"
 )
 
+// The run configuration without a corpus to adopt.
+const (
+	defaultSeed  = 100
+	defaultScale = 0.25
+	warmup       = 5    // rows trimmed from each trace before use
+	resamples    = 500  // bootstrap resamples for the error CIs
+	confidence   = 0.95 // bootstrap CI coverage
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tdvalidate: ")
-	seed := flag.Uint64("seed", 100, "validation run seed")
-	scale := flag.Float64("scale", 0.25, "duration scale (1.0 = paper-length traces)")
 	workers := flag.Int("workers", 0, "fold/simulation parallelism (0 = GOMAXPROCS)")
-	warmup := flag.Int("warmup", 5, "rows trimmed from each trace before use")
-	boot := flag.Int("boot", 500, "bootstrap resamples for the error CIs")
-	conf := flag.Float64("confidence", 0.95, "bootstrap CI coverage")
 	golden := flag.String("golden", "", "golden corpus path (GOLDEN.json)")
 	gate := flag.Bool("gate", false, "fail (exit 1) on any golden-corpus violation")
 	update := flag.Bool("update", false, "re-bless the golden corpus from this run")
-	runChecks := flag.Bool("checks", true, "run the metamorphic conformance checks")
 	out := flag.String("o", "", "write the JSON report to this path")
-	timeout := flag.Duration("timeout", 0, "overall deadline (0 = none)")
 	mistrain := flag.String("mistrain", "", "deliberately corrupt this subsystem's model (CI negative test)")
 	flag.Parse()
 
-	os.Exit(run(*seed, *scale, *workers, *warmup, *boot, *conf,
-		*golden, *gate, *update, *runChecks, *out, *timeout, *mistrain))
+	os.Exit(run(context.Background(), defaultSeed, defaultScale, *workers, resamples,
+		*golden, *gate, *update, true, *out, *mistrain))
 }
 
-func run(seed uint64, scale float64, workers, warmup, boot int, conf float64,
-	golden string, gate, update, runChecks bool, out string, timeout time.Duration,
-	mistrain string) int {
+// run validates at seed and scale (or the corpus's) and returns the exit
+// code. The tests call it at small scales, few resamples and without
+// the conformance checks.
+func run(ctx context.Context, seed uint64, scale float64, workers, boot int,
+	golden string, gate, update, runChecks bool, out, mistrain string) int {
 	// A typo'd -mistrain would corrupt nothing and pass the gate, turning
 	// CI's negative control vacuous — reject unknown names outright.
 	if mistrain != "" && !knownSubsystem(mistrain) {
 		log.Printf("unknown -mistrain subsystem %q (want one of %s)", mistrain, subsystemNames())
 		return 2
-	}
-
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
 	}
 
 	// A gate run must reproduce the corpus configuration exactly, or the
@@ -93,7 +94,7 @@ func run(seed uint64, scale float64, workers, warmup, boot int, conf float64,
 		Scale:      scale,
 		Warmup:     warmup,
 		Resamples:  boot,
-		Confidence: conf,
+		Confidence: confidence,
 		Workers:    workers,
 		Train:      trainFunc(mistrain),
 	}

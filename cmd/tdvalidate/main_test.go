@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -8,10 +9,11 @@ import (
 // An expiring deadline must yield the "incomplete" exit code, promptly
 // and without hanging — the contract an interrupted CI job depends on.
 func TestRunTimeoutExitsIncomplete(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
 	done := make(chan int, 1)
 	go func() {
-		done <- run(7, 0.02, 1, 5, 50, 0.95, "", false, false, false,
-			"", time.Nanosecond, "")
+		done <- run(ctx, 7, 0.02, 1, 50, "", false, false, false, "", "")
 	}()
 	select {
 	case code := <-done:
@@ -26,8 +28,8 @@ func TestRunTimeoutExitsIncomplete(t *testing.T) {
 // A typo'd -mistrain name must be rejected, not silently ignored — an
 // ignored typo would make CI's negative control vacuously pass.
 func TestRunRejectsUnknownMistrain(t *testing.T) {
-	if code := run(7, 0.02, 1, 5, 50, 0.95, "", false, false, false,
-		"", 0, "Banana"); code != 2 {
+	if code := run(context.Background(), 7, 0.02, 1, 50, "", false, false, false,
+		"", "Banana"); code != 2 {
 		t.Fatalf("unknown -mistrain exit = %d, want 2", code)
 	}
 }
@@ -39,16 +41,16 @@ func TestRunGateAndMistrain(t *testing.T) {
 		t.Skip("runs three full validation passes")
 	}
 	golden := t.TempDir() + "/GOLDEN.json"
-	if code := run(7, 0.02, 0, 5, 50, 0.95, golden, false, true, true,
-		"", 0, ""); code != 0 {
+	if code := run(context.Background(), 7, 0.02, 0, 50, golden, false, true, true,
+		"", ""); code != 0 {
 		t.Fatalf("update run exit = %d, want 0", code)
 	}
-	if code := run(7, 0.02, 0, 5, 50, 0.95, golden, true, false, true,
-		"", 0, ""); code != 0 {
+	if code := run(context.Background(), 7, 0.02, 0, 50, golden, true, false, true,
+		"", ""); code != 0 {
 		t.Fatalf("clean gate exit = %d, want 0", code)
 	}
-	if code := run(7, 0.02, 0, 5, 50, 0.95, golden, true, false, true,
-		"", 0, "Memory"); code != 1 {
+	if code := run(context.Background(), 7, 0.02, 0, 50, golden, true, false, true,
+		"", "Memory"); code != 1 {
 		t.Fatalf("mistrained gate exit = %d, want 1", code)
 	}
 }

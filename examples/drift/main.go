@@ -70,7 +70,6 @@ func main() {
 	cfg := adapt.Config{
 		Champion:        frozen,
 		Window:          90,
-		MinFill:         45,
 		GuardWindow:     45,
 		Cooldown:        20,
 		PhaseThresholdW: 500, // the drill streams one workload; no phase gating
@@ -211,12 +210,8 @@ func stream(mgr *adapt.Manager, live *align.Dataset, events *[]adapt.Event, roll
 			}
 		}
 		mgr.Observe(&row.Counters, row.Power)
-		r := mgr.Champion().Estimate(&row.Counters)
-		for _, v := range r {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				nonFinite++
-				break
-			}
+		if mgr.Champion().Estimate(&row.Counters).NonFinite() >= 0 {
+			nonFinite++
 		}
 		if len(*events) > 0 && (*events)[0].Kind == "swap" && swapObs < 0 {
 			swapObs = i

@@ -30,30 +30,31 @@ var (
 		[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 20})
 )
 
+// The detectors' and gate's fixed settings.
+const (
+	// baselineErrPct is the residual detector's slack: per-sample error
+	// this far above zero is in-envelope. It is the GOLDEN corpus's
+	// held-out mean error, rounded up.
+	baselineErrPct = 5
+	// alarmBudgetPct is the Page-Hinkley lambda: the cumulative excess
+	// error (percent·samples) that raises the drift alarm.
+	alarmBudgetPct = 60
+	// envelopeSlackZ is the residual-free CUSUM's per-sample z slack.
+	envelopeSlackZ = 3
+)
+
 // Config tunes a Manager. Champion is required; everything else has a
-// serving-grade default.
+// serving-grade default. A refit is attempted once the window is half
+// full, and a challenger must hold its window error under
+// validate.PaperBoundPct.
 type Config struct {
 	// Champion is the initial serving estimator.
 	Champion *core.Estimator
 	// Window is the sliding-window size in observations for refits and
 	// shadow evaluation. Default 180 (three minutes at 1 Hz).
 	Window int
-	// MinFill is the minimum window occupancy before a refit may be
-	// attempted. Default Window/2.
-	MinFill int
-	// ErrBoundPct is the hard ceiling a challenger's window error must
-	// stay under. Default validate.PaperBoundPct (9%).
-	ErrBoundPct float64
-	// BaselineErrPct seeds the residual detector's slack: per-sample
-	// error this far above zero is considered in-envelope. Take it from
-	// the GOLDEN corpus's held-out mean error. Default 5.
-	BaselineErrPct float64
-	// AlarmBudgetPct is the Page-Hinkley lambda: the cumulative excess
-	// error (percent·samples) that raises the drift alarm. Default 60.
-	AlarmBudgetPct float64
-	// EnvelopeSlackZ and EnvelopeBudgetZ tune the residual-free CUSUM
-	// (per-sample z slack and alarm threshold). Defaults 3 and 240.
-	EnvelopeSlackZ  float64
+	// EnvelopeBudgetZ is the residual-free CUSUM's alarm threshold.
+	// Default 240.
 	EnvelopeBudgetZ float64
 	// RollbackDepth bounds the ring of previous champions. Default 4.
 	RollbackDepth int
@@ -86,21 +87,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 180
-	}
-	if c.MinFill <= 0 {
-		c.MinFill = c.Window / 2
-	}
-	if c.ErrBoundPct <= 0 {
-		c.ErrBoundPct = validate.PaperBoundPct
-	}
-	if c.BaselineErrPct <= 0 {
-		c.BaselineErrPct = 5
-	}
-	if c.AlarmBudgetPct <= 0 {
-		c.AlarmBudgetPct = 60
-	}
-	if c.EnvelopeSlackZ <= 0 {
-		c.EnvelopeSlackZ = 3
 	}
 	if c.EnvelopeBudgetZ <= 0 {
 		c.EnvelopeBudgetZ = 240
@@ -202,11 +188,11 @@ func New(cfg Config) (*Manager, error) {
 		}
 	}
 	var err error
-	if m.resid, err = NewPageHinkley(cfg.BaselineErrPct, cfg.AlarmBudgetPct); err != nil {
+	if m.resid, err = NewPageHinkley(baselineErrPct, alarmBudgetPct); err != nil {
 		return nil, err
 	}
 	envs := championEnvelopes(cfg.Champion)
-	if m.env, err = NewEnvelopeCUSUM(envs, cfg.EnvelopeSlackZ, cfg.EnvelopeBudgetZ); err != nil {
+	if m.env, err = NewEnvelopeCUSUM(envs, envelopeSlackZ, cfg.EnvelopeBudgetZ); err != nil {
 		return nil, err
 	}
 	if m.phases, err = phase.NewDetector(cfg.PhaseThresholdW); err != nil {
@@ -331,7 +317,7 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 	}
 
 	if m.pending &&
-		m.wLen >= m.cfg.MinFill &&
+		m.wLen >= len(m.window)/2 &&
 		m.sinceAttempt >= uint64(m.cfg.Cooldown) &&
 		m.phases.Settled(m.cfg.PhaseSettle) {
 		m.attemptPromoteLocked()
@@ -440,11 +426,11 @@ func (m *Manager) attemptPromoteLocked() {
 		mRetrains.With("rejected").Inc()
 		return
 	}
-	if chalErr > m.cfg.ErrBoundPct || chalErr >= champErr {
+	if chalErr > validate.PaperBoundPct || chalErr >= champErr {
 		m.rejected++
 		mRetrains.With("rejected").Inc()
 		m.lastAlarm = fmt.Sprintf("gate: challenger %.2f%% vs champion %.2f%% (bound %.1f%%)",
-			chalErr, champErr, m.cfg.ErrBoundPct)
+			chalErr, champErr, validate.PaperBoundPct)
 		return
 	}
 

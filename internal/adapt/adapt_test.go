@@ -12,6 +12,7 @@ import (
 	"trickledown/internal/iobus"
 	"trickledown/internal/perfctr"
 	"trickledown/internal/power"
+	"trickledown/internal/validate"
 )
 
 // sampleAt builds a deterministic 2-CPU sample whose rates sweep with i,
@@ -114,9 +115,6 @@ func testConfig(champ *core.Estimator, events *[]Event) Config {
 	return Config{
 		Champion:        champ,
 		Window:          60,
-		MinFill:         30,
-		BaselineErrPct:  5,
-		AlarmBudgetPct:  60,
 		EnvelopeBudgetZ: 1e12, // isolate the residual detector unless a test wants envelopes
 		RollbackDepth:   3,
 		GuardWindow:     25,
@@ -259,7 +257,7 @@ func TestDriftTriggersGuardedSwap(t *testing.T) {
 	if ev.To == "" || ev.To == "unversioned" {
 		t.Errorf("swap To = %q", ev.To)
 	}
-	if ev.WindowErrPct <= 0 || ev.WindowErrPct > cfg.ErrBoundPct && cfg.ErrBoundPct > 0 {
+	if ev.WindowErrPct <= 0 || ev.WindowErrPct > validate.PaperBoundPct {
 		t.Errorf("swap window err = %v", ev.WindowErrPct)
 	}
 	if ev.Trace.IsZero() {

@@ -7,7 +7,6 @@ import (
 
 	"trickledown/internal/daq"
 	"trickledown/internal/perfctr"
-	"trickledown/internal/power"
 	"trickledown/internal/telemetry"
 )
 
@@ -66,16 +65,6 @@ func (q Quality) String() string {
 // robust merge will interpolate across. Longer outages carry no power
 // information worth inventing; those samples are dropped instead.
 const maxInterpGap = 2
-
-// finiteReading reports whether every rail of r is a finite number.
-func finiteReading(r power.Reading) bool {
-	for _, v := range r {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
 
 // MergeRobust pairs DAQ records with counter samples like Merge, but
 // survives a degraded instrumentation chain instead of erroring or —
@@ -151,7 +140,7 @@ func MergeRobust(records []daq.Record, samples []perfctr.Sample) (*Dataset, Qual
 	// cannot hide a dead channel by dilution: NaN poisons the merge).
 	good := recs[:0]
 	for _, r := range recs {
-		if !finiteReading(r.Mean) {
+		if r.Mean.NonFinite() >= 0 {
 			q.BadWindows++
 			continue
 		}

@@ -271,14 +271,8 @@ func (c *Cluster) AddHomogeneousConfig(name, workloadName string, cfg machine.Co
 	return c.add(name, srv)
 }
 
-// AddMixed adds a node with heterogeneous placements.
-func (c *Cluster) AddMixed(name string, seed uint64, placements []machine.Placement) (*Node, error) {
-	cfg := machine.DefaultConfig()
-	cfg.Seed = seed
-	return c.AddMixedConfig(name, cfg, placements)
-}
-
-// AddMixedConfig is AddMixed with an explicit hardware configuration.
+// AddMixedConfig adds a node with heterogeneous placements on an
+// explicit hardware configuration.
 func (c *Cluster) AddMixedConfig(name string, cfg machine.Config, placements []machine.Placement) (*Node, error) {
 	srv, err := machine.NewMixed(cfg, placements)
 	if err != nil {
@@ -482,7 +476,14 @@ func (c *Cluster) RunContext(ctx context.Context, seconds float64) error {
 			if node.skipRun() {
 				continue // quarantined by an earlier run, or powered down
 			}
-			added, err := node.stepRetry(ctx, c.est, seconds, retry)
+			// Retry the node, not the shard: retrying a shard would
+			// re-step its healthy nodes.
+			added := 0
+			err := retry.Run(ctx, mNodeRetries, func() error {
+				k, err := node.step(ctx, c.est, seconds)
+				added += k
+				return err
+			})
 			acc.runs++
 			acc.samples += uint64(added)
 			acc.simSeconds += seconds
@@ -527,37 +528,6 @@ func (c *Cluster) RunContext(ctx context.Context, seconds float64) error {
 	tr.Add(tracez.EvDeparted, int64(n-len(failures)))
 	rec.Finish(tr)
 	return errors.Join(failures...)
-}
-
-// stepRetry runs one node's step under the per-node retry policy. The
-// retry loop lives here (not in the pool) because the pool's unit of
-// work is now a whole shard: retrying a shard would re-step healthy
-// nodes, while retrying the node alone keeps the old semantics exactly.
-func (n *Node) stepRetry(ctx context.Context, est *core.Estimator, seconds float64, r pool.Retry) (int, error) {
-	attempts := r.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	total := 0
-	for attempt := 1; ; attempt++ {
-		added, err := n.step(ctx, est, seconds)
-		total += added
-		if err == nil || attempt >= attempts {
-			return total, err
-		}
-		mNodeRetries.Inc()
-		if wait := r.Backoff(attempt); wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return total, errors.Join(err, ctx.Err())
-			case <-t.C:
-			}
-		} else if ctx.Err() != nil {
-			return total, errors.Join(err, ctx.Err())
-		}
-	}
 }
 
 // step advances one node and folds its fresh samples, converting a
@@ -717,45 +687,11 @@ type Estimate struct {
 	Watts float64
 }
 
-// VisitEstimates streams the per-node estimated means in node insertion
-// order without materializing a fleet-sized slice — the per-interval
-// read path for a scheduler loop over 10k nodes. Quarantined and
-// powered-down nodes are skipped; a healthy powered-on node without
-// samples is an error (ErrNoSamples), and a cluster whose every node is
-// quarantined fails with ErrNodeFailed. It returns the fleet total.
-func (c *Cluster) VisitEstimates(visit func(Estimate)) (float64, error) {
-	nodes := c.nodesView()
-	total := 0.0
-	contributing, quarantined := 0, 0
-	for _, n := range nodes {
-		est, _, ok, err := n.means()
-		if err != nil {
-			return 0, fmt.Errorf("cluster: node %s: %w", n.Name, err)
-		}
-		if !ok {
-			if n.Err() != nil {
-				quarantined++
-			}
-			continue
-		}
-		contributing++
-		total += est
-		if visit != nil {
-			visit(Estimate{Name: n.Name, Watts: est})
-		}
-	}
-	if contributing == 0 && quarantined == len(nodes) && len(nodes) > 0 {
-		return 0, fmt.Errorf("%w: all %d nodes quarantined", ErrNodeFailed, len(nodes))
-	}
-	return total, nil
-}
-
 // SnapshotInto is Snapshot with a caller-owned buffer: estimates are
 // appended to dst[:0] and the (possibly regrown) slice is returned, so a
 // scheduler polling every simulated interval reuses one allocation
 // instead of churning an O(nodes) slice per tick. With a large enough
-// buffer the steady-state call allocates nothing (it iterates inline
-// rather than through VisitEstimates, whose closure would escape).
+// buffer the steady-state call allocates nothing.
 func (c *Cluster) SnapshotInto(dst []Estimate) ([]Estimate, float64, error) {
 	dst = dst[:0]
 	nodes := c.nodesView()

@@ -53,7 +53,9 @@ func TestClusterLifecycle(t *testing.T) {
 	if _, err := c.AddHomogeneous("spare", "idle", 11); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddMixed("shared", 12, []machine.Placement{
+	sharedCfg := machine.DefaultConfig()
+	sharedCfg.Seed = 12
+	if _, err := c.AddMixedConfig("shared", sharedCfg, []machine.Placement{
 		{Workload: "gcc", Thread: 0},
 		{Workload: "dbt-2", Thread: 2},
 	}); err != nil {
@@ -120,7 +122,7 @@ func TestClusterErrors(t *testing.T) {
 	if _, err := c.AddHomogeneous("a", "idle", 2); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if _, err := c.AddMixed("b", 1, nil); err == nil {
+	if _, err := c.AddMixedConfig("b", machine.DefaultConfig(), nil); err == nil {
 		t.Error("empty placements accepted")
 	}
 	// Snapshot before any run fails with ErrNoSamples.

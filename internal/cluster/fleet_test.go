@@ -270,17 +270,14 @@ func TestSnapshotIntoReuse(t *testing.T) {
 		t.Errorf("SnapshotInto allocates %.0f/op with a big enough buffer", allocs)
 	}
 
-	visitTotal, err := c.VisitEstimates(nil) // total-only streaming read
-	if err != nil || visitTotal != wantTotal {
-		t.Errorf("VisitEstimates total = %v (err %v), want %v", visitTotal, err, wantTotal)
-	}
-	var names []string
-	if _, err := c.VisitEstimates(func(e Estimate) { names = append(names, e.Name) }); err != nil {
-		t.Fatal(err)
+	// A nil buffer grows to the same estimates, total and order.
+	fresh, freshTotal, err := c.SnapshotInto(nil)
+	if err != nil || freshTotal != wantTotal || len(fresh) != len(want) {
+		t.Fatalf("SnapshotInto(nil) = %v (%v, err %v), want %v (%v)", fresh, freshTotal, err, want, wantTotal)
 	}
 	for i, e := range want {
-		if names[i] != e.Name {
-			t.Errorf("visit order differs at %d: %s != %s", i, names[i], e.Name)
+		if fresh[i].Name != e.Name {
+			t.Errorf("order differs at %d: %s != %s", i, fresh[i].Name, e.Name)
 		}
 	}
 }

@@ -97,10 +97,22 @@ const (
 // countersPerCPU is the number of u64 fields in CPUCounts.
 const countersPerCPU = 10
 
-// EncodeBatch appends the wire encoding of a node's sample batch to buf
-// (which may be nil) and returns the extended buffer. Callers on the
-// send hot path reuse buf across batches to stay allocation-free.
-func EncodeBatch(buf []byte, node string, samples []Sample) ([]byte, error) {
+// EncodeBatchExt is EncodeBatchFull without measured rails.
+func EncodeBatchExt(buf []byte, node string, samples []Sample, ext TraceExt) ([]byte, error) {
+	return EncodeBatchFull(buf, node, samples, ext, nil)
+}
+
+// EncodeBatchFull appends the wire encoding of a node's sample batch to
+// buf (which may be nil) and returns the extended buffer. When ext
+// carries a non-zero trace ID it appends the TDX1 trace-context
+// extension, and when rails is non-nil the TDP1 measured-rails
+// extension; rails must carry exactly one Reading per sample. Callers
+// on the send hot path reuse buf across batches to stay
+// allocation-free.
+func EncodeBatchFull(buf []byte, node string, samples []Sample, ext TraceExt, rails []power.Reading) ([]byte, error) {
+	if rails != nil && len(rails) != len(samples) {
+		return nil, fmt.Errorf("perfctr: %d rails readings for %d samples", len(rails), len(samples))
+	}
 	if len(node) > maxWireNode {
 		return nil, fmt.Errorf("perfctr: node name %d bytes exceeds wire limit %d", len(node), maxWireNode)
 	}
@@ -116,28 +128,6 @@ func EncodeBatch(buf []byte, node string, samples []Sample) ([]byte, error) {
 		if buf, err = appendSample(buf, &samples[i]); err != nil {
 			return nil, fmt.Errorf("perfctr: sample %d: %w", i, err)
 		}
-	}
-	return buf, nil
-}
-
-// EncodeBatchExt encodes like EncodeBatch and, when ext carries a
-// non-zero trace ID, appends the TDX1 trace-context extension. A zero
-// ext produces output byte-identical to EncodeBatch, so callers can
-// thread the extension unconditionally.
-func EncodeBatchExt(buf []byte, node string, samples []Sample, ext TraceExt) ([]byte, error) {
-	return EncodeBatchFull(buf, node, samples, ext, nil)
-}
-
-// EncodeBatchFull encodes like EncodeBatchExt and, when rails is
-// non-nil, appends the TDP1 measured-rails extension. rails must carry
-// exactly one Reading per sample.
-func EncodeBatchFull(buf []byte, node string, samples []Sample, ext TraceExt, rails []power.Reading) ([]byte, error) {
-	if rails != nil && len(rails) != len(samples) {
-		return nil, fmt.Errorf("perfctr: %d rails readings for %d samples", len(rails), len(samples))
-	}
-	buf, err := EncodeBatch(buf, node, samples)
-	if err != nil {
-		return nil, err
 	}
 	if !ext.IsZero() {
 		buf = append(buf, extMagic[:]...)
@@ -260,14 +250,6 @@ func (r *wireReader) u32() (int, error) {
 // u64at reads the i-th little-endian u64 of b; callers have already
 // checked that the whole block is present.
 func u64at(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
-
-// DecodeBatch parses one wire batch, returning the node name and its
-// samples. A trailing TDX1 trace-context extension is accepted and
-// discarded; callers that want it use DecodeBatchExt.
-func DecodeBatch(buf []byte) (node string, samples []Sample, err error) {
-	node, samples, _, err = DecodeBatchExt(buf)
-	return node, samples, err
-}
 
 // DecodeBatchExt parses one wire batch plus its optional TDX1
 // trace-context extension (ext is zero when absent); a trailing TDP1

@@ -1,6 +1,7 @@
 package perfctr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"reflect"
@@ -37,11 +38,11 @@ func wireTestSamples() []Sample {
 
 func TestWireRoundTrip(t *testing.T) {
 	in := wireTestSamples()
-	buf, err := EncodeBatch(nil, "node07", in)
+	buf, err := EncodeBatchFull(nil, "node07", in, TraceExt{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, out, err := DecodeBatch(buf)
+	node, out, _, _, err := new(Decoder).Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +92,11 @@ func normalizeSample(s Sample) Sample {
 
 func TestWireEncodeReusesBuffer(t *testing.T) {
 	in := wireTestSamples()
-	buf, err := EncodeBatch(nil, "n", in)
+	buf, err := EncodeBatchFull(nil, "n", in, TraceExt{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := EncodeBatch(buf[:0], "n", in)
+	again, err := EncodeBatchFull(buf[:0], "n", in, TraceExt{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestWireEncodeReusesBuffer(t *testing.T) {
 }
 
 func TestWireDecodeRejectsCorruption(t *testing.T) {
-	good, err := EncodeBatch(nil, "node", wireTestSamples())
+	good, err := EncodeBatchFull(nil, "node", wireTestSamples(), TraceExt{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.mut(append([]byte(nil), good...))
-			if _, _, err := DecodeBatch(b); err == nil {
+			if _, _, _, _, err := new(Decoder).Decode(b); err == nil {
 				t.Errorf("corrupt batch decoded without error")
 			}
 		})
@@ -138,20 +139,20 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 }
 
 func TestWireDecodeRejectsNonFiniteTimes(t *testing.T) {
-	buf, err := EncodeBatch(nil, "n", []Sample{{TargetSeconds: 1, IntervalSec: math.NaN()}})
+	buf, err := EncodeBatchFull(nil, "n", []Sample{{TargetSeconds: 1, IntervalSec: math.NaN()}}, TraceExt{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeBatch(buf); err == nil || !strings.Contains(err.Error(), "non-finite") {
+	if _, _, _, _, err := new(Decoder).Decode(buf); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Errorf("NaN interval decoded without error (err=%v)", err)
 	}
 }
 
 func TestWireEncodeRejectsOversize(t *testing.T) {
-	if _, err := EncodeBatch(nil, strings.Repeat("n", maxWireNode+1), nil); err == nil {
+	if _, err := EncodeBatchFull(nil, strings.Repeat("n", maxWireNode+1), nil, TraceExt{}, nil); err == nil {
 		t.Error("oversize node name encoded")
 	}
-	if _, err := EncodeBatch(nil, "n", []Sample{{CPUs: make([]CPUCounts, maxWireCPUs+1)}}); err == nil {
+	if _, err := EncodeBatchFull(nil, "n", []Sample{{CPUs: make([]CPUCounts, maxWireCPUs+1)}}, TraceExt{}, nil); err == nil {
 		t.Error("oversize CPU count encoded")
 	}
 }
@@ -163,7 +164,7 @@ func TestWireEncodeRejectsOversize(t *testing.T) {
 // service reuses one (after a larger frame, a smaller frame and a
 // rejected input) decodes data exactly as a fresh one does.
 func FuzzDecodeBatch(f *testing.F) {
-	good, err := EncodeBatch(nil, "node", wireTestSamples())
+	good, err := EncodeBatchFull(nil, "node", wireTestSamples(), TraceExt{}, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestWireDecodeAllocationBoundedByFrame(t *testing.T) {
 	// for 1024 CPUs per remaining sample.
 	wide := Sample{TargetSeconds: 0, IntervalSec: 1, CPUs: make([]CPUCounts, maxWireCPUs)}
 	mixed := append([]Sample{wide}, make([]Sample, 10_000)...)
-	mixedBuf, err := EncodeBatch(nil, "n", mixed)
+	mixedBuf, err := EncodeBatchFull(nil, "n", mixed, TraceExt{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestWireDecodeAllocationBoundedByFrame(t *testing.T) {
 // TestWireDecodeEmptyMatrixIsNil: a zero-column interrupt matrix decodes
 // as nil Ints, and the per-vector accessors read zero either way.
 func TestWireDecodeEmptyMatrixIsNil(t *testing.T) {
-	_, samples, err := DecodeBatch(emptyMatrixFrame(2, 8))
+	_, samples, _, _, err := new(Decoder).Decode(emptyMatrixFrame(2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func BenchmarkWireEncodeBatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = EncodeBatch(buf[:0], "node00", samples)
+		buf, err = EncodeBatchFull(buf[:0], "node00", samples, TraceExt{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -482,11 +483,6 @@ func TestWireTraceExtRoundTrip(t *testing.T) {
 		t.Errorf("ext round-trip = %+v, want %+v", got, ext)
 	}
 
-	// The plain decoder accepts the extended batch and discards the ext.
-	if _, _, err := DecodeBatch(buf); err != nil {
-		t.Errorf("DecodeBatch on extended batch: %v", err)
-	}
-
 	// Unsampled flag round-trips too.
 	ext.Sampled = false
 	buf, err = EncodeBatchExt(nil, "n", in[:1], ext)
@@ -500,7 +496,7 @@ func TestWireTraceExtRoundTrip(t *testing.T) {
 
 func TestWireTraceExtZeroIsByteIdentical(t *testing.T) {
 	in := wireTestSamples()
-	plain, err := EncodeBatch(nil, "n", in)
+	plain, err := EncodeBatchFull(nil, "n", in, TraceExt{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,9 +529,6 @@ func TestWireTraceExtRejectsMalformed(t *testing.T) {
 	for name, buf := range cases {
 		if _, _, _, err := DecodeBatchExt(buf); err == nil {
 			t.Errorf("%s: decode accepted malformed extension", name)
-		}
-		if _, _, err := DecodeBatch(buf); err == nil {
-			t.Errorf("%s: plain decode accepted malformed extension", name)
 		}
 	}
 }
@@ -582,17 +575,14 @@ func TestWireRailsRoundTrip(t *testing.T) {
 	if _, _, _, err := DecodeBatchExt(buf); err != nil {
 		t.Errorf("DecodeBatchExt on rails batch: %v", err)
 	}
-	// No extensions at all stays byte-identical to EncodeBatch.
+	// The rails block only appends: the frame without extensions is a
+	// prefix of the rails batch.
 	plain, err := EncodeBatchFull(nil, "n", in, TraceExt{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := EncodeBatch(nil, "n", in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, base) {
-		t.Error("EncodeBatchFull without extensions diverges from EncodeBatch")
+	if !bytes.HasPrefix(buf, plain) {
+		t.Error("rails batch does not extend the plain frame")
 	}
 }
 
@@ -606,7 +596,7 @@ func TestWireRailsRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := EncodeBatch(nil, "n", in)
+	base, err := EncodeBatchFull(nil, "n", in, TraceExt{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

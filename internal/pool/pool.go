@@ -41,8 +41,6 @@ var (
 		"work item execution time", nil)
 	mPanics = telemetry.NewCounter("pool_panics_recovered_total",
 		"work item panics recovered and converted to *PanicError")
-	mRetries = telemetry.NewCounter("pool_task_retries_total",
-		"work item re-executions after a failed attempt")
 )
 
 // PanicError is a work item panic converted to an error: the pool (and
@@ -65,11 +63,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic: %v", e.Value)
 }
 
-// Retry is a per-task retry policy for RunRetry. The zero value (and any
-// Attempts < 2) means run each task exactly once.
+// Retry is a retry policy: the one attempt-and-backoff loop that the
+// cluster's node stepping and the service's batch estimation run. The
+// zero value (and any Attempts < 2) means run exactly once.
 type Retry struct {
-	// Attempts is the maximum number of tries per task, including the
-	// first; values below 1 behave as 1.
+	// Attempts is the maximum number of tries, including the first;
+	// values below 1 behave as 1.
 	Attempts int
 	// BaseDelay is the wait before the first retry; it doubles after
 	// every failed attempt (capped at MaxDelay). Zero means no wait.
@@ -84,14 +83,6 @@ type Retry struct {
 // turning a polite retry schedule into a hot loop exactly when the
 // dependency is down hardest.
 const maxBackoff = time.Duration(1) << 62
-
-// Backoff returns the wait before retry number n (1-based): BaseDelay
-// doubled per retry, capped at MaxDelay (or at an internal ceiling when
-// MaxDelay is zero, so the doubling can never overflow time.Duration to
-// a negative — and therefore immediate — wait). Exported so callers
-// running their own retry loops (internal/serve's estimation workers)
-// share one correct schedule instead of re-deriving it.
-func (r Retry) Backoff(n int) time.Duration { return r.backoff(n) }
 
 // backoff returns the wait before retry number n (1-based), doubling
 // from BaseDelay and capped at MaxDelay (or maxBackoff when MaxDelay is
@@ -112,6 +103,36 @@ func (r Retry) backoff(n int) time.Duration {
 		d = r.MaxDelay
 	}
 	return d
+}
+
+// Run calls try until it succeeds or r.Attempts tries have failed,
+// waiting the backoff schedule between tries and counting each retry in
+// retries (nil counts nothing). It returns the last try's error. The
+// wait is context-aware: cancellation abandons the remaining tries and
+// joins ctx.Err() to the last error. Run does not recover panics; each
+// caller converts its own into errors, so a panic is retried like any
+// other failure.
+func (r Retry) Run(ctx context.Context, retries *telemetry.Counter, try func() error) error {
+	for attempt := 1; ; attempt++ {
+		err := try()
+		if err == nil || attempt >= r.Attempts {
+			return err
+		}
+		if retries != nil {
+			retries.Inc()
+		}
+		if wait := r.backoff(attempt); wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-ctx.Done():
+				t.Stop()
+				return errors.Join(err, ctx.Err())
+			case <-t.C:
+			}
+		} else if ctx.Err() != nil {
+			return errors.Join(err, ctx.Err())
+		}
+	}
 }
 
 // Pool is a bounded parallel executor. The zero value is not usable; use
@@ -152,16 +173,6 @@ func (p *Pool) Workers() int { return cap(p.sem) }
 // and joined into the aggregate error at the item's index like any other
 // failure.
 func (p *Pool) Run(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	return p.RunRetry(ctx, n, Retry{}, fn)
-}
-
-// RunRetry is Run with a per-task retry policy: a failed item (error or
-// recovered panic) is re-executed up to r.Attempts times total, waiting
-// r.BaseDelay doubled per retry (capped at r.MaxDelay) between attempts.
-// The backoff wait is context-aware: cancellation during a wait abandons
-// the remaining attempts and reports the last attempt's error alongside
-// ctx.Err(). Only the final attempt's error reaches the aggregate.
-func (p *Pool) RunRetry(ctx context.Context, n int, r Retry, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -190,7 +201,7 @@ dispatch:
 					mTasksRunning.Add(-1)
 					mTasksCompleted.Inc()
 				}()
-				errs[i] = runAttempts(ctx, i, r, fn)
+				errs[i] = runProtected(ctx, i, fn)
 			}(i)
 		}
 	}
@@ -198,36 +209,7 @@ dispatch:
 	return errors.Join(errs...)
 }
 
-// runAttempts executes one work item under the retry policy, holding the
-// caller's pool slot across attempts (a retry is the same work item, not
-// new work).
-func runAttempts(ctx context.Context, i int, r Retry, fn func(ctx context.Context, i int) error) error {
-	attempts := r.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = runProtected(ctx, i, fn)
-		if err == nil || attempt >= attempts {
-			return err
-		}
-		mRetries.Inc()
-		if wait := r.backoff(attempt); wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return errors.Join(err, ctx.Err())
-			case <-t.C:
-			}
-		} else if ctx.Err() != nil {
-			return errors.Join(err, ctx.Err())
-		}
-	}
-}
-
-// runProtected runs one attempt with panic recovery.
+// runProtected runs one work item with panic recovery.
 func runProtected(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"trickledown/internal/telemetry"
 )
 
 func TestRunExecutesEveryItem(t *testing.T) {
@@ -186,13 +188,14 @@ func TestRunPanicIndexOrder(t *testing.T) {
 	}
 }
 
+// The TestRunRetry tests drive Retry.Run, the one retry loop.
+
 func TestRunRetrySucceedsAfterTransientFailures(t *testing.T) {
-	p := New(2)
-	var attempts atomic.Int64
-	err := p.RunRetry(context.Background(), 1,
-		Retry{Attempts: 4, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
-		func(_ context.Context, i int) error {
-			if attempts.Add(1) < 3 {
+	retries := telemetry.NewCounter("pool_test_transient_retries_total", "test")
+	attempts := 0
+	err := Retry{Attempts: 4, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}.Run(
+		context.Background(), retries, func() error {
+			if attempts++; attempts < 3 {
 				return fmt.Errorf("transient")
 			}
 			return nil
@@ -200,55 +203,65 @@ func TestRunRetrySucceedsAfterTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry did not recover transient failure: %v", err)
 	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3", got)
+	if attempts != 3 {
+		t.Errorf("attempts = %d, want 3", attempts)
+	}
+	if got := retries.Value(); got != 2 {
+		t.Errorf("retries counted = %d, want 2", got)
 	}
 }
 
 func TestRunRetryExhaustsAttempts(t *testing.T) {
-	p := New(1)
-	var attempts atomic.Int64
-	err := p.RunRetry(context.Background(), 1, Retry{Attempts: 3},
-		func(context.Context, int) error {
-			attempts.Add(1)
-			return fmt.Errorf("permanent failure")
-		})
+	attempts := 0
+	err := Retry{Attempts: 3}.Run(context.Background(), nil, func() error {
+		attempts++
+		return fmt.Errorf("permanent failure")
+	})
 	if err == nil || !strings.Contains(err.Error(), "permanent failure") {
 		t.Fatalf("err = %v, want the final attempt's failure", err)
 	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3", got)
+	if attempts != 3 {
+		t.Errorf("attempts = %d, want 3", attempts)
+	}
+	// The zero policy runs exactly once.
+	attempts = 0
+	if err := (Retry{}).Run(context.Background(), nil, func() error {
+		attempts++
+		return fmt.Errorf("once")
+	}); err == nil || attempts != 1 {
+		t.Errorf("zero policy: err = %v after %d attempts, want one failed attempt", err, attempts)
 	}
 }
 
+// TestRunRetryRetriesPanics checks that a panic its caller converts to
+// an error (here the pool's own recovery) is retried like any failure.
 func TestRunRetryRetriesPanics(t *testing.T) {
-	p := New(1)
-	var attempts atomic.Int64
-	err := p.RunRetry(context.Background(), 1, Retry{Attempts: 2},
-		func(context.Context, int) error {
-			if attempts.Add(1) == 1 {
+	attempts := 0
+	err := Retry{Attempts: 2}.Run(context.Background(), nil, func() error {
+		return runProtected(context.Background(), 0, func(context.Context, int) error {
+			if attempts++; attempts == 1 {
 				panic("first attempt explodes")
 			}
 			return nil
 		})
+	})
 	if err != nil {
 		t.Fatalf("panicking first attempt not retried: %v", err)
 	}
-	if got := attempts.Load(); got != 2 {
-		t.Errorf("attempts = %d, want 2", got)
+	if attempts != 2 {
+		t.Errorf("attempts = %d, want 2", attempts)
 	}
 }
 
 // TestRunRetryBackoffHonorsCancellation checks a cancelled context cuts
 // the backoff wait short instead of sleeping out the full schedule.
 func TestRunRetryBackoffHonorsCancellation(t *testing.T) {
-	p := New(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	start := time.Now()
 	done := make(chan error, 1)
 	go func() {
-		done <- p.RunRetry(ctx, 1, Retry{Attempts: 10, BaseDelay: time.Hour},
-			func(context.Context, int) error { return fmt.Errorf("always fails") })
+		done <- Retry{Attempts: 10, BaseDelay: time.Hour}.Run(ctx, nil,
+			func() error { return fmt.Errorf("always fails") })
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
@@ -267,7 +280,7 @@ func TestRunRetryBackoffHonorsCancellation(t *testing.T) {
 			t.Errorf("backoff ignored cancellation (took %v)", elapsed)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunRetry hung in backoff after cancellation")
+		t.Fatal("Retry.Run hung in backoff after cancellation")
 	}
 }
 
@@ -276,21 +289,19 @@ func TestRunRetryBackoffHonorsCancellation(t *testing.T) {
 // must still notice a dead context between attempts instead of burning
 // through the remaining attempts.
 func TestRunRetryZeroDelayStopsWhenCancelled(t *testing.T) {
-	p := New(1)
 	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	err := p.RunRetry(ctx, 1, Retry{Attempts: 100},
-		func(context.Context, int) error {
-			if calls.Add(1) == 2 {
-				cancel()
-			}
-			return fmt.Errorf("always fails")
-		})
+	calls := 0
+	err := Retry{Attempts: 100}.Run(ctx, nil, func() error {
+		if calls++; calls == 2 {
+			cancel()
+		}
+		return fmt.Errorf("always fails")
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled in the join", err)
 	}
-	if n := calls.Load(); n != 2 {
-		t.Errorf("attempts after cancellation = %d, want 2", n)
+	if calls != 2 {
+		t.Errorf("attempts after cancellation = %d, want 2", calls)
 	}
 }
 

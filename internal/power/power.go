@@ -8,6 +8,8 @@
 // that the fitted models' residual error is earned, not assumed.
 package power
 
+import "math"
+
 // Subsystem identifies one of the five measured rails.
 type Subsystem int
 
@@ -140,4 +142,15 @@ func (r Reading) Total() float64 {
 		t += v
 	}
 	return t
+}
+
+// NonFinite returns the first rail of r that is NaN or ±Inf, or -1 when
+// every rail is a finite number.
+func (r Reading) NonFinite() Subsystem {
+	for i, v := range r {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Subsystem(i)
+		}
+	}
+	return -1
 }

@@ -198,3 +198,30 @@ func TestDiskPowerStandbyAndSpinup(t *testing.T) {
 		t.Errorf("spinup power = %v, want surge above idle %v", spinup, idle)
 	}
 }
+
+func TestReadingNonFinite(t *testing.T) {
+	cases := []struct {
+		name string
+		v    float64
+		want Subsystem
+	}{
+		{"NaN", math.NaN(), SubMemory},
+		{"+Inf", math.Inf(1), SubMemory},
+		{"-Inf", math.Inf(-1), SubMemory},
+		{"+MaxFloat64", math.MaxFloat64, -1},
+		{"-MaxFloat64", -math.MaxFloat64, -1},
+		{"1.5e308", 1.5e308, -1},
+		{"-0", math.Copysign(0, -1), -1},
+	}
+	for _, tc := range cases {
+		r := Reading{1, 2, 3, 4, 5}
+		r[SubMemory] = tc.v
+		if got := r.NonFinite(); got != tc.want {
+			t.Errorf("%s: NonFinite = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	// The first non-finite rail wins.
+	if got := (Reading{1, math.NaN(), 3, math.Inf(1), 5}).NonFinite(); got != SubChipset {
+		t.Errorf("two bad rails: NonFinite = %d, want %d", got, SubChipset)
+	}
+}

@@ -114,9 +114,6 @@ func adaptManagerConfig(champ *core.Estimator) adapt.Config {
 	return adapt.Config{
 		Champion:        champ,
 		Window:          60,
-		MinFill:         30,
-		BaselineErrPct:  5,
-		AlarmBudgetPct:  60,
 		EnvelopeBudgetZ: 1e12,
 		RollbackDepth:   3,
 		GuardWindow:     25,
@@ -128,7 +125,7 @@ func adaptManagerConfig(champ *core.Estimator) adapt.Config {
 }
 
 // feedAdaptDrill streams pre samples of the training regime then post
-// drifted ones through IngestFull in small batches, waiting for the
+// drifted ones through Ingest in small batches, waiting for the
 // worker to drain each so manager decisions are ordered.
 func feedAdaptDrill(t *testing.T, s *Server, pre, post int, shift float64) {
 	t.Helper()
@@ -150,8 +147,8 @@ func feedAdaptDrill(t *testing.T, s *Server, pre, post int, shift float64) {
 			rails = append(rails, adaptRails(&smp, sh))
 			samples = append(samples, smp)
 		}
-		if err := s.IngestFull("drill", "node0", samples, rails, tracez.Context{}); err != nil {
-			t.Fatalf("IngestFull at %d: %v", start, err)
+		if err := s.Ingest("drill", "node0", samples, rails, tracez.Context{}); err != nil {
+			t.Fatalf("Ingest at %d: %v", start, err)
 		}
 		waitEstimated(t, s, uint64(end))
 	}
@@ -279,8 +276,8 @@ func TestAdapterSwapMidBatchServesTheRest(t *testing.T) {
 			samples = append(samples, smp)
 			rails = append(rails, r)
 		}
-		if err := s.IngestFull("drill", "node0", samples, rails, tracez.Context{}); err != nil {
-			t.Fatalf("IngestFull [%d, %d): %v", from, to, err)
+		if err := s.Ingest("drill", "node0", samples, rails, tracez.Context{}); err != nil {
+			t.Fatalf("Ingest [%d, %d): %v", from, to, err)
 		}
 		waitEstimated(t, s, uint64(to))
 	}
@@ -321,7 +318,7 @@ func TestLongBatchEstimatesEveryChunk(t *testing.T) {
 	est := testEstimator(t)
 	s := newServer(t, Config{Estimator: est, Workers: 1, QueueDepth: 8})
 	batch := mkBatch(2*core.BatchSize+3, 2, 11)
-	if err := s.Ingest("c", "n", batch); err != nil {
+	if err := s.Ingest("c", "n", batch, nil, tracez.Context{}); err != nil {
 		t.Fatal(err)
 	}
 	waitEstimated(t, s, uint64(len(batch)))

@@ -147,11 +147,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		client = r.RemoteAddr
 	}
 	// A producer-stamped trace context wins (same ID on both sides of
-	// the wire); batches without one get a server-minted identity.
+	// the wire); admit mints one for batches without.
 	tc := tracez.Context{ID: tracez.TraceID(ext.ID), Sampled: ext.Sampled}
-	if tc.ID.IsZero() {
-		tc = s.rec.Mint()
-	}
 	switch err := s.admit(client, &batch{node: node, samples: samples, rails: rails, tc: tc, dec: dec}); {
 	case err == nil:
 		w.WriteHeader(http.StatusAccepted)

@@ -148,7 +148,7 @@ func TestIngestPooledBodyNotAliased(t *testing.T) {
 		node    string
 		samples []perfctr.Sample
 	}{{"first", first}, {"second", second}} {
-		wire, err := perfctr.EncodeBatch(nil, b.node, b.samples)
+		wire, err := perfctr.EncodeBatchFull(nil, b.node, b.samples, perfctr.TraceExt{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestIngestRecycledDecoderMatchesFresh(t *testing.T) {
 	h := s.Handler()
 	post := func(node string, samples []perfctr.Sample) {
 		t.Helper()
-		wire, err := perfctr.EncodeBatch(nil, node, samples)
+		wire, err := perfctr.EncodeBatchFull(nil, node, samples, perfctr.TraceExt{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

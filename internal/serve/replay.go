@@ -7,6 +7,7 @@ import (
 
 	"trickledown/internal/align"
 	"trickledown/internal/perfctr"
+	"trickledown/internal/tracez"
 )
 
 // IngestDataset streams an aligned dataset's counter samples into the
@@ -36,7 +37,7 @@ func (s *Server) IngestDataset(ctx context.Context, client, node string, ds *ali
 			samples[i] = ds.Rows[lo+i].Counters
 		}
 		for {
-			err := s.Ingest(client, node, samples)
+			err := s.Ingest(client, node, samples, nil, tracez.Context{})
 			if err == nil {
 				sent += len(samples)
 				break

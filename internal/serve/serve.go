@@ -95,6 +95,10 @@ var (
 // the state, short enough to clear promptly once producers back off.
 const shedHold = 2 * time.Second
 
+// staleAfter is the wall-clock age past which a node's last reading is
+// excluded from the fleet aggregate and counted stale.
+const staleAfter = 15 * time.Second
+
 // Config configures a Server. The zero value of every field except
 // Estimator is usable; defaults are documented per field.
 type Config struct {
@@ -116,24 +120,13 @@ type Config struct {
 	Burst float64
 	// RetryAfter is advertised on 429 responses (default 1s).
 	RetryAfter time.Duration
-	// NominalHz is the sampled machines' core clock for per-cycle
-	// normalization (default sim.DefaultCoreHz).
-	NominalHz float64
 	// Retry is the per-batch estimation retry policy for recovered
-	// panics (default: no retries). The backoff schedule is
-	// pool.Retry's overflow-safe doubling.
+	// panics (default: no retries).
 	Retry pool.Retry
-	// StaleAfter is the wall-clock age past which a node's last reading
-	// is excluded from the fleet aggregate and counted stale
-	// (default 15s).
-	StaleAfter time.Duration
 	// TraceSampleRate is the head-based trace sampling probability in
 	// [0,1] applied to batches whose producer did not already carry a
 	// trace context (default 0: anomalies only).
 	TraceSampleRate float64
-	// TraceRing bounds each /debug/tracez retention view in traces
-	// (default 256).
-	TraceRing int
 	// SlowTrace promotes a batch whose end-to-end latency exceeds it to
 	// an always-kept anomaly trace (default 50ms; negative disables).
 	SlowTrace time.Duration
@@ -162,12 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.NominalHz <= 0 {
-		c.NominalHz = sim.DefaultCoreHz
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 15 * time.Second
 	}
 	if c.SlowTrace == 0 {
 		c.SlowTrace = 50 * time.Millisecond
@@ -261,7 +248,6 @@ func New(cfg Config) (*Server, error) {
 		cfg: cfg,
 		rec: tracez.NewRecorder(tracez.Config{
 			SampleRate:    cfg.TraceSampleRate,
-			RingSize:      cfg.TraceRing,
 			SlowThreshold: cfg.SlowTrace,
 		}),
 		flight:      tracez.Flight(),
@@ -412,37 +398,31 @@ func (s *Server) faultInjector() perfctr.FaultInjector {
 // Ingest admits a batch of one node's samples on behalf of client. It
 // returns nil when the batch is queued (ARRIVED→QUEUED), or one of
 // ErrBatchTooLarge, ErrRateLimited, ErrQueueFull, ErrClosed. The samples
-// slice is owned by the server after a nil return. A trace context is
-// minted locally; producers that stamped their own use IngestTraced.
-func (s *Server) Ingest(client, node string, samples []perfctr.Sample) error {
-	return s.IngestTraced(client, node, samples, s.rec.Mint())
-}
-
-// IngestTraced is Ingest with an explicit trace context — the wire path,
-// where the producer minted the ID and made the sampling decision so
-// client and server views of one batch share an identity. Rejections
-// (shed, rate-limit) are recorded as always-kept anomaly traces even
-// when tc is unsampled; admitted unsampled batches record nothing and
-// allocate nothing beyond the batch itself.
-func (s *Server) IngestTraced(client, node string, samples []perfctr.Sample, tc tracez.Context) error {
-	return s.IngestFull(client, node, samples, nil, tc)
-}
-
-// IngestFull is IngestTraced with per-sample measured rails riding
-// along (the TDP1 wire extension). When an adapter is installed the
-// rails become drift-detection ground truth; without one they are
-// ignored. rails must be nil or exactly one Reading per sample.
-func (s *Server) IngestFull(client, node string, samples []perfctr.Sample, rails []power.Reading, tc tracez.Context) error {
+// and rails slices are owned by the server after a nil return.
+//
+// rails, the measured per-sample power of the TDP1 wire extension, must
+// be nil or exactly one Reading per sample; with an adapter installed
+// they become drift-detection ground truth, without one they are
+// ignored. tc is the producer's trace context, so client and server
+// views of one batch share an identity; a zero tc gets a server-minted
+// one. Rejections (shed, rate-limit) are recorded as always-kept anomaly
+// traces even when tc is unsampled; admitted unsampled batches record
+// nothing and allocate nothing beyond the batch itself.
+func (s *Server) Ingest(client, node string, samples []perfctr.Sample, rails []power.Reading, tc tracez.Context) error {
 	return s.admit(client, &batch{node: node, samples: samples, rails: rails, tc: tc})
 }
 
-// admit queues b on behalf of client, or reports why not. When b is not
-// queued its decoder goes back to the pool at once; when it is, the
-// worker that estimates it returns the decoder.
+// admit is Ingest for a batch that may carry the decoder its storage was
+// carved from (the /ingest path). When b is not queued its decoder goes
+// back to the pool at once; when it is, the worker that estimates it
+// returns the decoder.
 func (s *Server) admit(client string, b *batch) error {
 	if len(b.samples) == 0 {
 		putDecoder(b.dec)
 		return nil
+	}
+	if b.tc.ID.IsZero() {
+		b.tc = s.rec.Mint()
 	}
 	err := s.enqueue(client, b)
 	if err != nil {
@@ -562,27 +542,7 @@ func (s *Server) workerLoop(ctx context.Context, worker int) {
 // counted, and retried with overflow-safe backoff; retries exhausted
 // means the batch is dropped, never the worker.
 func (s *Server) runBatch(ctx context.Context, b *batch, scratch *workerScratch, worker int) {
-	attempts := s.cfg.Retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for attempt := 1; ; attempt++ {
-		err := s.processProtected(b, scratch, worker)
-		if err == nil || attempt >= attempts {
-			return
-		}
-		if wait := s.cfg.Retry.Backoff(attempt); wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return
-			case <-t.C:
-			}
-		} else if ctx.Err() != nil {
-			return
-		}
-	}
+	_ = s.cfg.Retry.Run(ctx, nil, func() error { return s.processProtected(b, scratch, worker) })
 }
 
 // processProtected is one estimation attempt with panic containment.
@@ -663,11 +623,11 @@ func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 			chunk := b.samples[lo:min(lo+core.BatchSize, end)]
 			ms, out := sc.ms[:len(chunk)], sc.out[:len(chunk)]
 			for j := range chunk {
-				core.ExtractMetricsAtInto(&ms[j], &chunk[j], s.cfg.NominalHz)
+				core.ExtractMetricsAtInto(&ms[j], &chunk[j], sim.DefaultCoreHz)
 			}
 			seg.est.EstimateBatch(out, ms, &sc.cols)
 			for j := range out {
-				if finiteReading(out[j]) {
+				if out[j].NonFinite() < 0 {
 					lastR = out[j]
 					hasGood = true
 				} else {
@@ -767,16 +727,6 @@ func modelVersion(e *core.Estimator) string {
 	return "unversioned"
 }
 
-// finiteReading reports whether every rail of r is finite.
-func finiteReading(r power.Reading) bool {
-	for _, v := range r {
-		if v != v || v > 1e308 || v < -1e308 {
-			return false
-		}
-	}
-	return true
-}
-
 // node returns (creating on first sight) the state for a node name.
 func (s *Server) node(name string) *nodeState {
 	s.nodesMu.RLock()
@@ -836,7 +786,7 @@ func (s *Server) NodePower(name string) (NodePower, bool) {
 	if !st.lastWall.IsZero() {
 		np.AgeSeconds = now.Sub(st.lastWall).Seconds()
 	}
-	np.Stale = st.lastWall.IsZero() || now.Sub(st.lastWall) > s.cfg.StaleAfter
+	np.Stale = st.lastWall.IsZero() || now.Sub(st.lastWall) > staleAfter
 	if st.hasGood {
 		np.Power = readingMap(st.last)
 	}
@@ -886,7 +836,7 @@ func (s *Server) Fleet() FleetPower {
 	}
 	for _, st := range states {
 		st.mu.Lock()
-		fresh := !st.lastWall.IsZero() && now.Sub(st.lastWall) <= s.cfg.StaleAfter
+		fresh := !st.lastWall.IsZero() && now.Sub(st.lastWall) <= staleAfter
 		if fresh && st.hasGood {
 			for i := range sum {
 				sum[i] += st.last[i]

@@ -149,7 +149,7 @@ func TestIngestEstimatesMatchDirect(t *testing.T) {
 	// The server owns samples after Ingest; keep a copy for the oracle.
 	oracle := make([]perfctr.Sample, len(batch))
 	copy(oracle, batch)
-	if err := s.Ingest("c1", "node-a", batch); err != nil {
+	if err := s.Ingest("c1", "node-a", batch, nil, tracez.Context{}); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
 	closeServer(t, s)
@@ -189,7 +189,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	s.SetFaultInjector(&blockingInjector{release: rel})
 
 	// First batch wedges the single worker; wait until it leaves the queue.
-	if err := s.Ingest("c", "n", mkBatch(2, 1, 0)); err != nil {
+	if err := s.Ingest("c", "n", mkBatch(2, 1, 0), nil, tracez.Context{}); err != nil {
 		t.Fatalf("Ingest 0: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -201,12 +201,12 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 	// Two more fill the bounded queue exactly.
 	for i := 1; i <= 2; i++ {
-		if err := s.Ingest("c", "n", mkBatch(2, 1, 10)); err != nil {
+		if err := s.Ingest("c", "n", mkBatch(2, 1, 10), nil, tracez.Context{}); err != nil {
 			t.Fatalf("Ingest %d: %v", i, err)
 		}
 	}
 	// The next one must be shed, immediately, with the typed error.
-	err := s.Ingest("c", "n", mkBatch(3, 1, 20))
+	err := s.Ingest("c", "n", mkBatch(3, 1, 20), nil, tracez.Context{})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("Ingest overflow: got %v, want ErrQueueFull", err)
 	}
@@ -233,21 +233,21 @@ func TestRateLimitedPerClient(t *testing.T) {
 		Estimator: testEstimator(t), Workers: 1, QueueDepth: 64,
 		RatePerClient: 10, Burst: 10,
 	})
-	if err := s.Ingest("heavy", "n", mkBatch(10, 1, 0)); err != nil {
+	if err := s.Ingest("heavy", "n", mkBatch(10, 1, 0), nil, tracez.Context{}); err != nil {
 		t.Fatalf("first batch within burst: %v", err)
 	}
-	if err := s.Ingest("heavy", "n", mkBatch(10, 1, 0)); !errors.Is(err, ErrRateLimited) {
+	if err := s.Ingest("heavy", "n", mkBatch(10, 1, 0), nil, tracez.Context{}); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("second batch: got %v, want ErrRateLimited", err)
 	}
 	// A different client has its own bucket.
-	if err := s.Ingest("light", "n", mkBatch(10, 1, 0)); err != nil {
+	if err := s.Ingest("light", "n", mkBatch(10, 1, 0), nil, tracez.Context{}); err != nil {
 		t.Fatalf("other client: %v", err)
 	}
 }
 
 func TestBatchTooLarge(t *testing.T) {
 	s := newServer(t, Config{Estimator: testEstimator(t), MaxBatch: 4, Workers: 1})
-	err := s.Ingest("c", "n", mkBatch(5, 1, 0))
+	err := s.Ingest("c", "n", mkBatch(5, 1, 0), nil, tracez.Context{})
 	if !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("got %v, want ErrBatchTooLarge", err)
 	}
@@ -256,7 +256,7 @@ func TestBatchTooLarge(t *testing.T) {
 func TestIngestAfterCloseReturnsErrClosed(t *testing.T) {
 	s := newServer(t, Config{Estimator: testEstimator(t), Workers: 1})
 	closeServer(t, s)
-	if err := s.Ingest("c", "n", mkBatch(1, 1, 0)); !errors.Is(err, ErrClosed) {
+	if err := s.Ingest("c", "n", mkBatch(1, 1, 0), nil, tracez.Context{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
 }
@@ -279,7 +279,7 @@ func TestConcurrentProducers(t *testing.T) {
 			client := fmt.Sprintf("client-%d", p)
 			node := fmt.Sprintf("node-%d", p%3)
 			for b := 0; b < batches; b++ {
-				err := s.Ingest(client, node, mkBatch(batchN, 2, float64(b*batchN)))
+				err := s.Ingest(client, node, mkBatch(batchN, 2, float64(b*batchN)), nil, tracez.Context{})
 				mu.Lock()
 				if err == nil {
 					admitted += batchN
@@ -331,7 +331,7 @@ func TestHardCancelAbandonsQueue(t *testing.T) {
 
 	const batchN = 4
 	for i := 0; i < 5; i++ {
-		if err := s.Ingest("c", "n", mkBatch(batchN, 1, float64(i))); err != nil {
+		if err := s.Ingest("c", "n", mkBatch(batchN, 1, float64(i)), nil, tracez.Context{}); err != nil {
 			t.Fatalf("Ingest %d: %v", i, err)
 		}
 	}
@@ -360,7 +360,7 @@ func TestHardCancelAbandonsQueue(t *testing.T) {
 
 func TestNonFiniteEstimatesQuarantined(t *testing.T) {
 	s := newServer(t, Config{Estimator: nanEstimator(t), Workers: 1, QueueDepth: 8})
-	if err := s.Ingest("c", "n", mkBatch(6, 1, 0)); err != nil {
+	if err := s.Ingest("c", "n", mkBatch(6, 1, 0), nil, tracez.Context{}); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
 	closeServer(t, s)
@@ -383,6 +383,38 @@ func TestNonFiniteEstimatesQuarantined(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("fleet %s = %v: NaN escaped the quarantine", k, v)
 		}
+	}
+}
+
+// TestHugeFiniteEstimateNotQuarantined: a rail past 1e308 is still a
+// finite number, so it is served, not counted as non-finite.
+func TestHugeFiniteEstimateNotQuarantined(t *testing.T) {
+	models := make([]*core.Model, 0, power.NumSubsystems)
+	for _, sub := range power.Subsystems() {
+		base := 10.0
+		if sub == power.SubCPU {
+			base = 1.5e308
+		}
+		models = append(models, testModel(sub, base, 0))
+	}
+	est, err := core.NewEstimator(models...)
+	if err != nil {
+		t.Fatalf("NewEstimator: %v", err)
+	}
+	s := newServer(t, Config{Estimator: est, Workers: 1, QueueDepth: 8})
+	if err := s.Ingest("c", "n", mkBatch(3, 1, 0), nil, tracez.Context{}); err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	closeServer(t, s)
+	np, ok := s.NodePower("n")
+	if !ok {
+		t.Fatal("node not tracked")
+	}
+	if np.Samples != 3 || np.NonFinite != 0 {
+		t.Fatalf("samples=%d nonfinite=%d, want 3/0", np.Samples, np.NonFinite)
+	}
+	if got := np.Power[power.SubCPU.String()]; got != 1.5e308 {
+		t.Errorf("CPU = %v, want 1.5e308", got)
 	}
 }
 
@@ -431,8 +463,8 @@ func TestRetryRecoversPanickingBatch(t *testing.T) {
 	for i := range samples {
 		rails[i] = adaptRails(&samples[i], 0)
 	}
-	if err := s.IngestFull("c", "n", samples, rails, tracez.Context{}); err != nil {
-		t.Fatalf("IngestFull: %v", err)
+	if err := s.Ingest("c", "n", samples, rails, tracez.Context{}); err != nil {
+		t.Fatalf("Ingest: %v", err)
 	}
 	closeServer(t, s)
 	if got := mgr.Status().Observations; got != uint64(len(samples)) {
@@ -459,7 +491,7 @@ func TestHTTPIngestRoundTrip(t *testing.T) {
 
 	batch := mkBatch(8, 2, 7)
 	oracle := batch[len(batch)-1]
-	wire, err := perfctr.EncodeBatch(nil, "web-node", batch)
+	wire, err := perfctr.EncodeBatchFull(nil, "web-node", batch, perfctr.TraceExt{}, nil)
 	if err != nil {
 		t.Fatalf("EncodeBatch: %v", err)
 	}
@@ -531,7 +563,7 @@ func TestHTTP429CarriesRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	wire, err := perfctr.EncodeBatch(nil, "n", mkBatch(2, 1, 0))
+	wire, err := perfctr.EncodeBatchFull(nil, "n", mkBatch(2, 1, 0), perfctr.TraceExt{}, nil)
 	if err != nil {
 		t.Fatalf("EncodeBatch: %v", err)
 	}

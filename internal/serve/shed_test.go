@@ -9,6 +9,7 @@ import (
 
 	"trickledown/internal/faults"
 	"trickledown/internal/perfctr"
+	"trickledown/internal/tracez"
 )
 
 // slowFaults wraps a real faults.Injector and adds a fixed service-time
@@ -62,7 +63,7 @@ func TestSheddingDrillUnderOverload(t *testing.T) {
 	var admitted, shed int
 	maxDepth := 0
 	for i := 0; i < sends; i++ {
-		err := s.Ingest("drill", "drill-node", mkBatch(batchN, 2, float64(i*batchN)))
+		err := s.Ingest("drill", "drill-node", mkBatch(batchN, 2, float64(i*batchN)), nil, tracez.Context{})
 		switch {
 		case err == nil:
 			admitted++

@@ -43,8 +43,8 @@ func TestSampledTraceRecordsFullJourney(t *testing.T) {
 	if !tc.Sampled {
 		t.Fatal("rate-1 mint not sampled")
 	}
-	if err := s.IngestTraced("c1", "node-a", mkBatch(4, 2, 100), tc); err != nil {
-		t.Fatalf("IngestTraced: %v", err)
+	if err := s.Ingest("c1", "node-a", mkBatch(4, 2, 100), nil, tc); err != nil {
+		t.Fatalf("Ingest: %v", err)
 	}
 	snap := drainTraces(t, s.Tracer(), 1)
 	if len(snap.Recent) != 1 {
@@ -129,7 +129,7 @@ func TestShedAnomalyAlwaysKeptAndBundled(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		tc := s.Tracer().Mint()
-		if err := s.IngestTraced("c1", "node-s", mkBatch(1, 1, 10), tc); err == ErrQueueFull {
+		if err := s.Ingest("c1", "node-s", mkBatch(1, 1, 10), nil, tc); err == ErrQueueFull {
 			shedID = tc.ID
 			break
 		}
@@ -176,8 +176,8 @@ func TestUnsampledQuarantineReconstructed(t *testing.T) {
 	if tc.Sampled {
 		t.Fatal("rate-0 mint sampled")
 	}
-	if err := s.IngestTraced("c1", "node-q", mkBatch(3, 1, 7), tc); err != nil {
-		t.Fatalf("IngestTraced: %v", err)
+	if err := s.Ingest("c1", "node-q", mkBatch(3, 1, 7), nil, tc); err != nil {
+		t.Fatalf("Ingest: %v", err)
 	}
 	snap := drainTraces(t, s.Tracer(), 1)
 	if len(snap.Errored) != 1 {
@@ -203,7 +203,7 @@ func TestUnsampledSlowOutlierPromoted(t *testing.T) {
 		Estimator: testEstimator(t), Workers: 1,
 		TraceSampleRate: 0, SlowTrace: time.Nanosecond,
 	})
-	if err := s.Ingest("c1", "node-slow", mkBatch(2, 1, 3)); err != nil {
+	if err := s.Ingest("c1", "node-slow", mkBatch(2, 1, 3), nil, tracez.Context{}); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
 	snap := drainTraces(t, s.Tracer(), 1)
@@ -226,7 +226,7 @@ func TestIngestUnsampledAllocs(t *testing.T) {
 	// Never started: batches park in the queue, isolating admission cost.
 	samples := mkBatch(64, 2, 0)
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := s.Ingest("bench-client", "bench-node", samples); err != nil {
+		if err := s.Ingest("bench-client", "bench-node", samples, nil, tracez.Context{}); err != nil {
 			t.Fatalf("Ingest: %v", err)
 		}
 	})
@@ -252,7 +252,7 @@ func TestShedBatchesSkipLatencyHistograms(t *testing.T) {
 	// Wedge the worker and fill the queue: these are the admitted
 	// batches. The first must leave the queue before the fill starts, or
 	// the worker frees a slot that one overflow batch then takes.
-	if err := s.Ingest("c1", "node-hist", mkBatch(1, 1, 5)); err != nil {
+	if err := s.Ingest("c1", "node-hist", mkBatch(1, 1, 5), nil, tracez.Context{}); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
 	admitted := 1
@@ -264,7 +264,7 @@ func TestShedBatchesSkipLatencyHistograms(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for {
-		err := s.Ingest("c1", "node-hist", mkBatch(1, 1, 5))
+		err := s.Ingest("c1", "node-hist", mkBatch(1, 1, 5), nil, tracez.Context{})
 		if err == ErrQueueFull {
 			break
 		}
@@ -280,7 +280,7 @@ func TestShedBatchesSkipLatencyHistograms(t *testing.T) {
 	qwBefore, svBefore, e2eBefore := mQueueWait.Count(), mService.Count(), mE2E.Count()
 	shed := 0
 	for i := 0; i < 5; i++ {
-		if err := s.Ingest("c1", "node-hist", mkBatch(1, 1, 5)); err == ErrQueueFull {
+		if err := s.Ingest("c1", "node-hist", mkBatch(1, 1, 5), nil, tracez.Context{}); err == ErrQueueFull {
 			shed++
 		}
 	}

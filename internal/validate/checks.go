@@ -317,11 +317,9 @@ func checkFaultFinite(est *core.Estimator, seed uint64) CheckResult {
 	}
 	for i := range ds.Rows {
 		r := est.Estimate(&ds.Rows[i].Counters)
-		for s, v := range r {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return CheckResult{Name: name, Detail: fmt.Sprintf(
-					"row %d rail %s estimate non-finite under faults", i, power.Subsystem(s))}
-			}
+		if sub := r.NonFinite(); sub >= 0 {
+			return CheckResult{Name: name, Detail: fmt.Sprintf(
+				"row %d rail %s estimate non-finite under faults", i, sub)}
 		}
 	}
 	return CheckResult{Name: name, OK: true, Detail: fmt.Sprintf(

@@ -2,7 +2,6 @@ package validate
 
 import (
 	"fmt"
-	"math"
 
 	"trickledown/internal/align"
 	"trickledown/internal/core"
@@ -75,11 +74,9 @@ func checkWindowFinite(est *core.Estimator, window *align.Dataset) CheckResult {
 	}
 	for i := range window.Rows {
 		r := est.Estimate(&window.Rows[i].Counters)
-		for s, v := range r {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return CheckResult{Name: name, Detail: fmt.Sprintf(
-					"row %d rail %s non-finite", i, power.Subsystem(s))}
-			}
+		if sub := r.NonFinite(); sub >= 0 {
+			return CheckResult{Name: name, Detail: fmt.Sprintf(
+				"row %d rail %s non-finite", i, sub)}
 		}
 		if r.Total() <= 0 {
 			return CheckResult{Name: name, Detail: fmt.Sprintf(

@@ -51,7 +51,7 @@ func TestCommandOutputPins(t *testing.T) {
 
 	report := map[string]string{
 		"stdout":                 "cbf29ce484222325",
-		"F":                      "00ef806840965321",
+		"F":                      "603460bc59306c91",
 		"figure2.csv":            "116e3ac1cd94438d",
 		"figure3.csv":            "0ea25c1c75ce884a",
 		"figure4.csv":            "a30f007d57bc0736",
