@@ -111,8 +111,10 @@ func main() {
 			log.Fatal(err)
 		}
 	}()
+	// The resolved sizes, not the flags: -workers 0 runs GOMAXPROCS.
+	st := srv.Stats()
 	log.Printf("listening addr=%s queue=%d workers=%d rate=%g",
-		ln.Addr(), *queue, *workers, *rate)
+		ln.Addr(), st.QueueCapacity, st.Workers, *rate)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)

@@ -13,6 +13,7 @@ import (
 // all five rails plus the total.
 type Estimator struct {
 	models [power.NumSubsystems]*Model
+	reads  Fields // the union of the models' Spec.Reads
 	prov   *Provenance
 }
 
@@ -40,6 +41,7 @@ func NewEstimator(models ...*Model) (*Estimator, error) {
 			return nil, fmt.Errorf("core: duplicate model for %s", m.Spec.Sub)
 		}
 		e.models[idx] = m
+		e.reads |= m.Spec.Reads
 	}
 	for _, s := range power.Subsystems() {
 		if e.models[s] == nil {
@@ -60,6 +62,15 @@ func (e *Estimator) Model(s power.Subsystem) *Model {
 // Estimate returns per-rail power for one counter sample.
 func (e *Estimator) Estimate(s *perfctr.Sample) power.Reading {
 	return e.EstimateMetrics(ExtractMetrics(s))
+}
+
+// ExtractInto is ExtractMetricsAtInto for this estimator's inputs: it
+// writes NumCPUs and the fields its models declare they read, and
+// leaves the rest of m as it was. Each written field is the same bits
+// ExtractMetricsAtInto writes, so EstimateBatch on metrics extracted
+// either way returns the same readings.
+func (e *Estimator) ExtractInto(m *Metrics, s *perfctr.Sample, nominalHz float64) {
+	extractInto(m, s, nominalHz, e.reads)
 }
 
 // EstimateMetrics is Estimate for pre-extracted metrics: a batch of

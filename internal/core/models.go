@@ -21,6 +21,11 @@ type ModelSpec struct {
 	// one. Processor sums and means use sum and mean, so a term is the
 	// same bits whichever batch its sample arrives in.
 	Design func(cols [][]float64, ms []Metrics)
+	// Reads declares the per-CPU Metrics fields Design reads; NumCPUs is
+	// always filled. An Estimator extracts only the union of its models'
+	// fields, so a field Design reads without declaring it holds stale
+	// values there.
+	Reads Fields
 	// Terms names the design columns, one per term, for coefficient
 	// printing; len(Terms) is the design width.
 	Terms []string
@@ -45,6 +50,7 @@ func CPUSpec() ModelSpec {
 				upc[j] = sum(m.UopsPerCycle)
 			}
 		},
+		Reads: FieldPercentActive | FieldUopsPerCycle,
 		Terms: []string{"perCPU", "percent_active", "uops_per_cycle"},
 	}
 }
@@ -78,6 +84,7 @@ func CPUDVFSSpec() ModelSpec {
 				vs[j], act[j], upc[j] = vSum, actFV, upcFV
 			}
 		},
+		Reads: FieldPercentActive | FieldUopsPerCycle | FieldFreqScale,
 		Terms: []string{"perCPU*V", "active*fV^2", "upc*fV^2"},
 	}
 }
@@ -101,6 +108,7 @@ func CPUOSUtilSpec() ModelSpec {
 				util[j] = sum(ms[j].OSUtil)
 			}
 		},
+		Reads: FieldOSUtil,
 		Terms: []string{"perCPU", "os_util"},
 	}
 }
@@ -121,6 +129,7 @@ func MemL3Spec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
+		Reads: FieldL3LoadPMC,
 		Terms: []string{"const", "l3_load_pmc", "l3_load_pmc^2"},
 	}
 }
@@ -141,6 +150,7 @@ func MemBusSpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
+		Reads: totalBusFields,
 		Terms: []string{"const", "bus_tx_pmc", "bus_tx_pmc^2"},
 	}
 }
@@ -163,6 +173,7 @@ func MemBusRWSpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
+		Reads: totalBusFields | writebackFields,
 		Terms: []string{"const", "bus_tx_pmc", "bus_tx_pmc^2", "bus_tx_pmc*wb_share"},
 	}
 }
@@ -185,6 +196,7 @@ func DiskSpec() ModelSpec {
 			square(cols[2], i)
 			square(cols[4], d)
 		},
+		Reads: FieldDiskIntsPMC | FieldDMAPMC,
 		Terms: []string{"const", "disk_ints_pmc", "disk_ints_pmc^2", "dma_pmc", "dma_pmc^2"},
 	}
 }
@@ -204,6 +216,7 @@ func IOSpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
+		Reads: FieldIntsPMC,
 		Terms: []string{"const", "ints_pmc", "ints_pmc^2"},
 	}
 }
@@ -242,6 +255,7 @@ func DiskDMASpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
+		Reads: FieldDMAPMC,
 		Terms: []string{"const", "dma_pmc", "dma_pmc^2"},
 	}
 }
@@ -260,6 +274,7 @@ func DiskUncacheableSpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
+		Reads: FieldUncacheablePMC,
 		Terms: []string{"const", "uc_pmc", "uc_pmc^2"},
 	}
 }
@@ -279,6 +294,7 @@ func IODMASpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
+		Reads: FieldDMAPMC,
 		Terms: []string{"const", "dma_pmc", "dma_pmc^2"},
 	}
 }
@@ -297,6 +313,7 @@ func IOUncacheableSpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
+		Reads: FieldUncacheablePMC,
 		Terms: []string{"const", "uc_pmc", "uc_pmc^2"},
 	}
 }

@@ -16,7 +16,12 @@ import (
 // append pass to encode, and a decoder that validates every length
 // prefix against the remaining buffer before allocating anything, so a
 // truncated or hostile payload returns an error instead of an OOM or
-// panic.
+// panic. Each block is bounds-checked once, together with the length
+// prefix that follows it (the timestamps with the CPU count, the CPU
+// block with the matrix shape, the matrix with the first busy-vector
+// length, that vector with the second's, the second vector alone), and
+// every field and prefix is then read in place, so a sample costs five
+// checks and no helper call.
 //
 // What decode allocates: a Decoder keeps its storage between calls —
 // the []Sample header array, the rails array, and one slab per slice
@@ -229,15 +234,6 @@ func (r *wireReader) truncated(n int) error {
 // unread returns how many bytes are left after the read offset.
 func (r *wireReader) unread() int { return len(r.buf) - r.off }
 
-func (r *wireReader) u16() (int, error) {
-	if err := r.need(2); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return int(v), nil
-}
-
 func (r *wireReader) u32() (int, error) {
 	if err := r.need(4); err != nil {
 		return 0, err
@@ -250,6 +246,10 @@ func (r *wireReader) u32() (int, error) {
 // u64at reads the i-th little-endian u64 of b; callers have already
 // checked that the whole block is present.
 func u64at(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
+
+// u16at reads the little-endian u16 length prefix at byte off of b;
+// callers have already checked that it is present.
+func u16at(b []byte, off int) int { return int(binary.LittleEndian.Uint16(b[off:])) }
 
 // DecodeBatchExt parses one wire batch plus its optional TDX1
 // trace-context extension (ext is zero when absent); a trailing TDP1
@@ -321,10 +321,11 @@ func (d *Decoder) Decode(buf []byte) (node string, samples []Sample, ext TraceEx
 		return "", nil, TraceExt{}, nil, fmt.Errorf("perfctr: bad wire magic %q", r.buf[:4])
 	}
 	r.off = 4
-	nodeLen, err := r.u16()
-	if err != nil {
+	if err := r.need(2); err != nil {
 		return "", nil, TraceExt{}, nil, err
 	}
+	nodeLen := u16at(r.buf, r.off)
+	r.off += 2
 	if nodeLen > maxWireNode {
 		return "", nil, TraceExt{}, nil, fmt.Errorf("perfctr: node name %d bytes exceeds wire limit %d", nodeLen, maxWireNode)
 	}
@@ -479,30 +480,32 @@ func slabWant(per, samplesLeft, unread, wireSize int) int {
 
 // decodeSample parses one sample in place, overwriting every field,
 // and carves its slices from d's slabs. left counts this sample and the
-// ones after it, for slab sizing. Each block is bounds-checked once,
-// then read straight from the buffer.
+// ones after it, for slab sizing. Each wire block is bounds-checked
+// once together with the length prefix that follows it, so every
+// field and prefix is then read straight from the buffer.
 func (d *Decoder) decodeSample(r *wireReader, s *Sample, left int) error {
-	if err := r.need(16); err != nil {
+	// The timestamps and the CPU-count prefix.
+	if err := r.need(16 + 2); err != nil {
 		return err
 	}
-	s.TargetSeconds = math.Float64frombits(u64at(r.buf[r.off:], 0))
-	s.IntervalSec = math.Float64frombits(u64at(r.buf[r.off:], 1))
-	r.off += 16
+	b := r.buf[r.off:]
+	s.TargetSeconds = math.Float64frombits(u64at(b, 0))
+	s.IntervalSec = math.Float64frombits(u64at(b, 1))
 	if !isFinite(s.TargetSeconds) || !isFinite(s.IntervalSec) {
 		return fmt.Errorf("non-finite timestamp (t=%g interval=%g)", s.TargetSeconds, s.IntervalSec)
 	}
-	nCPU, err := r.u16()
-	if err != nil {
-		return err
-	}
+	nCPU := u16at(b, 16)
+	r.off += 16 + 2
 	if nCPU > maxWireCPUs {
 		return fmt.Errorf("%d CPUs exceeds wire limit %d", nCPU, maxWireCPUs)
 	}
-	if err := r.need(nCPU * cpuWireBytes); err != nil {
+	// The CPU block and the two matrix-shape prefixes.
+	cpuBytes := nCPU * cpuWireBytes
+	if err := r.need(cpuBytes + 2 + 2); err != nil {
 		return err
 	}
 	s.CPUs = d.cpus.carve(nCPU, slabWant(nCPU, left, r.unread(), cpuWireBytes))
-	b := r.buf[r.off:]
+	b = r.buf[r.off:]
 	for i := range s.CPUs {
 		// Field by field through a pointer: a composite literal would be
 		// built in a temporary and then copied.
@@ -519,19 +522,14 @@ func (d *Decoder) decodeSample(r *wireReader, s *Sample, left int) error {
 		c.DMAOther = u64at(p[:], 8)
 		c.Uncacheable = u64at(p[:], 9)
 	}
-	r.off += nCPU * cpuWireBytes
-	nVec, err := r.u16()
-	if err != nil {
-		return err
-	}
-	cols, err := r.u16()
-	if err != nil {
-		return err
-	}
+	nVec, cols := u16at(b, cpuBytes), u16at(b, cpuBytes+2)
+	r.off += cpuBytes + 2 + 2
 	if nVec > maxWireVectors || cols > maxWireCPUs {
 		return fmt.Errorf("interrupt matrix %dx%d exceeds wire limits", nVec, cols)
 	}
-	if err := r.need(nVec * cols * 8); err != nil {
+	// The matrix and the OS-busy prefix.
+	intBytes := nVec * cols * 8
+	if err := r.need(intBytes + 2); err != nil {
 		return err
 	}
 	// A matrix without columns carries no counts, so it decodes as nil:
@@ -549,39 +547,54 @@ func (d *Decoder) decodeSample(r *wireReader, s *Sample, left int) error {
 		for v := range s.Ints {
 			s.Ints[v] = flat[v*cols : (v+1)*cols : (v+1)*cols]
 		}
-		r.off += nVec * cols * 8
 	}
-	if s.OSBusySec, err = r.busyVec(&d.busy, left); err != nil {
+	nBusy := u16at(r.buf, r.off+intBytes)
+	r.off += intBytes + 2
+	if nBusy > maxWireCPUs {
+		return fmt.Errorf("%d busy-time entries exceeds wire limit %d", nBusy, maxWireCPUs)
+	}
+	// The OS-busy vector and the thread-busy prefix.
+	if err := r.need(nBusy*8 + 2); err != nil {
 		return err
 	}
-	s.OSThreadBusySec, err = r.busyVec(&d.thr, left)
-	return err
+	s.OSBusySec = nil
+	if nBusy > 0 {
+		s.OSBusySec = d.busy.carve(nBusy, slabWant(nBusy, left, r.unread(), 8))
+		if i := fillBusy(s.OSBusySec, r.buf[r.off:]); i >= 0 {
+			return fmt.Errorf("non-finite busy time %g", s.OSBusySec[i])
+		}
+	}
+	nThr := u16at(r.buf, r.off+nBusy*8)
+	r.off += nBusy*8 + 2
+	if nThr > maxWireCPUs {
+		return fmt.Errorf("%d busy-time entries exceeds wire limit %d", nThr, maxWireCPUs)
+	}
+	// The thread-busy vector; the next block is the next sample's.
+	if err := r.need(nThr * 8); err != nil {
+		return err
+	}
+	s.OSThreadBusySec = nil
+	if nThr > 0 {
+		s.OSThreadBusySec = d.thr.carve(nThr, slabWant(nThr, left, r.unread(), 8))
+		if i := fillBusy(s.OSThreadBusySec, r.buf[r.off:]); i >= 0 {
+			return fmt.Errorf("non-finite busy time %g", s.OSThreadBusySec[i])
+		}
+	}
+	r.off += nThr * 8
+	return nil
 }
 
-// busyVec parses one length-prefixed busy-time vector, carving it from
-// sl; an empty vector decodes as nil.
-func (r *wireReader) busyVec(sl *slab[float64], left int) ([]float64, error) {
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxWireCPUs {
-		return nil, fmt.Errorf("%d busy-time entries exceeds wire limit %d", n, maxWireCPUs)
-	}
-	if err := r.need(n * 8); err != nil {
-		return nil, err
-	}
-	vec := sl.carve(n, slabWant(n, left, r.unread(), 8))
-	b := r.buf[r.off:]
+// fillBusy reads len(vec) busy times from b, which holds at least that
+// many, and returns the index of the first non-finite one, or -1.
+func fillBusy(vec []float64, b []byte) int {
 	for i := range vec {
 		v := math.Float64frombits(u64at(b, i))
-		if !isFinite(v) {
-			return nil, fmt.Errorf("non-finite busy time %g", v)
-		}
 		vec[i] = v
+		if !isFinite(v) {
+			return i
+		}
 	}
-	r.off += n * 8
-	return vec, nil
+	return -1
 }
 
 func isFinite(v float64) bool {

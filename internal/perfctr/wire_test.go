@@ -173,6 +173,14 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte("TDS1"))
 	f.Add(fullFrame(f, 3))
 	f.Add(emptyMatrixFrame(2, 5))
+	// Cuts before and inside every length prefix of both frame shapes.
+	for _, frame := range [][]byte{servedFrame(f, 2), fullFrame(f, 2)} {
+		prefixes, _ := frameLayout(frame)
+		for _, off := range prefixes {
+			f.Add(frame[:off])
+			f.Add(frame[:off+1])
+		}
+	}
 	larger, smaller := fullFrame(f, 16), good
 	f.Fuzz(func(t *testing.T, data []byte) {
 		node, samples, ext, rails, err := DecodeBatchFull(data)
@@ -447,18 +455,27 @@ func BenchmarkWireDecodeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkWireDecodeReused decodes the same frame with one Decoder,
-// as tdserve's pooled decoders do once their storage has grown.
+// BenchmarkWireDecodeReused decodes the same 256-sample frame with one
+// Decoder, as tdserve's pooled decoders do once their storage has
+// grown: a full frame, and the served shape (two CPUs, no matrix, no
+// busy vectors, a trace context).
 func BenchmarkWireDecodeReused(b *testing.B) {
-	buf := fullFrame(b, 256)
-	var dec Decoder
-	b.ReportAllocs()
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, _, err := dec.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		frame func(testing.TB, int) []byte
+	}{{"full", fullFrame}, {"served", servedFrame}} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf := bc.frame(b, 256)
+			var dec Decoder
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, _, err := dec.Decode(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -617,5 +634,99 @@ func TestWireRailsRejectsMalformed(t *testing.T) {
 		if _, _, _, _, err := DecodeBatchFull(buf); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// servedFrame encodes n samples of the shape tdserve ingests: two CPUs,
+// no interrupt matrix, no busy vectors, and a TDX1 trace context.
+func servedFrame(tb testing.TB, n int) []byte {
+	tb.Helper()
+	samples := make([]Sample, n)
+	for i := range samples {
+		samples[i] = Sample{TargetSeconds: float64(i), IntervalSec: 1, CPUs: wireTestSamples()[0].CPUs}
+	}
+	buf, err := EncodeBatchFull(nil, "node00", samples, TraceExt{ID: [16]byte{3}}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf
+}
+
+// frameLayout walks a well-formed frame and returns the offset of each
+// length prefix (node, count, every sample's five, the rails count)
+// and the offsets where the frame could end: after the last sample and
+// after each trailing block.
+func frameLayout(frame []byte) (prefixes, ends []int) {
+	u16 := func(off int) int { return int(binary.LittleEndian.Uint16(frame[off:])) }
+	prefixes = append(prefixes, 4)
+	off := 6 + u16(4)
+	prefixes = append(prefixes, off)
+	n := int(binary.LittleEndian.Uint32(frame[off:]))
+	off += 4
+	for i := 0; i < n; i++ {
+		off += 16
+		prefixes = append(prefixes, off)
+		off += 2 + u16(off)*cpuWireBytes
+		prefixes = append(prefixes, off, off+2)
+		off += 4 + u16(off)*u16(off+2)*8
+		for k := 0; k < 2; k++ {
+			prefixes = append(prefixes, off)
+			off += 2 + u16(off)*8
+		}
+	}
+	ends = append(ends, off)
+	for off < len(frame) {
+		switch [4]byte(frame[off : off+4]) {
+		case extMagic:
+			off += extLen
+		case railsMagic:
+			prefixes = append(prefixes, off+4)
+			off += 8 + int(binary.LittleEndian.Uint32(frame[off+4:]))*power.NumSubsystems*8
+		default:
+			panic("frameLayout: not a well-formed frame")
+		}
+		ends = append(ends, off)
+	}
+	return prefixes, ends
+}
+
+// TestDecodeTotalAtEveryCut: every truncation of a served-shape frame
+// and of a full frame returns an error without panicking, except a cut
+// that ends exactly at a block boundary, which is a shorter valid frame.
+// After each cut, the same Decoder decodes the whole frame exactly as a
+// fresh one does.
+func TestDecodeTotalAtEveryCut(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"served", servedFrame(t, 3)},
+		{"full", fullFrame(t, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node, samples, ext, rails, err := DecodeBatchFull(tc.frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ends := frameLayout(tc.frame)
+			valid := map[int]bool{}
+			for _, e := range ends {
+				valid[e] = true
+			}
+			var dec Decoder
+			for cut := 0; cut <= len(tc.frame); cut++ {
+				_, _, _, _, err := dec.Decode(tc.frame[:cut])
+				if valid[cut] != (err == nil) {
+					t.Fatalf("cut at %d of %d: err %v, want an error: %v", cut, len(tc.frame), err, !valid[cut])
+				}
+				node2, samples2, ext2, rails2, err := dec.Decode(tc.frame)
+				if err != nil {
+					t.Fatalf("whole frame after a cut at %d: %v", cut, err)
+				}
+				if node2 != node || ext2 != ext || !reflect.DeepEqual(samples2, samples) || !railsBitsEqual(rails2, rails) {
+					t.Fatalf("whole frame after a cut at %d differs from a fresh decode", cut)
+				}
+			}
+		})
 	}
 }

@@ -367,7 +367,10 @@ func BenchmarkProcessRails(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.process(&batch{node: "n", samples: samples, rails: rails}, sc, 0)
+		// A batch that arrived just now: one at the zero time would be a
+		// slow-trace outlier, and the benchmark would time its trace.
+		now := time.Now()
+		s.process(&batch{node: "n", samples: samples, rails: rails, arrived: now, queued: now}, sc, 0)
 	}
 	b.StopTimer()
 	if st := mgr.Status(); st.Retrains != 0 || st.Swaps != 0 {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"trickledown/internal/perfctr"
 	"trickledown/internal/telemetry"
@@ -119,6 +120,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	// ARRIVED is stamped before the body is read, so the admission stage
+	// and e2e include the read and the decode.
+	arrived := time.Now()
 	body, err := readBody(w, r)
 	if err != nil {
 		// Only the size limit means "too large"; a body cut short of its
@@ -149,7 +153,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// A producer-stamped trace context wins (same ID on both sides of
 	// the wire); admit mints one for batches without.
 	tc := tracez.Context{ID: tracez.TraceID(ext.ID), Sampled: ext.Sampled}
-	switch err := s.admit(client, &batch{node: node, samples: samples, rails: rails, tc: tc, dec: dec}); {
+	switch err := s.admit(client, &batch{node: node, samples: samples, rails: rails, tc: tc, dec: dec, arrived: arrived}); {
 	case err == nil:
 		w.WriteHeader(http.StatusAccepted)
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrRateLimited):

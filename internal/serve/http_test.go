@@ -336,3 +336,47 @@ func BenchmarkHandleIngest(b *testing.B) {
 		}
 	}
 }
+
+// stallingReader sleeps once before yielding its bytes: a producer
+// whose body arrives after its headers.
+type stallingReader struct {
+	stall time.Duration
+	data  io.Reader
+}
+
+func (s *stallingReader) Read(p []byte) (int, error) {
+	if s.stall > 0 {
+		time.Sleep(s.stall)
+		s.stall = 0
+	}
+	return s.data.Read(p)
+}
+
+// TestAdmissionStageIncludesBodyRead: ARRIVED is stamped before the
+// handler reads the body, so a sampled batch whose body stalls 20 ms
+// shows at least that much in its admission stage and in e2e.
+func TestAdmissionStageIncludesBodyRead(t *testing.T) {
+	const stall = 20 * time.Millisecond
+	s := newServer(t, Config{Estimator: testEstimator(t), Workers: 1})
+	wire, err := perfctr.EncodeBatchExt(nil, "n", mkBatch(16, 2, 0),
+		perfctr.TraceExt{ID: [16]byte{9}, Sampled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/ingest",
+		&stallingReader{stall: stall, data: bytes.NewReader(wire)})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	snap := drainTraces(t, s.Tracer(), 1)
+	if len(snap.Recent) != 1 {
+		t.Fatalf("recent = %d traces, want 1", len(snap.Recent))
+	}
+	tr := snap.Recent[0]
+	if ms := float64(stall) / 1e6; tr.AdmissionMs < ms || tr.E2EMs < ms {
+		t.Errorf("admission %.3f ms, e2e %.3f ms; want both >= %.0f ms of body stall",
+			tr.AdmissionMs, tr.E2EMs, ms)
+	}
+}

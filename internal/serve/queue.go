@@ -14,14 +14,15 @@ import (
 // journey. The four timestamps are the span taxonomy the latency
 // histograms are built from:
 //
-//	ARRIVED   arrived   request received, body decoded
+//	ARRIVED   arrived   request received, before its body is read
 //	QUEUED    queued    admitted past rate limit + queue bound
 //	SCHEDULED (worker)  an estimation worker picked the batch up
 //	DEPARTED  (worker)  estimates folded into node state
 //
-// ARRIVED→QUEUED is admission cost, QUEUED→SCHEDULED is queue wait (the
-// overload signal), SCHEDULED→DEPARTED is batched estimation time, and
-// ARRIVED→DEPARTED is the end-to-end latency the p99 budget is set on.
+// ARRIVED→QUEUED is admission cost (on /ingest, the body read and
+// decode too), QUEUED→SCHEDULED is queue wait (the overload signal),
+// SCHEDULED→DEPARTED is batched estimation time, and ARRIVED→DEPARTED
+// is the end-to-end latency the p99 budget is set on.
 type batch struct {
 	node    string
 	samples []perfctr.Sample

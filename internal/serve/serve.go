@@ -72,7 +72,7 @@ var (
 	mEstimatePanics = telemetry.NewCounter("serve_estimate_panics_total",
 		"estimation batch panics recovered (and retried per policy)")
 	mAdmission = telemetry.NewHistogram("serve_admission_seconds",
-		"ARRIVED to QUEUED: rate limit and queue admission of a read and decoded batch", latencyBuckets)
+		"ARRIVED to QUEUED: body read, decode, rate limit and queue admission of a batch", latencyBuckets)
 	mQueueWait = telemetry.NewHistogram("serve_queue_wait_seconds",
 		"QUEUED to SCHEDULED: batch wait for an estimation worker", latencyBuckets)
 	mService = telemetry.NewHistogram("serve_service_seconds",
@@ -432,21 +432,29 @@ func (s *Server) admit(client string, b *batch) error {
 }
 
 // enqueue is admit's decision for a non-empty batch: ARRIVED→QUEUED or a
-// rejection. Once b is on the queue a worker owns it and its decoder's
-// storage.
+// rejection. ARRIVED is b.arrived when the caller stamped it (the
+// /ingest handler, before reading the body) and now otherwise. Once b is
+// on the queue a worker owns it and its decoder's storage.
 func (s *Server) enqueue(client string, b *batch) error {
 	node, samples, rails, tc := b.node, b.samples, b.rails, b.tc
 	if rails != nil && len(rails) != len(samples) {
 		return fmt.Errorf("serve: %d rails for %d samples", len(rails), len(samples))
 	}
-	arrived := time.Now()
+	// The rate limiter reads the clock here, not at ARRIVED: it refills
+	// from its last call's time, so an earlier stamp would refill the
+	// same interval twice.
+	now := time.Now()
+	arrived := b.arrived
+	if arrived.IsZero() {
+		arrived = now
+	}
 	n := uint64(len(samples))
 	if len(samples) > s.cfg.MaxBatch {
 		s.shedN("batch_too_large", n)
 		s.rec.Anomaly(tc.ID, node, client, arrived, "shed:batch_too_large", tracez.EvShed, int64(n))
 		return fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(samples), s.cfg.MaxBatch)
 	}
-	if !s.limiter.allow(client, float64(len(samples)), arrived) {
+	if !s.limiter.allow(client, float64(len(samples)), now) {
 		s.shedN("rate_limited", n)
 		s.rec.Anomaly(tc.ID, node, client, arrived, "shed:rate_limited", tracez.EvShed, int64(n))
 		return ErrRateLimited
@@ -563,9 +571,11 @@ func (s *Server) processProtected(b *batch, scratch *workerScratch, worker int) 
 // applies fault injection and feeds the adapter; then the batch is
 // extracted and estimated core.BatchSize samples at a time, one Design
 // call per model per chunk, with a chunk split wherever the adapter
-// swapped the champion. Non-finite per-sample estimates are quarantined
-// into counters; the node keeps its last good reading so the fleet
-// aggregate never turns NaN.
+// swapped the champion. Extraction goes through the estimator, so only
+// the metrics its models read are computed. One finite test covers a
+// chunk; only a chunk that fails it is walked sample by sample, and its
+// non-finite estimates are quarantined into counters. The node keeps
+// its last good reading so the fleet aggregate never turns NaN.
 //
 // Sampled batches stamp the SCHEDULED/ESTIMATED/DEPARTED events and feed
 // the latency histograms through the exemplar path so /metrics buckets
@@ -623,9 +633,16 @@ func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 			chunk := b.samples[lo:min(lo+core.BatchSize, end)]
 			ms, out := sc.ms[:len(chunk)], sc.out[:len(chunk)]
 			for j := range chunk {
-				core.ExtractMetricsAtInto(&ms[j], &chunk[j], sim.DefaultCoreHz)
+				seg.est.ExtractInto(&ms[j], &chunk[j], sim.DefaultCoreHz)
+				if t := chunk[j].TargetSeconds; t > lastT {
+					lastT = t
+				}
 			}
 			seg.est.EstimateBatch(out, ms, &sc.cols)
+			if allFinite(out) {
+				lastR, hasGood = out[len(out)-1], true
+				continue
+			}
 			for j := range out {
 				if out[j].NonFinite() < 0 {
 					lastR = out[j]
@@ -634,9 +651,6 @@ func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 					bad++
 					mNonFinite.Inc()
 					s.nonfinite.Add(1)
-				}
-				if t := chunk[j].TargetSeconds; t > lastT {
-					lastT = t
 				}
 			}
 		}
@@ -676,6 +690,24 @@ func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 		s.flight.NoteTrace("quarantine", "first non-finite estimate quarantined", int64(bad), b.tc.ID)
 		s.triggerBundle("quarantine")
 	}
+}
+
+// allFinite reports whether every rail of rs is finite, with one test
+// for the whole chunk: v*0 is ±0 for a finite v and NaN for NaN or ±Inf,
+// so the sum over every rail is zero exactly when all are finite. One
+// named accumulator per rail keeps the adds independent and in
+// registers.
+func allFinite(rs []power.Reading) bool {
+	var cpu, chipset, mem, io, disk float64
+	for j := range rs {
+		r := &rs[j]
+		cpu += r[power.SubCPU] * 0
+		chipset += r[power.SubChipset] * 0
+		mem += r[power.SubMemory] * 0
+		io += r[power.SubIO] * 0
+		disk += r[power.SubDisk] * 0
+	}
+	return cpu+chipset+mem+io+disk == 0
 }
 
 // reconstructAnomaly assembles an always-kept trace for an unsampled
@@ -901,22 +933,25 @@ func summarize(h *telemetry.Histogram) LatencySummary {
 type Stats struct {
 	// ModelVersion is the active estimator's provenance version
 	// ("unversioned" for a pre-provenance model).
-	ModelVersion     string         `json:"model_version"`
-	SamplesIngested  uint64         `json:"samples_ingested"`
-	SamplesEstimated uint64         `json:"samples_estimated"`
-	SamplesShed      uint64         `json:"samples_shed"`
-	NonFinite        uint64         `json:"nonfinite_estimates"`
-	EstimatePanics   uint64         `json:"estimate_panics"`
-	Nodes            int            `json:"nodes"`
-	QueueDepth       int            `json:"queue_depth"`
-	QueueCapacity    int            `json:"queue_capacity"`
-	SheddingActive   bool           `json:"shedding_active"`
-	Admission        LatencySummary `json:"admission"`
-	QueueWait        LatencySummary `json:"queue_wait"`
-	Service          LatencySummary `json:"service"`
-	E2E              LatencySummary `json:"e2e"`
-	Trace            tracez.Stats   `json:"trace"`
-	LastDiagBundle   string         `json:"last_diag_bundle,omitempty"`
+	ModelVersion     string `json:"model_version"`
+	SamplesIngested  uint64 `json:"samples_ingested"`
+	SamplesEstimated uint64 `json:"samples_estimated"`
+	SamplesShed      uint64 `json:"samples_shed"`
+	NonFinite        uint64 `json:"nonfinite_estimates"`
+	EstimatePanics   uint64 `json:"estimate_panics"`
+	Nodes            int    `json:"nodes"`
+	// Workers is the estimation pool's size: Config.Workers, or
+	// GOMAXPROCS when that was zero.
+	Workers        int            `json:"workers"`
+	QueueDepth     int            `json:"queue_depth"`
+	QueueCapacity  int            `json:"queue_capacity"`
+	SheddingActive bool           `json:"shedding_active"`
+	Admission      LatencySummary `json:"admission"`
+	QueueWait      LatencySummary `json:"queue_wait"`
+	Service        LatencySummary `json:"service"`
+	E2E            LatencySummary `json:"e2e"`
+	Trace          tracez.Stats   `json:"trace"`
+	LastDiagBundle string         `json:"last_diag_bundle,omitempty"`
 }
 
 // Stats snapshots the server.
@@ -932,6 +967,7 @@ func (s *Server) Stats() Stats {
 		NonFinite:        s.nonfinite.Load(),
 		EstimatePanics:   s.panics.Load(),
 		Nodes:            nodes,
+		Workers:          s.cfg.Workers,
 		QueueDepth:       s.queue.depth(),
 		QueueCapacity:    s.queue.capacity(),
 		SheddingActive:   s.SheddingActive(),

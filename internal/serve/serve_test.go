@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -40,6 +41,7 @@ func testModel(sub power.Subsystem, base, slope float64) *core.Model {
 					cols[0][j], cols[1][j] = 1, upc
 				}
 			},
+			Reads: core.FieldUopsPerCycle,
 			Terms: []string{"const", "upc"},
 		},
 		Coef: []float64{base, slope},
@@ -598,4 +600,203 @@ func httpGet(t *testing.T, url string, wantStatus int) string {
 		t.Fatalf("GET %s: status %d, want %d (body %s)", url, resp.StatusCode, wantStatus, b)
 	}
 	return string(b)
+}
+
+// TestStatsReportsResolvedWorkers: /statz reports the pool the server
+// runs, GOMAXPROCS for a zero Config.Workers, not the configured zero.
+func TestStatsReportsResolvedWorkers(t *testing.T) {
+	for _, tc := range []struct{ cfg, want int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{3, 3},
+	} {
+		s, err := New(Config{Estimator: testEstimator(t), Workers: tc.cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().Workers; got != tc.want {
+			t.Errorf("Config.Workers %d: Stats().Workers = %d, want %d", tc.cfg, got, tc.want)
+		}
+		closeServer(t, s)
+	}
+}
+
+// productionEstimator is the paper's five production specs with fixed
+// coefficients, so the served extraction is the trimmed one.
+func productionEstimator(t testing.TB) *core.Estimator {
+	t.Helper()
+	var models []*core.Model
+	for i, spec := range core.ProductionSpecs() {
+		coef := make([]float64, len(spec.Terms))
+		for j := range coef {
+			coef[j] = float64(i+1) + 0.25*float64(j)
+		}
+		models = append(models, &core.Model{Spec: spec, Coef: coef})
+	}
+	est, err := core.NewEstimator(models...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+// TestQuarantineAcrossChunkBoundaries: in a 600-sample batch, three
+// 256-sample chunks, the estimates of samples 0, 255, 256 and 599 are
+// +Inf. Exactly those four are quarantined, and the node reads sample
+// 598's estimate, the last finite one.
+func TestQuarantineAcrossChunkBoundaries(t *testing.T) {
+	// The CPU rail is 1/Σ uops-per-cycle: +Inf on a sample that fetched
+	// nothing.
+	inv := &core.Model{
+		Spec: core.ModelSpec{
+			Name: "test-inverse-upc",
+			Sub:  power.SubCPU,
+			Design: func(cols [][]float64, ms []core.Metrics) {
+				for j := range ms {
+					var upc float64
+					for _, v := range ms[j].UopsPerCycle {
+						upc += v
+					}
+					cols[0][j], cols[1][j] = 1, 1/upc
+				}
+			},
+			Reads: core.FieldUopsPerCycle,
+			Terms: []string{"const", "inv_upc"},
+		},
+		Coef: []float64{10, 1},
+	}
+	est := productionEstimator(t)
+	est, err := core.NewEstimator(inv, est.Model(power.SubChipset), est.Model(power.SubMemory),
+		est.Model(power.SubIO), est.Model(power.SubDisk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 600
+	samples := mkBatch(n, 2, 0)
+	bad := []int{0, core.BatchSize - 1, core.BatchSize, n - 1}
+	for _, i := range bad {
+		for c := range samples[i].CPUs {
+			samples[i].CPUs[c].FetchedUops = 0
+		}
+	}
+	oracle := append([]perfctr.Sample(nil), samples...)
+	for _, i := range bad {
+		if r := est.Estimate(&oracle[i]); r.NonFinite() != power.SubCPU {
+			t.Fatalf("sample %d estimates %v, want a non-finite CPU rail", i, r)
+		}
+	}
+	want := est.Estimate(&oracle[n-2])
+	if want.NonFinite() >= 0 {
+		t.Fatalf("sample %d estimates %v, want finite", n-2, want)
+	}
+
+	before := mNonFinite.Value()
+	s := newServer(t, Config{Estimator: est, Workers: 1})
+	if err := s.Ingest("c", "n", samples, nil, tracez.Context{}); err != nil {
+		t.Fatal(err)
+	}
+	closeServer(t, s)
+	if got := mNonFinite.Value() - before; got != uint64(len(bad)) {
+		t.Errorf("serve_nonfinite_estimates_total rose by %d, want %d", got, len(bad))
+	}
+	np, _ := s.NodePower("n")
+	if np.Samples != n || np.NonFinite != uint64(len(bad)) || s.Stats().NonFinite != uint64(len(bad)) {
+		t.Errorf("samples=%d nonfinite=%d stats=%d, want %d/%d", np.Samples, np.NonFinite,
+			s.Stats().NonFinite, n, len(bad))
+	}
+	if np.LastTargetSeconds != oracle[n-1].TargetSeconds {
+		t.Errorf("last target seconds %v, want the batch's newest %v", np.LastTargetSeconds, oracle[n-1].TargetSeconds)
+	}
+	assertPowerBits(t, np, want)
+}
+
+// TestFiniteBatchMatchesPerSample: on an all-finite batch of several
+// chunks, through the production models with interrupt rows, the node
+// reading is, bit for bit, the reading a per-sample walk of Estimate
+// leaves as the last good one.
+func TestFiniteBatchMatchesPerSample(t *testing.T) {
+	est := productionEstimator(t)
+	const n = 2*core.BatchSize + 37
+	samples := mkBatch(n, 2, 50)
+	for i := range samples {
+		if i%3 == 0 {
+			samples[i].Ints = [][]uint64{{uint64(1000 + i), 250}, {40, uint64(7 * i)}, {uint64(3 * i), 9}}
+		}
+	}
+	oracle := append([]perfctr.Sample(nil), samples...)
+	var want power.Reading
+	for i := range oracle {
+		if r := est.Estimate(&oracle[i]); r.NonFinite() < 0 {
+			want = r
+		} else {
+			t.Fatalf("sample %d estimates %v", i, r)
+		}
+	}
+	s := newServer(t, Config{Estimator: est, Workers: 1})
+	if err := s.Ingest("c", "n", samples, nil, tracez.Context{}); err != nil {
+		t.Fatal(err)
+	}
+	closeServer(t, s)
+	np, _ := s.NodePower("n")
+	if np.Samples != n || np.NonFinite != 0 {
+		t.Fatalf("samples=%d nonfinite=%d, want %d/0", np.Samples, np.NonFinite, n)
+	}
+	assertPowerBits(t, np, want)
+}
+
+// assertPowerBits checks a node's served rails and total against want,
+// bit for bit.
+func assertPowerBits(t *testing.T, np NodePower, want power.Reading) {
+	t.Helper()
+	for _, sub := range power.Subsystems() {
+		if got := np.Power[sub.String()]; math.Float64bits(got) != math.Float64bits(want[sub]) {
+			t.Errorf("%s = %v, want %v", sub, got, want[sub])
+		}
+	}
+	if got := np.Power["Total"]; math.Float64bits(got) != math.Float64bits(want.Total()) {
+		t.Errorf("Total = %v, want %v", got, want.Total())
+	}
+}
+
+// BenchmarkProcessBatch is a worker's path for one 256-sample batch
+// without rails, the shape tdserve serves: extraction through the
+// production estimator, the chunk estimate and the chunk finite check.
+func BenchmarkProcessBatch(b *testing.B) {
+	s, err := New(Config{Estimator: productionEstimator(b)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples := mkBatch(core.BatchSize, 2, 0)
+	sc := new(workerScratch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A batch that arrived just now: one at the zero time would be a
+		// slow-trace outlier, and the benchmark would time its trace.
+		now := time.Now()
+		s.process(&batch{node: "n", samples: samples, arrived: now, queued: now}, sc, 0)
+	}
+}
+
+// TestAllFinite: the chunk check fails on a NaN or ±Inf in any rail of
+// any reading, and passes on finite extremes and signed zeros.
+func TestAllFinite(t *testing.T) {
+	rs := make([]power.Reading, 3)
+	for j := range rs {
+		rs[j] = power.Reading{math.MaxFloat64, -math.MaxFloat64, math.Copysign(0, -1), 0, 1.5e308}
+	}
+	if !allFinite(rs) || !allFinite(nil) {
+		t.Fatal("finite readings fail the check")
+	}
+	for j := range rs {
+		for k := 0; k < power.NumSubsystems; k++ {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				old := rs[j][k]
+				rs[j][k] = v
+				if allFinite(rs) {
+					t.Errorf("reading %d rail %s = %v passes the check", j, power.Subsystem(k), v)
+				}
+				rs[j][k] = old
+			}
+		}
+	}
 }

@@ -234,9 +234,9 @@ func (t *Trace) eventAt(kind EventKind) (time.Time, bool) {
 type Stage int
 
 const (
-	// StageAdmission is ARRIVED→QUEUED: the rate limit and the queue
-	// bound. ARRIVED is stamped once the body has been read and decoded,
-	// so neither is in this stage.
+	// StageAdmission is ARRIVED→QUEUED: the body read and decode, the
+	// rate limit and the queue bound. ARRIVED is stamped when the
+	// request reaches the handler, before its body is read.
 	StageAdmission Stage = iota
 	// StageQueue is QUEUED→SCHEDULED (wait for an estimation worker).
 	StageQueue
