@@ -25,24 +25,20 @@ import (
 // (OSThreadBusySec) with threadsPerCPU entries per processor; otherwise
 // nil is returned. The per-thread values of each processor sum to that
 // processor's Equation 1 attribution. A negative or non-finite busy
-// time cannot be attributed either, and also returns nil.
+// time cannot be attributed either, and also returns nil, as does an
+// estimator PerCPUPower refuses.
 func (e *Estimator) PerThreadPower(s *perfctr.Sample, threadsPerCPU int) []float64 {
 	if threadsPerCPU <= 0 {
 		return nil
 	}
-	m := ExtractMetrics(s)
 	perCPU := e.PerCPUPower(s)
-	want := m.NumCPUs * threadsPerCPU
-	if len(s.OSThreadBusySec) < want || s.IntervalSec <= 0 {
+	want := len(perCPU) * threadsPerCPU
+	if perCPU == nil || len(s.OSThreadBusySec) < want || s.IntervalSec <= 0 {
 		return nil
 	}
-	cm := e.Model(power.SubCPU)
-	if cm == nil || len(cm.Coef) < 1 {
-		return nil
-	}
-	floor := cm.Coef[0] // per-processor infrastructure (halted floor)
+	floor := e.Model(power.SubCPU).Coef[0] // per-processor infrastructure (halted floor)
 	out := make([]float64, want)
-	for cpuID := 0; cpuID < m.NumCPUs; cpuID++ {
+	for cpuID := range perCPU {
 		lo, hi := cpuID*threadsPerCPU, (cpuID+1)*threadsPerCPU
 		dynamic := perCPU[cpuID] - floor
 		if dynamic < 0 {

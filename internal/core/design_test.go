@@ -254,22 +254,3 @@ func BenchmarkEstimateBatch(b *testing.B) {
 		est.EstimateBatch(out, ms, &c)
 	}
 }
-
-// BenchmarkEstimateBatchExtractInto is BenchmarkEstimateBatch through
-// Estimator.ExtractInto, the extraction the live service runs: only the
-// fields the production models read.
-func BenchmarkEstimateBatchExtractInto(b *testing.B) {
-	est := handEstimator(b)
-	s := mkSample(0.7, 1.1, 120, 600, 150, 30)
-	ms := make([]Metrics, BatchSize)
-	out := make([]power.Reading, BatchSize)
-	var c Columns
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range ms {
-			est.ExtractInto(&ms[j], &s, sim.DefaultCoreHz)
-		}
-		est.EstimateBatch(out, ms, &c)
-	}
-}

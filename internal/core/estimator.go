@@ -6,6 +6,7 @@ import (
 	"trickledown/internal/align"
 	"trickledown/internal/perfctr"
 	"trickledown/internal/power"
+	"trickledown/internal/sim"
 )
 
 // Estimator bundles one fitted model per subsystem into a complete
@@ -13,8 +14,10 @@ import (
 // all five rails plus the total.
 type Estimator struct {
 	models [power.NumSubsystems]*Model
-	reads  Fields // the union of the models' Spec.Reads
-	prov   *Provenance
+	// production is set when every model is its subsystem's production
+	// spec, which EstimateSamples then evaluates without Design.
+	production bool
+	prov       *Provenance
 }
 
 // Provenance returns the estimator's fit provenance, or nil when the
@@ -41,12 +44,13 @@ func NewEstimator(models ...*Model) (*Estimator, error) {
 			return nil, fmt.Errorf("core: duplicate model for %s", m.Spec.Sub)
 		}
 		e.models[idx] = m
-		e.reads |= m.Spec.Reads
 	}
+	e.production = true
 	for _, s := range power.Subsystems() {
 		if e.models[s] == nil {
 			return nil, fmt.Errorf("core: no model for %s", s)
 		}
+		e.production = e.production && e.models[s].Spec.eq == productionEq[s]
 	}
 	return e, nil
 }
@@ -61,16 +65,107 @@ func (e *Estimator) Model(s power.Subsystem) *Model {
 
 // Estimate returns per-rail power for one counter sample.
 func (e *Estimator) Estimate(s *perfctr.Sample) power.Reading {
-	return e.EstimateMetrics(ExtractMetrics(s))
+	ss := [1]perfctr.Sample{*s}
+	var out [1]power.Reading
+	e.EstimateSamples(out[:], ss[:], nil)
+	return out[0]
 }
 
-// ExtractInto is ExtractMetricsAtInto for this estimator's inputs: it
-// writes NumCPUs and the fields its models declare they read, and
-// leaves the rest of m as it was. Each written field is the same bits
-// ExtractMetricsAtInto writes, so EstimateBatch on metrics extracted
-// either way returns the same readings.
-func (e *Estimator) ExtractInto(m *Metrics, s *perfctr.Sample, nominalHz float64) {
-	extractInto(m, s, nominalHz, e.reads)
+// EstimateSamples writes the estimate of ss[j] to out[j], which must be
+// at least len(ss) long. An estimator of the five ProductionSpecs
+// evaluates them straight from the counts, one sample at a time: one
+// pass over its processors accumulates the six per-CPU sums the
+// equations read, then five dot products. Every other estimator
+// extracts ss BatchSize samples at a time into c and runs
+// EstimateBatch; c may be nil, and that path then borrows pooled
+// scratch. Either way every rail is bit-identical to extracting with
+// ExtractMetricsAtInto at the default clock and running EstimateBatch.
+func (e *Estimator) EstimateSamples(out []power.Reading, ss []perfctr.Sample, c *Columns) {
+	out = out[:len(ss)]
+	if k, ok := e.kernel(); ok {
+		for j := range ss {
+			k.estimate(&out[j], &ss[j])
+		}
+		return
+	}
+	if c == nil {
+		one := singles.Get().(*single)
+		defer singles.Put(one)
+		c = &one.cols
+	}
+	for lo := 0; lo < len(ss); lo += BatchSize {
+		chunk := ss[lo:min(lo+BatchSize, len(ss))]
+		if len(c.ms) < len(chunk) {
+			c.ms = make([]Metrics, len(chunk))
+		}
+		ms := c.ms[:len(chunk)]
+		for j := range chunk {
+			ExtractMetricsAtInto(&ms[j], &chunk[j], sim.DefaultCoreHz)
+		}
+		e.EstimateBatch(out[lo:], ms, c)
+	}
+}
+
+// kernelCoefs are the production models' coefficients, by subsystem.
+type kernelCoefs [power.NumSubsystems][5]float64
+
+// kernel copies the coefficients for the production kernel. It
+// reports false, leaving EstimateSamples to the general path, unless
+// the estimator is production and every Coef still has its design's
+// width: the kernel leaves a shorter or longer Coef to dot.
+func (e *Estimator) kernel() (k kernelCoefs, ok bool) {
+	if !e.production {
+		return k, false
+	}
+	for sub, m := range e.models {
+		if len(m.Coef) != len(m.Spec.Terms) {
+			return k, false
+		}
+		copy(k[sub][:], m.Coef)
+	}
+	return k, true
+}
+
+// estimate is the production kernel: Equations 1, 3, 4 and 5 and the
+// chipset constant for one sample, with every term in registers. It
+// reproduces ExtractMetricsAtInto followed by each spec's Design and
+// dot bit for bit: each rate comes from the shared per-CPU helpers, the
+// sums run in processor order from 0.0 as sum does, a mean divides by
+// the processor count as mean does, squares are v*v as in square, and
+// each dot product starts at 0.0 and adds coef[k]*term[k] in ascending
+// k, each product rounded on its own, as dot does.
+func (k *kernelCoefs) estimate(out *power.Reading, s *perfctr.Sample) {
+	var act, upc, bus, dma, ints, disk float64
+	diskInts := diskIntsRow(s)
+	for i := range s.CPUs {
+		c := &s.CPUs[i]
+		cyc := float64(c.Cycles)
+		if cyc <= 0 {
+			// Extraction gives this processor zero rates, and adding
+			// +0 leaves a sum of non-negative rates unchanged.
+			continue
+		}
+		mcyc := megacycles(cyc)
+		act += activeFraction(c, cyc)
+		upc += float64(c.FetchedUops) / cyc
+		bus += float64(c.BusTx) / mcyc
+		dma += float64(c.DMAOther) / mcyc
+		ints += float64(s.IntsForCPU(i)) / mcyc
+		disk += diskIntsPMC(diskInts, i, mcyc)
+	}
+	n := float64(len(s.CPUs))
+	meanDMA := 0.0
+	if len(s.CPUs) > 0 {
+		meanDMA = dma / n
+	}
+	totalBus := bus + meanDMA
+	cpu, chip, mem, io, dsk := &k[power.SubCPU], &k[power.SubChipset], &k[power.SubMemory], &k[power.SubIO], &k[power.SubDisk]
+	out[power.SubCPU] = 0 + float64(cpu[0]*n) + float64(cpu[1]*act) + float64(cpu[2]*upc)
+	out[power.SubChipset] = 0 + float64(chip[0]*1)
+	out[power.SubMemory] = 0 + float64(mem[0]*1) + float64(mem[1]*totalBus) + float64(mem[2]*(totalBus*totalBus))
+	out[power.SubIO] = 0 + float64(io[0]*1) + float64(io[1]*ints) + float64(io[2]*(ints*ints))
+	out[power.SubDisk] = 0 + float64(dsk[0]*1) + float64(dsk[1]*disk) + float64(dsk[2]*(disk*disk)) +
+		float64(dsk[3]*meanDMA) + float64(dsk[4]*(meanDMA*meanDMA))
 }
 
 // EstimateMetrics is Estimate for pre-extracted metrics: a batch of
@@ -109,14 +204,16 @@ func (e *Estimator) EstimateBatch(out []power.Reading, ms []Metrics, c *Columns)
 // processors using the per-processor terms of Equation 1 — the paper's
 // SMP/process-level accounting motivation ("the ability to attribute
 // power consumption to a single physical processor within an SMP
-// environment is critical").
+// environment is critical"). It returns nil unless the CPU model is
+// CPUSpec's Equation 1: another CPU model's coefficients do not weight
+// the unhalted fraction and fetch rate of each processor.
 func (e *Estimator) PerCPUPower(s *perfctr.Sample) []float64 {
-	m := ExtractMetrics(s)
 	cm := e.models[power.SubCPU]
-	out := make([]float64, m.NumCPUs)
-	if len(cm.Coef) < 3 {
-		return out
+	if cm.Spec.eq != eqCPU || len(cm.Coef) < 3 {
+		return nil
 	}
+	m := ExtractMetrics(s)
+	out := make([]float64, m.NumCPUs)
 	for i := 0; i < m.NumCPUs; i++ {
 		out[i] = cm.Coef[0] + cm.Coef[1]*m.PercentActive[i] + cm.Coef[2]*m.UopsPerCycle[i]
 	}

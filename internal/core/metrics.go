@@ -77,31 +77,6 @@ type Metrics struct {
 // perCPUMetrics is the number of per-CPU slices in Metrics.
 const perCPUMetrics = 13
 
-// Fields is a set of Metrics' per-CPU slices, one bit each in the order
-// the struct declares them. A ModelSpec declares the fields its Design
-// reads, and an Estimator extracts only the union of its models'.
-type Fields uint16
-
-// The per-CPU fields of Metrics, one bit each.
-const (
-	FieldPercentActive Fields = 1 << iota
-	FieldUopsPerCycle
-	FieldL3LoadPMC
-	FieldL3AllPMC
-	FieldBusTxPMC
-	FieldPrefetchPMC
-	FieldDMAPMC
-	FieldUncacheablePMC
-	FieldTLBPMC
-	FieldIntsPMC
-	FieldDiskIntsPMC
-	FieldOSUtil
-	FieldFreqScale
-
-	// AllFields is every per-CPU field: what ExtractMetricsAtInto fills.
-	AllFields Fields = 1<<perCPUMetrics - 1
-)
-
 // ExtractMetrics normalizes a counter sample, assuming the default
 // nominal clock for frequency inference.
 func ExtractMetrics(s *perfctr.Sample) *Metrics {
@@ -113,11 +88,8 @@ func ExtractMetrics(s *perfctr.Sample) *Metrics {
 // cannot happen on real hardware but may in truncated logs) yield zero
 // rates.
 func ExtractMetricsAt(s *perfctr.Sample, nominalHz float64) *Metrics {
-	// One call, not ExtractMetricsAtInto's wrapper inlined here, keeps
-	// this function cheap enough to inline, so a caller that drops the
-	// result keeps m on its stack.
 	m := &Metrics{}
-	extractInto(m, s, nominalHz, AllFields)
+	ExtractMetricsAtInto(m, s, nominalHz)
 	return m
 }
 
@@ -135,9 +107,9 @@ func metricsBatch(n, ncpu int) []Metrics {
 }
 
 // carve points m's per-CPU slices at consecutive n-element windows of
-// its slab, growing the slab when it is too small: window k holds the
-// field whose Fields bit is 1<<k. Each window's capacity is its length,
-// so an append to one slice cannot overwrite the next.
+// its slab, growing the slab when it is too small. Each window's
+// capacity is its length, so an append to one slice cannot overwrite
+// the next.
 func (m *Metrics) carve(n int) {
 	if cap(m.slab) < perCPUMetrics*n {
 		m.slab = make([]float64, perCPUMetrics*n)
@@ -158,114 +130,101 @@ func (m *Metrics) carve(n int) {
 // and extract every sample into it. The per-CPU slices are carved from
 // one slab that is re-carved only when the processor count changes,
 // and every element is written on every call, so a steady stream of
-// same-sized samples extracts without allocating or re-slicing. The
-// live service extracts through Estimator.ExtractInto instead, which
-// fills only the fields its models read.
+// same-sized samples extracts without allocating or re-slicing.
+// Estimator.EstimateSamples evaluates the production models from the
+// same per-CPU expressions without extracting at all.
 func ExtractMetricsAtInto(m *Metrics, s *perfctr.Sample, nominalHz float64) {
-	extractInto(m, s, nominalHz, AllFields)
-}
-
-// extractInto is the one extraction body: ExtractMetricsAtInto with
-// only the fields in f written. The others keep whatever m held. A
-// written field is the same bits whichever other fields are written.
-func extractInto(m *Metrics, s *perfctr.Sample, nominalHz float64, f Fields) {
 	n := len(s.CPUs)
 	if n != m.NumCPUs || len(m.slab) != perCPUMetrics*n {
 		m.carve(n)
 	}
-	if f&FieldOSUtil != 0 {
-		for i := range m.OSUtil {
-			u := 0.0
-			if s.IntervalSec > 0 && i < len(s.OSBusySec) {
-				u = s.OSBusySec[i] / s.IntervalSec
-				if u < 0 {
-					u = 0
-				}
-				if u > 1 {
-					u = 1
-				}
+	for i := range m.OSUtil {
+		u := 0.0
+		if s.IntervalSec > 0 && i < len(s.OSBusySec) {
+			u = s.OSBusySec[i] / s.IntervalSec
+			if u < 0 {
+				u = 0
 			}
-			m.OSUtil[i] = u
+			if u > 1 {
+				u = 1
+			}
 		}
+		m.OSUtil[i] = u
 	}
 	// Loop invariants, hoisted: the same bits as computing them per CPU.
 	clocked := s.IntervalSec > 0 && nominalHz > 0
 	nominal := s.IntervalSec * nominalHz
-	var diskInts []uint64
-	if f&FieldDiskIntsPMC != 0 && int(iobus.VecDisk) < len(s.Ints) {
-		diskInts = s.Ints[iobus.VecDisk]
-	}
+	diskInts := diskIntsRow(s)
 	for i := range s.CPUs {
 		c := &s.CPUs[i]
 		cyc := float64(c.Cycles)
 		if cyc <= 0 {
-			// A CPU without cycles has zero rates. Field k of CPU i is
-			// slab[k*n+i] (see carve); OSUtil is not a rate.
-			for k, zero := 0, f&^FieldOSUtil; k < perCPUMetrics; k++ {
-				if zero&(1<<k) != 0 {
-					m.slab[k*n+i] = 0
-				}
-			}
+			m.PercentActive[i], m.UopsPerCycle[i], m.FreqScale[i] = 0, 0, 0
+			m.L3LoadPMC[i], m.L3AllPMC[i], m.BusTxPMC[i], m.PrefetchPMC[i] = 0, 0, 0, 0
+			m.DMAPMC[i], m.UncacheablePMC[i], m.TLBPMC[i] = 0, 0, 0
+			m.IntsPMC[i], m.DiskIntsPMC[i] = 0, 0
 			continue
 		}
-		mcyc := cyc / 1e6
-		if f&FieldFreqScale != 0 {
-			fs := 1.0
-			if clocked {
-				fs = cyc / nominal
-				// Sampling jitter wobbles the estimate slightly; clamp to
-				// the hardware's actual operating range.
-				if fs < 0.1 {
-					fs = 0.1
-				}
-				if fs > 1 {
-					fs = 1
-				}
+		mcyc := megacycles(cyc)
+		f := 1.0
+		if clocked {
+			f = cyc / nominal
+			// Sampling jitter wobbles the estimate slightly; clamp to
+			// the hardware's actual operating range.
+			if f < 0.1 {
+				f = 0.1
 			}
-			m.FreqScale[i] = fs
-		}
-		if f&FieldPercentActive != 0 {
-			active := 1 - float64(c.HaltedCycles)/cyc
-			if active < 0 {
-				active = 0
+			if f > 1 {
+				f = 1
 			}
-			m.PercentActive[i] = active
 		}
-		if f&FieldUopsPerCycle != 0 {
-			m.UopsPerCycle[i] = float64(c.FetchedUops) / cyc
-		}
-		if f&FieldL3LoadPMC != 0 {
-			m.L3LoadPMC[i] = float64(c.L3LoadMisses) / mcyc
-		}
-		if f&FieldL3AllPMC != 0 {
-			m.L3AllPMC[i] = float64(c.L3Misses) / mcyc
-		}
-		if f&FieldBusTxPMC != 0 {
-			m.BusTxPMC[i] = float64(c.BusTx) / mcyc
-		}
-		if f&FieldPrefetchPMC != 0 {
-			m.PrefetchPMC[i] = float64(c.BusPrefetchTx) / mcyc
-		}
-		if f&FieldDMAPMC != 0 {
-			m.DMAPMC[i] = float64(c.DMAOther) / mcyc
-		}
-		if f&FieldUncacheablePMC != 0 {
-			m.UncacheablePMC[i] = float64(c.Uncacheable) / mcyc
-		}
-		if f&FieldTLBPMC != 0 {
-			m.TLBPMC[i] = float64(c.TLBMisses) / mcyc
-		}
-		if f&FieldIntsPMC != 0 {
-			m.IntsPMC[i] = float64(s.IntsForCPU(i)) / mcyc
-		}
-		if f&FieldDiskIntsPMC != 0 {
-			disk := 0.0
-			if i < len(diskInts) {
-				disk = float64(diskInts[i]) / mcyc
-			}
-			m.DiskIntsPMC[i] = disk
-		}
+		m.FreqScale[i] = f
+		m.PercentActive[i] = activeFraction(c, cyc)
+		m.UopsPerCycle[i] = float64(c.FetchedUops) / cyc
+		m.L3LoadPMC[i] = float64(c.L3LoadMisses) / mcyc
+		m.L3AllPMC[i] = float64(c.L3Misses) / mcyc
+		m.BusTxPMC[i] = float64(c.BusTx) / mcyc
+		m.PrefetchPMC[i] = float64(c.BusPrefetchTx) / mcyc
+		m.DMAPMC[i] = float64(c.DMAOther) / mcyc
+		m.UncacheablePMC[i] = float64(c.Uncacheable) / mcyc
+		m.TLBPMC[i] = float64(c.TLBMisses) / mcyc
+		m.IntsPMC[i] = float64(s.IntsForCPU(i)) / mcyc
+		m.DiskIntsPMC[i] = diskIntsPMC(diskInts, i, mcyc)
 	}
+}
+
+// The per-CPU expressions below are shared by ExtractMetricsAtInto and
+// the production kernel, so both compute every rate the same way.
+
+// megacycles is the denominator of the per-million-cycle rates.
+func megacycles(cyc float64) float64 { return cyc / 1e6 }
+
+// activeFraction is 1 - HaltedCycles/Cycles for a processor that ran
+// cyc > 0 cycles, clamped at 0.
+func activeFraction(c *perfctr.CPUCounts, cyc float64) float64 {
+	active := 1 - float64(c.HaltedCycles)/cyc
+	if active < 0 {
+		active = 0
+	}
+	return active
+}
+
+// diskIntsRow returns the disk controller's per-CPU row of the
+// interrupt matrix, or nil when the matrix has no such vector.
+func diskIntsRow(s *perfctr.Sample) []uint64 {
+	if int(iobus.VecDisk) < len(s.Ints) {
+		return s.Ints[iobus.VecDisk]
+	}
+	return nil
+}
+
+// diskIntsPMC is processor i's disk interrupts per million cycles: 0
+// when the disk row has no column for it.
+func diskIntsPMC(row []uint64, i int, mcyc float64) float64 {
+	if i < len(row) {
+		return float64(row[i]) / mcyc
+	}
+	return 0
 }
 
 // sum adds a per-CPU metric across processors.
@@ -285,9 +244,6 @@ func mean(v []float64) float64 {
 	return sum(v) / float64(len(v))
 }
 
-// totalBusFields are the fields TotalBusPMC reads.
-const totalBusFields = FieldBusTxPMC | FieldDMAPMC
-
 // TotalBusPMC returns the paper's "all transactions that enter/exit the
 // processor" aggregate: every processor's own transactions plus the
 // DMA/other stream counted once. (The P4 counts the same DMA traffic at
@@ -296,9 +252,6 @@ const totalBusFields = FieldBusTxPMC | FieldDMAPMC
 func (m *Metrics) TotalBusPMC() float64 {
 	return sum(m.BusTxPMC) + mean(m.DMAPMC)
 }
-
-// writebackFields are the fields WritebackShare reads.
-const writebackFields = FieldBusTxPMC | FieldL3AllPMC | FieldL3LoadPMC
 
 // WritebackShare estimates the write fraction of memory traffic from
 // CPU-visible events: the gap between all L3 miss traffic and demand

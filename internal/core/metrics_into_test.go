@@ -181,119 +181,3 @@ func BenchmarkEstimateMetrics(b *testing.B) {
 		est.EstimateMetrics(scratch)
 	}
 }
-
-// declaredFieldSamples are samples that give every Metrics field a
-// distinct, finite value: a DVFS operating point below nominal, OS busy
-// times, timer and disk interrupt rows, writeback traffic, and a CPU
-// without cycles.
-func declaredFieldSamples() []perfctr.Sample {
-	dvfs := mkSample(0.8, 1.3, 150, 700, 90, 40)
-	for i := range dvfs.CPUs {
-		c := &dvfs.CPUs[i]
-		c.Cycles = c.Cycles * 6 / 10 // f = 0.6
-		c.L3Misses = 2 * c.L3LoadMisses
-	}
-	dvfs.OSBusySec = []float64{0.4, 0.9}
-	busy := mkSample(0.5, 0.9, 60, 250, 30, 15)
-	busy.OSBusySec = []float64{0.2, 1.4} // the second clamps to 1
-	busy.CPUs[0].L3Misses = 3 * busy.CPUs[0].L3LoadMisses
-	idle := mkSample(0.1, 0.2, 5, 20, 2, 1)
-	idle.CPUs[1] = perfctr.CPUCounts{} // no cycles: zero rates
-	idle.OSBusySec = []float64{0.05}
-	return []perfctr.Sample{dvfs, busy, idle}
-}
-
-// specsUnderTest is every spec a caller can build an estimator from:
-// the production five, the selection candidates and every registered
-// spec (the rejected and extension models among them).
-func specsUnderTest() []ModelSpec {
-	prod := ProductionSpecs()
-	specs := append([]ModelSpec(nil), prod[:]...)
-	specs = append(specs, MemoryCandidates()...)
-	specs = append(specs, DiskCandidates()...)
-	specs = append(specs, IOCandidates()...)
-	for _, name := range SpecNames() {
-		spec, err := SpecByName(name)
-		if err != nil {
-			panic(err)
-		}
-		specs = append(specs, spec)
-	}
-	return specs
-}
-
-// TestDeclaredFieldsCoverDesign: each spec's Design reads only the
-// fields its Reads declares. Extracting just those into Metrics whose
-// every other field is NaN yields the design of a full extraction, bit
-// for bit; a Design that reads an undeclared field reads the NaN.
-func TestDeclaredFieldsCoverDesign(t *testing.T) {
-	samples := declaredFieldSamples()
-	full := make([]Metrics, len(samples))
-	for j := range samples {
-		ExtractMetricsAtInto(&full[j], &samples[j], sim.DefaultCoreHz)
-	}
-	if f := full[0].FreqScale[0]; f == 1 {
-		t.Fatalf("DVFS sample extracts FreqScale %v, want below 1", f)
-	}
-	trimmed := make([]Metrics, len(samples))
-	for _, spec := range specsUnderTest() {
-		for j := range samples {
-			m := &trimmed[j]
-			m.carve(len(samples[j].CPUs))
-			for k := range m.slab {
-				m.slab[k] = math.NaN()
-			}
-			extractInto(m, &samples[j], sim.DefaultCoreHz, spec.Reads)
-		}
-		var cf, ct Columns
-		want, got := cf.design(&spec, full), ct.design(&spec, trimmed)
-		for k := range want {
-			for j := range want[k] {
-				if math.IsNaN(want[k][j]) {
-					t.Fatalf("%s term %s sample %d: full extraction gives NaN", spec.Name, spec.Terms[k], j)
-				}
-				if math.Float64bits(got[k][j]) != math.Float64bits(want[k][j]) {
-					t.Errorf("%s term %s sample %d: %v on declared fields, %v on all",
-						spec.Name, spec.Terms[k], j, got[k][j], want[k][j])
-				}
-			}
-		}
-	}
-}
-
-// TestEstimatorExtractsOnlyItsInputs: the production estimator reads 6
-// of the 13 per-CPU fields, its ExtractInto leaves the rest untouched,
-// and the readings on its extraction are the readings on a full one.
-func TestEstimatorExtractsOnlyItsInputs(t *testing.T) {
-	est := handEstimator(t)
-	const want = FieldPercentActive | FieldUopsPerCycle | FieldBusTxPMC |
-		FieldDMAPMC | FieldIntsPMC | FieldDiskIntsPMC
-	if est.reads != want {
-		t.Fatalf("production estimator reads %013b, want %013b", est.reads, want)
-	}
-	samples := declaredFieldSamples()
-	full, trimmed := make([]Metrics, len(samples)), make([]Metrics, len(samples))
-	for j := range samples {
-		ExtractMetricsAtInto(&full[j], &samples[j], sim.DefaultCoreHz)
-		trimmed[j].carve(len(samples[j].CPUs))
-		for k := range trimmed[j].slab {
-			trimmed[j].slab[k] = math.NaN()
-		}
-		est.ExtractInto(&trimmed[j], &samples[j], sim.DefaultCoreHz)
-		if v := trimmed[j].FreqScale[0]; !math.IsNaN(v) {
-			t.Fatalf("sample %d: ExtractInto wrote FreqScale %v", j, v)
-		}
-	}
-	var c Columns
-	wantR, gotR := make([]power.Reading, len(samples)), make([]power.Reading, len(samples))
-	est.EstimateBatch(wantR, full, &c)
-	est.EstimateBatch(gotR, trimmed, &c)
-	for j := range wantR {
-		for s := range wantR[j] {
-			if math.Float64bits(gotR[j][s]) != math.Float64bits(wantR[j][s]) {
-				t.Errorf("sample %d %s: %v on the estimator's fields, %v on all",
-					j, power.Subsystem(s), gotR[j][s], wantR[j][s])
-			}
-		}
-	}
-}

@@ -21,14 +21,38 @@ type ModelSpec struct {
 	// one. Processor sums and means use sum and mean, so a term is the
 	// same bits whichever batch its sample arrives in.
 	Design func(cols [][]float64, ms []Metrics)
-	// Reads declares the per-CPU Metrics fields Design reads; NumCPUs is
-	// always filled. An Estimator extracts only the union of its models'
-	// fields, so a field Design reads without declaring it holds stale
-	// values there.
-	Reads Fields
 	// Terms names the design columns, one per term, for coefficient
 	// printing; len(Terms) is the design width.
 	Terms []string
+
+	// eq is set by the constructors of the production specs alone and
+	// names the equation Design evaluates. It is what lets an Estimator
+	// built from the five evaluate them without Design (see
+	// EstimateSamples); a hand-built spec has none, whatever its Name. A
+	// copy keeps it, so a copy's Design must still be that equation.
+	eq equation
+}
+
+// equation identifies a production spec's functional form.
+type equation uint8
+
+// The zero equation is every spec that is not a production one.
+const (
+	eqCPU     equation = iota + 1 // Equation 1
+	eqChipset                     // the chipset constant
+	eqMemBus                      // Equation 3
+	eqIO                          // Equation 5
+	eqDisk                        // Equation 4
+)
+
+// productionEq is each subsystem's production equation, as
+// ProductionSpecs lists them.
+var productionEq = [power.NumSubsystems]equation{
+	power.SubCPU:     eqCPU,
+	power.SubChipset: eqChipset,
+	power.SubMemory:  eqMemBus,
+	power.SubIO:      eqIO,
+	power.SubDisk:    eqDisk,
 }
 
 // CPUSpec is the paper's Equation 1: per-processor power is a halted
@@ -50,8 +74,8 @@ func CPUSpec() ModelSpec {
 				upc[j] = sum(m.UopsPerCycle)
 			}
 		},
-		Reads: FieldPercentActive | FieldUopsPerCycle,
 		Terms: []string{"perCPU", "percent_active", "uops_per_cycle"},
+		eq:    eqCPU,
 	}
 }
 
@@ -84,7 +108,6 @@ func CPUDVFSSpec() ModelSpec {
 				vs[j], act[j], upc[j] = vSum, actFV, upcFV
 			}
 		},
-		Reads: FieldPercentActive | FieldUopsPerCycle | FieldFreqScale,
 		Terms: []string{"perCPU*V", "active*fV^2", "upc*fV^2"},
 	}
 }
@@ -108,7 +131,6 @@ func CPUOSUtilSpec() ModelSpec {
 				util[j] = sum(ms[j].OSUtil)
 			}
 		},
-		Reads: FieldOSUtil,
 		Terms: []string{"perCPU", "os_util"},
 	}
 }
@@ -129,7 +151,6 @@ func MemL3Spec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
-		Reads: FieldL3LoadPMC,
 		Terms: []string{"const", "l3_load_pmc", "l3_load_pmc^2"},
 	}
 }
@@ -150,8 +171,8 @@ func MemBusSpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
-		Reads: totalBusFields,
 		Terms: []string{"const", "bus_tx_pmc", "bus_tx_pmc^2"},
+		eq:    eqMemBus,
 	}
 }
 
@@ -173,7 +194,6 @@ func MemBusRWSpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
-		Reads: totalBusFields | writebackFields,
 		Terms: []string{"const", "bus_tx_pmc", "bus_tx_pmc^2", "bus_tx_pmc*wb_share"},
 	}
 }
@@ -196,8 +216,8 @@ func DiskSpec() ModelSpec {
 			square(cols[2], i)
 			square(cols[4], d)
 		},
-		Reads: FieldDiskIntsPMC | FieldDMAPMC,
 		Terms: []string{"const", "disk_ints_pmc", "disk_ints_pmc^2", "dma_pmc", "dma_pmc^2"},
+		eq:    eqDisk,
 	}
 }
 
@@ -216,8 +236,8 @@ func IOSpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
-		Reads: FieldIntsPMC,
 		Terms: []string{"const", "ints_pmc", "ints_pmc^2"},
+		eq:    eqIO,
 	}
 }
 
@@ -232,6 +252,7 @@ func ChipsetSpec() ModelSpec {
 			ones(cols[0])
 		},
 		Terms: []string{"const"},
+		eq:    eqChipset,
 	}
 }
 
@@ -255,7 +276,6 @@ func DiskDMASpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
-		Reads: FieldDMAPMC,
 		Terms: []string{"const", "dma_pmc", "dma_pmc^2"},
 	}
 }
@@ -274,7 +294,6 @@ func DiskUncacheableSpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
-		Reads: FieldUncacheablePMC,
 		Terms: []string{"const", "uc_pmc", "uc_pmc^2"},
 	}
 }
@@ -294,7 +313,6 @@ func IODMASpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
-		Reads: FieldDMAPMC,
 		Terms: []string{"const", "dma_pmc", "dma_pmc^2"},
 	}
 }
@@ -313,7 +331,6 @@ func IOUncacheableSpec() ModelSpec {
 			ones(cols[0])
 			square(cols[2], x)
 		},
-		Reads: FieldUncacheablePMC,
 		Terms: []string{"const", "uc_pmc", "uc_pmc^2"},
 	}
 }

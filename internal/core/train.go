@@ -99,6 +99,7 @@ type Columns struct {
 	cols [][]float64 // carved at n elements each
 	n    int
 	rail []float64 // one model's predictions, for Estimator.EstimateBatch
+	ms   []Metrics // EstimateSamples' extraction scratch on its general path
 }
 
 // design has spec fill len(spec.Terms) columns of len(ms) elements.
@@ -183,14 +184,16 @@ func (m *Model) predict(out []float64, ms []Metrics, c *Columns) {
 // dot sets out[j] to the dot product of coef with sample j's design
 // terms. Each sum starts at 0.0 and adds coef[k]*cols[k][j] in
 // ascending k, exactly as regress.Predict does over a row, so a batch
-// prediction is bit-identical to a per-row one.
+// prediction is bit-identical to a per-row one. The explicit
+// conversion rounds each product before its add, so no target fuses
+// the two and the production kernel can reproduce the sum.
 func dot(out, coef []float64, cols [][]float64) {
 	if len(out) == 1 {
 		// A batch of one keeps its running sum in a register, so a term
 		// need not wait for the previous one's store to out[0].
 		s := 0.0
 		for k, c := range coef {
-			s += c * cols[k][0]
+			s += float64(c * cols[k][0])
 		}
 		out[0] = s
 		return
@@ -201,7 +204,7 @@ func dot(out, coef []float64, cols [][]float64) {
 	for k, c := range coef {
 		col := cols[k][:len(out)]
 		for j, v := range col {
-			out[j] += c * v
+			out[j] += float64(c * v)
 		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"trickledown/internal/pmu"
 	"trickledown/internal/power"
 	"trickledown/internal/sim"
+	"trickledown/internal/telemetry"
 	"trickledown/internal/workload"
 )
 
@@ -68,6 +69,11 @@ func DefaultConfig() Config {
 		DAQ:             daq.DefaultConfig(),
 	}
 }
+
+// mDemandSanitized counts the demand fields step zeroed for being NaN
+// or ±Inf.
+var mDemandSanitized = telemetry.NewCounter("machine_demand_sanitized_total",
+	"non-finite workload demand fields zeroed before the OS and processors saw them")
 
 // job binds a workload instance to a hardware thread with its staggered
 // start time.
@@ -455,6 +461,13 @@ func (s *Server) step(c *sim.Clock) {
 			continue
 		}
 		s.demands[i] = j.gen.Demand(now-j.start, s.env, s.jobRNGs[i])
+	}
+	// Zero non-finite demand before anything consumes it. A pass of its
+	// own, so its loads do not wait on the copies the loop above stored.
+	for i := range s.demands {
+		if n := s.demands[i].Sanitize(); n > 0 {
+			mDemandSanitized.Add(uint64(n))
+		}
 	}
 
 	// 2. OS and the I/O path (page cache, disks, DMA, interrupts).

@@ -140,12 +140,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// decoder rides with the batch until a worker has estimated it.
 	dec := decoderPool.Get().(*perfctr.Decoder)
 	node, samples, ext, rails, err := dec.Decode(body.Bytes())
+	decoded := time.Now()
 	putBody(body)
 	if err != nil {
 		putDecoder(dec)
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	mDecode.Observe(decoded.Sub(arrived).Seconds())
 	client := r.Header.Get("X-Client-ID")
 	if client == "" {
 		client = r.RemoteAddr
@@ -153,7 +155,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// A producer-stamped trace context wins (same ID on both sides of
 	// the wire); admit mints one for batches without.
 	tc := tracez.Context{ID: tracez.TraceID(ext.ID), Sampled: ext.Sampled}
-	switch err := s.admit(client, &batch{node: node, samples: samples, rails: rails, tc: tc, dec: dec, arrived: arrived}); {
+	switch err := s.admit(client, &batch{node: node, samples: samples, rails: rails, tc: tc, dec: dec, arrived: arrived, decoded: decoded}); {
 	case err == nil:
 		w.WriteHeader(http.StatusAccepted)
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrRateLimited):

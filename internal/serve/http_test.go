@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -354,7 +355,8 @@ func (s *stallingReader) Read(p []byte) (int, error) {
 
 // TestAdmissionStageIncludesBodyRead: ARRIVED is stamped before the
 // handler reads the body, so a sampled batch whose body stalls 20 ms
-// shows at least that much in its admission stage and in e2e.
+// shows at least that much in its DECODED event, in its admission
+// stage, which runs on past DECODED, and in e2e.
 func TestAdmissionStageIncludesBodyRead(t *testing.T) {
 	const stall = 20 * time.Millisecond
 	s := newServer(t, Config{Estimator: testEstimator(t), Workers: 1})
@@ -366,6 +368,7 @@ func TestAdmissionStageIncludesBodyRead(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/ingest",
 		&stallingReader{stall: stall, data: bytes.NewReader(wire)})
 	rec := httptest.NewRecorder()
+	decodes := s.Stats().Decode.Count
 	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
@@ -375,8 +378,15 @@ func TestAdmissionStageIncludesBodyRead(t *testing.T) {
 		t.Fatalf("recent = %d traces, want 1", len(snap.Recent))
 	}
 	tr := snap.Recent[0]
-	if ms := float64(stall) / 1e6; tr.AdmissionMs < ms || tr.E2EMs < ms {
-		t.Errorf("admission %.3f ms, e2e %.3f ms; want both >= %.0f ms of body stall",
-			tr.AdmissionMs, tr.E2EMs, ms)
+	if got, want := eventKinds(tr), []string{"DECODED", "ADMITTED", "ENQUEUED"}; len(got) < 3 || !reflect.DeepEqual(got[:3], want) {
+		t.Fatalf("events %v, want %v first", got, want)
+	}
+	decodeMs := tr.Events[0].OffsetUs / 1e3
+	if ms := float64(stall) / 1e6; decodeMs < ms || tr.AdmissionMs < decodeMs || tr.E2EMs < tr.AdmissionMs {
+		t.Errorf("decode %.3f ms, admission %.3f ms, e2e %.3f ms; want %.0f ms of body stall <= decode <= admission <= e2e",
+			decodeMs, tr.AdmissionMs, tr.E2EMs, ms)
+	}
+	if got := s.Stats().Decode.Count; got <= decodes {
+		t.Errorf("statz decode count %d after the request, %d before", got, decodes)
 	}
 }

@@ -15,6 +15,7 @@ import (
 // histograms are built from:
 //
 //	ARRIVED   arrived   request received, before its body is read
+//	DECODED   decoded   /ingest body read and decoded (zero via Ingest)
 //	QUEUED    queued    admitted past rate limit + queue bound
 //	SCHEDULED (worker)  an estimation worker picked the batch up
 //	DEPARTED  (worker)  estimates folded into node state
@@ -30,6 +31,7 @@ type batch struct {
 	// TDP1 wire extension) feeding the adapter's drift detection.
 	rails   []power.Reading
 	arrived time.Time
+	decoded time.Time
 	queued  time.Time
 	// tc is the batch's trace identity (producer- or server-minted); tr
 	// is non-nil only when the head sampler elected to record events.

@@ -37,7 +37,6 @@ import (
 	"trickledown/internal/perfctr"
 	"trickledown/internal/pool"
 	"trickledown/internal/power"
-	"trickledown/internal/sim"
 	"trickledown/internal/telemetry"
 	"trickledown/internal/tracez"
 )
@@ -71,6 +70,8 @@ var (
 		"1 while admission control is actively shedding (queue recently full)")
 	mEstimatePanics = telemetry.NewCounter("serve_estimate_panics_total",
 		"estimation batch panics recovered (and retried per policy)")
+	mDecode = telemetry.NewHistogram("serve_decode_seconds",
+		"ARRIVED to DECODED: body read and decode of an /ingest batch", latencyBuckets)
 	mAdmission = telemetry.NewHistogram("serve_admission_seconds",
 		"ARRIVED to QUEUED: body read, decode, rate limit and queue admission of a batch", latencyBuckets)
 	mQueueWait = telemetry.NewHistogram("serve_queue_wait_seconds",
@@ -461,6 +462,9 @@ func (s *Server) enqueue(client string, b *batch) error {
 	}
 	b.arrived = arrived
 	if tr := s.rec.Start(tc, node, client, arrived); tr != nil {
+		if !b.decoded.IsZero() {
+			tr.AddAt(tracez.EvDecoded, b.decoded, int64(n), "")
+		}
 		tr.Add(tracez.EvAdmitted, int64(n))
 		b.tr = tr
 	}
@@ -569,12 +573,12 @@ func (s *Server) processProtected(b *batch, scratch *workerScratch, worker int) 
 // process runs the batch through the estimators (SCHEDULED→DEPARTED)
 // and folds the result into node state. One pass over the samples
 // applies fault injection and feeds the adapter; then the batch is
-// extracted and estimated core.BatchSize samples at a time, one Design
-// call per model per chunk, with a chunk split wherever the adapter
-// swapped the champion. Extraction goes through the estimator, so only
-// the metrics its models read are computed. One finite test covers a
-// chunk; only a chunk that fails it is walked sample by sample, and its
-// non-finite estimates are quarantined into counters. The node keeps
+// estimated core.BatchSize samples at a time, with a chunk split
+// wherever the adapter swapped the champion. EstimateSamples runs the
+// production models straight from the counts, without extracting
+// metrics. One finite test covers a chunk; only a chunk that fails it
+// is walked sample by sample, and its non-finite estimates are
+// quarantined into counters. The node keeps
 // its last good reading so the fleet aggregate never turns NaN.
 //
 // Sampled batches stamp the SCHEDULED/ESTIMATED/DEPARTED events and feed
@@ -631,14 +635,13 @@ func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 		}
 		for lo := seg.from; lo < end; lo += core.BatchSize {
 			chunk := b.samples[lo:min(lo+core.BatchSize, end)]
-			ms, out := sc.ms[:len(chunk)], sc.out[:len(chunk)]
+			out := sc.out[:len(chunk)]
 			for j := range chunk {
-				seg.est.ExtractInto(&ms[j], &chunk[j], sim.DefaultCoreHz)
 				if t := chunk[j].TargetSeconds; t > lastT {
 					lastT = t
 				}
 			}
-			seg.est.EstimateBatch(out, ms, &sc.cols)
+			seg.est.EstimateSamples(out, chunk, &sc.cols)
 			if allFinite(out) {
 				lastR, hasGood = out[len(out)-1], true
 				continue
@@ -720,6 +723,9 @@ func (s *Server) reconstructAnomaly(b *batch, scheduled, departed time.Time, wor
 		id = tracez.NewTraceID()
 	}
 	t := s.rec.StartAt(id, b.node, "", b.arrived)
+	if !b.decoded.IsZero() {
+		t.AddAt(tracez.EvDecoded, b.decoded, int64(len(b.samples)), "")
+	}
 	t.AddAt(tracez.EvAdmitted, b.arrived, int64(len(b.samples)), "")
 	t.AddAt(tracez.EvEnqueued, b.queued, 0, "")
 	t.AddAt(tracez.EvScheduled, scheduled, int64(worker), "")
@@ -732,14 +738,12 @@ func (s *Server) reconstructAnomaly(b *batch, scheduled, departed time.Time, wor
 	s.rec.Finish(t)
 }
 
-// workerScratch is one estimation worker's reusable storage: a chunk of
-// extracted metrics and their readings, the design columns, and the
+// workerScratch is one estimation worker's reusable storage: a chunk's
+// readings, the general path's extraction and design scratch, and the
 // estimator segments of the batch in hand, which outlive a panicked
-// attempt so its retry keeps them. It is sized by
-// core.BatchSize, not by the batch, so it stays bounded at any
-// MaxBatch.
+// attempt so its retry keeps them. It is sized by core.BatchSize, not
+// by the batch, so it stays bounded at any MaxBatch.
 type workerScratch struct {
-	ms   [core.BatchSize]core.Metrics
 	out  [core.BatchSize]power.Reading
 	cols core.Columns
 	segs []estSegment
@@ -946,6 +950,7 @@ type Stats struct {
 	QueueDepth     int            `json:"queue_depth"`
 	QueueCapacity  int            `json:"queue_capacity"`
 	SheddingActive bool           `json:"shedding_active"`
+	Decode         LatencySummary `json:"decode"`
 	Admission      LatencySummary `json:"admission"`
 	QueueWait      LatencySummary `json:"queue_wait"`
 	Service        LatencySummary `json:"service"`
@@ -971,6 +976,7 @@ func (s *Server) Stats() Stats {
 		QueueDepth:       s.queue.depth(),
 		QueueCapacity:    s.queue.capacity(),
 		SheddingActive:   s.SheddingActive(),
+		Decode:           summarize(mDecode),
 		Admission:        summarize(mAdmission),
 		QueueWait:        summarize(mQueueWait),
 		Service:          summarize(mService),

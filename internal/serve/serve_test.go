@@ -41,7 +41,6 @@ func testModel(sub power.Subsystem, base, slope float64) *core.Model {
 					cols[0][j], cols[1][j] = 1, upc
 				}
 			},
-			Reads: core.FieldUopsPerCycle,
 			Terms: []string{"const", "upc"},
 		},
 		Coef: []float64{base, slope},
@@ -659,7 +658,6 @@ func TestQuarantineAcrossChunkBoundaries(t *testing.T) {
 					cols[0][j], cols[1][j] = 1, 1/upc
 				}
 			},
-			Reads: core.FieldUopsPerCycle,
 			Terms: []string{"const", "inv_upc"},
 		},
 		Coef: []float64{10, 1},

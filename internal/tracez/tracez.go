@@ -136,6 +136,9 @@ const (
 	EvQuarantine
 	// EvNote: free-form annotation.
 	EvNote
+	// EvDecoded: an /ingest body was read and decoded; arg = batch
+	// samples. It falls between ARRIVED and ADMITTED.
+	EvDecoded
 )
 
 var eventKindNames = [...]string{
@@ -148,6 +151,7 @@ var eventKindNames = [...]string{
 	EvNodeStep:   "NODE_STEP",
 	EvQuarantine: "QUARANTINE",
 	EvNote:       "NOTE",
+	EvDecoded:    "DECODED",
 }
 
 func (k EventKind) String() string {
@@ -158,7 +162,7 @@ func (k EventKind) String() string {
 }
 
 // MaxEvents is the fixed per-trace event capacity. Twelve covers the
-// serve journey (admit, enqueue, schedule, estimate, depart) plus
+// serve journey (decode, admit, enqueue, schedule, estimate, depart) plus
 // retries and annotations; past it events are counted dropped, never
 // grown — a trace is a bounded record, not a log.
 const MaxEvents = 12

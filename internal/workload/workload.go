@@ -22,6 +22,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"trickledown/internal/sim"
@@ -100,6 +101,32 @@ type Demand struct {
 	NetTxBytes float64
 	// Sync requests a page-cache flush (the DiskLoad sync() call).
 	Sync bool
+}
+
+// Sanitize zeroes every NaN or ±Inf field of d and returns how many it
+// zeroed. A non-finite size or rate would wedge the I/O path (an
+// infinite write never drains) or poison every rail. Finite fields are
+// left bit for bit.
+func (d *Demand) Sanitize() int {
+	// A sum of the fields times 0 is ±0 when all are finite and NaN when
+	// one is not, or when finite fields overflow the sum; the loop then
+	// finds nothing to zero.
+	if (((d.Active+d.UopsPerCycle)+(d.SpecActivity+d.L2PerUop))+
+		((d.L3MissPerKuop+d.DirtyEvictFrac)+(d.Prefetchability+d.TLBMissPerMuop))+
+		((d.UCPerMcycle+d.WriteFrac)+(d.MemLocality+d.DiskReadBytes))+
+		((d.DiskWriteBytes+d.NetRxBytes)+d.NetTxBytes))*0 == 0 {
+		return 0
+	}
+	n := 0
+	for _, v := range [...]*float64{&d.Active, &d.UopsPerCycle, &d.SpecActivity, &d.L2PerUop,
+		&d.L3MissPerKuop, &d.DirtyEvictFrac, &d.Prefetchability, &d.TLBMissPerMuop, &d.UCPerMcycle,
+		&d.WriteFrac, &d.MemLocality, &d.DiskReadBytes, &d.DiskWriteBytes, &d.NetRxBytes, &d.NetTxBytes} {
+		if math.IsNaN(*v) || math.IsInf(*v, 0) {
+			*v = 0
+			n++
+		}
+	}
+	return n
 }
 
 // Env carries the feedback a generator may react to, filled by the

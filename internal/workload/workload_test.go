@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"trickledown/internal/sim"
@@ -374,5 +375,53 @@ func TestFlatPhaseIsFlat(t *testing.T) {
 		if a, u, m := ph(ts, g); a != 1 || u != 1 || m != 1 {
 			t.Fatalf("flat phase returned %v %v %v", a, u, m)
 		}
+	}
+}
+
+// TestDemandSanitize: Sanitize zeroes exactly the NaN and ±Inf fields
+// and counts them, and leaves every finite field, signed zeros,
+// subnormals and negatives among them, bit for bit.
+func TestDemandSanitize(t *testing.T) {
+	finite := []float64{0.5, math.Copysign(0, -1), 5e-324, -3, 1e300, 0}
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 200; trial++ {
+		var d Demand
+		fields := [...]*float64{
+			&d.Active, &d.UopsPerCycle, &d.SpecActivity, &d.L2PerUop, &d.L3MissPerKuop,
+			&d.DirtyEvictFrac, &d.Prefetchability, &d.TLBMissPerMuop, &d.UCPerMcycle,
+			&d.WriteFrac, &d.MemLocality, &d.DiskReadBytes, &d.DiskWriteBytes,
+			&d.NetRxBytes, &d.NetTxBytes,
+		}
+		want := make([]uint64, len(fields))
+		wantN := 0
+		for k, f := range fields {
+			if (trial+k)%5 == 0 && trial%2 == 1 {
+				*f = bad[(trial+k)%len(bad)]
+				wantN++
+				continue
+			}
+			*f = finite[(trial*7+k)%len(finite)]
+			want[k] = math.Float64bits(*f)
+		}
+		d.RandomIO, d.Sync = trial%3 == 0, trial%4 == 0
+		flags := [2]bool{d.RandomIO, d.Sync}
+		if n := d.Sanitize(); n != wantN {
+			t.Fatalf("trial %d: Sanitize zeroed %d fields, want %d", trial, n, wantN)
+		}
+		for k, f := range fields {
+			if math.Float64bits(*f) != want[k] {
+				t.Fatalf("trial %d field %d: %v after Sanitize, want bits %#x", trial, k, *f, want[k])
+			}
+		}
+		if [2]bool{d.RandomIO, d.Sync} != flags {
+			t.Fatalf("trial %d: Sanitize changed the flags", trial)
+		}
+	}
+	// Finite fields whose sum overflows fail the fast test and still
+	// come through untouched.
+	big := Demand{Active: math.MaxFloat64, DiskReadBytes: math.MaxFloat64, DiskWriteBytes: math.MaxFloat64}
+	want := big
+	if n := big.Sanitize(); n != 0 || big != want {
+		t.Fatalf("overflowing finite demand: Sanitize zeroed %d fields, left %+v", n, big)
 	}
 }
