@@ -6,6 +6,7 @@ import (
 	"trickledown/internal/core"
 	"trickledown/internal/machine"
 	"trickledown/internal/power"
+	"trickledown/internal/stats"
 )
 
 // TestModelSelectionNarrative asserts the quantitative core of the
@@ -30,9 +31,13 @@ func TestModelSelectionNarrative(t *testing.T) {
 		}
 		return m
 	}
+	// dcErr is Equation 6 after removing a DC offset, the paper's
+	// procedure for the disk model ("this error is calculated by first
+	// subtracting the 21.6W of idle (DC) disk power consumption").
 	dcErr := func(m *core.Model, dc float64) float64 {
 		t.Helper()
-		e, err := m.ValidateOffset(eval, dc)
+		measured, modeled := m.Trace(eval)
+		e, err := stats.AverageErrorOffset(modeled, measured, dc)
 		if err != nil {
 			t.Fatalf("validating %s: %v", m.Spec.Name, err)
 		}

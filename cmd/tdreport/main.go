@@ -4,7 +4,8 @@
 // sweep, the fitted equations, the Section 3.3.1 model selection and
 // the extension studies. With -figures it also writes each figure's
 // trace as CSV and as an ASCII plot. The generation itself lives in
-// internal/report.
+// internal/report. A run that fails renders its cells as n/a; tdreport
+// still writes the file, then logs each cause and exits 1.
 //
 // Usage:
 //

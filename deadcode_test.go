@@ -1,0 +1,261 @@
+package trickledown_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// interfaceMethods are method names that satisfy interfaces declared
+// outside the module (fmt.Stringer, error, http.Handler, errors.Unwrap,
+// json.Marshaler/Unmarshaler, io.Reader/Writer/Closer). Their callers
+// live in the standard library, so no identifier in the module names
+// them.
+var interfaceMethods = map[string]bool{
+	"String": true, "Error": true, "ServeHTTP": true, "Unwrap": true,
+	"MarshalJSON": true, "UnmarshalJSON": true,
+	"Read": true, "Write": true, "Close": true,
+}
+
+// benchmarkOnly are the functions whose only non-test callers are the
+// benchmark/ module and each other. They stay until ROADMAP item 3(b)
+// points the benchmark at the production paths and deletes them; the
+// guard fails when one is gone, stops being called from benchmark/ or
+// gains another caller, so the list cannot go stale.
+var benchmarkOnly = []string{
+	"core.(*Estimator).EstimateMetrics",
+	"cpu.SliceStats.TotalBusTx",
+	"perfctr.DecodeBatchExt",
+	"perfctr.DecodeBatchFull",
+	"sim.(*RNG).Intn",
+	"validate.(*Report).ChecksOK",
+}
+
+// goFile is one parsed non-test source file of the module.
+type goFile struct {
+	dir   string // slash-separated, relative to the module root
+	bench bool   // under benchmark/
+	file  *ast.File
+	fset  *token.FileSet
+	pkgs  map[string]string // import name -> module-relative directory
+}
+
+// funcDecl is one top-level function or method declared under
+// internal/.
+type funcDecl struct {
+	key  string // pkg.Func, pkg.Type.Method or pkg.(*Type).Method
+	name string
+	dir  string
+	recv bool
+	decl *ast.FuncDecl
+	pos  token.Position
+}
+
+// TestNoTestOnlyFuncs fails when a top-level function or method
+// declared under internal/ has no reference from non-test Go other
+// than its own declaration: code that only its tests run. benchmark/
+// is parsed but does not count as a caller, and neither does the body
+// of a benchmarkOnly function. A function is referenced by its
+// package-qualified name from another package, or by its bare name
+// from its own package; a method by its name from anywhere, which lets
+// a method through when another type's method of the same name is
+// called, but never fails one that has a caller. init, main and
+// interfaceMethods are exempt. Types, constants and variables are out
+// of scope: returned types and sentinel errors are used without being
+// named.
+func TestNoTestOnlyFuncs(t *testing.T) {
+	files := parseModule(t)
+	var decls []funcDecl
+	for _, f := range files {
+		if f.bench || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			decls = append(decls, funcDecl{
+				key:  declKey(f.file.Name.Name, fd),
+				name: fd.Name.Name,
+				dir:  f.dir,
+				recv: fd.Recv != nil,
+				decl: fd,
+				pos:  f.fset.Position(fd.Pos()),
+			})
+		}
+	}
+
+	listed := map[string]bool{}
+	for _, k := range benchmarkOnly {
+		listed[k] = true
+	}
+	// refs[i] and benchRefs[i] count decls[i]'s references outside and
+	// inside benchmark/. A reference from the body of a benchmarkOnly
+	// function counts as inside: benchmark/ is its only caller.
+	refs := make([]int, len(decls))
+	benchRefs := make([]int, len(decls))
+	byName := map[string][]int{}
+	benchBody := map[ast.Decl]bool{}
+	for i, d := range decls {
+		byName[d.name] = append(byName[d.name], i)
+		benchBody[d.decl] = listed[d.key]
+	}
+	for _, f := range files {
+		for _, decl := range f.file.Decls {
+			count := refs
+			if f.bench || benchBody[decl] {
+				count = benchRefs
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					// pkg.Func from another package.
+					if x, ok := n.X.(*ast.Ident); ok {
+						if dir, ok := f.pkgs[x.Name]; ok {
+							for _, i := range byName[n.Sel.Name] {
+								if !decls[i].recv && decls[i].dir == dir {
+									count[i]++
+								}
+							}
+						}
+					}
+				case *ast.Ident:
+					for _, i := range byName[n.Name] {
+						d := decls[i]
+						if n == d.decl.Name || within(n, d.decl) {
+							continue
+						}
+						if d.recv || d.dir == f.dir {
+							count[i]++
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	found := map[string]bool{}
+	var dead []string
+	for i, d := range decls {
+		if listed[d.key] {
+			found[d.key] = true
+			switch {
+			case refs[i] > 0:
+				t.Errorf("%s: %s is listed as benchmark/ only but has a caller outside benchmark/; drop it from benchmarkOnly", d.pos, d.key)
+			case benchRefs[i] == 0:
+				t.Errorf("%s: %s is listed as benchmark/ only but benchmark/ no longer calls it; delete it and drop it from benchmarkOnly", d.pos, d.key)
+			}
+			continue
+		}
+		if refs[i] > 0 || d.name == "init" || d.name == "main" || (d.recv && interfaceMethods[d.name]) {
+			continue
+		}
+		msg := d.pos.String() + ": " + d.key + " has no caller outside tests; delete it, or move it into the _test.go file that uses it"
+		if benchRefs[i] > 0 {
+			msg = d.pos.String() + ": " + d.key + " has no caller outside tests and benchmark/; delete it with its benchmark/ callers, or list it in benchmarkOnly"
+		}
+		dead = append(dead, msg)
+	}
+	for _, k := range benchmarkOnly {
+		if !found[k] {
+			t.Errorf("%s is listed as benchmark/ only but is not declared under internal/; drop it from benchmarkOnly", k)
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Error(d)
+	}
+}
+
+// parseModule parses every non-test .go file under the module root,
+// benchmark/ included, skipping testdata and hidden directories.
+func parseModule(t *testing.T) []goFile {
+	t.Helper()
+	const module = "trickledown"
+	fset := token.NewFileSet()
+	var files []goFile
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := e.Name()
+		if e.IsDir() {
+			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		g := goFile{dir: dir, bench: dir == "benchmark" || strings.HasPrefix(dir, "benchmark/"),
+			file: f, fset: fset, pkgs: map[string]string{}}
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || !strings.HasPrefix(p, module+"/") {
+				continue
+			}
+			rel := strings.TrimPrefix(p, module+"/")
+			local := rel[strings.LastIndex(rel, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			g.pkgs[local] = rel
+		}
+		files = append(files, g)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no Go files found; the test must run from the module root")
+	}
+	return files
+}
+
+// declKey names a declaration as pkg.Func, pkg.Type.Method or
+// pkg.(*Type).Method.
+func declKey(pkg string, fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return pkg + "." + fd.Name.Name
+	}
+	typ := fd.Recv.List[0].Type
+	star := false
+	if s, ok := typ.(*ast.StarExpr); ok {
+		star, typ = true, s.X
+	}
+	switch x := typ.(type) {
+	case *ast.IndexExpr:
+		typ = x.X
+	case *ast.IndexListExpr:
+		typ = x.X
+	}
+	name := "?"
+	if id, ok := typ.(*ast.Ident); ok {
+		name = id.Name
+	}
+	if star {
+		return pkg + ".(*" + name + ")." + fd.Name.Name
+	}
+	return pkg + "." + name + "." + fd.Name.Name
+}
+
+// within reports whether n lies inside decl, so a recursive call is
+// not a caller.
+func within(n ast.Node, decl *ast.FuncDecl) bool {
+	return n.Pos() >= decl.Pos() && n.End() <= decl.End()
+}

@@ -78,10 +78,6 @@ func (d *PageHinkley) Reset() {
 // (not reset by Reset).
 func (d *PageHinkley) Quarantined() uint64 { return d.quarantined }
 
-// Score returns the current alarm statistic (cum - min) — how far the
-// stream has run hot, in the observed value's units times samples.
-func (d *PageHinkley) Score() float64 { return d.cum - d.min }
-
 // EnvelopeCUSUM is the residual-free drift detector: one-sided CUSUM
 // per training-envelope metric on the absolute z-score of the live
 // value against the training mean/std. It notices a workload-mix shift

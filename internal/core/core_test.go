@@ -188,7 +188,7 @@ func TestValidateErrors(t *testing.T) {
 	if _, err := mod.Validate(nil); !errors.Is(err, ErrNoData) {
 		t.Error("nil dataset validated")
 	}
-	if _, err := mod.ValidateOffset(&align.Dataset{}, 5); !errors.Is(err, ErrNoData) {
+	if _, err := mod.Validate(&align.Dataset{}); !errors.Is(err, ErrNoData) {
 		t.Error("empty dataset validated")
 	}
 }

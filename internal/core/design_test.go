@@ -154,16 +154,15 @@ func randomMetrics(rng *rand.Rand) Metrics {
 func TestBatchDesignMatchesRowReference(t *testing.T) {
 	sentinel := math.Float64frombits(0x7ff4dead0000beef) // a NaN no arithmetic yields
 	rng := rand.New(rand.NewSource(21))
-	names := SpecNames()
-	if len(names) != len(rowReference) {
-		t.Fatalf("%d registered specs, %d row references", len(names), len(rowReference))
+	if len(specRegistry) != len(rowReference) {
+		t.Fatalf("%d registered specs, %d row references", len(specRegistry), len(rowReference))
 	}
 	for trial := 0; trial < 40; trial++ {
 		ms := make([]Metrics, 1+rng.Intn(300))
 		for j := range ms {
 			ms[j] = randomMetrics(rng)
 		}
-		for _, name := range names {
+		for name := range specRegistry {
 			spec, err := SpecByName(name)
 			if err != nil {
 				t.Fatal(err)

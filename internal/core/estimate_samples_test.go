@@ -231,9 +231,6 @@ func TestPerCPUPowerRequiresEquation1(t *testing.T) {
 		if per := est.PerCPUPower(&s); per != nil {
 			t.Errorf("%s: PerCPUPower = %v, want nil", spec.Name, per)
 		}
-		if per := est.PerThreadPower(&s, 2); per != nil {
-			t.Errorf("%s: PerThreadPower = %v, want nil", spec.Name, per)
-		}
 	}
 }
 

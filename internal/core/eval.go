@@ -27,19 +27,6 @@ type Eval struct {
 	N int
 }
 
-// Residuals returns modeled − measured over a dataset, in Watts.
-func (m *Model) Residuals(ds *align.Dataset) ([]float64, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, ErrNoData
-	}
-	measured, modeled := m.Trace(ds)
-	out := make([]float64, len(measured))
-	for i := range out {
-		out[i] = modeled[i] - measured[i]
-	}
-	return out, nil
-}
-
 // Evaluate computes the full held-out evaluation of the model on a
 // dataset.
 func (m *Model) Evaluate(ds *align.Dataset) (Eval, error) {

@@ -8,6 +8,7 @@ import (
 	"trickledown/internal/align"
 	"trickledown/internal/perfctr"
 	"trickledown/internal/power"
+	"trickledown/internal/stats"
 )
 
 // evalDataset returns a dataset with an exact linear CPU rail plus the
@@ -67,24 +68,27 @@ func TestEvaluateBiasedModel(t *testing.T) {
 	}
 }
 
+// TestResiduals: Evaluate summarizes modeled − measured, row by row.
 func TestResiduals(t *testing.T) {
 	ds, mod := evalDataset(t, 20)
-	res, err := mod.Residuals(ds)
+	ev, err := mod.Evaluate(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != ds.Len() {
-		t.Fatalf("len = %d, want %d", len(res), ds.Len())
-	}
-	for i, r := range res {
+	res := make([]float64, ds.Len())
+	for i := range res {
 		measured := ds.Rows[i].Power[power.SubCPU]
 		modeled := mod.Predict(ExtractMetrics(&ds.Rows[i].Counters))
-		if math.Abs(r-(modeled-measured)) > 1e-12 {
-			t.Fatalf("row %d residual %v != modeled-measured %v", i, r, modeled-measured)
-		}
+		res[i] = modeled - measured
 	}
-	if _, err := mod.Residuals(&align.Dataset{}); !errors.Is(err, ErrNoData) {
-		t.Errorf("empty dataset err = %v", err)
+	want, err := stats.Summarize(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ev.Resid
+	if got.N != want.N || math.Abs(got.Mean-want.Mean) > 1e-12 || math.Abs(got.StdDev-want.StdDev) > 1e-12 ||
+		math.Abs(got.Min-want.Min) > 1e-12 || math.Abs(got.Max-want.Max) > 1e-12 {
+		t.Errorf("Evaluate residuals %+v, want %+v", got, want)
 	}
 }
 

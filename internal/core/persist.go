@@ -38,15 +38,6 @@ func SpecByName(name string) (ModelSpec, error) {
 	return mk(), nil
 }
 
-// SpecNames returns every registered spec name.
-func SpecNames() []string {
-	out := make([]string, 0, len(specRegistry))
-	for n := range specRegistry {
-		out = append(out, n)
-	}
-	return out
-}
-
 // modelJSON is the persisted form of one fitted model.
 type modelJSON struct {
 	Spec string    `json:"spec"`
@@ -103,6 +94,12 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 		spec, err := SpecByName(mj.Spec)
 		if err != nil {
 			return nil, err
+		}
+		// Save labels every model with its subsystem; v1 files may omit
+		// the label.
+		if mj.Sub != "" && mj.Sub != spec.Sub.String() {
+			return nil, fmt.Errorf("core: model %q is labelled subsystem %q, but it models %s",
+				mj.Spec, mj.Sub, spec.Sub)
 		}
 		want := len(spec.Terms)
 		if len(mj.Coef) != want {

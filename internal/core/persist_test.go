@@ -10,7 +10,7 @@ import (
 	"trickledown/internal/power"
 )
 
-func trainedEstimator(t *testing.T) *Estimator {
+func trainedEstimator(t testing.TB) *Estimator {
 	t.Helper()
 	ds := synthDataset(60, func(i int, s *perfctr.Sample) power.Reading {
 		m := ExtractMetrics(s)
@@ -101,27 +101,77 @@ func TestSaveLoadProvenance(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"not json":     "pfff",
-		"wrong format": `{"format":"other/9","models":[]}`,
-		"unknown spec": `{"format":"trickledown-models/1","models":[{"spec":"nope","coef":[1]}]}`,
-		"bad width":    `{"format":"trickledown-models/1","models":[{"spec":"cpu (Eq.1)","coef":[1]}]}`,
-		"incomplete":   `{"format":"trickledown-models/1","models":[]}`,
+// rejectedModelFiles returns model files LoadEstimator must reject,
+// keyed by what is wrong with each.
+func rejectedModelFiles(t testing.TB) map[string]string {
+	t.Helper()
+	var saved bytes.Buffer
+	if err := trainedEstimator(t).Save(&saved); err != nil {
+		t.Fatal(err)
 	}
-	for name, in := range cases {
+	label := func(s power.Subsystem) string { return `"subsystem": "` + s.String() + `"` }
+	mislabeled := strings.Replace(saved.String(), label(power.SubCPU), label(power.SubDisk), 1)
+	if mislabeled == saved.String() {
+		t.Fatalf("saved file carries no %s label:\n%s", label(power.SubCPU), saved.String())
+	}
+	return map[string]string{
+		"not json":             "pfff",
+		"wrong format":         `{"format":"other/9","models":[]}`,
+		"unknown spec":         `{"format":"trickledown-models/1","models":[{"spec":"nope","coef":[1]}]}`,
+		"bad width":            `{"format":"trickledown-models/1","models":[{"spec":"cpu (Eq.1)","coef":[1]}]}`,
+		"incomplete":           `{"format":"trickledown-models/1","models":[]}`,
+		"mislabeled subsystem": mislabeled,
+	}
+}
+
+func TestLoadRejectsGarbage(t *testing.T) {
+	for name, in := range rejectedModelFiles(t) {
 		if _, err := LoadEstimator(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-func TestSpecRegistry(t *testing.T) {
-	names := SpecNames()
-	if len(names) < 11 {
-		t.Fatalf("registry has %d specs", len(names))
+// FuzzLoadEstimator feeds arbitrary bytes to LoadEstimator: it never
+// panics, and any file it accepts saves, loads and saves again to the
+// same bytes.
+func FuzzLoadEstimator(f *testing.F) {
+	var saved bytes.Buffer
+	if err := trainedEstimator(f).Save(&saved); err != nil {
+		f.Fatal(err)
 	}
-	for _, n := range names {
+	f.Add(saved.Bytes())
+	f.Add([]byte(strings.Replace(saved.String(), formatName, formatNameV1, 1)))
+	for _, in := range rejectedModelFiles(f) {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		est, err := LoadEstimator(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := est.Save(&first); err != nil {
+			t.Fatalf("saving an accepted file: %v", err)
+		}
+		back, err := LoadEstimator(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("loading its own save: %v\n%s", err, first.Bytes())
+		}
+		if err := back.Save(&second); err != nil {
+			t.Fatalf("saving the reloaded estimator: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("save, load, save changed the file:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
+func TestSpecRegistry(t *testing.T) {
+	if len(specRegistry) < 11 {
+		t.Fatalf("registry has %d specs", len(specRegistry))
+	}
+	for n := range specRegistry {
 		spec, err := SpecByName(n)
 		if err != nil {
 			t.Errorf("SpecByName(%q): %v", n, err)

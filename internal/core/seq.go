@@ -87,27 +87,6 @@ func (m *SeqModel) Validate(ds *align.Dataset) (float64, error) {
 	return stats.AverageError(modeled, measured)
 }
 
-// EWMA computes an exponentially weighted moving average of per-sample
-// values with smoothing alpha in (0, 1]; larger alpha forgets faster.
-func EWMA(values []float64, alpha float64) []float64 {
-	out := make([]float64, len(values))
-	if len(values) == 0 {
-		return out
-	}
-	if alpha <= 0 {
-		alpha = 0.01
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	acc := values[0]
-	for i, v := range values {
-		acc += alpha * (v - acc)
-		out[i] = acc
-	}
-	return out
-}
-
 // DiskStandbySpec extends Equation 4 with history: an exponentially
 // weighted recent-interrupt level whose decay matches the spindown
 // timeout, letting the fit learn "no recent disk work ⇒ the spindle has

@@ -11,28 +11,35 @@ import (
 	"trickledown/internal/power"
 )
 
+// TestEWMA checks DiskStandbySpec's recent-activity column: the
+// saturated EWMA acc/(acc+0.01) of the disk interrupt rate.
 func TestEWMA(t *testing.T) {
-	out := EWMA([]float64{10, 10, 10}, 0.5)
-	for i, v := range out {
-		if math.Abs(v-10) > 1e-12 {
-			t.Errorf("constant EWMA[%d] = %v", i, v)
+	spec := DiskStandbySpec(0.5)
+	recency := func(ints []float64) []float64 {
+		hist := make([]*Metrics, len(ints))
+		for i, v := range ints {
+			hist[i] = &Metrics{DiskIntsPMC: []float64{v}}
+		}
+		out := make([]float64, len(ints))
+		for i := range hist {
+			out[i] = spec.Design(hist, i)[4]
+		}
+		return out
+	}
+	saturate := func(acc float64) float64 { return acc / (acc + 0.01) }
+	for i, v := range recency([]float64{10, 10, 10}) {
+		if math.Abs(v-saturate(10)) > 1e-12 {
+			t.Errorf("constant recency[%d] = %v", i, v)
 		}
 	}
 	// Step decay: after the input drops to zero the average decays
 	// geometrically.
-	out = EWMA([]float64{10, 0, 0, 0}, 0.5)
-	want := []float64{10, 5, 2.5, 1.25}
-	for i, w := range want {
-		if math.Abs(out[i]-w) > 1e-12 {
-			t.Errorf("EWMA[%d] = %v, want %v", i, out[i], w)
+	got := recency([]float64{10, 0, 0, 0})
+	for i, acc := range []float64{10, 5, 2.5, 1.25} {
+		if math.Abs(got[i]-saturate(acc)) > 1e-12 {
+			t.Errorf("recency[%d] = %v, want %v", i, got[i], saturate(acc))
 		}
 	}
-	if got := EWMA(nil, 0.5); len(got) != 0 {
-		t.Error("empty EWMA")
-	}
-	// Alpha clamping must not panic or explode.
-	_ = EWMA([]float64{1, 2}, -1)
-	_ = EWMA([]float64{1, 2}, 7)
 }
 
 func TestTrainSeqErrors(t *testing.T) {

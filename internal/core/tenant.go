@@ -139,3 +139,34 @@ func CheckAttribution(total, idle power.Reading, tenants []TenantActivity) error
 	}
 	return nil
 }
+
+// splitShares is AttributeTenants' split: it divides total into
+// len(dst) shares, the floor evenly and the dynamic part in proportion
+// to weights (evenly when the weights sum to zero). The caller defines
+// floor and dynamic; the rounding residue against total lands on
+// dst[0], so the shares sum to total exactly. It returns the index of
+// the first negative or non-finite weight, leaving dst unwritten, or -1
+// on success.
+func splitShares(dst, weights []float64, total, floor, dynamic float64) int {
+	var sum float64
+	for i, w := range weights {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return i
+		}
+		sum += w
+	}
+	n := float64(len(dst))
+	var got float64
+	for i := range dst {
+		share := 1 / n
+		if sum > 0 {
+			share = weights[i] / sum
+		}
+		dst[i] = floor/n + dynamic*share
+		got += dst[i]
+	}
+	if diff := total - got; diff != 0 {
+		dst[0] += diff
+	}
+	return -1
+}

@@ -259,17 +259,6 @@ func (m *Model) Validate(ds *align.Dataset) (float64, error) {
 	return stats.AverageError(modeled, measured)
 }
 
-// ValidateOffset computes Equation 6 after removing a DC offset, the
-// paper's procedure for the disk model ("this error is calculated by
-// first subtracting the 21.6W of idle (DC) disk power consumption").
-func (m *Model) ValidateOffset(ds *align.Dataset, dc float64) (float64, error) {
-	if ds == nil || ds.Len() == 0 {
-		return 0, ErrNoData
-	}
-	measured, modeled := m.Trace(ds)
-	return stats.AverageErrorOffset(modeled, measured, dc)
-}
-
 // String renders the fitted model with named coefficients.
 func (m *Model) String() string {
 	var b strings.Builder

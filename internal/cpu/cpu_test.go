@@ -165,15 +165,16 @@ func TestPMUCountsMatchStats(t *testing.T) {
 		sum.DemandBusTx += st.DemandBusTx
 		sum.PrefetchBusTx += st.PrefetchBusTx
 	}
-	cyc, _ := p.PMU().ReadEvent(pmu.EventCycles)
+	// programAll's slots: cycles 0, fetched uops 2, bus transactions 6.
+	cyc, _ := p.PMU().Read(0)
 	if math.Abs(float64(cyc)-sum.Cycles) > 1e-6*sum.Cycles {
 		t.Errorf("PMU cycles %d vs stats %v", cyc, sum.Cycles)
 	}
-	uops, _ := p.PMU().ReadEvent(pmu.EventFetchedUops)
+	uops, _ := p.PMU().Read(2)
 	if rel := math.Abs(float64(uops)-sum.FetchedUops) / sum.FetchedUops; rel > 0.001 {
 		t.Errorf("PMU uops %d vs stats %v", uops, sum.FetchedUops)
 	}
-	bus, _ := p.PMU().ReadEvent(pmu.EventBusTransactions)
+	bus, _ := p.PMU().Read(6)
 	wantBus := sum.DemandBusTx + sum.PrefetchBusTx
 	if rel := math.Abs(float64(bus)-wantBus) / wantBus; rel > 0.01 {
 		t.Errorf("PMU bus tx %d vs stats %v", bus, wantBus)
@@ -188,7 +189,7 @@ func TestObserveDMA(t *testing.T) {
 	p.ObserveDMA(500)
 	p.ObserveDMA(0)
 	p.ObserveDMA(-5) // ignored
-	got, _ := p.PMU().ReadEvent(pmu.EventDMAOther)
+	got, _ := p.PMU().Read(0)
 	if got != 500 {
 		t.Errorf("DMA count = %d, want 500", got)
 	}

@@ -104,9 +104,6 @@ func (s *Stats) Add(other *Stats) {
 	s.QueueLen += other.QueueLen
 }
 
-// BusySec returns non-idle seconds.
-func (s Stats) BusySec() float64 { return s.SeekSec + s.RotSec + s.XferSec }
-
 // active is the in-flight request with its remaining phase times.
 type active struct {
 	req      Request
@@ -145,9 +142,6 @@ func NewDisk(parent *sim.RNG) *Disk {
 // SetPowerPolicy installs (or clears, with the zero value) spindown
 // power management.
 func (d *Disk) SetPowerPolicy(p PowerPolicy) { d.policy = p }
-
-// Standby reports whether the spindle is currently stopped.
-func (d *Disk) Standby() bool { return d.standby }
 
 // transferable reports whether r moves a positive, finite number of
 // bytes. Anything else is dropped on submission: a zero-byte request has
@@ -317,9 +311,6 @@ func (c *Controller) SetPowerPolicy(p PowerPolicy) {
 	}
 }
 
-// Disks returns the number of spindles.
-func (c *Controller) Disks() int { return len(c.disks) }
-
 // Submit routes a request to the least-loaded disk.
 func (c *Controller) Submit(r Request) {
 	if !r.transferable() {
@@ -332,16 +323,6 @@ func (c *Controller) Submit(r Request) {
 		}
 	}
 	best.Submit(r)
-}
-
-// Pending reports whether any request is queued or in flight.
-func (c *Controller) Pending() bool {
-	for _, d := range c.disks {
-		if d.busy || d.qlen > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Step advances every disk by sliceSec and returns the summed stats. It

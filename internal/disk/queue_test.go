@@ -20,7 +20,7 @@ func TestNonFiniteRequestIgnored(t *testing.T) {
 	}
 	for i := 0; i < 5000; i++ {
 		st := d.Step(slice)
-		if st.IdleSec != slice || st.BusySec() != 0 || st.ReadBytes != 0 || st.WriteBytes != 0 {
+		if st.IdleSec != slice || busySec(st) != 0 || st.ReadBytes != 0 || st.WriteBytes != 0 {
 			t.Fatalf("slice %d: disk not idle: %+v", i, st)
 		}
 	}
@@ -28,17 +28,17 @@ func TestNonFiniteRequestIgnored(t *testing.T) {
 	c := NewController(2, sim.NewRNG(12))
 	c.Submit(Request{Bytes: math.Inf(1)})
 	c.Submit(Request{Bytes: math.NaN(), Write: true})
-	if c.Pending() {
+	if pending(c) {
 		t.Fatal("controller holds a non-finite request")
 	}
 	// A real request behind them is served and drains.
 	c.Submit(Request{Bytes: 4096})
 	var read float64
-	for i := 0; i < 5000 && c.Pending(); i++ {
+	for i := 0; i < 5000 && pending(c); i++ {
 		read += c.Step(slice).ReadBytes
 	}
-	if c.Pending() || math.Abs(read-4096) > 1e-6 {
-		t.Errorf("4 KiB read: pending=%v, read %v bytes", c.Pending(), read)
+	if pending(c) || math.Abs(read-4096) > 1e-6 {
+		t.Errorf("4 KiB read: pending=%v, read %v bytes", pending(c), read)
 	}
 }
 
@@ -160,7 +160,7 @@ func BenchmarkControllerDeepQueue(b *testing.B) {
 		for j := 0; j < 8000; j++ {
 			c.Submit(req)
 		}
-		for c.Pending() {
+		for pending(c) {
 			c.StepInto(&st, slice)
 		}
 	}

@@ -16,7 +16,7 @@ func TestSpindownAfterIdleTimeout(t *testing.T) {
 		idle += st.IdleSec
 		standby += st.StandbySec
 	}
-	if !d.Standby() {
+	if !d.standby {
 		t.Fatal("disk never spun down")
 	}
 	if math.Abs(idle-2) > 0.01 {
@@ -33,7 +33,7 @@ func TestSpinupOnRequest(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		d.Step(slice)
 	}
-	if !d.Standby() {
+	if !d.standby {
 		t.Fatal("not in standby")
 	}
 	d.Submit(Request{Bytes: 64 * 1024, Sequential: true})
@@ -60,7 +60,7 @@ func TestSpinupOnRequest(t *testing.T) {
 	if slices < 500 {
 		t.Errorf("request finished in %d ms, should include 500 ms spinup", slices)
 	}
-	if d.Standby() {
+	if d.standby {
 		t.Error("disk still standby after serving")
 	}
 }
@@ -86,7 +86,7 @@ func TestZeroPolicyNeverSpinsDown(t *testing.T) {
 			t.Fatal("server disk entered standby without a policy")
 		}
 	}
-	if d.Standby() {
+	if d.standby {
 		t.Fatal("standby without policy")
 	}
 }

@@ -120,31 +120,6 @@ func (a *APIC) DrainSlice() (perCPU []int, total int) {
 	return a.drained, total
 }
 
-// VectorCount returns the cumulative delivery count for vector v (the
-// /proc/interrupts number).
-func (a *APIC) VectorCount(v Vector) uint64 {
-	if v < 0 || v >= numVectors {
-		return 0
-	}
-	var t uint64
-	for _, n := range a.matrix[v] {
-		t += n
-	}
-	return t
-}
-
-// CPUCount returns the cumulative deliveries to cpuID.
-func (a *APIC) CPUCount(cpuID int) uint64 {
-	if cpuID < 0 || cpuID >= a.numCPUs {
-		return 0
-	}
-	var t uint64
-	for v := range a.matrix {
-		t += a.matrix[v][cpuID]
-	}
-	return t
-}
-
 // Count returns the cumulative deliveries of vector v to cpuID.
 func (a *APIC) Count(v Vector, cpuID int) uint64 {
 	if v < 0 || v >= numVectors || cpuID < 0 || cpuID >= a.numCPUs {

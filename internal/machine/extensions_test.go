@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"trickledown/internal/align"
@@ -105,8 +108,8 @@ func TestNetloadExercisesNICPath(t *testing.T) {
 	var nicInts, diskInts uint64
 	var dma float64
 	for _, row := range ds.Rows[40:] {
-		nicInts += row.Counters.IntsForVector(int(iobus.VecNIC))
-		diskInts += row.Counters.IntsForVector(int(iobus.VecDisk))
+		nicInts += vectorInts(&row.Counters, iobus.VecNIC)
+		diskInts += vectorInts(&row.Counters, iobus.VecDisk)
 		dma += float64(row.Counters.CPUs[0].DMAOther)
 	}
 	if nicInts < 1000 {
@@ -119,7 +122,7 @@ func TestNetloadExercisesNICPath(t *testing.T) {
 		t.Error("netload produced no DMA bus traffic")
 	}
 	// I/O power must rise above the no-I/O floor.
-	m := srv.TruthMean()
+	m := truthMean(srv)
 	if m[power.SubIO] < power.IOBasePower+0.5 {
 		t.Errorf("netload I/O power = %v, expected clear rise above %v", m[power.SubIO], power.IOBasePower)
 	}
@@ -250,7 +253,7 @@ func TestSpindownBreaksConstantFloorAssumption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The machine actually saves power...
-	mean := srv.TruthMean()
+	mean := truthMean(srv)
 	if mean[power.SubDisk] > power.DiskIdlePower(2)-10 {
 		t.Fatalf("disks never spun down (mean %v)", mean[power.SubDisk])
 	}
@@ -276,7 +279,7 @@ func TestSpindownSavesMeasurableEnergy(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv.Run(60)
-		return srv.TruthMean()[power.SubDisk]
+		return truthMean(srv)[power.SubDisk]
 	}
 	server := run(disk.PowerPolicy{})
 	mobile := run(disk.MobilePolicy())
@@ -285,11 +288,30 @@ func TestSpindownSavesMeasurableEnergy(t *testing.T) {
 	}
 }
 
+// loadBlade returns the low-power blade profile: the server profile
+// with the overrides in internal/power/testdata/blade.json, the fixture
+// power's TestBladeProfileIsLowerPower checks is cheaper than the server.
+func loadBlade(t *testing.T) power.Profile {
+	t.Helper()
+	f, err := os.Open(filepath.Join("..", "power", "testdata", "blade.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p := power.ServerProfile()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // Profile portability: the same method retrains on a different machine
 // generation (low-power blade) and recovers accuracy with different
 // coefficients — the paper's premise that coefficients are per-machine.
 func TestMethodPortsToBladeProfile(t *testing.T) {
-	blade := power.BladeProfile()
+	blade := loadBlade(t)
 	run := func(name string, seconds float64, seed uint64) *align.Dataset {
 		spec := mustSpec(t, name)
 		cfg := DefaultConfig()

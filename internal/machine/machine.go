@@ -605,20 +605,6 @@ func (s *Server) DatasetRobust() (*align.Dataset, align.Quality, error) {
 	return align.MergeRobust(s.dq.Records(), s.sampler.Samples())
 }
 
-// TruthMean returns the noise-free per-rail average over the whole run —
-// ground truth the real paper could never see directly, used here for
-// calibration tests.
-func (s *Server) TruthMean() power.Reading {
-	var out power.Reading
-	if s.truthN == 0 {
-		return out
-	}
-	for i, v := range s.truthSum {
-		out[i] = v / float64(s.truthN)
-	}
-	return out
-}
-
 // Clock returns the machine clock.
 func (s *Server) Clock() *sim.Clock { return s.clock }
 

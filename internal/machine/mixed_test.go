@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
 	"trickledown/internal/core"
@@ -115,7 +116,7 @@ func TestMixedDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv.Run(15)
-		return srv.TruthMean()
+		return truthMean(srv)
 	}
 	if run() != run() {
 		t.Error("mixed run not deterministic")
@@ -133,7 +134,7 @@ func TestMixedChipsetBiasAveraged(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv.Run(20)
-		return srv.TruthMean()[power.SubChipset]
+		return truthMean(srv)[power.SubChipset]
 	}
 	idleOnly := mean([]Placement{{Workload: "idle", Thread: 0}})
 	vortexOnly := mean([]Placement{{Workload: "vortex", Thread: 0}})
@@ -187,24 +188,31 @@ func TestPerThreadAttributionOnSharedProcessor(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The shared processor's Eq. 1 attribution splits between its two
+	// threads by the OS-accounted busy time the machine records: the
+	// halted floor evenly, the dynamic part by busy share.
 	row := &ds.Rows[ds.Len()-1]
-	per := est.PerThreadPower(&row.Counters, 2)
-	if per == nil {
-		t.Fatal("no thread attribution from machine-recorded sample")
+	busy := row.Counters.OSThreadBusySec
+	if len(busy) != 8 {
+		t.Fatalf("thread accounting len = %d", len(busy))
 	}
-	if len(per) != 8 {
-		t.Fatalf("thread attribution len = %d", len(per))
+	perCPU := est.PerCPUPower(&row.Counters)
+	var total, idle power.Reading
+	total[power.SubCPU] = perCPU[0]
+	idle[power.SubCPU] = est.Model(power.SubCPU).Coef[0]
+	var a, b core.TenantActivity
+	a.Name, a.Driving[power.SubCPU] = "A", busy[0]
+	b.Name, b.Driving[power.SubCPU] = "B", busy[1]
+	per, err := core.AttributeTenants(total, idle, []core.TenantActivity{a, b})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Tenant A's thread dwarfs tenant B's sibling share.
-	if per[0] < 4*per[1] {
-		t.Errorf("busy tenant %v should dwarf parked tenant %v", per[0], per[1])
+	if per[0][power.SubCPU] < 4*per[1][power.SubCPU] {
+		t.Errorf("busy tenant %v should dwarf parked tenant %v", per[0][power.SubCPU], per[1][power.SubCPU])
 	}
-	// Threads of a processor sum to its Eq. 1 attribution.
-	perCPU := est.PerCPUPower(&row.Counters)
-	for cpu := 0; cpu < 4; cpu++ {
-		sum := per[2*cpu] + per[2*cpu+1]
-		if diff := sum - perCPU[cpu]; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("cpu %d: thread sum %v != per-CPU %v", cpu, sum, perCPU[cpu])
-		}
+	// The threads sum to the processor's Eq. 1 attribution.
+	if sum := per[0][power.SubCPU] + per[1][power.SubCPU]; math.Abs(sum-perCPU[0]) > 1e-9 {
+		t.Errorf("thread sum %v != per-CPU %v", sum, perCPU[0])
 	}
 }

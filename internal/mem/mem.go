@@ -89,16 +89,6 @@ type Memory struct {
 // New returns a memory subsystem with the default bus capacity.
 func New() *Memory { return &Memory{capacity: BusCapacity} }
 
-// NewWithCapacity returns a memory subsystem with a custom bus capacity
-// in transactions/second (for ablation experiments). It panics if the
-// capacity is not positive.
-func NewWithCapacity(txPerSec float64) *Memory {
-	if txPerSec <= 0 {
-		panic("mem: non-positive bus capacity")
-	}
-	return &Memory{capacity: txPerSec}
-}
-
 // saturate applies the FSB's soft saturation curve: linear at low load,
 // asymptotic to capacity at overload: offered/(1+r⁴)^¼ with r the load
 // over capacity. For an exponent with no integer part, math.Pow(x, ¼)

@@ -138,20 +138,6 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
-func TestNewWithCapacity(t *testing.T) {
-	m := NewWithCapacity(10e6)
-	st := m.Step(slice, Traffic{CPUTx: 20e6 * slice})
-	if st.ServedTx > 10e6*slice {
-		t.Error("custom capacity ignored")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewWithCapacity(0) did not panic")
-		}
-	}()
-	NewWithCapacity(0)
-}
-
 // Property: served ≤ offered, served ≤ capacity, util in [0,1], for any
 // traffic mix.
 func TestServiceInvariants(t *testing.T) {

@@ -36,9 +36,9 @@ func TestInterruptsZeroRates(t *testing.T) {
 				i, res.IntsTotal, res.DeviceInts)
 		}
 	}
-	for name, n := range os.InterruptCounts() {
-		if n != 0 {
-			t.Errorf("source %s accumulated %d interrupts at zero rate", name, n)
+	for v := iobus.Vector(0); int(v) < iobus.NumVectors; v++ {
+		if n := vectorCount(os.apic, v); n != 0 {
+			t.Errorf("source %s accumulated %d interrupts at zero rate", v, n)
 		}
 	}
 }
@@ -59,7 +59,7 @@ func TestInterruptsSaturatedNICCoalesces(t *testing.T) {
 	if device != want {
 		t.Fatalf("device interrupts = %d, want exactly %d (offered/coalesce)", device, want)
 	}
-	if got := os.InterruptCounts()["eth0"]; got != uint64(want) {
+	if got := vectorCount(os.apic, iobus.VecNIC); got != uint64(want) {
 		t.Errorf("eth0 cumulative = %d, want %d", got, want)
 	}
 }
@@ -108,7 +108,7 @@ func TestInterruptsSaturatedDiskBounded(t *testing.T) {
 	// Completions are per request (coalesced by the controller), never
 	// per byte: the count must stay within the same order of magnitude
 	// as the submissions, not explode with payload size.
-	scsi := os.InterruptCounts()["scsi"]
+	scsi := vectorCount(os.apic, iobus.VecDisk)
 	if scsi > uint64(requests)*100 {
 		t.Errorf("scsi interrupts = %d for ~%d submissions; completion coalescing broken", scsi, requests)
 	}

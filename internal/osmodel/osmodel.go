@@ -9,10 +9,6 @@
 package osmodel
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"trickledown/internal/disk"
 	"trickledown/internal/iobus"
 	"trickledown/internal/sim"
@@ -280,39 +276,4 @@ func (v threadBusyView) BusySeconds() []float64 {
 // attribution.
 func (o *OS) ThreadBusySource() interface{ BusySeconds() []float64 } {
 	return threadBusyView{o}
-}
-
-// ProcInterrupts renders the OS interrupt accounting in the style of
-// Linux's /proc/interrupts: one line per source with its cumulative
-// count. This is the side channel the paper uses for interrupt-source
-// information ("we made use of the /proc/interrupts file available in
-// Linux operating systems").
-func (o *OS) ProcInterrupts() string {
-	var b strings.Builder
-	for v := 0; v < iobus.NumVectors; v++ {
-		vec := iobus.Vector(v)
-		fmt.Fprintf(&b, "%3d: %12d  %s\n", v, o.apic.VectorCount(vec), vec)
-	}
-	return b.String()
-}
-
-// InterruptCounts returns the cumulative per-source interrupt counts as a
-// map keyed by source name, sorted iteration via InterruptSources.
-func (o *OS) InterruptCounts() map[string]uint64 {
-	out := make(map[string]uint64, iobus.NumVectors)
-	for v := 0; v < iobus.NumVectors; v++ {
-		vec := iobus.Vector(v)
-		out[vec.String()] = o.apic.VectorCount(vec)
-	}
-	return out
-}
-
-// InterruptSources returns the known source names, sorted.
-func InterruptSources() []string {
-	out := make([]string, 0, iobus.NumVectors)
-	for v := 0; v < iobus.NumVectors; v++ {
-		out = append(out, iobus.Vector(v).String())
-	}
-	sort.Strings(out)
-	return out
 }

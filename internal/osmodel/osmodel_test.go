@@ -1,7 +1,6 @@
 package osmodel
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +9,16 @@ import (
 	"trickledown/internal/sim"
 	"trickledown/internal/workload"
 )
+
+// vectorCount returns the cumulative delivery count for vector v, the
+// /proc/interrupts number.
+func vectorCount(a *iobus.APIC, v iobus.Vector) uint64 {
+	var t uint64
+	for _, n := range a.Matrix()[v] {
+		t += n
+	}
+	return t
+}
 
 func newOS(t testing.TB) (*OS, *sim.Clock) {
 	t.Helper()
@@ -149,35 +158,36 @@ func TestDiskCompletionsRaiseInterrupts(t *testing.T) {
 	ctl := disk.NewController(2, sim.NewRNG(2))
 	os2 := New(DefaultConfig(4), io, ctl, sim.NewRNG(2))
 	os2.Step(c, []workload.Demand{{DiskReadBytes: 1e6}})
-	before := io.APIC.VectorCount(iobus.VecDisk)
+	before := vectorCount(io.APIC, iobus.VecDisk)
 	for i := 0; i < 5000; i++ {
 		os2.Step(c, nil)
 	}
-	after := io.APIC.VectorCount(iobus.VecDisk)
+	after := vectorCount(io.APIC, iobus.VecDisk)
 	if after <= before {
 		t.Error("disk completions raised no scsi interrupts")
 	}
 	_ = os
 }
 
+// TestProcInterruptsFormat: the interrupt accounting the sampler reads
+// in place of Linux's /proc/interrupts holds one row per named source,
+// and four processors' timers tick every slice.
 func TestProcInterruptsFormat(t *testing.T) {
 	os, c := newOS(t)
 	for i := 0; i < 100; i++ {
 		os.Step(c, nil)
 	}
-	s := os.ProcInterrupts()
-	for _, want := range []string{"timer", "scsi", "eth0"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("ProcInterrupts missing %q:\n%s", want, s)
+	m := os.apic.Matrix()
+	if len(m) != iobus.NumVectors {
+		t.Fatalf("%d interrupt rows, want %d", len(m), iobus.NumVectors)
+	}
+	for v, want := range map[iobus.Vector]string{iobus.VecTimer: "timer", iobus.VecDisk: "scsi", iobus.VecNIC: "eth0"} {
+		if v.String() != want {
+			t.Errorf("vector %d is named %q, want %q", int(v), v.String(), want)
 		}
 	}
-	counts := os.InterruptCounts()
-	if counts["timer"] < 100*4 {
-		t.Errorf("timer count = %d", counts["timer"])
-	}
-	srcs := InterruptSources()
-	if len(srcs) != iobus.NumVectors {
-		t.Errorf("sources = %v", srcs)
+	if n := vectorCount(os.apic, iobus.VecTimer); n < 100*4 {
+		t.Errorf("timer count = %d", n)
 	}
 }
 

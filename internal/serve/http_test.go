@@ -373,7 +373,7 @@ func TestAdmissionStageIncludesBodyRead(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	snap := drainTraces(t, s.Tracer(), 1)
+	snap := drainTraces(t, s.rec, 1)
 	if len(snap.Recent) != 1 {
 		t.Fatalf("recent = %d traces, want 1", len(snap.Recent))
 	}

@@ -95,13 +95,3 @@ func (l *rateLimiter) evictIdleLocked() {
 		delete(l.m, e.client)
 	}
 }
-
-// tracked returns the number of client buckets currently held.
-func (l *rateLimiter) tracked() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.m)
-}

@@ -299,13 +299,6 @@ func (s *Server) SetAdapter(m *adapt.Manager) {
 	s.SwapEstimator(m.Champion())
 }
 
-// Adapter returns the installed self-healing manager, or nil.
-func (s *Server) Adapter() *adapt.Manager { return s.adapter.Load() }
-
-// Tracer exposes the server's trace recorder (the /debug/tracez data
-// source) for CLIs and tests.
-func (s *Server) Tracer() *tracez.Recorder { return s.rec }
-
 // DumpDiagnostics synchronously writes a diagnostics bundle (tracez
 // snapshot, flight ring, metrics, goroutines) and returns its
 // directory. It works regardless of DiagDir rate limiting — the SIGQUIT

@@ -39,14 +39,14 @@ func eventKinds(tr tracez.TraceJSON) []string {
 
 func TestSampledTraceRecordsFullJourney(t *testing.T) {
 	s := newServer(t, Config{Estimator: testEstimator(t), Workers: 1, TraceSampleRate: 1})
-	tc := s.Tracer().Mint()
+	tc := s.rec.Mint()
 	if !tc.Sampled {
 		t.Fatal("rate-1 mint not sampled")
 	}
 	if err := s.Ingest("c1", "node-a", mkBatch(4, 2, 100), nil, tc); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
-	snap := drainTraces(t, s.Tracer(), 1)
+	snap := drainTraces(t, s.rec, 1)
 	if len(snap.Recent) != 1 {
 		t.Fatalf("recent = %d traces, want 1", len(snap.Recent))
 	}
@@ -99,7 +99,7 @@ func TestHTTPTracezEndpoint(t *testing.T) {
 	if resp.StatusCode != 202 {
 		t.Fatalf("ingest = %d, want 202", resp.StatusCode)
 	}
-	drainTraces(t, s.Tracer(), 1)
+	drainTraces(t, s.rec, 1)
 
 	body := httpGet(t, ts.URL+"/debug/tracez?format=json&view=recent", 200)
 	var snap tracez.Snapshot
@@ -128,7 +128,7 @@ func TestShedAnomalyAlwaysKeptAndBundled(t *testing.T) {
 	var shedID tracez.TraceID
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		tc := s.Tracer().Mint()
+		tc := s.rec.Mint()
 		if err := s.Ingest("c1", "node-s", mkBatch(1, 1, 10), nil, tc); err == ErrQueueFull {
 			shedID = tc.ID
 			break
@@ -138,7 +138,7 @@ func TestShedAnomalyAlwaysKeptAndBundled(t *testing.T) {
 		}
 	}
 
-	snap := s.Tracer().Snapshot()
+	snap := s.rec.Snapshot()
 	if len(snap.Errored) != 1 {
 		t.Fatalf("errored = %d traces, want the shed anomaly", len(snap.Errored))
 	}
@@ -172,14 +172,14 @@ func TestShedAnomalyAlwaysKeptAndBundled(t *testing.T) {
 
 func TestUnsampledQuarantineReconstructed(t *testing.T) {
 	s := newServer(t, Config{Estimator: nanEstimator(t), Workers: 1, TraceSampleRate: 0})
-	tc := s.Tracer().Mint()
+	tc := s.rec.Mint()
 	if tc.Sampled {
 		t.Fatal("rate-0 mint sampled")
 	}
 	if err := s.Ingest("c1", "node-q", mkBatch(3, 1, 7), nil, tc); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
-	snap := drainTraces(t, s.Tracer(), 1)
+	snap := drainTraces(t, s.rec, 1)
 	if len(snap.Errored) != 1 {
 		t.Fatalf("errored = %d, want the reconstructed quarantine trace", len(snap.Errored))
 	}
@@ -206,7 +206,7 @@ func TestUnsampledSlowOutlierPromoted(t *testing.T) {
 	if err := s.Ingest("c1", "node-slow", mkBatch(2, 1, 3), nil, tracez.Context{}); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
-	snap := drainTraces(t, s.Tracer(), 1)
+	snap := drainTraces(t, s.rec, 1)
 	if len(snap.Errored) != 1 || snap.Errored[0].Outcome != "slow" {
 		t.Fatalf("errored = %+v, want one slow-promoted trace", snap.Errored)
 	}

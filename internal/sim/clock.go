@@ -69,9 +69,6 @@ func (c *Clock) Seconds() float64 {
 	return float64(c.sliceN) * c.sliceSec
 }
 
-// SliceIndex returns the number of completed slices.
-func (c *Clock) SliceIndex() int64 { return c.sliceN }
-
 func (c *Clock) String() string {
 	return fmt.Sprintf("t=%.3fs (slice %d)", c.Seconds(), c.sliceN)
 }

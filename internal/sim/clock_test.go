@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -21,8 +22,8 @@ func TestClockAdvance(t *testing.T) {
 	if got := c.Seconds(); math.Abs(got-1.5) > 1e-12 {
 		t.Errorf("Seconds() = %v, want 1.5", got)
 	}
-	if got := c.SliceIndex(); got != 1500 {
-		t.Errorf("SliceIndex() = %d, want 1500", got)
+	if got := c.sliceN; got != 1500 {
+		t.Errorf("slice index = %d, want 1500", got)
 	}
 }
 
@@ -72,13 +73,15 @@ func TestEngineStepOrderAndCount(t *testing.T) {
 		ComponentFunc(func(*Clock) { order = append(order, "a") }),
 		ComponentFunc(func(*Clock) { order = append(order, "b") }),
 	)
-	e.RunSlices(3)
+	if err := e.RunSlicesContext(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
 	want := "ababab"
 	if got := strings.Join(order, ""); got != want {
 		t.Errorf("step order = %q, want %q", got, want)
 	}
-	if c.SliceIndex() != 3 {
-		t.Errorf("clock advanced %d slices, want 3", c.SliceIndex())
+	if c.sliceN != 3 {
+		t.Errorf("clock advanced %d slices, want 3", c.sliceN)
 	}
 }
 
@@ -87,9 +90,11 @@ func TestEngineRunFor(t *testing.T) {
 	e := NewEngine(c)
 	steps := 0
 	e.Register(ComponentFunc(func(*Clock) { steps++ }))
-	e.RunFor(250 * time.Millisecond)
+	if err := e.RunForContext(context.Background(), 250*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	if steps != 250 {
-		t.Errorf("RunFor stepped %d times, want 250", steps)
+		t.Errorf("RunForContext stepped %d times, want 250", steps)
 	}
 	if e.Clock() != c {
 		t.Error("Clock() did not return the engine clock")
@@ -100,8 +105,10 @@ func TestEngineClockTimeVisibleDuringStep(t *testing.T) {
 	c := NewClock(time.Millisecond, 1e9)
 	e := NewEngine(c)
 	var seen []int64
-	e.Register(ComponentFunc(func(c *Clock) { seen = append(seen, c.SliceIndex()) }))
-	e.RunSlices(3)
+	e.Register(ComponentFunc(func(c *Clock) { seen = append(seen, c.sliceN) }))
+	if err := e.RunSlicesContext(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
 	for i, s := range seen {
 		if s != int64(i) {
 			t.Errorf("step %d saw slice index %d; clock must tick after components", i, s)

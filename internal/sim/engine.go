@@ -66,12 +66,6 @@ func (e *Engine) Register(cs ...Component) {
 // the per-slice hot path.
 const cancelCheckSlices = 128
 
-// RunSlices executes n simulation slices.
-func (e *Engine) RunSlices(n int64) {
-	// A background context can never cancel, so the error is always nil.
-	_ = e.RunSlicesContext(context.Background(), n)
-}
-
 // RunSlicesContext executes up to n simulation slices, stopping early
 // (between slices, never mid-slice, so the machine state stays
 // consistent) when ctx is cancelled. It returns ctx.Err() on
@@ -111,13 +105,9 @@ func (e *Engine) RunSlicesContext(ctx context.Context, n int64) error {
 	return nil
 }
 
-// RunFor executes simulation slices until the clock has advanced by d
-// (rounded down to whole slices).
-func (e *Engine) RunFor(d time.Duration) {
-	e.RunSlices(int64(d / e.clock.Slice()))
-}
-
-// RunForContext is RunFor with cancellation; see RunSlicesContext.
+// RunForContext executes simulation slices until the clock has advanced
+// by d (rounded down to whole slices), stopping early when ctx is done;
+// see RunSlicesContext.
 func (e *Engine) RunForContext(ctx context.Context, d time.Duration) error {
 	return e.RunSlicesContext(ctx, int64(d/e.clock.Slice()))
 }

@@ -113,11 +113,11 @@ func TestExemplarsOnlyInOpenMetrics(t *testing.T) {
 	if !strings.HasSuffix(out, "# EOF\n") {
 		t.Errorf("OpenMetrics output missing # EOF terminator")
 	}
-	if ref, v, ok := h.Exemplar(5); !ok || ref != "00112233445566778899aabbccddeeff" || v != 5 {
-		t.Errorf("Exemplar(5) = %q %g %v", ref, v, ok)
+	if e := h.ex[h.bucketIndex(5)].Load(); e == nil || e.ref != "00112233445566778899aabbccddeeff" || e.value != 5 {
+		t.Errorf("exemplar in the bucket of 5 = %+v", e)
 	}
-	if _, _, ok := h.Exemplar(0.5); ok {
-		t.Error("bucket without exemplar reported one")
+	if e := h.ex[h.bucketIndex(0.5)].Load(); e != nil {
+		t.Errorf("bucket without exemplar holds %+v", e)
 	}
 }
 

@@ -110,17 +110,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceRef string) {
 	h.ex[i].Store(&exemplar{ref: traceRef, value: v, unix: float64(time.Now().UnixNano()) / 1e9})
 }
 
-// Exemplar returns the trace ref and value of the exemplar recorded in
-// the bucket holding v, if any — the reverse lookup tests and debug
-// tooling use ("which trace landed near the p99?").
-func (h *Histogram) Exemplar(v float64) (ref string, value float64, ok bool) {
-	e := h.ex[h.bucketIndex(v)].Load()
-	if e == nil {
-		return "", 0, false
-	}
-	return e.ref, e.value, true
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

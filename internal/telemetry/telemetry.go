@@ -91,9 +91,6 @@ func NewRegistry() *Registry {
 // constructor registers on.
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }
-
 // register adds m, panicking on a duplicate name: metrics are declared
 // once at package init, so a collision is a programming error.
 func (r *Registry) register(m metric) {

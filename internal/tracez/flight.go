@@ -122,7 +122,6 @@ type Bundler struct {
 	rec    *Recorder
 	flight *FlightRecorder
 	last   atomic.Int64 // unix nanos of the last dump
-	dumps  atomic.Uint64
 }
 
 // NewBundler wires a bundler to a recorder and flight ring (nil args
@@ -136,9 +135,6 @@ func NewBundler(dir string, rec *Recorder, flight *FlightRecorder) *Bundler {
 	}
 	return &Bundler{Dir: dir, MinInterval: 30 * time.Second, rec: rec, flight: flight}
 }
-
-// Dumps returns how many bundles were written.
-func (b *Bundler) Dumps() uint64 { return b.dumps.Load() }
 
 // Trigger writes a bundle for the given reason, returning its
 // directory. Within MinInterval of the previous dump it returns ""
@@ -159,11 +155,7 @@ func (b *Bundler) Trigger(reason string) (string, error) {
 		mBundleSuppressed.Inc()
 		return "", nil
 	}
-	dir, err := DumpBundle(b.Dir, reason, b.rec, b.flight)
-	if err == nil {
-		b.dumps.Add(1)
-	}
-	return dir, err
+	return DumpBundle(b.Dir, reason, b.rec, b.flight)
 }
 
 // DumpBundle writes one diagnostics bundle under dir, unconditionally:

@@ -116,8 +116,8 @@ func TestBundlerRateLimit(t *testing.T) {
 	if second != "" {
 		t.Errorf("second trigger within MinInterval wrote %q, want suppression", second)
 	}
-	if b.Dumps() != 1 {
-		t.Errorf("dumps = %d, want 1", b.Dumps())
+	if bundles, err := os.ReadDir(dir); err != nil || len(bundles) != 1 {
+		t.Errorf("%d bundles under %s (%v), want 1", len(bundles), dir, err)
 	}
 
 	// A tiny interval re-arms the bundler.

@@ -60,18 +60,6 @@ func (id TraceID) String() string {
 // IsZero reports whether the ID is the all-zero (absent) identity.
 func (id TraceID) IsZero() bool { return id == TraceID{} }
 
-// ParseTraceID parses the 32-hex-digit form produced by String.
-func ParseTraceID(s string) (TraceID, error) {
-	var id TraceID
-	if len(s) != 32 {
-		return id, fmt.Errorf("tracez: trace ID %q is %d chars, want 32", s, len(s))
-	}
-	if _, err := hex.Decode(id[:], []byte(s)); err != nil {
-		return id, fmt.Errorf("tracez: bad trace ID %q: %w", s, err)
-	}
-	return id, nil
-}
-
 // idState seeds the allocation-free ID generator. Trace IDs need
 // uniqueness, not cryptographic strength; a splitmix64 walk from a
 // per-process random-ish origin gives both goroutine-safety (one atomic
@@ -288,8 +276,9 @@ func (t *Trace) Durations() [NumStages]time.Duration {
 // Config configures a Recorder. The zero value records nothing but
 // anomalies.
 type Config struct {
-	// SampleRate is the head-based sampling probability in [0,1],
-	// decided deterministically from the trace ID.
+	// SampleRate is the head-based sampling probability, clamped to
+	// [0,1] with NaN read as 0, decided deterministically from the trace
+	// ID.
 	SampleRate float64
 	// RingSize bounds each retention view in traces (default 256).
 	RingSize int
@@ -307,7 +296,7 @@ func (c Config) withDefaults() Config {
 	if c.TopK <= 0 {
 		c.TopK = 8
 	}
-	if c.SampleRate < 0 {
+	if c.SampleRate < 0 || math.IsNaN(c.SampleRate) {
 		c.SampleRate = 0
 	}
 	if c.SampleRate > 1 {
@@ -356,20 +345,8 @@ var defaultRecorder = NewRecorder(Config{})
 // Default returns the process-wide recorder.
 func Default() *Recorder { return defaultRecorder }
 
-// SampleRate returns the live head-sampling rate.
+// SampleRate returns the head-sampling rate.
 func (r *Recorder) SampleRate() float64 { return math.Float64frombits(r.rateBits.Load()) }
-
-// SetSampleRate updates the head-sampling rate at runtime (clamped to
-// [0,1]).
-func (r *Recorder) SetSampleRate(rate float64) {
-	if rate < 0 || math.IsNaN(rate) {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	r.rateBits.Store(math.Float64bits(rate))
-}
 
 // Sampled is the deterministic head-based decision for an ID: the low
 // 64 ID bits, read as a uniform draw, land under rate. Producer and

@@ -94,9 +94,6 @@ func (c *Cohort) Add(name string, gen Generator) (int, error) {
 	return len(c.gens) - 1, nil
 }
 
-// Tenants returns the tenant count.
-func (c *Cohort) Tenants() int { return len(c.gens) }
-
 // Generator returns tenant i's generator, sealing the cohort.
 func (c *Cohort) Generator(i int) (Generator, error) {
 	if len(c.gens) == 0 {

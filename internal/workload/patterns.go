@@ -2,12 +2,11 @@
 // shape *when* and *how hard* a workload runs — the scenario axis
 // ROADMAP item 3 names. A Diurnal envelope scales an inner workload
 // through multi-period sinusoidal cycles with a seeded burst overlay; a
-// Bursty gate switches it on and off with exponential dwell times; a
 // Cohort places N tenant generators on one node and models their
 // interference on the shared L3 and memory bus, feeding the per-tenant
 // usage accounting that core's attribution splits node power with.
 //
-// All three are deterministic given the machine seed: randomness comes
+// Both are deterministic given the machine seed: randomness comes
 // only from the per-thread RNG the machine passes to Demand, so wrapped
 // runs keep the repo's byte-identical fixed-seed guarantee.
 package workload
@@ -136,69 +135,4 @@ func DiurnalSpec(inner Spec, cfg DiurnalConfig) (Spec, error) {
 		return g
 	}
 	return out, nil
-}
-
-// BurstyConfig shapes a Bursty on/off gate.
-type BurstyConfig struct {
-	// OnMeanSec and OffMeanSec are the exponential mean dwell times of
-	// the on and off states.
-	OnMeanSec  float64
-	OffMeanSec float64
-	// StartOn starts the gate open (a burst at t=0).
-	StartOn bool
-}
-
-// Bursty gates an inner generator through a seeded two-state on/off
-// process: during off dwells the thread demands nothing (its hardware
-// thread halts), reproducing batch arrivals and think-time gaps at the
-// node level.
-type Bursty struct {
-	inner Generator
-	cfg   BurstyConfig
-
-	init  bool
-	on    bool
-	until float64
-}
-
-// NewBursty validates the config and wraps inner.
-func NewBursty(inner Generator, cfg BurstyConfig) (*Bursty, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("workload: bursty needs an inner generator")
-	}
-	if !(cfg.OnMeanSec > 0) || !(cfg.OffMeanSec > 0) ||
-		math.IsInf(cfg.OnMeanSec, 0) || math.IsInf(cfg.OffMeanSec, 0) {
-		return nil, fmt.Errorf("workload: bursty dwell times must be positive, got on=%v off=%v", cfg.OnMeanSec, cfg.OffMeanSec)
-	}
-	return &Bursty{inner: inner, cfg: cfg}, nil
-}
-
-// Name implements Generator.
-func (g *Bursty) Name() string { return "bursty:" + g.inner.Name() }
-
-// Demand implements Generator.
-func (g *Bursty) Demand(t float64, env Env, rng *sim.RNG) Demand {
-	if !g.init {
-		g.init = true
-		g.on = g.cfg.StartOn
-		g.until = t + g.dwell(rng)
-	}
-	for t >= g.until {
-		g.on = !g.on
-		g.until += g.dwell(rng)
-	}
-	if !g.on {
-		return Demand{}
-	}
-	return g.inner.Demand(t, env, rng)
-}
-
-// dwell draws the next state duration, floored so a pathological draw
-// cannot stall the flip loop.
-func (g *Bursty) dwell(rng *sim.RNG) float64 {
-	mean := g.cfg.OffMeanSec
-	if g.on {
-		mean = g.cfg.OnMeanSec
-	}
-	return math.Max(rng.Exp(mean), 1e-3)
 }

@@ -57,26 +57,6 @@ func TestPatternEdgeCases(t *testing.T) {
 				}
 			}
 		}},
-		{"burst at t=0", func(t *testing.T) {
-			g, err := NewBursty(fixedGen{name: "x", d: busyDemand()}, BurstyConfig{
-				OnMeanSec: 1, OffMeanSec: 1, StartOn: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := g.Demand(0, Env{}, sim.NewRNG(1)); d != busyDemand() {
-				t.Fatalf("StartOn burst at t=0 gave %+v", d)
-			}
-			g2, err := NewBursty(fixedGen{name: "x", d: busyDemand()}, BurstyConfig{
-				OnMeanSec: 1, OffMeanSec: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := g2.Demand(0, Env{}, sim.NewRNG(1)); d != (Demand{}) {
-				t.Fatalf("off state at t=0 gave %+v", d)
-			}
-		}},
 		{"diurnal period shorter than sample interval", func(t *testing.T) {
 			g, err := NewDiurnal(fixedGen{name: "x", d: busyDemand()}, DiurnalConfig{
 				Base:    0.5,
@@ -195,26 +175,6 @@ func TestDiurnalBurstOverlay(t *testing.T) {
 	}
 }
 
-func TestBurstyDwellStatistics(t *testing.T) {
-	g, err := NewBursty(fixedGen{name: "x", d: busyDemand()}, BurstyConfig{
-		OnMeanSec: 2, OffMeanSec: 2, StartOn: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(5)
-	on := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if d := g.Demand(float64(i)*0.001, Env{}, rng); d.Active > 0 {
-			on++
-		}
-	}
-	if frac := float64(on) / n; frac < 0.3 || frac > 0.7 {
-		t.Fatalf("on fraction %v, want ~0.5 for symmetric dwells", frac)
-	}
-}
-
 func TestCohortInterferenceMonotoneInPressure(t *testing.T) {
 	// The same probe tenant sees strictly more L3 misses as heavier
 	// co-tenants are added alongside it.
@@ -230,7 +190,7 @@ func TestCohortInterferenceMonotoneInPressure(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		gens := make([]Generator, c.Tenants())
+		gens := make([]Generator, len(c.gens))
 		for i := range gens {
 			g, err := c.Generator(i)
 			if err != nil {
@@ -305,9 +265,6 @@ func TestPatternConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewDiurnal(fixedGen{}, DiurnalConfig{Base: math.NaN()}); err == nil {
 		t.Fatal("NaN base accepted")
-	}
-	if _, err := NewBursty(fixedGen{}, BurstyConfig{OnMeanSec: 0, OffMeanSec: 1}); err == nil {
-		t.Fatal("zero dwell accepted")
 	}
 	c := NewCohort()
 	if _, err := c.Add("", fixedGen{}); err == nil {

@@ -23,7 +23,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"trickledown/internal/sim"
 )
@@ -192,16 +191,6 @@ func ByName(name string) (Spec, error) {
 		return Spec{}, fmt.Errorf("workload: unknown workload %q", name)
 	}
 	return s, nil
-}
-
-// Names returns every registered workload name, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ByClass returns the Table 1-ordered workloads of one validation class

@@ -31,9 +31,9 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("%s: nil Make", name)
 		}
 	}
-	// Names includes the paper's 12 plus extension workloads.
-	if len(Names()) < 13 {
-		t.Errorf("Names() has %d entries, want >=13", len(Names()))
+	// The registry holds the paper's 12 plus extension workloads.
+	if len(registry) < 13 {
+		t.Errorf("registry has %d entries, want >=13", len(registry))
 	}
 	if _, err := ByName("netload"); err != nil {
 		t.Errorf("netload extension missing: %v", err)
@@ -91,7 +91,7 @@ func demandValid(t *testing.T, name string, d Demand) {
 }
 
 func TestAllGeneratorsProduceValidDemand(t *testing.T) {
-	for _, name := range Names() {
+	for name := range registry {
 		s, _ := ByName(name)
 		rng := sim.NewRNG(1)
 		g := s.Make(0, rng)
@@ -107,7 +107,7 @@ func TestAllGeneratorsProduceValidDemand(t *testing.T) {
 }
 
 func TestGeneratorsDeterministic(t *testing.T) {
-	for _, name := range Names() {
+	for name := range registry {
 		s, _ := ByName(name)
 		g1 := s.Make(0, sim.NewRNG(7))
 		g2 := s.Make(0, sim.NewRNG(7))

@@ -28,7 +28,7 @@ func (tr *Trace) Placements() ([]machine.Placement, error) {
 		Instances:       h.Threads,
 		DefaultDuration: tr.Duration(),
 		Make: func(instance int, rng *sim.RNG) workload.Generator {
-			g, err := shared.generator(instance, false)
+			g, err := shared.Generator(instance)
 			if err != nil {
 				return &Replay{name: "replay:" + h.Workload, rate: h.RatePerSec}
 			}

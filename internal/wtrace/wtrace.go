@@ -231,19 +231,8 @@ func (tr *Trace) Duration() float64 {
 // only a cursor over the shared read-only run list, so one Trace can
 // feed many machines concurrently (each via its own Generator).
 // Past the end of the stream the generator repeats the final interval's
-// demand; LoopGenerator wraps around instead.
+// demand.
 func (tr *Trace) Generator(thread int) (*Replay, error) {
-	return tr.generator(thread, false)
-}
-
-// LoopGenerator is Generator with wrap-around: interval i past the end
-// replays interval i mod length, turning a recorded day into an
-// arbitrarily long diurnal tape.
-func (tr *Trace) LoopGenerator(thread int) (*Replay, error) {
-	return tr.generator(thread, true)
-}
-
-func (tr *Trace) generator(thread int, loop bool) (*Replay, error) {
 	if thread < 0 || thread >= len(tr.Streams) {
 		return nil, fmt.Errorf("wtrace: thread %d out of range [0,%d)", thread, len(tr.Streams))
 	}
@@ -252,7 +241,6 @@ func (tr *Trace) generator(thread int, loop bool) (*Replay, error) {
 		runs:  tr.Streams[thread],
 		rate:  tr.Header.RatePerSec,
 		total: tr.Intervals(thread),
-		loop:  loop,
 	}, nil
 }
 
@@ -283,7 +271,7 @@ func (tr *Trace) Spec() (workload.Spec, error) {
 		StaggerSec:      stagger,
 		DefaultDuration: tr.Duration(),
 		Make: func(instance int, rng *sim.RNG) workload.Generator {
-			g, err := shared.generator(instance, false)
+			g, err := shared.Generator(instance)
 			if err != nil {
 				return &Replay{name: "replay:" + h.Workload, rate: h.RatePerSec}
 			}
@@ -302,7 +290,6 @@ type Replay struct {
 	runs     []Run
 	rate     float64
 	total    int64
-	loop     bool
 	run      int   // cursor: current run index
 	runStart int64 // cursor: interval index of runs[run]'s first interval
 }
@@ -323,11 +310,7 @@ func (g *Replay) Demand(t float64, env workload.Env, rng *sim.RNG) workload.Dema
 		i = 0
 	}
 	if i >= g.total {
-		if g.loop {
-			i %= g.total
-		} else {
-			i = g.total - 1
-		}
+		i = g.total - 1
 	}
 	if i < g.runStart {
 		g.run, g.runStart = 0, 0

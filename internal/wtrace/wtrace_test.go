@@ -200,13 +200,6 @@ func TestRecorderRLEAndReplayCursor(t *testing.T) {
 	if d := rp.Demand(5.0, env, rng); d != steady {
 		t.Fatalf("past end: %+v", d)
 	}
-	loop, err := tr.LoopGenerator(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := loop.Demand(2.550, env, rng); d != burst {
-		t.Fatalf("loop t=2.550: %+v", d)
-	}
 	if _, err := tr.Generator(1); err == nil {
 		t.Fatal("out-of-range thread accepted")
 	}
