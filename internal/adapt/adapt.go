@@ -10,7 +10,6 @@ import (
 	"trickledown/internal/perfctr"
 	"trickledown/internal/phase"
 	"trickledown/internal/power"
-	"trickledown/internal/sim"
 	"trickledown/internal/telemetry"
 	"trickledown/internal/tracez"
 	"trickledown/internal/validate"
@@ -146,9 +145,6 @@ type Manager struct {
 	champion    *core.Estimator
 	window      []align.Row // ring, oldest at wHead; rows own their slices
 	wHead, wLen int
-	met         [1]core.Metrics  // Observe's extraction scratch,
-	cols        core.Columns     // design columns
-	est         [1]power.Reading // and champion estimate: a batch of one
 	resid       *PageHinkley
 	env         *EnvelopeCUSUM
 	phases      *phase.Detector
@@ -252,16 +248,14 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	met := &m.met[0]
-	core.ExtractMetricsAtInto(met, s, sim.DefaultCoreHz)
 	m.obs++
 	m.modelAge++
 	m.sinceAttempt++
 	mModelAge.Set(float64(m.modelAge))
 
-	// Residual drift: per-sample Eq.6 error of the champion's total.
-	m.champion.EstimateBatch(m.est[:], m.met[:], &m.cols)
-	modeled := m.est[0].Total()
+	// Residual drift: per-sample Eq.6 error of the champion's total,
+	// estimated as the worker serves it.
+	modeled := m.champion.Estimate(s).Total()
 	truth := measured.Total()
 	errPct := math.Abs(modeled-truth) / math.Abs(truth) * 100
 	if math.IsNaN(errPct) || math.IsInf(errPct, 0) {
@@ -272,7 +266,7 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 	m.lastErrPct = errPct
 
 	residAlarm := m.resid.Observe(errPct)
-	env := core.EnvelopeMetrics(met)
+	env := core.RatesOf(s)
 	envAlarm, envMetric := m.env.Observe(env[:])
 
 	// Phase tracking: never retrain mid-transition.
@@ -328,15 +322,14 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 // are large enough: a window slot recycles the storage of the sample it
 // evicts.
 func copySample(dst, src *perfctr.Sample) {
+	dst.TargetSeconds = src.TargetSeconds
+	dst.IntervalSec = src.IntervalSec
+	dst.CPUs = copyInto(dst.CPUs, src.CPUs)
+	dst.OSBusySec = copyInto(dst.OSBusySec, src.OSBusySec)
+	dst.OSThreadBusySec = copyInto(dst.OSThreadBusySec, src.OSThreadBusySec)
 	ints := dst.Ints
-	*dst = perfctr.Sample{
-		TargetSeconds:   src.TargetSeconds,
-		IntervalSec:     src.IntervalSec,
-		CPUs:            copyInto(dst.CPUs, src.CPUs),
-		OSBusySec:       copyInto(dst.OSBusySec, src.OSBusySec),
-		OSThreadBusySec: copyInto(dst.OSThreadBusySec, src.OSThreadBusySec),
-	}
 	if src.Ints == nil {
+		dst.Ints = nil
 		return
 	}
 	if cap(ints) < len(src.Ints) {

@@ -89,7 +89,7 @@ func railsFor(s *perfctr.Sample, shift float64) power.Reading {
 }
 
 // trainingChampion fits the production estimator on the shift-0 regime.
-func trainingChampion(t *testing.T, n int) *core.Estimator {
+func trainingChampion(t testing.TB, n int) *core.Estimator {
 	t.Helper()
 	ds := &align.Dataset{Rows: make([]align.Row, n)}
 	for i := 0; i < n; i++ {
@@ -109,6 +109,46 @@ func trainingChampion(t *testing.T, n int) *core.Estimator {
 		Reason:        "offline-train",
 	})
 	return est
+}
+
+// TestComputeEnvelopesPinned: the envelopes of this package's training
+// corpora, read from core.RatesOf, keep the bits they had when they
+// were aggregated from full metric extraction.
+func TestComputeEnvelopesPinned(t *testing.T) {
+	want := map[int][core.NumEnvelopeMetrics][2]uint64{
+		97: {
+			{0x3ff246bada9e5c1c, 0x3fdbb61a6448cfea},
+			{0x4004a292bceae1ca, 0x3ff27966ed861c25},
+			{0x409e3814920b5f00, 0x408b20eb0335c9c4},
+			{0x40016dece84ec87d, 0x3ff2797eb88440cd},
+			{0x3ff16dece84ec87d, 0x3fe2797eb88440cd},
+			{0x4048bdff7cbc268c, 0x403cddb1c39b13e8},
+		},
+		120: {
+			{0x3ff24cccccdd296d, 0x3fdbb63bd83dbca0},
+			{0x4004aaaaaaa0d981, 0x3ff2797d3acabc6d},
+			{0x409e445535587441, 0x408b23eedd24c922},
+			{0x40017664d6f1461e, 0x3ff279855b1039d9},
+			{0x3ff17664d6f1461e, 0x3fe279855b1039d9},
+			{0x4048caa6ab0e87f7, 0x403cddd377b99713},
+		},
+	}
+	for n, bits := range want {
+		ds := &align.Dataset{Rows: make([]align.Row, n)}
+		for i := range ds.Rows {
+			ds.Rows[i].Counters = sampleAt(i, n)
+		}
+		envs := core.ComputeEnvelopes(ds)
+		if len(envs) != core.NumEnvelopeMetrics {
+			t.Fatalf("n=%d: %d envelopes, want %d", n, len(envs), core.NumEnvelopeMetrics)
+		}
+		for k, e := range envs {
+			if e.Name != core.EnvelopeNames()[k] || math.Float64bits(e.Mean) != bits[k][0] || math.Float64bits(e.Std) != bits[k][1] {
+				t.Errorf("n=%d %s: mean %#x std %#x, want %#x %#x", n, e.Name,
+					math.Float64bits(e.Mean), math.Float64bits(e.Std), bits[k][0], bits[k][1])
+			}
+		}
+	}
 }
 
 func testConfig(champ *core.Estimator, events *[]Event) Config {
@@ -228,6 +268,35 @@ func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("steady Observe allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// BenchmarkObserve is one railed sample through a steady-state Observe:
+// the champion's estimate, the envelope rates, both detectors, the
+// phase tracker and the window copy, with no alarm or refit.
+func BenchmarkObserve(b *testing.B) {
+	const n = 97
+	m, err := New(testConfig(trainingChampion(b, n), nil))
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples := make([]perfctr.Sample, n)
+	rails := make([]power.Reading, n)
+	for i := range samples {
+		samples[i] = sampleAt(i, n)
+		rails[i] = railsFor(&samples[i], 0)
+	}
+	for i := 0; i < 2*m.cfg.Window; i++ {
+		m.Observe(&samples[i%n], rails[i%n])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Observe(&samples[i%n], rails[i%n])
+	}
+	b.StopTimer()
+	if st := m.Status(); st.Alarms != 0 || st.Retrains != 0 {
+		b.Fatalf("steady regime raised %d alarms and %d refits", st.Alarms, st.Retrains)
 	}
 }
 

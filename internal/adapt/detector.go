@@ -109,10 +109,10 @@ func NewEnvelopeCUSUM(envs []core.MetricEnvelope, k, h float64) (*EnvelopeCUSUM,
 	}, nil
 }
 
-// Observe feeds one sample's envelope metrics (core.EnvelopeMetrics
-// order) and reports whether any metric's CUSUM crossed the threshold,
-// along with the offending metric's name. Metrics with zero training
-// std are uninformative and skipped; non-finite values are quarantined.
+// Observe feeds one sample's envelope metrics (core.Rates order) and
+// reports whether any metric's CUSUM crossed the threshold, along with
+// the offending metric's name. Metrics with zero training std are
+// uninformative and skipped; non-finite values are quarantined.
 func (d *EnvelopeCUSUM) Observe(vals []float64) (bool, string) {
 	if len(d.envs) == 0 {
 		return false, ""

@@ -103,9 +103,24 @@ func extractAndBatch(est *Estimator, ss []perfctr.Sample) []power.Reading {
 	return out
 }
 
+// envelopeRates is the reference for RatesOf: the six aggregates of
+// full extraction, as the production designs read them.
+func envelopeRates(s *perfctr.Sample) Rates {
+	m := ExtractMetrics(s)
+	return Rates{
+		sum(m.PercentActive),
+		sum(m.UopsPerCycle),
+		m.TotalBusPMC(),
+		sum(m.IntsPMC),
+		sum(m.DiskIntsPMC),
+		mean(m.DMAPMC),
+	}
+}
+
 // TestEstimateSamplesMatchesExtractAndBatch: EstimateSamples, with
 // caller scratch and without, and Estimate read every rail of full
-// extraction plus EstimateBatch bit for bit. A NaN matches any NaN:
+// extraction plus EstimateBatch bit for bit, and RatesOf reads every
+// aggregate of full extraction bit for bit. A NaN matches any NaN:
 // which payload an add of two NaNs keeps depends on operand order,
 // which already differs between dot's one-sample and batch loops. It
 // runs the production estimator, which takes the kernel, and
@@ -154,6 +169,13 @@ func TestEstimateSamplesMatchesExtractAndBatch(t *testing.T) {
 			est.EstimateSamples(got, ss, &c)
 			est.EstimateSamples(pooled, ss, nil)
 			for j := range ss {
+				rates, ref := RatesOf(&ss[j]), envelopeRates(&ss[j])
+				for k := range rates {
+					if math.Float64bits(rates[k]) != math.Float64bits(ref[k]) {
+						t.Fatalf("%s trial %d sample %d (%d CPUs) %s: RatesOf %v, extraction %v",
+							tc.name, trial, j, len(ss[j].CPUs), EnvelopeNames()[k], rates[k], ref[k])
+					}
+				}
 				one := est.Estimate(&ss[j])
 				for sub := range want[j] {
 					for _, v := range []float64{got[j][sub], pooled[j][sub], one[sub]} {

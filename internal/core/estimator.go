@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"trickledown/internal/align"
 	"trickledown/internal/perfctr"
@@ -63,28 +64,45 @@ func (e *Estimator) Model(s power.Subsystem) *Model {
 	return e.models[s]
 }
 
-// Estimate returns per-rail power for one counter sample.
+// Estimate returns per-rail power for one counter sample. It views s
+// as a batch of one rather than copying it: EstimateSamples only reads
+// its samples.
 func (e *Estimator) Estimate(s *perfctr.Sample) power.Reading {
-	ss := [1]perfctr.Sample{*s}
 	var out [1]power.Reading
-	e.EstimateSamples(out[:], ss[:], nil)
+	e.EstimateSamples(out[:], unsafe.Slice(s, 1), nil)
 	return out[0]
 }
 
 // EstimateSamples writes the estimate of ss[j] to out[j], which must be
 // at least len(ss) long. An estimator of the five ProductionSpecs
-// evaluates them straight from the counts, one sample at a time: one
-// pass over its processors accumulates the six per-CPU sums the
-// equations read, then five dot products. Every other estimator
+// evaluates them straight from the counts, one sample at a time: the
+// rate pass of RatesOf, then five dot products. Every other estimator
 // extracts ss BatchSize samples at a time into c and runs
 // EstimateBatch; c may be nil, and that path then borrows pooled
 // scratch. Either way every rail is bit-identical to extracting with
 // ExtractMetricsAtInto at the default clock and running EstimateBatch.
 func (e *Estimator) EstimateSamples(out []power.Reading, ss []perfctr.Sample, c *Columns) {
 	out = out[:len(ss)]
-	if k, ok := e.kernel(); ok {
+	if e.kernel() {
+		// The production kernel: Equations 1, 3, 4 and 5 and the
+		// chipset constant with every term in registers. It reproduces
+		// ExtractMetricsAtInto followed by each spec's Design and dot
+		// bit for bit: squares are v*v as in square, and each dot
+		// product starts at 0.0 and adds coef[k]*term[k] in ascending
+		// k, each product rounded on its own, as dot does.
+		cpu, chip, mem, io, dsk := e.models[power.SubCPU].Coef, e.models[power.SubChipset].Coef,
+			e.models[power.SubMemory].Coef, e.models[power.SubIO].Coef, e.models[power.SubDisk].Coef
+		_, _, _, _, _ = cpu[2], chip[0], mem[2], io[2], dsk[4] // one bounds check per call, not per sample
 		for j := range ss {
-			k.estimate(&out[j], &ss[j])
+			act, upc, bus, ints, disk, dma := rates(&ss[j])
+			n := float64(len(ss[j].CPUs))
+			o := &out[j]
+			o[power.SubCPU] = 0 + float64(cpu[0]*n) + float64(cpu[1]*act) + float64(cpu[2]*upc)
+			o[power.SubChipset] = 0 + float64(chip[0]*1)
+			o[power.SubMemory] = 0 + float64(mem[0]*1) + float64(mem[1]*bus) + float64(mem[2]*(bus*bus))
+			o[power.SubIO] = 0 + float64(io[0]*1) + float64(io[1]*ints) + float64(io[2]*(ints*ints))
+			o[power.SubDisk] = 0 + float64(dsk[0]*1) + float64(dsk[1]*disk) + float64(dsk[2]*(disk*disk)) +
+				float64(dsk[3]*dma) + float64(dsk[4]*(dma*dma))
 		}
 		return
 	}
@@ -106,36 +124,43 @@ func (e *Estimator) EstimateSamples(out []power.Reading, ss []perfctr.Sample, c 
 	}
 }
 
-// kernelCoefs are the production models' coefficients, by subsystem.
-type kernelCoefs [power.NumSubsystems][5]float64
-
-// kernel copies the coefficients for the production kernel. It
-// reports false, leaving EstimateSamples to the general path, unless
-// the estimator is production and every Coef still has its design's
-// width: the kernel leaves a shorter or longer Coef to dot.
-func (e *Estimator) kernel() (k kernelCoefs, ok bool) {
+// kernel reports whether EstimateSamples may run the production
+// kernel: the estimator is production and every Coef still has its
+// design's width. The kernel leaves a shorter or longer Coef to dot.
+func (e *Estimator) kernel() bool {
 	if !e.production {
-		return k, false
+		return false
 	}
-	for sub, m := range e.models {
+	for _, m := range e.models {
 		if len(m.Coef) != len(m.Spec.Terms) {
-			return k, false
+			return false
 		}
-		copy(k[sub][:], m.Coef)
 	}
-	return k, true
+	return true
 }
 
-// estimate is the production kernel: Equations 1, 3, 4 and 5 and the
-// chipset constant for one sample, with every term in registers. It
-// reproduces ExtractMetricsAtInto followed by each spec's Design and
-// dot bit for bit: each rate comes from the shared per-CPU helpers, the
-// sums run in processor order from 0.0 as sum does, a mean divides by
-// the processor count as mean does, squares are v*v as in square, and
-// each dot product starts at 0.0 and adds coef[k]*term[k] in ascending
-// k, each product rounded on its own, as dot does.
-func (k *kernelCoefs) estimate(out *power.Reading, s *perfctr.Sample) {
-	var act, upc, bus, dma, ints, disk float64
+// Rates are the six per-sample aggregates the production designs and
+// the drift envelopes read, in EnvelopeNames order: Σ active fraction,
+// Σ uops per cycle, total bus transactions (Metrics.TotalBusPMC), Σ
+// interrupts, Σ disk interrupts (per million cycles) and mean DMA.
+type Rates [NumEnvelopeMetrics]float64
+
+// RatesOf is the one rate pass over a sample's processors: the kernel,
+// ComputeEnvelopes and the drift detector all read it. Each rate is bit
+// for bit the aggregate of ExtractMetrics' per-CPU slices: each term
+// comes from the shared per-CPU helpers, the sums run in processor
+// order from 0.0 as sum does, and a mean divides by the processor count
+// as mean does.
+func RatesOf(s *perfctr.Sample) Rates {
+	act, upc, bus, ints, disk, dma := rates(s)
+	return Rates{act, upc, bus, ints, disk, dma}
+}
+
+// rates is RatesOf with each rate in its own result register: the
+// kernel calls it once a sample, and returning the array instead slows
+// EstimateSamples by about a quarter.
+func rates(s *perfctr.Sample) (act, upc, totalBus, ints, disk, meanDMA float64) {
+	var bus, dma float64
 	diskInts := diskIntsRow(s)
 	for i := range s.CPUs {
 		c := &s.CPUs[i]
@@ -153,19 +178,10 @@ func (k *kernelCoefs) estimate(out *power.Reading, s *perfctr.Sample) {
 		ints += float64(s.IntsForCPU(i)) / mcyc
 		disk += diskIntsPMC(diskInts, i, mcyc)
 	}
-	n := float64(len(s.CPUs))
-	meanDMA := 0.0
 	if len(s.CPUs) > 0 {
-		meanDMA = dma / n
+		meanDMA = dma / float64(len(s.CPUs))
 	}
-	totalBus := bus + meanDMA
-	cpu, chip, mem, io, dsk := &k[power.SubCPU], &k[power.SubChipset], &k[power.SubMemory], &k[power.SubIO], &k[power.SubDisk]
-	out[power.SubCPU] = 0 + float64(cpu[0]*n) + float64(cpu[1]*act) + float64(cpu[2]*upc)
-	out[power.SubChipset] = 0 + float64(chip[0]*1)
-	out[power.SubMemory] = 0 + float64(mem[0]*1) + float64(mem[1]*totalBus) + float64(mem[2]*(totalBus*totalBus))
-	out[power.SubIO] = 0 + float64(io[0]*1) + float64(io[1]*ints) + float64(io[2]*(ints*ints))
-	out[power.SubDisk] = 0 + float64(dsk[0]*1) + float64(dsk[1]*disk) + float64(dsk[2]*(disk*disk)) +
-		float64(dsk[3]*meanDMA) + float64(dsk[4]*(meanDMA*meanDMA))
+	return act, upc, bus + meanDMA, ints, disk, meanDMA
 }
 
 // EstimateMetrics is Estimate for pre-extracted metrics: a batch of

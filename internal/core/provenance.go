@@ -72,27 +72,10 @@ type MetricEnvelope struct {
 	Std  float64 `json:"std"`
 }
 
-// NumEnvelopeMetrics is the number of scalar rates EnvelopeMetrics
-// returns.
+// NumEnvelopeMetrics is the number of scalar rates in Rates.
 const NumEnvelopeMetrics = 6
 
-// EnvelopeMetrics extracts the scalar metric rates the envelopes cover,
-// in a fixed order matching ComputeEnvelopes: the aggregate inputs of
-// the five production designs. Shared by training (to build envelopes)
-// and the adapt layer (to score live samples against them). It returns
-// an array, so scoring a live sample allocates nothing.
-func EnvelopeMetrics(m *Metrics) [NumEnvelopeMetrics]float64 {
-	return [NumEnvelopeMetrics]float64{
-		sum(m.PercentActive),
-		sum(m.UopsPerCycle),
-		m.TotalBusPMC(),
-		sum(m.IntsPMC),
-		sum(m.DiskIntsPMC),
-		mean(m.DMAPMC),
-	}
-}
-
-// EnvelopeNames returns the metric names for EnvelopeMetrics positions.
+// EnvelopeNames returns the metric names for Rates positions.
 func EnvelopeNames() []string {
 	return []string{"percent_active", "uops_per_cycle", "bus_tx_total", "ints", "disk_ints", "dma"}
 }
@@ -108,7 +91,7 @@ func ComputeEnvelopes(ds *align.Dataset) []MetricEnvelope {
 	sqs := make([]float64, k)
 	n := 0
 	for i := range ds.Rows {
-		vals := EnvelopeMetrics(ExtractMetrics(&ds.Rows[i].Counters))
+		vals := RatesOf(&ds.Rows[i].Counters)
 		finite := true
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -100,6 +100,7 @@ func TestNetloadExercisesNICPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	truthMean := truthMeter(srv)
 	srv.Run(80)
 	ds, err := srv.Dataset()
 	if err != nil {
@@ -122,7 +123,7 @@ func TestNetloadExercisesNICPath(t *testing.T) {
 		t.Error("netload produced no DMA bus traffic")
 	}
 	// I/O power must rise above the no-I/O floor.
-	m := truthMean(srv)
+	m := truthMean()
 	if m[power.SubIO] < power.IOBasePower+0.5 {
 		t.Errorf("netload I/O power = %v, expected clear rise above %v", m[power.SubIO], power.IOBasePower)
 	}
@@ -247,13 +248,14 @@ func TestSpindownBreaksConstantFloorAssumption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	truthMean := truthMeter(srv)
 	srv.Run(120)
 	ds, err := srv.Dataset()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The machine actually saves power...
-	mean := truthMean(srv)
+	mean := truthMean()
 	if mean[power.SubDisk] > power.DiskIdlePower(2)-10 {
 		t.Fatalf("disks never spun down (mean %v)", mean[power.SubDisk])
 	}
@@ -278,8 +280,9 @@ func TestSpindownSavesMeasurableEnergy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		truthMean := truthMeter(srv)
 		srv.Run(60)
-		return truthMean(srv)[power.SubDisk]
+		return truthMean()[power.SubDisk]
 	}
 	server := run(disk.PowerPolicy{})
 	mobile := run(disk.MobilePolicy())

@@ -193,9 +193,6 @@ type Server struct {
 	traffic mem.Traffic
 	memSt   mem.Stats
 
-	truthSum power.Reading
-	truthN   int64
-
 	onSlice []func(SliceInfo)
 
 	crash     CrashInjector
@@ -532,10 +529,6 @@ func (s *Server) step(c *sim.Clock) {
 		power.SubDisk:    s.profile.DiskOf(&osRes.Disk, sliceSec, s.cfg.NumDisks),
 	}
 	s.drift.step(sliceSec, &truth)
-	for i, w := range truth {
-		s.truthSum[i] += w
-	}
-	s.truthN++
 
 	// 7. Acquisition and counter sampling.
 	s.dq.Acquire(sliceSec, truth)

@@ -30,17 +30,28 @@ func vectorInts(s *perfctr.Sample, v iobus.Vector) uint64 {
 	return t
 }
 
-// truthMean returns the noise-free per-rail average over the whole run:
-// ground truth the real paper could never see directly.
-func truthMean(s *Server) power.Reading {
-	var out power.Reading
-	if s.truthN == 0 {
+// truthMeter observes every slice s steps from now on and returns the
+// noise-free per-rail average over those slices: ground truth the real
+// paper could never see directly.
+func truthMeter(s *Server) func() power.Reading {
+	var sum power.Reading
+	var n int64
+	s.OnSlice(func(si SliceInfo) {
+		for i, w := range si.Truth {
+			sum[i] += w
+		}
+		n++
+	})
+	return func() power.Reading {
+		var out power.Reading
+		if n == 0 {
+			return out
+		}
+		for i, v := range sum {
+			out[i] = v / float64(n)
+		}
 		return out
 	}
-	for i, v := range s.truthSum {
-		out[i] = v / float64(s.truthN)
-	}
-	return out
 }
 
 func TestNewValidation(t *testing.T) {
@@ -68,8 +79,9 @@ func TestIdleRunMatchesPaperFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	truthMean := truthMeter(srv)
 	srv.Run(30)
-	m := truthMean(srv)
+	m := truthMean()
 	// Paper Table 1 idle row: 38.4 / 19.9 / 28.1 / 32.9 / 21.6.
 	want := power.Reading{38.4, 19.9, 28.1, 32.9, 21.6}
 	tol := power.Reading{1.5, 0.6, 0.6, 0.4, 0.3}
@@ -87,8 +99,9 @@ func TestDeterministicForSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		truthMean := truthMeter(srv)
 		srv.Run(20)
-		return truthMean(srv)
+		return truthMean()
 	}
 	a, b := run(), run()
 	if a != b {
@@ -97,8 +110,9 @@ func TestDeterministicForSeed(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 99
 	srv, _ := New(cfg, mustSpec(t, "gcc"))
+	truthMean := truthMeter(srv)
 	srv.Run(20)
-	if truthMean(srv) == a {
+	if truthMean() == a {
 		t.Error("different seeds produced identical run")
 	}
 }
@@ -219,7 +233,7 @@ func TestAccessors(t *testing.T) {
 	if srv.Clock() == nil || srv.Sampler() == nil || srv.DAQ() == nil || srv.OS() == nil {
 		t.Error("nil component accessor")
 	}
-	if truthMean(srv) != (power.Reading{}) {
+	if truthMeter(srv)() != (power.Reading{}) {
 		t.Error("truth mean before run should be zero")
 	}
 }

@@ -115,8 +115,9 @@ func TestMixedDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		truthMean := truthMeter(srv)
 		srv.Run(15)
-		return truthMean(srv)
+		return truthMean()
 	}
 	if run() != run() {
 		t.Error("mixed run not deterministic")
@@ -133,8 +134,9 @@ func TestMixedChipsetBiasAveraged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		truthMean := truthMeter(srv)
 		srv.Run(20)
-		return truthMean(srv)[power.SubChipset]
+		return truthMean()[power.SubChipset]
 	}
 	idleOnly := mean([]Placement{{Workload: "idle", Thread: 0}})
 	vortexOnly := mean([]Placement{{Workload: "vortex", Thread: 0}})

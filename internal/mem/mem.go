@@ -82,12 +82,10 @@ type Stats struct {
 }
 
 // Memory is the FSB plus DRAM array.
-type Memory struct {
-	capacity float64 // tx/s
-}
+type Memory struct{}
 
 // New returns a memory subsystem with the default bus capacity.
-func New() *Memory { return &Memory{capacity: BusCapacity} }
+func New() *Memory { return &Memory{} }
 
 // saturate applies the FSB's soft saturation curve: linear at low load,
 // asymptotic to capacity at overload: offered/(1+r⁴)^¼ with r the load
@@ -137,7 +135,7 @@ func (m *Memory) StepInto(st *Stats, sliceSec float64, t *Traffic) {
 	if offered < 0 || sliceSec <= 0 {
 		return
 	}
-	capTx := m.capacity * sliceSec
+	capTx := BusCapacity * sliceSec
 	served := saturate(offered, capTx)
 	scale := 1.0
 	if offered > 0 {

@@ -15,6 +15,7 @@ import (
 	"trickledown/internal/iobus"
 	"trickledown/internal/perfctr"
 	"trickledown/internal/power"
+	"trickledown/internal/sim"
 	"trickledown/internal/tracez"
 )
 
@@ -311,6 +312,102 @@ func TestAdapterSwapMidBatchServesTheRest(t *testing.T) {
 	}
 }
 
+// residualProbe is a fault injector that perturbs nothing. The worker
+// calls it for each sample's first processor just before Observe sees
+// that sample, so it records the champion that Observe will estimate
+// with and the residual Observe computed for the sample before.
+type residualProbe struct {
+	m       *adapt.Manager
+	champs  []*core.Estimator
+	lastErr []float64
+}
+
+func (p *residualProbe) PerturbCounts(_ float64, cpu int, _ *perfctr.CPUCounts) {
+	if cpu == 0 {
+		p.champs = append(p.champs, p.m.Champion())
+		p.lastErr = append(p.lastErr, p.m.Status().LastErrPct)
+	}
+}
+
+// TestObserveResidualMatchesExtractAndBatch: one 256-sample railed
+// batch through a worker swaps the champion and then rolls the swap
+// back. Every residual Observe computes on the way is, bit for bit, the
+// Eq. 6 error of its champion's ExtractMetricsAtInto plus EstimateBatch
+// reading of that sample: the old champion's on the sample that swaps,
+// the challenger's on the sample that rolls back.
+func TestObserveResidualMatchesExtractAndBatch(t *testing.T) {
+	const n, period, pre = core.BatchSize, 97, 50
+	champ := adaptChampion(t)
+	// The batch is the training regime, then a 0.4 shift until the
+	// manager swaps, then a 2.5 shift until it rolls back, then the
+	// training regime again. A dry run finds where those land.
+	dry, err := adapt.New(adaptManagerConfig(champ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := make([]perfctr.Sample, n)
+	rails := make([]power.Reading, n)
+	shift := 0.0
+	for i := range samples {
+		st := dry.Status()
+		switch {
+		case st.Rollbacks > 0:
+			shift = 0
+		case st.Swaps > 0:
+			shift = 2.5
+		case i == pre:
+			shift = 0.4
+		}
+		samples[i] = adaptSample(i, period)
+		rails[i] = adaptRails(&samples[i], shift)
+		dry.Observe(&samples[i], rails[i])
+	}
+	if st := dry.Status(); st.Swaps == 0 || st.Rollbacks == 0 {
+		t.Fatalf("dry run: %d swaps, %d rollbacks; want both inside the batch", st.Swaps, st.Rollbacks)
+	}
+
+	s, err := New(Config{Estimator: champ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := adapt.New(adaptManagerConfig(champ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetAdapter(m)
+	probe := &residualProbe{m: m}
+	s.SetFaultInjector(probe)
+	now := time.Now()
+	s.process(&batch{node: "n", samples: samples, rails: rails, arrived: now, queued: now}, new(workerScratch), 0)
+
+	st := m.Status()
+	if st.Swaps == 0 || st.Rollbacks == 0 || st.Quarantined != 0 || len(probe.champs) != n {
+		t.Fatalf("%d swaps, %d rollbacks, %d quarantined, %d samples probed", st.Swaps, st.Rollbacks, st.Quarantined, len(probe.champs))
+	}
+	resid := append(probe.lastErr[1:], st.LastErrPct)
+	var met [1]core.Metrics
+	var est [1]power.Reading
+	var cols core.Columns
+	challenged := 0
+	for i := range samples {
+		c := probe.champs[i]
+		if c != champ {
+			challenged++
+		}
+		core.ExtractMetricsAtInto(&met[0], &samples[i], sim.DefaultCoreHz)
+		c.EstimateBatch(est[:], met[:], &cols)
+		truth := rails[i].Total()
+		want := math.Abs(est[0].Total()-truth) / math.Abs(truth) * 100
+		if math.Float64bits(resid[i]) != math.Float64bits(want) {
+			t.Fatalf("sample %d: Observe's residual %v, champion %s's extract+batch %v",
+				i, resid[i], c.Provenance().Version, want)
+		}
+	}
+	if challenged == 0 {
+		t.Fatal("no sample was observed by the challenger")
+	}
+}
+
 // TestLongBatchEstimatesEveryChunk: a batch longer than two estimation
 // chunks is estimated to its end; the node's reading is the last
 // sample's.
@@ -342,8 +439,8 @@ func TestLongBatchEstimatesEveryChunk(t *testing.T) {
 
 // BenchmarkProcessRails is a worker's path for one 256-sample batch
 // carrying rails under a live adapter: fault pass, one Observe per
-// sample (extract, a one-sample estimate, detectors, window copy),
-// then the chunked batch estimate. The rails match the champion's
+// sample (the champion's estimate, the envelope rates, detectors,
+// window copy), then the chunked batch estimate. The rails match the champion's
 // regime, so no alarm or refit runs.
 func BenchmarkProcessRails(b *testing.B) {
 	const n = 256

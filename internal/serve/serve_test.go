@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -417,6 +418,61 @@ func TestHugeFiniteEstimateNotQuarantined(t *testing.T) {
 	if got := np.Power[power.SubCPU.String()]; got != 1.5e308 {
 		t.Errorf("CPU = %v, want 1.5e308", got)
 	}
+}
+
+// TestOverflowingModelFileQuarantined: a model file that LoadEstimator
+// accepts, because every coefficient is finite, can still overflow an
+// estimate to +Inf. The I/O model's interrupt coefficient here is 1e308,
+// so a sample with interrupts overflows and one without stays finite.
+// The worker counts each overflowing estimate in
+// serve_nonfinite_estimates_total and never serves it: /power keeps the
+// last finite reading, though an overflowing sample is newer.
+func TestOverflowingModelFileQuarantined(t *testing.T) {
+	hot := productionEstimator(t)
+	hot.Model(power.SubIO).Coef[1] = 1e308
+	var file bytes.Buffer
+	if err := hot.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	est, err := core.LoadEstimator(&file)
+	if err != nil {
+		t.Fatalf("LoadEstimator rejected finite coefficients: %v", err)
+	}
+	samples := mkBatch(6, 2, 0)
+	overflow := []int{2, 4, 5}
+	for _, i := range overflow {
+		samples[i].Ints = [][]uint64{{5e9, 5e9}}
+	}
+	oracle := append([]perfctr.Sample(nil), samples...)
+	for _, i := range overflow {
+		if r := est.Estimate(&oracle[i]); !math.IsInf(r[power.SubIO], 1) {
+			t.Fatalf("sample %d estimates %v, want an I/O rail of +Inf", i, r)
+		}
+	}
+	want := est.Estimate(&oracle[3])
+	if want.NonFinite() >= 0 {
+		t.Fatalf("sample 3 estimates %v, want finite", want)
+	}
+
+	before := mNonFinite.Value()
+	s := newServer(t, Config{Estimator: est, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if err := s.Ingest("c", "n", samples, nil, tracez.Context{}); err != nil {
+		t.Fatal(err)
+	}
+	waitEstimated(t, s, uint64(len(samples)))
+	if got := mNonFinite.Value() - before; got != uint64(len(overflow)) {
+		t.Errorf("serve_nonfinite_estimates_total rose by %d, want %d", got, len(overflow))
+	}
+	var np NodePower
+	if err := json.Unmarshal([]byte(httpGet(t, ts.URL+"/power?node=n", 200)), &np); err != nil {
+		t.Fatal(err)
+	}
+	if np.Samples != uint64(len(samples)) || np.NonFinite != uint64(len(overflow)) {
+		t.Errorf("samples=%d nonfinite=%d, want %d/%d", np.Samples, np.NonFinite, len(samples), len(overflow))
+	}
+	assertPowerBits(t, np, want)
 }
 
 // TestRetryRecoversPanickingBatch: a model whose Design panics on the

@@ -308,8 +308,7 @@ func (c Config) withDefaults() Config {
 // Recorder owns the sampling decision and the bounded retention rings.
 // All methods are safe for concurrent use.
 type Recorder struct {
-	rateBits atomic.Uint64 // float64 bits of the live sample rate
-	cfg      Config
+	cfg Config // fixed at construction
 
 	mu      sync.Mutex
 	recent  *ring
@@ -333,7 +332,6 @@ func NewRecorder(cfg Config) *Recorder {
 	for i := range r.slowest {
 		r.slowest[i] = newTopK(cfg.TopK)
 	}
-	r.rateBits.Store(math.Float64bits(cfg.SampleRate))
 	return r
 }
 
@@ -346,7 +344,7 @@ var defaultRecorder = NewRecorder(Config{})
 func Default() *Recorder { return defaultRecorder }
 
 // SampleRate returns the head-sampling rate.
-func (r *Recorder) SampleRate() float64 { return math.Float64frombits(r.rateBits.Load()) }
+func (r *Recorder) SampleRate() float64 { return r.cfg.SampleRate }
 
 // Sampled is the deterministic head-based decision for an ID: the low
 // 64 ID bits, read as a uniform draw, land under rate. Producer and
