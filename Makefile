@@ -9,8 +9,9 @@ all: vet test
 test:
 	$(GO) test ./...
 
+# gofmt -l exits 0 even when it lists files, so the list must be empty.
 vet:
-	gofmt -l . && $(GO) vet ./...
+	test -z "$$(gofmt -l . | tee /dev/stderr)" && $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...
@@ -101,8 +102,11 @@ tenants:
 diurnal:
 	$(GO) run ./examples/diurnal
 
-# Lines of Go in the three counts ROADMAP.md tracks.
+# Lines of Go in the three counts ROADMAP.md tracks, and the exported
+# fields of the …Config and …Options structs under internal/ (one per
+# field line).
 loc:
 	@printf 'non-test Go outside benchmark/: '; find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 	@printf 'test Go outside benchmark/:     '; find . -path ./benchmark -prune -o -name '*_test.go' -print | xargs cat | wc -l
 	@printf 'benchmark/:                     '; find ./benchmark -name '*.go' | xargs cat | wc -l
+	@printf 'exported Config/Options fields: '; find ./internal -name '*.go' ! -name '*_test.go' | xargs awk '/^type [A-Za-z]*(Config|Options) struct \{/ { s = 1; next } s && /^\}/ { s = 0 } s && /^\t[A-Z]/ { n++ } END { print n }'

@@ -41,9 +41,6 @@ import (
 const (
 	defaultSeed  = 100
 	defaultScale = 0.25
-	warmup       = 5    // rows trimmed from each trace before use
-	resamples    = 500  // bootstrap resamples for the error CIs
-	confidence   = 0.95 // bootstrap CI coverage
 )
 
 func main() {
@@ -57,14 +54,14 @@ func main() {
 	mistrain := flag.String("mistrain", "", "deliberately corrupt this subsystem's model (CI negative test)")
 	flag.Parse()
 
-	os.Exit(run(context.Background(), defaultSeed, defaultScale, *workers, resamples,
+	os.Exit(run(context.Background(), defaultSeed, defaultScale, *workers,
 		*golden, *gate, *update, true, *out, *mistrain))
 }
 
 // run validates at seed and scale (or the corpus's) and returns the exit
-// code. The tests call it at small scales, few resamples and without
-// the conformance checks.
-func run(ctx context.Context, seed uint64, scale float64, workers, boot int,
+// code. The tests call it at small scales and without the conformance
+// checks.
+func run(ctx context.Context, seed uint64, scale float64, workers int,
 	golden string, gate, update, runChecks bool, out, mistrain string) int {
 	// A typo'd -mistrain would corrupt nothing and pass the gate, turning
 	// CI's negative control vacuous — reject unknown names outright.
@@ -90,13 +87,10 @@ func run(ctx context.Context, seed uint64, scale float64, workers, boot int,
 	}
 
 	opt := validate.Options{
-		Seed:       seed,
-		Scale:      scale,
-		Warmup:     warmup,
-		Resamples:  boot,
-		Confidence: confidence,
-		Workers:    workers,
-		Train:      trainFunc(mistrain),
+		Seed:    seed,
+		Scale:   scale,
+		Workers: workers,
+		Train:   trainFunc(mistrain),
 	}
 	runner := experiments.NewRunner(experiments.Options{
 		Seed: seed, TrainSeed: seed, Scale: scale, Workers: workers,

@@ -13,7 +13,7 @@ func TestRunTimeoutExitsIncomplete(t *testing.T) {
 	defer cancel()
 	done := make(chan int, 1)
 	go func() {
-		done <- run(ctx, 7, 0.02, 1, 50, "", false, false, false, "", "")
+		done <- run(ctx, 7, 0.02, 1, "", false, false, false, "", "")
 	}()
 	select {
 	case code := <-done:
@@ -28,7 +28,7 @@ func TestRunTimeoutExitsIncomplete(t *testing.T) {
 // A typo'd -mistrain name must be rejected, not silently ignored — an
 // ignored typo would make CI's negative control vacuously pass.
 func TestRunRejectsUnknownMistrain(t *testing.T) {
-	if code := run(context.Background(), 7, 0.02, 1, 50, "", false, false, false,
+	if code := run(context.Background(), 7, 0.02, 1, "", false, false, false,
 		"", "Banana"); code != 2 {
 		t.Fatalf("unknown -mistrain exit = %d, want 2", code)
 	}
@@ -41,15 +41,15 @@ func TestRunGateAndMistrain(t *testing.T) {
 		t.Skip("runs three full validation passes")
 	}
 	golden := t.TempDir() + "/GOLDEN.json"
-	if code := run(context.Background(), 7, 0.02, 0, 50, golden, false, true, true,
+	if code := run(context.Background(), 7, 0.02, 0, golden, false, true, true,
 		"", ""); code != 0 {
 		t.Fatalf("update run exit = %d, want 0", code)
 	}
-	if code := run(context.Background(), 7, 0.02, 0, 50, golden, true, false, true,
+	if code := run(context.Background(), 7, 0.02, 0, golden, true, false, true,
 		"", ""); code != 0 {
 		t.Fatalf("clean gate exit = %d, want 0", code)
 	}
-	if code := run(context.Background(), 7, 0.02, 0, 50, golden, true, false, true,
+	if code := run(context.Background(), 7, 0.02, 0, golden, true, false, true,
 		"", "Memory"); code != 1 {
 		t.Fatalf("mistrained gate exit = %d, want 1", code)
 	}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -259,3 +260,153 @@ func declKey(pkg string, fd *ast.FuncDecl) string {
 func within(n ast.Node, decl *ast.FuncDecl) bool {
 	return n.Pos() >= decl.Pos() && n.End() <= decl.End()
 }
+
+// unsetFieldAllowed are the exported Config and Options fields that no
+// non-test Go writes, each with the reason it stays.
+var unsetFieldAllowed = map[string]string{
+	"machine.Config.Power": "TestMethodPortsToBladeProfile sets a blade profile through it to check the paper's premise that coefficients are per machine; nil is the paper's server",
+}
+
+// TestNoUnsetConfigFields fails when an exported field of a struct
+// type declared under internal/ whose name ends in Config or Options is
+// written by no non-test Go, benchmark/ included: a setting no caller
+// varies. A write is a composite-literal key, an assignment or op=, ++
+// or --, or taking the field's address. The module is type-checked
+// from source so that each write resolves to its field; standard
+// library imports are empty packages, and the type errors they cause
+// are ignored, since no tracked field is reached through one.
+func TestNoUnsetConfigFields(t *testing.T) {
+	files := parseModule(t)
+	fset := files[0].fset
+	byDir := map[string][]*ast.File{}
+	for _, f := range files {
+		byDir[f.dir] = append(byDir[f.dir], f.file)
+	}
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	checked := map[string]*types.Package{}
+	var importer importerFunc
+	check := func(dir string) *types.Package {
+		if p, ok := checked[dir]; ok {
+			return p
+		}
+		path := "trickledown"
+		if dir != "." {
+			path += "/" + dir
+		}
+		conf := types.Config{Importer: importer, Error: func(error) {}}
+		p, _ := conf.Check(path, fset, byDir[dir], info)
+		checked[dir] = p
+		return p
+	}
+	std := map[string]*types.Package{"unsafe": types.Unsafe}
+	importer = func(path string) (*types.Package, error) {
+		if dir, ok := strings.CutPrefix(path, "trickledown/"); ok {
+			return check(dir), nil
+		}
+		if p, ok := std[path]; ok {
+			return p, nil
+		}
+		p := types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
+		p.MarkComplete()
+		std[path] = p
+		return p, nil
+	}
+	for dir := range byDir {
+		check(dir)
+	}
+
+	// fields maps each tracked field to its pkg.Type.Field name.
+	fields := map[types.Object]string{}
+	for _, f := range files {
+		if f.bench || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			name := ts.Name.Name
+			if ok && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if !id.IsExported() {
+							continue
+						}
+						obj := info.Defs[id]
+						if obj == nil {
+							t.Fatalf("%s: field %s did not type-check", fset.Position(id.Pos()), id.Name)
+						}
+						fields[obj] = f.file.Name.Name + "." + name + "." + id.Name
+					}
+				}
+			}
+			return false
+		})
+	}
+
+	written := map[types.Object]bool{}
+	selector := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				written[s.Obj()] = true
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					if obj := info.Uses[id]; obj != nil {
+						written[obj] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					selector(lhs)
+				}
+			case *ast.IncDecStmt:
+				selector(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					selector(n.X)
+				}
+			}
+			return true
+		})
+	}
+
+	declared := map[string]bool{}
+	var unset []string
+	for obj, key := range fields {
+		declared[key] = true
+		pos := fset.Position(obj.Pos())
+		_, allowed := unsetFieldAllowed[key]
+		switch {
+		case allowed && written[obj]:
+			t.Errorf("%s: %s is allowed to be unset but non-test Go now writes it; drop it from unsetFieldAllowed", pos, key)
+		case !allowed && !written[obj]:
+			unset = append(unset, pos.String()+": "+key+" is written by no non-test Go; make it a constant, or delete it with the branches it selects")
+		}
+	}
+	for k := range unsetFieldAllowed {
+		if !declared[k] {
+			t.Errorf("%s is in unsetFieldAllowed but is not an exported Config or Options field under internal/; drop it", k)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Error(u)
+	}
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

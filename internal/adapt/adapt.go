@@ -254,8 +254,10 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 	mModelAge.Set(float64(m.modelAge))
 
 	// Residual drift: per-sample Eq.6 error of the champion's total,
-	// estimated as the worker serves it.
-	modeled := m.champion.Estimate(s).Total()
+	// estimated as the worker serves it. The envelopes read the rates
+	// of the same pass.
+	reading, env := m.champion.EstimateRates(s)
+	modeled := reading.Total()
 	truth := measured.Total()
 	errPct := math.Abs(modeled-truth) / math.Abs(truth) * 100
 	if math.IsNaN(errPct) || math.IsInf(errPct, 0) {
@@ -266,7 +268,6 @@ func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
 	m.lastErrPct = errPct
 
 	residAlarm := m.resid.Observe(errPct)
-	env := core.RatesOf(s)
 	envAlarm, envMetric := m.env.Observe(env[:])
 
 	// Phase tracking: never retrain mid-transition.

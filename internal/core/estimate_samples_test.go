@@ -118,9 +118,9 @@ func envelopeRates(s *perfctr.Sample) Rates {
 }
 
 // TestEstimateSamplesMatchesExtractAndBatch: EstimateSamples, with
-// caller scratch and without, and Estimate read every rail of full
-// extraction plus EstimateBatch bit for bit, and RatesOf reads every
-// aggregate of full extraction bit for bit. A NaN matches any NaN:
+// caller scratch and without, Estimate and EstimateRates read every rail
+// of full extraction plus EstimateBatch bit for bit, and RatesOf and
+// EstimateRates read every aggregate of full extraction bit for bit. A NaN matches any NaN:
 // which payload an add of two NaNs keeps depends on operand order,
 // which already differs between dot's one-sample and batch loops. It
 // runs the production estimator, which takes the kernel, and
@@ -170,15 +170,18 @@ func TestEstimateSamplesMatchesExtractAndBatch(t *testing.T) {
 			est.EstimateSamples(pooled, ss, nil)
 			for j := range ss {
 				rates, ref := RatesOf(&ss[j]), envelopeRates(&ss[j])
+				paired, pairedRates := est.EstimateRates(&ss[j])
 				for k := range rates {
-					if math.Float64bits(rates[k]) != math.Float64bits(ref[k]) {
-						t.Fatalf("%s trial %d sample %d (%d CPUs) %s: RatesOf %v, extraction %v",
-							tc.name, trial, j, len(ss[j].CPUs), EnvelopeNames()[k], rates[k], ref[k])
+					for _, v := range []float64{rates[k], pairedRates[k]} {
+						if math.Float64bits(v) != math.Float64bits(ref[k]) {
+							t.Fatalf("%s trial %d sample %d (%d CPUs) %s: RatesOf or EstimateRates %v, extraction %v",
+								tc.name, trial, j, len(ss[j].CPUs), EnvelopeNames()[k], v, ref[k])
+						}
 					}
 				}
 				one := est.Estimate(&ss[j])
 				for sub := range want[j] {
-					for _, v := range []float64{got[j][sub], pooled[j][sub], one[sub]} {
+					for _, v := range []float64{got[j][sub], pooled[j][sub], one[sub], paired[sub]} {
 						if !sameBits(v, want[j][sub]) {
 							t.Fatalf("%s trial %d sample %d (%d CPUs) %s: %v (%#x), extract+batch %v (%#x)",
 								tc.name, trial, j, len(ss[j].CPUs), power.Subsystem(sub),

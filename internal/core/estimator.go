@@ -65,12 +65,20 @@ func (e *Estimator) Model(s power.Subsystem) *Model {
 }
 
 // Estimate returns per-rail power for one counter sample. It views s
-// as a batch of one rather than copying it: EstimateSamples only reads
-// its samples.
+// as a batch of one rather than copying it: estimation only reads its
+// samples.
 func (e *Estimator) Estimate(s *perfctr.Sample) power.Reading {
 	var out [1]power.Reading
-	e.EstimateSamples(out[:], unsafe.Slice(s, 1), nil)
+	e.estimate(out[:], unsafe.Slice(s, 1), nil, nil)
 	return out[0]
+}
+
+// EstimateRates is Estimate plus RatesOf of the same sample. The
+// production kernel computes the rates once for both; every other
+// estimator runs RatesOf beside its estimate.
+func (e *Estimator) EstimateRates(s *perfctr.Sample) (out power.Reading, r Rates) {
+	e.estimate(unsafe.Slice(&out, 1), unsafe.Slice(s, 1), nil, unsafe.Slice(&r, 1))
+	return out, r
 }
 
 // EstimateSamples writes the estimate of ss[j] to out[j], which must be
@@ -82,6 +90,14 @@ func (e *Estimator) Estimate(s *perfctr.Sample) power.Reading {
 // scratch. Either way every rail is bit-identical to extracting with
 // ExtractMetricsAtInto at the default clock and running EstimateBatch.
 func (e *Estimator) EstimateSamples(out []power.Reading, ss []perfctr.Sample, c *Columns) {
+	e.estimate(out, ss, c, nil)
+}
+
+// estimate is EstimateSamples that also writes RatesOf(&ss[j]) to rs[j]
+// when rs is not nil. Estimate and EstimateRates call it directly, so
+// each is small enough to inline and its batch of one stays in the
+// caller's frame.
+func (e *Estimator) estimate(out []power.Reading, ss []perfctr.Sample, c *Columns, rs []Rates) {
 	out = out[:len(ss)]
 	if e.kernel() {
 		// The production kernel: Equations 1, 3, 4 and 5 and the
@@ -95,6 +111,9 @@ func (e *Estimator) EstimateSamples(out []power.Reading, ss []perfctr.Sample, c 
 		_, _, _, _, _ = cpu[2], chip[0], mem[2], io[2], dsk[4] // one bounds check per call, not per sample
 		for j := range ss {
 			act, upc, bus, ints, disk, dma := rates(&ss[j])
+			if rs != nil {
+				rs[j] = Rates{act, upc, bus, ints, disk, dma}
+			}
 			n := float64(len(ss[j].CPUs))
 			o := &out[j]
 			o[power.SubCPU] = 0 + float64(cpu[0]*n) + float64(cpu[1]*act) + float64(cpu[2]*upc)
@@ -105,6 +124,9 @@ func (e *Estimator) EstimateSamples(out []power.Reading, ss []perfctr.Sample, c 
 				float64(dsk[3]*dma) + float64(dsk[4]*(dma*dma))
 		}
 		return
+	}
+	for j := range rs {
+		rs[j] = RatesOf(&ss[j])
 	}
 	if c == nil {
 		one := singles.Get().(*single)

@@ -24,30 +24,32 @@ type Config struct {
 	TimerHz float64
 	// NICPerSec is background network interrupt chatter.
 	NICPerSec float64
-	// NICCoalesceBytes is the NIC's interrupt-coalescing threshold: one
-	// completion interrupt per this many payload bytes.
-	NICCoalesceBytes float64
-	// RandomReadMissRatio is the page-cache miss probability for random
-	// (OLTP) reads; sequential cold reads always miss.
-	RandomReadMissRatio float64
-	// FlushChunkBytes is the writeback request size during sync().
-	FlushChunkBytes float64
-	// MaxOutstanding bounds requests queued at the disk controller.
-	MaxOutstanding int
 }
 
-// DefaultConfig mirrors a 2006-era Linux server: 1 kHz tick, deep queue.
+// DefaultConfig mirrors a 2006-era Linux server: 1 kHz tick.
 func DefaultConfig(numCPUs int) Config {
 	return Config{
-		NumCPUs:             numCPUs,
-		TimerHz:             1000,
-		NICPerSec:           90,
-		NICCoalesceBytes:    64 * 1024,
-		RandomReadMissRatio: 0.75,
-		FlushChunkBytes:     256 * 1024,
-		MaxOutstanding:      64,
+		NumCPUs:   numCPUs,
+		TimerHz:   1000,
+		NICPerSec: 90,
 	}
 }
+
+// The I/O path's fixed tunables, those of a 2006-era Linux server with
+// a deep queue.
+const (
+	// nicCoalesceBytes is the NIC's interrupt-coalescing threshold: one
+	// completion interrupt per this many payload bytes.
+	nicCoalesceBytes = 64 * 1024
+	// randomReadMissRatio is the page-cache miss probability for random
+	// (OLTP) reads; sequential cold reads always miss.
+	randomReadMissRatio = 0.75
+	// flushChunkBytes is the writeback request size during sync().
+	flushChunkBytes = 256 * 1024
+	// maxOutstanding bounds writeback chunks queued at the disk
+	// controller.
+	maxOutstanding = 64
+)
 
 // Result reports what the OS and I/O path did during one slice.
 type Result struct {
@@ -200,7 +202,7 @@ func (o *OS) handleIO(d *workload.Demand) {
 			o.dma.Transfer(d.NetTxBytes, false)
 		}
 		// Interrupt coalescing: fractional credits accumulate.
-		o.nicCredit += net / o.cfg.NICCoalesceBytes
+		o.nicCredit += net / nicCoalesceBytes
 		if o.nicCredit >= 1 {
 			n := int(o.nicCredit)
 			o.nicCredit -= float64(n)
@@ -220,7 +222,7 @@ func (o *OS) handleIO(d *workload.Demand) {
 	if d.DiskReadBytes > 0 {
 		miss := true
 		if d.RandomIO {
-			miss = o.rng.Bernoulli(o.cfg.RandomReadMissRatio)
+			miss = o.rng.Bernoulli(randomReadMissRatio)
 		}
 		if miss {
 			o.ctl.Submit(disk.Request{
@@ -241,11 +243,11 @@ func (o *OS) handleIO(d *workload.Demand) {
 // write bytes, measured in chunks.
 func (o *OS) submitFlush() {
 	for o.flushLeft > 0 {
-		outstanding := int(o.inFlightWr / o.cfg.FlushChunkBytes)
-		if outstanding >= o.cfg.MaxOutstanding {
+		outstanding := int(o.inFlightWr / flushChunkBytes)
+		if outstanding >= maxOutstanding {
 			return
 		}
-		chunk := o.cfg.FlushChunkBytes
+		chunk := float64(flushChunkBytes)
 		if chunk > o.flushLeft {
 			chunk = o.flushLeft
 		}

@@ -203,17 +203,16 @@ func TestNewPanicsWithoutCPUs(t *testing.T) {
 
 func TestFlushBackpressure(t *testing.T) {
 	// A huge sync must not enqueue everything at once; the queue is
-	// bounded by MaxOutstanding chunks.
+	// bounded by maxOutstanding chunks.
 	rng := sim.NewRNG(3)
 	io := iobus.New(4)
 	ctl := disk.NewController(2, rng)
-	cfg := DefaultConfig(4)
-	os := New(cfg, io, ctl, rng)
+	os := New(DefaultConfig(4), io, ctl, rng)
 	c := sim.NewClock(time.Millisecond, 2.8e9)
 	os.Step(c, []workload.Demand{{DiskWriteBytes: 1e9}})
 	os.Step(c, []workload.Demand{{Sync: true}})
-	// inFlight write bytes must stay near MaxOutstanding * chunk.
-	maxBytes := float64(cfg.MaxOutstanding+4) * cfg.FlushChunkBytes
+	// inFlight write bytes must stay near maxOutstanding * chunk.
+	maxBytes := float64(maxOutstanding+4) * flushChunkBytes
 	for i := 0; i < 1000; i++ {
 		os.Step(c, nil)
 		if os.inFlightWr > maxBytes {

@@ -63,9 +63,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic: %v", e.Value)
 }
 
-// Retry is a retry policy: the one attempt-and-backoff loop that the
-// cluster's node stepping and the service's batch estimation run. The
-// zero value (and any Attempts < 2) means run exactly once.
+// Retry is a retry policy: the one attempt-and-backoff loop, which the
+// cluster's node stepping runs. The zero value (and any Attempts < 2)
+// means run exactly once.
 type Retry struct {
 	// Attempts is the maximum number of tries, including the first;
 	// values below 1 behave as 1.

@@ -24,12 +24,6 @@ type ExpandConfig struct {
 	// (draw / capacity over healthy powered-on nodes); nodes power on
 	// until projected utilization drops to it. Zero means 0.75.
 	TargetUtil float64
-	// MinFreeThreads additionally powers nodes on until the fleet has
-	// at least this many free hardware threads for incoming load.
-	MinFreeThreads int
-	// MaxPowerOn caps how many nodes one decision may wake (0 = no
-	// cap), bounding inrush on a steep ramp.
-	MaxPowerOn int
 }
 
 func (c ExpandConfig) withDefaults() ExpandConfig {
@@ -70,8 +64,7 @@ func (e Expansion) Summary() string {
 // nodes to wake so the fleet regains headroom *before* survivors
 // saturate. Off-nodes wake in the given order (deterministic,
 // insertion-order ties like Plan) until projected utilization is at or
-// below TargetUtil and the free-thread floor is met, or the pool or
-// MaxPowerOn runs out. Like Plan it is a pure function of its inputs:
+// below TargetUtil, or the pool runs out. Like Plan it is a pure function of its inputs:
 // estimator-derived draws in, names out, no simulation touched.
 func PlanExpansion(on []NodeInfo, off []OffNode, cfg ExpandConfig) Expansion {
 	cfg = cfg.withDefaults()
@@ -101,17 +94,12 @@ func PlanExpansion(on []NodeInfo, off []OffNode, cfg ExpandConfig) Expansion {
 	}
 	projW, projC := watts, capacity
 	for i := range off {
-		needUtil := util(projW, projC) > cfg.TargetUtil
-		needFree := free < cfg.MinFreeThreads
-		if !needUtil && !needFree {
-			break
-		}
-		if cfg.MaxPowerOn > 0 && len(e.PowerOn) >= cfg.MaxPowerOn {
+		if !(util(projW, projC) > cfg.TargetUtil) {
 			break
 		}
 		n := &off[i]
-		if n.CapacityWatts <= 0 && n.FreeThreads <= 0 {
-			continue
+		if !(n.CapacityWatts > 0) {
+			continue // waking it adds draw and no capacity
 		}
 		e.PowerOn = append(e.PowerOn, n.Name)
 		projW += n.IdleWatts

@@ -52,21 +52,6 @@ func TestPlanExpansionNoNeed(t *testing.T) {
 	}
 }
 
-func TestPlanExpansionFreeThreadFloor(t *testing.T) {
-	on := []NodeInfo{onNode("a", 10, 100, 1)}
-	off := []OffNode{
-		offNode("b", 20, 100, 2),
-		offNode("c", 20, 100, 2),
-	}
-	e := PlanExpansion(on, off, ExpandConfig{TargetUtil: 0.95, MinFreeThreads: 4})
-	if !reflect.DeepEqual(e.PowerOn, []string{"b", "c"}) {
-		t.Fatalf("PowerOn = %v", e.PowerOn)
-	}
-	if e.FreeBefore != 1 || e.FreeAfter != 5 {
-		t.Fatalf("free %d -> %d", e.FreeBefore, e.FreeAfter)
-	}
-}
-
 func TestPlanExpansionExhaustsPoolAndCaps(t *testing.T) {
 	on := []NodeInfo{onNode("a", 99, 100, 0)}
 	off := []OffNode{
@@ -79,11 +64,6 @@ func TestPlanExpansionExhaustsPoolAndCaps(t *testing.T) {
 	e := PlanExpansion(on, off, ExpandConfig{TargetUtil: 0.5})
 	if !reflect.DeepEqual(e.PowerOn, []string{"b", "c", "d"}) {
 		t.Fatalf("PowerOn = %v", e.PowerOn)
-	}
-	// MaxPowerOn bounds the inrush.
-	e = PlanExpansion(on, off, ExpandConfig{TargetUtil: 0.5, MaxPowerOn: 1})
-	if !reflect.DeepEqual(e.PowerOn, []string{"b"}) {
-		t.Fatalf("capped PowerOn = %v", e.PowerOn)
 	}
 }
 
@@ -104,10 +84,11 @@ func TestPlanExpansionEdgeCases(t *testing.T) {
 	if e.UtilBefore != 0.1 {
 		t.Fatalf("unhealthy node counted: util %v", e.UtilBefore)
 	}
-	// A useless off-node (no capacity, no threads) is skipped, not
-	// woken forever.
+	// A useless off-node (no capacity, with or without threads) is
+	// skipped: waking it would add its idle draw and no capacity.
 	off := []OffNode{
 		{Name: "husk"},
+		{Name: "threads-only", IdleWatts: 20, FreeThreads: 2},
 		offNode("b", 20, 100, 2),
 	}
 	e = PlanExpansion([]NodeInfo{onNode("a", 95, 100, 0)}, off, ExpandConfig{TargetUtil: 0.75})

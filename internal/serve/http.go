@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -15,10 +14,15 @@ import (
 	"trickledown/internal/tracez"
 )
 
-// maxBodyBytes bounds an ingest request body. Sized for a MaxBatch of
+// maxBodyBytes bounds an ingest request body. Sized for a maxBatch of
 // large (32-CPU) samples with slack; anything bigger is hostile or
 // misconfigured and gets 413 before decode allocates for it.
 const maxBodyBytes = 64 << 20
+
+// retryAfter is the Retry-After a 429 advertises, in whole seconds:
+// the header is integer seconds, and advertising 0 invites an instant
+// retry storm from naive producers.
+const retryAfter = "1"
 
 // maxPooledBody is the largest body buffer bodyPool keeps, and the most
 // storage a decoder in decoderPool may retain. Typical batches are tens
@@ -100,17 +104,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// retryAfterSeconds renders the configured Retry-After, never below 1s
-// (the header is integer seconds; advertising 0 invites an instant
-// retry storm from naive producers).
-func (s *Server) retryAfterSeconds() string {
-	secs := int(s.cfg.RetryAfter.Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
 // handleIngest is the wire entry point: decode, admit, 202. Overload
 // and rate limiting answer 429 with Retry-After so producers have an
 // explicit backoff contract instead of guessing from timeouts.
@@ -159,7 +152,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		w.WriteHeader(http.StatusAccepted)
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrRateLimited):
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, ErrBatchTooLarge):
 		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)

@@ -41,10 +41,6 @@ type batch struct {
 	// from. It goes back to decoderPool after the worker's runBatch
 	// returns, or at once when the batch is not queued.
 	dec *perfctr.Decoder
-	// prepared counts the samples already fault-perturbed and fed to the
-	// adapter, so a retried attempt does neither twice; the worker's
-	// scratch keeps the estimator segments those samples decided.
-	prepared int
 }
 
 // errQueueClosed distinguishes shutdown from overload inside the queue;

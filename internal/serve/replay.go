@@ -14,7 +14,7 @@ import (
 // server as node's live feed — the bridge that replays a recorded (or
 // trace-replayed) machine run through the estimation service. Rows are
 // chunked into batches of at most batch samples (0 or out-of-range
-// means the server's MaxBatch); backpressure rejections (ErrQueueFull,
+// means maxBatch); backpressure rejections (ErrQueueFull,
 // ErrRateLimited) retry with a short pause until ctx expires, any other
 // rejection aborts. Returns how many samples were admitted.
 //
@@ -23,8 +23,8 @@ import (
 // copies sharing the dataset's per-CPU counter slices, so the caller
 // must not mutate ds while the server drains.
 func (s *Server) IngestDataset(ctx context.Context, client, node string, ds *align.Dataset, batch int) (int, error) {
-	if batch <= 0 || batch > s.cfg.MaxBatch {
-		batch = s.cfg.MaxBatch
+	if batch <= 0 || batch > maxBatch {
+		batch = maxBatch
 	}
 	sent := 0
 	for lo := 0; lo < len(ds.Rows); lo += batch {

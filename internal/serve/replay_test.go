@@ -60,7 +60,7 @@ func TestIngestDatasetDrains(t *testing.T) {
 func TestIngestDatasetRetriesBackpressure(t *testing.T) {
 	// One worker, tiny queue and batches: the loop must survive
 	// ErrQueueFull by retrying rather than dropping rows.
-	s, err := New(Config{Estimator: testEstimator(t), Workers: 1, QueueDepth: 1, MaxBatch: 4})
+	s, err := New(Config{Estimator: testEstimator(t), Workers: 1, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

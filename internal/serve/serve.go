@@ -69,7 +69,7 @@ var (
 	mShedding = telemetry.NewGauge("serve_shedding",
 		"1 while admission control is actively shedding (queue recently full)")
 	mEstimatePanics = telemetry.NewCounter("serve_estimate_panics_total",
-		"estimation batch panics recovered (and retried per policy)")
+		"estimation batch panics recovered (the batch is dropped)")
 	mDecode = telemetry.NewHistogram("serve_decode_seconds",
 		"ARRIVED to DECODED: body read and decode of an /ingest batch", latencyBuckets)
 	mAdmission = telemetry.NewHistogram("serve_admission_seconds",
@@ -100,6 +100,10 @@ const shedHold = 2 * time.Second
 // excluded from the fleet aggregate and counted stale.
 const staleAfter = 15 * time.Second
 
+// maxBatch caps samples per ingest request; larger requests are
+// rejected whole with ErrBatchTooLarge.
+const maxBatch = 8192
+
 // Config configures a Server. The zero value of every field except
 // Estimator is usable; defaults are documented per field.
 type Config struct {
@@ -108,22 +112,15 @@ type Config struct {
 	// QueueDepth bounds the ingest queue in batches (default 256). The
 	// bound times the mean batch size is the server's overload buffer.
 	QueueDepth int
-	// MaxBatch caps samples per ingest request (default 8192); larger
-	// requests are rejected whole with ErrBatchTooLarge.
-	MaxBatch int
 	// Workers is the number of estimation workers (default GOMAXPROCS).
 	Workers int
 	// RatePerClient is the per-client admission rate in samples/sec;
 	// non-positive disables per-client limiting.
 	RatePerClient float64
 	// Burst is the token-bucket capacity (default max(RatePerClient,
-	// 4*MaxBatch) so one full batch is always admissible from idle).
+	// 4*8192) so one full 8192-sample batch is always admissible from
+	// idle).
 	Burst float64
-	// RetryAfter is advertised on 429 responses (default 1s).
-	RetryAfter time.Duration
-	// Retry is the per-batch estimation retry policy for recovered
-	// panics (default: no retries).
-	Retry pool.Retry
 	// TraceSampleRate is the head-based trace sampling probability in
 	// [0,1] applied to batches whose producer did not already carry a
 	// trace context (default 0: anomalies only).
@@ -142,20 +139,14 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8192
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Burst <= 0 {
 		c.Burst = c.RatePerClient
-		if min := 4 * float64(c.MaxBatch); c.Burst < min {
+		if min := 4 * float64(maxBatch); c.Burst < min {
 			c.Burst = min
 		}
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.SlowTrace == 0 {
 		c.SlowTrace = 50 * time.Millisecond
@@ -443,10 +434,10 @@ func (s *Server) enqueue(client string, b *batch) error {
 		arrived = now
 	}
 	n := uint64(len(samples))
-	if len(samples) > s.cfg.MaxBatch {
+	if len(samples) > maxBatch {
 		s.shedN("batch_too_large", n)
 		s.rec.Anomaly(tc.ID, node, client, arrived, "shed:batch_too_large", tracez.EvShed, int64(n))
-		return fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(samples), s.cfg.MaxBatch)
+		return fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(samples), maxBatch)
 	}
 	if !s.limiter.allow(client, float64(len(samples)), now) {
 		s.shedN("rate_limited", n)
@@ -535,32 +526,23 @@ func (s *Server) workerLoop(ctx context.Context, worker int) {
 				return
 			}
 			mQueueDepth.Set(float64(s.queue.depth()))
-			s.runBatch(ctx, b, scratch, worker)
-			// Every retry is over: the decoder's storage may be reused.
+			s.runBatch(b, scratch, worker)
 			putDecoder(b.dec)
 		}
 	}
 }
 
-// runBatch estimates one batch under the retry policy: a panicking
-// estimation attempt (poisoned model, hostile sample) is recovered,
-// counted, and retried with overflow-safe backoff; retries exhausted
-// means the batch is dropped, never the worker.
-func (s *Server) runBatch(ctx context.Context, b *batch, scratch *workerScratch, worker int) {
-	_ = s.cfg.Retry.Run(ctx, nil, func() error { return s.processProtected(b, scratch, worker) })
-}
-
-// processProtected is one estimation attempt with panic containment.
-func (s *Server) processProtected(b *batch, scratch *workerScratch, worker int) (err error) {
+// runBatch estimates one batch with panic containment: a panicking
+// estimate (poisoned model, hostile sample) is recovered, counted and
+// the batch dropped, never the worker.
+func (s *Server) runBatch(b *batch, scratch *workerScratch, worker int) {
 	defer func() {
 		if v := recover(); v != nil {
 			mEstimatePanics.Inc()
 			s.panics.Add(1)
-			err = pool.NewPanicError(v)
 		}
 	}()
 	s.process(b, scratch, worker)
-	return nil
 }
 
 // process runs the batch through the estimators (SCHEDULED→DEPARTED)
@@ -586,14 +568,10 @@ func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 	fault := s.faultInjector()
 	adapter := s.adapter.Load()
 	observe := adapter != nil && b.rails != nil
-	if b.prepared == 0 {
-		sc.segs = append(sc.segs[:0], estSegment{0, s.est.Load()})
-	}
+	sc.segs = append(sc.segs[:0], estSegment{0, s.est.Load()})
 	if fault != nil || observe {
-		// A retry after a panic resumes where the last attempt stopped,
-		// so the adapter sees each sample once.
-		est := sc.segs[len(sc.segs)-1].est
-		for i := b.prepared; i < len(b.samples); i++ {
+		est := sc.segs[0].est
+		for i := range b.samples {
 			smp := &b.samples[i]
 			if fault != nil {
 				for c := range smp.CPUs {
@@ -611,10 +589,8 @@ func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 					sc.segs = append(sc.segs, estSegment{i, e})
 				}
 			}
-			b.prepared = i + 1
 		}
 	}
-	b.prepared = len(b.samples)
 	var (
 		bad     uint64
 		lastT   float64
@@ -733,9 +709,9 @@ func (s *Server) reconstructAnomaly(b *batch, scheduled, departed time.Time, wor
 
 // workerScratch is one estimation worker's reusable storage: a chunk's
 // readings, the general path's extraction and design scratch, and the
-// estimator segments of the batch in hand, which outlive a panicked
-// attempt so its retry keeps them. It is sized by core.BatchSize, not
-// by the batch, so it stays bounded at any MaxBatch.
+// estimator segments of the batch in hand. It is sized by
+// core.BatchSize, not by the batch, so it stays bounded at any batch
+// size.
 type workerScratch struct {
 	out  [core.BatchSize]power.Reading
 	cols core.Columns

@@ -19,7 +19,6 @@ import (
 	"trickledown/internal/adapt"
 	"trickledown/internal/core"
 	"trickledown/internal/perfctr"
-	"trickledown/internal/pool"
 	"trickledown/internal/power"
 	"trickledown/internal/tracez"
 )
@@ -248,8 +247,8 @@ func TestRateLimitedPerClient(t *testing.T) {
 }
 
 func TestBatchTooLarge(t *testing.T) {
-	s := newServer(t, Config{Estimator: testEstimator(t), MaxBatch: 4, Workers: 1})
-	err := s.Ingest("c", "n", mkBatch(5, 1, 0), nil, tracez.Context{})
+	s := newServer(t, Config{Estimator: testEstimator(t), Workers: 1})
+	err := s.Ingest("c", "n", mkBatch(maxBatch+1, 1, 0), nil, tracez.Context{})
 	if !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("got %v, want ErrBatchTooLarge", err)
 	}
@@ -475,13 +474,13 @@ func TestOverflowingModelFileQuarantined(t *testing.T) {
 	assertPowerBits(t, np, want)
 }
 
-// TestRetryRecoversPanickingBatch: a model whose Design panics on the
-// first attempt's batch estimate exercises the per-batch panic
-// containment + retry path without taking down the worker. The batch
-// carries rails, and the adapter, whose single-sample estimates run
-// before the batch's and never panic, must observe each sample once,
-// not again on the retry.
-func TestRetryRecoversPanickingBatch(t *testing.T) {
+// TestPanickingBatchContained: a model whose Design panics on one
+// batch's estimate takes down neither the worker nor the node's view.
+// The panic is recovered and counted, the batch is dropped, and the
+// worker estimates the next batch. The panicking batch carries rails,
+// and the adapter, whose single-sample estimates run before the
+// batch's and never panic, observes each of its samples once.
+func TestPanickingBatchContained(t *testing.T) {
 	var mu sync.Mutex
 	panicked := false
 	models := make([]*core.Model, 0, power.NumSubsystems)
@@ -506,10 +505,7 @@ func TestRetryRecoversPanickingBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEstimator: %v", err)
 	}
-	s := newServer(t, Config{
-		Estimator: est, Workers: 1, QueueDepth: 8,
-		Retry: pool.Retry{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
-	})
+	s := newServer(t, Config{Estimator: est, Workers: 1, QueueDepth: 8})
 	mgr, err := adapt.New(adaptManagerConfig(est))
 	if err != nil {
 		t.Fatal(err)
@@ -523,20 +519,23 @@ func TestRetryRecoversPanickingBatch(t *testing.T) {
 	if err := s.Ingest("c", "n", samples, rails, tracez.Context{}); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
+	if err := s.Ingest("c", "n", mkBatch(4, 1, 0), nil, tracez.Context{}); err != nil {
+		t.Fatalf("Ingest after the panicking batch: %v", err)
+	}
 	closeServer(t, s)
 	if got := mgr.Status().Observations; got != uint64(len(samples)) {
-		t.Errorf("adapter observed %d samples, want %d (once each across the retry)", got, len(samples))
+		t.Errorf("adapter observed %d samples, want %d", got, len(samples))
 	}
 
 	st := s.Stats()
-	if st.EstimatePanics == 0 {
-		t.Error("no panic recorded")
+	if st.EstimatePanics != 1 {
+		t.Errorf("estimate panics = %d, want 1", st.EstimatePanics)
 	}
-	if st.SamplesEstimated != 3 {
-		t.Errorf("estimated %d, want 3 (retry succeeded)", st.SamplesEstimated)
+	if st.SamplesEstimated != 4 {
+		t.Errorf("estimated %d, want 4 (the panicking batch dropped, the next served)", st.SamplesEstimated)
 	}
-	if _, ok := s.NodePower("n"); !ok {
-		t.Error("node missing after retried batch")
+	if np, ok := s.NodePower("n"); !ok || np.Samples != 4 {
+		t.Errorf("node view after the panicking batch: %+v, ok=%v; want 4 samples", np, ok)
 	}
 }
 
@@ -613,7 +612,6 @@ func TestHTTP429CarriesRetryAfter(t *testing.T) {
 	rel := make(chan struct{})
 	s := newServer(t, Config{
 		Estimator: testEstimator(t), Workers: 1, QueueDepth: 1,
-		RetryAfter: 3 * time.Second,
 	})
 	s.SetFaultInjector(&blockingInjector{release: rel})
 	defer close(rel)
@@ -638,8 +636,8 @@ func TestHTTP429CarriesRetryAfter(t *testing.T) {
 	if last.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d after saturation, want 429", last.StatusCode)
 	}
-	if got := last.Header.Get("Retry-After"); got != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", got)
+	if got := last.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 }
 

@@ -36,17 +36,12 @@ func (r *ring) list() []*Trace {
 	return out
 }
 
-// topK retains the K slowest traces for one stage. K is single-digit,
-// so a linear min-replace over a small slice is both the simplest and
-// the fastest structure.
+// topK retains the slowestK slowest traces for one stage. slowestK is
+// single-digit, so a linear min-replace over a small slice is both the
+// simplest and the fastest structure. The zero value is empty.
 type topK struct {
-	k       int
 	traces  []*Trace
 	weights []time.Duration
-}
-
-func newTopK(k int) *topK {
-	return &topK{k: k}
 }
 
 // offer considers t (with stage duration d) for the table.
@@ -54,7 +49,7 @@ func (s *topK) offer(t *Trace, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	if len(s.traces) < s.k {
+	if len(s.traces) < slowestK {
 		s.traces = append(s.traces, t)
 		s.weights = append(s.weights, d)
 		return

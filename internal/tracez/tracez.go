@@ -280,22 +280,19 @@ type Config struct {
 	// [0,1] with NaN read as 0, decided deterministically from the trace
 	// ID.
 	SampleRate float64
-	// RingSize bounds each retention view in traces (default 256).
-	RingSize int
-	// TopK is how many slowest traces are kept per stage (default 8).
-	TopK int
 	// SlowThreshold promotes a trace whose e2e exceeds it to always-kept
 	// anomaly status ("slow"); zero disables the promotion.
 	SlowThreshold time.Duration
 }
 
+// ringSize bounds each retention view in traces, and slowestK is how
+// many slowest traces are kept per stage.
+const (
+	ringSize = 256
+	slowestK = 8
+)
+
 func (c Config) withDefaults() Config {
-	if c.RingSize <= 0 {
-		c.RingSize = 256
-	}
-	if c.TopK <= 0 {
-		c.TopK = 8
-	}
 	if c.SampleRate < 0 || math.IsNaN(c.SampleRate) {
 		c.SampleRate = 0
 	}
@@ -313,7 +310,7 @@ type Recorder struct {
 	mu      sync.Mutex
 	recent  *ring
 	errored *ring
-	slowest [NumStages]*topK
+	slowest [NumStages]topK
 
 	started  atomic.Uint64
 	finished atomic.Uint64
@@ -326,11 +323,8 @@ func NewRecorder(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	r := &Recorder{
 		cfg:     cfg,
-		recent:  newRing(cfg.RingSize),
-		errored: newRing(cfg.RingSize),
-	}
-	for i := range r.slowest {
-		r.slowest[i] = newTopK(cfg.TopK)
+		recent:  newRing(ringSize),
+		errored: newRing(ringSize),
 	}
 	return r
 }

@@ -144,18 +144,18 @@ func TestEventCapacityBounded(t *testing.T) {
 	}
 }
 
-// TestRingsBoundedAndOrdered: retention never exceeds RingSize and the
+// TestRingsBoundedAndOrdered: retention never exceeds ringSize and the
 // recent view is newest-first.
 func TestRingsBoundedAndOrdered(t *testing.T) {
-	r := NewRecorder(Config{SampleRate: 1, RingSize: 4})
-	for i := 0; i < 10; i++ {
+	r := NewRecorder(Config{SampleRate: 1})
+	for i := 0; i <= ringSize; i++ {
 		tr := r.StartAt(NewTraceID(), "n", "", time.Now())
 		tr.Add(EvNote, int64(i))
 		r.Finish(tr)
 	}
 	snap := r.Snapshot()
-	if len(snap.Recent) != 4 {
-		t.Fatalf("recent = %d traces, want ring bound 4", len(snap.Recent))
+	if len(snap.Recent) != ringSize {
+		t.Fatalf("recent = %d traces, want ring bound %d", len(snap.Recent), ringSize)
 	}
 	for i := 0; i < len(snap.Recent)-1; i++ {
 		a, b := snap.Recent[i].Events[0].Arg, snap.Recent[i+1].Events[0].Arg
@@ -163,8 +163,8 @@ func TestRingsBoundedAndOrdered(t *testing.T) {
 			t.Errorf("recent not newest-first: %d before %d", a, b)
 		}
 	}
-	if snap.Recent[0].Events[0].Arg != 9 {
-		t.Errorf("newest trace arg = %d, want 9", snap.Recent[0].Events[0].Arg)
+	if snap.Recent[0].Events[0].Arg != ringSize {
+		t.Errorf("newest trace arg = %d, want %d", snap.Recent[0].Events[0].Arg, ringSize)
 	}
 }
 
@@ -212,9 +212,10 @@ func TestSlowPromotion(t *testing.T) {
 // TestSlowestPerStage: the per-stage top-K really holds the slowest
 // traces for that stage, slowest first.
 func TestSlowestPerStage(t *testing.T) {
-	r := NewRecorder(Config{SampleRate: 1, TopK: 3})
+	r := NewRecorder(Config{SampleRate: 1})
 	start := time.Now()
-	for i := 1; i <= 6; i++ {
+	const n = slowestK + 3
+	for i := 1; i <= n; i++ {
 		tr := r.StartAt(NewTraceID(), "n", "", start)
 		tr.AddAt(EvEnqueued, start.Add(time.Duration(i)*time.Millisecond), 0, "")
 		tr.AddAt(EvScheduled, start.Add(time.Duration(i+1)*time.Millisecond), 0, "")
@@ -224,22 +225,22 @@ func TestSlowestPerStage(t *testing.T) {
 	}
 	snap := r.Snapshot()
 	adm := snap.Slowest["admission"]
-	if len(adm) != 3 {
-		t.Fatalf("slowest admission = %d, want top-3", len(adm))
+	if len(adm) != slowestK {
+		t.Fatalf("slowest admission = %d, want top-%d", len(adm), slowestK)
 	}
-	// Admission duration is i ms; slowest three are 6,5,4.
-	for want, j := 6, 0; j < 3; want, j = want-1, j+1 {
+	// Admission duration is i ms; the slowest are n, n-1, ...
+	for want, j := n, 0; j < slowestK; want, j = want-1, j+1 {
 		if math.Abs(adm[j].AdmissionMs-float64(want)) > 0.001 {
 			t.Errorf("slowest[%d].AdmissionMs = %.3f, want %d", j, adm[j].AdmissionMs, want)
 		}
 	}
-	if len(snap.Slowest["e2e"]) != 3 {
-		t.Errorf("slowest e2e = %d, want 3", len(snap.Slowest["e2e"]))
+	if len(snap.Slowest["e2e"]) != slowestK {
+		t.Errorf("slowest e2e = %d, want %d", len(snap.Slowest["e2e"]), slowestK)
 	}
 }
 
 func TestConcurrentRecording(t *testing.T) {
-	r := NewRecorder(Config{SampleRate: 1, RingSize: 64})
+	r := NewRecorder(Config{SampleRate: 1})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -258,8 +259,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if st.Finished != 1600 {
 		t.Errorf("finished = %d, want 1600", st.Finished)
 	}
-	if got := len(r.Snapshot().Recent); got != 64 {
-		t.Errorf("recent = %d, want ring bound 64", got)
+	if got := len(r.Snapshot().Recent); got != ringSize {
+		t.Errorf("recent = %d, want ring bound %d", got, ringSize)
 	}
 }
 

@@ -37,7 +37,7 @@ func pooledEstimator(src Source, opt Options) (*core.Estimator, *align.Dataset, 
 		if err != nil {
 			return nil, nil, fmt.Errorf("validate: checks: dataset %s: %w", name, err)
 		}
-		traces = append(traces, ds.Skip(opt.Warmup))
+		traces = append(traces, ds.Skip(warmup))
 	}
 	training := align.Concat(traces...)
 	models := make([]*core.Model, 0, power.NumSubsystems)
@@ -70,7 +70,7 @@ func Checks(src Source, opt Options) ([]CheckResult, error) {
 		return nil, fmt.Errorf("validate: checks: idle dataset: %w", err)
 	}
 	results := []CheckResult{
-		checkIdleFloor(est, idle.Skip(opt.Warmup)),
+		checkIdleFloor(est, idle.Skip(warmup)),
 		checkMonotonic("monotonic-cpu", est.Model(power.SubCPU), training,
 			func(m *core.Metrics) float64 { return sumOf(m.PercentActive) },
 			func(m *core.Metrics, v float64) { spread(m.PercentActive, v) }),

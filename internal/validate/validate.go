@@ -50,6 +50,15 @@ var (
 // subsystem model error under 9%.
 const PaperBoundPct = 9.0
 
+// The fixed run parameters: the rows trimmed from the head of every
+// dataset before training or scoring (boot transients), and the
+// bootstrap behind each mean error's confidence interval.
+const (
+	warmup     = 5
+	resamples  = 500
+	confidence = 0.95
+)
+
 // Source supplies per-workload validation traces. experiments.Runner
 // implements it, so cross-validation shares the runner's simulation
 // cache with table and figure generation.
@@ -68,13 +77,6 @@ type Options struct {
 	Scale float64
 	// Workloads is the fold set; empty means workload.TableOrder().
 	Workloads []string
-	// Warmup rows are trimmed from the head of every dataset before
-	// training or scoring (boot transients; default 5).
-	Warmup int
-	// Resamples is the bootstrap resample count (default 500).
-	Resamples int
-	// Confidence is the bootstrap CI coverage (default 0.95).
-	Confidence float64
 	// Workers bounds fold parallelism (non-positive: GOMAXPROCS).
 	Workers int
 	// Train is the per-fold training hook (default core.Train). Tests
@@ -86,15 +88,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if len(o.Workloads) == 0 {
 		o.Workloads = workload.TableOrder()
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 5
-	}
-	if o.Resamples <= 0 {
-		o.Resamples = 500
-	}
-	if o.Confidence <= 0 || o.Confidence >= 1 {
-		o.Confidence = 0.95
 	}
 	if o.Train == nil {
 		o.Train = core.Train
@@ -233,7 +226,7 @@ func CrossValidate(ctx context.Context, src Source, opt Options) (*Report, error
 	report := &Report{
 		Seed:         opt.Seed,
 		Scale:        opt.Scale,
-		Confidence:   opt.Confidence,
+		Confidence:   confidence,
 		Workloads:    names,
 		FoldsTotal:   len(names),
 		Fingerprints: map[string]string{},
@@ -260,9 +253,9 @@ func CrossValidate(ctx context.Context, src Source, opt Options) (*Report, error
 			return fmt.Errorf("validate: dataset %s: %w", names[i], err)
 		}
 		prints[i] = align.Fingerprint(ds)
-		datasets[i] = ds.Skip(opt.Warmup)
+		datasets[i] = ds.Skip(warmup)
 		if datasets[i].Len() == 0 {
-			return fmt.Errorf("validate: dataset %s: empty after %d warmup rows", names[i], opt.Warmup)
+			return fmt.Errorf("validate: dataset %s: empty after %d warmup rows", names[i], warmup)
 		}
 		return nil
 	})
@@ -364,7 +357,7 @@ func aggregate(names []string, folds [][]FoldResult, done []bool, opt Options) [
 		// yet reproducible.
 		if len(all) > 0 {
 			ci, err := stats.BootstrapCI(all, stats.Mean,
-				opt.Resamples, opt.Confidence, opt.Seed*0x9e3779b9+uint64(s))
+				resamples, confidence, opt.Seed*0x9e3779b9+uint64(s))
 			if err == nil {
 				rep.CILoPct, rep.CIHiPct = ci.Lo, ci.Hi
 			}

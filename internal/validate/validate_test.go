@@ -16,7 +16,7 @@ import (
 // testOptions runs the suite at the 30-second duration floor: fast
 // enough for unit tests, long enough that every model trains.
 func testOptions() Options {
-	return Options{Seed: 7, Scale: 0.02, Resamples: 100}
+	return Options{Seed: 7, Scale: 0.02}
 }
 
 func testRunner() *experiments.Runner {

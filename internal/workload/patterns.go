@@ -1,10 +1,10 @@
 // Arrival-pattern combinators: generators that wrap other generators to
 // shape *when* and *how hard* a workload runs — the scenario axis
 // ROADMAP item 3 names. A Diurnal envelope scales an inner workload
-// through multi-period sinusoidal cycles with a seeded burst overlay; a
-// Cohort places N tenant generators on one node and models their
-// interference on the shared L3 and memory bus, feeding the per-tenant
-// usage accounting that core's attribution splits node power with.
+// through multi-period sinusoidal cycles; a Cohort places N tenant
+// generators on one node and models their interference on the shared L3
+// and memory bus, feeding the per-tenant usage accounting that core's
+// attribution splits node power with.
 //
 // Both are deterministic given the machine seed: randomness comes
 // only from the per-thread RNG the machine passes to Demand, so wrapped
@@ -36,27 +36,15 @@ type DiurnalConfig struct {
 	// Periods are summed sinusoidal components (e.g. a day cycle plus a
 	// shorter lunch-hour harmonic).
 	Periods []DiurnalPeriod
-	// BurstsPerSec is the expected arrival rate of load bursts
-	// (a Poisson overlay); 0 disables bursts.
-	BurstsPerSec float64
-	// BurstLoad is the extra load a burst adds while active.
-	BurstLoad float64
-	// BurstMeanSec is the mean burst duration.
-	BurstMeanSec float64
 }
 
 // Diurnal scales an inner generator's demand by a multi-period
-// sinusoidal envelope with an optional seeded burst overlay. The
-// envelope multiplies the inner demand's Active fraction and its I/O
+// sinusoidal envelope. The envelope multiplies the inner demand's Active fraction and its I/O
 // byte rates; per-uop intensity rates (cache misses, TLB misses) are a
 // property of the code, not of the arrival rate, and pass through.
 type Diurnal struct {
 	inner Generator
 	cfg   DiurnalConfig
-
-	init      bool
-	burstEnd  float64
-	nextBurst float64
 }
 
 // NewDiurnal validates the config and wraps inner.
@@ -72,17 +60,13 @@ func NewDiurnal(inner Generator, cfg DiurnalConfig) (*Diurnal, error) {
 			return nil, fmt.Errorf("workload: diurnal period %d has invalid length %v", i, p.PeriodSec)
 		}
 	}
-	if cfg.BurstsPerSec < 0 || cfg.BurstMeanSec < 0 {
-		return nil, fmt.Errorf("workload: diurnal burst config invalid")
-	}
 	return &Diurnal{inner: inner, cfg: cfg}, nil
 }
 
 // Name implements Generator.
 func (g *Diurnal) Name() string { return "diurnal:" + g.inner.Name() }
 
-// Envelope returns the deterministic (burst-free) load factor at t,
-// clamped to [0,1]. Periods shorter than the sample interval alias like
+// Envelope returns the load factor at t, clamped to [0,1]. Periods shorter than the sample interval alias like
 // any undersampled sinusoid but remain finite and clamped.
 func (g *Diurnal) Envelope(t float64) float64 {
 	load := g.cfg.Base
@@ -95,19 +79,6 @@ func (g *Diurnal) Envelope(t float64) float64 {
 // Demand implements Generator.
 func (g *Diurnal) Demand(t float64, env Env, rng *sim.RNG) Demand {
 	load := g.Envelope(t)
-	if g.cfg.BurstsPerSec > 0 && g.cfg.BurstMeanSec > 0 {
-		if !g.init {
-			g.init = true
-			g.nextBurst = t + rng.Exp(1/g.cfg.BurstsPerSec)
-		}
-		if t >= g.nextBurst {
-			g.burstEnd = t + math.Max(rng.Exp(g.cfg.BurstMeanSec), 1e-3)
-			g.nextBurst = g.burstEnd + math.Max(rng.Exp(1/g.cfg.BurstsPerSec), 1e-3)
-		}
-		if t < g.burstEnd {
-			load = clamp01(load + g.cfg.BurstLoad)
-		}
-	}
 	d := g.inner.Demand(t, env, rng)
 	d.Active = clamp01(d.Active * load)
 	d.DiskReadBytes *= load
@@ -118,8 +89,7 @@ func (g *Diurnal) Demand(t float64, env Env, rng *sim.RNG) Demand {
 }
 
 // DiurnalSpec wraps a registered spec so every instance runs under its
-// own copy of the diurnal envelope (instances share the config but not
-// burst state, keeping streams independent).
+// own copy of the diurnal envelope.
 func DiurnalSpec(inner Spec, cfg DiurnalConfig) (Spec, error) {
 	if _, err := NewDiurnal(idleGen{}, cfg); err != nil {
 		return Spec{}, err

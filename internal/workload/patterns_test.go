@@ -153,28 +153,6 @@ func TestDiurnalEnvelopeShape(t *testing.T) {
 	}
 }
 
-func TestDiurnalBurstOverlay(t *testing.T) {
-	g, err := NewDiurnal(fixedGen{name: "x", d: busyDemand()}, DiurnalConfig{
-		Base:         0.3,
-		BurstsPerSec: 0.5, BurstLoad: 0.6, BurstMeanSec: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(3)
-	base := busyDemand().Active * 0.3
-	bursts := 0
-	for i := 0; i < 20000; i++ {
-		d := g.Demand(float64(i)*0.001, Env{}, rng)
-		if d.Active > base+1e-9 {
-			bursts++
-		}
-	}
-	if bursts == 0 {
-		t.Fatal("burst overlay never fired in 20s at 0.5 bursts/sec")
-	}
-}
-
 func TestCohortInterferenceMonotoneInPressure(t *testing.T) {
 	// The same probe tenant sees strictly more L3 misses as heavier
 	// co-tenants are added alongside it.

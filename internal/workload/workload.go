@@ -102,25 +102,37 @@ type Demand struct {
 	Sync bool
 }
 
-// Sanitize zeroes every NaN or ±Inf field of d and returns how many it
-// zeroed. A non-finite size or rate would wedge the I/O path (an
-// infinite write never drains) or poison every rail. Finite fields are
-// left bit for bit.
+// Sanitize zeroes every NaN, ±Inf or negative field of d and returns
+// how many it zeroed. A non-finite size or rate would wedge the I/O path
+// (an infinite write never drains) or poison every rail, and a negative
+// one means nothing. Finite non-negative fields, −0 among them, are left
+// bit for bit.
 func (d *Demand) Sanitize() int {
-	// A sum of the fields times 0 is ±0 when all are finite and NaN when
-	// one is not, or when finite fields overflow the sum; the loop then
-	// finds nothing to zero.
-	if (((d.Active+d.UopsPerCycle)+(d.SpecActivity+d.L2PerUop))+
-		((d.L3MissPerKuop+d.DirtyEvictFrac)+(d.Prefetchability+d.TLBMissPerMuop))+
-		((d.UCPerMcycle+d.WriteFrac)+(d.MemLocality+d.DiskReadBytes))+
-		((d.DiskWriteBytes+d.NetRxBytes)+d.NetTxBytes))*0 == 0 {
+	// One test clears the common case. A sum of the fields times 0 is ±0
+	// when all are finite and NaN when one is not, or when finite fields
+	// overflow the sum; an OR of the fields' bits has the sign bit set
+	// when one is negative or −0. The loop then finds what to zero.
+	z := math.Float64bits((((d.Active + d.UopsPerCycle) + (d.SpecActivity + d.L2PerUop)) +
+		((d.L3MissPerKuop + d.DirtyEvictFrac) + (d.Prefetchability + d.TLBMissPerMuop)) +
+		((d.UCPerMcycle + d.WriteFrac) + (d.MemLocality + d.DiskReadBytes)) +
+		((d.DiskWriteBytes + d.NetRxBytes) + d.NetTxBytes)) * 0)
+	sign := math.Float64bits(d.Active) | math.Float64bits(d.UopsPerCycle) |
+		math.Float64bits(d.SpecActivity) | math.Float64bits(d.L2PerUop) |
+		math.Float64bits(d.L3MissPerKuop) | math.Float64bits(d.DirtyEvictFrac) |
+		math.Float64bits(d.Prefetchability) | math.Float64bits(d.TLBMissPerMuop) |
+		math.Float64bits(d.UCPerMcycle) | math.Float64bits(d.WriteFrac) |
+		math.Float64bits(d.MemLocality) | math.Float64bits(d.DiskReadBytes) |
+		math.Float64bits(d.DiskWriteBytes) | math.Float64bits(d.NetRxBytes) |
+		math.Float64bits(d.NetTxBytes)
+	if z<<1|sign>>63 == 0 {
 		return 0
 	}
 	n := 0
 	for _, v := range [...]*float64{&d.Active, &d.UopsPerCycle, &d.SpecActivity, &d.L2PerUop,
 		&d.L3MissPerKuop, &d.DirtyEvictFrac, &d.Prefetchability, &d.TLBMissPerMuop, &d.UCPerMcycle,
 		&d.WriteFrac, &d.MemLocality, &d.DiskReadBytes, &d.DiskWriteBytes, &d.NetRxBytes, &d.NetTxBytes} {
-		if math.IsNaN(*v) || math.IsInf(*v, 0) {
+		// NaN and every negative, −Inf included, fail v >= 0; −0 passes.
+		if !(*v >= 0) || math.IsInf(*v, 1) {
 			*v = 0
 			n++
 		}

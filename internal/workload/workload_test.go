@@ -378,20 +378,25 @@ func TestFlatPhaseIsFlat(t *testing.T) {
 	}
 }
 
-// TestDemandSanitize: Sanitize zeroes exactly the NaN and ±Inf fields
-// and counts them, and leaves every finite field, signed zeros,
-// subnormals and negatives among them, bit for bit.
+// demandFields lists d's float fields, the ones Sanitize checks.
+func demandFields(d *Demand) []*float64 {
+	return []*float64{
+		&d.Active, &d.UopsPerCycle, &d.SpecActivity, &d.L2PerUop, &d.L3MissPerKuop,
+		&d.DirtyEvictFrac, &d.Prefetchability, &d.TLBMissPerMuop, &d.UCPerMcycle,
+		&d.WriteFrac, &d.MemLocality, &d.DiskReadBytes, &d.DiskWriteBytes,
+		&d.NetRxBytes, &d.NetTxBytes,
+	}
+}
+
+// TestDemandSanitize: Sanitize zeroes exactly the NaN, ±Inf and
+// negative fields and counts them, and leaves every finite non-negative
+// field, signed zeros and subnormals among them, bit for bit.
 func TestDemandSanitize(t *testing.T) {
-	finite := []float64{0.5, math.Copysign(0, -1), 5e-324, -3, 1e300, 0}
-	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	finite := []float64{0.5, math.Copysign(0, -1), 5e-324, 3, 1e300, 0}
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3}
 	for trial := 0; trial < 200; trial++ {
 		var d Demand
-		fields := [...]*float64{
-			&d.Active, &d.UopsPerCycle, &d.SpecActivity, &d.L2PerUop, &d.L3MissPerKuop,
-			&d.DirtyEvictFrac, &d.Prefetchability, &d.TLBMissPerMuop, &d.UCPerMcycle,
-			&d.WriteFrac, &d.MemLocality, &d.DiskReadBytes, &d.DiskWriteBytes,
-			&d.NetRxBytes, &d.NetTxBytes,
-		}
+		fields := demandFields(&d)
 		want := make([]uint64, len(fields))
 		wantN := 0
 		for k, f := range fields {
@@ -423,5 +428,37 @@ func TestDemandSanitize(t *testing.T) {
 	want := big
 	if n := big.Sanitize(); n != 0 || big != want {
 		t.Fatalf("overflowing finite demand: Sanitize zeroed %d fields, left %+v", n, big)
+	}
+}
+
+// TestDemandSanitizeEachField: each float field at −1, −Inf, NaN and
+// +Inf is zeroed and counted alone, beside fields that are positive or
+// −0 and stay bit for bit.
+func TestDemandSanitizeEachField(t *testing.T) {
+	for k := range demandFields(&Demand{}) {
+		for _, v := range []float64{-1, math.Inf(-1), math.NaN(), math.Inf(1)} {
+			var d Demand
+			fields := demandFields(&d)
+			for i, f := range fields {
+				*f = float64(i + 1)
+				if i%3 == 0 {
+					*f = math.Copysign(0, -1)
+				}
+			}
+			*fields[k] = v
+			want := make([]uint64, len(fields))
+			for i, f := range fields {
+				want[i] = math.Float64bits(*f)
+			}
+			want[k] = 0
+			if n := d.Sanitize(); n != 1 {
+				t.Errorf("field %d at %v: Sanitize zeroed %d fields, want 1", k, v, n)
+			}
+			for i, f := range fields {
+				if math.Float64bits(*f) != want[i] {
+					t.Errorf("field %d at %v: field %d is %v after Sanitize, want bits %#x", k, v, i, *f, want[i])
+				}
+			}
+		}
 	}
 }
