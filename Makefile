@@ -110,3 +110,4 @@ loc:
 	@printf 'test Go outside benchmark/:     '; find . -path ./benchmark -prune -o -name '*_test.go' -print | xargs cat | wc -l
 	@printf 'benchmark/:                     '; find ./benchmark -name '*.go' | xargs cat | wc -l
 	@printf 'exported Config/Options fields: '; find ./internal -name '*.go' ! -name '*_test.go' | xargs awk '/^type [A-Za-z]*(Config|Options) struct \{/ { s = 1; next } s && /^\}/ { s = 0 } s && /^\t[A-Z]/ { n++ } END { print n }'
+	@printf 'exported tracez funcs/types:    '; find ./internal/tracez -name '*.go' ! -name '*_test.go' | xargs grep -hE '^(func (\([^)]*\) )?|type )[A-Z]' | wc -l

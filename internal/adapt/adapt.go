@@ -10,6 +10,7 @@ import (
 	"trickledown/internal/perfctr"
 	"trickledown/internal/phase"
 	"trickledown/internal/power"
+	"trickledown/internal/stats"
 	"trickledown/internal/telemetry"
 	"trickledown/internal/tracez"
 	"trickledown/internal/validate"
@@ -209,11 +210,7 @@ func championEnvelopes(e *core.Estimator) []core.MetricEnvelope {
 func (m *Manager) mintTraceID() tracez.TraceID {
 	var id tracez.TraceID
 	for i := 0; i < 16; i += 8 {
-		m.idState += 0x9e3779b97f4a7c15
-		z := m.idState
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
+		z := stats.SplitMix64(&m.idState)
 		for b := 0; b < 8; b++ {
 			id[i+b] = byte(z >> (8 * b))
 		}

@@ -453,7 +453,7 @@ func (c *Cluster) RunContext(ctx context.Context, seconds float64) error {
 	// correlating log lines.
 	rec := tracez.Default()
 	tr := rec.StartAt(tracez.NewTraceID(), "cluster", "", time.Now())
-	tr.Add(tracez.EvAdmitted, int64(n))
+	tr.AddAt(tracez.EvAdmitted, tr.Start, int64(n), "")
 	// final[i] is node i's last-attempt error; slots are written by the
 	// shard owning node i and read only after the pool drains. The
 	// scratch is reused across runs.
@@ -519,13 +519,13 @@ func (c *Cluster) RunContext(ctx context.Context, seconds float64) error {
 			continue
 		}
 		nodes[i].quarantine(err)
-		tr.AddNote(tracez.EvQuarantine, int64(i), nodes[i].Name)
+		tr.AddAt(tracez.EvQuarantine, time.Now(), int64(i), nodes[i].Name)
 		failures = append(failures, fmt.Errorf("cluster: node %s: %w: %w", nodes[i].Name, ErrNodeFailed, err))
 	}
 	if len(failures) > 0 {
 		tr.Outcome = "quarantine"
 	}
-	tr.Add(tracez.EvDeparted, int64(n-len(failures)))
+	tr.AddAt(tracez.EvDeparted, time.Now(), int64(n-len(failures)), "")
 	rec.Finish(tr)
 	return errors.Join(failures...)
 }

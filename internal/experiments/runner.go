@@ -184,11 +184,11 @@ func (r *Runner) datasetSpec(spec workload.Spec, seconds float64, seed uint64) (
 		// cache key, not just as a counter increment.
 		rec := tracez.Default()
 		tr := rec.StartAt(tracez.NewTraceID(), spec.Name, "experiments", time.Now())
-		tr.AddNote(tracez.EvNote, int64(seconds), key)
+		tr.AddAt(tracez.EvNote, tr.Start, int64(seconds), key)
 		defer func() {
 			if e.err != nil {
 				tr.Outcome = "error"
-				tr.AddNote(tracez.EvQuarantine, 0, e.err.Error())
+				tr.AddAt(tracez.EvQuarantine, time.Now(), 0, e.err.Error())
 			}
 			rec.Finish(tr)
 		}()

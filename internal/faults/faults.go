@@ -25,6 +25,7 @@ import (
 	"trickledown/internal/machine"
 	"trickledown/internal/perfctr"
 	"trickledown/internal/power"
+	"trickledown/internal/stats"
 	"trickledown/internal/telemetry"
 )
 
@@ -171,14 +172,9 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// mix is SplitMix64's finalizer: the stateless hash behind every
-// schedule decision.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// mix is SplitMix64's stateless hash of x, behind every schedule
+// decision.
+func mix(x uint64) uint64 { return stats.SplitMix64(&x) }
 
 // specSeed derives spec i's schedule seed from the plan seed.
 func specSeed(planSeed uint64, i int) uint64 {

@@ -10,15 +10,17 @@ import (
 	"trickledown/internal/tracez"
 )
 
-// batch is one admitted ingest request moving through the request
-// journey. The four timestamps are the span taxonomy the latency
-// histograms are built from:
+// batch is one ingest request moving through the request journey. It
+// carries the journey's timestamps, and Server.fileTrace builds its
+// trace from them once the journey is over:
 //
-//	ARRIVED   arrived   request received, before its body is read
-//	DECODED   decoded   /ingest body read and decoded (zero via Ingest)
-//	QUEUED    queued    admitted past rate limit + queue bound
-//	SCHEDULED (worker)  an estimation worker picked the batch up
-//	DEPARTED  (worker)  estimates folded into node state
+//	ARRIVED   arrived    request received, before its body is read
+//	DECODED   decoded    /ingest body read and decoded (zero via Ingest)
+//	ADMITTED  admitted   admission control's clock reading
+//	QUEUED    queued     handed to the bounded queue (depth ahead of it)
+//	SCHEDULED scheduled  an estimation worker picked the batch up
+//	DEPARTED  departed   estimates folded into node state, or the
+//	                     batch shed
 //
 // ARRIVED→QUEUED is admission cost (on /ingest, the body read and
 // decode too), QUEUED→SCHEDULED is queue wait (the overload signal),
@@ -26,17 +28,24 @@ import (
 // is the end-to-end latency the p99 budget is set on.
 type batch struct {
 	node    string
+	client  string
 	samples []perfctr.Sample
 	// rails, when non-nil, is one measured power reading per sample (the
 	// TDP1 wire extension) feeding the adapter's drift detection.
-	rails   []power.Reading
-	arrived time.Time
-	decoded time.Time
-	queued  time.Time
-	// tc is the batch's trace identity (producer- or server-minted); tr
-	// is non-nil only when the head sampler elected to record events.
+	rails     []power.Reading
+	arrived   time.Time
+	decoded   time.Time
+	admitted  time.Time
+	queued    time.Time
+	scheduled time.Time
+	departed  time.Time
+	// depth is the queue backlog ahead of the batch at QUEUED; worker
+	// and bad are the estimating worker and its quarantined sample count.
+	depth, worker int
+	bad           uint64
+	// tc is the batch's trace identity (producer- or server-minted);
+	// tc.Sampled says the head sampler elected to keep its trace.
 	tc tracez.Context
-	tr *tracez.Trace
 	// dec, when non-nil, owns the storage samples and rails are carved
 	// from. It goes back to decoderPool after the worker's runBatch
 	// returns, or at once when the batch is not queued.

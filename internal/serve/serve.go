@@ -409,7 +409,8 @@ func (s *Server) admit(client string, b *batch) error {
 	if b.tc.ID.IsZero() {
 		b.tc = s.rec.Mint()
 	}
-	err := s.enqueue(client, b)
+	b.client = client
+	err := s.enqueue(b)
 	if err != nil {
 		putDecoder(b.dec)
 	}
@@ -420,58 +421,53 @@ func (s *Server) admit(client string, b *batch) error {
 // rejection. ARRIVED is b.arrived when the caller stamped it (the
 // /ingest handler, before reading the body) and now otherwise. Once b is
 // on the queue a worker owns it and its decoder's storage.
-func (s *Server) enqueue(client string, b *batch) error {
-	node, samples, rails, tc := b.node, b.samples, b.rails, b.tc
-	if rails != nil && len(rails) != len(samples) {
-		return fmt.Errorf("serve: %d rails for %d samples", len(rails), len(samples))
+func (s *Server) enqueue(b *batch) error {
+	if b.rails != nil && len(b.rails) != len(b.samples) {
+		return fmt.Errorf("serve: %d rails for %d samples", len(b.rails), len(b.samples))
 	}
 	// The rate limiter reads the clock here, not at ARRIVED: it refills
 	// from its last call's time, so an earlier stamp would refill the
-	// same interval twice.
+	// same interval twice. The same reading is ADMITTED.
 	now := time.Now()
-	arrived := b.arrived
-	if arrived.IsZero() {
-		arrived = now
+	if b.arrived.IsZero() {
+		b.arrived = now
 	}
-	n := uint64(len(samples))
-	if len(samples) > maxBatch {
-		s.shedN("batch_too_large", n)
-		s.rec.Anomaly(tc.ID, node, client, arrived, "shed:batch_too_large", tracez.EvShed, int64(n))
-		return fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(samples), maxBatch)
+	n := uint64(len(b.samples))
+	if len(b.samples) > maxBatch {
+		s.shedBatch(b, "batch_too_large", now)
+		return fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(b.samples), maxBatch)
 	}
-	if !s.limiter.allow(client, float64(len(samples)), now) {
-		s.shedN("rate_limited", n)
-		s.rec.Anomaly(tc.ID, node, client, arrived, "shed:rate_limited", tracez.EvShed, int64(n))
+	if !s.limiter.allow(b.client, float64(n), now) {
+		s.shedBatch(b, "rate_limited", now)
 		return ErrRateLimited
 	}
-	b.arrived = arrived
-	if tr := s.rec.Start(tc, node, client, arrived); tr != nil {
-		if !b.decoded.IsZero() {
-			tr.AddAt(tracez.EvDecoded, b.decoded, int64(n), "")
-		}
-		tr.Add(tracez.EvAdmitted, int64(n))
-		b.tr = tr
-	}
-	// Stamp QUEUED before the channel send: the moment the batch is on
-	// the queue a worker owns the trace, so no event may be added here
-	// afterwards. The depth arg is the backlog ahead of this batch.
-	b.queued = time.Now()
-	b.tr.AddAt(tracez.EvEnqueued, b.queued, int64(s.queue.depth()), "")
+	// Stamp QUEUED and the backlog ahead before the channel send: the
+	// moment the batch is on the queue a worker owns it, so nothing may
+	// write it here afterwards.
+	arrived, queued := b.arrived, time.Now()
+	b.admitted, b.queued, b.depth = now, queued, s.queue.depth()
 	if err := s.queue.tryEnqueue(b); err != nil {
 		if errors.Is(err, errQueueClosed) {
 			s.shedN("closed", n)
 			return ErrClosed
 		}
 		s.markShedding()
-		s.shedN("queue_full", n)
-		s.rec.Anomaly(tc.ID, node, client, arrived, "shed:queue_full", tracez.EvShed, int64(n))
+		s.shedBatch(b, "queue_full", queued)
 		return ErrQueueFull
 	}
 	mQueueDepth.Set(float64(s.queue.depth()))
-	mAdmission.Observe(b.queued.Sub(arrived).Seconds())
+	mAdmission.Observe(queued.Sub(arrived).Seconds())
 	mSamplesIngested.Add(n)
 	s.ingested.Add(n)
 	return nil
+}
+
+// shedBatch counts b's samples as rejected for reason and files its
+// always-kept trace, which ends at the rejection.
+func (s *Server) shedBatch(b *batch, reason string, at time.Time) {
+	s.shedN(reason, uint64(len(b.samples)))
+	b.departed = at
+	s.fileTrace(b, reason)
 }
 
 // shedN counts rejected samples under a reason label.
@@ -556,15 +552,13 @@ func (s *Server) runBatch(b *batch, scratch *workerScratch, worker int) {
 // quarantined into counters. The node keeps
 // its last good reading so the fleet aggregate never turns NaN.
 //
-// Sampled batches stamp the SCHEDULED/ESTIMATED/DEPARTED events and feed
-// the latency histograms through the exemplar path so /metrics buckets
-// link back to /debug/tracez. Unsampled batches stay on the plain
-// Observe path — zero allocation — unless they turn out anomalous
-// (quarantine, slow outlier), in which case a trace is reconstructed
-// after the fact from the timestamps the batch already carries.
+// Sampled batches feed the latency histograms through the exemplar
+// path so /metrics buckets link back to /debug/tracez. A trace is built
+// only for a batch that is kept (sampled, quarantined or Slow), after
+// the fact and from the timestamps it carries, so an unsampled batch
+// allocates nothing here.
 func (s *Server) process(b *batch, sc *workerScratch, worker int) {
-	scheduled := time.Now()
-	b.tr.AddAt(tracez.EvScheduled, scheduled, int64(worker), "")
+	b.scheduled, b.worker = time.Now(), worker
 	fault := s.faultInjector()
 	adapter := s.adapter.Load()
 	observe := adapter != nil && b.rails != nil
@@ -627,36 +621,28 @@ func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 			}
 		}
 	}
-	departed := time.Now()
-	s.node(b.node).apply(departed, uint64(len(b.samples)), bad, lastT, lastR, hasGood)
+	b.departed, b.bad = time.Now(), bad
+	s.node(b.node).apply(b.departed, uint64(len(b.samples)), bad, lastT, lastR, hasGood)
 	mSamplesEstimated.Add(uint64(len(b.samples)))
 	s.estimated.Add(uint64(len(b.samples)))
 	mBatches.Inc()
-	queueWait := scheduled.Sub(b.queued).Seconds()
-	service := departed.Sub(scheduled).Seconds()
-	e2e := departed.Sub(b.arrived).Seconds()
-	if b.tr != nil {
-		b.tr.AddAt(tracez.EvEstimated, departed, int64(bad), "")
-		b.tr.AddAt(tracez.EvDeparted, departed, int64(len(b.samples)), "")
-		b.tr.End = departed
-		if bad > 0 {
-			b.tr.Outcome = "quarantine"
-		}
+	queueWait := b.scheduled.Sub(b.queued).Seconds()
+	service := b.departed.Sub(b.scheduled).Seconds()
+	e2e := b.departed.Sub(b.arrived)
+	if b.tc.Sampled {
 		// One ID rendering per sampled batch; the exemplar ties the
-		// histogram bucket each latency lands in back to this trace.
-		id := b.tr.ID.String()
+		// histogram bucket each latency lands in back to its trace.
+		id := b.tc.ID.String()
 		mQueueWait.ObserveExemplar(queueWait, id)
 		mService.ObserveExemplar(service, id)
-		mE2E.ObserveExemplar(e2e, id)
-		s.rec.Finish(b.tr)
+		mE2E.ObserveExemplar(e2e.Seconds(), id)
 	} else {
 		mQueueWait.Observe(queueWait)
 		mService.Observe(service)
-		mE2E.Observe(e2e)
-		slow := s.cfg.SlowTrace > 0 && departed.Sub(b.arrived) > s.cfg.SlowTrace
-		if bad > 0 || slow {
-			s.reconstructAnomaly(b, scheduled, departed, worker, bad)
-		}
+		mE2E.Observe(e2e.Seconds())
+	}
+	if b.tc.Sampled || bad > 0 || s.rec.Slow(e2e) {
+		s.fileTrace(b, "")
 	}
 	if bad > 0 && s.quarActive.CompareAndSwap(false, true) {
 		s.flight.NoteTrace("quarantine", "first non-finite estimate quarantined", int64(bad), b.tc.ID)
@@ -682,28 +668,34 @@ func allFinite(rs []power.Reading) bool {
 	return cpu+chipset+mem+io+disk == 0
 }
 
-// reconstructAnomaly assembles an always-kept trace for an unsampled
-// batch that turned out interesting: the batch's own timestamps become
-// the event timeline, so the anomaly is inspectable without having paid
-// for tracing on the hot path.
-func (s *Server) reconstructAnomaly(b *batch, scheduled, departed time.Time, worker int, bad uint64) {
-	id := b.tc.ID
-	if id.IsZero() {
-		id = tracez.NewTraceID()
-	}
-	t := s.rec.StartAt(id, b.node, "", b.arrived)
+// fileTrace builds b's trace from the timestamps it carries and files
+// it: the one builder of every serve trace. A batch the workers
+// estimated (sampled, quarantined or slow) gets the whole journey, with
+// QUARANTINE in ESTIMATED's place when some estimates were not finite.
+// A batch admission turned away (shed names the reason) keeps what it
+// passed, DECODED on /ingest, and ends in SHED.
+func (s *Server) fileTrace(b *batch, shed string) {
+	n := int64(len(b.samples))
+	t := s.rec.StartAt(b.tc.ID, b.node, b.client, b.arrived)
 	if !b.decoded.IsZero() {
-		t.AddAt(tracez.EvDecoded, b.decoded, int64(len(b.samples)), "")
+		t.AddAt(tracez.EvDecoded, b.decoded, n, "")
 	}
-	t.AddAt(tracez.EvAdmitted, b.arrived, int64(len(b.samples)), "")
-	t.AddAt(tracez.EvEnqueued, b.queued, 0, "")
-	t.AddAt(tracez.EvScheduled, scheduled, int64(worker), "")
-	if bad > 0 {
-		t.AddAt(tracez.EvQuarantine, departed, int64(bad), "nonfinite estimate")
-		t.Outcome = "quarantine"
+	if shed != "" {
+		t.Outcome = "shed:" + shed
+		t.AddAt(tracez.EvShed, b.departed, n, t.Outcome)
+	} else {
+		t.AddAt(tracez.EvAdmitted, b.admitted, n, "")
+		t.AddAt(tracez.EvEnqueued, b.queued, int64(b.depth), "")
+		t.AddAt(tracez.EvScheduled, b.scheduled, int64(b.worker), "")
+		if b.bad > 0 {
+			t.AddAt(tracez.EvQuarantine, b.departed, int64(b.bad), "nonfinite estimate")
+			t.Outcome = "quarantine"
+		} else {
+			t.AddAt(tracez.EvEstimated, b.departed, 0, "")
+		}
+		t.AddAt(tracez.EvDeparted, b.departed, n, "")
 	}
-	t.AddAt(tracez.EvDeparted, departed, int64(len(b.samples)), "")
-	t.End = departed
+	t.End = b.departed
 	s.rec.Finish(t)
 }
 

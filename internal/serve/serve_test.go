@@ -812,20 +812,33 @@ func assertPowerBits(t *testing.T, np NodePower, want power.Reading) {
 // BenchmarkProcessBatch is a worker's path for one 256-sample batch
 // without rails, the shape tdserve serves: extraction through the
 // production estimator, the chunk estimate and the chunk finite check.
+// The sampled case also builds and files the batch's trace and feeds
+// the latency histograms their exemplars, as for every batch a producer
+// samples.
 func BenchmarkProcessBatch(b *testing.B) {
-	s, err := New(Config{Estimator: productionEstimator(b)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples := mkBatch(core.BatchSize, 2, 0)
-	sc := new(workerScratch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A batch that arrived just now: one at the zero time would be a
-		// slow-trace outlier, and the benchmark would time its trace.
-		now := time.Now()
-		s.process(&batch{node: "n", samples: samples, arrived: now, queued: now}, sc, 0)
+	for _, sampled := range []bool{false, true} {
+		name := "unsampled"
+		if sampled {
+			name = "sampled"
+		}
+		b.Run(name, func(b *testing.B) {
+			s, err := New(Config{Estimator: productionEstimator(b)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			samples := mkBatch(core.BatchSize, 2, 0)
+			sc := new(workerScratch)
+			tc := tracez.Context{ID: tracez.NewTraceID(), Sampled: sampled}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// A batch that arrived just now: one at the zero time would
+				// be a slow-trace outlier, and the unsampled case would time
+				// its trace.
+				now := time.Now()
+				s.process(&batch{node: "n", client: "c", samples: samples, arrived: now, admitted: now, queued: now, tc: tc}, sc, 0)
+			}
+		})
 	}
 }
 

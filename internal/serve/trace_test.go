@@ -2,9 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -300,5 +302,169 @@ func TestShedBatchesSkipLatencyHistograms(t *testing.T) {
 	}
 	if got := mService.Count() - svBefore; got != uint64(admitted) {
 		t.Errorf("service observations = %d, want %d", got, admitted)
+	}
+}
+
+// TestTraceBuilderOneTimeline: for one fixed batch timeline, the
+// sampled, slow, quarantined and shed traces agree event for event
+// (kinds, times and args): slow matches sampled exactly, quarantined
+// swaps ESTIMATED for QUARANTINE, and shed keeps DECODED and ends in
+// SHED at the refused enqueue.
+func TestTraceBuilderOneTimeline(t *testing.T) {
+	s, err := New(Config{Estimator: testEstimator(t), SlowTrace: 200 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	at := func(us int) time.Time { return t0.Add(time.Duration(us) * time.Microsecond) }
+	timeline := func(sampled bool) *batch {
+		return &batch{
+			node: "node-t", client: "c1", samples: mkBatch(4, 1, 0),
+			arrived: at(0), decoded: at(10), admitted: at(12), queued: at(15), depth: 3,
+			scheduled: at(100), worker: 1, departed: at(300),
+			tc: tracez.Context{ID: tracez.NewTraceID(), Sampled: sampled},
+		}
+	}
+	type ev struct {
+		kind string
+		us   float64
+		arg  int64
+	}
+	journey := []ev{{"DECODED", 10, 4}, {"ADMITTED", 12, 4}, {"ENQUEUED", 15, 3},
+		{"SCHEDULED", 100, 1}, {"ESTIMATED", 300, 0}, {"DEPARTED", 300, 4}}
+	quarantined := append([]ev(nil), journey...)
+	quarantined[4] = ev{"QUARANTINE", 300, 3}
+	shed := []ev{journey[0], {"SHED", 15, 4}}
+
+	sampled := timeline(true)
+	sampled.departed = at(150) // under the slow threshold
+	fast := append([]ev(nil), journey...)
+	fast[4].us, fast[5].us = 150, 150
+	slow := timeline(false)
+	bad := timeline(false)
+	bad.bad = 3
+	refused := timeline(false)
+	refused.departed = refused.queued
+	s.fileTrace(sampled, "")
+	s.fileTrace(slow, "")
+	s.fileTrace(bad, "")
+	s.fileTrace(refused, "queue_full")
+
+	recent := s.rec.Snapshot().Recent // newest first
+	for i, c := range []struct {
+		name, outcome string
+		want          []ev
+	}{
+		{"shed", "shed:queue_full", shed},
+		{"quarantined", "quarantine", quarantined},
+		{"slow", "slow", journey},
+		{"sampled", "ok", fast},
+	} {
+		tr := recent[i]
+		if tr.Outcome != c.outcome || tr.Client != "c1" || tr.Node != "node-t" {
+			t.Errorf("%s: outcome %q client %q node %q, want %q c1 node-t", c.name, tr.Outcome, tr.Client, tr.Node, c.outcome)
+		}
+		var got []ev
+		for _, e := range tr.Events {
+			got = append(got, ev{e.Kind, math.Round(e.OffsetUs), e.Arg})
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: events %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSlowTraceMatchesSampledJourney drives two /ingest batches through
+// a wedged worker, one sampled by its producer and one kept only for
+// being slow. Both traces carry the same journey in time order, and the
+// slow one's ENQUEUED holds the backlog it queued behind.
+func TestSlowTraceMatchesSampledJourney(t *testing.T) {
+	inj := &blockingInjector{release: make(chan struct{})}
+	s := newServer(t, Config{
+		Estimator: testEstimator(t), Workers: 1, TraceSampleRate: 0, SlowTrace: time.Nanosecond,
+	})
+	s.SetFaultInjector(inj)
+	if err := s.Ingest("c1", "node-w", mkBatch(1, 1, 0), nil, tracez.Context{}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.QueueDepth() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never picked up the wedging batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	h := s.Handler()
+	var ids [2]tracez.TraceID
+	for i, sampled := range []bool{true, false} {
+		ids[i] = tracez.NewTraceID()
+		wire, err := perfctr.EncodeBatchExt(nil, "node-w", mkBatch(3, 1, 10),
+			perfctr.TraceExt{ID: [16]byte(ids[i]), Sampled: sampled})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", strings.NewReader(string(wire))))
+		if rec.Code != 202 {
+			t.Fatalf("ingest %d = %d, want 202", i, rec.Code)
+		}
+	}
+	close(inj.release)
+	snap := drainTraces(t, s.rec, 3)
+	byID := map[string]tracez.TraceJSON{}
+	for _, tr := range snap.Recent {
+		byID[tr.ID] = tr
+	}
+	want := "DECODED,ADMITTED,ENQUEUED,SCHEDULED,ESTIMATED,DEPARTED"
+	for i, id := range ids {
+		tr, ok := byID[id.String()]
+		if !ok {
+			t.Fatalf("batch %d: no trace for %s", i, id)
+		}
+		if got := strings.Join(eventKinds(tr), ","); got != want {
+			t.Errorf("batch %d: events %s, want %s", i, got, want)
+		}
+		for j, e := range tr.Events {
+			if j > 0 && e.OffsetUs < tr.Events[j-1].OffsetUs {
+				t.Errorf("batch %d: %s at %.1fµs before %s at %.1fµs", i,
+					e.Kind, e.OffsetUs, tr.Events[j-1].Kind, tr.Events[j-1].OffsetUs)
+			}
+			if e.Kind == "ENQUEUED" && e.Arg != int64(i) {
+				t.Errorf("batch %d: ENQUEUED depth %d, want %d", i, e.Arg, i)
+			}
+		}
+	}
+}
+
+// TestShedIngestTraceKeepsDecoded: a batch /ingest decodes and then
+// sheds for a full queue is traced from ARRIVED through DECODED to SHED.
+func TestShedIngestTraceKeepsDecoded(t *testing.T) {
+	inj := &blockingInjector{release: make(chan struct{})}
+	s := newServer(t, Config{Estimator: testEstimator(t), Workers: 1, QueueDepth: 1, TraceSampleRate: 0})
+	s.SetFaultInjector(inj)
+	defer close(inj.release)
+	h := s.Handler()
+	wire := ingestFrame(t, "node-s", 2)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", strings.NewReader(string(wire))))
+		if rec.Code == 429 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("queue never filled")
+		}
+	}
+	snap := s.rec.Snapshot()
+	if len(snap.Errored) != 1 {
+		t.Fatalf("errored = %d traces, want the shed one", len(snap.Errored))
+	}
+	tr := snap.Errored[0]
+	if got := strings.Join(eventKinds(tr), ","); got != "DECODED,SHED" || tr.Outcome != "shed:queue_full" {
+		t.Fatalf("shed trace: events %s outcome %q, want DECODED,SHED shed:queue_full", got, tr.Outcome)
+	}
+	if d, shed := tr.Events[0], tr.Events[1]; d.OffsetUs <= 0 || shed.OffsetUs < d.OffsetUs || d.Arg != 2 || shed.Arg != 2 {
+		t.Errorf("shed trace events %+v, want DECODED after ARRIVED and SHED after DECODED, both for 2 samples", tr.Events)
 	}
 }

@@ -15,7 +15,11 @@
 // after slice; the memo changes no deviate.
 package sim
 
-import "math"
+import (
+	"math"
+
+	"trickledown/internal/stats"
+)
 
 // RNG is a deterministic pseudo-random number generator based on
 // SplitMix64. It is intentionally not safe for concurrent use: each
@@ -47,13 +51,7 @@ func (r *RNG) Split() *RNG {
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (r *RNG) Uint64() uint64 { return stats.SplitMix64(&r.state) }
 
 // Float64 returns a uniform deviate in [0, 1).
 func (r *RNG) Float64() float64 {

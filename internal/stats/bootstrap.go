@@ -11,24 +11,21 @@ import (
 // deterministic, seeded confidence interval around those means so the
 // conformance gate can reason about them.
 
-// splitmix64 is the seeded generator behind the bootstrap. It is
-// deliberately self-contained (not sim.RNG) so stats stays a leaf
-// package, and deliberately not math/rand so the stream is stable across
-// Go releases — resampled indices are part of the golden record's
-// determinism contract.
-type splitmix64 struct{ state uint64 }
-
-func (r *splitmix64) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+// SplitMix64 advances *state by one SplitMix64 step and returns the
+// step's output: add the golden-ratio increment, then mix. It is the
+// one copy of the generator in the module. sim.RNG, the bootstrap,
+// fault schedules and trace IDs all draw from it, and it lives here
+// because stats imports nothing internal, so every one of them can
+// import it. It is not math/rand, so every stream is stable across Go
+// releases; resampled indices, simulated runs and fault schedules are
+// part of the golden record's determinism contract. Called on a copy of
+// a value, it is SplitMix64's stateless hash of that value.
+func SplitMix64(state *uint64) uint64 {
+	*state += 0x9e3779b97f4a7c15
+	z := *state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// intn returns a uniform int in [0, n). n must be positive.
-func (r *splitmix64) intn(n int) int {
-	return int(r.next() % uint64(n))
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
@@ -82,12 +79,12 @@ func BootstrapCI(xs []float64, stat func([]float64) float64, resamples int, conf
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
 	}
-	rng := splitmix64{state: seed}
+	rng := seed
 	evals := make([]float64, resamples)
 	draw := make([]float64, len(xs))
 	for i := range evals {
 		for j := range draw {
-			draw[j] = xs[rng.intn(len(xs))]
+			draw[j] = xs[SplitMix64(&rng)%uint64(len(xs))]
 		}
 		evals[i] = stat(draw)
 	}

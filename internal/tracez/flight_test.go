@@ -59,7 +59,7 @@ func TestDumpBundleWritesAllParts(t *testing.T) {
 	fl := NewFlightRecorder(16)
 	fl.Note("shedding", "queue full", 42)
 	tr := rec.StartAt(NewTraceID(), "bundle-node", "", time.Now())
-	tr.Add(EvShed, 7)
+	tr.AddAt(EvShed, tr.Start, 7, "")
 	tr.Outcome = "shed:queue_full"
 	rec.Finish(tr)
 

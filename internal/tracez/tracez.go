@@ -17,9 +17,10 @@
 // memory is fixed no matter how long the service runs.
 //
 // The hot-path contract mirrors the rest of the repo: deciding *not*
-// to trace costs no allocation and a handful of arithmetic ops.
-// Allocation happens only on the sampled or anomalous path, which is
-// off the per-sample ingest spine by construction.
+// to trace costs no allocation and a handful of arithmetic ops. A
+// trace is built only once its request is known to be kept (Sampled,
+// anomalous, or Slow), from timestamps the request carried, so
+// allocation happens only on the kept path.
 package tracez
 
 import (
@@ -31,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trickledown/internal/stats"
 	"trickledown/internal/telemetry"
 )
 
@@ -38,7 +40,7 @@ import (
 // regardless of how many recorders exist.
 var (
 	mTracesStarted = telemetry.NewCounter("tracez_traces_started_total",
-		"traces opened (sampled head-based or reconstructed on anomaly)")
+		"traces opened (sampled at the head, anomalous or slow)")
 	mTracesFinished = telemetry.NewCounter("tracez_traces_finished_total",
 		"traces completed and filed into the retention rings")
 	mTracesAnomaly = telemetry.NewCounter("tracez_traces_anomaly_total",
@@ -61,7 +63,7 @@ func (id TraceID) String() string {
 func (id TraceID) IsZero() bool { return id == TraceID{} }
 
 // idState seeds the allocation-free ID generator. Trace IDs need
-// uniqueness, not cryptographic strength; a splitmix64 walk from a
+// uniqueness, not cryptographic strength; a SplitMix64 walk from a
 // per-process random-ish origin gives both goroutine-safety (one atomic
 // add) and zero allocation.
 var idState atomic.Uint64
@@ -70,20 +72,11 @@ func init() {
 	idState.Store(uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32 ^ 0x9e3779b97f4a7c15)
 }
 
-// splitmix64 is the same finalizer internal/stats uses for its
-// deterministic bootstrap stream.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // NewTraceID mints a fresh ID. Allocation-free.
 func NewTraceID() TraceID {
 	s := idState.Add(2)
-	hi, lo := splitmix64(s), splitmix64(s+1)
+	x, y := s, s+1
+	hi, lo := stats.SplitMix64(&x), stats.SplitMix64(&y)
 	var id TraceID
 	for i := 0; i < 8; i++ {
 		id[i] = byte(hi >> (8 * i))
@@ -104,23 +97,25 @@ type Context struct {
 type EventKind uint8
 
 const (
-	// EvAdmitted: past decode and admission control; arg = batch samples.
+	// EvAdmitted: admission control (size bound, rate limit, queue
+	// bound) let the batch in, at the time it read the clock; arg =
+	// batch samples.
 	EvAdmitted EventKind = iota
 	// EvEnqueued: accepted into the bounded queue; arg = queue depth at
 	// enqueue (the overload signal at the moment of admission).
 	EvEnqueued
 	// EvScheduled: an estimation worker picked the batch up; arg = worker id.
 	EvScheduled
-	// EvEstimated: the subsystem estimators ran; arg = quarantined
-	// (non-finite) sample count.
+	// EvEstimated: the subsystem estimators ran and every estimate was
+	// finite.
 	EvEstimated
 	// EvDeparted: results folded into node state; arg = samples estimated.
 	EvDeparted
-	// EvShed: rejected at admission; arg = samples, note = reason.
+	// EvShed: rejected at admission; arg = samples, note = reason. It
+	// ends the trace in place of the stage that refused the request.
 	EvShed
-	// EvNodeStep: a cluster node advanced; note = node name.
-	EvNodeStep
-	// EvQuarantine: a node or sample set was quarantined; note = cause.
+	// EvQuarantine: a node or sample set was quarantined; arg = count,
+	// note = cause. On the serve journey it takes EvEstimated's place.
 	EvQuarantine
 	// EvNote: free-form annotation.
 	EvNote
@@ -136,7 +131,6 @@ var eventKindNames = [...]string{
 	EvEstimated:  "ESTIMATED",
 	EvDeparted:   "DEPARTED",
 	EvShed:       "SHED",
-	EvNodeStep:   "NODE_STEP",
 	EvQuarantine: "QUARANTINE",
 	EvNote:       "NOTE",
 	EvDecoded:    "DECODED",
@@ -181,21 +175,11 @@ type Trace struct {
 	dropped int
 }
 
-// Add stamps an event at time.Now.
-func (t *Trace) Add(kind EventKind, arg int64) { t.AddAt(kind, time.Now(), arg, "") }
-
-// AddNote stamps an annotated event at time.Now.
-func (t *Trace) AddNote(kind EventKind, arg int64, note string) {
-	t.AddAt(kind, time.Now(), arg, note)
-}
-
-// AddAt stamps an event at an explicit time — the reconstruction path,
-// where an anomalous request's timestamps were carried on the batch
-// itself and the trace is assembled after the fact.
+// AddAt stamps an event at an explicit time. Every trace is built this
+// way: the live service from the timestamps a batch carried through its
+// journey, once the journey is over, and low-volume callers (cluster
+// runs, experiment cells) at time.Now as they go.
 func (t *Trace) AddAt(kind EventKind, at time.Time, arg int64, note string) {
-	if t == nil {
-		return
-	}
 	if t.n >= MaxEvents {
 		t.dropped++
 		mEventsDropped.Inc()
@@ -208,9 +192,6 @@ func (t *Trace) AddAt(kind EventKind, at time.Time, arg int64, note string) {
 // Events returns the recorded events, oldest first. The slice aliases
 // the trace's storage; callers must not retain it past Finish.
 func (t *Trace) Events() []Event { return t.events[:t.n] }
-
-// Dropped returns how many events were discarded at capacity.
-func (t *Trace) Dropped() int { return t.dropped }
 
 // eventAt returns the time of the first event of the given kind.
 func (t *Trace) eventAt(kind EventKind) (time.Time, bool) {
@@ -358,7 +339,7 @@ func (r *Recorder) Sampled(id TraceID) bool {
 	}
 	// Mix before comparing: sequential splitmix outputs are already
 	// uniform, but wire-supplied IDs may not be.
-	return float64(splitmix64(lo))/float64(math.MaxUint64) < rate
+	return float64(stats.SplitMix64(&lo))/float64(math.MaxUint64) < rate
 }
 
 // Mint creates a fresh context: new ID plus this recorder's sampling
@@ -369,39 +350,35 @@ func (r *Recorder) Mint() Context {
 	return Context{ID: id, Sampled: r.Sampled(id)}
 }
 
-// Start opens a trace for a sampled context, or returns nil (recording
-// on a nil *Trace is a no-op, so call sites stay branchless).
-func (r *Recorder) Start(ctx Context, node, client string, start time.Time) *Trace {
-	if !ctx.Sampled {
-		return nil
-	}
-	return r.StartAt(ctx.ID, node, client, start)
-}
-
-// StartAt opens a trace unconditionally — the reconstruction path for
-// anomalies on unsampled requests, and the always-on path for
-// low-volume callers (cluster runs, experiment cells).
+// StartAt opens a trace for a request the caller keeps: a sampled,
+// anomalous or Slow service batch, or any cluster run or experiment
+// cell.
 func (r *Recorder) StartAt(id TraceID, node, client string, start time.Time) *Trace {
 	r.started.Add(1)
 	mTracesStarted.Inc()
 	return &Trace{ID: id, Node: node, Client: client, Start: start}
 }
 
+// Slow reports whether an end-to-end latency exceeds the slow
+// threshold. It is the one slow test: Finish relabels such an ok trace
+// "slow", and a caller asks it before building a trace for an unsampled
+// request, so a fast unsampled one costs no allocation.
+func (r *Recorder) Slow(e2e time.Duration) bool {
+	return r.cfg.SlowThreshold > 0 && e2e > r.cfg.SlowThreshold
+}
+
 // Finish completes a trace and files it into the retention views. An
 // empty outcome means "ok"; a non-"ok" outcome, or an e2e over the slow
 // threshold, marks the trace anomalous (always kept in the errored
-// ring). Nil traces are ignored.
+// ring).
 func (r *Recorder) Finish(t *Trace) {
-	if t == nil {
-		return
-	}
 	if t.End.IsZero() {
 		t.End = time.Now()
 	}
 	if t.Outcome == "" {
 		t.Outcome = "ok"
 	}
-	if slow := r.cfg.SlowThreshold; slow > 0 && t.Outcome == "ok" && t.End.Sub(t.Start) > slow {
+	if t.Outcome == "ok" && r.Slow(t.End.Sub(t.Start)) {
 		t.Outcome = "slow"
 		r.slowSeen.Add(1)
 	}
@@ -422,16 +399,6 @@ func (r *Recorder) Finish(t *Trace) {
 		r.slowest[s].offer(t, d[s])
 	}
 	r.mu.Unlock()
-}
-
-// Anomaly records a one-shot anomaly trace: a request rejected at
-// admission has exactly one interesting event, so the whole trace is
-// assembled and filed in one call. Always kept regardless of sampling.
-func (r *Recorder) Anomaly(id TraceID, node, client string, start time.Time, outcome string, kind EventKind, arg int64) {
-	t := r.StartAt(id, node, client, start)
-	t.AddNote(kind, arg, outcome)
-	t.Outcome = outcome
-	r.Finish(t)
 }
 
 // Stats is the recorder's own bookkeeping.

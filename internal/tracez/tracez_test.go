@@ -82,16 +82,15 @@ func TestSampledDeterministicAndProportional(t *testing.T) {
 }
 
 // TestHotPathAllocFree gates the tentpole contract: deciding not to
-// trace — mint, sample check, nil-trace event stamps — must not
-// allocate, because it runs per ingest request with sampling disabled.
+// trace — mint, sample check, slow check — must not allocate, because
+// it runs per ingest request with sampling disabled.
 func TestHotPathAllocFree(t *testing.T) {
-	r := NewRecorder(Config{SampleRate: 0})
+	r := NewRecorder(Config{SampleRate: 0, SlowThreshold: time.Second})
 	allocs := testing.AllocsPerRun(1000, func() {
 		ctx := r.Mint()
-		tr := r.Start(ctx, "node", "client", time.Time{})
-		tr.Add(EvAdmitted, 1)
-		tr.AddNote(EvEnqueued, 2, "x")
-		r.Finish(tr)
+		if ctx.Sampled || r.Sampled(ctx.ID) || r.Slow(time.Millisecond) {
+			t.Fatal("rate-0 recorder kept a fast request")
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("unsampled trace path allocates %.1f/op, want 0", allocs)
@@ -101,10 +100,7 @@ func TestHotPathAllocFree(t *testing.T) {
 func TestTraceEventsAndDurations(t *testing.T) {
 	r := NewRecorder(Config{SampleRate: 1})
 	start := time.Now()
-	tr := r.Start(Context{ID: NewTraceID(), Sampled: true}, "n1", "c1", start)
-	if tr == nil {
-		t.Fatal("Start returned nil for a sampled context")
-	}
+	tr := r.StartAt(NewTraceID(), "n1", "c1", start)
 	tr.AddAt(EvAdmitted, start.Add(5*time.Microsecond), 64, "")
 	tr.AddAt(EvEnqueued, start.Add(10*time.Microsecond), 3, "")
 	tr.AddAt(EvScheduled, start.Add(110*time.Microsecond), 1, "")
@@ -134,13 +130,13 @@ func TestEventCapacityBounded(t *testing.T) {
 	r := NewRecorder(Config{})
 	tr := r.StartAt(NewTraceID(), "n", "", time.Now())
 	for i := 0; i < MaxEvents+5; i++ {
-		tr.Add(EvNote, int64(i))
+		tr.AddAt(EvNote, tr.Start, int64(i), "")
 	}
 	if len(tr.Events()) != MaxEvents {
 		t.Errorf("events = %d, want capped at %d", len(tr.Events()), MaxEvents)
 	}
-	if tr.Dropped() != 5 {
-		t.Errorf("dropped = %d, want 5", tr.Dropped())
+	if tr.dropped != 5 {
+		t.Errorf("dropped = %d, want 5", tr.dropped)
 	}
 }
 
@@ -150,7 +146,7 @@ func TestRingsBoundedAndOrdered(t *testing.T) {
 	r := NewRecorder(Config{SampleRate: 1})
 	for i := 0; i <= ringSize; i++ {
 		tr := r.StartAt(NewTraceID(), "n", "", time.Now())
-		tr.Add(EvNote, int64(i))
+		tr.AddAt(EvNote, tr.Start, int64(i), "")
 		r.Finish(tr)
 	}
 	snap := r.Snapshot()
@@ -173,7 +169,10 @@ func TestRingsBoundedAndOrdered(t *testing.T) {
 func TestAnomalyAlwaysKept(t *testing.T) {
 	r := NewRecorder(Config{SampleRate: 0})
 	id := NewTraceID()
-	r.Anomaly(id, "node-x", "client-y", time.Now(), "shed:queue_full", EvShed, 256)
+	tr := r.StartAt(id, "node-x", "client-y", time.Now())
+	tr.AddAt(EvShed, tr.Start, 256, "shed:queue_full")
+	tr.Outcome = "shed:queue_full"
+	r.Finish(tr)
 
 	snap := r.Snapshot()
 	if len(snap.Errored) != 1 {
@@ -206,6 +205,14 @@ func TestSlowPromotion(t *testing.T) {
 	}
 	if st := r.Stats(); st.Slow != 1 {
 		t.Errorf("slow = %d, want 1", st.Slow)
+	}
+	// Slow is the same test, strictly past the threshold; a zero
+	// threshold keeps nothing for being slow.
+	if r.Slow(time.Millisecond) || !r.Slow(time.Millisecond+1) {
+		t.Error("Slow disagrees with the 1ms threshold")
+	}
+	if NewRecorder(Config{}).Slow(time.Hour) {
+		t.Error("a recorder without a threshold calls an hour slow")
 	}
 }
 
@@ -248,8 +255,8 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				tr := r.StartAt(NewTraceID(), "n", "", time.Now())
-				tr.Add(EvAdmitted, int64(i))
-				tr.Add(EvDeparted, int64(i))
+				tr.AddAt(EvAdmitted, time.Now(), int64(i), "")
+				tr.AddAt(EvDeparted, time.Now(), int64(i), "")
 				r.Finish(tr)
 			}
 		}()
@@ -267,9 +274,12 @@ func TestConcurrentRecording(t *testing.T) {
 func TestHandlerJSONAndHTML(t *testing.T) {
 	r := NewRecorder(Config{SampleRate: 1})
 	tr := r.StartAt(NewTraceID(), "node-7", "client-a", time.Now())
-	tr.Add(EvAdmitted, 10)
+	tr.AddAt(EvAdmitted, tr.Start, 10, "")
 	r.Finish(tr)
-	r.Anomaly(NewTraceID(), "node-8", "", time.Now(), "rate_limited", EvShed, 99)
+	shed := r.StartAt(NewTraceID(), "node-8", "", time.Now())
+	shed.AddAt(EvShed, shed.Start, 99, "rate_limited")
+	shed.Outcome = "rate_limited"
+	r.Finish(shed)
 
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
