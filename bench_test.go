@@ -48,10 +48,20 @@ func benchEstimator(tb testing.TB) *core.Estimator {
 	return est
 }
 
+// tableRow returns t's row for a workload, or nil.
+func tableRow(t *experiments.Table, name string) *experiments.TableRow {
+	for i := range t.Rows {
+		if t.Rows[i].Workload == name {
+			return &t.Rows[i]
+		}
+	}
+	return nil
+}
+
 // reportErrs attaches per-subsystem average errors to the benchmark
 // output so `go test -bench` doubles as a results report.
 func reportErrs(b *testing.B, t *experiments.Table, row string) {
-	r := t.Row(row)
+	r := tableRow(t, row)
 	if r == nil {
 		b.Fatalf("row %q missing", row)
 	}
@@ -68,7 +78,7 @@ func BenchmarkTable1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		gcc := t.Row("gcc")
+		gcc := tableRow(t, "gcc")
 		if gcc == nil {
 			b.Fatal("gcc row missing")
 		}
@@ -85,7 +95,7 @@ func BenchmarkTable2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		jbb := t.Row("specjbb")
+		jbb := tableRow(t, "specjbb")
 		if jbb == nil {
 			b.Fatal("specjbb row missing")
 		}

@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,11 +16,11 @@ import (
 
 // interfaceMethods are method names that satisfy interfaces declared
 // outside the module (fmt.Stringer, error, http.Handler, errors.Unwrap,
-// json.Marshaler/Unmarshaler, io.Reader/Writer/Closer). Their callers
-// live in the standard library, so no identifier in the module names
-// them.
+// errors.Is, json.Marshaler/Unmarshaler, io.Reader/Writer/Closer).
+// Their callers live in the standard library, so no identifier in the
+// module names them.
 var interfaceMethods = map[string]bool{
-	"String": true, "Error": true, "ServeHTTP": true, "Unwrap": true,
+	"String": true, "Error": true, "ServeHTTP": true, "Unwrap": true, "Is": true,
 	"MarshalJSON": true, "UnmarshalJSON": true,
 	"Read": true, "Write": true, "Close": true,
 }
@@ -40,33 +41,6 @@ var benchmarkOnly = []string{
 	"power.(*Profile).Memory",
 	"sim.(*RNG).Intn",
 	"validate.(*Report).ChecksOK",
-}
-
-// testOnly are the functions and methods only tests call today, found
-// once method references resolved by type instead of by name: a
-// namesake's caller had hidden each of them. They stay until ROADMAP
-// item 5 deletes them or gives them a caller; the guard fails when one
-// is gone or gains a caller outside tests, so the list only shrinks.
-var testOnly = []string{
-	"cluster.(*Cluster).Quarantined",
-	"cluster.(*Cluster).Workers",
-	"experiments.(*Table).Row",
-	"iobus.(*APIC).Count",
-	"iobus.(*APIC).NumCPUs",
-	"machine.(*Server).Clock",
-	"machine.(*Server).FreqScale",
-	"machine.(*Server).OS",
-	"machine.(*Server).SetFreqScale",
-	"machine.(*Server).SetThrottle",
-	"machine.(*Server).Spec",
-	"machine.(*Server).Throttle",
-	"osmodel.(*OS).DirtyBytes",
-	"serve.(*Server).QueueDepth",
-	"serve.(*Server).SetFaultInjector",
-	"sim.(*Clock).CoreHz",
-	"sim.(*Engine).Clock",
-	"telemetry.WriteOpenMetrics",
-	"thermal.(*Model).Params",
 }
 
 // goFile is one parsed non-test source file of the module.
@@ -91,22 +65,63 @@ type funcDecl struct {
 
 // TestNoTestOnlyFuncs fails when a top-level function or method
 // declared under internal/ has no reference from non-test Go other
-// than its own declaration: code that only its tests run. benchmark/
-// is parsed but does not count as a caller, and neither does the body
-// of a benchmarkOnly function. A function is referenced by its
-// package-qualified name from another package, or by its bare name
-// from its own package. A method is referenced by a selector the type
-// checker resolves to it; a selector it resolves to an interface
-// method, or cannot resolve (it reaches through a stubbed standard
-// library type), and any other use of the name that is
-// not a declaration or a field, variable, type or package, reference
-// every method of that name, which never fails a method that has a
-// caller. init, main and interfaceMethods are exempt. Types, constants
-// and variables are out of scope: returned types and sentinel errors
-// are used without being named.
+// than its own declaration: code that only its tests run. See
+// deadFuncs for what counts as a reference; a benchmarkOnly entry
+// fails when it is stale.
 func TestNoTestOnlyFuncs(t *testing.T) {
-	files := parseModule(t)
-	info := typeCheck(files)
+	dead, stale := deadFuncs(parseModule(t, ".", module), module, benchmarkOnly)
+	for _, s := range stale {
+		t.Error(s)
+	}
+	for _, k := range sortedKeys(dead) {
+		t.Error(dead[k])
+	}
+}
+
+// TestDeadFuncsFixture runs the guard on testdata/deadcode, a module
+// with one declaration per case: a function only tests call, a method
+// only tests call whose one same-named call outside tests is on an
+// atomic.Uint64, a function only benchmark/ calls, an exempt String
+// method, and declarations a command calls.
+func TestDeadFuncsFixture(t *testing.T) {
+	const fixture = "fixture"
+	dead, stale := deadFuncs(parseModule(t, "testdata/deadcode", fixture), fixture, nil)
+	if len(stale) != 0 {
+		t.Errorf("stale entries %v with no benchmarkOnly list", stale)
+	}
+	want := []string{"trace.(*Trace).Add", "trace.BenchOnly", "trace.OnlyTests"}
+	if got := sortedKeys(dead); !reflect.DeepEqual(got, want) {
+		t.Errorf("flagged %v, want %v", got, want)
+	}
+	if msg := dead["trace.BenchOnly"]; !strings.Contains(msg, "benchmark/") {
+		t.Errorf("BenchOnly's finding %q does not name benchmark/ as its caller", msg)
+	}
+}
+
+// module is the import path of the repository's module.
+const module = "trickledown"
+
+// deadFuncs returns, keyed by declaration, one finding per top-level
+// function or method declared under internal/ that non-test Go does
+// not reference, and one message per stale benchmarkOnly entry. files
+// are the module's parsed non-test files; benchmark/ is parsed but
+// does not count as a caller, and neither does the body of a
+// benchOnly function.
+//
+// A function is referenced by its package-qualified name from another
+// package, or by its bare name from its own package. A method is
+// referenced by a selector the type checker resolves to it. A selector
+// whose operand has a standard library type references no method of
+// the module. A selector resolved to an interface method, one that
+// cannot be resolved (it reaches through an expression whose standard
+// library type is unknown), and any other use of the name that is not
+// a declaration or a field, variable, type or package, reference every
+// method of that name, which never flags a method that has a caller.
+// init, main and interfaceMethods are exempt. Types, constants and
+// variables are out of scope: returned types and sentinel errors are
+// used without being named.
+func deadFuncs(files []goFile, module string, benchOnly []string) (dead map[string]string, stale []string) {
+	info := typeCheck(files, module)
 	var decls []funcDecl
 	for _, f := range files {
 		if f.bench || !strings.HasPrefix(f.dir, "internal/") {
@@ -129,15 +144,11 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 	}
 
 	listed := map[string]bool{}
-	for _, k := range benchmarkOnly {
+	for _, k := range benchOnly {
 		listed[k] = true
 	}
-	pending := map[string]bool{}
-	for _, k := range testOnly {
-		pending[k] = true
-	}
 	// refs[i] and benchRefs[i] count decls[i]'s references outside and
-	// inside benchmark/. A reference from the body of a benchmarkOnly
+	// inside benchmark/. A reference from the body of a benchOnly
 	// function counts as inside: benchmark/ is its only caller.
 	refs := make([]int, len(decls))
 	benchRefs := make([]int, len(decls))
@@ -151,8 +162,9 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 		}
 		benchBody[d.decl] = listed[d.key]
 	}
-	// resolved holds the selectors' method names already credited to
-	// the one method the type checker resolved them to.
+	// resolved holds the selectors' method names already settled: each
+	// references the one method the type checker resolved it to, or no
+	// method of the module.
 	resolved := map[*ast.Ident]bool{}
 	for _, f := range files {
 		for _, decl := range f.file.Decls {
@@ -171,6 +183,10 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 							resolved[n.Sel] = true
 							return true
 						}
+					}
+					if stdType(info.TypeOf(n.X), module) {
+						resolved[n.Sel] = true
+						return true
 					}
 					// pkg.Func from another package.
 					if x, ok := n.X.(*ast.Ident); ok {
@@ -205,64 +221,73 @@ func TestNoTestOnlyFuncs(t *testing.T) {
 	}
 
 	found := map[string]bool{}
-	var dead []string
+	dead = map[string]string{}
 	for i, d := range decls {
+		at := d.pos.String() + ": " + d.key
 		if listed[d.key] {
 			found[d.key] = true
 			switch {
 			case refs[i] > 0:
-				t.Errorf("%s: %s is listed as benchmark/ only but has a caller outside benchmark/; drop it from benchmarkOnly", d.pos, d.key)
+				stale = append(stale, at+" is listed as benchmark/ only but has a caller outside benchmark/; drop it from benchmarkOnly")
 			case benchRefs[i] == 0:
-				t.Errorf("%s: %s is listed as benchmark/ only but benchmark/ no longer calls it; delete it and drop it from benchmarkOnly", d.pos, d.key)
-			}
-			continue
-		}
-		if pending[d.key] {
-			found[d.key] = true
-			if refs[i] > 0 {
-				t.Errorf("%s: %s is listed as test-only but has a caller outside tests; drop it from testOnly", d.pos, d.key)
+				stale = append(stale, at+" is listed as benchmark/ only but benchmark/ no longer calls it; delete it and drop it from benchmarkOnly")
 			}
 			continue
 		}
 		if refs[i] > 0 || d.name == "init" || d.name == "main" || (d.recv && interfaceMethods[d.name]) {
 			continue
 		}
-		msg := d.pos.String() + ": " + d.key + " has no caller outside tests; delete it, or move it into the _test.go file that uses it"
+		dead[d.key] = at + " has no caller outside tests; delete it, or move it into the _test.go file that uses it"
 		if benchRefs[i] > 0 {
-			msg = d.pos.String() + ": " + d.key + " has no caller outside tests and benchmark/; delete it with its benchmark/ callers, or list it in benchmarkOnly"
+			dead[d.key] = at + " has no caller outside tests and benchmark/; delete it with its benchmark/ callers, or list it in benchmarkOnly"
 		}
-		dead = append(dead, msg)
 	}
-	for _, k := range benchmarkOnly {
+	for _, k := range benchOnly {
 		if !found[k] {
-			t.Errorf("%s is listed as benchmark/ only but is not declared under internal/; drop it from benchmarkOnly", k)
+			stale = append(stale, k+" is listed as benchmark/ only but is not declared under internal/; drop it from benchmarkOnly")
 		}
 	}
-	for _, k := range testOnly {
-		if !found[k] {
-			t.Errorf("%s is listed as test-only but is not declared under internal/; drop it from testOnly", k)
-		}
-	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Error(d)
-	}
+	return dead, stale
 }
 
-// parseModule parses every non-test .go file under the module root,
-// benchmark/ included, skipping testdata and hidden directories.
-func parseModule(t *testing.T) []goFile {
+// stdType reports whether t, or the type t points to, is a named type
+// of a package outside module: its methods are none of the module's.
+func stdType(t types.Type, module string) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return false
+	}
+	path := n.Obj().Pkg().Path()
+	return path != module && !strings.HasPrefix(path, module+"/")
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// parseModule parses every non-test .go file under root, the root of
+// the module named module, benchmark/ included, skipping testdata and
+// hidden directories.
+func parseModule(t *testing.T, root, module string) []goFile {
 	t.Helper()
-	const module = "trickledown"
 	fset := token.NewFileSet()
 	var files []goFile
-	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		name := e.Name()
 		if e.IsDir() {
-			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -274,7 +299,11 @@ func parseModule(t *testing.T) []goFile {
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(rel))
 		g := goFile{dir: dir, bench: dir == "benchmark" || strings.HasPrefix(dir, "benchmark/"),
 			file: f, fset: fset, pkgs: map[string]string{}}
 		for _, imp := range f.Imports {
@@ -296,7 +325,7 @@ func parseModule(t *testing.T) []goFile {
 		t.Fatal(err)
 	}
 	if len(files) == 0 {
-		t.Fatal("no Go files found; the test must run from the module root")
+		t.Fatalf("no Go files found under %s; the test must run from the module root", root)
 	}
 	return files
 }
@@ -347,9 +376,9 @@ var unsetFieldAllowed = map[string]string{
 // or --, or taking the field's address. The module is type-checked
 // from source so that each write resolves to its field.
 func TestNoUnsetConfigFields(t *testing.T) {
-	files := parseModule(t)
+	files := parseModule(t, ".", module)
 	fset := files[0].fset
-	info := typeCheck(files)
+	info := typeCheck(files, module)
 
 	// fields maps each tracked field to its pkg.Type.Field name.
 	fields := map[types.Object]string{}
@@ -438,18 +467,58 @@ func TestNoUnsetConfigFields(t *testing.T) {
 	}
 }
 
-// typeCheck type-checks every parsed package from source and returns
-// what the checker resolved. Standard library imports are empty
-// packages, and the type errors they cause are ignored: an expression
-// that reaches through one stays unresolved, and callers fall back to
-// matching by name there.
-func typeCheck(files []goFile) *types.Info {
+// typeCheck type-checks every parsed package of module from source and
+// returns what the checker resolved. A standard library import is a
+// stub package holding, for each name the module selects from it, an
+// empty interface type, generic when the module instantiates it: a
+// value declared with a standard library type keeps that type, and an
+// expression that calls into the standard library stays unresolved.
+// The type errors the stubs cause are ignored.
+func typeCheck(files []goFile, module string) *types.Info {
 	fset := files[0].fset
 	byDir := map[string][]*ast.File{}
+	// stdNames maps each standard library import path to the names the
+	// module selects from it, with their type-parameter counts.
+	stdNames := map[string]map[string]int{}
 	for _, f := range files {
 		byDir[f.dir] = append(byDir[f.dir], f.file)
+		std := map[string]string{}
+		for _, imp := range f.file.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || p == "unsafe" || strings.HasPrefix(p, module+"/") {
+				continue
+			}
+			local := stdName(p)
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			std[local] = p
+			if stdNames[p] == nil {
+				stdNames[p] = map[string]int{}
+			}
+		}
+		note := func(e ast.Expr, params int) {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && std[x.Name] != "" {
+					names := stdNames[std[x.Name]]
+					names[sel.Sel.Name] = max(names[sel.Sel.Name], params)
+				}
+			}
+		}
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IndexExpr:
+				note(n.X, 1)
+			case *ast.IndexListExpr:
+				note(n.X, len(n.Indices))
+			case *ast.SelectorExpr:
+				note(n, 0)
+			}
+			return true
+		})
 	}
 	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
@@ -460,7 +529,7 @@ func typeCheck(files []goFile) *types.Info {
 		if p, ok := checked[dir]; ok {
 			return p
 		}
-		path := "trickledown"
+		path := module
 		if dir != "." {
 			path += "/" + dir
 		}
@@ -471,13 +540,24 @@ func typeCheck(files []goFile) *types.Info {
 	}
 	std := map[string]*types.Package{"unsafe": types.Unsafe}
 	imp = func(path string) (*types.Package, error) {
-		if dir, ok := strings.CutPrefix(path, "trickledown/"); ok {
+		if dir, ok := strings.CutPrefix(path, module+"/"); ok {
 			return check(dir), nil
 		}
 		if p, ok := std[path]; ok {
 			return p, nil
 		}
-		p := types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
+		p := types.NewPackage(path, stdName(path))
+		anyType := types.Universe.Lookup("any").Type()
+		for name, params := range stdNames[path] {
+			tn := types.NewTypeName(token.NoPos, p, name, nil)
+			named := types.NewNamed(tn, types.NewInterfaceType(nil, nil), nil)
+			var tps []*types.TypeParam
+			for i := 0; i < params; i++ {
+				tps = append(tps, types.NewTypeParam(types.NewTypeName(token.NoPos, p, "T"+strconv.Itoa(i), nil), anyType))
+			}
+			named.SetTypeParams(tps)
+			p.Scope().Insert(tn)
+		}
 		p.MarkComplete()
 		std[path] = p
 		return p, nil
@@ -487,6 +567,9 @@ func typeCheck(files []goFile) *types.Info {
 	}
 	return info
 }
+
+// stdName is the package name of a standard library import path.
+func stdName(path string) string { return path[strings.LastIndex(path, "/")+1:] }
 
 // importerFunc adapts a function to types.Importer.
 type importerFunc func(path string) (*types.Package, error)

@@ -64,7 +64,7 @@ func TestClusterSurvivesChaos(t *testing.T) {
 	}
 
 	wantQ := []string{"node03", "node11"}
-	if got := chaos.Quarantined(); !reflect.DeepEqual(got, wantQ) {
+	if got := chaos.Coverage().Quarantined; !reflect.DeepEqual(got, wantQ) {
 		t.Fatalf("quarantined = %v, want %v", got, wantQ)
 	}
 	cov := chaos.Coverage()
@@ -145,7 +145,7 @@ func TestChaosDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snap, total, c.Quarantined()
+		return snap, total, c.Coverage().Quarantined
 	}
 	snapA, totalA, qA := run()
 	snapB, totalB, qB := run()
@@ -182,7 +182,7 @@ func TestWorkerPanicQuarantinesOneNode(t *testing.T) {
 	if len(pe.Stack) == 0 {
 		t.Error("recovered panic lost its stack")
 	}
-	if got := c.Quarantined(); !reflect.DeepEqual(got, []string{"node09"}) {
+	if got := c.Coverage().Quarantined; !reflect.DeepEqual(got, []string{"node09"}) {
 		t.Fatalf("quarantined = %v", got)
 	}
 	if cov := c.Coverage(); cov.Healthy != 15 {
@@ -208,7 +208,7 @@ func TestRetryDoesNotMaskPermanentFailure(t *testing.T) {
 	if err := c.Run(12); !errors.Is(err, faults.ErrInjectedCrash) {
 		t.Fatalf("err = %v", err)
 	}
-	if got := c.Quarantined(); !reflect.DeepEqual(got, []string{"node02"}) {
+	if got := c.Coverage().Quarantined; !reflect.DeepEqual(got, []string{"node02"}) {
 		t.Fatalf("quarantined = %v", got)
 	}
 	// Retried healthy nodes did not double-fold: 12 s of 1 Hz samples

@@ -205,13 +205,6 @@ func (c *Cluster) SetWorkers(n int) {
 	c.workers = n
 }
 
-// Workers returns the current node-stepping concurrency bound.
-func (c *Cluster) Workers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.workers
-}
-
 // SetRetry makes Run retry a failed node step (with pool's capped
 // exponential backoff) before declaring the node failed. The zero Retry
 // restores single-attempt stepping. Retries are safe: folding is
@@ -777,11 +770,6 @@ func (c *Cluster) Coverage() Coverage {
 		}
 	}
 	return cov
-}
-
-// Quarantined returns the names of failed nodes in insertion order.
-func (c *Cluster) Quarantined() []string {
-	return c.Coverage().Quarantined
 }
 
 // VerifyAccuracy returns the Equation 6 style relative error between the

@@ -218,8 +218,8 @@ func buildTestCluster(t *testing.T, workers int) *Cluster {
 func TestClusterRunDeterministic(t *testing.T) {
 	serial := buildTestCluster(t, 1)
 	parallel := buildTestCluster(t, 8)
-	if serial.Workers() != 1 || parallel.Workers() != 8 {
-		t.Fatalf("workers = %d, %d", serial.Workers(), parallel.Workers())
+	if serial.workers != 1 || parallel.workers != 8 {
+		t.Fatalf("workers = %d, %d", serial.workers, parallel.workers)
 	}
 	// Two increments so the fold-resume path is covered too.
 	for _, c := range []*Cluster{serial, parallel} {

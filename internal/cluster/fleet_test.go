@@ -129,8 +129,8 @@ func TestSetWorkersDuringRun(t *testing.T) {
 	wg.Wait()
 
 	c.SetWorkers(5)
-	if got := c.Workers(); got != 5 {
-		t.Fatalf("Workers() = %d after SetWorkers(5)", got)
+	if got := c.workers; got != 5 {
+		t.Fatalf("workers = %d after SetWorkers(5)", got)
 	}
 	// The next run adopts the new bound and still matches the reference
 	// stepped without any SetWorkers churn.
@@ -299,8 +299,8 @@ func TestRunContextCancelSharded(t *testing.T) {
 	if err := c.RunContext(ctx, 30); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext err = %v", err)
 	}
-	if len(c.Quarantined()) != 0 {
-		t.Errorf("cancellation quarantined nodes: %v", c.Quarantined())
+	if len(c.Coverage().Quarantined) != 0 {
+		t.Errorf("cancellation quarantined nodes: %v", c.Coverage().Quarantined)
 	}
 	_, after, err := c.Snapshot()
 	if err != nil {

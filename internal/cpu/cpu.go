@@ -114,9 +114,6 @@ func (p *Processor) SetFreqScale(scale float64) {
 	p.freqScale = scale
 }
 
-// FreqScale returns the current DVFS operating point.
-func (p *Processor) FreqScale() float64 { return p.freqScale }
-
 // ID returns the processor number.
 func (p *Processor) ID() int { return p.id }
 
@@ -142,9 +139,6 @@ func (p *Processor) SetThrottle(frac float64) {
 	}
 	p.throttle = frac
 }
-
-// Throttle returns the current throttle fraction.
-func (p *Processor) Throttle() float64 { return p.throttle }
 
 // PrefetchCoverage returns the fraction of would-be demand misses the
 // hardware prefetcher converts into prefetch transactions, given the

@@ -278,16 +278,16 @@ func TestProcessorID(t *testing.T) {
 func TestThrottleClampAndEffect(t *testing.T) {
 	p := newProc()
 	p.SetThrottle(0.5)
-	if p.Throttle() != 0.5 {
-		t.Errorf("Throttle = %v", p.Throttle())
+	if p.throttle != 0.5 {
+		t.Errorf("throttle = %v", p.throttle)
 	}
 	p.SetThrottle(5)
-	if p.Throttle() != MaxThrottle {
-		t.Errorf("Throttle clamp = %v", p.Throttle())
+	if p.throttle != MaxThrottle {
+		t.Errorf("throttle clamp = %v", p.throttle)
 	}
 	p.SetThrottle(-1)
-	if p.Throttle() != 0 {
-		t.Errorf("negative Throttle = %v", p.Throttle())
+	if p.throttle != 0 {
+		t.Errorf("negative throttle = %v", p.throttle)
 	}
 	p.SetThrottle(0.8)
 	st := p.Step(testCycles, busyDemand(), busyDemand(), 0)
@@ -299,16 +299,16 @@ func TestThrottleClampAndEffect(t *testing.T) {
 
 func TestFreqScaleClampAndEffect(t *testing.T) {
 	p := newProc()
-	if p.FreqScale() != 1 {
-		t.Errorf("default FreqScale = %v", p.FreqScale())
+	if p.freqScale != 1 {
+		t.Errorf("default freqScale = %v", p.freqScale)
 	}
 	p.SetFreqScale(0.1)
-	if p.FreqScale() != MinFreqScale {
-		t.Errorf("FreqScale floor = %v", p.FreqScale())
+	if p.freqScale != MinFreqScale {
+		t.Errorf("freqScale floor = %v", p.freqScale)
 	}
 	p.SetFreqScale(3)
-	if p.FreqScale() != 1 {
-		t.Errorf("FreqScale ceiling = %v", p.FreqScale())
+	if p.freqScale != 1 {
+		t.Errorf("freqScale ceiling = %v", p.freqScale)
 	}
 	p.SetFreqScale(0.5)
 	st := p.Step(testCycles, busyDemand(), &workload.Demand{}, 0)

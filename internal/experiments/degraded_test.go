@@ -35,7 +35,7 @@ func TestErrorTableDegradesFailedCells(t *testing.T) {
 	if len(tab.Rows) != len(IntegerWorkloads())+1 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	vortex := tab.Row("vortex")
+	vortex := row(tab, "vortex")
 	if vortex == nil {
 		t.Fatal("failed workload dropped from the table")
 	}
@@ -44,8 +44,8 @@ func TestErrorTableDegradesFailedCells(t *testing.T) {
 			t.Errorf("vortex cell %d = %v, want NaN", j, v)
 		}
 	}
-	gcc := tab.Row("gcc")
-	avg := tab.Row("average")
+	gcc := row(tab, "gcc")
+	avg := row(tab, "average")
 	for j := range gcc.Ours {
 		if math.IsNaN(gcc.Ours[j]) {
 			t.Errorf("healthy row poisoned at column %d", j)
@@ -68,7 +68,7 @@ func TestCharacterizeDegradesFailedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mesa := tab.Row("mesa")
+	mesa := row(tab, "mesa")
 	if mesa == nil {
 		t.Fatal("failed workload dropped from the table")
 	}
@@ -77,7 +77,7 @@ func TestCharacterizeDegradesFailedCells(t *testing.T) {
 			t.Errorf("mesa cell %d = %v, want NaN", j, v)
 		}
 	}
-	if idle := tab.Row("idle"); math.IsNaN(idle.Ours[0]) {
+	if idle := row(tab, "idle"); math.IsNaN(idle.Ours[0]) {
 		t.Error("healthy row poisoned")
 	}
 	if r.CellErrors() == nil {
@@ -109,7 +109,7 @@ func TestFullyDegradedTableAverageIsNA(t *testing.T) {
 			}
 		}
 	}
-	if tab.Row("average") == nil {
+	if row(tab, "average") == nil {
 		t.Fatal("average row missing")
 	}
 	if r.CellErrors() == nil {

@@ -31,16 +31,6 @@ type TableRow struct {
 	Paper    []float64
 }
 
-// Row returns the row for a workload, or nil.
-func (t *Table) Row(name string) *TableRow {
-	for i := range t.Rows {
-		if t.Rows[i].Workload == name {
-			return &t.Rows[i]
-		}
-	}
-	return nil
-}
-
 // subsystemColumns names the five rails in table order.
 func subsystemColumns() []string {
 	out := make([]string, 0, power.NumSubsystems)

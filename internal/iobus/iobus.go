@@ -74,9 +74,6 @@ func NewAPIC(numCPUs int) *APIC {
 	return a
 }
 
-// NumCPUs returns the number of delivery targets.
-func (a *APIC) NumCPUs() int { return a.numCPUs }
-
 // RaiseLocal delivers n interrupts of vector v to a specific CPU (the
 // per-CPU local timer).
 func (a *APIC) RaiseLocal(v Vector, cpuID, n int) {
@@ -118,14 +115,6 @@ func (a *APIC) DrainSlice() (perCPU []int, total int) {
 	}
 	a.sliceTot = 0
 	return a.drained, total
-}
-
-// Count returns the cumulative deliveries of vector v to cpuID.
-func (a *APIC) Count(v Vector, cpuID int) uint64 {
-	if v < 0 || v >= numVectors || cpuID < 0 || cpuID >= a.numCPUs {
-		return 0
-	}
-	return a.matrix[v][cpuID]
 }
 
 // Matrix returns a copy of the cumulative delivery matrix, indexed

@@ -1,10 +1,12 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"trickledown/internal/align"
 	"trickledown/internal/core"
+	"trickledown/internal/cpu"
 	"trickledown/internal/power"
 )
 
@@ -33,28 +35,39 @@ func dvfsRun(t *testing.T, seed uint64, schedule []float64, secsPer float64) *al
 	return ds.Skip(20)
 }
 
-func TestFreqScaleBounds(t *testing.T) {
+// settingRun runs idle for a few seconds with set applied first and
+// returns what the counters and the DAQ recorded.
+func settingRun(t *testing.T, set func(*Server)) *align.Dataset {
+	t.Helper()
 	srv, err := New(DefaultConfig(), mustSpec(t, "idle"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.SetFreqScale(0, 0.1); err != nil {
+	set(srv)
+	srv.Run(3)
+	ds, err := srv.Dataset()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.FreqScale(0); got != 0.5 {
-		t.Errorf("freq clamped to %v, want 0.5", got)
+	return ds
+}
+
+// TestFreqScaleBounds: SetFreqScaleAll clamps to [cpu.MinFreqScale, 1],
+// so a scale below the floor runs exactly like the floor and one above
+// nominal exactly like nominal.
+func TestFreqScaleBounds(t *testing.T) {
+	freq := func(scale float64) *align.Dataset {
+		return settingRun(t, func(s *Server) { s.SetFreqScaleAll(scale) })
 	}
-	if err := srv.SetFreqScale(0, 5); err != nil {
-		t.Fatal(err)
+	floor, nominal := freq(cpu.MinFreqScale), freq(1)
+	if reflect.DeepEqual(floor, nominal) {
+		t.Fatal("the floor runs like nominal; the test cannot see a clamp")
 	}
-	if got := srv.FreqScale(0); got != 1 {
-		t.Errorf("freq clamped to %v, want 1", got)
+	if !reflect.DeepEqual(freq(0.1), floor) {
+		t.Errorf("scale 0.1 not clamped to the %v floor", cpu.MinFreqScale)
 	}
-	if err := srv.SetFreqScale(42, 0.8); err == nil {
-		t.Error("out-of-range CPU accepted")
-	}
-	if srv.FreqScale(42) != 1 {
-		t.Error("out-of-range FreqScale() != 1")
+	if !reflect.DeepEqual(freq(5), nominal) {
+		t.Error("scale 5 not clamped to nominal")
 	}
 }
 

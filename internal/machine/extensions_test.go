@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"trickledown/internal/align"
 	"trickledown/internal/core"
+	"trickledown/internal/cpu"
 	"trickledown/internal/disk"
 	"trickledown/internal/iobus"
 	"trickledown/internal/power"
@@ -70,28 +72,22 @@ func TestThrottleVisibleToEq1(t *testing.T) {
 	}
 }
 
-func TestThrottleBoundsAndErrors(t *testing.T) {
-	srv, err := New(DefaultConfig(), mustSpec(t, "idle"))
-	if err != nil {
-		t.Fatal(err)
+// TestThrottleBounds: SetThrottleAll clamps to
+// [0, cpu.MaxThrottle], so a throttle above the cap runs exactly like
+// the cap and a negative one exactly like none.
+func TestThrottleBounds(t *testing.T) {
+	throttle := func(frac float64) *align.Dataset {
+		return settingRun(t, func(s *Server) { s.SetThrottleAll(frac) })
 	}
-	if err := srv.SetThrottle(0, 2.0); err != nil {
-		t.Fatal(err)
+	capped, none := throttle(cpu.MaxThrottle), throttle(0)
+	if reflect.DeepEqual(capped, none) {
+		t.Fatal("the cap runs like no throttle; the test cannot see a clamp")
 	}
-	if got := srv.Throttle(0); got != 0.9 {
-		t.Errorf("throttle clamped to %v, want 0.9", got)
+	if !reflect.DeepEqual(throttle(2), capped) {
+		t.Errorf("throttle 2 not clamped to the %v cap", cpu.MaxThrottle)
 	}
-	if err := srv.SetThrottle(0, -1); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Throttle(0); got != 0 {
-		t.Errorf("negative throttle = %v", got)
-	}
-	if err := srv.SetThrottle(99, 0.5); err == nil {
-		t.Error("out-of-range CPU accepted")
-	}
-	if srv.Throttle(-1) != 0 {
-		t.Error("out-of-range Throttle() nonzero")
+	if !reflect.DeepEqual(throttle(-1), none) {
+		t.Error("throttle -1 not clamped to 0")
 	}
 }
 

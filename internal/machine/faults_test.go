@@ -82,7 +82,7 @@ func TestCrashInjectorCrashesPromptly(t *testing.T) {
 	}
 	// The engine aborts at the next cancellation check, not at the end of
 	// the requested 60 s: the clock should be barely past the crash time.
-	if now := srv.Clock().Seconds(); now > 3 {
+	if now := srv.clock.Seconds(); now > 3 {
 		t.Errorf("run kept stepping to %.2fs after a 2s crash", now)
 	}
 }

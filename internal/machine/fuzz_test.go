@@ -206,7 +206,7 @@ func FuzzServerStep(f *testing.F) {
 					si.Seconds, srv.osRes.Disk.QueueLen, completed, io.max())
 			}
 		})
-		if srv.OS().FlushActive() {
+		if srv.os.FlushActive() {
 			t.Fatalf("writeback still draining after a %gs run", seconds)
 		}
 		var idle ioBound

@@ -163,7 +163,6 @@ type SliceInfo struct {
 // Server is the assembled machine.
 type Server struct {
 	cfg    Config
-	spec   workload.Spec
 	clock  *sim.Clock
 	engine *sim.Engine
 	rng    *sim.RNG
@@ -230,17 +229,12 @@ func New(cfg Config, spec workload.Spec) (*Server, error) {
 			StartSec: float64(i) * spec.StaggerSec,
 		}
 	}
-	s, err := newServer(cfg, placements, func(name string) (workload.Spec, error) {
+	return newServer(cfg, placements, func(name string) (workload.Spec, error) {
 		if name == spec.Name {
 			return spec, nil
 		}
 		return workload.ByName(name)
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.spec = spec
-	return s, nil
 }
 
 // NewMixed builds a server running a heterogeneous set of workload
@@ -357,16 +351,6 @@ func newServer(cfg Config, placements []Placement, lookup func(string) (workload
 	return s, nil
 }
 
-// SetFreqScale sets one processor's DVFS operating point (see
-// cpu.Processor.SetFreqScale); cpuID is range checked.
-func (s *Server) SetFreqScale(cpuID int, scale float64) error {
-	if cpuID < 0 || cpuID >= len(s.procs) {
-		return fmt.Errorf("machine: no processor %d", cpuID)
-	}
-	s.procs[cpuID].SetFreqScale(scale)
-	return nil
-}
-
 // SetFreqScaleAll sets every processor's DVFS operating point.
 func (s *Server) SetFreqScaleAll(scale float64) {
 	for _, p := range s.procs {
@@ -374,39 +358,11 @@ func (s *Server) SetFreqScaleAll(scale float64) {
 	}
 }
 
-// FreqScale returns processor cpuID's operating point (1 if out of
-// range).
-func (s *Server) FreqScale(cpuID int) float64 {
-	if cpuID < 0 || cpuID >= len(s.procs) {
-		return 1
-	}
-	return s.procs[cpuID].FreqScale()
-}
-
-// SetThrottle applies instruction throttling to one processor (see
-// cpu.Processor.SetThrottle); cpuID is range checked.
-func (s *Server) SetThrottle(cpuID int, frac float64) error {
-	if cpuID < 0 || cpuID >= len(s.procs) {
-		return fmt.Errorf("machine: no processor %d", cpuID)
-	}
-	s.procs[cpuID].SetThrottle(frac)
-	return nil
-}
-
 // SetThrottleAll applies the same throttle to every processor.
 func (s *Server) SetThrottleAll(frac float64) {
 	for _, p := range s.procs {
 		p.SetThrottle(frac)
 	}
-}
-
-// Throttle returns processor cpuID's throttle fraction (0 if out of
-// range).
-func (s *Server) Throttle(cpuID int) float64 {
-	if cpuID < 0 || cpuID >= len(s.procs) {
-		return 0
-	}
-	return s.procs[cpuID].Throttle()
 }
 
 // SetCrashInjector installs a crash/panic injector consulted every slice
@@ -598,20 +554,11 @@ func (s *Server) DatasetRobust() (*align.Dataset, align.Quality, error) {
 	return align.MergeRobust(s.dq.Records(), s.sampler.Samples())
 }
 
-// Clock returns the machine clock.
-func (s *Server) Clock() *sim.Clock { return s.clock }
-
 // Sampler exposes the counter sampler (for live-estimation examples).
 func (s *Server) Sampler() *perfctr.Sampler { return s.sampler }
 
 // DAQ exposes the acquisition workstation.
 func (s *Server) DAQ() *daq.DAQ { return s.dq }
-
-// OS exposes the operating-system layer (for /proc/interrupts).
-func (s *Server) OS() *osmodel.OS { return s.os }
-
-// Spec returns the workload this server is running.
-func (s *Server) Spec() workload.Spec { return s.spec }
 
 // Config returns the hardware configuration.
 func (s *Server) Config() Config { return s.cfg }

@@ -224,13 +224,10 @@ func TestAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Spec().Name != "idle" {
-		t.Error("Spec accessor broken")
-	}
 	if srv.Config().NumCPUs != 4 {
 		t.Error("Config accessor broken")
 	}
-	if srv.Clock() == nil || srv.Sampler() == nil || srv.DAQ() == nil || srv.OS() == nil {
+	if srv.clock == nil || srv.Sampler() == nil || srv.DAQ() == nil || srv.os == nil {
 		t.Error("nil component accessor")
 	}
 	if truthMeter(srv)() != (power.Reading{}) {
@@ -298,7 +295,7 @@ func TestRunStepsNearestSlice(t *testing.T) {
 	if err := srv.RunContext(context.Background(), 2.05); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Clock().Now() / srv.Clock().Slice(); got != 2050 {
-		t.Errorf("RunContext(2.05) stepped %d slices, want 2050", got)
+	if got := math.Round(srv.clock.Seconds() / srv.clock.SliceSeconds()); got != 2050 {
+		t.Errorf("RunContext(2.05) stepped %g slices, want 2050", got)
 	}
 }

@@ -56,7 +56,7 @@ func TestNonFiniteDemandCannotWedgeServer(t *testing.T) {
 			}
 			before := mDemandSanitized.Value()
 			srv.Run(5.5)
-			if srv.OS().FlushActive() {
+			if srv.os.FlushActive() {
 				t.Fatal("writeback still draining after 5 s of zero demand")
 			}
 			if got := mDemandSanitized.Value() - before; got != 1 {

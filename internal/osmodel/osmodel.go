@@ -103,9 +103,6 @@ func New(cfg Config, io *iobus.Subsystem, ctl *disk.Controller, parent *sim.RNG)
 	}
 }
 
-// DirtyBytes returns the current dirty page-cache payload.
-func (o *OS) DirtyBytes() float64 { return o.dirty }
-
 // FlushActive reports whether a sync() writeback is in progress.
 func (o *OS) FlushActive() bool { return o.flushLeft > 0 || o.inFlightWr > 1 }
 

@@ -226,7 +226,7 @@ func TestFlushBackpressure(t *testing.T) {
 
 func TestAccessorsAndNIC(t *testing.T) {
 	os, c := newOS(t)
-	if os.DirtyBytes() != 0 {
+	if os.dirty != 0 {
 		t.Error("fresh OS has dirty bytes")
 	}
 	busy := os.BusySeconds()

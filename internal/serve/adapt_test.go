@@ -157,13 +157,7 @@ func feedAdaptDrill(t *testing.T, s *Server, pre, post int, shift float64) {
 
 func waitEstimated(t *testing.T, s *Server, want uint64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.estimated.Load() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("estimated %d, want %d", s.estimated.Load(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, fmt.Sprintf("%d estimated samples", want), func() bool { return s.estimated.Load() >= want })
 }
 
 // TestAdapterHotSwapsServingModel drives the full drill through the
@@ -195,7 +189,7 @@ func TestAdapterHotSwapsServingModel(t *testing.T) {
 	if status.Swaps == 0 {
 		t.Fatalf("no swap after drifted ingest: %+v", status)
 	}
-	if s.Estimator() != m.Champion() {
+	if s.est.Load() != m.Champion() {
 		t.Error("serving estimator diverged from manager champion")
 	}
 	st := s.Stats()
@@ -211,7 +205,7 @@ func TestAdapterHotSwapsServingModel(t *testing.T) {
 	for i := 0; i < n; i++ {
 		smp := adaptSample(i, n)
 		truth := adaptRails(&smp, 0.4).Total()
-		got := s.Estimator().Estimate(&smp).Total()
+		got := s.est.Load().Estimate(&smp).Total()
 		if math.IsNaN(got) || math.IsInf(got, 0) {
 			t.Fatalf("non-finite estimate after swap at %d", i)
 		}
@@ -292,7 +286,7 @@ func TestAdapterSwapMidBatchServesTheRest(t *testing.T) {
 	if st := m.Status(); st.Swaps != 1 || st.Rollbacks != 0 {
 		t.Fatalf("%d swaps, %d rollbacks after the straddling batch", st.Swaps, st.Rollbacks)
 	}
-	next := s.Estimator()
+	next := s.est.Load()
 	if next == champ || next != m.Champion() {
 		t.Fatal("serving estimator did not follow the swap")
 	}
@@ -312,41 +306,30 @@ func TestAdapterSwapMidBatchServesTheRest(t *testing.T) {
 	}
 }
 
-// residualProbe is a fault injector that perturbs nothing. The worker
-// calls it for each sample's first processor just before Observe sees
-// that sample, so it records the champion that Observe will estimate
-// with and the residual Observe computed for the sample before.
-type residualProbe struct {
-	m       *adapt.Manager
-	champs  []*core.Estimator
-	lastErr []float64
-}
-
-func (p *residualProbe) PerturbCounts(_ float64, cpu int, _ *perfctr.CPUCounts) {
-	if cpu == 0 {
-		p.champs = append(p.champs, p.m.Champion())
-		p.lastErr = append(p.lastErr, p.m.Status().LastErrPct)
-	}
-}
-
 // TestObserveResidualMatchesExtractAndBatch: one 256-sample railed
-// batch through a worker swaps the champion and then rolls the swap
-// back. Every residual Observe computes on the way is, bit for bit, the
-// Eq. 6 error of its champion's ExtractMetricsAtInto plus EstimateBatch
-// reading of that sample: the old champion's on the sample that swaps,
-// the challenger's on the sample that rolls back.
+// batch swaps the champion and then rolls the swap back. Every residual
+// Observe computes on the way is, bit for bit, the Eq. 6 error of its
+// champion's ExtractMetricsAtInto plus EstimateBatch reading of that
+// sample: the old champion's on the sample that swaps, the challenger's
+// on the sample that rolls back. A dry-run manager observes the batch
+// sample by sample to show each residual; a worker's process, fed the
+// same batch, must leave its live manager in the dry run's state.
 func TestObserveResidualMatchesExtractAndBatch(t *testing.T) {
 	const n, period, pre = core.BatchSize, 97, 50
 	champ := adaptChampion(t)
 	// The batch is the training regime, then a 0.4 shift until the
 	// manager swaps, then a 2.5 shift until it rolls back, then the
-	// training regime again. A dry run finds where those land.
+	// training regime again. The dry run finds where those land, and
+	// records the champion each sample is observed with and the residual
+	// of the sample before.
 	dry, err := adapt.New(adaptManagerConfig(champ))
 	if err != nil {
 		t.Fatal(err)
 	}
 	samples := make([]perfctr.Sample, n)
 	rails := make([]power.Reading, n)
+	champs := make([]*core.Estimator, n)
+	lastErr := make([]float64, n)
 	shift := 0.0
 	for i := range samples {
 		st := dry.Status()
@@ -360,37 +343,20 @@ func TestObserveResidualMatchesExtractAndBatch(t *testing.T) {
 		}
 		samples[i] = adaptSample(i, period)
 		rails[i] = adaptRails(&samples[i], shift)
+		champs[i], lastErr[i] = dry.Champion(), st.LastErrPct
 		dry.Observe(&samples[i], rails[i])
 	}
-	if st := dry.Status(); st.Swaps == 0 || st.Rollbacks == 0 {
-		t.Fatalf("dry run: %d swaps, %d rollbacks; want both inside the batch", st.Swaps, st.Rollbacks)
+	want := dry.Status()
+	if want.Swaps == 0 || want.Rollbacks == 0 || want.Quarantined != 0 {
+		t.Fatalf("dry run: %d swaps, %d rollbacks, %d quarantined; want a swap and a rollback inside the batch", want.Swaps, want.Rollbacks, want.Quarantined)
 	}
-
-	s, err := New(Config{Estimator: champ})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := adapt.New(adaptManagerConfig(champ))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetAdapter(m)
-	probe := &residualProbe{m: m}
-	s.SetFaultInjector(probe)
-	now := time.Now()
-	s.process(&batch{node: "n", samples: samples, rails: rails, arrived: now, queued: now}, new(workerScratch), 0)
-
-	st := m.Status()
-	if st.Swaps == 0 || st.Rollbacks == 0 || st.Quarantined != 0 || len(probe.champs) != n {
-		t.Fatalf("%d swaps, %d rollbacks, %d quarantined, %d samples probed", st.Swaps, st.Rollbacks, st.Quarantined, len(probe.champs))
-	}
-	resid := append(probe.lastErr[1:], st.LastErrPct)
+	resid := append(lastErr[1:], want.LastErrPct)
 	var met [1]core.Metrics
 	var est [1]power.Reading
 	var cols core.Columns
 	challenged := 0
 	for i := range samples {
-		c := probe.champs[i]
+		c := champs[i]
 		if c != champ {
 			challenged++
 		}
@@ -405,6 +371,38 @@ func TestObserveResidualMatchesExtractAndBatch(t *testing.T) {
 	}
 	if challenged == 0 {
 		t.Fatal("no sample was observed by the challenger")
+	}
+
+	s, err := New(Config{Estimator: champ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := adapt.New(adaptManagerConfig(champ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetAdapter(m)
+	now := time.Now()
+	s.process(&batch{node: "n", samples: samples, rails: rails, arrived: now, queued: now}, new(workerScratch), 0)
+
+	got := m.Status()
+	if math.Float64bits(got.LastErrPct) != math.Float64bits(want.LastErrPct) {
+		t.Errorf("process left LastErrPct %v, the dry run %v", got.LastErrPct, want.LastErrPct)
+	}
+	got.LastErrPct, want.LastErrPct = 0, 0
+	if got != want {
+		t.Errorf("process left status %+v, the dry run %+v", got, want)
+	}
+	for _, sub := range power.Subsystems() {
+		g, w := m.Champion().Model(sub).Coef, dry.Champion().Model(sub).Coef
+		if len(g) != len(w) {
+			t.Fatalf("%s: champion has %d coefficients, the dry run's %d", sub, len(g), len(w))
+		}
+		for k := range g {
+			if math.Float64bits(g[k]) != math.Float64bits(w[k]) {
+				t.Errorf("%s coefficient %d: champion %v, the dry run's %v", sub, k, g[k], w[k])
+			}
+		}
 	}
 }
 
@@ -438,9 +436,9 @@ func TestLongBatchEstimatesEveryChunk(t *testing.T) {
 }
 
 // BenchmarkProcessRails is a worker's path for one 256-sample batch
-// carrying rails under a live adapter: fault pass, one Observe per
-// sample (the champion's estimate, the envelope rates, detectors,
-// window copy), then the chunked batch estimate. The rails match the champion's
+// carrying rails under a live adapter: one Observe per sample (the
+// champion's estimate, the envelope rates, detectors, window copy),
+// then the chunked batch estimate. The rails match the champion's
 // regime, so no alarm or refit runs.
 func BenchmarkProcessRails(b *testing.B) {
 	const n = 256
@@ -507,7 +505,7 @@ func TestAdapterNegativeControl(t *testing.T) {
 	if status.Rejected == 0 {
 		t.Fatalf("gate never exercised: %+v", status)
 	}
-	if s.Estimator() != champ {
+	if s.est.Load() != champ {
 		t.Error("serving estimator changed despite rejection")
 	}
 	if st := s.Stats(); st.ModelVersion != "train-test-corpus" {

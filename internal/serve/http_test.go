@@ -134,10 +134,8 @@ func TestIngestDeclaredLengthDoesNotSizeBuffer(t *testing.T) {
 // TestIngestPooledBodyNotAliased: a batch still queued must not change
 // when the next request's body reuses its pooled buffer.
 func TestIngestPooledBodyNotAliased(t *testing.T) {
-	rel := make(chan struct{})
 	est := testEstimator(t)
-	s := newServer(t, Config{Estimator: est, Workers: 1, QueueDepth: 8})
-	s.SetFaultInjector(&blockingInjector{release: rel})
+	s := newUnstarted(t, Config{Estimator: est, Workers: 1, QueueDepth: 8})
 	h := s.Handler()
 
 	first := mkBatch(32, 2, 100)
@@ -159,7 +157,7 @@ func TestIngestPooledBodyNotAliased(t *testing.T) {
 			t.Fatalf("%s: status %d", b.node, rec.Code)
 		}
 	}
-	close(rel)
+	s.Start()
 	closeServer(t, s)
 	for node, want := range map[string]float64{
 		"first":  est.Estimate(&first[len(first)-1]).Total(),
@@ -177,14 +175,12 @@ func TestIngestPooledBodyNotAliased(t *testing.T) {
 
 // TestIngestRecycledDecoderMatchesFresh: a batch decoded into storage
 // that two earlier batches used must estimate exactly like a fresh
-// decode. The first two are held by a blocked worker so neither
+// decode. The first two wait on an unstarted server's queue so neither
 // decoder can go back to the pool early; the third, shaped
 // differently, reuses theirs once both are estimated.
 func TestIngestRecycledDecoderMatchesFresh(t *testing.T) {
-	rel := make(chan struct{})
 	est := testEstimator(t)
-	s := newServer(t, Config{Estimator: est, Workers: 1, QueueDepth: 8})
-	s.SetFaultInjector(&blockingInjector{release: rel})
+	s := newUnstarted(t, Config{Estimator: est, Workers: 1, QueueDepth: 8})
 	h := s.Handler()
 	post := func(node string, samples []perfctr.Sample) {
 		t.Helper()
@@ -210,7 +206,7 @@ func TestIngestRecycledDecoderMatchesFresh(t *testing.T) {
 	}
 	post("first", first)
 	post("second", second)
-	close(rel)
+	s.Start()
 	waitEstimated(t, s, uint64(len(first)+len(second)))
 	post("third", third)
 	closeServer(t, s)

@@ -18,9 +18,9 @@
 // counted by reason, the fleet aggregate flags itself degraded while
 // shedding or while nodes go stale, and non-finite estimates (glitched
 // counters, poisoned models) are quarantined into a counter while the
-// node keeps reporting its last good reading. The internal/faults
-// injector machinery plugs in via SetFaultInjector for overload and
-// corruption drills.
+// node keeps reporting its last good reading. Counter faults reach the
+// service only in the samples a producer sends; the overload and
+// corruption drills perturb theirs with internal/faults before sending.
 package serve
 
 import (
@@ -201,9 +201,6 @@ type Server struct {
 	nodesMu sync.RWMutex
 	nodes   map[string]*nodeState
 
-	faultMu sync.RWMutex
-	fault   perfctr.FaultInjector
-
 	ctx         context.Context
 	cancel      context.CancelFunc
 	workersDone chan struct{}
@@ -257,9 +254,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Estimator returns the currently serving estimator.
-func (s *Server) Estimator() *core.Estimator { return s.est.Load() }
 
 // SwapEstimator atomically replaces the serving estimator and returns
 // the previous one. The swap is a single pointer store: batches already
@@ -363,21 +357,6 @@ func (s *Server) Close(ctx context.Context) error {
 		<-s.workersDone
 		return ctx.Err()
 	}
-}
-
-// SetFaultInjector installs (or with nil removes) a counter fault
-// injector applied to every sample before estimation — the
-// internal/faults drill hook.
-func (s *Server) SetFaultInjector(f perfctr.FaultInjector) {
-	s.faultMu.Lock()
-	s.fault = f
-	s.faultMu.Unlock()
-}
-
-func (s *Server) faultInjector() perfctr.FaultInjector {
-	s.faultMu.RLock()
-	defer s.faultMu.RUnlock()
-	return s.fault
 }
 
 // Ingest admits a batch of one node's samples on behalf of client. It
@@ -542,9 +521,9 @@ func (s *Server) runBatch(b *batch, scratch *workerScratch, worker int) {
 }
 
 // process runs the batch through the estimators (SCHEDULED→DEPARTED)
-// and folds the result into node state. One pass over the samples
-// applies fault injection and feeds the adapter; then the batch is
-// estimated core.BatchSize samples at a time, with a chunk split
+// and folds the result into node state. A batch carrying rails under
+// an adapter first feeds each sample to drift detection; then the batch
+// is estimated core.BatchSize samples at a time, with a chunk split
 // wherever the adapter swapped the champion. EstimateSamples runs the
 // production models straight from the counts, without extracting
 // metrics. One finite test covers a chunk; only a chunk that fails it
@@ -559,29 +538,17 @@ func (s *Server) runBatch(b *batch, scratch *workerScratch, worker int) {
 // allocates nothing here.
 func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 	b.scheduled, b.worker = time.Now(), worker
-	fault := s.faultInjector()
-	adapter := s.adapter.Load()
-	observe := adapter != nil && b.rails != nil
 	sc.segs = append(sc.segs[:0], estSegment{0, s.est.Load()})
-	if fault != nil || observe {
+	if adapter := s.adapter.Load(); adapter != nil && b.rails != nil {
 		est := sc.segs[0].est
 		for i := range b.samples {
-			smp := &b.samples[i]
-			if fault != nil {
-				for c := range smp.CPUs {
-					fault.PerturbCounts(smp.TargetSeconds, c, &smp.CPUs[c])
-				}
-			}
-			if observe {
-				// Drift detection sees the sample after fault injection —
-				// exactly what the estimators see. A swap or rollback
-				// decided here lands synchronously, so the new champion
-				// serves this sample and the rest of the batch.
-				adapter.Observe(smp, b.rails[i])
-				if e := s.est.Load(); e != est {
-					est = e
-					sc.segs = append(sc.segs, estSegment{i, e})
-				}
+			// Drift detection sees exactly what the estimators see. A
+			// swap or rollback decided here lands synchronously, so the
+			// new champion serves this sample and the rest of the batch.
+			adapter.Observe(&b.samples[i], b.rails[i])
+			if e := s.est.Load(); e != est {
+				est = e
+				sc.segs = append(sc.segs, estSegment{i, e})
 			}
 		}
 	}
@@ -742,9 +709,6 @@ func (s *Server) node(name string) *nodeState {
 	mNodesTracked.Set(float64(len(s.nodes)))
 	return st
 }
-
-// QueueDepth returns the number of batches waiting for a worker.
-func (s *Server) QueueDepth() int { return s.queue.depth() }
 
 // NodePower is one node's live power view.
 type NodePower struct {

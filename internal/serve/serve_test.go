@@ -109,28 +109,52 @@ func mkBatch(n, ncpu int, t0 float64) []perfctr.Sample {
 	return out
 }
 
-// blockingInjector implements perfctr.FaultInjector and parks every
-// perturb call until released — the test lever that wedges estimation
-// workers to fill the queue deterministically.
-type blockingInjector struct{ release chan struct{} }
-
-func (b *blockingInjector) PerturbCounts(t float64, cpu int, c *perfctr.CPUCounts) {
-	<-b.release
-}
-
-func newServer(t *testing.T, cfg Config) *Server {
+// newUnstarted returns a server whose workers have not started: every
+// batch it admits stays on the queue until the test calls Start. The
+// test's cleanup closes it.
+func newUnstarted(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	s.Start()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = s.Close(ctx)
 	})
 	return s
+}
+
+func newServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	s := newUnstarted(t, cfg)
+	s.Start()
+	return s
+}
+
+// parkWorkers holds s.nodesMu, so a started worker that has estimated a
+// batch parks in s.node until release runs; the test's cleanup runs it
+// too. Ingest never takes the lock. Stats, Fleet and NodePower do, so
+// the test reads s.queue.depth() while workers are parked.
+func parkWorkers(t *testing.T, s *Server) (release func()) {
+	s.nodesMu.Lock()
+	var once sync.Once
+	release = func() { once.Do(s.nodesMu.Unlock) }
+	t.Cleanup(release)
+	return release
+}
+
+// waitFor yields until cond holds, failing the test after 10 s.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
 }
 
 func closeServer(t testing.TB, s *Server) {
@@ -185,21 +209,15 @@ func TestIngestEstimatesMatchDirect(t *testing.T) {
 }
 
 func TestQueueFullBackpressure(t *testing.T) {
-	rel := make(chan struct{})
 	s := newServer(t, Config{Estimator: testEstimator(t), Workers: 1, QueueDepth: 2})
-	s.SetFaultInjector(&blockingInjector{release: rel})
+	release := parkWorkers(t, s)
 
-	// First batch wedges the single worker; wait until it leaves the queue.
+	// The first batch parks the single worker; wait until it leaves the
+	// queue.
 	if err := s.Ingest("c", "n", mkBatch(2, 1, 0), nil, tracez.Context{}); err != nil {
 		t.Fatalf("Ingest 0: %v", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the first batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the worker to take the first batch", func() bool { return s.queue.depth() == 0 })
 	// Two more fill the bounded queue exactly.
 	for i := 1; i <= 2; i++ {
 		if err := s.Ingest("c", "n", mkBatch(2, 1, 10), nil, tracez.Context{}); err != nil {
@@ -214,15 +232,15 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if !s.SheddingActive() {
 		t.Error("SheddingActive = false right after queue_full shed")
 	}
+	if d := s.queue.depth(); d > 2 {
+		t.Errorf("queue depth %d exceeds bound 2", d)
+	}
+
+	release()
 	st := s.Stats()
 	if st.SamplesShed != 3 {
 		t.Errorf("SamplesShed = %d, want 3", st.SamplesShed)
 	}
-	if d := s.QueueDepth(); d > 2 {
-		t.Errorf("queue depth %d exceeds bound 2", d)
-	}
-
-	close(rel)
 	closeServer(t, s)
 	if got := s.Stats().SamplesEstimated; got != 6 {
 		t.Errorf("estimated %d after drain, want 6 (all admitted)", got)
@@ -320,15 +338,10 @@ func TestConcurrentProducers(t *testing.T) {
 
 // TestHardCancelAbandonsQueue covers cancellation mid-drain: a Close
 // whose context fires abandons still-queued batches instead of waiting
-// forever for a wedged worker.
+// forever for a parked worker.
 func TestHardCancelAbandonsQueue(t *testing.T) {
-	rel := make(chan struct{})
-	s, err := New(Config{Estimator: testEstimator(t), Workers: 1, QueueDepth: 8})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	s.Start()
-	s.SetFaultInjector(&blockingInjector{release: rel})
+	s := newServer(t, Config{Estimator: testEstimator(t), Workers: 1, QueueDepth: 8})
+	release := parkWorkers(t, s)
 
 	const batchN = 4
 	for i := 0; i < 5; i++ {
@@ -336,15 +349,25 @@ func TestHardCancelAbandonsQueue(t *testing.T) {
 			t.Fatalf("Ingest %d: %v", i, err)
 		}
 	}
+	// The worker parks on batch 0; the other four wait on the queue.
+	waitFor(t, "the worker to take batch 0", func() bool { return s.queue.depth() == 4 })
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.Close(ctx) }()
-	time.Sleep(50 * time.Millisecond) // intake closed, worker wedged on batch 1
-	cancel()                          // hard cancel: abandon the queue
-	// Give Close time to observe the cancel and stop the workers before
-	// un-wedging — the abandoned batches must not be drained.
-	time.Sleep(100 * time.Millisecond)
-	close(rel)
+	waitFor(t, "Close to stop intake", func() bool {
+		s.queue.mu.RLock()
+		defer s.queue.mu.RUnlock()
+		return s.queue.closed
+	})
+	cancel() // hard cancel: abandon the queue
+	// Un-park the worker only once Close has cancelled the workers: the
+	// abandoned batches must not be drained.
+	select {
+	case <-s.ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not cancel the workers after a hard cancel")
+	}
+	release()
 
 	select {
 	case err := <-done:
@@ -563,13 +586,7 @@ func TestHTTPIngestRoundTrip(t *testing.T) {
 	}
 
 	// Wait for the batch to drain, then query every read endpoint.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().SamplesEstimated < 8 {
-		if time.Now().After(deadline) {
-			t.Fatal("batch never estimated")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitEstimated(t, s, 8)
 	want := est.Estimate(&oracle).Total()
 
 	body := httpGet(t, ts.URL+"/power?node=web-node", http.StatusOK)
@@ -609,12 +626,10 @@ func TestHTTPIngestRoundTrip(t *testing.T) {
 }
 
 func TestHTTP429CarriesRetryAfter(t *testing.T) {
-	rel := make(chan struct{})
-	s := newServer(t, Config{
+	// Nothing drains the unstarted server's queue of 1.
+	s := newUnstarted(t, Config{
 		Estimator: testEstimator(t), Workers: 1, QueueDepth: 1,
 	})
-	s.SetFaultInjector(&blockingInjector{release: rel})
-	defer close(rel)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -622,7 +637,7 @@ func TestHTTP429CarriesRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeBatch: %v", err)
 	}
-	// Saturate: worker wedged + queue of 1 → at most 2 accepted before 429.
+	// Saturate: the first batch fills the queue, the rest get 429.
 	var last *http.Response
 	for i := 0; i < 4; i++ {
 		resp, err := http.Post(ts.URL+"/ingest", "application/octet-stream", bytes.NewReader(wire))

@@ -8,31 +8,15 @@ import (
 	"time"
 
 	"trickledown/internal/faults"
-	"trickledown/internal/perfctr"
 	"trickledown/internal/tracez"
 )
 
-// slowFaults wraps a real faults.Injector and adds a fixed service-time
-// cost per sample (charged on CPU 0), so a drill can push the server
-// into genuine overload deterministically while the wrapped injector
-// glitches counters exactly as a production fault plan would.
-type slowFaults struct {
-	inner   *faults.Injector
-	perCall time.Duration
-}
-
-func (s *slowFaults) PerturbCounts(t float64, cpu int, c *perfctr.CPUCounts) {
-	if cpu == 0 {
-		time.Sleep(s.perCall)
-	}
-	s.inner.PerturbCounts(t, cpu, c)
-}
-
-// TestSheddingDrillUnderOverload is the ISSUE's overload drill: drive
-// ~2x the server's capacity with a seeded CounterGlitch fault plan
-// attached, and assert the failure mode is the designed one — bounded
-// queue, explicit ErrQueueFull shedding, a degraded-flagged fleet
-// aggregate, and never a NaN power number.
+// TestSheddingDrillUnderOverload is the overload drill: drive the
+// server past capacity, its one worker parked in node state, with a
+// seeded CounterGlitch fault plan applied to each batch before Ingest
+// as a glitching PMU on the producer would, and assert the failure mode
+// is the designed one — bounded queue, explicit ErrQueueFull shedding,
+// a degraded-flagged fleet aggregate, and never a NaN power number.
 func TestSheddingDrillUnderOverload(t *testing.T) {
 	plan := &faults.Plan{
 		Seed: 42,
@@ -45,25 +29,31 @@ func TestSheddingDrillUnderOverload(t *testing.T) {
 	if err := plan.Validate(); err != nil {
 		t.Fatalf("plan: %v", err)
 	}
+	glitch := plan.Injector("drill-node")
 
 	const (
-		batchN  = 8
-		perCall = 500 * time.Microsecond // ~4ms per batch of 8
-		sends   = 60
+		batchN = 8
+		sends  = 60
 	)
 	s, err := New(Config{Estimator: testEstimator(t), Workers: 1, QueueDepth: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	s.Start()
-	s.SetFaultInjector(&slowFaults{inner: plan.Injector("drill-node"), perCall: perCall})
+	release := parkWorkers(t, s)
 
-	// Send as fast as possible: with one worker at ~4ms/batch and no
-	// pacing, the bounded queue must overflow quickly.
+	// Send as fast as possible: with the worker parked after its first
+	// batch, the bounded queue must overflow.
 	var admitted, shed int
 	maxDepth := 0
 	for i := 0; i < sends; i++ {
-		err := s.Ingest("drill", "drill-node", mkBatch(batchN, 2, float64(i*batchN)), nil, tracez.Context{})
+		samples := mkBatch(batchN, 2, float64(i*batchN))
+		for j := range samples {
+			for c := range samples[j].CPUs {
+				glitch.PerturbCounts(samples[j].TargetSeconds, c, &samples[j].CPUs[c])
+			}
+		}
+		err := s.Ingest("drill", "drill-node", samples, nil, tracez.Context{})
 		switch {
 		case err == nil:
 			admitted++
@@ -72,7 +62,7 @@ func TestSheddingDrillUnderOverload(t *testing.T) {
 		default:
 			t.Fatalf("send %d: unexpected error %v", i, err)
 		}
-		if d := s.QueueDepth(); d > maxDepth {
+		if d := s.queue.depth(); d > maxDepth {
 			maxDepth = d
 		}
 	}
@@ -90,7 +80,9 @@ func TestSheddingDrillUnderOverload(t *testing.T) {
 		t.Error("SheddingActive = false immediately after queue_full rejections")
 	}
 
-	// Mid-overload the fleet view must be degraded but never NaN.
+	// Mid-overload, with the worker draining again, the fleet view must
+	// be degraded but never NaN.
+	release()
 	fleet := s.Fleet()
 	if !fleet.Degraded || !fleet.SheddingActive {
 		t.Errorf("fleet degraded=%v shedding=%v during drill, want true/true", fleet.Degraded, fleet.SheddingActive)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -16,19 +17,18 @@ import (
 	"trickledown/internal/tracez"
 )
 
-// drainTraces polls the recorder until at least want traces finished
-// (workers run async) or the deadline passes.
-func drainTraces(t *testing.T, rec *tracez.Recorder, want uint64) tracez.Snapshot {
+// drainTraces waits until the recorder's recent ring holds at least
+// want traces (workers run async) and returns that snapshot. It waits
+// on the ring, not Stats().Finished: Finish counts a trace before it
+// lands in the rings.
+func drainTraces(t *testing.T, rec *tracez.Recorder, want int) tracez.Snapshot {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if rec.Stats().Finished >= want {
-			return rec.Snapshot()
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("only %d traces finished, want %d", rec.Stats().Finished, want)
-	return tracez.Snapshot{}
+	var snap tracez.Snapshot
+	waitFor(t, fmt.Sprintf("%d recent traces", want), func() bool {
+		snap = rec.Snapshot()
+		return len(snap.Recent) >= want
+	})
+	return snap
 }
 
 func eventKinds(tr tracez.TraceJSON) []string {
@@ -74,11 +74,9 @@ func TestSampledTraceRecordsFullJourney(t *testing.T) {
 
 	// The sampled batch fed the latency histograms through the exemplar
 	// path: the OpenMetrics rendering must link a bucket to this trace.
-	var buf strings.Builder
-	if err := telemetry.WriteOpenMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `trace_id="`+tc.ID.String()+`"`) {
+	rec := httptest.NewRecorder()
+	telemetry.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?exemplars=1", nil))
+	if !strings.Contains(rec.Body.String(), `trace_id="`+tc.ID.String()+`"`) {
 		t.Error("OpenMetrics exposition lacks an exemplar for the sampled trace")
 	}
 }
@@ -118,15 +116,13 @@ func TestHTTPTracezEndpoint(t *testing.T) {
 
 func TestShedAnomalyAlwaysKeptAndBundled(t *testing.T) {
 	diag := t.TempDir()
-	inj := &blockingInjector{release: make(chan struct{})}
-	s := newServer(t, Config{
+	s := newUnstarted(t, Config{
 		Estimator: testEstimator(t), Workers: 1, QueueDepth: 1,
 		TraceSampleRate: 0, DiagDir: diag,
 	})
-	s.SetFaultInjector(inj)
-	defer close(inj.release)
 
-	// Wedge the single worker, fill the queue, then overflow it.
+	// Nothing drains the unstarted server's queue: fill it, then
+	// overflow it.
 	var shedID tracez.TraceID
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -153,13 +149,7 @@ func TestShedAnomalyAlwaysKeptAndBundled(t *testing.T) {
 	}
 
 	// Entering shedding must have triggered a diagnostics bundle.
-	bundleDeadline := time.Now().Add(5 * time.Second)
-	for s.LastDiagBundle() == "" {
-		if time.Now().After(bundleDeadline) {
-			t.Fatal("no diagnostics bundle after shed transition")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, "a diagnostics bundle after the shed transition", func() bool { return s.LastDiagBundle() != "" })
 	bundle := s.LastDiagBundle()
 	if !strings.HasPrefix(bundle, diag) {
 		t.Errorf("bundle %q outside DiagDir %q", bundle, diag)
@@ -245,26 +235,13 @@ func TestIngestUnsampledAllocs(t *testing.T) {
 // service-time series. The histograms are process-wide, so the test
 // asserts on count deltas.
 func TestShedBatchesSkipLatencyHistograms(t *testing.T) {
-	inj := &blockingInjector{release: make(chan struct{})}
-	s := newServer(t, Config{
+	s := newUnstarted(t, Config{
 		Estimator: testEstimator(t), Workers: 1, QueueDepth: 2, TraceSampleRate: 0,
 	})
-	s.SetFaultInjector(inj)
 
-	// Wedge the worker and fill the queue: these are the admitted
-	// batches. The first must leave the queue before the fill starts, or
-	// the worker frees a slot that one overflow batch then takes.
-	if err := s.Ingest("c1", "node-hist", mkBatch(1, 1, 5), nil, tracez.Context{}); err != nil {
-		t.Fatalf("Ingest: %v", err)
-	}
-	admitted := 1
+	// Fill the unstarted server's queue: these are the admitted batches.
+	admitted := 0
 	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the first batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	for {
 		err := s.Ingest("c1", "node-hist", mkBatch(1, 1, 5), nil, tracez.Context{})
 		if err == ErrQueueFull {
@@ -294,8 +271,8 @@ func TestShedBatchesSkipLatencyHistograms(t *testing.T) {
 			qw-qwBefore, sv-svBefore, e2e-e2eBefore)
 	}
 
-	// Release the workers; exactly the admitted batches flow through.
-	close(inj.release)
+	// Start the worker; exactly the admitted batches flow through.
+	s.Start()
 	closeServer(t, s)
 	if got := mQueueWait.Count() - qwBefore; got != uint64(admitted) {
 		t.Errorf("queue-wait observations = %d, want the %d admitted batches", got, admitted)
@@ -374,26 +351,15 @@ func TestTraceBuilderOneTimeline(t *testing.T) {
 	}
 }
 
-// TestSlowTraceMatchesSampledJourney drives two /ingest batches through
-// a wedged worker, one sampled by its producer and one kept only for
-// being slow. Both traces carry the same journey in time order, and the
-// slow one's ENQUEUED holds the backlog it queued behind.
+// TestSlowTraceMatchesSampledJourney queues two /ingest batches on an
+// unstarted server, one sampled by its producer and one kept only for
+// being slow, then starts its worker. Both traces carry the same
+// journey in time order, and the slow one's ENQUEUED holds the backlog
+// it queued behind.
 func TestSlowTraceMatchesSampledJourney(t *testing.T) {
-	inj := &blockingInjector{release: make(chan struct{})}
-	s := newServer(t, Config{
+	s := newUnstarted(t, Config{
 		Estimator: testEstimator(t), Workers: 1, TraceSampleRate: 0, SlowTrace: time.Nanosecond,
 	})
-	s.SetFaultInjector(inj)
-	if err := s.Ingest("c1", "node-w", mkBatch(1, 1, 0), nil, tracez.Context{}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the wedging batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	h := s.Handler()
 	var ids [2]tracez.TraceID
 	for i, sampled := range []bool{true, false} {
@@ -409,8 +375,8 @@ func TestSlowTraceMatchesSampledJourney(t *testing.T) {
 			t.Fatalf("ingest %d = %d, want 202", i, rec.Code)
 		}
 	}
-	close(inj.release)
-	snap := drainTraces(t, s.rec, 3)
+	s.Start()
+	snap := drainTraces(t, s.rec, 2)
 	byID := map[string]tracez.TraceJSON{}
 	for _, tr := range snap.Recent {
 		byID[tr.ID] = tr
@@ -439,10 +405,7 @@ func TestSlowTraceMatchesSampledJourney(t *testing.T) {
 // TestShedIngestTraceKeepsDecoded: a batch /ingest decodes and then
 // sheds for a full queue is traced from ARRIVED through DECODED to SHED.
 func TestShedIngestTraceKeepsDecoded(t *testing.T) {
-	inj := &blockingInjector{release: make(chan struct{})}
-	s := newServer(t, Config{Estimator: testEstimator(t), Workers: 1, QueueDepth: 1, TraceSampleRate: 0})
-	s.SetFaultInjector(inj)
-	defer close(inj.release)
+	s := newUnstarted(t, Config{Estimator: testEstimator(t), Workers: 1, QueueDepth: 1, TraceSampleRate: 0})
 	h := s.Handler()
 	wire := ingestFrame(t, "node-s", 2)
 	deadline := time.Now().Add(5 * time.Second)

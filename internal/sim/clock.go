@@ -20,7 +20,6 @@ const (
 type Clock struct {
 	slice    time.Duration
 	sliceSec float64 // slice.Seconds(), computed once
-	coreHz   float64
 	sliceN   int64   // slices elapsed since reset
 	cyclesPS float64 // core cycles per slice
 }
@@ -39,7 +38,6 @@ func NewClock(slice time.Duration, coreHz float64) *Clock {
 	return &Clock{
 		slice:    slice,
 		sliceSec: sec,
-		coreHz:   coreHz,
 		cyclesPS: coreHz * sec,
 	}
 }
@@ -53,16 +51,8 @@ func (c *Clock) Slice() time.Duration { return c.slice }
 // SliceSeconds returns the duration of one step in seconds.
 func (c *Clock) SliceSeconds() float64 { return c.sliceSec }
 
-// CoreHz returns the simulated core clock frequency.
-func (c *Clock) CoreHz() float64 { return c.coreHz }
-
 // CyclesPerSlice returns the number of core cycles in one slice.
 func (c *Clock) CyclesPerSlice() float64 { return c.cyclesPS }
-
-// Now returns elapsed simulated time.
-func (c *Clock) Now() time.Duration {
-	return time.Duration(c.sliceN) * c.slice
-}
 
 // Seconds returns elapsed simulated time in seconds.
 func (c *Clock) Seconds() float64 {

@@ -52,9 +52,6 @@ func NewEngine(clock *Clock) *Engine {
 	return &Engine{clock: clock}
 }
 
-// Clock returns the engine's clock.
-func (e *Engine) Clock() *Clock { return e.clock }
-
 // Register appends components to the step order.
 func (e *Engine) Register(cs ...Component) {
 	e.components = append(e.components, cs...)

@@ -17,8 +17,8 @@ func TestRunSlicesContextCompletes(t *testing.T) {
 	if steps != 500 {
 		t.Errorf("steps = %d", steps)
 	}
-	if e.Clock().sliceN != 500 {
-		t.Errorf("clock at slice %d", e.Clock().sliceN)
+	if e.clock.sliceN != 500 {
+		t.Errorf("clock at slice %d", e.clock.sliceN)
 	}
 }
 
@@ -41,8 +41,8 @@ func TestRunSlicesContextCancel(t *testing.T) {
 	if steps >= 1_000_000 {
 		t.Error("cancellation did not stop the run")
 	}
-	if e.Clock().sliceN != steps {
-		t.Errorf("clock slice %d != steps %d (stopped mid-slice?)", e.Clock().sliceN, steps)
+	if e.clock.sliceN != steps {
+		t.Errorf("clock slice %d != steps %d (stopped mid-slice?)", e.clock.sliceN, steps)
 	}
 }
 

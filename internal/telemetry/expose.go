@@ -41,10 +41,6 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	return bw.err
 }
 
-// WriteOpenMetrics writes the Default registry; see
-// Registry.WriteOpenMetrics.
-func WriteOpenMetrics(w io.Writer) error { return defaultRegistry.WriteOpenMetrics(w) }
-
 // errWriter remembers the first write error so expose implementations
 // can stay error-blind.
 type errWriter struct {

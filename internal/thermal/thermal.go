@@ -25,17 +25,6 @@ import (
 // Temps holds one temperature per subsystem, in degrees Celsius.
 type Temps [power.NumSubsystems]float64
 
-// Max returns the hottest subsystem and its temperature.
-func (t Temps) Max() (power.Subsystem, float64) {
-	best := power.SubCPU
-	for _, s := range power.Subsystems() {
-		if t[s] > t[best] {
-			best = s
-		}
-	}
-	return best, t[best]
-}
-
 // Params configures the thermal network.
 type Params struct {
 	// AmbientC is the inlet air temperature.
@@ -161,9 +150,6 @@ func (m *Model) SteadyState(pw power.Reading) Temps {
 	}
 	return out
 }
-
-// Params returns the model configuration.
-func (m *Model) Params() Params { return m.p }
 
 // expNeg computes e^-x.
 func expNeg(x float64) float64 {

@@ -112,14 +112,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestTempsMax(t *testing.T) {
-	temps := Temps{60, 40, 55, 45, 42}
-	s, v := temps.Max()
-	if s != power.SubCPU || v != 60 {
-		t.Errorf("Max = %v %v", s, v)
-	}
-}
-
 func TestNewPanicsOnBadParams(t *testing.T) {
 	for name, mutate := range map[string]func(*Params){
 		"zero resistance":     func(p *Params) { p.ResistanceCPerW[power.SubDisk] = 0 },

@@ -265,15 +265,6 @@ func DecodeBytes(data []byte) (*Trace, error) {
 	return tr, nil
 }
 
-// Decode reads a full WTR1 serialization from r.
-func Decode(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(io.LimitReader(r, 1<<30))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBytes(data)
-}
-
 // ReadFile decodes the trace at path.
 func ReadFile(path string) (*Trace, error) {
 	data, err := os.ReadFile(path)
