@@ -53,21 +53,6 @@ func sampleAt(i, n int) perfctr.Sample {
 	return s
 }
 
-func sumf(v []float64) float64 {
-	t := 0.0
-	for _, x := range v {
-		t += x
-	}
-	return t
-}
-
-func meanf(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return sumf(v) / float64(len(v))
-}
-
 // railsFor synthesizes measured rails from a sample. shift scales the
 // activity-sensitive coefficients — shift 0 is the training regime,
 // larger shifts model a hardware/workload relationship the frozen
@@ -76,14 +61,14 @@ func railsFor(s *perfctr.Sample, shift float64) power.Reading {
 	m := core.ExtractMetrics(s)
 	k := 1 + shift
 	var r power.Reading
-	r[power.SubCPU] = 9.25*float64(m.NumCPUs) + k*26.45*sumf(m.PercentActive) + k*4.31*sumf(m.UopsPerCycle)
+	r[power.SubCPU] = 9.25*m[core.NumCPUs] + k*26.45*m[core.SumActive] + k*4.31*m[core.SumUPC]
 	r[power.SubChipset] = 19.0
-	busTot := m.TotalBusPMC()
+	busTot := m[core.TotalBus]
 	r[power.SubMemory] = 28 + k*0.018*busTot + 2e-6*busTot*busTot
-	ints := sumf(m.IntsPMC)
+	ints := m[core.SumInts]
 	r[power.SubIO] = 32.7 + k*1.1*ints + 0.04*ints*ints
-	di := sumf(m.DiskIntsPMC)
-	dm := meanf(m.DMAPMC)
+	di := m[core.SumDiskInts]
+	dm := m[core.MeanDMA]
 	r[power.SubDisk] = 21.6 + k*2.0*di + 0.05*di*di + 0.002*dm + 1e-6*dm*dm
 	return r
 }

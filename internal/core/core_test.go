@@ -44,11 +44,18 @@ func mkSample(active, upc, l3pmc, buspmc, dmapmc, intspmc float64) perfctr.Sampl
 	return s
 }
 
+// designRow returns spec's design terms for one row.
+func designRow(spec ModelSpec, m *Metrics) []float64 {
+	d := make([]float64, len(spec.Terms))
+	spec.Design(d, m)
+	return d
+}
+
 func TestExtractMetrics(t *testing.T) {
 	s := mkSample(0.75, 1.5, 100, 400, 50, 0.2)
 	m := ExtractMetrics(&s)
-	if m.NumCPUs != 2 {
-		t.Fatalf("NumCPUs = %d", m.NumCPUs)
+	if m[NumCPUs] != 2 {
+		t.Fatalf("NumCPUs = %v", m[NumCPUs])
 	}
 	approx := func(got, want float64, what string) {
 		t.Helper()
@@ -56,22 +63,27 @@ func TestExtractMetrics(t *testing.T) {
 			t.Errorf("%s = %v, want ~%v", what, got, want)
 		}
 	}
-	approx(m.PercentActive[0], 0.75, "PercentActive")
-	approx(m.UopsPerCycle[1], 1.5, "UopsPerCycle")
-	approx(m.L3LoadPMC[0], 100, "L3LoadPMC")
-	approx(m.BusTxPMC[0], 400, "BusTxPMC")
-	approx(m.DMAPMC[1], 50, "DMAPMC")
-	approx(m.IntsPMC[0], 0.2, "IntsPMC")
-	approx(m.DiskIntsPMC[0], 0.1, "DiskIntsPMC")
-	// TotalBusPMC: sum of own (2x400) + mean DMA (50).
-	approx(m.TotalBusPMC(), 850, "TotalBusPMC")
+	approx(m[SumActive], 2*0.75, "SumActive")
+	approx(m[SumUPC], 2*1.5, "SumUPC")
+	approx(m[SumL3Load], 2*100, "SumL3Load")
+	approx(m[SumBusTx], 2*400, "SumBusTx")
+	approx(m[SumPrefetch], 2*40, "SumPrefetch")
+	approx(m[MeanDMA], 50, "MeanDMA")
+	approx(m[SumUncacheable], 2*5, "SumUncacheable")
+	approx(m[SumInts], 2*0.2, "SumInts")
+	approx(m[SumDiskInts], 2*0.1, "SumDiskInts")
+	// TotalBus: sum of own (2x400) + mean DMA (50).
+	approx(m[TotalBus], 850, "TotalBus")
 }
 
 func TestExtractMetricsZeroCycles(t *testing.T) {
 	s := perfctr.Sample{CPUs: make([]perfctr.CPUCounts, 1)}
 	m := ExtractMetrics(&s)
-	if m.PercentActive[0] != 0 || m.UopsPerCycle[0] != 0 {
+	if m[SumActive] != 0 || m[SumUPC] != 0 || m[SumBusTx] != 0 {
 		t.Error("zero-cycle sample produced nonzero rates")
+	}
+	if m[NumCPUs] != 1 || m[SumV] != power.VoltageScale(1) {
+		t.Errorf("zero-cycle processor: NumCPUs = %v, SumV = %v, want 1 and V(1)", m[NumCPUs], m[SumV])
 	}
 }
 
@@ -94,7 +106,7 @@ func TestTrainRecoversLinearCPUModel(t *testing.T) {
 	ds := synthDataset(60, func(i int, s *perfctr.Sample) power.Reading {
 		m := ExtractMetrics(s)
 		var r power.Reading
-		r[power.SubCPU] = 9.25*float64(m.NumCPUs) + 26.45*sum(m.PercentActive) + 4.31*sum(m.UopsPerCycle)
+		r[power.SubCPU] = 9.25*m[NumCPUs] + 26.45*m[SumActive] + 4.31*m[SumUPC]
 		return r
 	})
 	mod, err := Train(CPUSpec(), ds)
@@ -116,7 +128,7 @@ func TestTrainRecoversLinearCPUModel(t *testing.T) {
 func TestTrainRecoversQuadraticMemModel(t *testing.T) {
 	ds := synthDataset(80, func(i int, s *perfctr.Sample) power.Reading {
 		m := ExtractMetrics(s)
-		x := m.TotalBusPMC()
+		x := m[TotalBus]
 		var r power.Reading
 		r[power.SubMemory] = 28 + 0.002*x + 1e-7*x*x
 		return r
@@ -160,11 +172,8 @@ func TestTrainNamesCollinearTerm(t *testing.T) {
 	spec := ModelSpec{
 		Name: "dup",
 		Sub:  power.SubMemory,
-		Design: func(cols [][]float64, ms []Metrics) {
-			for j := range ms {
-				x := ms[j].TotalBusPMC()
-				cols[0][j], cols[1][j], cols[2][j] = 1, x, 2*x
-			}
+		Design: func(d []float64, m *Metrics) {
+			d[0], d[1], d[2] = 1, m[TotalBus], 2*m[TotalBus]
 		},
 		Terms: []string{"const", "bus", "twice_bus"},
 	}
@@ -248,11 +257,11 @@ func TestEstimatorEstimateAndPerCPU(t *testing.T) {
 	ds := synthDataset(50, func(i int, s *perfctr.Sample) power.Reading {
 		m := ExtractMetrics(s)
 		var r power.Reading
-		r[power.SubCPU] = 9*float64(m.NumCPUs) + 25*sum(m.PercentActive) + 4*sum(m.UopsPerCycle)
+		r[power.SubCPU] = 9*m[NumCPUs] + 25*m[SumActive] + 4*m[SumUPC]
 		r[power.SubChipset] = 19.9
-		r[power.SubMemory] = 28 + 0.001*m.TotalBusPMC()
-		r[power.SubIO] = 32.7 + sum(m.IntsPMC)
-		r[power.SubDisk] = 21.6 + sum(m.DiskIntsPMC)
+		r[power.SubMemory] = 28 + 0.001*m[TotalBus]
+		r[power.SubIO] = 32.7 + m[SumInts]
+		r[power.SubDisk] = 21.6 + m[SumDiskInts]
 		return r
 	})
 	est, err := TrainEstimator(TrainingSet{CPU: ds, Memory: ds, Disk: ds, IO: ds, Chipset: ds})
@@ -262,7 +271,7 @@ func TestEstimatorEstimateAndPerCPU(t *testing.T) {
 	s := mkSample(0.6, 1.2, 200, 900, 40, 1.0)
 	r := est.Estimate(&s)
 	m := ExtractMetrics(&s)
-	wantCPU := 9*2.0 + 25*sum(m.PercentActive) + 4*sum(m.UopsPerCycle)
+	wantCPU := 9*2.0 + 25*m[SumActive] + 4*m[SumUPC]
 	if math.Abs(r[power.SubCPU]-wantCPU) > 0.5 {
 		t.Errorf("estimated CPU = %v, want ~%v", r[power.SubCPU], wantCPU)
 	}
@@ -279,7 +288,7 @@ func TestEstimatorEstimateAndPerCPU(t *testing.T) {
 		t.Errorf("per-CPU sum %v != estimate %v", total, r[power.SubCPU])
 	}
 	// EstimateMetrics agrees with Estimate.
-	if r2 := est.EstimateMetrics(m); r2 != r {
+	if r2 := est.EstimateMetrics(&m); r2 != r {
 		t.Error("EstimateMetrics disagrees with Estimate")
 	}
 	// Model accessor.
@@ -311,7 +320,7 @@ func TestRejectedSpecsHaveDistinctInputs(t *testing.T) {
 		DiskDMASpec(), DiskUncacheableSpec(), IODMASpec(), IOUncacheableSpec(),
 		CPUSpec(), MemL3Spec(), MemBusSpec(), DiskSpec(), IOSpec(), ChipsetSpec(),
 	} {
-		row := designRow(spec, m)
+		row := designRow(spec, &m)
 		if len(row) == 0 || len(row) != len(spec.Terms) {
 			t.Errorf("%s: design row %d columns, %d terms", spec.Name, len(row), len(spec.Terms))
 		}

@@ -30,7 +30,8 @@ func (e *Estimator) Provenance() *Provenance { return e.prov }
 func (e *Estimator) SetProvenance(p *Provenance) { e.prov = p }
 
 // NewEstimator builds an estimator from fitted models. Every subsystem
-// must be covered exactly once.
+// must be covered exactly once, and every model must have one
+// coefficient per design term.
 func NewEstimator(models ...*Model) (*Estimator, error) {
 	e := &Estimator{}
 	for _, m := range models {
@@ -43,6 +44,10 @@ func NewEstimator(models ...*Model) (*Estimator, error) {
 		}
 		if e.models[idx] != nil {
 			return nil, fmt.Errorf("core: duplicate model for %s", m.Spec.Sub)
+		}
+		if want := len(m.Spec.Terms); len(m.Coef) != want {
+			return nil, fmt.Errorf("core: model %q has %d coefficients, want %d",
+				m.Spec.Name, len(m.Coef), want)
 		}
 		e.models[idx] = m
 	}
@@ -69,15 +74,15 @@ func (e *Estimator) Model(s power.Subsystem) *Model {
 // samples.
 func (e *Estimator) Estimate(s *perfctr.Sample) power.Reading {
 	var out [1]power.Reading
-	e.estimate(out[:], unsafe.Slice(s, 1), nil, nil)
+	e.estimate(out[:], unsafe.Slice(s, 1), nil)
 	return out[0]
 }
 
-// EstimateRates is Estimate plus RatesOf of the same sample. The
-// production kernel computes the rates once for both; every other
-// estimator runs RatesOf beside its estimate.
+// EstimateRates is Estimate plus RatesOf of the same sample, computed
+// once for both: by the production kernel's rate pass, or as features
+// of the row every other estimator extracts.
 func (e *Estimator) EstimateRates(s *perfctr.Sample) (out power.Reading, r Rates) {
-	e.estimate(unsafe.Slice(&out, 1), unsafe.Slice(s, 1), nil, unsafe.Slice(&r, 1))
+	e.estimate(unsafe.Slice(&out, 1), unsafe.Slice(s, 1), unsafe.Slice(&r, 1))
 	return out, r
 }
 
@@ -85,27 +90,26 @@ func (e *Estimator) EstimateRates(s *perfctr.Sample) (out power.Reading, r Rates
 // at least len(ss) long. An estimator of the five ProductionSpecs
 // evaluates them straight from the counts, one sample at a time: the
 // rate pass of RatesOf, then five dot products. Every other estimator
-// extracts ss BatchSize samples at a time into c and runs
-// EstimateBatch; c may be nil, and that path then borrows pooled
-// scratch. Either way every rail is bit-identical to extracting with
-// ExtractMetricsAtInto at the default clock and running EstimateBatch.
-func (e *Estimator) EstimateSamples(out []power.Reading, ss []perfctr.Sample, c *Columns) {
-	e.estimate(out, ss, c, nil)
+// extracts each sample's row at the default clock and runs the five
+// Predicts on it. Either way every rail is bit-identical to
+// EstimateMetrics of ExtractMetrics.
+func (e *Estimator) EstimateSamples(out []power.Reading, ss []perfctr.Sample) {
+	e.estimate(out, ss, nil)
 }
 
 // estimate is EstimateSamples that also writes RatesOf(&ss[j]) to rs[j]
 // when rs is not nil. Estimate and EstimateRates call it directly, so
 // each is small enough to inline and its batch of one stays in the
 // caller's frame.
-func (e *Estimator) estimate(out []power.Reading, ss []perfctr.Sample, c *Columns, rs []Rates) {
+func (e *Estimator) estimate(out []power.Reading, ss []perfctr.Sample, rs []Rates) {
 	out = out[:len(ss)]
-	if e.kernel() {
+	if e.production {
 		// The production kernel: Equations 1, 3, 4 and 5 and the
 		// chipset constant with every term in registers. It reproduces
-		// ExtractMetricsAtInto followed by each spec's Design and dot
-		// bit for bit: squares are v*v as in square, and each dot
-		// product starts at 0.0 and adds coef[k]*term[k] in ascending
-		// k, each product rounded on its own, as dot does.
+		// ExtractMetricsAtInto followed by each spec's Design and
+		// Predict bit for bit: squares are v*v as in the designs, and
+		// each dot product starts at 0.0 and adds coef[k]*term[k] in
+		// ascending k, each product rounded on its own, as Predict does.
 		cpu, chip, mem, io, dsk := e.models[power.SubCPU].Coef, e.models[power.SubChipset].Coef,
 			e.models[power.SubMemory].Coef, e.models[power.SubIO].Coef, e.models[power.SubDisk].Coef
 		_, _, _, _, _ = cpu[2], chip[0], mem[2], io[2], dsk[4] // one bounds check per call, not per sample
@@ -125,54 +129,35 @@ func (e *Estimator) estimate(out []power.Reading, ss []perfctr.Sample, c *Column
 		}
 		return
 	}
-	for j := range rs {
-		rs[j] = RatesOf(&ss[j])
-	}
-	if c == nil {
-		one := singles.Get().(*single)
-		defer singles.Put(one)
-		c = &one.cols
-	}
-	for lo := 0; lo < len(ss); lo += BatchSize {
-		chunk := ss[lo:min(lo+BatchSize, len(ss))]
-		if len(c.ms) < len(chunk) {
-			c.ms = make([]Metrics, len(chunk))
+	t := termPool.Get().(*terms)
+	defer termPool.Put(t)
+	for j := range ss {
+		ExtractMetricsAtInto(&t.row, &ss[j], sim.DefaultCoreHz)
+		if rs != nil {
+			rs[j] = Rates(t.row[SumActive : MeanDMA+1])
 		}
-		ms := c.ms[:len(chunk)]
-		for j := range chunk {
-			ExtractMetricsAtInto(&ms[j], &chunk[j], sim.DefaultCoreHz)
-		}
-		e.EstimateBatch(out[lo:], ms, c)
+		out[j] = e.predict(t, &t.row)
 	}
 }
 
-// kernel reports whether EstimateSamples may run the production
-// kernel: the estimator is production and every Coef still has its
-// design's width. The kernel leaves a shorter or longer Coef to dot.
-func (e *Estimator) kernel() bool {
-	if !e.production {
-		return false
+// predict runs every model's Predict on m, designing in t.
+func (e *Estimator) predict(t *terms, m *Metrics) (out power.Reading) {
+	for sub, mod := range e.models {
+		out[sub] = t.predict(mod, m)
 	}
-	for _, m := range e.models {
-		if len(m.Coef) != len(m.Spec.Terms) {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 // Rates are the six per-sample aggregates the production designs and
-// the drift envelopes read, in EnvelopeNames order: Σ active fraction,
-// Σ uops per cycle, total bus transactions (Metrics.TotalBusPMC), Σ
-// interrupts, Σ disk interrupts (per million cycles) and mean DMA.
+// the drift envelopes read, in EnvelopeNames order: features SumActive
+// through MeanDMA of a Metrics row.
 type Rates [NumEnvelopeMetrics]float64
 
 // RatesOf is the one rate pass over a sample's processors: the kernel,
-// ComputeEnvelopes and the drift detector all read it. Each rate is bit
-// for bit the aggregate of ExtractMetrics' per-CPU slices: each term
-// comes from the shared per-CPU helpers, the sums run in processor
-// order from 0.0 as sum does, and a mean divides by the processor count
-// as mean does.
+// ExtractMetricsAtInto, ComputeEnvelopes and the drift detector all
+// read it. Each term comes from the shared per-CPU helpers, the sums
+// run in processor order from 0.0, and the mean divides by the
+// processor count.
 func RatesOf(s *perfctr.Sample) Rates {
 	act, upc, bus, ints, disk, dma := rates(s)
 	return Rates{act, upc, bus, ints, disk, dma}
@@ -206,36 +191,14 @@ func rates(s *perfctr.Sample) (act, upc, totalBus, ints, disk, meanDMA float64) 
 	return act, upc, bus + meanDMA, ints, disk, meanDMA
 }
 
-// EstimateMetrics is Estimate for pre-extracted metrics: a batch of
-// one through EstimateBatch, in pooled scratch, so it allocates nothing
-// in steady state and m may be shared by concurrent callers. A caller
-// that owns its scratch saves the pool and the Metrics copy by passing
-// a one-element batch to EstimateBatch.
+// EstimateMetrics is Estimate for a sample's extracted row: the five
+// models' Predicts. It allocates nothing in steady state, and m may be
+// shared by concurrent callers.
 func (e *Estimator) EstimateMetrics(m *Metrics) power.Reading {
-	one := getSingle(m)
-	var out [1]power.Reading
-	e.EstimateBatch(out[:], one.ms[:], &one.cols)
-	putSingle(one)
-	return out[0]
-}
-
-// EstimateBatch writes the estimate of ms[j] to out[j], which must be
-// at least len(ms) long. It makes one Design call per model for the
-// whole batch, building the columns in c; a caller that reuses ms, out
-// and c estimates without allocating. Every rail is bit-identical to
-// EstimateMetrics on the same sample.
-func (e *Estimator) EstimateBatch(out []power.Reading, ms []Metrics, c *Columns) {
-	out = out[:len(ms)]
-	if cap(c.rail) < len(ms) {
-		c.rail = make([]float64, len(ms))
-	}
-	rail := c.rail[:len(ms)]
-	for sub, mod := range e.models {
-		mod.predict(rail, ms, c)
-		for j, v := range rail {
-			out[j][sub] = v
-		}
-	}
+	t := termPool.Get().(*terms)
+	out := e.predict(t, m)
+	termPool.Put(t)
+	return out
 }
 
 // PerCPUPower attributes the CPU subsystem's estimate to individual
@@ -247,13 +210,17 @@ func (e *Estimator) EstimateBatch(out []power.Reading, ms []Metrics, c *Columns)
 // the unhalted fraction and fetch rate of each processor.
 func (e *Estimator) PerCPUPower(s *perfctr.Sample) []float64 {
 	cm := e.models[power.SubCPU]
-	if cm.Spec.eq != eqCPU || len(cm.Coef) < 3 {
+	if cm.Spec.eq != eqCPU {
 		return nil
 	}
-	m := ExtractMetrics(s)
-	out := make([]float64, m.NumCPUs)
-	for i := 0; i < m.NumCPUs; i++ {
-		out[i] = cm.Coef[0] + cm.Coef[1]*m.PercentActive[i] + cm.Coef[2]*m.UopsPerCycle[i]
+	out := make([]float64, len(s.CPUs))
+	for i := range s.CPUs {
+		c := &s.CPUs[i]
+		var act, upc float64
+		if cyc := float64(c.Cycles); cyc > 0 {
+			act, upc = activeFraction(c, cyc), float64(c.FetchedUops)/cyc
+		}
+		out[i] = cm.Coef[0] + cm.Coef[1]*act + cm.Coef[2]*upc
 	}
 	return out
 }

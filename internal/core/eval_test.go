@@ -18,7 +18,7 @@ func evalDataset(t *testing.T, n int) (*align.Dataset, *Model) {
 	ds := synthDataset(n, func(i int, s *perfctr.Sample) power.Reading {
 		m := ExtractMetrics(s)
 		var r power.Reading
-		r[power.SubCPU] = 9.25*float64(m.NumCPUs) + 26.45*sum(m.PercentActive) + 4.31*sum(m.UopsPerCycle)
+		r[power.SubCPU] = 9.25*m[NumCPUs] + 26.45*m[SumActive] + 4.31*m[SumUPC]
 		return r
 	})
 	mod, err := Train(CPUSpec(), ds)
@@ -78,7 +78,8 @@ func TestResiduals(t *testing.T) {
 	res := make([]float64, ds.Len())
 	for i := range res {
 		measured := ds.Rows[i].Power[power.SubCPU]
-		modeled := mod.Predict(ExtractMetrics(&ds.Rows[i].Counters))
+		m := ExtractMetrics(&ds.Rows[i].Counters)
+		modeled := mod.Predict(&m)
 		res[i] = modeled - measured
 	}
 	want, err := stats.Summarize(res)

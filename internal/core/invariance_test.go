@@ -48,13 +48,10 @@ func scaledSpecs(scale func(m *Metrics)) [power.NumSubsystems]ModelSpec {
 			continue
 		}
 		inner := specs[i].Design
-		specs[i].Design = func(cols [][]float64, ms []Metrics) {
-			scaled := make([]Metrics, len(ms))
-			for j := range ms {
-				scaled[j] = ms[j]
-				scale(&scaled[j])
-			}
-			inner(cols, scaled)
+		specs[i].Design = func(d []float64, m *Metrics) {
+			scaled := *m
+			scale(&scaled)
+			inner(d, &scaled)
 		}
 	}
 	return specs
@@ -96,12 +93,12 @@ func eq6Errors(t *testing.T, specs [power.NumSubsystems]ModelSpec, train, valid 
 }
 
 // TestErrorsUnitInvariant is the unit rule on the estimator: rescaling
-// one metric column by 10^k, k = -6…+6, in training and validation
+// one model input by 10^k, k = -6…+6, in training and validation
 // alike, or permuting the training rows, leaves every subsystem's Eq. 6
-// error unchanged to 1e-9 relative. Columns are scaled as floats after
-// extraction, so integer counts do not quantize. BusTxPMC and DMAPMC
-// are one column here: TotalBusPMC adds them, so they share a unit, and
-// rescaling one alone would change the memory model, not its unit.
+// error unchanged to 1e-9 relative. Features are scaled as floats after
+// extraction, so integer counts do not quantize. Own bus transactions
+// and DMA are one input here: TotalBus adds them, so they share a unit,
+// and rescaling one alone would change the memory model, not its unit.
 func TestErrorsUnitInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	train, valid := invarianceDataset(rng, 400), invarianceDataset(rng, 200)
@@ -116,29 +113,21 @@ func TestErrorsUnitInvariant(t *testing.T) {
 	}
 
 	columns := []struct {
-		name   string
-		fields []func(m *Metrics) *[]float64
+		name     string
+		features []int
 	}{
-		{"PercentActive", []func(m *Metrics) *[]float64{func(m *Metrics) *[]float64 { return &m.PercentActive }}},
-		{"UopsPerCycle", []func(m *Metrics) *[]float64{func(m *Metrics) *[]float64 { return &m.UopsPerCycle }}},
-		{"BusTxPMC+DMAPMC", []func(m *Metrics) *[]float64{
-			func(m *Metrics) *[]float64 { return &m.BusTxPMC },
-			func(m *Metrics) *[]float64 { return &m.DMAPMC },
-		}},
-		{"IntsPMC", []func(m *Metrics) *[]float64{func(m *Metrics) *[]float64 { return &m.IntsPMC }}},
-		{"DiskIntsPMC", []func(m *Metrics) *[]float64{func(m *Metrics) *[]float64 { return &m.DiskIntsPMC }}},
+		{"SumActive", []int{SumActive}},
+		{"SumUPC", []int{SumUPC}},
+		{"bus+DMA", []int{TotalBus, SumBusTx, MeanDMA}},
+		{"SumInts", []int{SumInts}},
+		{"SumDiskInts", []int{SumDiskInts}},
 	}
 	for _, col := range columns {
 		for k := -6; k <= 6; k++ {
 			c := math.Pow10(k)
 			scale := func(m *Metrics) {
-				for _, field := range col.fields {
-					p := field(m)
-					v := make([]float64, len(*p))
-					for i, x := range *p {
-						v[i] = x * c
-					}
-					*p = v
+				for _, f := range col.features {
+					m[f] *= c
 				}
 			}
 			same(fmt.Sprintf("%s x 1e%d", col.name, k), eq6Errors(t, scaledSpecs(scale), train, valid))

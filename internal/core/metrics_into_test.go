@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -11,28 +9,15 @@ import (
 	"trickledown/internal/sim"
 )
 
-// exportedEqual compares the exported fields of two Metrics: the
-// unexported slab is storage, not a result, and a reused Metrics
-// legitimately keeps a larger one.
-func exportedEqual(a, b *Metrics) bool {
-	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
-	for _, f := range reflect.VisibleFields(va.Type()) {
-		if f.IsExported() && !reflect.DeepEqual(va.FieldByIndex(f.Index).Interface(), vb.FieldByIndex(f.Index).Interface()) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestExtractMetricsAtIntoMatchesFresh: the reusing form must be
-// indistinguishable from a fresh extraction, including when the scratch
-// Metrics carries stale state from a previous sample — a larger one,
-// whose slab is re-carved, and one of the same size, whose slices are
-// overwritten in place even where the new sample has no cycles, no OS
-// busy times or no disk interrupts.
+// indistinguishable from a fresh extraction when the scratch row holds
+// an earlier sample's features: every feature is written, even where
+// the new sample has fewer processors, no cycles, no OS busy times or
+// no disk interrupts.
 func TestExtractMetricsAtIntoMatchesFresh(t *testing.T) {
 	big := mkSample(0.9, 1.5, 200, 900, 300, 50)
 	big.CPUs = append(big.CPUs, big.CPUs[0], big.CPUs[0]) // 4 CPUs
+	big.OSBusySec = []float64{0.5, 0.5, 0.5, 0.5}
 	small := mkSample(0.3, 0.4, 50, 100, 20, 10)
 	small.OSBusySec = []float64{0.3, 0.2}
 	sparse := mkSample(0.6, 1.2, 80, 300, 40, 20)
@@ -45,36 +30,29 @@ func TestExtractMetricsAtIntoMatchesFresh(t *testing.T) {
 		s    *perfctr.Sample
 	}{{"big", &big}, {"small after big", &small}, {"sparse after small", &sparse}} {
 		ExtractMetricsAtInto(scratch, tc.s, 2.8e9)
-		if !exportedEqual(scratch, ExtractMetricsAt(tc.s, 2.8e9)) {
-			t.Fatalf("%s: reused scratch differs from fresh extraction", tc.name)
+		var fresh Metrics
+		ExtractMetricsAtInto(&fresh, tc.s, 2.8e9)
+		if *scratch != fresh {
+			t.Fatalf("%s: reused scratch %v differs from fresh extraction %v", tc.name, *scratch, fresh)
 		}
 	}
-	if scratch.NumCPUs != 2 || len(scratch.UopsPerCycle) != 2 {
-		t.Fatalf("scratch not resized: NumCPUs=%d len=%d", scratch.NumCPUs, len(scratch.UopsPerCycle))
-	}
-	if scratch.OSUtil[0] != 0 || scratch.UopsPerCycle[1] != 0 || scratch.DiskIntsPMC[0] != 0 {
-		t.Fatalf("stale values leaked: OSUtil=%v UopsPerCycle=%v DiskIntsPMC=%v",
-			scratch.OSUtil, scratch.UopsPerCycle, scratch.DiskIntsPMC)
-	}
-	for _, v := range scratch.UopsPerCycle {
-		if math.IsNaN(v) {
-			t.Fatal("NaN in reused extraction")
-		}
+	if scratch[NumCPUs] != 2 || scratch[SumOSUtil] != 0 || scratch[SumDiskInts] != 0 {
+		t.Fatalf("stale values leaked: NumCPUs=%v SumOSUtil=%v SumDiskInts=%v",
+			scratch[NumCPUs], scratch[SumOSUtil], scratch[SumDiskInts])
 	}
 }
 
-// TestExtractMetricsAtIntoZeroAllocSteadyState: after warm-up the
-// reusing form must not allocate — the property internal/serve's
-// 100k+ samples/sec hot path depends on.
+// TestExtractMetricsAtIntoZeroAllocSteadyState: extracting allocates
+// nothing — the property internal/serve's 100k+ samples/sec hot path
+// depends on.
 func TestExtractMetricsAtIntoZeroAllocSteadyState(t *testing.T) {
 	s := mkSample(0.7, 1.1, 120, 600, 150, 30)
 	scratch := &Metrics{}
-	ExtractMetricsAtInto(scratch, &s, 2.8e9) // warm-up sizes the slices
 	allocs := testing.AllocsPerRun(100, func() {
 		ExtractMetricsAtInto(scratch, &s, 2.8e9)
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state ExtractMetricsAtInto allocates %.1f/op, want 0", allocs)
+		t.Errorf("ExtractMetricsAtInto allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -99,8 +77,7 @@ func handEstimator(t testing.TB) *Estimator {
 }
 
 // TestEstimateMetricsReusedScratchMatchesFresh: predicting through a
-// Metrics whose slab holds an earlier sample's rates gives the
-// bit-identical reading of a fresh extraction.
+// reused row gives the bit-identical reading of Estimate.
 func TestEstimateMetricsReusedScratchMatchesFresh(t *testing.T) {
 	est := handEstimator(t)
 	samples := []perfctr.Sample{
@@ -117,9 +94,8 @@ func TestEstimateMetricsReusedScratchMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestEstimateMetricsZeroAllocSteadyState: with a reused Metrics, the
-// one-sample batch is designed in pooled scratch, so estimating
-// allocates nothing.
+// TestEstimateMetricsZeroAllocSteadyState: with a reused row, the
+// design terms live in pooled scratch, so estimating allocates nothing.
 func TestEstimateMetricsZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
@@ -128,7 +104,7 @@ func TestEstimateMetricsZeroAllocSteadyState(t *testing.T) {
 	s := mkSample(0.7, 1.1, 120, 600, 150, 30)
 	scratch := &Metrics{}
 	ExtractMetricsAtInto(scratch, &s, sim.DefaultCoreHz)
-	est.EstimateMetrics(scratch) // warm-up sizes the pooled columns
+	est.EstimateMetrics(scratch) // warm-up sizes the pooled terms
 	allocs := testing.AllocsPerRun(100, func() {
 		ExtractMetricsAtInto(scratch, &s, sim.DefaultCoreHz)
 		est.EstimateMetrics(scratch)
@@ -139,8 +115,8 @@ func TestEstimateMetricsZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestPredictConcurrentMetrics: the design scratch lives in neither the
-// Metrics nor the shared Model, so goroutines with their own Metrics
-// may predict through one estimator at once (the race detector checks).
+// row nor the shared Model, so goroutines with their own rows may
+// predict through one estimator at once (the race detector checks).
 func TestPredictConcurrentMetrics(t *testing.T) {
 	est := handEstimator(t)
 	samples := make([]perfctr.Sample, 8)

@@ -3,24 +3,19 @@ package core
 import "trickledown/internal/power"
 
 // ModelSpec describes one subsystem model: which subsystem's rail it
-// predicts, and how counter metrics become regression design columns.
-// The first design term is the intercept carrier (1, or NumCPUs for
-// models whose constant term is per-processor).
+// predicts, and how a sample's feature row becomes its regression
+// design terms. The first design term is the intercept carrier (the
+// constant 1, or NumCPUs for models whose constant term is
+// per-processor).
 type ModelSpec struct {
 	// Name identifies the model in reports, e.g. "mem-bus (Eq.3)".
 	Name string
 	// Sub is the subsystem whose rail power the model predicts.
 	Sub power.Subsystem
-	// Design fills the design of a batch of samples: cols[k][j] is term
-	// k of ms[j]. The caller passes exactly len(Terms) columns, each
-	// len(ms) long, and Design writes every element of them and nothing
-	// else. It must not retain cols or ms, which the caller reuses for
-	// the next batch, and must not modify ms. One Design call covers a
-	// whole batch, so training, validation and the estimator pay one
-	// indirect call per model per batch; a single sample is a batch of
-	// one. Processor sums and means use sum and mean, so a term is the
-	// same bits whichever batch its sample arrives in.
-	Design func(cols [][]float64, ms []Metrics)
+	// Design writes the len(Terms) design terms of one sample to d,
+	// which is exactly that long, from the sample's row m. It must not
+	// retain d or m, which the caller reuses, and must not modify m.
+	Design func(d []float64, m *Metrics)
 	// Terms names the design columns, one per term, for coefficient
 	// printing; len(Terms) is the design width.
 	Terms []string
@@ -65,14 +60,8 @@ func CPUSpec() ModelSpec {
 	return ModelSpec{
 		Name: "cpu (Eq.1)",
 		Sub:  power.SubCPU,
-		Design: func(cols [][]float64, ms []Metrics) {
-			n, act, upc := cols[0][:len(ms)], cols[1][:len(ms)], cols[2][:len(ms)]
-			for j := range ms {
-				m := &ms[j]
-				n[j] = float64(m.NumCPUs)
-				act[j] = sum(m.PercentActive)
-				upc[j] = sum(m.UopsPerCycle)
-			}
+		Design: func(d []float64, m *Metrics) {
+			d[0], d[1], d[2] = m[NumCPUs], m[SumActive], m[SumUPC]
 		},
 		Terms: []string{"perCPU", "percent_active", "uops_per_cycle"},
 		eq:    eqCPU,
@@ -89,24 +78,8 @@ func CPUDVFSSpec() ModelSpec {
 	return ModelSpec{
 		Name: "cpu-dvfs (Eq.1 + fV^2)",
 		Sub:  power.SubCPU,
-		Design: func(cols [][]float64, ms []Metrics) {
-			vs, act, upc := cols[0][:len(ms)], cols[1][:len(ms)], cols[2][:len(ms)]
-			for j := range ms {
-				m := &ms[j]
-				var vSum, actFV, upcFV float64
-				for i := 0; i < m.NumCPUs; i++ {
-					f := 1.0
-					if i < len(m.FreqScale) && m.FreqScale[i] > 0 {
-						f = m.FreqScale[i]
-					}
-					v := power.VoltageScale(f)
-					fv2 := f * v * v
-					vSum += v
-					actFV += m.PercentActive[i] * fv2
-					upcFV += m.UopsPerCycle[i] * fv2
-				}
-				vs[j], act[j], upc[j] = vSum, actFV, upcFV
-			}
+		Design: func(d []float64, m *Metrics) {
+			d[0], d[1], d[2] = m[SumV], m[SumActiveFV2], m[SumUPCFV2]
 		},
 		Terms: []string{"perCPU*V", "active*fV^2", "upc*fV^2"},
 	}
@@ -124,12 +97,8 @@ func CPUOSUtilSpec() ModelSpec {
 	return ModelSpec{
 		Name: "cpu-osutil (Heath/Kotla comparison)",
 		Sub:  power.SubCPU,
-		Design: func(cols [][]float64, ms []Metrics) {
-			n, util := cols[0][:len(ms)], cols[1][:len(ms)]
-			for j := range ms {
-				n[j] = float64(ms[j].NumCPUs)
-				util[j] = sum(ms[j].OSUtil)
-			}
+		Design: func(d []float64, m *Metrics) {
+			d[0], d[1] = m[NumCPUs], m[SumOSUtil]
 		},
 		Terms: []string{"perCPU", "os_util"},
 	}
@@ -141,17 +110,10 @@ func CPUOSUtilSpec() ModelSpec {
 // Equation 3.
 func MemL3Spec() ModelSpec {
 	return ModelSpec{
-		Name: "mem-l3 (Eq.2)",
-		Sub:  power.SubMemory,
-		Design: func(cols [][]float64, ms []Metrics) {
-			x := cols[1][:len(ms)]
-			for j := range ms {
-				x[j] = sum(ms[j].L3LoadPMC)
-			}
-			ones(cols[0])
-			square(cols[2], x)
-		},
-		Terms: []string{"const", "l3_load_pmc", "l3_load_pmc^2"},
+		Name:   "mem-l3 (Eq.2)",
+		Sub:    power.SubMemory,
+		Design: quadratic(SumL3Load),
+		Terms:  []string{"const", "l3_load_pmc", "l3_load_pmc^2"},
 	}
 }
 
@@ -161,18 +123,11 @@ func MemL3Spec() ModelSpec {
 // rates".
 func MemBusSpec() ModelSpec {
 	return ModelSpec{
-		Name: "mem-bus (Eq.3)",
-		Sub:  power.SubMemory,
-		Design: func(cols [][]float64, ms []Metrics) {
-			x := cols[1][:len(ms)]
-			for j := range ms {
-				x[j] = ms[j].TotalBusPMC()
-			}
-			ones(cols[0])
-			square(cols[2], x)
-		},
-		Terms: []string{"const", "bus_tx_pmc", "bus_tx_pmc^2"},
-		eq:    eqMemBus,
+		Name:   "mem-bus (Eq.3)",
+		Sub:    power.SubMemory,
+		Design: quadratic(TotalBus),
+		Terms:  []string{"const", "bus_tx_pmc", "bus_tx_pmc^2"},
+		eq:     eqMemBus,
 	}
 }
 
@@ -185,14 +140,9 @@ func MemBusRWSpec() ModelSpec {
 	return ModelSpec{
 		Name: "mem-bus-rw (Eq.3 + write mix)",
 		Sub:  power.SubMemory,
-		Design: func(cols [][]float64, ms []Metrics) {
-			x, xw := cols[1][:len(ms)], cols[3][:len(ms)]
-			for j := range ms {
-				v := ms[j].TotalBusPMC()
-				x[j], xw[j] = v, v*ms[j].WritebackShare()
-			}
-			ones(cols[0])
-			square(cols[2], x)
+		Design: func(d []float64, m *Metrics) {
+			x := m[TotalBus]
+			d[0], d[1], d[2], d[3] = 1, x, x*x, x*m[WBShare]
 		},
 		Terms: []string{"const", "bus_tx_pmc", "bus_tx_pmc^2", "bus_tx_pmc*wb_share"},
 	}
@@ -207,14 +157,9 @@ func DiskSpec() ModelSpec {
 	return ModelSpec{
 		Name: "disk (Eq.4)",
 		Sub:  power.SubDisk,
-		Design: func(cols [][]float64, ms []Metrics) {
-			i, d := cols[1][:len(ms)], cols[3][:len(ms)]
-			for j := range ms {
-				i[j], d[j] = sum(ms[j].DiskIntsPMC), mean(ms[j].DMAPMC)
-			}
-			ones(cols[0])
-			square(cols[2], i)
-			square(cols[4], d)
+		Design: func(d []float64, m *Metrics) {
+			i, dma := m[SumDiskInts], m[MeanDMA]
+			d[0], d[1], d[2], d[3], d[4] = 1, i, i*i, dma, dma*dma
 		},
 		Terms: []string{"const", "disk_ints_pmc", "disk_ints_pmc^2", "dma_pmc", "dma_pmc^2"},
 		eq:    eqDisk,
@@ -226,18 +171,11 @@ func DiskSpec() ModelSpec {
 // intercept; device interrupts supply the variation.
 func IOSpec() ModelSpec {
 	return ModelSpec{
-		Name: "io (Eq.5)",
-		Sub:  power.SubIO,
-		Design: func(cols [][]float64, ms []Metrics) {
-			x := cols[1][:len(ms)]
-			for j := range ms {
-				x[j] = sum(ms[j].IntsPMC)
-			}
-			ones(cols[0])
-			square(cols[2], x)
-		},
-		Terms: []string{"const", "ints_pmc", "ints_pmc^2"},
-		eq:    eqIO,
+		Name:   "io (Eq.5)",
+		Sub:    power.SubIO,
+		Design: quadratic(SumInts),
+		Terms:  []string{"const", "ints_pmc", "ints_pmc^2"},
+		eq:     eqIO,
 	}
 }
 
@@ -248,8 +186,8 @@ func ChipsetSpec() ModelSpec {
 	return ModelSpec{
 		Name: "chipset (const)",
 		Sub:  power.SubChipset,
-		Design: func(cols [][]float64, ms []Metrics) {
-			ones(cols[0])
+		Design: func(d []float64, m *Metrics) {
+			d[0] = 1
 		},
 		Terms: []string{"const"},
 		eq:    eqChipset,
@@ -266,17 +204,10 @@ func ChipsetSpec() ModelSpec {
 // low-pass filter applied to them").
 func DiskDMASpec() ModelSpec {
 	return ModelSpec{
-		Name: "disk-dma (rejected)",
-		Sub:  power.SubDisk,
-		Design: func(cols [][]float64, ms []Metrics) {
-			x := cols[1][:len(ms)]
-			for j := range ms {
-				x[j] = mean(ms[j].DMAPMC)
-			}
-			ones(cols[0])
-			square(cols[2], x)
-		},
-		Terms: []string{"const", "dma_pmc", "dma_pmc^2"},
+		Name:   "disk-dma (rejected)",
+		Sub:    power.SubDisk,
+		Design: quadratic(MeanDMA),
+		Terms:  []string{"const", "dma_pmc", "dma_pmc^2"},
 	}
 }
 
@@ -284,17 +215,10 @@ func DiskDMASpec() ModelSpec {
 // the paper's other rejected candidate.
 func DiskUncacheableSpec() ModelSpec {
 	return ModelSpec{
-		Name: "disk-uc (rejected)",
-		Sub:  power.SubDisk,
-		Design: func(cols [][]float64, ms []Metrics) {
-			x := cols[1][:len(ms)]
-			for j := range ms {
-				x[j] = sum(ms[j].UncacheablePMC)
-			}
-			ones(cols[0])
-			square(cols[2], x)
-		},
-		Terms: []string{"const", "uc_pmc", "uc_pmc^2"},
+		Name:   "disk-uc (rejected)",
+		Sub:    power.SubDisk,
+		Design: quadratic(SumUncacheable),
+		Terms:  []string{"const", "uc_pmc", "uc_pmc^2"},
 	}
 }
 
@@ -303,17 +227,10 @@ func DiskUncacheableSpec() ModelSpec {
 // proportionality.
 func IODMASpec() ModelSpec {
 	return ModelSpec{
-		Name: "io-dma (rejected)",
-		Sub:  power.SubIO,
-		Design: func(cols [][]float64, ms []Metrics) {
-			x := cols[1][:len(ms)]
-			for j := range ms {
-				x[j] = mean(ms[j].DMAPMC)
-			}
-			ones(cols[0])
-			square(cols[2], x)
-		},
-		Terms: []string{"const", "dma_pmc", "dma_pmc^2"},
+		Name:   "io-dma (rejected)",
+		Sub:    power.SubIO,
+		Design: quadratic(MeanDMA),
+		Terms:  []string{"const", "dma_pmc", "dma_pmc^2"},
 	}
 }
 
@@ -321,32 +238,18 @@ func IODMASpec() ModelSpec {
 // considered and rejected by the paper.
 func IOUncacheableSpec() ModelSpec {
 	return ModelSpec{
-		Name: "io-uc (rejected)",
-		Sub:  power.SubIO,
-		Design: func(cols [][]float64, ms []Metrics) {
-			x := cols[1][:len(ms)]
-			for j := range ms {
-				x[j] = sum(ms[j].UncacheablePMC)
-			}
-			ones(cols[0])
-			square(cols[2], x)
-		},
-		Terms: []string{"const", "uc_pmc", "uc_pmc^2"},
+		Name:   "io-uc (rejected)",
+		Sub:    power.SubIO,
+		Design: quadratic(SumUncacheable),
+		Terms:  []string{"const", "uc_pmc", "uc_pmc^2"},
 	}
 }
 
-// ones fills an intercept column.
-func ones(col []float64) {
-	for j := range col {
-		col[j] = 1
-	}
-}
-
-// square fills dst with the squares of x, the x² column of the
-// quadratics in Equations 2–5.
-func square(dst, x []float64) {
-	dst = dst[:len(x)]
-	for j, v := range x {
-		dst[j] = v * v
+// quadratic designs 1, x and x² from feature x: the single-input
+// quadratics of Equations 2–5.
+func quadratic(x int) func(d []float64, m *Metrics) {
+	return func(d []float64, m *Metrics) {
+		v := m[x]
+		d[0], d[1], d[2] = 1, v, v*v
 	}
 }

@@ -101,11 +101,6 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 			return nil, fmt.Errorf("core: model %q is labelled subsystem %q, but it models %s",
 				mj.Spec, mj.Sub, spec.Sub)
 		}
-		want := len(spec.Terms)
-		if len(mj.Coef) != want {
-			return nil, fmt.Errorf("core: model %q has %d coefficients, want %d",
-				mj.Spec, len(mj.Coef), want)
-		}
 		m := &Model{Spec: spec, Coef: mj.Coef}
 		if mj.N > 0 {
 			m.Fit = &regress.Fit{Coef: mj.Coef, R2: mj.R2, N: mj.N}

@@ -15,11 +15,11 @@ func trainedEstimator(t testing.TB) *Estimator {
 	ds := synthDataset(60, func(i int, s *perfctr.Sample) power.Reading {
 		m := ExtractMetrics(s)
 		var r power.Reading
-		r[power.SubCPU] = 9*float64(m.NumCPUs) + 25*sum(m.PercentActive) + 4*sum(m.UopsPerCycle)
+		r[power.SubCPU] = 9*m[NumCPUs] + 25*m[SumActive] + 4*m[SumUPC]
 		r[power.SubChipset] = 19.9
-		r[power.SubMemory] = 28 + 0.001*m.TotalBusPMC()
-		r[power.SubIO] = 32.7 + sum(m.IntsPMC)
-		r[power.SubDisk] = 21.6 + sum(m.DiskIntsPMC)
+		r[power.SubMemory] = 28 + 0.001*m[TotalBus]
+		r[power.SubIO] = 32.7 + m[SumInts]
+		r[power.SubDisk] = 21.6 + m[SumDiskInts]
 		return r
 	})
 	est, err := TrainEstimator(TrainingSet{CPU: ds, Memory: ds, Disk: ds, IO: ds, Chipset: ds})
@@ -192,25 +192,23 @@ func TestSpecRegistry(t *testing.T) {
 }
 
 func TestWritebackShare(t *testing.T) {
-	m := &Metrics{
-		BusTxPMC:  []float64{1000},
-		L3AllPMC:  []float64{700},
-		L3LoadPMC: []float64{400},
+	// One processor over a million cycles: counts are per-Mcycle rates.
+	share := func(bus, l3all, l3load uint64) float64 {
+		s := perfctr.Sample{CPUs: []perfctr.CPUCounts{{Cycles: 1e6, BusTx: bus, L3Misses: l3all, L3LoadMisses: l3load}}}
+		m := ExtractMetrics(&s)
+		return m[WBShare]
 	}
-	if got := m.WritebackShare(); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("WritebackShare = %v, want 0.3", got)
+	if got := share(1000, 700, 400); math.Abs(got-0.3) > 1e-12 {
+		t.Errorf("WBShare = %v, want 0.3", got)
 	}
 	// Clamps.
-	if got := (&Metrics{}).WritebackShare(); got != 0 {
-		t.Errorf("empty share = %v", got)
+	if got := share(0, 700, 400); got != 0 {
+		t.Errorf("no-traffic share = %v", got)
 	}
-	m.L3AllPMC[0] = 100 // less than loads: clamp at 0
-	if got := m.WritebackShare(); got != 0 {
+	if got := share(1000, 100, 400); got != 0 { // less than loads: clamp at 0
 		t.Errorf("negative wb share = %v", got)
 	}
-	m.L3AllPMC[0] = 5000
-	m.L3LoadPMC[0] = 0
-	if got := m.WritebackShare(); got != 1 {
+	if got := share(1000, 5000, 0); got != 1 {
 		t.Errorf("overrange wb share = %v", got)
 	}
 }

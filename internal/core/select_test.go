@@ -24,7 +24,7 @@ func selDataset(n int, dmaHeavy bool) *align.Dataset {
 		s.TargetSeconds = float64(i + 1)
 		m := ExtractMetrics(&s)
 		var r power.Reading
-		r[power.SubMemory] = 28 + 0.002*m.TotalBusPMC() + 2e-8*m.TotalBusPMC()*m.TotalBusPMC()
+		r[power.SubMemory] = 28 + 0.002*m[TotalBus] + 2e-8*m[TotalBus]*m[TotalBus]
 		ds.Rows = append(ds.Rows, align.Row{Power: r, Counters: s})
 	}
 	return ds
@@ -80,10 +80,8 @@ func TestSelectModelSurvivesFailingCandidate(t *testing.T) {
 	bad := ModelSpec{
 		Name: "degenerate",
 		Sub:  power.SubChipset,
-		Design: func(cols [][]float64, ms []Metrics) {
-			for j := range ms {
-				cols[0][j], cols[1][j] = 1, 1 // collinear with the intercept
-			}
+		Design: func(d []float64, m *Metrics) {
+			d[0], d[1] = 1, 1 // collinear with the intercept
 		},
 		Terms: []string{"a", "b"},
 	}
@@ -110,10 +108,8 @@ func TestSelectModelAllFail(t *testing.T) {
 	bad := ModelSpec{
 		Name: "degenerate",
 		Sub:  power.SubChipset,
-		Design: func(cols [][]float64, ms []Metrics) {
-			for j := range ms {
-				cols[0][j], cols[1][j] = 1, 1
-			}
+		Design: func(d []float64, m *Metrics) {
+			d[0], d[1] = 1, 1
 		},
 		Terms: []string{"a", "b"},
 	}

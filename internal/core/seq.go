@@ -26,7 +26,7 @@ type SeqSpec struct {
 	Sub power.Subsystem
 	// Design maps (history, index) to the regression row for sample i.
 	// history[0..i] are valid; later entries must not be touched.
-	Design func(history []*Metrics, i int) []float64
+	Design func(history []Metrics, i int) []float64
 	// Terms documents the design columns.
 	Terms []string
 }
@@ -38,9 +38,9 @@ type SeqModel struct {
 	Fit  *regress.Fit
 }
 
-// metricsHistory extracts metrics for every row once.
-func metricsHistory(ds *align.Dataset) []*Metrics {
-	hist := make([]*Metrics, ds.Len())
+// metricsHistory extracts every row's metrics once.
+func metricsHistory(ds *align.Dataset) []Metrics {
+	hist := make([]Metrics, ds.Len())
 	for i := range ds.Rows {
 		hist[i] = ExtractMetrics(&ds.Rows[i].Counters)
 	}
@@ -95,7 +95,7 @@ func DiskStandbySpec(alpha float64) SeqSpec {
 	return SeqSpec{
 		Name: fmt.Sprintf("disk-standby (Eq.4 + EWMA %.2g)", alpha),
 		Sub:  power.SubDisk,
-		Design: func(hist []*Metrics, i int) []float64 {
+		Design: func(hist []Metrics, i int) []float64 {
 			// Recompute the EWMA incrementally over the prefix. The
 			// closure is called in ascending i by TrainSeq/Trace, so a
 			// simple cache keyed on the slice identity would work, but
@@ -103,13 +103,13 @@ func DiskStandbySpec(alpha float64) SeqSpec {
 			// 1 Hz sampling.
 			acc := 0.0
 			if len(hist) > 0 {
-				acc = sum(hist[0].DiskIntsPMC)
+				acc = hist[0][SumDiskInts]
 			}
 			for j := 1; j <= i; j++ {
-				acc += alpha * (sum(hist[j].DiskIntsPMC) - acc)
+				acc += alpha * (hist[j][SumDiskInts] - acc)
 			}
-			ints := sum(hist[i].DiskIntsPMC)
-			d := mean(hist[i].DMAPMC)
+			ints := hist[i][SumDiskInts]
+			d := hist[i][MeanDMA]
 			// saturate the recency feature so its scale is bounded.
 			recency := acc / (acc + 0.01)
 			return []float64{1, ints, ints * ints, d, recency}

@@ -16,9 +16,9 @@ import (
 func TestEWMA(t *testing.T) {
 	spec := DiskStandbySpec(0.5)
 	recency := func(ints []float64) []float64 {
-		hist := make([]*Metrics, len(ints))
+		hist := make([]Metrics, len(ints))
 		for i, v := range ints {
-			hist[i] = &Metrics{DiskIntsPMC: []float64{v}}
+			hist[i][SumDiskInts] = v
 		}
 		out := make([]float64, len(ints))
 		for i := range hist {
@@ -73,8 +73,8 @@ func TestTrainSeqRejectsNonFinite(t *testing.T) {
 	spec := SeqSpec{
 		Name: "inf-term",
 		Sub:  power.SubDisk,
-		Design: func(hist []*Metrics, i int) []float64 {
-			x := sum(hist[i].DiskIntsPMC)
+		Design: func(hist []Metrics, i int) []float64 {
+			x := hist[i][SumDiskInts]
 			if i == 9 {
 				x = math.Inf(1)
 			}

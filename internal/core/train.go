@@ -49,88 +49,18 @@ func Train(spec ModelSpec, ds *align.Dataset) (*Model, error) {
 	flat := make([]float64, n*width)
 	x := make([][]float64, n)
 	y := make([]float64, n)
+	row := new(Metrics)
 	for i := range x {
 		x[i] = flat[i*width : (i+1)*width : (i+1)*width]
 		y[i] = ds.Rows[i].Power[spec.Sub]
+		ExtractMetricsAtInto(row, &ds.Rows[i].Counters, sim.DefaultCoreHz)
+		spec.Design(x[i], row)
 	}
-	designChunks(&spec, ds, func(lo, _ int, cols [][]float64) {
-		for k, col := range cols {
-			for j, v := range col {
-				x[lo+j][k] = v
-			}
-		}
-	})
 	fit, err := fitRows(spec.Name, spec.Sub, spec.Terms, x, y)
 	if err != nil {
 		return nil, err
 	}
 	return &Model{Spec: spec, Coef: fit.Coef, Fit: fit}, nil
-}
-
-// BatchSize is how many samples Train, Trace and tdserve's workers
-// extract and design at once, so their scratch stays bounded at any
-// dataset or request size.
-const BatchSize = 256
-
-// designChunks extracts ds's counters BatchSize rows at a time and
-// hands fn the design columns of each chunk, rows lo to hi. The columns
-// are reused for the next chunk.
-func designChunks(spec *ModelSpec, ds *align.Dataset, fn func(lo, hi int, cols [][]float64)) {
-	if ds.Len() == 0 {
-		return
-	}
-	ms := metricsBatch(min(ds.Len(), BatchSize), len(ds.Rows[0].Counters.CPUs))
-	var c Columns
-	for lo := 0; lo < ds.Len(); lo += len(ms) {
-		chunk := ms[:min(len(ms), ds.Len()-lo)]
-		for j := range chunk {
-			ExtractMetricsAtInto(&chunk[j], &ds.Rows[lo+j].Counters, sim.DefaultCoreHz)
-		}
-		fn(lo, lo+len(chunk), c.design(spec, chunk))
-	}
-}
-
-// Columns is reusable storage for a batch's design columns. It grows to
-// the widest design and longest batch it has filled and then fills
-// without allocating. The zero value is ready to use; a Columns must
-// not be used by two goroutines at once.
-type Columns struct {
-	slab []float64
-	cols [][]float64 // carved at n elements each
-	n    int
-	rail []float64 // one model's predictions, for Estimator.EstimateBatch
-	ms   []Metrics // EstimateSamples' extraction scratch on its general path
-}
-
-// design has spec fill len(spec.Terms) columns of len(ms) elements.
-// Each column's capacity is its length. The columns are carved again
-// only when the batch length changes or the design is wider than any
-// before, so the models of one batch, and batches of one length, share
-// the carving.
-func (c *Columns) design(spec *ModelSpec, ms []Metrics) [][]float64 {
-	w, n := len(spec.Terms), len(ms)
-	if n != c.n || w > len(c.cols) {
-		c.carve(max(w, len(c.cols)), n)
-	}
-	cols := c.cols[:w]
-	spec.Design(cols, ms)
-	return cols
-}
-
-// carve points w columns at consecutive n-element windows of the slab,
-// growing it when it is too small.
-func (c *Columns) carve(w, n int) {
-	if cap(c.slab) < w*n {
-		c.slab = make([]float64, w*n)
-	}
-	if cap(c.cols) < w {
-		c.cols = make([][]float64, w)
-	}
-	c.cols = c.cols[:w]
-	for k := range c.cols {
-		c.cols[k] = c.slab[k*n : (k+1)*n : (k+1)*n]
-	}
-	c.n = n
 }
 
 // fitRows is the one path from design rows to coefficients shared by
@@ -164,74 +94,44 @@ func fitRows(name string, sub power.Subsystem, terms []string, x [][]float64, y 
 	return fit, nil
 }
 
-// Predict evaluates the model on one sample's metrics: a batch of one,
-// built in pooled scratch, so it allocates nothing in steady state and
-// is safe for concurrent use.
+// Predict evaluates the model on one sample's row. Its design terms
+// live in pooled scratch: a buffer handed to Design, a function value,
+// escapes, and the pool keeps a stream of predictions from allocating.
+// It is safe for concurrent use.
 func (m *Model) Predict(met *Metrics) float64 {
-	one := getSingle(met)
-	var out [1]float64
-	m.predict(out[:], one.ms[:], &one.cols)
-	putSingle(one)
-	return out[0]
+	t := termPool.Get().(*terms)
+	v := t.predict(m, met)
+	termPool.Put(t)
+	return v
 }
 
-// predict writes the model's estimate of ms[j] to out[j], designing the
-// batch in c.
-func (m *Model) predict(out []float64, ms []Metrics, c *Columns) {
-	dot(out[:len(ms)], m.Coef, c.design(&m.Spec, ms))
+// terms is reusable storage for one sample's design terms, and for the
+// row Trace and EstimateSamples extract. The zero value is ready to
+// use; a terms must not be used by two goroutines at once.
+type terms struct {
+	row Metrics
+	d   []float64
 }
 
-// dot sets out[j] to the dot product of coef with sample j's design
-// terms. Each sum starts at 0.0 and adds coef[k]*cols[k][j] in
-// ascending k, exactly as regress.Predict does over a row, so a batch
-// prediction is bit-identical to a per-row one. The explicit
-// conversion rounds each product before its add, so no target fuses
-// the two and the production kernel can reproduce the sum.
-func dot(out, coef []float64, cols [][]float64) {
-	if len(out) == 1 {
-		// A batch of one keeps its running sum in a register, so a term
-		// need not wait for the previous one's store to out[0].
-		s := 0.0
-		for k, c := range coef {
-			s += float64(c * cols[k][0])
-		}
-		out[0] = s
-		return
+var termPool = sync.Pool{New: func() any { return new(terms) }}
+
+// predict designs met's terms for m in t and returns their dot product
+// with m's coefficients. The sum starts at 0.0 and adds coef[k]*d[k] in
+// ascending k, exactly as regress.Predict does over a row. The explicit
+// conversion rounds each product before its add, so no target fuses the
+// two and the production kernel can reproduce the sum.
+func (t *terms) predict(m *Model, met *Metrics) float64 {
+	w := len(m.Spec.Terms)
+	if cap(t.d) < w {
+		t.d = make([]float64, w)
 	}
-	for j := range out {
-		out[j] = 0
+	d := t.d[:w]
+	m.Spec.Design(d, met)
+	s := 0.0
+	for k, c := range m.Coef {
+		s += float64(c * d[k])
 	}
-	for k, c := range coef {
-		col := cols[k][:len(out)]
-		for j, v := range col {
-			out[j] += float64(c * v)
-		}
-	}
-}
-
-// single is the scratch of a one-sample batch, pooled so Predict and
-// Estimator.EstimateMetrics need neither allocation nor a buffer inside
-// the caller's Metrics.
-type single struct {
-	ms   [1]Metrics
-	cols Columns
-}
-
-var singles = sync.Pool{New: func() any { return new(single) }}
-
-// getSingle returns pooled one-sample scratch holding a shallow copy of
-// met; Design only reads it.
-func getSingle(met *Metrics) *single {
-	one := singles.Get().(*single)
-	one.ms[0] = *met
-	return one
-}
-
-// putSingle drops the scratch's reference to the caller's slices and
-// returns it to the pool.
-func putSingle(one *single) {
-	one.ms[0] = Metrics{}
-	singles.Put(one)
+	return s
 }
 
 // Trace returns the aligned measured and modeled series over a dataset —
@@ -240,12 +140,12 @@ func (m *Model) Trace(ds *align.Dataset) (measured, modeled []float64) {
 	n := ds.Len()
 	both := make([]float64, 2*n)
 	measured, modeled = both[:n:n], both[n:]
+	var t terms
 	for i := range ds.Rows {
 		measured[i] = ds.Rows[i].Power[m.Spec.Sub]
+		ExtractMetricsAtInto(&t.row, &ds.Rows[i].Counters, sim.DefaultCoreHz)
+		modeled[i] = t.predict(m, &t.row)
 	}
-	designChunks(&m.Spec, ds, func(lo, hi int, cols [][]float64) {
-		dot(modeled[lo:hi], m.Coef, cols)
-	})
 	return measured, modeled
 }
 

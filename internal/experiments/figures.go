@@ -134,10 +134,7 @@ func (r *Runner) Figure4() (*Figure, error) {
 	all, nonPf, pf := make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := range ds.Rows {
 		m := core.ExtractMetrics(&ds.Rows[i].Counters)
-		for c := 0; c < m.NumCPUs; c++ {
-			all[i] += m.BusTxPMC[c]
-			pf[i] += m.PrefetchPMC[c]
-		}
+		all[i], pf[i] = m[core.SumBusTx], m[core.SumPrefetch]
 		nonPf[i] = all[i] - pf[i]
 	}
 	return &Figure{

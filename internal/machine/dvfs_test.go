@@ -98,11 +98,11 @@ func TestDVFSReducesPowerAndCycles(t *testing.T) {
 
 func TestFrequencyVisibleInMetrics(t *testing.T) {
 	ds := dvfsRun(t, 6, []float64{0.7}, 20)
+	// Every processor runs at 0.7, so the mean inferred voltage scale
+	// is V(0.7).
 	m := core.ExtractMetrics(&ds.Rows[ds.Len()-1].Counters)
-	for i, f := range m.FreqScale {
-		if f < 0.65 || f > 0.75 {
-			t.Errorf("cpu %d inferred frequency %v, want ~0.7", i, f)
-		}
+	if v := m[core.SumV] / m[core.NumCPUs]; v < power.VoltageScale(0.65) || v > power.VoltageScale(0.75) {
+		t.Errorf("mean inferred voltage scale %v, want ~V(0.7) = %v", v, power.VoltageScale(0.7))
 	}
 }
 

@@ -163,6 +163,7 @@ func TestOSBusySampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	last := ds.Len() - 1
 	for i, row := range ds.Rows {
 		if len(row.Counters.OSBusySec) != 4 {
 			t.Fatalf("row %d OSBusySec len = %d", i, len(row.Counters.OSBusySec))
@@ -171,13 +172,10 @@ func TestOSBusySampling(t *testing.T) {
 			if b < 0 || b > row.Counters.IntervalSec+0.01 {
 				t.Errorf("row %d cpu %d busy %v of %v", i, cpu, b, row.Counters.IntervalSec)
 			}
-		}
-	}
-	// Idle machine: utilization near zero.
-	m := core.ExtractMetrics(&ds.Rows[ds.Len()-1].Counters)
-	for cpu, u := range m.OSUtil {
-		if u > 0.05 {
-			t.Errorf("idle cpu %d OS utilization = %v", cpu, u)
+			// Idle machine: every processor's utilization near zero.
+			if u := b / row.Counters.IntervalSec; i == last && u > 0.05 {
+				t.Errorf("idle cpu %d OS utilization = %v", cpu, u)
+			}
 		}
 	}
 }

@@ -59,31 +59,20 @@ func adaptSample(i, n int) perfctr.Sample {
 	return s
 }
 
-func adaptSum(v []float64) float64 {
-	t := 0.0
-	for _, x := range v {
-		t += x
-	}
-	return t
-}
-
 // adaptRails synthesizes measured rails; shift scales the activity
 // coefficients away from the shift-0 training regime.
 func adaptRails(s *perfctr.Sample, shift float64) power.Reading {
 	m := core.ExtractMetrics(s)
 	k := 1 + shift
 	var r power.Reading
-	r[power.SubCPU] = 9.25*float64(m.NumCPUs) + k*26.45*adaptSum(m.PercentActive) + k*4.31*adaptSum(m.UopsPerCycle)
+	r[power.SubCPU] = 9.25*m[core.NumCPUs] + k*26.45*m[core.SumActive] + k*4.31*m[core.SumUPC]
 	r[power.SubChipset] = 19.0
-	busTot := m.TotalBusPMC()
+	busTot := m[core.TotalBus]
 	r[power.SubMemory] = 28 + k*0.018*busTot + 2e-6*busTot*busTot
-	ints := adaptSum(m.IntsPMC)
+	ints := m[core.SumInts]
 	r[power.SubIO] = 32.7 + k*1.1*ints + 0.04*ints*ints
-	di := adaptSum(m.DiskIntsPMC)
-	var dm float64
-	if len(m.DMAPMC) > 0 {
-		dm = adaptSum(m.DMAPMC) / float64(len(m.DMAPMC))
-	}
+	di := m[core.SumDiskInts]
+	dm := m[core.MeanDMA]
 	r[power.SubDisk] = 21.6 + k*2.0*di + 0.05*di*di + 0.002*dm + 1e-6*dm*dm
 	return r
 }
@@ -309,13 +298,12 @@ func TestAdapterSwapMidBatchServesTheRest(t *testing.T) {
 // TestObserveResidualMatchesExtractAndBatch: one 256-sample railed
 // batch swaps the champion and then rolls the swap back. Every residual
 // Observe computes on the way is, bit for bit, the Eq. 6 error of its
-// champion's ExtractMetricsAtInto plus EstimateBatch reading of that
-// sample: the old champion's on the sample that swaps, the challenger's
+// champion's EstimateMetrics reading of that sample's extracted row: the old champion's on the sample that swaps, the challenger's
 // on the sample that rolls back. A dry-run manager observes the batch
 // sample by sample to show each residual; a worker's process, fed the
 // same batch, must leave its live manager in the dry run's state.
 func TestObserveResidualMatchesExtractAndBatch(t *testing.T) {
-	const n, period, pre = core.BatchSize, 97, 50
+	const n, period, pre = chunkSize, 97, 50
 	champ := adaptChampion(t)
 	// The batch is the training regime, then a 0.4 shift until the
 	// manager swaps, then a 2.5 shift until it rolls back, then the
@@ -351,19 +339,16 @@ func TestObserveResidualMatchesExtractAndBatch(t *testing.T) {
 		t.Fatalf("dry run: %d swaps, %d rollbacks, %d quarantined; want a swap and a rollback inside the batch", want.Swaps, want.Rollbacks, want.Quarantined)
 	}
 	resid := append(lastErr[1:], want.LastErrPct)
-	var met [1]core.Metrics
-	var est [1]power.Reading
-	var cols core.Columns
+	var met core.Metrics
 	challenged := 0
 	for i := range samples {
 		c := champs[i]
 		if c != champ {
 			challenged++
 		}
-		core.ExtractMetricsAtInto(&met[0], &samples[i], sim.DefaultCoreHz)
-		c.EstimateBatch(est[:], met[:], &cols)
+		core.ExtractMetricsAtInto(&met, &samples[i], sim.DefaultCoreHz)
 		truth := rails[i].Total()
-		want := math.Abs(est[0].Total()-truth) / math.Abs(truth) * 100
+		want := math.Abs(c.EstimateMetrics(&met).Total()-truth) / math.Abs(truth) * 100
 		if math.Float64bits(resid[i]) != math.Float64bits(want) {
 			t.Fatalf("sample %d: Observe's residual %v, champion %s's extract+batch %v",
 				i, resid[i], c.Provenance().Version, want)
@@ -412,7 +397,7 @@ func TestObserveResidualMatchesExtractAndBatch(t *testing.T) {
 func TestLongBatchEstimatesEveryChunk(t *testing.T) {
 	est := testEstimator(t)
 	s := newServer(t, Config{Estimator: est, Workers: 1, QueueDepth: 8})
-	batch := mkBatch(2*core.BatchSize+3, 2, 11)
+	batch := mkBatch(2*chunkSize+3, 2, 11)
 	if err := s.Ingest("c", "n", batch, nil, tracez.Context{}); err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +409,7 @@ func TestLongBatchEstimatesEveryChunk(t *testing.T) {
 		}
 	}
 	want := est.Estimate(last)
-	if est.Estimate(&batch[2*core.BatchSize-1]) == want {
+	if est.Estimate(&batch[2*chunkSize-1]) == want {
 		t.Fatal("the last two chunks end on equal estimates; the test cannot tell them apart")
 	}
 	np, _ := s.NodePower("n")

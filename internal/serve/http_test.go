@@ -309,9 +309,10 @@ func TestHandleIngestSteadyBytes(t *testing.T) {
 }
 
 // BenchmarkHandleIngest drives a 256-sample frame through the handler
-// on a recorder, with workers estimating behind it.
+// on a recorder, with workers estimating behind it through the
+// production models, the path tdserve serves.
 func BenchmarkHandleIngest(b *testing.B) {
-	s, err := New(Config{Estimator: testEstimator(b), QueueDepth: 1 << 10})
+	s, err := New(Config{Estimator: productionEstimator(b), QueueDepth: 1 << 10})
 	if err != nil {
 		b.Fatal(err)
 	}

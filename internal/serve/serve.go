@@ -523,7 +523,7 @@ func (s *Server) runBatch(b *batch, scratch *workerScratch, worker int) {
 // process runs the batch through the estimators (SCHEDULED→DEPARTED)
 // and folds the result into node state. A batch carrying rails under
 // an adapter first feeds each sample to drift detection; then the batch
-// is estimated core.BatchSize samples at a time, with a chunk split
+// is estimated chunkSize samples at a time, with a chunk split
 // wherever the adapter swapped the champion. EstimateSamples runs the
 // production models straight from the counts, without extracting
 // metrics. One finite test covers a chunk; only a chunk that fails it
@@ -563,15 +563,15 @@ func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 		if k+1 < len(sc.segs) {
 			end = sc.segs[k+1].from
 		}
-		for lo := seg.from; lo < end; lo += core.BatchSize {
-			chunk := b.samples[lo:min(lo+core.BatchSize, end)]
+		for lo := seg.from; lo < end; lo += chunkSize {
+			chunk := b.samples[lo:min(lo+chunkSize, end)]
 			out := sc.out[:len(chunk)]
 			for j := range chunk {
 				if t := chunk[j].TargetSeconds; t > lastT {
 					lastT = t
 				}
 			}
-			seg.est.EstimateSamples(out, chunk, &sc.cols)
+			seg.est.EstimateSamples(out, chunk)
 			if allFinite(out) {
 				lastR, hasGood = out[len(out)-1], true
 				continue
@@ -666,14 +666,16 @@ func (s *Server) fileTrace(b *batch, shed string) {
 	s.rec.Finish(t)
 }
 
+// chunkSize is how many samples a worker estimates at once, so its
+// scratch stays bounded at any request size.
+const chunkSize = 256
+
 // workerScratch is one estimation worker's reusable storage: a chunk's
-// readings, the general path's extraction and design scratch, and the
-// estimator segments of the batch in hand. It is sized by
-// core.BatchSize, not by the batch, so it stays bounded at any batch
+// readings and the estimator segments of the batch in hand. It is sized
+// by chunkSize, not by the batch, so it stays bounded at any batch
 // size.
 type workerScratch struct {
-	out  [core.BatchSize]power.Reading
-	cols core.Columns
+	out  [chunkSize]power.Reading
 	segs []estSegment
 }
 

@@ -32,14 +32,8 @@ func testModel(sub power.Subsystem, base, slope float64) *core.Model {
 		Spec: core.ModelSpec{
 			Name: fmt.Sprintf("test-%s", sub),
 			Sub:  sub,
-			Design: func(cols [][]float64, ms []core.Metrics) {
-				for j := range ms {
-					var upc float64
-					for _, v := range ms[j].UopsPerCycle {
-						upc += v
-					}
-					cols[0][j], cols[1][j] = 1, upc
-				}
+			Design: func(d []float64, m *core.Metrics) {
+				d[0], d[1] = 1, m[core.SumUPC]
 			},
 			Terms: []string{"const", "upc"},
 		},
@@ -505,21 +499,21 @@ func TestOverflowingModelFileQuarantined(t *testing.T) {
 // batch's and never panic, observes each of its samples once.
 func TestPanickingBatchContained(t *testing.T) {
 	var mu sync.Mutex
-	panicked := false
+	calls, panicAt := 0, -1
 	models := make([]*core.Model, 0, power.NumSubsystems)
 	for i, sub := range power.Subsystems() {
 		m := testModel(sub, 10+float64(i), 2)
 		if sub == power.SubCPU {
 			inner := m.Spec.Design
-			m.Spec.Design = func(cols [][]float64, ms []core.Metrics) {
+			m.Spec.Design = func(d []float64, row *core.Metrics) {
 				mu.Lock()
-				first := len(ms) > 1 && !panicked
-				panicked = panicked || first
+				calls++
+				first := calls == panicAt
 				mu.Unlock()
 				if first {
 					panic("injected design panic")
 				}
-				inner(cols, ms)
+				inner(d, row)
 			}
 		}
 		models = append(models, m)
@@ -539,6 +533,11 @@ func TestPanickingBatchContained(t *testing.T) {
 	for i := range samples {
 		rails[i] = adaptRails(&samples[i], 0)
 	}
+	// The worker has the adapter estimate each railed sample once, then
+	// estimates the batch: its first Design call is the one after those.
+	mu.Lock()
+	panicAt = calls + len(samples) + 1
+	mu.Unlock()
 	if err := s.Ingest("c", "n", samples, rails, tracez.Context{}); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
@@ -718,14 +717,8 @@ func TestQuarantineAcrossChunkBoundaries(t *testing.T) {
 		Spec: core.ModelSpec{
 			Name: "test-inverse-upc",
 			Sub:  power.SubCPU,
-			Design: func(cols [][]float64, ms []core.Metrics) {
-				for j := range ms {
-					var upc float64
-					for _, v := range ms[j].UopsPerCycle {
-						upc += v
-					}
-					cols[0][j], cols[1][j] = 1, 1/upc
-				}
+			Design: func(d []float64, m *core.Metrics) {
+				d[0], d[1] = 1, 1/m[core.SumUPC]
 			},
 			Terms: []string{"const", "inv_upc"},
 		},
@@ -739,7 +732,7 @@ func TestQuarantineAcrossChunkBoundaries(t *testing.T) {
 	}
 	const n = 600
 	samples := mkBatch(n, 2, 0)
-	bad := []int{0, core.BatchSize - 1, core.BatchSize, n - 1}
+	bad := []int{0, chunkSize - 1, chunkSize, n - 1}
 	for _, i := range bad {
 		for c := range samples[i].CPUs {
 			samples[i].CPUs[c].FetchedUops = 0
@@ -782,7 +775,7 @@ func TestQuarantineAcrossChunkBoundaries(t *testing.T) {
 // leaves as the last good one.
 func TestFiniteBatchMatchesPerSample(t *testing.T) {
 	est := productionEstimator(t)
-	const n = 2*core.BatchSize + 37
+	const n = 2*chunkSize + 37
 	samples := mkBatch(n, 2, 50)
 	for i := range samples {
 		if i%3 == 0 {
@@ -841,7 +834,7 @@ func BenchmarkProcessBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			samples := mkBatch(core.BatchSize, 2, 0)
+			samples := mkBatch(chunkSize, 2, 0)
 			sc := new(workerScratch)
 			tc := tracez.Context{ID: tracez.NewTraceID(), Sampled: sampled}
 			b.ReportAllocs()

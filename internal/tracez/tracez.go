@@ -383,17 +383,20 @@ func (r *Recorder) Finish(t *Trace) {
 		r.slowSeen.Add(1)
 	}
 	anomalous := t.Outcome != "ok"
-	r.finished.Add(1)
 	mTracesFinished.Inc()
 	if anomalous {
-		r.anomaly.Add(1)
 		mTracesAnomaly.Inc()
 	}
 	d := t.Durations()
+	// The counts move in the critical section that files the trace, so
+	// a Snapshot taken after Stats reads n lists every one of them that
+	// its rings still hold.
 	r.mu.Lock()
 	r.recent.push(t)
+	r.finished.Add(1)
 	if anomalous {
 		r.errored.push(t)
+		r.anomaly.Add(1)
 	}
 	for s := 0; s < NumStages; s++ {
 		r.slowest[s].offer(t, d[s])

@@ -271,6 +271,50 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
+// TestStatsNeverRunAheadOfRings: while goroutines finish traces, a
+// Snapshot taken after Stats reports n finished (a anomalous) lists at
+// least min(n, ring size) recent and min(a, ring size) errored traces.
+// A fresh recorder each round keeps n below the ring size, where a
+// count that moves before its push shows.
+func TestStatsNeverRunAheadOfRings(t *testing.T) {
+	const writers, perWriter = 4, 60 // 240 traces, inside one ring
+	for round := 0; round < 50; round++ {
+		r := NewRecorder(Config{SampleRate: 1})
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					tr := r.StartAt(NewTraceID(), "n", "", time.Now())
+					tr.AddAt(EvAdmitted, time.Now(), int64(i), "")
+					if i%2 == 0 {
+						tr.Outcome = "quarantine"
+					}
+					r.Finish(tr)
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		for finished := false; !finished; {
+			select {
+			case <-done:
+				finished = true
+			default:
+			}
+			st := r.Stats()
+			snap := r.Snapshot()
+			if got, want := len(snap.Recent), min(int(st.Finished), ringSize); got < want {
+				t.Fatalf("round %d: Stats reports %d finished, the following Snapshot lists %d recent", round, st.Finished, got)
+			}
+			if got, want := len(snap.Errored), min(int(st.Anomalies), ringSize); got < want {
+				t.Fatalf("round %d: Stats reports %d anomalies, the following Snapshot lists %d errored", round, st.Anomalies, got)
+			}
+		}
+	}
+}
+
 func TestHandlerJSONAndHTML(t *testing.T) {
 	r := NewRecorder(Config{SampleRate: 1})
 	tr := r.StartAt(NewTraceID(), "node-7", "client-a", time.Now())

@@ -69,31 +69,14 @@ func Checks(src Source, opt Options) ([]CheckResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("validate: checks: idle dataset: %w", err)
 	}
-	results := []CheckResult{
-		checkIdleFloor(est, idle.Skip(warmup)),
-		checkMonotonic("monotonic-cpu", est.Model(power.SubCPU), training,
-			func(m *core.Metrics) float64 { return sumOf(m.PercentActive) },
-			func(m *core.Metrics, v float64) { spread(m.PercentActive, v) }),
-		checkMonotonic("monotonic-memory", est.Model(power.SubMemory), training,
-			func(m *core.Metrics) float64 { return m.TotalBusPMC() },
-			func(m *core.Metrics, v float64) {
-				// TotalBusPMC = sum(BusTxPMC) + mean(DMAPMC); sweep the
-				// CPU-side share with the DMA share zeroed so the
-				// aggregate equals v exactly.
-				spread(m.BusTxPMC, v)
-				spread(m.DMAPMC, 0)
-			}),
-		checkMonotonic("monotonic-io", est.Model(power.SubIO), training,
-			func(m *core.Metrics) float64 { return sumOf(m.IntsPMC) },
-			func(m *core.Metrics, v float64) { spread(m.IntsPMC, v) }),
-		checkMonotonic("monotonic-disk", est.Model(power.SubDisk), training,
-			func(m *core.Metrics) float64 { return sumOf(m.DiskIntsPMC) },
-			func(m *core.Metrics, v float64) { spread(m.DiskIntsPMC, v) }),
+	results := append([]CheckResult{checkIdleFloor(est, idle.Skip(warmup))},
+		monotonicChecks("", est, training)...)
+	results = append(results,
 		checkChipsetConstant(est.Model(power.SubChipset)),
 		checkFaultFinite(est, opt.Seed),
 		checkAlignAgreement(opt.Seed),
 		checkClusterConsistency(est, opt.Seed),
-	}
+	)
 	for _, r := range results {
 		if r.OK {
 			mChecks.With("ok").Inc()
@@ -142,97 +125,53 @@ func checkIdleFloor(est *core.Estimator, idle *align.Dataset) CheckResult {
 	return CheckResult{Name: name, OK: gap < 10, Detail: detail}
 }
 
-// sumOf sums a per-CPU metric (core keeps its equivalent unexported).
-func sumOf(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s
+// sweeps are the monotone sweeps of Checks and ShadowChecks: each
+// subsystem's model against its dominant feature.
+var sweeps = [...]struct {
+	name    string
+	sub     power.Subsystem
+	feature int
+}{
+	{"monotonic-cpu", power.SubCPU, core.SumActive},
+	{"monotonic-memory", power.SubMemory, core.TotalBus},
+	{"monotonic-io", power.SubIO, core.SumInts},
+	{"monotonic-disk", power.SubDisk, core.SumDiskInts},
 }
 
-// spread distributes an aggregate value evenly over a per-CPU slice.
-func spread(dst []float64, total float64) {
-	for i := range dst {
-		dst[i] = total / float64(len(dst))
-	}
-}
-
-// metricColumns names the per-CPU metric slices that hold model inputs,
-// shared by the sweep's aggregation and its mean-input synthesis.
-func metricColumns(m *core.Metrics) map[string][]float64 {
-	return map[string][]float64{
-		"percent_active": m.PercentActive,
-		"uops_per_cycle": m.UopsPerCycle,
-		"l3_load_pmc":    m.L3LoadPMC,
-		"l3_all_pmc":     m.L3AllPMC,
-		"bus_tx_pmc":     m.BusTxPMC,
-		"prefetch_pmc":   m.PrefetchPMC,
-		"dma_pmc":        m.DMAPMC,
-		"uc_pmc":         m.UncacheablePMC,
-		"tlb_pmc":        m.TLBPMC,
-		"ints_pmc":       m.IntsPMC,
-		"disk_ints_pmc":  m.DiskIntsPMC,
-		"os_util":        m.OSUtil,
-	}
-}
-
-// meanMetrics synthesizes the training set's mean sample: every model
-// input held at its observed per-row average, frequency at nominal.
-func meanMetrics(sums map[string]float64, nCPU, rows int) *core.Metrics {
-	mk := func() []float64 { return make([]float64, nCPU) }
-	out := &core.Metrics{
-		NumCPUs:        nCPU,
-		PercentActive:  mk(),
-		UopsPerCycle:   mk(),
-		L3LoadPMC:      mk(),
-		L3AllPMC:       mk(),
-		BusTxPMC:       mk(),
-		PrefetchPMC:    mk(),
-		DMAPMC:         mk(),
-		UncacheablePMC: mk(),
-		TLBPMC:         mk(),
-		IntsPMC:        mk(),
-		DiskIntsPMC:    mk(),
-		OSUtil:         mk(),
-		FreqScale:      mk(),
-	}
-	for name, col := range metricColumns(out) {
-		spread(col, sums[name]/float64(rows))
-	}
-	for i := range out.FreqScale {
-		out.FreqScale[i] = 1
+// monotonicChecks runs every sweep against est's models over ds, each
+// result named with prefix.
+func monotonicChecks(prefix string, est *core.Estimator, ds *align.Dataset) []CheckResult {
+	out := make([]CheckResult, len(sweeps))
+	for i, sw := range sweeps {
+		out[i] = checkMonotonic(prefix+sw.name, est.Model(sw.sub), ds, sw.feature)
 	}
 	return out
 }
 
-// checkMonotonic sweeps a model's dominant event rate across the middle
-// of its observed training range (10th percentile to maximum, holding
-// every other input at its training mean) and requires predictions to
+// checkMonotonic sweeps a model's dominant feature across the middle of
+// its observed training range (10th percentile to maximum, holding
+// every other feature at its training mean) and requires predictions to
 // rise with activity. A fitted quadratic may ripple slightly, so dips up
 // to 1% of the sweep's total rise (or 0.05 W, whichever is larger) are
 // tolerated; anything beyond means the model charges less power for more
 // work.
-func checkMonotonic(name string, model *core.Model, training *align.Dataset,
-	get func(*core.Metrics) float64, set func(*core.Metrics, float64)) CheckResult {
+func checkMonotonic(name string, model *core.Model, training *align.Dataset, feature int) CheckResult {
 	n := training.Len()
 	if n == 0 {
 		return CheckResult{Name: name, Detail: "no training samples"}
 	}
-	agg := make([]float64, 0, n)
-	sums := map[string]float64{}
-	nCPU := 0
+	agg := make([]float64, n)
+	var base core.Metrics
 	for i := range training.Rows {
 		m := core.ExtractMetrics(&training.Rows[i].Counters)
-		if m.NumCPUs > nCPU {
-			nCPU = m.NumCPUs
-		}
-		agg = append(agg, get(m))
-		for col, vals := range metricColumns(m) {
-			sums[col] += sumOf(vals)
+		agg[i] = m[feature]
+		for f, v := range m {
+			base[f] += v
 		}
 	}
-	base := meanMetrics(sums, nCPU, n)
+	for f := range base {
+		base[f] /= float64(n)
+	}
 	sort.Float64s(agg)
 	lo, hi := agg[n/10], agg[n-1]
 	if hi <= lo {
@@ -241,9 +180,8 @@ func checkMonotonic(name string, model *core.Model, training *align.Dataset,
 	const steps = 64
 	var first, last, prev, worstDip float64
 	for i := 0; i <= steps; i++ {
-		v := lo + (hi-lo)*float64(i)/steps
-		set(base, v)
-		p := model.Predict(base)
+		base[feature] = lo + (hi-lo)*float64(i)/steps
+		p := model.Predict(&base)
 		if i == 0 {
 			first = p
 		} else if p < prev && prev-p > worstDip {

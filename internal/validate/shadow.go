@@ -24,25 +24,9 @@ import (
 // fit from (or any recent slice of live traffic). Results come back in
 // a fixed order; all OK means the gate is open.
 func ShadowChecks(est *core.Estimator, window *align.Dataset) []CheckResult {
-	results := []CheckResult{
-		checkWindowFinite(est, window),
-		checkMonotonic("shadow-monotonic-cpu", est.Model(power.SubCPU), window,
-			func(m *core.Metrics) float64 { return sumOf(m.PercentActive) },
-			func(m *core.Metrics, v float64) { spread(m.PercentActive, v) }),
-		checkMonotonic("shadow-monotonic-memory", est.Model(power.SubMemory), window,
-			func(m *core.Metrics) float64 { return m.TotalBusPMC() },
-			func(m *core.Metrics, v float64) {
-				spread(m.BusTxPMC, v)
-				spread(m.DMAPMC, 0)
-			}),
-		checkMonotonic("shadow-monotonic-io", est.Model(power.SubIO), window,
-			func(m *core.Metrics) float64 { return sumOf(m.IntsPMC) },
-			func(m *core.Metrics, v float64) { spread(m.IntsPMC, v) }),
-		checkMonotonic("shadow-monotonic-disk", est.Model(power.SubDisk), window,
-			func(m *core.Metrics) float64 { return sumOf(m.DiskIntsPMC) },
-			func(m *core.Metrics, v float64) { spread(m.DiskIntsPMC, v) }),
-		checkChipsetConstant(est.Model(power.SubChipset)),
-	}
+	results := append([]CheckResult{checkWindowFinite(est, window)},
+		monotonicChecks("shadow-", est, window)...)
+	results = append(results, checkChipsetConstant(est.Model(power.SubChipset)))
 	for _, r := range results {
 		if r.OK {
 			mChecks.With("ok").Inc()
