@@ -298,6 +298,7 @@ func wrapPlacements(cfg machine.Config, placements []machine.Placement) (*wtrace
 		inner := spec.Make
 		thread, start := pl.Thread, pl.StartSec
 		wspec := spec
+		wspec.Steady = nil // the recorder needs every slice's demand
 		wspec.Make = func(instance int, rng *sim.RNG) workload.Generator {
 			g := inner(instance, rng)
 			w, err := rec.Wrap(thread, start, g)

@@ -69,6 +69,16 @@ func (c *Chipset) Step(sliceSec, fsbUtil float64) Stats {
 	return Stats{FSBUtil: clamp01(fsbUtil), DomainDrift: c.drift, DomainBias: c.bias}
 }
 
+// StepWindow advances the chipset by n slices of sliceSec seconds at the
+// same FSB utilization in one step. The drift's n-slice recursion is an
+// AR(1); one joint draw gives its end state and its mean over the
+// window, which the returned Stats carries as DomainDrift.
+func (c *Chipset) StepWindow(sliceSec float64, n int, fsbUtil float64) Stats {
+	var mean float64
+	mean, c.drift = c.rng.AR1(c.drift, sliceSec/driftTau, driftSigma*math.Sqrt(2*sliceSec/driftTau), n)
+	return Stats{FSBUtil: clamp01(fsbUtil), DomainDrift: mean, DomainBias: c.bias}
+}
+
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0

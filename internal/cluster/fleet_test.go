@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"trickledown/internal/machine"
+	"trickledown/internal/telemetry"
 )
 
 // lightConfig is a small-generation box (1 CPU × 2 threads, one disk) —
@@ -337,5 +338,45 @@ func TestPlanShards(t *testing.T) {
 		if next != tc.n {
 			t.Errorf("n=%d workers=%d: shards cover %d nodes", tc.n, tc.workers, next)
 		}
+	}
+}
+
+// TestFastForwardedNodesFullyCovered steps a fleet-night-shaped fleet,
+// half of it idle nodes that fast-forward their idle windows, through
+// control intervals. Coverage must stay full: no node quarantined, and
+// no fold, on a fast-forwarded node or another, needing a repair from
+// the robust merge.
+func TestFastForwardedNodesFullyCovered(t *testing.T) {
+	pattern := []string{"idle", "dbt-2", "idle", "gcc", "idle", "dbt-2", "idle", "mcf"}
+	c, err := New(estimator(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetWorkers(2)
+	for i, wl := range pattern {
+		if _, err := c.AddMixedConfig(nodeName(i), lightConfig(uint64(500+i)),
+			[]machine.Placement{{Workload: wl, Thread: 0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ff0 := telemetry.Snapshot()["machine_fastforward_slices_total"]
+	for k := 0; k < 8; k++ {
+		if err := c.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		if cov := c.Coverage(); !cov.Full() || cov.Healthy != len(pattern) {
+			t.Fatalf("interval %d: coverage %+v", k, cov)
+		}
+		for _, n := range c.Nodes() {
+			if q := n.Quality(); q.Degraded() || q.Matched != q.Samples {
+				t.Fatalf("interval %d: node %s repaired: %v", k, n.Name, q)
+			}
+		}
+	}
+	if telemetry.Snapshot()["machine_fastforward_slices_total"] == ff0 {
+		t.Fatal("no idle window was fast-forwarded")
+	}
+	if _, err := c.VerifyAccuracy(); err != nil {
+		t.Fatal(err)
 	}
 }

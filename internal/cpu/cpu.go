@@ -177,6 +177,30 @@ func (p *Processor) Step(cycles float64, d0, d1 *workload.Demand, busUtil float6
 // slice and the struct copies dominated the whole simulator's CPU
 // profile.
 func (p *Processor) StepInto(st *SliceStats, cycles float64, d0, d1 *workload.Demand, busUtil float64) {
+	p.expect(st, cycles, d0, d1, busUtil)
+	p.jitterCounts(st)
+	p.observe(st, 1)
+}
+
+// StepWindowInto advances the processor n slices of the same demand in
+// one step. It writes StepInto's expected per-slice values into *st, but
+// its event counts (L3, writeback, prefetch, TLB, uncacheable and the
+// bus sums) are window totals, each one Poisson draw of n times the
+// per-slice mean. The PMU gains n times each per-slice truncated cycle,
+// halted-cycle and fetched-uop count, as n StepIntos would add.
+func (p *Processor) StepWindowInto(st *SliceStats, n int, cycles float64, d0, d1 *workload.Demand, busUtil float64) {
+	p.expect(st, cycles, d0, d1, busUtil)
+	for _, c := range [...]*float64{&st.L3LoadMisses, &st.L3Misses, &st.Writebacks,
+		&st.PrefetchBusTx, &st.TLBMisses, &st.UCAccesses} {
+		*c = float64(p.rng.Poisson(float64(n) * *c))
+	}
+	st.DemandBusTx = st.L3LoadMisses + st.Writebacks + st.UCAccesses
+	p.observe(st, uint64(n))
+}
+
+// expect writes the slice's expected activity into *st, before counting
+// noise.
+func (p *Processor) expect(st *SliceStats, cycles float64, d0, d1 *workload.Demand, busUtil float64) {
 	*st = SliceStats{}
 	// DVFS: the slice contains fewer core cycles at a reduced clock.
 	cycles *= p.freqScale
@@ -241,8 +265,6 @@ func (p *Processor) StepInto(st *SliceStats, cycles float64, d0, d1 *workload.De
 		st.WriteFrac = writeTx / totalMemTx
 		st.MemLocality = locTx / totalMemTx
 	}
-	p.jitterCounts(st)
-	p.observe(st)
 }
 
 // jitterCounts applies Poisson-style sampling noise to the discrete
@@ -273,11 +295,13 @@ func (p *Processor) noisy(mean float64) float64 {
 	return v
 }
 
-// observe pushes the slice's counts into the PMU.
-func (p *Processor) observe(st *SliceStats) {
-	p.pm.Observe(pmu.EventCycles, uint64(st.Cycles))
-	p.pm.Observe(pmu.EventHaltedCycles, uint64(st.HaltedCycles))
-	p.pm.Observe(pmu.EventFetchedUops, uint64(st.FetchedUops))
+// observe pushes the counts of n slices into the PMU: n times the
+// per-slice cycle, halted-cycle and fetched-uop counts in *st, and its
+// event counts as they stand.
+func (p *Processor) observe(st *SliceStats, n uint64) {
+	p.pm.Observe(pmu.EventCycles, n*uint64(st.Cycles))
+	p.pm.Observe(pmu.EventHaltedCycles, n*uint64(st.HaltedCycles))
+	p.pm.Observe(pmu.EventFetchedUops, n*uint64(st.FetchedUops))
 	p.pm.Observe(pmu.EventL3LoadMisses, uint64(st.L3LoadMisses))
 	p.pm.Observe(pmu.EventL3Misses, uint64(st.L3Misses+st.Writebacks))
 	p.pm.Observe(pmu.EventTLBMisses, uint64(st.TLBMisses))

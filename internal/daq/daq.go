@@ -181,8 +181,43 @@ func (d *DAQ) Acquire(sliceSec float64, truth power.Reading) {
 	d.daqTime += sliceSec * (1 + d.cfg.ClockSkewPPM*1e-6)
 }
 
+// AcquireWindow integrates n target-clock slices whose mean rail power
+// is mean in one step: one reading per rail, its noise that of the mean
+// of the window's samples. The count is n slices' worth, fraction
+// carried as Acquire carries it, so Record.Samples stays exact. The
+// reading is not snapped to the ADC grid: per-slice noise larger than a
+// grid step dithers the slices' quantization away in their mean, and
+// snapping the window's one low-noise reading would not. The machine
+// fast-forwards only a healthy instrument; see Faulted.
+func (d *DAQ) AcquireWindow(sliceSec float64, n int, mean power.Reading) {
+	if sliceSec <= 0 || n < 1 {
+		return
+	}
+	k := float64(n)
+	if per := d.cfg.SampleHz * sliceSec; per >= 1 {
+		d.sampleAcc += k * per
+		k = math.Floor(d.sampleAcc)
+		d.sampleAcc -= k
+	}
+	sigma := d.cfg.NoiseStd / math.Sqrt(k)
+	for i, w := range mean {
+		d.sum[i] += d.clamp(w+d.rng.Norm(0, sigma)) * k
+	}
+	d.n += int64(k)
+	d.pendingSamples += uint64(k)
+	d.daqTime += float64(n) * sliceSec * (1 + d.cfg.ClockSkewPPM*1e-6)
+}
+
+// Faulted reports whether a fault injector is installed.
+func (d *DAQ) Faulted() bool { return d.fault != nil }
+
 // quantize snaps a reading onto the ADC grid, clamped to full scale.
 func (d *DAQ) quantize(w float64) float64 {
+	return math.Round(d.clamp(w)/d.step) * d.step
+}
+
+// clamp limits a reading to the ADC's full-scale range.
+func (d *DAQ) clamp(w float64) float64 {
 	if w < 0 {
 		w = 0
 		d.pendingClips++
@@ -190,7 +225,7 @@ func (d *DAQ) quantize(w float64) float64 {
 		w = d.cfg.FullScaleWatts
 		d.pendingClips++
 	}
-	return math.Round(w/d.step) * d.step
+	return w
 }
 
 // SyncPulse records a serial-port sync edge: the current averaging

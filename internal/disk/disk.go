@@ -311,6 +311,16 @@ func (c *Controller) SetPowerPolicy(p PowerPolicy) {
 	}
 }
 
+// Idle reports whether no disk has a request queued or in flight.
+func (c *Controller) Idle() bool {
+	for _, d := range c.disks {
+		if d.busy || d.qlen > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Submit routes a request to the least-loaded disk.
 func (c *Controller) Submit(r Request) {
 	if !r.transferable() {

@@ -12,11 +12,13 @@ import (
 // layer of the slice stepper: SMT sharing, the prefetcher and
 // speculation (gcc on the paper's 4x2 server), both disks, DMA and the
 // dirty-page flush (diskload), and the fleet's small one-disk node with
-// an idle thread beside a busy one. The last three rows hold the
-// stepper's memoised per-slice values to their inputs: a pure-idle node,
-// a non-default slice length, and a DAQ rate whose per-slice sample
-// count alternates. A stepper change meant to be a pure speedup must
-// leave every constant here untouched.
+// an idle thread beside a busy one. A pure-idle node pins the
+// fast-forwarded idle window, and the same node under a crash injector
+// that never fires pins the slice path it would otherwise take. The
+// last rows hold the stepper's memoised per-slice values to their
+// inputs: that sliced idle node, a non-default slice length, and a DAQ
+// rate whose per-slice sample count alternates. A stepper change meant
+// to be a pure speedup must leave every constant here untouched.
 func TestDatasetFingerprintPins(t *testing.T) {
 	small := DefaultConfig()
 	small.NumCPUs, small.ThreadsPerCPU, small.NumDisks = 1, 2, 1
@@ -61,12 +63,26 @@ func TestDatasetFingerprintPins(t *testing.T) {
 			want: "54f8c3d3317e6b91",
 		},
 		{
-			// A pure-idle node: every slice repeats the same Poisson
-			// means (NIC chatter, the idle thread's uncacheable
-			// accesses).
+			// A pure-idle node: every window between samples is
+			// fast-forwarded in closed form.
 			name: "idle-1x2", cfg: small, seed: 15, seconds: 10,
 			build: func(cfg Config) (*Server, error) {
 				return NewMixed(cfg, []Placement{{Workload: "idle", Thread: 0}})
+			},
+			want: "9039d9f748dd1d5d",
+		},
+		{
+			// The same node under an injector that never fires: an
+			// injector keeps the slice path, so every slice repeats the
+			// same Poisson means (NIC chatter, the idle thread's
+			// uncacheable accesses).
+			name: "idle-1x2-sliced", cfg: small, seed: 15, seconds: 10,
+			build: func(cfg Config) (*Server, error) {
+				srv, err := NewMixed(cfg, []Placement{{Workload: "idle", Thread: 0}})
+				if err == nil {
+					srv.SetCrashInjector(&stubCrash{})
+				}
+				return srv, err
 			},
 			want: "a6b81a6bb2624a2c",
 		},

@@ -70,16 +70,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// mDemandSanitized counts the demand fields step zeroed for being NaN
-// or ±Inf.
-var mDemandSanitized = telemetry.NewCounter("machine_demand_sanitized_total",
-	"non-finite workload demand fields zeroed before the OS and processors saw them")
+var (
+	// mDemandSanitized counts the demand fields step zeroed for being
+	// NaN or ±Inf.
+	mDemandSanitized = telemetry.NewCounter("machine_demand_sanitized_total",
+		"non-finite workload demand fields zeroed before the OS and processors saw them")
+	// mFastForward counts the slices stepped in closed form, one add per
+	// window.
+	mFastForward = telemetry.NewCounter("machine_fastforward_slices_total",
+		"slices advanced inside fast-forwarded idle windows")
+)
 
 // job binds a workload instance to a hardware thread with its staggered
 // start time.
 type job struct {
 	gen   workload.Generator
 	start float64
+	// steady is the spec's validated steady declaration, or nil.
+	steady *workload.Demand
 }
 
 // railDrift models the slow wander of each rail's consumption with
@@ -131,6 +139,20 @@ func (d *railDrift) step(sliceSec float64, truth *power.Reading) {
 	}
 }
 
+// window advances the drift by n slices in one joint draw per rail
+// (sim.RNG.AR1, the per-slice recursion being an AR(1)) and adds each
+// rail's mean offset over the window into *truth.
+func (d *railDrift) window(sliceSec float64, n int, truth *power.Reading) {
+	k := math.Sqrt(2 * sliceSec / d.tau)
+	for i, s := range d.sigma {
+		if s != 0 {
+			var mean float64
+			mean, d.state[i] = d.rng.AR1(d.state[i], sliceSec/d.tau, s*k, n)
+			truth[i] += mean
+		}
+	}
+}
+
 // snoopShare is the fraction of a processor's demand bus transactions
 // that appear as snoop traffic in its peers' DMA/other counters — the
 // P4 counter ambiguity the paper flags ("all memory bus accesses that do
@@ -153,7 +175,8 @@ type CrashInjector interface {
 }
 
 // SliceInfo is handed to per-slice observers (examples and tests); all
-// values describe the slice just computed.
+// values describe the slice just computed. Inside a fast-forwarded idle
+// window, Truth and BusUtil are the window's means on every slice.
 type SliceInfo struct {
 	Seconds float64
 	Truth   power.Reading
@@ -193,6 +216,16 @@ type Server struct {
 	memSt   mem.Stats
 
 	onSlice []func(SliceInfo)
+
+	// busyFrom is the earliest start of an instance without a steady
+	// declaration (+Inf if none): no window opens at or after it.
+	busyFrom float64
+	// stopAt is the slice index the current run stops before.
+	stopAt int64
+	// skip counts the slices left in the current fast-forwarded window,
+	// and ffInfo is what observers see on each of them.
+	skip   int64
+	ffInfo SliceInfo
 
 	crash     CrashInjector
 	crashErr  error
@@ -262,14 +295,15 @@ func newServer(cfg Config, placements []Placement, lookup func(string) (workload
 	}
 	rng := sim.NewRNG(cfg.Seed)
 	s := &Server{
-		cfg:     cfg,
-		clock:   sim.NewClock(cfg.Slice, cfg.CoreHz),
-		rng:     rng,
-		memory:  mem.New(),
-		chip:    chipset.New(rng),
-		io:      iobus.New(cfg.NumCPUs),
-		ctl:     disk.NewController(cfg.NumDisks, rng),
-		demands: make([]workload.Demand, threads),
+		cfg:      cfg,
+		clock:    sim.NewClock(cfg.Slice, cfg.CoreHz),
+		rng:      rng,
+		memory:   mem.New(),
+		chip:     chipset.New(rng),
+		io:       iobus.New(cfg.NumCPUs),
+		ctl:      disk.NewController(cfg.NumDisks, rng),
+		demands:  make([]workload.Demand, threads),
+		busyFrom: math.Inf(1),
 	}
 	s.ctl.SetPowerPolicy(cfg.DiskPolicy)
 	s.profile = power.ServerProfile()
@@ -335,11 +369,19 @@ func newServer(cfg Config, placements []Placement, lookup func(string) (workload
 		if pl.StartSec < 0 {
 			return nil, fmt.Errorf("machine: negative start for thread %d", pl.Thread)
 		}
+		steady, err := steadyDemand(&spec)
+		if err != nil {
+			return nil, err
+		}
+		if steady == nil {
+			s.busyFrom = math.Min(s.busyFrom, pl.StartSec)
+		}
 		inst := instanceOf[spec.Name]
 		instanceOf[spec.Name]++
 		s.jobs[pl.Thread] = job{
-			gen:   spec.Make(inst, rng.Split()),
-			start: pl.StartSec,
+			gen:    spec.Make(inst, rng.Split()),
+			start:  pl.StartSec,
+			steady: steady,
 		}
 		if !seen[spec.Name] {
 			seen[spec.Name] = true
@@ -349,6 +391,25 @@ func newServer(cfg Config, placements []Placement, lookup func(string) (workload
 	s.chip.SetDomainBias(bias / float64(len(seen)))
 	s.engine.Register(sim.ComponentFunc(s.step))
 	return s, nil
+}
+
+// steadyDemand returns a copy of spec's steady declaration, or nil if it
+// has none. It rejects a declaration a window cannot step in closed
+// form: a non-finite or negative field, file or network I/O, a sync, or
+// L3 misses, whose prefetch coverage follows the bus slice by slice.
+func steadyDemand(spec *workload.Spec) (*workload.Demand, error) {
+	if spec.Steady == nil {
+		return nil, nil
+	}
+	d := *spec.Steady
+	if d.Sanitize() > 0 {
+		return nil, fmt.Errorf("machine: workload %q declares a non-finite or negative steady demand", spec.Name)
+	}
+	if d.L3MissPerKuop > 0 || d.DiskReadBytes > 0 || d.DiskWriteBytes > 0 ||
+		d.NetRxBytes > 0 || d.NetTxBytes > 0 || d.Sync {
+		return nil, fmt.Errorf("machine: workload %q declares a steady demand with I/O or L3 misses", spec.Name)
+	}
+	return &d, nil
 }
 
 // SetFreqScaleAll sets every processor's DVFS operating point.
@@ -383,9 +444,19 @@ func (s *Server) OnSlice(fn func(SliceInfo)) {
 
 // step advances the whole machine one slice, in data-flow order:
 // demand -> OS/IO path -> processors -> memory bus -> ground truth ->
-// acquisition -> sampling.
+// acquisition -> sampling. The first slice of a fast-forwarded window
+// advances the machine through the whole window (see window); its other
+// slices only let the sampler and the observers see time pass.
 func (s *Server) step(c *sim.Clock) {
 	now := c.Seconds()
+	if s.skip > 0 {
+		s.skip--
+		s.sampler.Step(c)
+		for _, fn := range s.onSlice {
+			fn(SliceInfo{Seconds: now, Truth: s.ffInfo.Truth, BusUtil: s.ffInfo.BusUtil})
+		}
+		return
+	}
 	sliceSec := c.SliceSeconds()
 
 	// 0. Chaos hooks. A crashed machine freezes: no demand, no power, no
@@ -406,30 +477,39 @@ func (s *Server) step(c *sim.Clock) {
 		}
 	}
 
-	// 1. Thread demand.
+	// 1. Thread demand. A window takes the validated declarations.
+	n := s.window(c, now)
+	span := float64(n) * sliceSec
 	for i := range s.jobs {
 		j := &s.jobs[i]
-		if j.gen == nil || now < j.start {
+		switch {
+		case j.gen == nil || now < j.start:
 			s.demands[i] = workload.Demand{}
-			continue
+		case n > 1:
+			s.demands[i] = *j.steady
+		default:
+			s.demands[i] = j.gen.Demand(now-j.start, s.env, s.jobRNGs[i])
 		}
-		s.demands[i] = j.gen.Demand(now-j.start, s.env, s.jobRNGs[i])
 	}
 	// Zero non-finite demand before anything consumes it. A pass of its
 	// own, so its loads do not wait on the copies the loop above stored.
-	for i := range s.demands {
-		if n := s.demands[i].Sanitize(); n > 0 {
-			mDemandSanitized.Add(uint64(n))
+	// Declarations were checked once, at construction.
+	if n == 1 {
+		for i := range s.demands {
+			if k := s.demands[i].Sanitize(); k > 0 {
+				mDemandSanitized.Add(uint64(k))
+			}
 		}
 	}
 
 	// 2. OS and the I/O path (page cache, disks, DMA, interrupts).
 	osRes := &s.osRes
-	s.os.StepInto(osRes, c, s.demands)
+	s.os.StepSpanInto(osRes, span, s.demands)
 
 	// 3. Processors (prefetcher feedback uses last slice's bus
 	// utilization, the paper's streaming-detection effect). Each
-	// processor writes its stats straight into its lastCPU slot.
+	// processor writes its stats straight into its lastCPU slot; in a
+	// window its event counts are window totals.
 	cycles := c.CyclesPerSlice()
 	var cpuTruth, demandSum float64
 	tr := &s.traffic
@@ -437,7 +517,11 @@ func (s *Server) step(c *sim.Clock) {
 	var writeTx, locTx, classTx float64
 	for i, p := range s.procs {
 		st := &s.lastCPU[i]
-		p.StepInto(st, cycles, &s.demands[2*i], &s.demands[2*i+1], s.busUtil)
+		if n > 1 {
+			p.StepWindowInto(st, n, cycles, &s.demands[2*i], &s.demands[2*i+1], s.busUtil)
+		} else {
+			p.StepInto(st, cycles, &s.demands[2*i], &s.demands[2*i+1], s.busUtil)
+		}
 		cpuTruth += s.profile.CPUOf(st)
 		tr.CPUTx += st.DemandBusTx
 		tr.PrefetchTx += st.PrefetchBusTx
@@ -458,36 +542,55 @@ func (s *Server) step(c *sim.Clock) {
 		tr.DMAWriteFrac = osRes.DMA.WriteBytes / osRes.DMA.Bytes
 	}
 
-	// 4. Memory bus and DRAM.
+	// 4. Memory bus and DRAM, over the step's span: a window's traffic
+	// totals over its span are its mean load.
 	memStats := &s.memSt
-	s.memory.StepInto(memStats, sliceSec, tr)
+	s.memory.StepInto(memStats, span, tr)
 	s.busUtil = memStats.Util
 	// Non-self transactions are visible to every processor's PMU. The
 	// P4's DMA/other metric "cannot distinguish between DMA and
 	// processor coherency traffic": each processor also counts the
 	// snoop traffic of its peers, a contaminant that degrades DMA-based
 	// models while interrupt counts stay clean (part of why the paper's
-	// selection lands on interrupts for disk and I/O).
-	for i, p := range s.procs {
-		coherence := snoopShare * (demandSum - s.lastCPU[i].DemandBusTx)
-		p.ObserveDMA(memStats.DMATx + coherence)
+	// selection lands on interrupts for disk and I/O). A window has no
+	// DMA, and its peers' snoop share of a slice, a twentieth of their
+	// uncacheable accesses, truncates to a zero count.
+	if n == 1 {
+		for i, p := range s.procs {
+			coherence := snoopShare * (demandSum - s.lastCPU[i].DemandBusTx)
+			p.ObserveDMA(memStats.DMATx + coherence)
+		}
 	}
 
 	// 5. Chipset.
-	chipStats := s.chip.Step(sliceSec, memStats.Util)
+	var chipStats chipset.Stats
+	if n > 1 {
+		chipStats = s.chip.StepWindow(sliceSec, n, memStats.Util)
+	} else {
+		chipStats = s.chip.Step(sliceSec, memStats.Util)
+	}
 
-	// 6. Ground truth on the five rails.
+	// 6. Ground truth on the five rails: every rail model is linear in
+	// its span's activity, so over a window it gives the window's mean.
 	truth := power.Reading{
 		power.SubCPU:     cpuTruth,
 		power.SubChipset: s.profile.Chipset(chipStats),
-		power.SubMemory:  s.profile.MemoryOf(memStats, sliceSec),
-		power.SubIO:      s.profile.IO(osRes.DMA, float64(osRes.DeviceInts), sliceSec),
-		power.SubDisk:    s.profile.DiskOf(&osRes.Disk, sliceSec, s.cfg.NumDisks),
+		power.SubMemory:  s.profile.MemoryOf(memStats, span),
+		power.SubIO:      s.profile.IO(osRes.DMA, float64(osRes.DeviceInts), span),
+		power.SubDisk:    s.profile.DiskOf(&osRes.Disk, span, s.cfg.NumDisks),
 	}
-	s.drift.step(sliceSec, &truth)
 
 	// 7. Acquisition and counter sampling.
-	s.dq.Acquire(sliceSec, truth)
+	if n > 1 {
+		s.drift.window(sliceSec, n, &truth)
+		s.dq.AcquireWindow(sliceSec, n, truth)
+		s.skip = int64(n - 1)
+		s.ffInfo = SliceInfo{Truth: truth, BusUtil: memStats.Util}
+		mFastForward.Add(uint64(n))
+	} else {
+		s.drift.step(sliceSec, &truth)
+		s.dq.Acquire(sliceSec, truth)
+	}
 	s.sampler.Step(c)
 
 	// 8. Feedback for the next slice's generators.
@@ -499,6 +602,25 @@ func (s *Server) step(c *sim.Clock) {
 	for _, fn := range s.onSlice {
 		fn(SliceInfo{Seconds: now, Truth: truth, BusUtil: memStats.Util})
 	}
+}
+
+// window returns how many slices the step starting now advances. It is
+// 1, the slice path, unless the window is idle: every thread empty or
+// running a steady instance, the I/O path quiet, and no crash or DAQ
+// fault injector installed. An idle window runs to the next sampling
+// instant (the sampler fires on its last slice), the next thread start
+// or the end of the run, whichever comes first.
+func (s *Server) window(c *sim.Clock, now float64) int {
+	if now >= s.busyFrom || s.crash != nil || s.dq.Faulted() || !s.os.Quiet() {
+		return 1
+	}
+	end := min(c.FirstSliceAt(s.sampler.NextAt())+1, s.stopAt)
+	for i := range s.jobs {
+		if j := &s.jobs[i]; j.gen != nil && j.start > now {
+			end = min(end, c.FirstSliceAt(j.start))
+		}
+	}
+	return int(max(end-c.SliceIndex(), 1))
 }
 
 // Run advances the machine by the given number of simulated seconds.
@@ -523,6 +645,7 @@ func (s *Server) RunContext(ctx context.Context, seconds float64) error {
 	// Round to the nearest nanosecond: truncating would turn 2.05 s
 	// into 2.049999999 s and step one slice too few.
 	d := time.Duration(math.Round(seconds * float64(time.Second)))
+	s.stopAt = s.clock.SliceIndex() + int64(d/s.clock.Slice())
 	if s.crash == nil {
 		return s.engine.RunForContext(ctx, d)
 	}

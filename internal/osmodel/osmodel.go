@@ -9,6 +9,8 @@
 package osmodel
 
 import (
+	"math"
+
 	"trickledown/internal/disk"
 	"trickledown/internal/iobus"
 	"trickledown/internal/sim"
@@ -103,6 +105,10 @@ func New(cfg Config, io *iobus.Subsystem, ctl *disk.Controller, parent *sim.RNG)
 	}
 }
 
+// Quiet reports whether the I/O path is at rest: no dirty pages, no
+// sync() writeback, and nothing queued or in flight at the disks.
+func (o *OS) Quiet() bool { return o.dirty == 0 && o.flushLeft == 0 && o.ctl.Idle() }
+
 // FlushActive reports whether a sync() writeback is in progress.
 func (o *OS) FlushActive() bool { return o.flushLeft > 0 || o.inFlightWr > 1 }
 
@@ -122,17 +128,23 @@ func (o *OS) Step(c *sim.Clock, demands []workload.Demand) Result {
 // Result is copied per slice. res.IntsPerCPU aliases the interrupt
 // controller's buffer and is valid until the next step.
 func (o *OS) StepInto(res *Result, c *sim.Clock, demands []workload.Demand) {
-	sliceSec := c.SliceSeconds()
+	o.StepSpanInto(res, c.SliceSeconds(), demands)
+}
 
-	// Local timer tick on every CPU.
-	timerInts := 0
+// StepSpanInto is StepInto for one step of sliceSec seconds, whatever the
+// clock's slice. Every per-step quantity is a sum or a rate over the
+// step, so one step over a window of identical slices, each demanding
+// the same and issuing no I/O, does what the window's slices would: the
+// same timer ticks and busy time, one Poisson draw of the window's NIC
+// chatter, and one disk step over the window.
+func (o *OS) StepSpanInto(res *Result, sliceSec float64, demands []workload.Demand) {
+	// Local timer ticks on every CPU; the fraction carries over.
 	o.timerAcc += o.cfg.TimerHz * sliceSec
-	for o.timerAcc >= 1 {
-		o.timerAcc--
-		for cpuID := 0; cpuID < o.cfg.NumCPUs; cpuID++ {
-			o.apic.RaiseLocal(iobus.VecTimer, cpuID, 1)
-			timerInts++
-		}
+	ticks := math.Floor(o.timerAcc)
+	o.timerAcc -= ticks
+	timerInts := int(ticks) * o.cfg.NumCPUs
+	for cpuID := 0; cpuID < o.cfg.NumCPUs; cpuID++ {
+		o.apic.RaiseLocal(iobus.VecTimer, cpuID, int(ticks))
 	}
 	// Background NIC chatter.
 	if n := o.rng.Poisson(o.cfg.NICPerSec * sliceSec); n > 0 {

@@ -201,6 +201,10 @@ func (s *Sampler) schedule(now float64) float64 {
 	return now + s.period + j
 }
 
+// NextAt returns the next sampling instant: Step fires in the first
+// slice starting at or after it.
+func (s *Sampler) NextAt() float64 { return s.nextAt }
+
 // Step is called once per simulation slice and fires when a sampling
 // instant has been reached.
 func (s *Sampler) Step(c *sim.Clock) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -57,6 +58,32 @@ func (c *Clock) CyclesPerSlice() float64 { return c.cyclesPS }
 // Seconds returns elapsed simulated time in seconds.
 func (c *Clock) Seconds() float64 {
 	return float64(c.sliceN) * c.sliceSec
+}
+
+// SliceIndex returns the number of slices elapsed since reset: the index
+// of the slice about to be stepped.
+func (c *Clock) SliceIndex() int64 { return c.sliceN }
+
+// FirstSliceAt returns the index of the first slice, from the current
+// one on, whose start time Seconds() is at or after t, computed with the
+// product Seconds() uses so a comparison against t agrees with it. A t
+// beyond 2⁶² slices, +Inf among them, returns math.MaxInt64.
+func (c *Clock) FirstSliceAt(t float64) int64 {
+	k := c.sliceN
+	f := math.Ceil(t / c.sliceSec)
+	if f >= 1<<62 {
+		return math.MaxInt64
+	}
+	if f > float64(k) {
+		k = int64(f)
+	}
+	for k > c.sliceN && float64(k-1)*c.sliceSec >= t {
+		k--
+	}
+	for float64(k)*c.sliceSec < t {
+		k++
+	}
+	return k
 }
 
 func (c *Clock) String() string {

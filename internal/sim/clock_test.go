@@ -109,3 +109,26 @@ func TestEngineClockTimeVisibleDuringStep(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstSliceAt matches a brute-force search for the first slice, from
+// the current one on, whose start time reaches t.
+func TestFirstSliceAt(t *testing.T) {
+	for _, slice := range []time.Duration{time.Millisecond, 500 * time.Microsecond, 333 * time.Microsecond} {
+		c := NewClock(slice, DefaultCoreHz)
+		for i := 0; i < 37; i++ {
+			c.Tick()
+		}
+		for _, at := range []float64{-1, 0, 0.0123, 0.037, 0.1, 0.3, 1.0001, 2.9999999, 7} {
+			want := c.SliceIndex()
+			for float64(want)*c.SliceSeconds() < at {
+				want++
+			}
+			if got := c.FirstSliceAt(at); got != want {
+				t.Errorf("slice %v, t=%v: got %d, want %d", slice, at, got, want)
+			}
+		}
+		if got := c.FirstSliceAt(math.Inf(1)); got != math.MaxInt64 {
+			t.Errorf("slice %v, t=+Inf: got %d", slice, got)
+		}
+	}
+}

@@ -148,3 +148,36 @@ func (r *RNG) Jitter(v, frac float64) float64 {
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
+
+// AR1 advances the first-order autoregression x ← x − b·x + s·z, with z
+// a fresh standard normal deviate each step, by n steps in one joint
+// draw. It returns the mean of the n post-step states and the last one.
+// Both are linear in the n deviates, so together they are bivariate
+// normal: mean and end come from one correlated pair, not n draws. b is
+// the per-step decay in (0, 1) and s the per-step noise scale; n < 1
+// leaves x where it is.
+func (r *RNG) AR1(x, b, s float64, n int) (mean, end float64) {
+	if n < 1 {
+		return x, x
+	}
+	a, fn := 1-b, float64(n)
+	// g(m) is 1 − aᵐ, accurate for the small decays of slow drifts.
+	l := math.Log1p(-b)
+	gn, g2n := -math.Expm1(fn*l), -math.Expm1(2*fn*l)
+	// With E the noise part of the end state and S that of the sum of
+	// the n states: Var E = s²·Σa²ᵐ, Cov(E, S) = s²·Σaᵐ(1−aᵐ⁺¹)/b and
+	// Var S = s²·Σ(1−aᵐ⁺¹)²/b², m = 0..n−1, in closed form.
+	det := x * a * gn / b
+	if s == 0 {
+		return det / fn, (1 - gn) * x
+	}
+	sq := g2n / (b * (2 - b)) // Σa²ᵐ
+	ve := s * s * sq
+	cov := s * s / (b * b) * (gn - a*b*sq)
+	vs := s * s / (b * b) * (fn - 2*a*gn/b + a*a*sq)
+	z1, z2 := r.Norm(0, 1), r.Norm(0, 1)
+	e := math.Sqrt(ve) * z1
+	k := cov / ve
+	sum := k*e + math.Sqrt(math.Max(0, vs-k*cov))*z2
+	return (det + sum) / fn, (1-gn)*x + e
+}

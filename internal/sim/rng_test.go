@@ -319,3 +319,65 @@ func TestPoissonMemoMatchesKnuth(t *testing.T) {
 		t.Fatal("Poisson left a different generator state than the reference")
 	}
 }
+
+// TestAR1WindowMoments holds AR1's one joint draw to the moments of the
+// n-step recursion it replaces: the mean, variance and covariance of
+// the window mean and end state, each computed here by summing the
+// recursion's coefficients term by term.
+func TestAR1WindowMoments(t *testing.T) {
+	const draws = 40000
+	for _, c := range []struct {
+		x, b, s float64
+		n       int
+	}{
+		{0.3, 0.001 / 25, 0.35 * math.Sqrt(2*0.001/25), 1000},
+		{-1, 0.1, 1, 7},
+		{2, 0.5, 0.2, 40},
+	} {
+		a := 1 - c.b
+		// end = aⁿx + Σ e_j z_j, mean = (Σ_k aᵏx + Σ d_j z_j)/n.
+		var wantEnd, wantMean, ve, vm, cov float64
+		wantEnd = math.Pow(a, float64(c.n)) * c.x
+		for k := 1; k <= c.n; k++ {
+			wantMean += math.Pow(a, float64(k)) * c.x / float64(c.n)
+		}
+		for m := 0; m < c.n; m++ {
+			e := c.s * math.Pow(a, float64(m))
+			d := c.s * (1 - math.Pow(a, float64(m+1))) / c.b / float64(c.n)
+			ve += e * e
+			vm += d * d
+			cov += e * d
+		}
+		r := NewRNG(9)
+		var sm, se, smm, see, sme float64
+		for i := 0; i < draws; i++ {
+			m, e := r.AR1(c.x, c.b, c.s, c.n)
+			sm += m
+			se += e
+			smm += m * m
+			see += e * e
+			sme += m * e
+		}
+		sm /= draws
+		se /= draws
+		gotVM, gotVE := smm/draws-sm*sm, see/draws-se*se
+		gotCov := sme/draws - sm*se
+		if math.Abs(sm-wantMean) > 5*math.Sqrt(vm/draws) || math.Abs(se-wantEnd) > 5*math.Sqrt(ve/draws) {
+			t.Errorf("%+v: means (%g, %g), want (%g, %g)", c, sm, se, wantMean, wantEnd)
+		}
+		// A sample variance's relative standard error is sqrt(2/draws),
+		// under 1%; a correlation's is below that.
+		if math.Abs(gotVM/vm-1) > 0.04 || math.Abs(gotVE/ve-1) > 0.04 {
+			t.Errorf("%+v: variances (%g, %g), want (%g, %g)", c, gotVM, gotVE, vm, ve)
+		}
+		if rho, want := gotCov/math.Sqrt(gotVM*gotVE), cov/math.Sqrt(vm*ve); math.Abs(rho-want) > 0.02 {
+			t.Errorf("%+v: correlation %.4f, want %.4f", c, rho, want)
+		}
+	}
+	// One step: the mean is the end state, up to the closed form's
+	// rounding: a spurious variance of about ε·s²/b².
+	m, e := NewRNG(3).AR1(0.5, 1e-5, 0.01, 1)
+	if math.Abs(m-e) > 1e-4 {
+		t.Errorf("one-step window: mean %g, end %g", m, e)
+	}
+}

@@ -135,7 +135,8 @@ type idleGen struct{}
 
 func (idleGen) Name() string { return "idle" }
 
-// idleBase is the timer tick's sliver of CPU, constant across slices.
+// idleBase is the timer tick's sliver of CPU, constant across slices,
+// which is why the idle spec declares it Steady.
 var idleBase = Demand{
 	Active:       0.004,
 	UopsPerCycle: 0.6,
@@ -151,6 +152,7 @@ func (idleGen) Demand(t float64, env Env, rng *sim.RNG) Demand {
 }
 
 func init() {
+	steady := idleBase
 	register(Spec{
 		Name:              "idle",
 		Class:             ClassInteger,
@@ -158,6 +160,7 @@ func init() {
 		StaggerSec:        0,
 		DefaultDuration:   120,
 		ChipsetDomainBias: 1.85,
+		Steady:            &steady,
 		Make: func(instance int, rng *sim.RNG) Generator {
 			return idleGen{}
 		},

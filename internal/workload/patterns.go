@@ -96,6 +96,7 @@ func DiurnalSpec(inner Spec, cfg DiurnalConfig) (Spec, error) {
 	}
 	out := inner
 	out.Name = "diurnal:" + inner.Name
+	out.Steady = nil // the envelope varies the demand
 	innerMake := inner.Make
 	out.Make = func(instance int, rng *sim.RNG) Generator {
 		g, err := NewDiurnal(innerMake(instance, rng), cfg)

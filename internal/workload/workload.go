@@ -177,6 +177,13 @@ type Spec struct {
 	DefaultDuration float64
 	// Make constructs instance i (0-based).
 	Make func(instance int, rng *sim.RNG) Generator
+	// Steady, when non-nil, declares that every generator Make returns
+	// demands exactly *Steady in every slice, whatever its Env and RNG.
+	// The machine may then fast-forward a window in which every thread
+	// is steady or empty without calling the generators
+	// (internal/machine). A wrapper that changes or records the demand
+	// must clear it.
+	Steady *Demand
 	// ChipsetDomainBias reproduces the paper's chipset measurement
 	// artifact: the chipset rail is derived from multiple power domains
 	// with a workload-dependent, non-deterministic coupling, which is

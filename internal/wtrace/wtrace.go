@@ -447,6 +447,7 @@ func RecordSpec(spec workload.Spec, rec *Recorder) (workload.Spec, error) {
 	rec.SetChipsetBias(spec.ChipsetDomainBias)
 	inner := spec.Make
 	out := spec
+	out.Steady = nil // the recorder needs every slice's demand
 	out.Make = func(instance int, rng *sim.RNG) workload.Generator {
 		g := inner(instance, rng)
 		w, err := rec.Wrap(instance, float64(instance)*spec.StaggerSec, g)

@@ -51,7 +51,7 @@ func TestCommandOutputPins(t *testing.T) {
 
 	report := map[string]string{
 		"stdout":                 "cbf29ce484222325",
-		"F":                      "603460bc59306c91",
+		"F":                      "206c0cd0554f24f4",
 		"figure2.csv":            "116e3ac1cd94438d",
 		"figure3.csv":            "0ea25c1c75ce884a",
 		"figure4.csv":            "a30f007d57bc0736",
@@ -68,9 +68,9 @@ func TestCommandOutputPins(t *testing.T) {
 		args []string
 		pins map[string]string
 	}{
-		{"fleet", nil, map[string]string{"stdout": "417d79113bcae40c"}},
-		{"fleet", []string{"-smoke", "1000", "-workers", "2"}, map[string]string{"stdout": "a26c8b8a9fdec7c7"}},
-		{"diurnal", []string{"-workers", "2"}, map[string]string{"stdout": "f73e5521cc9431c6"}},
+		{"fleet", nil, map[string]string{"stdout": "94b08e0135877d02"}},
+		{"fleet", []string{"-smoke", "1000", "-workers", "2"}, map[string]string{"stdout": "33a86d3a58f22596"}},
+		{"diurnal", []string{"-workers", "2"}, map[string]string{"stdout": "76a4f9a83924ba3f"}},
 		{"chaos", []string{"-seconds", "40"}, map[string]string{"stdout": "488d841504c01ede"}},
 		{"tenants", nil, map[string]string{"stdout": "c8b60949eade94c5"}},
 		{"drift", nil, map[string]string{"stdout": "102af14bddd7bcbe"}},
@@ -82,7 +82,7 @@ func TestCommandOutputPins(t *testing.T) {
 		{"phases", nil, map[string]string{"stdout": "2075fefd3f60a241"}},
 		{"thermal", nil, map[string]string{"stdout": "7321d14cb4eeb6d9"}},
 		{"tdvalidate", []string{"-gate", "-golden", golden, "-o", "F"},
-			map[string]string{"stdout": "97b4452f07560bef", "F": "5a4817ba5ca7aa91"}},
+			map[string]string{"stdout": "b5872d1dd0a9e61d", "F": "7cb1bbaf66723841"}},
 		{"tdreport", []string{"-scale", "0.2", "-o", "F", "-figures", "D"}, report},
 	}
 	for _, row := range rows {
