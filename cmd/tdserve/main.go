@@ -87,15 +87,13 @@ func main() {
 		log.Fatal(err)
 	}
 	if *adaptOn {
-		mgr, err := adapt.New(adapt.Config{
-			Champion: est,
-			OnEvent: func(ev adapt.Event) {
-				log.Printf("adapt %s: %s -> %s (%s) trace=%s", ev.Kind, ev.From, ev.To, ev.Detail, ev.Trace)
-			},
-		})
+		mgr, err := adapt.New(adapt.Config{Champion: est})
 		if err != nil {
 			log.Fatal(err)
 		}
+		mgr.Subscribe(func(ev adapt.Event) {
+			log.Printf("adapt %s: %s -> %s (%s) trace=%s", ev.Kind, ev.From, ev.To, ev.Detail, ev.Trace)
+		})
 		srv.SetAdapter(mgr)
 		log.Print("self-healing enabled")
 	}

@@ -36,6 +36,7 @@ import (
 	"trickledown/internal/experiments"
 	"trickledown/internal/faults"
 	"trickledown/internal/machine"
+	"trickledown/internal/perfctr"
 	"trickledown/internal/power"
 	"trickledown/internal/tracez"
 	"trickledown/internal/validate"
@@ -75,7 +76,6 @@ func main() {
 		PhaseThresholdW: 500, // the drill streams one workload; no phase gating
 		PhaseSettle:     3,
 		Seed:            21,
-		OnEvent:         func(ev adapt.Event) { events = append(events, ev) },
 	}
 	if *badChallenger {
 		cfg.ChallengerHook = corruptChallenger
@@ -85,6 +85,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	mgr.Subscribe(func(ev adapt.Event) { events = append(events, ev) })
 
 	nonFinite, swapObs, rollbackObs := stream(mgr, live, &events, *rollbackDrill)
 
@@ -194,13 +195,20 @@ func injectDrift(ds *align.Dataset, start, mag float64, seed uint64) {
 	}
 }
 
-// stream feeds the live rows to the manager one at a time (the drills'
-// determinism contract), counting non-finite champion estimates. In the
-// rollback drill, a second violent drift starts right after the first
-// swap; streaming stops once the rollback lands (or the guard expires).
+// stream feeds the live rows to the manager one at a time, as chunks of
+// one, counting the non-finite estimates Observe serves: the rollback
+// drill perturbs the rows after the first swap, so no row may be
+// observed before the swap is seen. There a second violent drift starts
+// right after the swap; streaming stops once the rollback lands (or the
+// guard expires).
 func stream(mgr *adapt.Manager, live *align.Dataset, events *[]adapt.Event, rollback bool) (nonFinite int, swapObs, rollbackObs int) {
 	swapObs, rollbackObs = -1, -1
-	var second *faults.Injector
+	var (
+		second *faults.Injector
+		sample [1]perfctr.Sample
+		rails  [1]power.Reading
+		out    [1]power.Reading
+	)
 	for i := range live.Rows {
 		row := &live.Rows[i]
 		if second != nil {
@@ -209,8 +217,9 @@ func stream(mgr *adapt.Manager, live *align.Dataset, events *[]adapt.Event, roll
 				second.PerturbCounts(s.TargetSeconds, c, &s.CPUs[c])
 			}
 		}
-		mgr.Observe(&row.Counters, row.Power)
-		if mgr.Champion().Estimate(&row.Counters).NonFinite() >= 0 {
+		sample[0], rails[0] = row.Counters, row.Power
+		mgr.Observe(out[:], sample[:], rails[:])
+		if out[0].NonFinite() >= 0 {
 			nonFinite++
 		}
 		if len(*events) > 0 && (*events)[0].Kind == "swap" && swapObs < 0 {

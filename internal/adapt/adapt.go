@@ -74,10 +74,6 @@ type Config struct {
 	// Seed makes minted swap trace IDs (and thus flight-recorder and
 	// exemplar references) deterministic for drills. Default 1.
 	Seed uint64
-	// OnEvent, when set, observes every swap and rollback — the serve
-	// layer uses it to flip its atomic estimator pointer, note the
-	// flight recorder, and dump a diagnostics bundle.
-	OnEvent func(Event)
 	// ChallengerHook, when set, may replace a fitted challenger before
 	// the shadow gate sees it. CI's negative control injects a
 	// deliberately bad challenger here and asserts the gate rejects it.
@@ -132,19 +128,22 @@ type Event struct {
 }
 
 // Manager runs the detect → refit → gate → swap → rollback loop. It is
-// fed one observation at a time (counter sample plus measured rails
-// when available) and owns the champion lifecycle; consumers read the
-// active estimator through the OnEvent callback or Status.
+// fed chunks of observations (counter samples plus their measured
+// rails), estimates each sample once with the champion that serves it,
+// and owns the champion lifecycle; consumers read the active estimator
+// through Champion or a Subscribe listener.
 //
 // All methods are safe for concurrent use, but determinism is only
 // guaranteed when one goroutine feeds Observe — the drills do exactly
-// that.
+// that. How a stream is cut into chunks does not change any decision,
+// reading or status.
 type Manager struct {
 	cfg Config
 
 	mu          sync.Mutex
 	champion    *core.Estimator
-	window      []align.Row // ring, oldest at wHead; rows own their slices
+	window      []align.Row  // ring, oldest at wHead; rows own their slices
+	rates       []core.Rates // Observe's per-chunk scratch
 	wHead, wLen int
 	resid       *PageHinkley
 	env         *EnvelopeCUSUM
@@ -159,7 +158,7 @@ type Manager struct {
 	refitSeq       int    // refit version counter
 	idState        uint64 // SplitMix64 state for deterministic trace IDs
 
-	subs []func(Event) // Subscribe listeners, called after cfg.OnEvent
+	subs []func(Event) // Subscribe listeners, in registration order
 
 	alarms, retrains, rejected, swaps, rollbacks, quarantined uint64
 	lastErrPct                                                float64
@@ -218,11 +217,11 @@ func (m *Manager) mintTraceID() tracez.TraceID {
 	return id
 }
 
-// Subscribe registers fn to observe every swap and rollback, in
-// addition to (and after) Config.OnEvent. Callbacks run synchronously
-// inside the champion change with the manager's lock held: they must
-// not call back into the Manager. The serve layer subscribes its
-// atomic estimator swap and diagnostics-bundle trigger here.
+// Subscribe registers fn to observe every swap and rollback, after the
+// listeners registered before it. Callbacks run synchronously inside
+// the champion change with the manager's lock held: they must not call
+// back into the Manager. The serve layer subscribes its atomic
+// estimator swap and diagnostics-bundle trigger here.
 func (m *Manager) Subscribe(fn func(Event)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -236,24 +235,44 @@ func (m *Manager) Champion() *core.Estimator {
 	return m.champion
 }
 
-// Observe feeds one counter sample with its measured rails (ground
-// truth or a calibrated proxy). It drives drift detection, window
+// Observe feeds a chunk of counter samples with their measured rails
+// (ground truth or a calibrated proxy), one Reading per sample, and
+// writes the reading the champion serves for ss[i] to out[i], which
+// must be at least len(ss) long. The champion estimates the chunk once;
+// each sample's residual then drives drift detection, window
 // accumulation, and — when the gate conditions line up — a promotion
-// attempt or rollback, synchronously. The window keeps a deep copy of
-// the sample, so the caller may reuse its storage once Observe returns.
-func (m *Manager) Observe(s *perfctr.Sample, measured power.Reading) {
+// attempt or rollback, synchronously. A champion change at sample i
+// keeps sample i's residual from the old champion and has the new one
+// serve samples i onward. The window keeps a deep copy of each sample,
+// so the caller may reuse their storage once Observe returns.
+func (m *Manager) Observe(out []power.Reading, ss []perfctr.Sample, rails []power.Reading) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if cap(m.rates) < len(ss) {
+		m.rates = make([]core.Rates, len(ss))
+	}
+	rs := m.rates[:len(ss)]
+	m.champion.EstimateRates(out, rs, ss)
+	for i := range ss {
+		champ := m.champion
+		m.observeLocked(&ss[i], rails[i], &out[i], &rs[i])
+		if m.champion != champ {
+			m.champion.EstimateRates(out[i:], rs[i:], ss[i:])
+		}
+	}
+	mModelAge.Set(float64(m.modelAge))
+}
 
+// observeLocked is Observe's step for one sample, given the champion's
+// reading of it and its rates. Called with mu held.
+func (m *Manager) observeLocked(s *perfctr.Sample, measured power.Reading, reading *power.Reading, env *core.Rates) {
 	m.obs++
 	m.modelAge++
 	m.sinceAttempt++
-	mModelAge.Set(float64(m.modelAge))
 
-	// Residual drift: per-sample Eq.6 error of the champion's total,
-	// estimated as the worker serves it. The envelopes read the rates
-	// of the same pass.
-	reading, env := m.champion.EstimateRates(s)
+	// Residual drift: per-sample Eq.6 error of the champion's total, as
+	// the worker serves it. The envelopes read the rates of the same
+	// pass.
 	modeled := reading.Total()
 	truth := measured.Total()
 	errPct := math.Abs(modeled-truth) / math.Abs(truth) * 100
@@ -482,9 +501,6 @@ func (m *Manager) rollbackLocked() {
 
 func (m *Manager) emit(ev Event) {
 	tracez.Flight().NoteTrace("adapt."+ev.Kind, ev.From+" -> "+ev.To, int64(m.obs), ev.Trace)
-	if m.cfg.OnEvent != nil {
-		m.cfg.OnEvent(ev)
-	}
 	for _, fn := range m.subs {
 		fn(ev)
 	}

@@ -12,6 +12,7 @@ import (
 	"trickledown/internal/iobus"
 	"trickledown/internal/perfctr"
 	"trickledown/internal/power"
+	"trickledown/internal/stats"
 	"trickledown/internal/validate"
 )
 
@@ -136,7 +137,7 @@ func TestComputeEnvelopesPinned(t *testing.T) {
 	}
 }
 
-func testConfig(champ *core.Estimator, events *[]Event) Config {
+func testConfig(champ *core.Estimator) Config {
 	return Config{
 		Champion:        champ,
 		Window:          60,
@@ -147,42 +148,54 @@ func testConfig(champ *core.Estimator, events *[]Event) Config {
 		PhaseThresholdW: 1000, // no phase gating unless a test wants it
 		PhaseSettle:     2,
 		Seed:            7,
-		OnEvent: func(ev Event) {
-			if events != nil {
-				*events = append(*events, ev)
-			}
-		},
 	}
 }
 
-// runDrill streams pre-drift then post-drift observations and returns
-// the manager for inspection.
-func runDrill(t *testing.T, cfg Config, pre, post int, shift float64) *Manager {
+// newRecorded builds a manager whose every event is appended to events.
+func newRecorded(t testing.TB, cfg Config, events *[]Event) *Manager {
 	t.Helper()
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Subscribe(func(ev Event) { *events = append(*events, ev) })
+	return m
+}
+
+// observe feeds one sample as a chunk of one and returns the reading
+// Observe serves for it.
+func observe(m *Manager, s *perfctr.Sample, measured power.Reading) power.Reading {
+	var out [1]power.Reading
+	m.Observe(out[:], []perfctr.Sample{*s}, []power.Reading{measured})
+	return out[0]
+}
+
+// runDrill streams pre-drift then post-drift observations and returns
+// the manager for inspection.
+func runDrill(t *testing.T, cfg Config, events *[]Event, pre, post int, shift float64) *Manager {
+	t.Helper()
+	m := newRecorded(t, cfg, events)
 	const n = 97
 	for i := 0; i < pre; i++ {
 		s := sampleAt(i, n)
-		m.Observe(&s, railsFor(&s, 0))
+		observe(m, &s, railsFor(&s, 0))
 	}
 	for i := pre; i < pre+post; i++ {
 		s := sampleAt(i, n)
-		m.Observe(&s, railsFor(&s, shift))
+		observe(m, &s, railsFor(&s, shift))
 	}
 	return m
 }
 
 // TestWindowRowsOwnTheirStorage: Observe keeps a deep copy of each
-// sample, so a caller that decodes every sample into the same storage
+// sample, so a caller that decodes every chunk into the same storage
 // (the live service recycles its decode buffers) leaves the window's
-// rows unchanged. The stream is longer than the window, so evicted
-// slots are reused too, and the busy-time vector changes length.
+// rows unchanged. The chunks vary in length, the stream is longer than
+// the window, so evicted slots are reused too, and the busy-time vector
+// changes length.
 func TestWindowRowsOwnTheirStorage(t *testing.T) {
 	const n, total = 97, 75
-	m, err := New(testConfig(trainingChampion(t, 120), nil))
+	m, err := New(testConfig(trainingChampion(t, 120)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,18 +207,29 @@ func TestWindowRowsOwnTheirStorage(t *testing.T) {
 		}
 		return s
 	}
-	buf := want(0)
-	buf.OSBusySec = make([]float64, 2)
-	for i := 0; i < total; i++ {
-		// Overwrite buf in place, as a reused decoder would.
-		w := want(i)
-		copy(buf.CPUs, w.CPUs)
-		for v := range buf.Ints {
-			copy(buf.Ints[v], w.Ints[v])
+	lens := []int{1, 7, 3, 16, 2, 11, 5, 30}
+	buf := make([]perfctr.Sample, 30)
+	for k := range buf {
+		buf[k] = want(0)
+		buf[k].OSBusySec = make([]float64, 2)
+	}
+	rails := make([]power.Reading, len(buf))
+	out := make([]power.Reading, len(buf))
+	for i, c := 0, 0; i < total; c++ {
+		chunk := buf[:min(lens[c%len(lens)], total-i)]
+		for k := range chunk {
+			// Overwrite buf in place, as a reused decoder would.
+			w, b := want(i+k), &chunk[k]
+			copy(b.CPUs, w.CPUs)
+			for v := range b.Ints {
+				copy(b.Ints[v], w.Ints[v])
+			}
+			b.TargetSeconds = w.TargetSeconds
+			b.OSBusySec = append(b.OSBusySec[:0], w.OSBusySec...)
+			rails[k] = railsFor(b, 0)
 		}
-		buf.TargetSeconds = w.TargetSeconds
-		buf.OSBusySec = append(buf.OSBusySec[:0], w.OSBusySec...)
-		m.Observe(&buf, railsFor(&buf, 0))
+		m.Observe(out, chunk, rails)
+		i += len(chunk)
 	}
 	win := m.windowDataset()
 	if win.Len() != m.cfg.Window {
@@ -220,34 +244,36 @@ func TestWindowRowsOwnTheirStorage(t *testing.T) {
 	}
 }
 
+// steadyChunk is a 256-sample chunk of the training regime of a
+// champion fit on n samples, with its rails.
+func steadyChunk(n int) ([]perfctr.Sample, []power.Reading) {
+	samples := make([]perfctr.Sample, 256)
+	rails := make([]power.Reading, len(samples))
+	for i := range samples {
+		samples[i] = sampleAt(i, n)
+		rails[i] = railsFor(&samples[i], 0)
+	}
+	return samples, rails
+}
+
 // TestObserveSteadyStateZeroAlloc: once the window is full, an Observe
-// that raises no alarm and refits nothing allocates nothing. Extraction,
-// the champion's estimate, the envelope rates and the window copy all
-// reuse storage the manager already holds.
+// of a 256-sample chunk that raises no alarm and refits nothing
+// allocates nothing. The champion's estimate, the envelope rates and
+// the window copies all reuse storage the manager already holds.
 func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 	const n = 97
-	m, err := New(testConfig(trainingChampion(t, n), nil))
+	m, err := New(testConfig(trainingChampion(t, n)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m.env.envs) == 0 {
 		t.Fatal("champion carries no envelopes; the envelope path would go unmeasured")
 	}
-	samples := make([]perfctr.Sample, n)
-	rails := make([]power.Reading, n)
-	for i := range samples {
-		samples[i] = sampleAt(i, n)
-		rails[i] = railsFor(&samples[i], 0)
-	}
-	i := 0
-	observe := func() {
-		m.Observe(&samples[i%n], rails[i%n])
-		i++
-	}
-	for i < 2*m.cfg.Window {
-		observe()
-	}
-	allocs := testing.AllocsPerRun(200, observe)
+	samples, rails := steadyChunk(n)
+	out := make([]power.Reading, len(samples))
+	observe := func() { m.Observe(out, samples, rails) }
+	observe()
+	allocs := testing.AllocsPerRun(20, observe)
 	if st := m.Status(); st.Alarms != 0 || st.Retrains != 0 {
 		t.Fatalf("steady regime raised %d alarms and %d refits", st.Alarms, st.Retrains)
 	}
@@ -256,28 +282,23 @@ func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkObserve is one railed sample through a steady-state Observe:
-// the champion's estimate, the envelope rates, both detectors, the
-// phase tracker and the window copy, with no alarm or refit.
+// BenchmarkObserve is one railed 256-sample chunk through a
+// steady-state Observe: the champion's estimate of the chunk, then per
+// sample the envelope rates, both detectors, the phase tracker and the
+// window copy, with no alarm or refit.
 func BenchmarkObserve(b *testing.B) {
 	const n = 97
-	m, err := New(testConfig(trainingChampion(b, n), nil))
+	m, err := New(testConfig(trainingChampion(b, n)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	samples := make([]perfctr.Sample, n)
-	rails := make([]power.Reading, n)
-	for i := range samples {
-		samples[i] = sampleAt(i, n)
-		rails[i] = railsFor(&samples[i], 0)
-	}
-	for i := 0; i < 2*m.cfg.Window; i++ {
-		m.Observe(&samples[i%n], rails[i%n])
-	}
+	samples, rails := steadyChunk(n)
+	out := make([]power.Reading, len(samples))
+	m.Observe(out, samples, rails)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Observe(&samples[i%n], rails[i%n])
+		m.Observe(out, samples, rails)
 	}
 	b.StopTimer()
 	if st := m.Status(); st.Alarms != 0 || st.Retrains != 0 {
@@ -288,8 +309,7 @@ func BenchmarkObserve(b *testing.B) {
 func TestDriftTriggersGuardedSwap(t *testing.T) {
 	champ := trainingChampion(t, 120)
 	var events []Event
-	cfg := testConfig(champ, &events)
-	m := runDrill(t, cfg, 100, 300, 0.4)
+	m := runDrill(t, testConfig(champ), &events, 100, 300, 0.4)
 
 	st := m.Status()
 	if st.Alarms == 0 {
@@ -346,7 +366,7 @@ func TestDrillIsDeterministic(t *testing.T) {
 	run := func() (string, Status) {
 		champ := trainingChampion(t, 120)
 		var events []Event
-		m := runDrill(t, testConfig(champ, &events), 100, 300, 0.4)
+		m := runDrill(t, testConfig(champ), &events, 100, 300, 0.4)
 		var sig string
 		for _, ev := range events {
 			sig += fmt.Sprintf("%s|%s->%s|%s|%.9f\n", ev.Kind, ev.From, ev.To, ev.Trace.String(), ev.WindowErrPct)
@@ -366,12 +386,143 @@ func TestDrillIsDeterministic(t *testing.T) {
 	}
 }
 
+// swapRollbackStream is a railed stream that swaps the champion and
+// then rolls the swap back: the training regime, a 0.4 shift from
+// sample 100 until a manager fed one sample at a time swaps, a 2.5
+// shift until it rolls back, then the training regime again. It
+// returns the samples observed at the swap and at the rollback too.
+func swapRollbackStream(t *testing.T, cfg Config) (ss []perfctr.Sample, rails []power.Reading, swapAt, rollAt int) {
+	t.Helper()
+	const n, total, pre = 97, 400, 100
+	dry, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, rails = make([]perfctr.Sample, total), make([]power.Reading, total)
+	swapAt, rollAt = -1, -1
+	shift := 0.0
+	for i := range ss {
+		st := dry.Status()
+		switch {
+		case st.Rollbacks > 0:
+			shift = 0
+		case st.Swaps > 0:
+			shift = 2.5
+		case i == pre:
+			shift = 0.4
+		}
+		ss[i] = sampleAt(i, n)
+		rails[i] = railsFor(&ss[i], shift)
+		observe(dry, &ss[i], rails[i])
+		if st := dry.Status(); st.Swaps > 0 && swapAt < 0 {
+			swapAt = i
+		} else if st.Rollbacks > 0 && rollAt < 0 {
+			rollAt = i
+		}
+	}
+	if st := dry.Status(); st.Swaps != 1 || st.Rollbacks != 1 || rollAt < 0 {
+		t.Fatalf("stream: %d swaps, %d rollbacks; want one of each", st.Swaps, st.Rollbacks)
+	}
+	return ss, rails, swapAt, rollAt
+}
+
+// TestObservePartitionInvariant: how a railed stream is cut into chunks
+// changes nothing Observe decides or serves. The stream swaps and then
+// rolls back; fed whole, in chunks of one and at seeded random cut
+// points, it leaves the same status (LastErrPct bit for bit), the same
+// events with the same trace IDs and challenger coefficients, the same
+// champion, and bit-identical readings in out. The reading served at
+// the swap is the challenger's and at the rollback the restored
+// champion's, so the re-estimate after a champion change is exercised.
+func TestObservePartitionInvariant(t *testing.T) {
+	champ := trainingChampion(t, 120)
+	ss, rails, swapAt, rollAt := swapRollbackStream(t, testConfig(champ))
+	type run struct {
+		out    []power.Reading
+		events []Event
+		m      *Manager
+	}
+	feed := func(cuts func() int) run {
+		r := run{out: make([]power.Reading, len(ss))}
+		r.m = newRecorded(t, testConfig(champ), &r.events)
+		for lo := 0; lo < len(ss); {
+			hi := min(lo+cuts(), len(ss))
+			r.m.Observe(r.out[lo:hi], ss[lo:hi], rails[lo:hi])
+			lo = hi
+		}
+		return r
+	}
+	rng := uint64(33)
+	runs := map[string]run{
+		"whole":  feed(func() int { return len(ss) }),
+		"ones":   feed(func() int { return 1 }),
+		"random": feed(func() int { return 1 + int(stats.SplitMix64(&rng)%64) }),
+	}
+	coefBits := func(e *core.Estimator) (bits []uint64) {
+		for _, sub := range power.Subsystems() {
+			for _, c := range e.Model(sub).Coef {
+				bits = append(bits, math.Float64bits(c))
+			}
+		}
+		return bits
+	}
+	want := runs["ones"]
+	if len(want.events) != 2 {
+		t.Fatalf("chunks of one: %d events, want a swap and a rollback", len(want.events))
+	}
+	challenger := want.events[0].Estimator
+	for _, c := range []struct {
+		i   int
+		est *core.Estimator
+	}{{swapAt - 1, champ}, {swapAt, challenger}, {rollAt - 1, challenger}, {rollAt, champ}} {
+		if got, w := want.out[c.i], c.est.Estimate(&ss[c.i]); got != w {
+			t.Errorf("sample %d served %v, want %s's %v", c.i, got, versionOf(c.est), w)
+		}
+	}
+	if challenger.Estimate(&ss[swapAt]) == champ.Estimate(&ss[swapAt]) {
+		t.Fatal("challenger and champion agree at the swap; the test cannot tell them apart")
+	}
+	wantSt := want.m.Status()
+	for name, r := range runs {
+		st := r.m.Status()
+		if math.Float64bits(st.LastErrPct) != math.Float64bits(wantSt.LastErrPct) {
+			t.Errorf("%s: LastErrPct %v, chunks of one %v", name, st.LastErrPct, wantSt.LastErrPct)
+		}
+		if st != wantSt {
+			t.Errorf("%s: status %+v, chunks of one %+v", name, st, wantSt)
+		}
+		if !reflect.DeepEqual(coefBits(r.m.Champion()), coefBits(want.m.Champion())) {
+			t.Errorf("%s: champion coefficients differ", name)
+		}
+		if len(r.events) != len(want.events) {
+			t.Fatalf("%s: %d events, chunks of one %d", name, len(r.events), len(want.events))
+		}
+		for k, ev := range r.events {
+			w := want.events[k]
+			if ev.Kind != w.Kind || ev.From != w.From || ev.To != w.To || ev.Trace != w.Trace ||
+				math.Float64bits(ev.WindowErrPct) != math.Float64bits(w.WindowErrPct) ||
+				!reflect.DeepEqual(coefBits(ev.Estimator), coefBits(w.Estimator)) {
+				t.Errorf("%s: event %d is %s %s->%s %s, chunks of one %s %s->%s %s",
+					name, k, ev.Kind, ev.From, ev.To, ev.Trace, w.Kind, w.From, w.To, w.Trace)
+			}
+		}
+		for i := range r.out {
+			for sub := range r.out[i] {
+				if math.Float64bits(r.out[i][sub]) != math.Float64bits(want.out[i][sub]) {
+					t.Fatalf("%s: sample %d %s served %v, chunks of one %v",
+						name, i, power.Subsystem(sub), r.out[i][sub], want.out[i][sub])
+				}
+			}
+		}
+	}
+}
+
 // TestShadowGateRejectsBadChallenger is the negative control: a hook
 // that corrupts every challenger must never let one serve.
 func TestShadowGateRejectsBadChallenger(t *testing.T) {
 	champ := trainingChampion(t, 120)
 	var events []Event
-	cfg := testConfig(champ, &events)
+	cfg := testConfig(champ)
 	cfg.ChallengerHook = func(c *core.Estimator) *core.Estimator {
 		// Negate the CPU response: more activity, less power — exactly
 		// what the metamorphic battery exists to catch.
@@ -385,7 +536,7 @@ func TestShadowGateRejectsBadChallenger(t *testing.T) {
 		est.SetProvenance(c.Provenance())
 		return est
 	}
-	m := runDrill(t, cfg, 100, 300, 0.4)
+	m := runDrill(t, cfg, &events, 100, 300, 0.4)
 	st := m.Status()
 	if st.Swaps != 0 {
 		t.Fatalf("corrupted challenger served traffic: %+v", st)
@@ -406,18 +557,15 @@ func TestShadowGateRejectsBadChallenger(t *testing.T) {
 func TestRollbackWithinGuardWindow(t *testing.T) {
 	champ := trainingChampion(t, 120)
 	var events []Event
-	cfg := testConfig(champ, &events)
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := testConfig(champ)
+	m := newRecorded(t, cfg, &events)
 	const n = 97
 	// Champion was trained on shift 0, live data is 0.4: drive drifted
 	// traffic until the manager promotes a challenger, then stop.
 	i := 0
 	for ; i < 600 && len(events) == 0; i++ {
 		s := sampleAt(i, n)
-		m.Observe(&s, railsFor(&s, 0.4))
+		observe(m, &s, railsFor(&s, 0.4))
 	}
 	if len(events) == 0 || events[0].Kind != "swap" {
 		t.Fatalf("no swap to set up rollback: %+v", m.Status())
@@ -430,7 +578,7 @@ func TestRollbackWithinGuardWindow(t *testing.T) {
 	start := i
 	for ; i < start+cfg.GuardWindow; i++ {
 		s := sampleAt(i, n)
-		m.Observe(&s, railsFor(&s, 2.5))
+		observe(m, &s, railsFor(&s, 2.5))
 		if len(events) >= 2 {
 			break
 		}
@@ -467,8 +615,7 @@ func TestRollbackWithinGuardWindow(t *testing.T) {
 // across the phase threshold every sample, a pending retrain must wait.
 func TestPhaseGateBlocksRetrainDuringTransitions(t *testing.T) {
 	champ := trainingChampion(t, 120)
-	var events []Event
-	cfg := testConfig(champ, &events)
+	cfg := testConfig(champ)
 	// The synthetic sweep carries ~25 W of sample-to-sample structure, so
 	// the band must sit above that for a "steady" phase to exist at all;
 	// the injected square wave then has to clear the band on every flip.
@@ -487,7 +634,7 @@ func TestPhaseGateBlocksRetrainDuringTransitions(t *testing.T) {
 		if i%2 == 0 {
 			r[power.SubCPU] += 400
 		}
-		m.Observe(&s, r)
+		observe(m, &s, r)
 	}
 	st := m.Status()
 	if !st.PendingRetrain {
@@ -499,7 +646,7 @@ func TestPhaseGateBlocksRetrainDuringTransitions(t *testing.T) {
 	// Once the workload steadies, the held-back retrain proceeds.
 	for i := 300; i < 700 && m.Status().Swaps == 0; i++ {
 		s := sampleAt(i, n)
-		m.Observe(&s, railsFor(&s, 0.4))
+		observe(m, &s, railsFor(&s, 0.4))
 	}
 	if m.Status().Swaps == 0 {
 		t.Fatalf("retrain never ran after phases settled: %+v", m.Status())
@@ -510,13 +657,13 @@ func TestPhaseGateBlocksRetrainDuringTransitions(t *testing.T) {
 // cannot be refit, and the rejection names the design term at fault.
 func TestRefitNamesCollinearTerm(t *testing.T) {
 	champ := trainingChampion(t, 120)
-	m, err := New(testConfig(champ, nil))
+	m, err := New(testConfig(champ))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := sampleAt(5, 97) // the same sample over and over
 	for i := 0; i < 120; i++ {
-		m.Observe(&s, railsFor(&s, 1))
+		observe(m, &s, railsFor(&s, 1))
 	}
 	st := m.Status()
 	if st.Alarms == 0 || st.Rejected == 0 || st.Swaps != 0 {
@@ -532,15 +679,14 @@ func TestRefitNamesCollinearTerm(t *testing.T) {
 // dropped before they can reach detector or window state.
 func TestNonFiniteResidualsQuarantined(t *testing.T) {
 	champ := trainingChampion(t, 120)
-	cfg := testConfig(champ, nil)
-	m, err := New(cfg)
+	m, err := New(testConfig(champ))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 97
 	for i := 0; i < 20; i++ {
 		s := sampleAt(i, n)
-		m.Observe(&s, railsFor(&s, 0))
+		observe(m, &s, railsFor(&s, 0))
 	}
 	base := m.Status()
 	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0}
@@ -548,7 +694,7 @@ func TestNonFiniteResidualsQuarantined(t *testing.T) {
 		s := sampleAt(i, n)
 		var r power.Reading
 		r[power.SubCPU] = h
-		m.Observe(&s, r)
+		observe(m, &s, r)
 	}
 	st := m.Status()
 	if st.Quarantined != base.Quarantined+uint64(len(hostile)) {
@@ -569,7 +715,7 @@ func TestNonFiniteResidualsQuarantined(t *testing.T) {
 
 // A window narrower than a production design could never be refit.
 func TestNewRejectsWindowBelowDesignWidth(t *testing.T) {
-	cfg := testConfig(trainingChampion(t, 120), nil)
+	cfg := testConfig(trainingChampion(t, 120))
 	cfg.Window = 4 // the disk model has five columns
 	if _, err := New(cfg); err == nil {
 		t.Error("window of 4 accepted")

@@ -418,6 +418,8 @@ func TestEstimateSamplesMatchesExtractAndBatch(t *testing.T) {
 			}
 			got := make([]power.Reading, len(ss))
 			est.EstimateSamples(got, ss)
+			paired, pairedRates := make([]power.Reading, len(ss)), make([]Rates, len(ss))
+			est.EstimateRates(paired, pairedRates, ss)
 			for j := range ss {
 				want := refEstimate(est, &ss[j])
 				row := ExtractMetrics(&ss[j])
@@ -430,9 +432,8 @@ func TestEstimateSamplesMatchesExtractAndBatch(t *testing.T) {
 							tc.name, trial, j, len(ss[j].CPUs), f, row[f], slow[f], ref[f], refSlow[f])
 					}
 				}
-				paired, pairedRates := est.EstimateRates(&ss[j])
-				for k := range pairedRates {
-					for _, v := range []float64{RatesOf(&ss[j])[k], pairedRates[k]} {
+				for k := range pairedRates[j] {
+					for _, v := range []float64{RatesOf(&ss[j])[k], pairedRates[j][k]} {
 						if math.Float64bits(v) != math.Float64bits(ref[SumActive+k]) {
 							t.Fatalf("%s trial %d sample %d (%d CPUs) %s: %v, reference %v",
 								tc.name, trial, j, len(ss[j].CPUs), EnvelopeNames()[k], v, ref[SumActive+k])
@@ -441,7 +442,7 @@ func TestEstimateSamplesMatchesExtractAndBatch(t *testing.T) {
 				}
 				one, fromRow := est.Estimate(&ss[j]), est.EstimateMetrics(&row)
 				for sub := range want {
-					for _, v := range []float64{got[j][sub], one[sub], paired[sub], fromRow[sub]} {
+					for _, v := range []float64{got[j][sub], one[sub], paired[j][sub], fromRow[sub]} {
 						if !sameBits(v, want[sub]) {
 							t.Fatalf("%s trial %d sample %d (%d CPUs) %s: %v (%#x), reference %v (%#x)",
 								tc.name, trial, j, len(ss[j].CPUs), power.Subsystem(sub),

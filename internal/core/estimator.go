@@ -74,16 +74,8 @@ func (e *Estimator) Model(s power.Subsystem) *Model {
 // samples.
 func (e *Estimator) Estimate(s *perfctr.Sample) power.Reading {
 	var out [1]power.Reading
-	e.estimate(out[:], unsafe.Slice(s, 1), nil)
+	e.EstimateRates(out[:], nil, unsafe.Slice(s, 1))
 	return out[0]
-}
-
-// EstimateRates is Estimate plus RatesOf of the same sample, computed
-// once for both: by the production kernel's rate pass, or as features
-// of the row every other estimator extracts.
-func (e *Estimator) EstimateRates(s *perfctr.Sample) (out power.Reading, r Rates) {
-	e.estimate(unsafe.Slice(&out, 1), unsafe.Slice(s, 1), unsafe.Slice(&r, 1))
-	return out, r
 }
 
 // EstimateSamples writes the estimate of ss[j] to out[j], which must be
@@ -94,14 +86,14 @@ func (e *Estimator) EstimateRates(s *perfctr.Sample) (out power.Reading, r Rates
 // Predicts on it. Either way every rail is bit-identical to
 // EstimateMetrics of ExtractMetrics.
 func (e *Estimator) EstimateSamples(out []power.Reading, ss []perfctr.Sample) {
-	e.estimate(out, ss, nil)
+	e.EstimateRates(out, nil, ss)
 }
 
-// estimate is EstimateSamples that also writes RatesOf(&ss[j]) to rs[j]
-// when rs is not nil. Estimate and EstimateRates call it directly, so
-// each is small enough to inline and its batch of one stays in the
-// caller's frame.
-func (e *Estimator) estimate(out []power.Reading, ss []perfctr.Sample, rs []Rates) {
+// EstimateRates is EstimateSamples that also writes RatesOf(&ss[j]) to
+// rs[j] when rs is not nil, computed once for both: by the production
+// kernel's rate pass, or as features of the row every other estimator
+// extracts. rs, when not nil, must be at least len(ss) long.
+func (e *Estimator) EstimateRates(out []power.Reading, rs []Rates, ss []perfctr.Sample) {
 	out = out[:len(ss)]
 	if e.production {
 		// The production kernel: Equations 1, 3, 4 and 5 and the

@@ -100,6 +100,12 @@ func adaptChampion(t testing.TB) *core.Estimator {
 	return est
 }
 
+// observeOne feeds m one railed sample as a chunk of one.
+func observeOne(m *adapt.Manager, smp *perfctr.Sample, r power.Reading) {
+	var out [1]power.Reading
+	m.Observe(out[:], []perfctr.Sample{*smp}, []power.Reading{r})
+}
+
 func adaptManagerConfig(champ *core.Estimator) adapt.Config {
 	return adapt.Config{
 		Champion:        champ,
@@ -229,7 +235,7 @@ func TestAdapterSwapMidBatchServesTheRest(t *testing.T) {
 	swapAt := -1
 	for i := 0; i < 1000 && swapAt < 0; i++ {
 		smp, r := sampleRails(i)
-		dry.Observe(&smp, r)
+		observeOne(dry, &smp, r)
 		if dry.Status().Swaps > 0 {
 			swapAt = i
 		}
@@ -240,7 +246,7 @@ func TestAdapterSwapMidBatchServesTheRest(t *testing.T) {
 	lo, hi := swapAt-5, swapAt+6
 	for i := swapAt + 1; i < hi; i++ {
 		smp, r := sampleRails(i)
-		dry.Observe(&smp, r)
+		observeOne(dry, &smp, r)
 	}
 	if st := dry.Status(); st.Swaps != 1 || st.Rollbacks != 0 {
 		t.Fatalf("dry run by sample %d: %d swaps, %d rollbacks; want exactly one swap", hi, st.Swaps, st.Rollbacks)
@@ -332,7 +338,7 @@ func TestObserveResidualMatchesExtractAndBatch(t *testing.T) {
 		samples[i] = adaptSample(i, period)
 		rails[i] = adaptRails(&samples[i], shift)
 		champs[i], lastErr[i] = dry.Champion(), st.LastErrPct
-		dry.Observe(&samples[i], rails[i])
+		observeOne(dry, &samples[i], rails[i])
 	}
 	want := dry.Status()
 	if want.Swaps == 0 || want.Rollbacks == 0 || want.Quarantined != 0 {
@@ -421,10 +427,10 @@ func TestLongBatchEstimatesEveryChunk(t *testing.T) {
 }
 
 // BenchmarkProcessRails is a worker's path for one 256-sample batch
-// carrying rails under a live adapter: one Observe per sample (the
-// champion's estimate, the envelope rates, detectors, window copy),
-// then the chunked batch estimate. The rails match the champion's
-// regime, so no alarm or refit runs.
+// carrying rails under a live adapter: one Observe of the chunk (the
+// champion's one estimate of it, then per sample the envelope rates,
+// detectors and window copy) and the chunk finite check. The rails
+// match the champion's regime, so no alarm or refit runs.
 func BenchmarkProcessRails(b *testing.B) {
 	const n = 256
 	champ := adaptChampion(b)

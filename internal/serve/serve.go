@@ -255,20 +255,12 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// SwapEstimator atomically replaces the serving estimator and returns
-// the previous one. The swap is a single pointer store: batches already
-// mid-estimation finish on the model they loaded.
-func (s *Server) SwapEstimator(e *core.Estimator) *core.Estimator {
-	if e == nil {
-		return s.est.Load()
-	}
-	return s.est.Swap(e)
-}
-
 // SetAdapter installs the self-healing manager. Batches carrying
-// measured rails (the TDP1 wire extension) feed the manager's drift
-// detection; every swap or rollback it decides flips the serving
-// estimator atomically and triggers a diagnostics bundle. Pass nil to
+// measured rails (the TDP1 wire extension) are estimated by the
+// manager's champion as they feed its drift detection; every swap or
+// rollback it decides flips the serving estimator of rail-less batches
+// with one pointer store (a batch already mid-estimation finishes on
+// the model it loaded) and triggers a diagnostics bundle. Pass nil to
 // detach (the current estimator keeps serving, frozen).
 func (s *Server) SetAdapter(m *adapt.Manager) {
 	s.adapter.Store(m)
@@ -276,12 +268,12 @@ func (s *Server) SetAdapter(m *adapt.Manager) {
 		return
 	}
 	m.Subscribe(func(ev adapt.Event) {
-		s.SwapEstimator(ev.Estimator)
+		s.est.Store(ev.Estimator)
 		s.triggerBundle("model-" + ev.Kind)
 	})
 	// Align the serving model with the manager's current champion so
 	// /statz and /driftz agree from the first request.
-	s.SwapEstimator(m.Champion())
+	s.est.Store(m.Champion())
 }
 
 // DumpDiagnostics synchronously writes a diagnostics bundle (tracez
@@ -521,15 +513,16 @@ func (s *Server) runBatch(b *batch, scratch *workerScratch, worker int) {
 }
 
 // process runs the batch through the estimators (SCHEDULED→DEPARTED)
-// and folds the result into node state. A batch carrying rails under
-// an adapter first feeds each sample to drift detection; then the batch
-// is estimated chunkSize samples at a time, with a chunk split
-// wherever the adapter swapped the champion. EstimateSamples runs the
-// production models straight from the counts, without extracting
-// metrics. One finite test covers a chunk; only a chunk that fails it
-// is walked sample by sample, and its non-finite estimates are
-// quarantined into counters. The node keeps
-// its last good reading so the fleet aggregate never turns NaN.
+// and folds the result into node state. The batch is estimated
+// chunkSize samples at a time: a chunk carrying rails under an adapter
+// by the adapter's Observe, which estimates it once with the champion
+// as it feeds drift detection (a swap or rollback decided there serves
+// the rest of the chunk), and any other chunk by EstimateSamples, which
+// runs the production models straight from the counts, without
+// extracting metrics. One finite test covers a chunk; only a chunk
+// that fails it is walked sample by sample, and its non-finite
+// estimates are quarantined into counters. The node keeps its last good
+// reading so the fleet aggregate never turns NaN.
 //
 // Sampled batches feed the latency histograms through the exemplar
 // path so /metrics buckets link back to /debug/tracez. A trace is built
@@ -538,53 +531,39 @@ func (s *Server) runBatch(b *batch, scratch *workerScratch, worker int) {
 // allocates nothing here.
 func (s *Server) process(b *batch, sc *workerScratch, worker int) {
 	b.scheduled, b.worker = time.Now(), worker
-	sc.segs = append(sc.segs[:0], estSegment{0, s.est.Load()})
-	if adapter := s.adapter.Load(); adapter != nil && b.rails != nil {
-		est := sc.segs[0].est
-		for i := range b.samples {
-			// Drift detection sees exactly what the estimators see. A
-			// swap or rollback decided here lands synchronously, so the
-			// new champion serves this sample and the rest of the batch.
-			adapter.Observe(&b.samples[i], b.rails[i])
-			if e := s.est.Load(); e != est {
-				est = e
-				sc.segs = append(sc.segs, estSegment{i, e})
-			}
-		}
-	}
+	est, adapter := s.est.Load(), s.adapter.Load()
 	var (
 		bad     uint64
 		lastT   float64
 		lastR   power.Reading
 		hasGood bool
 	)
-	for k, seg := range sc.segs {
-		end := len(b.samples)
-		if k+1 < len(sc.segs) {
-			end = sc.segs[k+1].from
+	for lo := 0; lo < len(b.samples); lo += chunkSize {
+		hi := min(lo+chunkSize, len(b.samples))
+		chunk := b.samples[lo:hi]
+		out := sc.out[:len(chunk)]
+		for j := range chunk {
+			if t := chunk[j].TargetSeconds; t > lastT {
+				lastT = t
+			}
 		}
-		for lo := seg.from; lo < end; lo += chunkSize {
-			chunk := b.samples[lo:min(lo+chunkSize, end)]
-			out := sc.out[:len(chunk)]
-			for j := range chunk {
-				if t := chunk[j].TargetSeconds; t > lastT {
-					lastT = t
-				}
-			}
-			seg.est.EstimateSamples(out, chunk)
-			if allFinite(out) {
-				lastR, hasGood = out[len(out)-1], true
-				continue
-			}
-			for j := range out {
-				if out[j].NonFinite() < 0 {
-					lastR = out[j]
-					hasGood = true
-				} else {
-					bad++
-					mNonFinite.Inc()
-					s.nonfinite.Add(1)
-				}
+		if adapter != nil && b.rails != nil {
+			adapter.Observe(out, chunk, b.rails[lo:hi])
+		} else {
+			est.EstimateSamples(out, chunk)
+		}
+		if allFinite(out) {
+			lastR, hasGood = out[len(out)-1], true
+			continue
+		}
+		for j := range out {
+			if out[j].NonFinite() < 0 {
+				lastR = out[j]
+				hasGood = true
+			} else {
+				bad++
+				mNonFinite.Inc()
+				s.nonfinite.Add(1)
 			}
 		}
 	}
@@ -671,18 +650,10 @@ func (s *Server) fileTrace(b *batch, shed string) {
 const chunkSize = 256
 
 // workerScratch is one estimation worker's reusable storage: a chunk's
-// readings and the estimator segments of the batch in hand. It is sized
-// by chunkSize, not by the batch, so it stays bounded at any batch
-// size.
+// readings. It is sized by chunkSize, not by the batch, so it stays
+// bounded at any batch size.
 type workerScratch struct {
-	out  [chunkSize]power.Reading
-	segs []estSegment
-}
-
-// estSegment starts a run of a batch's samples served by one estimator.
-type estSegment struct {
-	from int
-	est  *core.Estimator
+	out [chunkSize]power.Reading
 }
 
 // modelVersion renders an estimator's provenance version.

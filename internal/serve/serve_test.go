@@ -492,11 +492,12 @@ func TestOverflowingModelFileQuarantined(t *testing.T) {
 }
 
 // TestPanickingBatchContained: a model whose Design panics on one
-// batch's estimate takes down neither the worker nor the node's view.
-// The panic is recovered and counted, the batch is dropped, and the
-// worker estimates the next batch. The panicking batch carries rails,
-// and the adapter, whose single-sample estimates run before the
-// batch's and never panic, observes each of its samples once.
+// batch's estimate takes down neither the worker nor the adapter nor
+// the node's view. The panic is recovered and counted, the batch is
+// dropped, and the worker estimates the next batch. The panicking batch
+// carries rails, so the panic strikes inside the adapter's one estimate
+// of its chunk: the manager's lock is released, and the batch reaches
+// no detector, so the adapter has observed none of its samples.
 func TestPanickingBatchContained(t *testing.T) {
 	var mu sync.Mutex
 	calls, panicAt := 0, -1
@@ -533,10 +534,10 @@ func TestPanickingBatchContained(t *testing.T) {
 	for i := range samples {
 		rails[i] = adaptRails(&samples[i], 0)
 	}
-	// The worker has the adapter estimate each railed sample once, then
-	// estimates the batch: its first Design call is the one after those.
+	// The adapter estimates the railed chunk once: its second Design
+	// call panics, midway through the chunk.
 	mu.Lock()
-	panicAt = calls + len(samples) + 1
+	panicAt = calls + 2
 	mu.Unlock()
 	if err := s.Ingest("c", "n", samples, rails, tracez.Context{}); err != nil {
 		t.Fatalf("Ingest: %v", err)
@@ -545,8 +546,8 @@ func TestPanickingBatchContained(t *testing.T) {
 		t.Fatalf("Ingest after the panicking batch: %v", err)
 	}
 	closeServer(t, s)
-	if got := mgr.Status().Observations; got != uint64(len(samples)) {
-		t.Errorf("adapter observed %d samples, want %d", got, len(samples))
+	if got := mgr.Status().Observations; got != 0 {
+		t.Errorf("adapter observed %d samples of the dropped batch, want 0", got)
 	}
 
 	st := s.Stats()
