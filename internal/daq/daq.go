@@ -10,6 +10,15 @@
 // Because the DAQ is a separate instrument, it runs on its own clock
 // with a parts-per-million rate error relative to the target — which is
 // why the paper needs the sync pulse at all.
+//
+// Each sample's sensor noise is independent, so the mean of a window's
+// N samples carries N(0, σ²/N) however the samples group into slices.
+// The open window therefore sums each slice's noiseless reading,
+// clamped to the ADC range and weighted by its sample count, and the
+// sync pulse that closes it draws one normal per rail. The converter's
+// rounding is not modelled: 12 bits over 400 W is a 0.098 W step
+// against 0.35 W of per-sample noise, which averages the rounding out
+// to a zero-mean error under 1% of the noise variance.
 package daq
 
 import (
@@ -28,7 +37,7 @@ var (
 	mSamples = telemetry.NewCounter("daq_samples_total",
 		"per-channel ADC samples captured (aggregated per slice)")
 	mClips = telemetry.NewCounter("daq_clips_total",
-		"readings clamped to the ADC full-scale range (either rail)")
+		"noiseless slice readings and noisy window means clamped to the ADC's [0, full-scale] range")
 	mWindows = telemetry.NewCounter("daq_windows_total",
 		"sync-to-sync averaging windows closed")
 	mSyncsDropped = telemetry.NewCounter("daq_syncs_dropped_total",
@@ -56,22 +65,20 @@ type Config struct {
 	SampleHz float64
 	// NoiseStd is per-sample sensor noise in Watts.
 	NoiseStd float64
-	// FullScaleWatts and Bits define the ADC quantization grid.
+	// FullScaleWatts is the ADC's range: readings clamp to [0, FullScaleWatts].
 	FullScaleWatts float64
-	Bits           int
 	// ClockSkewPPM is the DAQ clock's rate error relative to the target
 	// system's clock, in parts per million.
 	ClockSkewPPM float64
 }
 
-// DefaultConfig matches the paper's setup: 10 kHz, 12-bit converter with
-// a 400 W full scale, modest sensor noise, and a realistic crystal skew.
+// DefaultConfig matches the paper's setup: 10 kHz, a 400 W full scale,
+// modest sensor noise, and a realistic crystal skew.
 func DefaultConfig() Config {
 	return Config{
 		SampleHz:       10000,
 		NoiseStd:       0.35,
 		FullScaleWatts: 400,
-		Bits:           12,
 		ClockSkewPPM:   40,
 	}
 }
@@ -89,10 +96,11 @@ type Record struct {
 
 // DAQ is the acquisition workstation.
 type DAQ struct {
-	cfg  Config
-	rng  *sim.RNG
-	step float64 // quantization step in Watts
+	cfg Config
+	rng *sim.RNG
 
+	// sum holds the open window's clamped noiseless readings, each
+	// weighted by its slice's sample count; n is that count's total.
 	sum     power.Reading
 	n       int64
 	daqTime float64
@@ -101,10 +109,6 @@ type DAQ struct {
 	sampleAcc float64
 	records   []Record
 	fault     FaultInjector
-
-	// sigma is NoiseStd/sqrt(sigmaK), the noise of the mean of sigmaK
-	// samples, recomputed only when the per-slice count changes.
-	sigmaK, sigma float64
 
 	// Pending telemetry, flushed per window rather than per slice.
 	pendingSamples uint64
@@ -130,64 +134,33 @@ func (d *DAQ) SetFaultInjector(f FaultInjector) { d.fault = f }
 
 // New returns a DAQ with the given configuration and a private random
 // stream split from parent. It panics on a non-positive sample rate or
-// full scale, or fewer than 2 bits.
+// full scale.
 func New(cfg Config, parent *sim.RNG) *DAQ {
 	if cfg.SampleHz <= 0 {
 		panic("daq: non-positive sample rate")
 	}
-	if cfg.FullScaleWatts <= 0 || cfg.Bits < 2 {
-		panic("daq: invalid ADC configuration")
+	if cfg.FullScaleWatts <= 0 {
+		panic("daq: non-positive full scale")
 	}
-	return &DAQ{
-		cfg:  cfg,
-		rng:  parent.Split(),
-		step: cfg.FullScaleWatts / float64(uint64(1)<<cfg.Bits),
-	}
+	return &DAQ{cfg: cfg, rng: parent.Split()}
 }
 
-// Acquire integrates one target-clock slice of true rail power. The
-// slice's ADC samples are statistically aggregated: the mean of k noisy
-// samples is the truth plus noise shrunk by sqrt(k), quantized on the
-// ADC grid. k is a whole number that weights the slice in the window sum
-// and counts toward the window's Samples alike; when the rate does not
-// divide into slices the fraction is carried to the next slice, so the
-// count stays exact over a window. Rates below one sample per slice take
-// one sample every slice.
+// Acquire integrates one target-clock slice of true rail power, as the
+// installed fault injector (if any) delivers it at the slice's DAQ time.
 func (d *DAQ) Acquire(sliceSec float64, truth power.Reading) {
-	if sliceSec <= 0 {
-		return
-	}
-	if d.fault != nil {
+	if d.fault != nil && sliceSec > 0 {
 		truth = d.fault.PerturbReading(d.daqTime, truth)
 	}
-	k := d.cfg.SampleHz * sliceSec
-	if k < 1 {
-		k = 1
-	} else {
-		d.sampleAcc += k
-		k = math.Floor(d.sampleAcc)
-		d.sampleAcc -= k
-	}
-	if k != d.sigmaK {
-		d.sigmaK = k
-		d.sigma = d.cfg.NoiseStd / math.Sqrt(k)
-	}
-	for i, w := range truth {
-		v := w + d.rng.Norm(0, d.sigma)
-		d.sum[i] += d.quantize(v) * k
-	}
-	d.n += int64(k)
-	d.pendingSamples += uint64(k)
-	d.daqTime += sliceSec * (1 + d.cfg.ClockSkewPPM*1e-6)
+	d.AcquireWindow(sliceSec, 1, truth)
 }
 
 // AcquireWindow integrates n target-clock slices whose mean rail power
-// is mean in one step: one reading per rail, its noise that of the mean
-// of the window's samples. The count is n slices' worth, fraction
-// carried as Acquire carries it, so Record.Samples stays exact. The
-// reading is not snapped to the ADC grid: per-slice noise larger than a
-// grid step dithers the slices' quantization away in their mean, and
-// snapping the window's one low-noise reading would not. The machine
+// is mean. The slices' ADC sample count k is a whole number that weights
+// the clamped reading in the window sum and counts toward the window's
+// Samples alike; when the rate does not divide into slices the fraction
+// is carried to the next call, so the count stays exact over a window.
+// Rates below one sample per slice take one sample every slice. The
+// noise is drawn when SyncPulse closes the window. The machine
 // fast-forwards only a healthy instrument; see Faulted.
 func (d *DAQ) AcquireWindow(sliceSec float64, n int, mean power.Reading) {
 	if sliceSec <= 0 || n < 1 {
@@ -199,9 +172,8 @@ func (d *DAQ) AcquireWindow(sliceSec float64, n int, mean power.Reading) {
 		k = math.Floor(d.sampleAcc)
 		d.sampleAcc -= k
 	}
-	sigma := d.cfg.NoiseStd / math.Sqrt(k)
 	for i, w := range mean {
-		d.sum[i] += d.clamp(w+d.rng.Norm(0, sigma)) * k
+		d.sum[i] += d.clamp(w) * k
 	}
 	d.n += int64(k)
 	d.pendingSamples += uint64(k)
@@ -210,11 +182,6 @@ func (d *DAQ) AcquireWindow(sliceSec float64, n int, mean power.Reading) {
 
 // Faulted reports whether a fault injector is installed.
 func (d *DAQ) Faulted() bool { return d.fault != nil }
-
-// quantize snaps a reading onto the ADC grid, clamped to full scale.
-func (d *DAQ) quantize(w float64) float64 {
-	return math.Round(d.clamp(w)/d.step) * d.step
-}
 
 // clamp limits a reading to the ADC's full-scale range.
 func (d *DAQ) clamp(w float64) float64 {
@@ -229,12 +196,14 @@ func (d *DAQ) clamp(w float64) float64 {
 }
 
 // SyncPulse records a serial-port sync edge: the current averaging
-// window closes and a Record is appended. Windows with no samples are
-// dropped (back-to-back pulses). An injected serial fault can eat the
-// edge, in which case the open window keeps accumulating into the next
-// interval — exactly what a flaky sync line does to the real apparatus.
+// window closes and a Record is appended, each rail's mean carrying the
+// noise of the mean of the window's samples and clamped to the ADC
+// range. Windows with no samples are dropped (back-to-back pulses). An
+// injected serial fault can eat the edge, in which case the open window
+// keeps accumulating into the next interval — exactly what a flaky sync
+// line does to the real apparatus.
 func (d *DAQ) SyncPulse() {
-	d.flushTelemetry()
+	defer d.flushTelemetry()
 	if d.fault != nil && d.fault.DropSync(d.daqTime) {
 		mSyncsDropped.Inc()
 		return
@@ -242,9 +211,11 @@ func (d *DAQ) SyncPulse() {
 	if d.n == 0 {
 		return
 	}
+	n := float64(d.n)
+	sigma := d.cfg.NoiseStd / math.Sqrt(n)
 	var mean power.Reading
 	for i, s := range d.sum {
-		mean[i] = s / float64(d.n)
+		mean[i] = d.clamp(s/n + d.rng.Norm(0, sigma))
 	}
 	d.records = append(d.records, Record{
 		DAQSeconds: d.daqTime,

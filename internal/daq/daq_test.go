@@ -58,19 +58,6 @@ func TestWindowsIndependent(t *testing.T) {
 	}
 }
 
-func TestQuantization(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NoiseStd = 0 // expose the grid
-	d := New(cfg, sim.NewRNG(4))
-	step := cfg.FullScaleWatts / 4096
-	d.Acquire(0.001, power.Reading{step * 10.4, 0, 0, 0, 0})
-	d.SyncPulse()
-	got := d.Records()[0].Mean[0]
-	if math.Abs(got-step*10) > 1e-9 {
-		t.Errorf("quantized = %v, want %v", got, step*10)
-	}
-}
-
 func TestClamping(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NoiseStd = 0
@@ -112,9 +99,8 @@ func TestAcquireIgnoresBadSlice(t *testing.T) {
 
 func TestNewPanicsOnBadConfig(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"zero rate":  {SampleHz: 0, FullScaleWatts: 400, Bits: 12},
-		"zero scale": {SampleHz: 1000, FullScaleWatts: 0, Bits: 12},
-		"one bit":    {SampleHz: 1000, FullScaleWatts: 400, Bits: 1},
+		"zero rate":  {SampleHz: 0, FullScaleWatts: 400},
+		"zero scale": {SampleHz: 1000, FullScaleWatts: 0},
 	} {
 		func() {
 			defer func() {
@@ -235,5 +221,22 @@ func TestFractionalSampleRates(t *testing.T) {
 				t.Errorf("%g Hz: channel %d mean = %v, want 100", tc.hz, i, w)
 			}
 		}
+	}
+}
+
+// BenchmarkAcquireSecond times one simulated second of a busy node's
+// acquisition: 1,000 one-millisecond slices and the sync pulse that
+// closes their window.
+func BenchmarkAcquireSecond(b *testing.B) {
+	d := New(DefaultConfig(), sim.NewRNG(1))
+	truth := power.Reading{40, 20, 30, 33, 21.6}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for s := 0; s < 1000; s++ {
+			truth[power.SubCPU] = 40 + float64(s&7)
+			d.Acquire(0.001, truth)
+		}
+		d.SyncPulse()
+		d.records = d.records[:0]
 	}
 }

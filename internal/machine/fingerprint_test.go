@@ -1,10 +1,16 @@
 package machine
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 	"time"
 
 	"trickledown/internal/align"
+	"trickledown/internal/daq"
+	"trickledown/internal/power"
 )
 
 // TestDatasetFingerprintPins pins the aligned dataset of short
@@ -18,7 +24,8 @@ import (
 // last rows hold the stepper's memoised per-slice values to their
 // inputs: that sliced idle node, a non-default slice length, and a DAQ
 // rate whose per-slice sample count alternates. A stepper change meant
-// to be a pure speedup must leave every constant here untouched.
+// to be a pure speedup must leave every constant here untouched; one
+// that redraws only the DAQ's noise moves want and must leave timing.
 func TestDatasetFingerprintPins(t *testing.T) {
 	small := DefaultConfig()
 	small.NumCPUs, small.ThreadsPerCPU, small.NumDisks = 1, 2, 1
@@ -29,16 +36,19 @@ func TestDatasetFingerprintPins(t *testing.T) {
 		seconds float64
 		build   func(Config) (*Server, error)
 		want    string
+		timing  string // timingFingerprint: everything but the power means
 	}{
 		{
 			name: "gcc-4x2", cfg: DefaultConfig(), seed: 11, seconds: 40,
-			build: func(cfg Config) (*Server, error) { return New(cfg, mustSpec(t, "gcc")) },
-			want:  "217317f57d88d3b3",
+			build:  func(cfg Config) (*Server, error) { return New(cfg, mustSpec(t, "gcc")) },
+			want:   "d0833ace145b6929",
+			timing: "546619a8841f6c53",
 		},
 		{
 			name: "diskload-4x2", cfg: DefaultConfig(), seed: 12, seconds: 20,
-			build: func(cfg Config) (*Server, error) { return New(cfg, mustSpec(t, "diskload")) },
-			want:  "3c726e8191025794",
+			build:  func(cfg Config) (*Server, error) { return New(cfg, mustSpec(t, "diskload")) },
+			want:   "8eeea034f44ba681",
+			timing: "242fd0ec26ca35e4",
 		},
 		{
 			name: "idle+dbt-2-1x2", cfg: small, seed: 13, seconds: 10,
@@ -48,7 +58,8 @@ func TestDatasetFingerprintPins(t *testing.T) {
 					{Workload: "dbt-2", Thread: 1},
 				})
 			},
-			want: "01b8108813b11df7",
+			want:   "1bc5fd1637174bcf",
+			timing: "a5a892439f2bd971",
 		},
 		{
 			// The experiments runner's reduced-scale mcf: the dataset
@@ -60,7 +71,8 @@ func TestDatasetFingerprintPins(t *testing.T) {
 				spec.StaggerSec *= 0.02
 				return New(cfg, spec)
 			},
-			want: "54f8c3d3317e6b91",
+			want:   "8ab413cec5226231",
+			timing: "8d4c1792a3b503ba",
 		},
 		{
 			// A pure-idle node: every window between samples is
@@ -69,7 +81,8 @@ func TestDatasetFingerprintPins(t *testing.T) {
 			build: func(cfg Config) (*Server, error) {
 				return NewMixed(cfg, []Placement{{Workload: "idle", Thread: 0}})
 			},
-			want: "9039d9f748dd1d5d",
+			want:   "b0427824c5fba44b",
+			timing: "39c9fbeed9b708f3",
 		},
 		{
 			// The same node under an injector that never fires: an
@@ -84,7 +97,8 @@ func TestDatasetFingerprintPins(t *testing.T) {
 				}
 				return srv, err
 			},
-			want: "a6b81a6bb2624a2c",
+			want:   "ac961455f3b13465",
+			timing: "8f9fb274481ca8c0",
 		},
 		{
 			// A 500 us slice: every slice-length-keyed noise scale
@@ -94,7 +108,8 @@ func TestDatasetFingerprintPins(t *testing.T) {
 				cfg.Slice = 500 * time.Microsecond
 				return NewMixed(cfg, []Placement{{Workload: "gcc", Thread: 0}})
 			},
-			want: "05613a05efe10cd7",
+			want:   "5176fa026dd09545",
+			timing: "d6b3f63d38d2bbff",
 		},
 		{
 			// 7.5 DAQ samples per slice: the carried fraction makes
@@ -104,7 +119,8 @@ func TestDatasetFingerprintPins(t *testing.T) {
 				cfg.DAQ.SampleHz = 7500
 				return NewMixed(cfg, []Placement{{Workload: "dbt-2", Thread: 0}})
 			},
-			want: "3e975d51b11aabd5",
+			want:   "deeb41ec420a9d68",
+			timing: "c511c63d8e4f902c",
 		},
 	}
 	for _, tc := range cases {
@@ -123,6 +139,30 @@ func TestDatasetFingerprintPins(t *testing.T) {
 			if got := align.Fingerprint(ds); got != tc.want {
 				t.Errorf("fingerprint %s, pinned %s", got, tc.want)
 			}
+			if got := timingFingerprint(ds, srv.DAQ().Records()); got != tc.timing {
+				t.Errorf("timing fingerprint %s, pinned %s", got, tc.timing)
+			}
 		})
 	}
+}
+
+// timingFingerprint hashes every dataset field but the five power
+// means (align.Fingerprint of the dataset with its means zeroed), then
+// each DAQ record's sample count and closing timestamp. A change to how
+// the DAQ draws its noise moves only the means, so it must leave this
+// hash alone.
+func timingFingerprint(ds *align.Dataset, recs []daq.Record) string {
+	blind := &align.Dataset{Rows: append([]align.Row(nil), ds.Rows...)}
+	for i := range blind.Rows {
+		blind.Rows[i].Power = power.Reading{}
+	}
+	h := fnv.New64a()
+	h.Write([]byte(align.Fingerprint(blind)))
+	var buf [16]byte
+	for _, r := range recs {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(r.Samples))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(r.DAQSeconds))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -51,16 +51,16 @@ func TestCommandOutputPins(t *testing.T) {
 
 	report := map[string]string{
 		"stdout":                 "cbf29ce484222325",
-		"F":                      "206c0cd0554f24f4",
-		"figure2.csv":            "116e3ac1cd94438d",
-		"figure3.csv":            "0ea25c1c75ce884a",
+		"F":                      "58227a2b90097482",
+		"figure2.csv":            "333d9ef087ac3f2f",
+		"figure3.csv":            "a98bc3e4af6e2009",
 		"figure4.csv":            "a30f007d57bc0736",
-		"figure5.csv":            "d7ea6e6de89298ad",
-		"figure5_l3_failure.csv": "4c2787bc91cad444",
-		"figure6.csv":            "9551d4ce0a208ad7",
-		"figure7.csv":            "e5c68f386385247d",
+		"figure5.csv":            "71d58401630487cf",
+		"figure5_l3_failure.csv": "2c64027ea54baed2",
+		"figure6.csv":            "87372e4ece19796e",
+		"figure7.csv":            "c5a5c416201c5594",
 		// The figure plots, concatenated in figure order.
-		"figure2.txt+figure3.txt+figure4.txt+figure5.txt+figure5_l3_failure.txt+figure6.txt+figure7.txt": "f532ce5b177ed0fc",
+		"figure2.txt+figure3.txt+figure4.txt+figure5.txt+figure5_l3_failure.txt+figure6.txt+figure7.txt": "c5412cc33f4a6092",
 	}
 
 	rows := []struct {
@@ -68,21 +68,21 @@ func TestCommandOutputPins(t *testing.T) {
 		args []string
 		pins map[string]string
 	}{
-		{"fleet", nil, map[string]string{"stdout": "94b08e0135877d02"}},
-		{"fleet", []string{"-smoke", "1000", "-workers", "2"}, map[string]string{"stdout": "33a86d3a58f22596"}},
-		{"diurnal", []string{"-workers", "2"}, map[string]string{"stdout": "76a4f9a83924ba3f"}},
-		{"chaos", []string{"-seconds", "40"}, map[string]string{"stdout": "488d841504c01ede"}},
-		{"tenants", nil, map[string]string{"stdout": "c8b60949eade94c5"}},
-		{"drift", nil, map[string]string{"stdout": "102af14bddd7bcbe"}},
-		{"drift", []string{"-force-bad-challenger"}, map[string]string{"stdout": "c06372edd0866568"}},
-		{"drift", []string{"-rollback-drill"}, map[string]string{"stdout": "b360950031dba265"}},
-		{"replay", nil, map[string]string{"stdout": "bc4206fb2809f4bc"}},
-		{"quickstart", nil, map[string]string{"stdout": "8e663b52f833ea61"}},
+		{"fleet", nil, map[string]string{"stdout": "709707109d6cfd7c"}},
+		{"fleet", []string{"-smoke", "1000", "-workers", "2"}, map[string]string{"stdout": "89cf7be9cd6f3388"}},
+		{"diurnal", []string{"-workers", "2"}, map[string]string{"stdout": "e9f99deb04728093"}},
+		{"chaos", []string{"-seconds", "40"}, map[string]string{"stdout": "04fe66547c6f3009"}},
+		{"tenants", nil, map[string]string{"stdout": "d270ab430bdd60ab"}},
+		{"drift", nil, map[string]string{"stdout": "726f53fbb65f1e1b"}},
+		{"drift", []string{"-force-bad-challenger"}, map[string]string{"stdout": "2ebf62df968f33d1"}},
+		{"drift", []string{"-rollback-drill"}, map[string]string{"stdout": "467292493a1ee384"}},
+		{"replay", nil, map[string]string{"stdout": "7e23228420ca1be3"}},
+		{"quickstart", nil, map[string]string{"stdout": "558bbe2aac01befa"}},
 		{"governor", nil, map[string]string{"stdout": "f06081b565396e6e"}},
 		{"phases", nil, map[string]string{"stdout": "2075fefd3f60a241"}},
 		{"thermal", nil, map[string]string{"stdout": "7321d14cb4eeb6d9"}},
 		{"tdvalidate", []string{"-gate", "-golden", golden, "-o", "F"},
-			map[string]string{"stdout": "b5872d1dd0a9e61d", "F": "7cb1bbaf66723841"}},
+			map[string]string{"stdout": "572325863a3668e8", "F": "cec493571e36d351"}},
 		{"tdreport", []string{"-scale", "0.2", "-o", "F", "-figures", "D"}, report},
 	}
 	for _, row := range rows {
