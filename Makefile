@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test vet bench-all race cover report examples loc validate validate-update serve loadgen serve-smoke drift-drill fleet fleet-smoke replay tenants diurnal
+.PHONY: all test vet bench-all race cover report examples loc validate validate-update serve loadgen serve-smoke drift-drill fleet fleet-smoke replay
 
 all: vet test
 
@@ -44,9 +44,6 @@ report:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/phases
-	$(GO) run ./examples/thermal
-	$(GO) run ./examples/governor
 
 # Live estimation service (DESIGN.md §3f): trains at a small scale and
 # listens on :8080. `make loadgen` drives the self-hosted stack at max
@@ -86,21 +83,23 @@ fleet-smoke:
 	$(GO) run -race ./examples/fleet -smoke 1000 -workers 8 > /tmp/fleet_smoke_b.out
 	cmp /tmp/fleet_smoke_a.out /tmp/fleet_smoke_b.out
 
-# Trace-driven replay & multi-tenant/diurnal scenarios (DESIGN.md §3j):
-# `make replay` records a 12-workload day as WTR1 traces, replays each
-# through the codec byte-identically and serves the replayed day;
-# `make tenants` splits one node's estimated power across a 4-tenant
-# cohort and gates on the metamorphic attribution battery;
-# `make diurnal` runs the closed scheduler loop over a simulated day
-# (consolidate at night, power back up on the morning ramp).
+# Trace replay drill (DESIGN.md §3j), CI's "tdpower trace replay
+# drill" step: tdpower records a run's workload demand as a WTR1 trace
+# (-record-wtrace), replays it (-replay-wtrace), and the two stdouts
+# must match byte for byte; the replay must last the recorded 30 s.
+# Once for a registry workload, once for a mixed -placement run.
+REPLAY_DIR ?= /tmp/tdreplay
 replay:
-	$(GO) run ./examples/replay
-
-tenants:
-	$(GO) run ./examples/tenants
-
-diurnal:
-	$(GO) run ./examples/diurnal
+	mkdir -p $(REPLAY_DIR)
+	$(GO) build -o $(REPLAY_DIR)/tdpower ./cmd/tdpower
+	for run in "-workload dbt-2" "-placement gcc:0,mcf:1:5,diskload:2"; do \
+		$(REPLAY_DIR)/tdpower -scale 0.05 -seconds 30 $$run -record-wtrace $(REPLAY_DIR)/run.wtr \
+			> $(REPLAY_DIR)/live.out 2> $(REPLAY_DIR)/live.err && \
+		$(REPLAY_DIR)/tdpower -scale 0.05 -seconds 30 -replay-wtrace $(REPLAY_DIR)/run.wtr \
+			> $(REPLAY_DIR)/replay.out 2> $(REPLAY_DIR)/replay.err && \
+		cmp $(REPLAY_DIR)/live.out $(REPLAY_DIR)/replay.out && \
+		grep -q 'duration_sec=30 ' $(REPLAY_DIR)/replay.err || exit 1; \
+	done
 
 # Lines of Go in the three counts ROADMAP.md tracks (testdata fixtures
 # are not counted), the exported fields of the …Config and …Options

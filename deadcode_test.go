@@ -34,6 +34,9 @@ var benchmarkOnly = []string{
 	"core.(*Estimator).EstimateMetrics",
 	"cpu.SliceStats.TotalBusTx",
 	"machine.(*Server).Config",
+	// The slice tracer's hook in benchmark/papersuite.go; ROADMAP item 3
+	// decides whether the tracer keeps it.
+	"machine.(*Server).OnSlice",
 	"perfctr.DecodeBatchExt",
 	"perfctr.DecodeBatchFull",
 	"power.(*Profile).CPU",

@@ -8,7 +8,6 @@ import (
 	"trickledown/internal/align"
 	"trickledown/internal/core"
 	"trickledown/internal/perfctr"
-	"trickledown/internal/phase"
 	"trickledown/internal/power"
 	"trickledown/internal/stats"
 	"trickledown/internal/telemetry"
@@ -147,7 +146,7 @@ type Manager struct {
 	wHead, wLen int
 	resid       *PageHinkley
 	env         *EnvelopeCUSUM
-	phases      *phase.Detector
+	phases      phaseGate
 	ring        []*core.Estimator // rollback ring, most recent last
 
 	obs            uint64 // total observations
@@ -176,6 +175,7 @@ func New(cfg Config) (*Manager, error) {
 		champion: cfg.Champion,
 		window:   make([]align.Row, cfg.Window),
 		idState:  cfg.Seed,
+		phases:   phaseGate{threshold: cfg.PhaseThresholdW},
 	}
 	for _, spec := range core.ProductionSpecs() {
 		if cfg.Window < len(spec.Terms) {
@@ -189,9 +189,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	envs := championEnvelopes(cfg.Champion)
 	if m.env, err = NewEnvelopeCUSUM(envs, envelopeSlackZ, cfg.EnvelopeBudgetZ); err != nil {
-		return nil, err
-	}
-	if m.phases, err = phase.NewDetector(cfg.PhaseThresholdW); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -287,7 +284,7 @@ func (m *Manager) observeLocked(s *perfctr.Sample, measured power.Reading, readi
 	envAlarm, envMetric := m.env.Observe(env[:])
 
 	// Phase tracking: never retrain mid-transition.
-	m.phases.Observe(measured)
+	m.phases.observe(truth)
 
 	// Slide the window that challengers are refit from.
 	slot := (m.wHead + m.wLen) % len(m.window)
@@ -330,7 +327,7 @@ func (m *Manager) observeLocked(s *perfctr.Sample, measured power.Reading, readi
 	if m.pending &&
 		m.wLen >= len(m.window)/2 &&
 		m.sinceAttempt >= uint64(m.cfg.Cooldown) &&
-		m.phases.Settled(m.cfg.PhaseSettle) {
+		m.phases.settled(m.cfg.PhaseSettle) {
 		m.attemptPromoteLocked()
 	}
 }

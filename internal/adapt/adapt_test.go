@@ -653,6 +653,26 @@ func TestPhaseGateBlocksRetrainDuringTransitions(t *testing.T) {
 	}
 }
 
+// TestPhaseGateTracksOpenPhase: a staircase opens one phase per step,
+// noise inside the band extends the open phase, and settled counts the
+// open phase's samples.
+func TestPhaseGateTracksOpenPhase(t *testing.T) {
+	g := phaseGate{threshold: 10}
+	if g.settled(1) {
+		t.Fatal("settled before the first sample")
+	}
+	for i, w := range []float64{150, 155, 146, 190, 192, 240} {
+		g.observe(w)
+		want := []int{1, 2, 3, 1, 2, 1}[i]
+		if g.n != want {
+			t.Fatalf("sample %d (%v W): open phase has %d samples, want %d", i, w, g.n, want)
+		}
+	}
+	if g.mean != 240 || !g.settled(1) || g.settled(2) {
+		t.Errorf("open phase mean %v, settled(1)=%v settled(2)=%v", g.mean, g.settled(1), g.settled(2))
+	}
+}
+
 // TestRefitNamesCollinearTerm: a post-drift window with no variance
 // cannot be refit, and the rejection names the design term at fault.
 func TestRefitNamesCollinearTerm(t *testing.T) {

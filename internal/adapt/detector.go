@@ -162,3 +162,28 @@ func (d *EnvelopeCUSUM) Retarget(envs []core.MetricEnvelope) {
 
 // Quarantined returns the lifetime count of non-finite inputs dropped.
 func (d *EnvelopeCUSUM) Quarantined() uint64 { return d.quarantined }
+
+// phaseGate tracks power phases in the measured total (the paper's
+// §2.4: phase boundaries are where a workload just moved). A phase is a
+// maximal run of samples within threshold Watts of its running mean;
+// Manager refits only once the open phase has lasted long enough, so a
+// challenger is never fit across a transition.
+type phaseGate struct {
+	threshold float64
+	mean      float64 // the open phase's running total-power mean
+	n         int     // samples in the open phase; 0 before the first
+}
+
+// observe feeds one sample's measured total. A sample more than
+// threshold from the open phase's mean opens a new phase.
+func (g *phaseGate) observe(total float64) {
+	if g.n == 0 || math.Abs(total-g.mean) > g.threshold {
+		g.mean, g.n = total, 1
+		return
+	}
+	g.n++
+	g.mean += (total - g.mean) / float64(g.n)
+}
+
+// settled reports whether the open phase has lasted at least n samples.
+func (g *phaseGate) settled(n int) bool { return g.n >= n }

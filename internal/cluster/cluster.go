@@ -130,11 +130,6 @@ type Node struct {
 	estSum  float64
 	measSum float64
 	n       int
-	// winSum/winN hold only the rows folded by the most recent Run —
-	// the per-interval windowed reading a closed-loop scheduler steers
-	// by, where the cumulative mean would smear a diurnal cycle flat.
-	winSum float64
-	winN   int
 	// err, once set, marks the node quarantined; see quarantine.
 	err     error
 	quality align.Quality
@@ -572,30 +567,9 @@ func (n *Node) fold(est *core.Estimator, ds *align.Dataset, quality align.Qualit
 	n.estSum += estSum
 	n.measSum += measSum
 	n.n += added
-	if added > 0 {
-		n.winSum = estSum
-		n.winN = added
-	}
 	n.quality = quality
 	n.mu.Unlock()
 	return added
-}
-
-// WindowMean returns the node's estimated average total power over the
-// rows folded by the most recent Run that produced samples — the
-// per-interval signal for closed-loop scheduling. Quarantined nodes
-// fail like EstimatedMean; a node that has never folded samples returns
-// ErrNoSamples.
-func (n *Node) WindowMean() (float64, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.err != nil {
-		return 0, fmt.Errorf("%w: %s: %w", ErrNodeFailed, n.Name, n.err)
-	}
-	if n.winN == 0 {
-		return 0, ErrNoSamples
-	}
-	return n.winSum / float64(n.winN), nil
 }
 
 // quarantine marks the node failed. First cause wins; the samples

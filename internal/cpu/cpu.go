@@ -84,7 +84,6 @@ type Processor struct {
 	id        int
 	pm        *pmu.PMU
 	rng       *sim.RNG
-	throttle  float64
 	freqScale float64
 }
 
@@ -119,26 +118,6 @@ func (p *Processor) ID() int { return p.id }
 
 // PMU returns the processor's counter file.
 func (p *Processor) PMU() *pmu.PMU { return p.pm }
-
-// MaxThrottle bounds SetThrottle: the OS always keeps some duty cycle so
-// the machine stays responsive.
-const MaxThrottle = 0.9
-
-// SetThrottle sets Kotla-style instruction throttling: the OS idles the
-// processor for the given fraction of each slice regardless of demand
-// (duty-cycle modulation). Because throttling manifests as halted
-// cycles, it is visible to the Equation 1 model through the same
-// counter it already uses — which is what makes counter-driven power
-// capping a closed loop. Values are clamped to [0, MaxThrottle].
-func (p *Processor) SetThrottle(frac float64) {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > MaxThrottle {
-		frac = MaxThrottle
-	}
-	p.throttle = frac
-}
 
 // PrefetchCoverage returns the fraction of would-be demand misses the
 // hardware prefetcher converts into prefetch transactions, given the
@@ -206,15 +185,7 @@ func (p *Processor) expect(st *SliceStats, cycles float64, d0, d1 *workload.Dema
 	cycles *= p.freqScale
 	st.Cycles = cycles
 	st.FreqScale = p.freqScale
-	// Instruction throttling idles the processor for part of the slice
-	// regardless of demand. The scaled activity lives in locals so the
-	// caller's demand structs stay untouched.
 	a0, a1 := d0.Active, d1.Active
-	if p.throttle > 0 {
-		duty := 1 - p.throttle
-		a0 *= duty
-		a1 *= duty
-	}
 	// The processor is halted only when both threads are idle; thread
 	// activity overlaps randomly, so the unhalted fraction composes as
 	// independent events.

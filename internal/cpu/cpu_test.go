@@ -275,28 +275,6 @@ func TestProcessorID(t *testing.T) {
 	}
 }
 
-func TestThrottleClampAndEffect(t *testing.T) {
-	p := newProc()
-	p.SetThrottle(0.5)
-	if p.throttle != 0.5 {
-		t.Errorf("throttle = %v", p.throttle)
-	}
-	p.SetThrottle(5)
-	if p.throttle != MaxThrottle {
-		t.Errorf("throttle clamp = %v", p.throttle)
-	}
-	p.SetThrottle(-1)
-	if p.throttle != 0 {
-		t.Errorf("negative throttle = %v", p.throttle)
-	}
-	p.SetThrottle(0.8)
-	st := p.Step(testCycles, busyDemand(), busyDemand(), 0)
-	// Duty 0.2 per thread: active frac = 1-(0.8)^2 = 0.36.
-	if math.Abs(st.ActiveFrac-0.36) > 1e-9 {
-		t.Errorf("throttled ActiveFrac = %v, want 0.36", st.ActiveFrac)
-	}
-}
-
 func TestFreqScaleClampAndEffect(t *testing.T) {
 	p := newProc()
 	if p.freqScale != 1 {
@@ -322,8 +300,8 @@ func TestFreqScaleClampAndEffect(t *testing.T) {
 
 // TestStepIntoOverwritesEveryField steps twin processors from the same
 // seed, one through Step and one through StepInto on a slot poisoned
-// with NaN, over random demands (idle threads included), throttles and
-// DVFS points. Every field must come out bit-identical, so StepInto
+// with NaN, over random demands (idle threads included) and DVFS
+// points. Every field must come out bit-identical, so StepInto
 // leaves nothing of the slot's previous contents behind.
 func TestStepIntoOverwritesEveryField(t *testing.T) {
 	byValue, inPlace := New(0, sim.NewRNG(21)), New(0, sim.NewRNG(21))
@@ -349,9 +327,7 @@ func TestStepIntoOverwritesEveryField(t *testing.T) {
 	var st SliceStats
 	slot := reflect.ValueOf(&st).Elem()
 	for i := 0; i < 500; i++ {
-		throttle, freq := r.Float64(), MinFreqScale+r.Float64()*(1-MinFreqScale)
-		byValue.SetThrottle(throttle)
-		inPlace.SetThrottle(throttle)
+		freq := MinFreqScale + r.Float64()*(1-MinFreqScale)
 		byValue.SetFreqScale(freq)
 		inPlace.SetFreqScale(freq)
 		d0, d1, busUtil := demand(), demand(), r.Float64()

@@ -4,92 +4,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"trickledown/internal/align"
 	"trickledown/internal/core"
-	"trickledown/internal/cpu"
 	"trickledown/internal/disk"
 	"trickledown/internal/iobus"
 	"trickledown/internal/power"
 )
-
-func TestThrottleReducesPowerAndWork(t *testing.T) {
-	run := func(throttle float64) (watts, uops float64) {
-		srv, err := New(DefaultConfig(), mustSpec(t, "gcc"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Run(30) // let instance 0 settle
-		srv.SetThrottleAll(throttle)
-		srv.Run(30)
-		ds, err := srv.Dataset()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range ds.Rows[35:] {
-			watts += row.Power[power.SubCPU]
-			for _, c := range row.Counters.CPUs {
-				uops += float64(c.FetchedUops)
-			}
-		}
-		return watts, uops
-	}
-	fullW, fullU := run(0)
-	halfW, halfU := run(0.5)
-	if halfW >= fullW {
-		t.Errorf("throttling did not cut power: %v >= %v", halfW, fullW)
-	}
-	if halfU >= 0.7*fullU {
-		t.Errorf("throttling did not cut work: %v vs %v", halfU, fullU)
-	}
-}
-
-func TestThrottleVisibleToEq1(t *testing.T) {
-	// The throttled machine must show more halted cycles — the channel
-	// through which a counter-driven governor's action becomes visible
-	// to its own model.
-	spec := mustSpec(t, "gcc")
-	spec.StaggerSec = 1 // all instances running almost immediately
-	srv, err := New(DefaultConfig(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Run(20)
-	srv.SetThrottleAll(0.6)
-	srv.Run(20)
-	ds, err := srv.Dataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := ds.Rows[15].Counters.CPUs[0]
-	after := ds.Rows[ds.Len()-1].Counters.CPUs[0]
-	fracBefore := float64(before.HaltedCycles) / float64(before.Cycles)
-	fracAfter := float64(after.HaltedCycles) / float64(after.Cycles)
-	if fracAfter <= fracBefore+0.2 {
-		t.Errorf("halted fraction %v -> %v; throttle invisible to Eq. 1", fracBefore, fracAfter)
-	}
-}
-
-// TestThrottleBounds: SetThrottleAll clamps to
-// [0, cpu.MaxThrottle], so a throttle above the cap runs exactly like
-// the cap and a negative one exactly like none.
-func TestThrottleBounds(t *testing.T) {
-	throttle := func(frac float64) *align.Dataset {
-		return settingRun(t, func(s *Server) { s.SetThrottleAll(frac) })
-	}
-	capped, none := throttle(cpu.MaxThrottle), throttle(0)
-	if reflect.DeepEqual(capped, none) {
-		t.Fatal("the cap runs like no throttle; the test cannot see a clamp")
-	}
-	if !reflect.DeepEqual(throttle(2), capped) {
-		t.Errorf("throttle 2 not clamped to the %v cap", cpu.MaxThrottle)
-	}
-	if !reflect.DeepEqual(throttle(-1), none) {
-		t.Error("throttle -1 not clamped to 0")
-	}
-}
 
 func TestNetloadExercisesNICPath(t *testing.T) {
 	srv, err := New(DefaultConfig(), mustSpec(t, "netload"))

@@ -244,8 +244,8 @@ type Placement struct {
 	StartSec float64
 	// Spec, when non-nil, supplies the workload spec directly instead
 	// of resolving Workload through the registry — the hook that lets
-	// unregistered generators (trace replays, tenant cohorts, wrapped
-	// recorders) ride the unchanged machine/cluster constructors.
+	// unregistered generators (trace replays, wrapped recorders) ride
+	// the unchanged machine/cluster constructors.
 	// Instance counting and chipset-bias dedup key on Spec.Name.
 	Spec *workload.Spec
 }
@@ -416,13 +416,6 @@ func steadyDemand(spec *workload.Spec) (*workload.Demand, error) {
 func (s *Server) SetFreqScaleAll(scale float64) {
 	for _, p := range s.procs {
 		p.SetFreqScale(scale)
-	}
-}
-
-// SetThrottleAll applies the same throttle to every processor.
-func (s *Server) SetThrottleAll(frac float64) {
-	for _, p := range s.procs {
-		p.SetThrottle(frac)
 	}
 }
 

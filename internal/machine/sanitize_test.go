@@ -15,8 +15,6 @@ type scriptedGen struct {
 	next   int
 }
 
-func (g *scriptedGen) Name() string { return "scripted" }
-
 func (g *scriptedGen) Demand(float64, workload.Env, *sim.RNG) workload.Demand {
 	if g.next >= len(g.script) {
 		return workload.Demand{}

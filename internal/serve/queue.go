@@ -15,7 +15,7 @@ import (
 // trace from them once the journey is over:
 //
 //	ARRIVED   arrived    request received, before its body is read
-//	DECODED   decoded    /ingest body read and decoded (zero via Ingest)
+//	DECODED   decoded    /ingest body read and decoded (zero in-process)
 //	ADMITTED  admitted   admission control's clock reading
 //	QUEUED    queued     handed to the bounded queue (depth ahead of it)
 //	SCHEDULED scheduled  an estimation worker picked the batch up

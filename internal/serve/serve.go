@@ -34,7 +34,6 @@ import (
 
 	"trickledown/internal/adapt"
 	"trickledown/internal/core"
-	"trickledown/internal/perfctr"
 	"trickledown/internal/pool"
 	"trickledown/internal/power"
 	"trickledown/internal/telemetry"
@@ -82,7 +81,7 @@ var (
 		"ARRIVED to DEPARTED: end-to-end ingest-to-estimate latency", latencyBuckets)
 )
 
-// Admission errors, surfaced by Ingest and mapped to HTTP statuses by
+// Admission errors, surfaced by admit and mapped to HTTP statuses by
 // the handler (429/429/503/413 respectively).
 var (
 	ErrQueueFull     = errors.New("serve: ingest queue full")
@@ -351,27 +350,22 @@ func (s *Server) Close(ctx context.Context) error {
 	}
 }
 
-// Ingest admits a batch of one node's samples on behalf of client. It
+// admit admits a batch of one node's samples on behalf of client. It
 // returns nil when the batch is queued (ARRIVED→QUEUED), or one of
-// ErrBatchTooLarge, ErrRateLimited, ErrQueueFull, ErrClosed. The samples
-// and rails slices are owned by the server after a nil return.
+// ErrBatchTooLarge, ErrRateLimited, ErrQueueFull, ErrClosed. The
+// batch's samples and rails are owned by the server after a nil return.
 //
-// rails, the measured per-sample power of the TDP1 wire extension, must
-// be nil or exactly one Reading per sample; with an adapter installed
-// they become drift-detection ground truth, without one they are
-// ignored. tc is the producer's trace context, so client and server
-// views of one batch share an identity; a zero tc gets a server-minted
-// one. Rejections (shed, rate-limit) are recorded as always-kept anomaly
-// traces even when tc is unsampled; admitted unsampled batches record
-// nothing and allocate nothing beyond the batch itself.
-func (s *Server) Ingest(client, node string, samples []perfctr.Sample, rails []power.Reading, tc tracez.Context) error {
-	return s.admit(client, &batch{node: node, samples: samples, rails: rails, tc: tc})
-}
-
-// admit is Ingest for a batch that may carry the decoder its storage was
-// carved from (the /ingest path). When b is not queued its decoder goes
-// back to the pool at once; when it is, the worker that estimates it
-// returns the decoder.
+// b.rails, the measured per-sample power of the TDP1 wire extension, is
+// nil or exactly one Reading per sample; with an adapter installed they
+// become drift-detection ground truth, without one they are ignored.
+// b.tc is the producer's trace context, so client and server views of
+// one batch share an identity; a zero tc gets a server-minted one.
+// Rejections (shed, rate-limit) are recorded as always-kept anomaly
+// traces even when tc is unsampled.
+//
+// b may carry the decoder its storage was carved from (the /ingest
+// path). When b is not queued its decoder goes back to the pool at
+// once; when it is, the worker that estimates it returns the decoder.
 func (s *Server) admit(client string, b *batch) error {
 	if len(b.samples) == 0 {
 		putDecoder(b.dec)

@@ -23,6 +23,12 @@ import (
 	"trickledown/internal/tracez"
 )
 
+// Ingest admits a batch the way /ingest does after decoding it, for
+// tests that drive the server in-process.
+func (s *Server) Ingest(client, node string, samples []perfctr.Sample, rails []power.Reading, tc tracez.Context) error {
+	return s.admit(client, &batch{node: node, samples: samples, rails: rails, tc: tc})
+}
+
 // constModel returns a fitted model predicting base + slope*sum(uops
 // per cycle) for one subsystem — deterministic, hand-checkable, and
 // dependent on the sample so round-trip tests prove real estimation

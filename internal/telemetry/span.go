@@ -39,6 +39,3 @@ func (s Span) End() time.Duration {
 	spanDurations.With(s.name).Observe(d.Seconds())
 	return d
 }
-
-// Name returns the span's name.
-func (s Span) Name() string { return s.name }

@@ -17,8 +17,6 @@ type dbt2Gen struct {
 	loadMul float64
 }
 
-func (g *dbt2Gen) Name() string { return "dbt-2" }
-
 // dbt2Base is the constant part of a transaction's demand, hoisted out
 // of the per-slice path.
 var dbt2Base = Demand{
@@ -73,8 +71,6 @@ func (g *dbt2Gen) Demand(t float64, env Env, rng *sim.RNG) Demand {
 // utilization at the peak ("61% and 84% of maximum for microprocessor
 // and memory").
 type jbbGen struct{}
-
-func (jbbGen) Name() string { return "specjbb" }
 
 // jbbLoad returns the offered load in [0.08, 1] for time t: a staircase
 // of warehouse counts 1..8, each step held for jbbStepSec, then repeated.
@@ -132,8 +128,6 @@ func init() {
 // idleGen produces no demand: the OS halts the hardware thread and only
 // the periodic timer interrupt wakes it.
 type idleGen struct{}
-
-func (idleGen) Name() string { return "idle" }
 
 // idleBase is the timer tick's sliver of CPU, constant across slices,
 // which is why the idle spec declares it Steady.
@@ -193,8 +187,6 @@ const diskLoadSyncBytes = 400e6
 // store traffic into the OS page cache at memory speed, throttled by the
 // compute between writes.
 const diskLoadDirtyRate = 30e6
-
-func (g *diskLoadGen) Name() string { return "diskload" }
 
 // diskLoadFlushBase is the demand of a thread blocked in sync();
 // diskLoadWriteBase the constant part of the overwrite phase (jittered

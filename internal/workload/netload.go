@@ -21,8 +21,6 @@ const (
 	netRxPerSec = 1.2e6
 )
 
-func (g *netloadGen) Name() string { return "netload" }
-
 // netloadBase is the constant part of a request's demand, hoisted out of
 // the per-slice path.
 var netloadBase = Demand{

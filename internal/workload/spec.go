@@ -34,7 +34,6 @@ type phaseFunc func(t float64, g *specGen) (actMul, upcMul, missMul float64)
 
 // specGen generates demand for one instance of a SPEC workload.
 type specGen struct {
-	name  string
 	p     specParams
 	phase phaseFunc
 	rng   *sim.RNG
@@ -55,8 +54,8 @@ type specGen struct {
 // instance reads its dataset.
 const initReadRate = 60e6
 
-func newSpecGen(name string, p specParams, phase phaseFunc, rng *sim.RNG) *specGen {
-	g := &specGen{name: name, p: p, phase: phase, rng: rng}
+func newSpecGen(p specParams, phase phaseFunc, rng *sim.RNG) *specGen {
+	g := &specGen{p: p, phase: phase, rng: rng}
 	if p.initReadMB > 0 {
 		g.initT = p.initReadMB * 1e6 / initReadRate
 	}
@@ -87,8 +86,6 @@ func newSpecGen(name string, p specParams, phase phaseFunc, rng *sim.RNG) *specG
 	}
 	return g
 }
-
-func (g *specGen) Name() string { return g.name }
 
 // Demand fills the named result in place and reads the parameters
 // through a pointer: it runs once per thread per slice, and copying the
@@ -160,7 +157,7 @@ func specSpec(name string, class Class, bias float64, p specParams, mkPhase func
 		DefaultDuration:   390,
 		ChipsetDomainBias: bias,
 		Make: func(instance int, rng *sim.RNG) Generator {
-			return newSpecGen(name, p, mkPhase(), rng)
+			return newSpecGen(p, mkPhase(), rng)
 		},
 	}
 }

@@ -154,8 +154,6 @@ type Env struct {
 
 // Generator produces one thread's demand stream.
 type Generator interface {
-	// Name returns the workload name.
-	Name() string
 	// Demand returns the thread's demand for the slice starting at t
 	// seconds after the generator's own start.
 	Demand(t float64, env Env, rng *sim.RNG) Demand

@@ -95,9 +95,6 @@ func TestAllGeneratorsProduceValidDemand(t *testing.T) {
 		s, _ := ByName(name)
 		rng := sim.NewRNG(1)
 		g := s.Make(0, rng)
-		if g.Name() != name {
-			t.Errorf("%s: generator Name() = %q", name, g.Name())
-		}
 		var env Env
 		for i := 0; i < 200000; i++ { // 200 simulated seconds
 			d := g.Demand(float64(i)*0.001, env, rng)

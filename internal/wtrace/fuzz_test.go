@@ -137,8 +137,6 @@ type fuzzGen struct {
 	n    int
 }
 
-func (g *fuzzGen) Name() string { return "fuzz" }
-
 func (g *fuzzGen) Demand(t float64, env workload.Env, rng *sim.RNG) workload.Demand {
 	g.n++
 	if g.n > 1 && g.rng.Float64() < 0.5 {

@@ -26,9 +26,10 @@ func goldenConfig() machine.Config {
 const goldenSeconds = 20
 
 // TestGoldenRecordReplayDBT2 records a fixed-seed dbt-2 run, checks the
-// trace fingerprint against the pinned golden, then replays the trace
-// through a fresh machine and requires the replayed aligned dataset to
-// be byte-identical (align.Fingerprint) to the live run's.
+// trace fingerprint against the pinned golden, then replays the trace's
+// Placements through a fresh machine.NewMixed and requires the replayed
+// aligned dataset to be byte-identical (align.Fingerprint) to the live
+// run's.
 func TestGoldenRecordReplayDBT2(t *testing.T) {
 	spec, err := workload.ByName("dbt-2")
 	if err != nil {
@@ -76,11 +77,11 @@ func TestGoldenRecordReplayDBT2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rpSpec, err := dec.Spec()
+	placements, err := dec.Placements()
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := machine.New(cfg, rpSpec)
+	replay, err := machine.NewMixed(cfg, placements)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,13 @@ import (
 	"trickledown/internal/workload"
 )
 
-// Placements binds every recorded stream to its hardware thread with
-// its recorded start offset. Unlike Spec it does not require a uniform
-// stagger: each placement carries the replay spec directly and its own
-// StartSec, so arbitrary recorded layouts (e.g. a mixed tdpower
-// -placement run) replay exactly. Feed the result to machine.NewMixed
-// or cluster.AddMixedConfig on a machine with at least Header.Threads
-// hardware threads.
+// Placements is the one bridge from a trace back into a machine: it
+// binds every recorded stream to its hardware thread with its recorded
+// start offset. Each placement carries the replay spec directly and its
+// own StartSec, so any recorded layout (a registry workload's uniform
+// stagger or a mixed tdpower -placement run) replays exactly. Feed the
+// result to machine.NewMixed or cluster.AddMixedConfig on a machine
+// with at least Header.Threads hardware threads.
 func (tr *Trace) Placements() ([]machine.Placement, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -30,7 +30,7 @@ func (tr *Trace) Placements() ([]machine.Placement, error) {
 		Make: func(instance int, rng *sim.RNG) workload.Generator {
 			g, err := shared.Generator(instance)
 			if err != nil {
-				return &Replay{name: "replay:" + h.Workload, rate: h.RatePerSec}
+				return &Replay{rate: h.RatePerSec}
 			}
 			return g
 		},

@@ -214,11 +214,16 @@ func (tr *Trace) Intervals(thread int) int64 {
 }
 
 // Duration returns the trace length in machine seconds: the latest
-// stream end (start offset + recorded intervals / rate).
+// stream end (start offset + recorded intervals / rate). A stream with
+// no intervals, a thread the recorded run never started, ends nothing.
 func (tr *Trace) Duration() float64 {
 	var d float64
 	for ti := range tr.Streams {
-		end := tr.Header.Starts[ti] + float64(tr.Intervals(ti))/tr.Header.RatePerSec
+		n := tr.Intervals(ti)
+		if n == 0 {
+			continue
+		}
+		end := tr.Header.Starts[ti] + float64(n)/tr.Header.RatePerSec
 		if end > d {
 			d = end
 		}
@@ -237,47 +242,9 @@ func (tr *Trace) Generator(thread int) (*Replay, error) {
 		return nil, fmt.Errorf("wtrace: thread %d out of range [0,%d)", thread, len(tr.Streams))
 	}
 	return &Replay{
-		name:  "replay:" + tr.Header.Workload,
 		runs:  tr.Streams[thread],
 		rate:  tr.Header.RatePerSec,
 		total: tr.Intervals(thread),
-	}, nil
-}
-
-// Spec bridges a trace back into the workload.Spec world so the
-// unchanged machine/cluster constructors can run it. It requires the
-// recorded per-thread starts to form a uniform stagger (which every
-// registry spec and Recorder-wrapped run produces).
-func (tr *Trace) Spec() (workload.Spec, error) {
-	if err := tr.Validate(); err != nil {
-		return workload.Spec{}, err
-	}
-	h := tr.Header
-	stagger := 0.0
-	if h.Threads > 1 {
-		stagger = h.Starts[1] - h.Starts[0]
-	}
-	for i := 1; i < h.Threads; i++ {
-		want := h.Starts[0] + float64(i)*stagger
-		if math.Abs(h.Starts[i]-want) > 1e-9 {
-			return workload.Spec{}, fmt.Errorf("wtrace: non-uniform stagger (start[%d]=%v, want %v); place threads explicitly", i, h.Starts[i], want)
-		}
-	}
-	shared := tr
-	return workload.Spec{
-		Name:            "replay:" + h.Workload,
-		Class:           workload.ClassInteger,
-		Instances:       h.Threads,
-		StaggerSec:      stagger,
-		DefaultDuration: tr.Duration(),
-		Make: func(instance int, rng *sim.RNG) workload.Generator {
-			g, err := shared.Generator(instance)
-			if err != nil {
-				return &Replay{name: "replay:" + h.Workload, rate: h.RatePerSec}
-			}
-			return g
-		},
-		ChipsetDomainBias: h.ChipsetDomainBias,
 	}, nil
 }
 
@@ -286,16 +253,12 @@ func (tr *Trace) Spec() (workload.Spec, error) {
 // keeps a run cursor so sequential stepping is O(1) per slice
 // (out-of-order times fall back to a rescan from the stream head).
 type Replay struct {
-	name     string
 	runs     []Run
 	rate     float64
 	total    int64
 	run      int   // cursor: current run index
 	runStart int64 // cursor: interval index of runs[run]'s first interval
 }
-
-// Name implements workload.Generator.
-func (g *Replay) Name() string { return g.name }
 
 // Demand implements workload.Generator. It consumes no randomness, so
 // replayed threads leave every other RNG stream of the machine (drift,
@@ -412,8 +375,6 @@ type recordGen struct {
 	thread int
 	inner  workload.Generator
 }
-
-func (g *recordGen) Name() string { return g.inner.Name() }
 
 func (g *recordGen) Demand(t float64, env workload.Env, rng *sim.RNG) workload.Demand {
 	d := g.inner.Demand(t, env, rng)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"trickledown/internal/machine"
 	"trickledown/internal/sim"
 	"trickledown/internal/workload"
 )
@@ -244,26 +245,64 @@ func TestReplayMatchesRecordedSequence(t *testing.T) {
 	}
 }
 
-func TestSpecRequiresUniformStagger(t *testing.T) {
-	tr := testTrace() // starts {0, 5} with 2 threads: uniform
-	spec, err := tr.Spec()
+// TestPlacementsKeepRecordedStarts: Placements puts stream i on thread
+// i at its recorded start, uniform stagger or not, and each placement's
+// generator replays its own stream.
+func TestPlacementsKeepRecordedStarts(t *testing.T) {
+	tr := testTrace()
+	tr.Header.Threads = 3
+	tr.Header.Starts = []float64{0, 5, 11}
+	tr.Header.Samples = 9
+	tr.Streams = append(tr.Streams, []Run{{T: 0, N: 2, D: workload.Demand{Active: 1}}})
+	pl, err := tr.Placements()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Instances != 2 || spec.StaggerSec != 5 || spec.Name != "replay:unit" {
-		t.Fatalf("spec: %+v", spec)
+	if len(pl) != 3 {
+		t.Fatalf("%d placements for 3 streams", len(pl))
 	}
-	g := spec.Make(0, sim.NewRNG(1))
-	if g.Name() != "replay:unit" {
-		t.Fatalf("generator name %q", g.Name())
+	for i, p := range pl {
+		if p.Thread != i || p.StartSec != tr.Header.Starts[i] || p.Workload != "replay:unit" || p.Spec == nil {
+			t.Fatalf("placement %d: %+v", i, p)
+		}
+		want := tr.Streams[i][0].D
+		if d := p.Spec.Make(i, sim.NewRNG(1)).Demand(0, workload.Env{}, sim.NewRNG(1)); d != want {
+			t.Fatalf("placement %d replays %+v, stream starts %+v", i, d, want)
+		}
 	}
-	tr3 := testTrace()
-	tr3.Header.Threads = 3
-	tr3.Header.Starts = []float64{0, 5, 11}
-	tr3.Header.Samples = 9
-	tr3.Streams = append(tr3.Streams, []Run{{T: 0, N: 2, D: workload.Demand{Active: 1}}})
-	if _, err := tr3.Spec(); err == nil || !strings.Contains(err.Error(), "stagger") {
-		t.Fatalf("non-uniform stagger: %v", err)
+	tr.Header.Starts[2] = -1
+	if _, err := tr.Placements(); err == nil {
+		t.Fatal("invalid start accepted")
+	}
+}
+
+// TestDurationIgnoresUnstartedThreads records 30 s of gcc, whose eight
+// instances start 30 s apart: only thread 0 ever runs, so the trace
+// lasts 30 s, not the 210 s of the last thread's start offset.
+func TestDurationIgnoresUnstartedThreads(t *testing.T) {
+	spec, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.DefaultConfig()
+	rec, err := NewRecorder(spec.Name, 1/cfg.Slice.Seconds(), spec.Instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec, err = RecordSpec(spec, rec); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := machine.New(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Run(30)
+	tr, err := rec.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Duration(); got != 30 {
+		t.Errorf("Duration() = %v, want 30", got)
 	}
 }
 
@@ -290,7 +329,6 @@ func TestEmptyStreamReplaysIdle(t *testing.T) {
 
 type constGen struct{ d workload.Demand }
 
-func (g constGen) Name() string { return "const" }
 func (g constGen) Demand(t float64, env workload.Env, rng *sim.RNG) workload.Demand {
 	return g.d
 }
@@ -298,7 +336,6 @@ func (g constGen) Demand(t float64, env workload.Env, rng *sim.RNG) workload.Dem
 // rampGen produces a distinct demand every interval (worst case for RLE).
 type rampGen struct{ n int }
 
-func (g *rampGen) Name() string { return "ramp" }
 func (g *rampGen) Demand(t float64, env workload.Env, rng *sim.RNG) workload.Demand {
 	g.n++
 	return workload.Demand{Active: float64(g.n%100) / 100, UopsPerCycle: 1}

@@ -37,18 +37,6 @@ func TestCommandOutputPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	statSources(t)
-	bin := t.TempDir()
-	build := exec.Command(goTool, "build", "-o", bin+string(filepath.Separator),
-		"./cmd/tdreport", "./cmd/tdvalidate",
-		"./examples/fleet", "./examples/diurnal", "./examples/chaos",
-		"./examples/tenants", "./examples/drift", "./examples/replay",
-		"./examples/quickstart", "./examples/governor", "./examples/phases",
-		"./examples/thermal")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
 	report := map[string]string{
 		"stdout":                 "cbf29ce484222325",
 		"F":                      "58227a2b90097482",
@@ -70,20 +58,35 @@ func TestCommandOutputPins(t *testing.T) {
 	}{
 		{"fleet", nil, map[string]string{"stdout": "709707109d6cfd7c"}},
 		{"fleet", []string{"-smoke", "1000", "-workers", "2"}, map[string]string{"stdout": "89cf7be9cd6f3388"}},
-		{"diurnal", []string{"-workers", "2"}, map[string]string{"stdout": "e9f99deb04728093"}},
 		{"chaos", []string{"-seconds", "40"}, map[string]string{"stdout": "04fe66547c6f3009"}},
-		{"tenants", nil, map[string]string{"stdout": "d270ab430bdd60ab"}},
 		{"drift", nil, map[string]string{"stdout": "726f53fbb65f1e1b"}},
 		{"drift", []string{"-force-bad-challenger"}, map[string]string{"stdout": "2ebf62df968f33d1"}},
 		{"drift", []string{"-rollback-drill"}, map[string]string{"stdout": "467292493a1ee384"}},
-		{"replay", nil, map[string]string{"stdout": "7e23228420ca1be3"}},
 		{"quickstart", nil, map[string]string{"stdout": "558bbe2aac01befa"}},
-		{"governor", nil, map[string]string{"stdout": "f06081b565396e6e"}},
-		{"phases", nil, map[string]string{"stdout": "2075fefd3f60a241"}},
-		{"thermal", nil, map[string]string{"stdout": "7321d14cb4eeb6d9"}},
 		{"tdvalidate", []string{"-gate", "-golden", golden, "-o", "F"},
 			map[string]string{"stdout": "572325863a3668e8", "F": "cec493571e36d351"}},
 		{"tdreport", []string{"-scale", "0.2", "-o", "F", "-figures", "D"}, report},
+	}
+
+	// Each row's command builds from ./cmd/X if that exists, else from
+	// ./examples/X.
+	statSources(t)
+	bin := t.TempDir()
+	buildArgs := []string{"build", "-o", bin + string(filepath.Separator)}
+	built := map[string]bool{}
+	for _, row := range rows {
+		if built[row.cmd] {
+			continue
+		}
+		built[row.cmd] = true
+		pkg := "./cmd/" + row.cmd
+		if _, err := os.Stat(pkg); err != nil {
+			pkg = "./examples/" + row.cmd
+		}
+		buildArgs = append(buildArgs, pkg)
+	}
+	if out, err := exec.Command(goTool, buildArgs...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	for _, row := range rows {
 		name := strings.Join(append([]string{row.cmd}, row.args...), " ")
